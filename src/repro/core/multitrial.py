@@ -47,7 +47,6 @@ per-trial results are **bit-identical** to
 from __future__ import annotations
 
 import math
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
@@ -55,6 +54,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.engine import DEFAULT_RNG_BLOCK, choice_blocks
+from repro.core.ring import RingSpace
 from repro.core.spaces import GeometricSpace
 from repro.core.strategies import (
     TieBreak,
@@ -116,119 +116,36 @@ def fused_trial_chunk(n: int, m: int, d: int) -> int:
     return max(1, min(by_candidates, by_bins))
 
 
-def _block_sizes(m: int, rng_block: int) -> list[int]:
-    """The deterministic RNG-block row counts :func:`choice_blocks` yields."""
-    sizes = []
-    remaining = m
-    while remaining > 0:
-        b = min(rng_block, remaining)
-        sizes.append(b)
-        remaining -= b
-    return sizes
-
-
-class _BlockProducer:
-    """Double-buffered producer of per-trial RNG candidate blocks.
-
-    The serial engines interleave candidate generation (numpy RNG +
-    ring lookups, partially GIL-bound) with placement, so the two costs
-    *add*.  This producer overlaps them: while the consumer places RNG
-    block ``s``, block ``s + 1`` is already being generated — the
-    per-trial fills run on a small thread pool (``threads`` workers;
-    distinct trials own distinct generators, so numpy's per-generator
-    locks never contend), driven one step ahead by a dedicated pipeline
-    thread.
-
-    Bit-identity: trial ``k``'s iterator is consumed *only* by its
-    ``fill(k)`` task, and steps are strictly serialized by the one-slot
-    pipeline, so every generator sees exactly the serial consumption
-    order — pipelining moves **when** a block is generated, never its
-    contents.  ``stacked=True`` additionally interleaves the per-trial
-    rows into contiguous ``(T, b, d)`` / ``(T, b)`` arrays for the
-    ``place_block_multi`` kernels.
-
-    When observability is on, per-worker-thread generation seconds are
-    accumulated (each entry only ever written by its own thread) and
-    emitted by :meth:`emit_spans` as one ``run_fused.rng`` span per
-    producer thread.
-    """
-
-    def __init__(self, iters, sizes, t, d, *, stacked, obs):
-        self._iters = iters
-        self._sizes = sizes
-        self._t = t
-        self._d = d
-        self._stacked = stacked
-        self._obs = obs
-        self.thread_seconds: dict[int, float] = {}
-        self._gen = ThreadPoolExecutor(
-            max_workers=max(2, min(t, 32)), thread_name_prefix="repro-rng"
-        )
-        self._pipe = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-rng-pipe"
-        )
-        self._step = 0
-        self._future = (
-            self._pipe.submit(self._generate, sizes[0]) if sizes else None
-        )
-
-    def _fill_stacked(self, k, bins3, us2):
-        t0 = time.perf_counter() if self._obs else 0.0
-        bins_k, us_k = next(self._iters[k])
-        bins3[k] = bins_k
-        us2[k] = us_k
-        if self._obs:
-            tid = threading.get_ident()
-            self.thread_seconds[tid] = self.thread_seconds.get(tid, 0.0) + (
-                time.perf_counter() - t0
-            )
-
-    def _fill(self, k, out):
-        t0 = time.perf_counter() if self._obs else 0.0
-        out[k] = next(self._iters[k])
-        if self._obs:
-            tid = threading.get_ident()
-            self.thread_seconds[tid] = self.thread_seconds.get(tid, 0.0) + (
-                time.perf_counter() - t0
-            )
-
-    def _generate(self, bsize):
-        if self._stacked:
-            bins3 = np.empty((self._t, bsize, self._d), dtype=np.int64)
-            us2 = np.empty((self._t, bsize), dtype=np.float64)
-            list(
-                self._gen.map(
-                    lambda k: self._fill_stacked(k, bins3, us2), range(self._t)
-                )
-            )
-            return bins3, us2
-        out = [None] * self._t
-        list(self._gen.map(lambda k: self._fill(k, out), range(self._t)))
-        return out
-
-    def next_block(self):
-        """Block ``s`` (stalling if still generating); schedules ``s+1``."""
-        result = self._future.result()
-        self._step += 1
-        if self._step < len(self._sizes):
-            self._future = self._pipe.submit(
-                self._generate, self._sizes[self._step]
-            )
-        return result
-
-    def emit_spans(self, threads: int) -> None:
-        """Emit one ``run_fused.rng`` span per producer thread (obs on)."""
-        for i, (tid, secs) in enumerate(sorted(self.thread_seconds.items())):
-            add_span("run_fused.rng", secs, thread=i, threads=threads)
-
-    def close(self) -> None:
-        """Shut down both pools (idempotent)."""
-        self._pipe.shutdown(wait=False, cancel_futures=True)
-        self._gen.shutdown(wait=False, cancel_futures=True)
-
-
-def _run_fused_kernel_threaded(
+def _ring_kernel_applies(
     spaces: Sequence[GeometricSpace],
+    rngs: Sequence[np.random.Generator],
+    backend: KernelBackend,
+) -> bool:
+    """Whether every trial can run inside the backend's ``ring_trials``.
+
+    That kernel carries a copy of numpy's PCG64, so it takes rings whose
+    generators are exactly ``PCG64``; other bit generators (``MT19937``,
+    ``PCG64DXSM``, ...) keep the generic ``choice_blocks`` path.
+    """
+    return (
+        backend.ring_trials is not None
+        and all(isinstance(s, RingSpace) for s in spaces)
+        and all(type(r.bit_generator) is np.random.PCG64 for r in rngs)
+        and _distinct_generators(rngs)
+    )
+
+
+def _distinct_generators(rngs: Sequence[np.random.Generator]) -> bool:
+    """Whether no two trials share a bit generator.
+
+    Trials that share one must consume it one after another, so they
+    run serially in trial order, never side by side.
+    """
+    return len({id(r.bit_generator) for r in rngs}) == len(rngs)
+
+
+def _run_fused_ring(
+    spaces: Sequence[RingSpace],
     m: int,
     d: int,
     strategy: TieBreak,
@@ -240,59 +157,43 @@ def _run_fused_kernel_threaded(
     rng_block: int,
     record_heights: bool,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Multicore twin of :func:`_run_fused_kernel`.
+    """All ring trials in one ``ring_trials`` kernel call.
 
-    Two axes of parallelism, both result-preserving:
-
-    * the ``place_block_multi`` kernel partitions the fused trials into
-      static contiguous row groups placed on ``threads`` OS threads
-      with the GIL released (any static partition is bit-identical —
-      trial ``k`` touches only load row ``k``);
-    * a :class:`_BlockProducer` generates RNG block ``s + 1`` while the
-      kernel places block ``s``, so candidate-stream cost overlaps
-      kernel cost instead of serializing with it (the Amdahl term the
-      single-core path pays in full).
+    Each trial runs draw → bucket lookup → place for every ball inside
+    the kernel, from a C copy of its PCG64 generator that walks the
+    :func:`~repro.core.engine.choice_blocks` layout with two cursors
+    per RNG block; only ``state.state`` is written back.  Trials are
+    split statically across ``threads`` OS threads.  Results and final
+    generator states are bit-identical to
+    :func:`~repro.core.engine.run_sequential`
+    (``tests/kernels/test_ring_kernel.py``).
     """
     t = len(spaces)
-    n = spaces[0].n
-    code = STRATEGY_CODES[strategy.value]
-    needs_measures = strategy_needs_measures(strategy)
-    loads = np.zeros((t, n), dtype=np.int64)
+    loads = np.zeros((t, spaces[0].n), dtype=np.int64)
     heights = np.zeros((t, m), dtype=np.int64) if record_heights else None
-    measures2 = (
-        np.ascontiguousarray(np.stack([s.region_measures() for s in spaces]))
-        if needs_measures
+    measures = (
+        [s.region_measures() for s in spaces]
+        if strategy_needs_measures(strategy)
         else None
     )
-    sizes = _block_sizes(m, rng_block)
-    iters = [
-        choice_blocks(s, rng, m, d, partitioned=partitioned, rng_block=rng_block)
-        for s, rng in zip(spaces, rngs)
-    ]
     _obs = obs_enabled()
-    kernel_s = stall_s = 0.0
-    producer = _BlockProducer(iters, sizes, t, d, stacked=True, obs=_obs)
-    try:
-        pos = 0
-        for bsize in sizes:
-            if _obs:
-                t0 = time.perf_counter()
-            bins3, us2 = producer.next_block()
-            if _obs:
-                t1 = time.perf_counter()
-                stall_s += t1 - t0
-            backend.place_block_multi(
-                bins3, us2, loads, measures2, code, heights, pos, threads
-            )
-            if _obs:
-                kernel_s += time.perf_counter() - t1
-            pos += bsize
-    finally:
-        producer.close()
     if _obs:
-        producer.emit_spans(threads)
-        add_span("run_fused.kernel", kernel_s, threads=threads)
-        add_span("run_fused.rng_stall", stall_s, threads=threads)
+        t0 = time.perf_counter()
+    backend.ring_trials(
+        [r.bit_generator for r in rngs],
+        [s._bucket_table() for s in spaces],
+        measures,
+        loads,
+        heights,
+        m,
+        d,
+        STRATEGY_CODES[strategy.value],
+        partitioned,
+        rng_block,
+        threads,
+    )
+    if _obs:
+        add_span("run_fused.ring_trials", time.perf_counter() - t0, threads=threads)
     return loads, heights
 
 
@@ -303,6 +204,7 @@ def _run_fused_kernel(
     strategy: TieBreak,
     rngs: Sequence[np.random.Generator],
     backend: KernelBackend,
+    threads: int,
     *,
     partitioned: bool,
     rng_block: int,
@@ -319,21 +221,27 @@ def _run_fused_kernel(
     ball with the same tie-break arithmetic, so results stay
     bit-identical to :func:`~repro.core.engine.run_sequential` (the
     parity suite checks this per backend).
+
+    ``threads > 1`` places trials on a pool of that many threads.
+    Trials share no loads and no generator, and the numpy draws, the
+    torus KD-tree queries and the kernel all release the GIL.
     """
     t = len(spaces)
-    n = spaces[0].n
     code = STRATEGY_CODES[strategy.value]
     needs_measures = strategy_needs_measures(strategy)
-    loads = np.zeros((t, n), dtype=np.int64)
+    loads = np.zeros((t, spaces[0].n), dtype=np.int64)
     heights = np.zeros((t, m), dtype=np.int64) if record_heights else None
     _obs = obs_enabled()
-    rng_s = kernel_s = 0.0
-    for k, (space, rng) in enumerate(zip(spaces, rngs)):
+    #: per trial: seconds drawing candidates, seconds placing them
+    phase_s = np.zeros((t, 2))
+
+    def place_trial(k: int) -> None:
+        space = spaces[k]
         measures = space.region_measures() if needs_measures else None
-        pos = 0
         blocks = choice_blocks(
-            space, rng, m, d, partitioned=partitioned, rng_block=rng_block
+            space, rngs[k], m, d, partitioned=partitioned, rng_block=rng_block
         )
+        pos = 0
         while True:
             if _obs:
                 t0 = time.perf_counter()
@@ -343,7 +251,7 @@ def _run_fused_kernel(
                 break
             if _obs:
                 t1 = time.perf_counter()
-                rng_s += t1 - t0
+                phase_s[k, 0] += t1 - t0
             b = bins.shape[0]
             backend.place_block(
                 bins,
@@ -354,11 +262,27 @@ def _run_fused_kernel(
                 heights[k, pos : pos + b] if heights is not None else None,
             )
             if _obs:
-                kernel_s += time.perf_counter() - t1
+                phase_s[k, 1] += time.perf_counter() - t1
             pos += b
+
+    start = time.perf_counter() if _obs else 0.0
+    if threads > 1 and t > 1 and _distinct_generators(rngs):
+        with ThreadPoolExecutor(
+            max_workers=min(threads, t), thread_name_prefix="repro-trial"
+        ) as pool:
+            list(pool.map(place_trial, range(t)))
+    else:
+        for k in range(t):
+            place_trial(k)
     if _obs:
-        add_span("run_fused.rng", rng_s)
-        add_span("run_fused.kernel", kernel_s)
+        # split the loop's wall time between the two phases in the
+        # proportion the trials spent in each, so the spans partition
+        # wall time however many threads ran them
+        wall = time.perf_counter() - start
+        rng_s, kernel_s = phase_s.sum(axis=0)
+        share = rng_s / (rng_s + kernel_s) if rng_s + kernel_s > 0 else 0.0
+        add_span("run_fused.rng", wall * share, threads=threads)
+        add_span("run_fused.kernel", wall * (1.0 - share), threads=threads)
     return loads, heights
 
 
@@ -403,12 +327,14 @@ def run_fused(
     threads:
         Worker-thread count, resolved by
         :func:`repro.kernels.resolve_threads` (``REPRO_NUM_THREADS`` →
-        this kwarg → physical cores).  With an accelerated backend,
-        ``threads > 1`` partitions the fused trials across GIL-released
-        kernel threads and pipelines RNG candidate generation one block
-        ahead; on the numpy path it enables the RNG pipeline alone.
-        Results are bit-identical for every thread count (enforced by
-        ``tests/kernels/test_threads_parity.py``).
+        this kwarg → physical cores).  With an accelerated backend the
+        trials are split across that many threads: inside the
+        ``ring_trials`` kernel for rings drawing from ``PCG64``
+        generators, on a thread pool for everything else.  The numpy
+        reference runs on one thread.  Results are bit-identical for
+        every thread count (enforced by
+        ``tests/kernels/test_threads_parity.py`` and
+        ``tests/kernels/test_ring_kernel.py``).
 
     Returns
     -------
@@ -430,6 +356,7 @@ def run_fused(
             )
     m = check_non_negative_int(m, "m")
     d = check_positive_int(d, "d")
+    rng_block = check_positive_int(rng_block, "rng_block")
     strategy = TieBreak.coerce(strategy)
     backend_obj = resolve_backend(backend)
     eff_threads = resolve_threads(threads)
@@ -445,24 +372,20 @@ def run_fused(
     ):
         counter_add("placement.balls", t * m)
         counter_add("placement.trials", t)
+        if _ring_kernel_applies(spaces, rngs, backend_obj):
+            return _run_fused_ring(
+                spaces,
+                m,
+                d,
+                strategy,
+                rngs,
+                backend_obj,
+                eff_threads,
+                partitioned=partitioned,
+                rng_block=rng_block,
+                record_heights=record_heights,
+            )
         if backend_obj.place_block is not None:
-            if (
-                eff_threads > 1
-                and backend_obj.place_block_multi is not None
-                and m > 0
-            ):
-                return _run_fused_kernel_threaded(
-                    spaces,
-                    m,
-                    d,
-                    strategy,
-                    rngs,
-                    backend_obj,
-                    eff_threads,
-                    partitioned=partitioned,
-                    rng_block=rng_block,
-                    record_heights=record_heights,
-                )
             return _run_fused_kernel(
                 spaces,
                 m,
@@ -470,6 +393,7 @@ def run_fused(
                 strategy,
                 rngs,
                 backend_obj,
+                eff_threads,
                 partitioned=partitioned,
                 rng_block=rng_block,
                 record_heights=record_heights,
@@ -484,7 +408,6 @@ def run_fused(
             rng_block=rng_block,
             batch_size=batch_size,
             record_heights=record_heights,
-            threads=eff_threads,
         )
 
 
@@ -499,7 +422,6 @@ def _run_fused_numpy(
     rng_block: int,
     batch_size: int | None,
     record_heights: bool,
-    threads: int = 1,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """The vectorized optimistic-chunk reference path of :func:`run_fused`.
 
@@ -510,13 +432,8 @@ def _run_fused_numpy(
     ``run_fused.repair``, and every flagged row bumps the
     ``placement.conflict_rows`` counter — the data behind the
     optimistic-chunk tuning story.  Disabled, the only extra work per
-    chunk is a handful of bool checks.
-
-    ``threads >= 2`` runs RNG candidate generation one block ahead on a
-    :class:`_BlockProducer` (the decide/interleave machinery itself
-    stays single-threaded — it is numpy-vectorized and largely
-    GIL-bound); the producer preserves each generator's consumption
-    order, so results never change.
+    chunk is a handful of bool checks.  The reference runs on one
+    thread.
     """
     t = len(spaces)
     n = spaces[0].n
@@ -561,120 +478,104 @@ def _run_fused_numpy(
     rng_s = interleave_s = decide_s = repair_s = 0.0
     chunks = conflict_rows = 0
 
-    sizes = _block_sizes(m, rng_block)
-    producer = (
-        _BlockProducer(iters, sizes, t, d, stacked=False, obs=_obs)
-        if threads >= 2 and len(sizes) > 1
-        else None
-    )
-    try:
-        ball_base = 0
-        while ball_base < m:
-            if _obs:
-                t0 = time.perf_counter()
-            if producer is not None:
-                blocks = producer.next_block()
-            else:
-                blocks = [next(it) for it in iters]
-            if _obs:
-                t1 = time.perf_counter()
-                rng_s += t1 - t0
-            b = blocks[0][0].shape[0]
-            # round-robin interleave: fused row t·T + k is ball t of
-            # trial k.  Done in ball tiles so the strided destination
-            # stays cache-resident across the per-trial passes.
-            bins3 = np.empty((b, t, d), dtype=idx_dtype)
-            u2 = np.empty((b, t), dtype=np.float64)
-            for s0 in range(0, b, tile):
-                s1 = min(s0 + tile, b)
-                dst_b = bins3[s0:s1]
-                dst_u = u2[s0:s1]
-                for k, (bins_k, u_k) in enumerate(blocks):
-                    np.add(
-                        bins_k[s0:s1], k * n, out=dst_b[:, k, :], casting="unsafe"
-                    )
-                    dst_u[:, k] = u_k[s0:s1]
-            fused_bins = bins3.reshape(b * t * d)
-            fused_u = u2.reshape(b * t)
-            if _obs:
-                interleave_s += time.perf_counter() - t1
-
-            block_len = b * t
-            pos = 0
-            while pos < block_len:
-                if _obs:
-                    t2 = time.perf_counter()
-                    chunks += 1
-                end = min(pos + batch_size, block_len)
-                w = end - pos
-                wd = w * d
-                flat = fused_bins[pos * d : end * d]
-                # one reverse-scatter + one pair-gather per chunk
-                state[flat[::-1], 1] = asc[:wd]
-                pair = state[flat]
-                # element i is flagged iff its bin first occurred in an
-                # earlier row: first_elem < row_start[i], i.e.
-                # (wd-1 - stamp) < row_start  ⇔  stamp + row_start > wd-1
-                hits = np.flatnonzero((pair[:, 1] + row_start[:wd]) > (wd - 1))
-                # optimistic mega-decision on chunk-start loads
-                cand_loads = pair[:, 0].reshape(w, d)
-                cand_measures = (
-                    measures[flat].reshape(w, d) if needs_measures else None
+    ball_base = 0
+    while ball_base < m:
+        if _obs:
+            t0 = time.perf_counter()
+        blocks = [next(it) for it in iters]
+        if _obs:
+            t1 = time.perf_counter()
+            rng_s += t1 - t0
+        b = blocks[0][0].shape[0]
+        # round-robin interleave: fused row t·T + k is ball t of
+        # trial k.  Done in ball tiles so the strided destination
+        # stays cache-resident across the per-trial passes.
+        bins3 = np.empty((b, t, d), dtype=idx_dtype)
+        u2 = np.empty((b, t), dtype=np.float64)
+        for s0 in range(0, b, tile):
+            s1 = min(s0 + tile, b)
+            dst_b = bins3[s0:s1]
+            dst_u = u2[s0:s1]
+            for k, (bins_k, u_k) in enumerate(blocks):
+                np.add(
+                    bins_k[s0:s1], k * n, out=dst_b[:, k, :], casting="unsafe"
                 )
-                u_win = fused_u[pos:end]
-                j = decide_rows(cand_loads, cand_measures, u_win, strategy)
-                chosen = flat[row_of[:w] + j]
-                if heights is not None:
-                    f = np.arange(pos, end)
-                    heights[f % t, ball_base + f // t] = (
-                        cand_loads.min(axis=1) + 1
+                dst_u[:, k] = u_k[s0:s1]
+        fused_bins = bins3.reshape(b * t * d)
+        fused_u = u2.reshape(b * t)
+        if _obs:
+            interleave_s += time.perf_counter() - t1
+
+        block_len = b * t
+        pos = 0
+        while pos < block_len:
+            if _obs:
+                t2 = time.perf_counter()
+                chunks += 1
+            end = min(pos + batch_size, block_len)
+            w = end - pos
+            wd = w * d
+            flat = fused_bins[pos * d : end * d]
+            # one reverse-scatter + one pair-gather per chunk
+            state[flat[::-1], 1] = asc[:wd]
+            pair = state[flat]
+            # element i is flagged iff its bin first occurred in an
+            # earlier row: first_elem < row_start[i], i.e.
+            # (wd-1 - stamp) < row_start  ⇔  stamp + row_start > wd-1
+            hits = np.flatnonzero((pair[:, 1] + row_start[:wd]) > (wd - 1))
+            # optimistic mega-decision on chunk-start loads
+            cand_loads = pair[:, 0].reshape(w, d)
+            cand_measures = (
+                measures[flat].reshape(w, d) if needs_measures else None
+            )
+            u_win = fused_u[pos:end]
+            j = decide_rows(cand_loads, cand_measures, u_win, strategy)
+            chosen = flat[row_of[:w] + j]
+            if heights is not None:
+                f = np.arange(pos, end)
+                heights[f % t, ball_base + f // t] = (
+                    cand_loads.min(axis=1) + 1
+                )
+            if hits.size == 0:
+                state[chosen, 0] += 1
+                if _obs:
+                    decide_s += time.perf_counter() - t2
+            else:
+                flagged = np.unique(hits // d)
+                keep = np.ones(w, dtype=bool)
+                keep[flagged] = False
+                state[chosen[keep], 0] += 1
+                if _obs:
+                    conflict_rows += int(flagged.size)
+                    t3 = time.perf_counter()
+                    decide_s += t3 - t2
+                # Scalar repair, in row order.  The pure-python
+                # kernel is deliberate: per single row it measures
+                # ~9x faster than the numpy decide_row (no ufunc
+                # dispatch), and repairs are python-scalar work
+                # anyway; bit-identity of the two kernels is
+                # enforced by the strategy tests.
+                for r in flagged.tolist():
+                    cand = flat[r * d : (r + 1) * d]
+                    jr = decide_row_scalar(
+                        state[cand, 0].tolist(),
+                        measures[cand].tolist() if needs_measures else None,
+                        float(u_win[r]),
+                        strategy,
                     )
-                if hits.size == 0:
-                    state[chosen, 0] += 1
-                    if _obs:
-                        decide_s += time.perf_counter() - t2
-                else:
-                    flagged = np.unique(hits // d)
-                    keep = np.ones(w, dtype=bool)
-                    keep[flagged] = False
-                    state[chosen[keep], 0] += 1
-                    if _obs:
-                        conflict_rows += int(flagged.size)
-                        t3 = time.perf_counter()
-                        decide_s += t3 - t2
-                    # Scalar repair, in row order.  The pure-python
-                    # kernel is deliberate: per single row it measures
-                    # ~9x faster than the numpy decide_row (no ufunc
-                    # dispatch), and repairs are python-scalar work
-                    # anyway; bit-identity of the two kernels is
-                    # enforced by the strategy tests.
-                    for r in flagged.tolist():
-                        cand = flat[r * d : (r + 1) * d]
-                        jr = decide_row_scalar(
-                            state[cand, 0].tolist(),
-                            measures[cand].tolist() if needs_measures else None,
-                            float(u_win[r]),
-                            strategy,
+                    chosen_r = int(cand[jr])
+                    if heights is not None:
+                        fr = pos + r
+                        heights[fr % t, ball_base + fr // t] = (
+                            int(state[chosen_r, 0]) + 1
                         )
-                        chosen_r = int(cand[jr])
-                        if heights is not None:
-                            fr = pos + r
-                            heights[fr % t, ball_base + fr // t] = (
-                                int(state[chosen_r, 0]) + 1
-                            )
-                        state[chosen_r, 0] += 1
-                    if _obs:
-                        repair_s += time.perf_counter() - t3
-                pos = end
-            ball_base += b
-    finally:
-        if producer is not None:
-            producer.close()
+                    state[chosen_r, 0] += 1
+                if _obs:
+                    repair_s += time.perf_counter() - t3
+            pos = end
+        ball_base += b
 
     if _obs:
-        if producer is not None:
-            producer.emit_spans(threads)
-            add_span("run_fused.rng_stall", rng_s, threads=threads)
         add_span("run_fused.rng", rng_s)
         add_span("run_fused.interleave", interleave_s)
         add_span("run_fused.decide", decide_s, chunks=chunks)

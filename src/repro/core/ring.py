@@ -27,7 +27,10 @@ on average under one linear-probe step (bucket occupancy ≤ 1).  Because
 ``B`` is a power of two, ``x·B`` and ``b/B`` are exact in float64, so
 the fast path returns *exactly* the index binary search would — the
 engines' bit-identity doctrine extends to the geometry substrate (and
-the test suite checks the two paths against each other).
+the test suite checks the two paths against each other).  With a
+compiled kernel backend the table is built at construction by one
+``ring_table`` pass over the sorted positions, which also checks that
+they are distinct; the numpy reference builds it lazily.
 """
 
 from __future__ import annotations
@@ -68,13 +71,33 @@ class RingSpace(GeometricSpace):
             raise ValueError("RingSpace needs at least one server position")
         if np.any((pos < 0.0) | (pos >= 1.0)):
             raise ValueError("positions must lie in [0, 1)")
-        pos = np.sort(pos)
-        if pos.size > 1 and np.any(np.diff(pos) == 0.0):
-            raise ValueError("positions must be distinct")
-        self._pos = pos
-        self.n = int(pos.size)
-        # (nbuckets, table, pos_ext) — built lazily on bulk queries
+        n = int(pos.size)
+        # the sorted positions followed by a +inf sentinel, which stops
+        # the bucket probe loop at idx == n without per-query bounds
+        pos_ext = np.empty(n + 1)
+        pos_ext[:n] = pos
+        pos_ext[:n].sort()
+        pos_ext[n] = np.inf
+        self._pos = pos_ext[:n]
+        self._pos_ext = pos_ext
+        self.n = n
+        # (nbuckets, table, pos_ext): built here by a compiled table
+        # pass, else lazily by numpy on the first bulk query
         self._lut: tuple[int, np.ndarray, np.ndarray] | None = None
+        try:
+            table_pass = default_backend().ring_table
+        except (ValueError, RuntimeError):
+            # a bad REPRO_KERNEL_BACKEND is reported by the engines, as
+            # before; the space itself stays on the numpy reference
+            table_pass = None
+        if table_pass is not None:
+            nbuckets = self._nbuckets()
+            table = table_pass(pos_ext, nbuckets)
+            if table is None:
+                raise ValueError("positions must be distinct")
+            self._lut = (nbuckets, table, pos_ext)
+        elif n > 1 and np.any(np.diff(self._pos) == 0.0):
+            raise ValueError("positions must be distinct")
 
     # ------------------------------------------------------------------
     # construction
@@ -104,28 +127,29 @@ class RingSpace(GeometricSpace):
     #: each output row is an independent lookup).
     _PAR_MIN_QUERIES = 1 << 16
 
+    def _nbuckets(self) -> int:
+        """``B``: the power of two ≥ n."""
+        return 1 << max(0, int(self.n - 1).bit_length())
+
     def _bucket_table(self) -> tuple[int, np.ndarray, np.ndarray]:
-        """Lazy ``(B, table, pos_ext)`` with
-        ``table[b] = searchsorted(pos, b/B)`` and ``pos_ext`` the
-        positions padded with a ``+inf`` probe sentinel.
+        """``(B, table, pos_ext)`` with ``table[b] = searchsorted(pos, b/B)``
+        and ``pos_ext`` the positions padded with a ``+inf`` probe
+        sentinel.
 
         ``B`` is the power of two ≥ n, so bucket occupancy averages ≤ 1
         and every ``x·B`` / ``b/B`` is exact in float64.  Built in O(n)
-        from the sorted positions (bincount + cumsum), not by binary
-        search.
+        from the sorted positions (bincount + cumsum here, the backend's
+        ``ring_table`` pass at construction), not by binary search.
         """
         if self._lut is None:
-            nbuckets = 1 << max(0, int(self.n - 1).bit_length())
+            nbuckets = self._nbuckets()
             occupancy = np.bincount(
                 (self._pos * nbuckets).astype(np.int64), minlength=nbuckets
             )
             table = np.empty(nbuckets + 1, dtype=np.int32)
             table[0] = 0
             np.cumsum(occupancy, out=table[1:])
-            # +inf sentinel stops the probe loop at idx == n without
-            # per-query upper bounds
-            pos_ext = np.append(self._pos, np.inf)
-            self._lut = (nbuckets, table, pos_ext)
+            self._lut = (nbuckets, table, self._pos_ext)
         return self._lut
 
     def _assign_bucketed(self, pts: np.ndarray) -> np.ndarray:

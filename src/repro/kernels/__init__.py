@@ -3,7 +3,7 @@
 `BENCH_engine.json` showed the fused engine plateauing around 4M
 balls/s with the fused-over-batched edge decaying as ``n`` grows: at
 paper scale the process is bound by numpy dispatch overhead, not by
-the algorithm.  This package factors the three hot paths into *scalar
+the algorithm.  This package factors the hot paths into *scalar
 kernels* that a compiled tier can run at memory speed:
 
 ``place_block``
@@ -17,16 +17,25 @@ kernels* that a compiled tier can run at memory speed:
 ``ring_assign``
     The bucket-table ring ownership lookup behind
     :meth:`repro.core.ring.RingSpace.assign`.
+``ring_table``
+    The table pass: a ring's bucket table and its distinctness check in
+    one pass over the sorted positions, at
+    :class:`repro.core.ring.RingSpace` construction.
+``ring_trials``
+    Whole ring trials of :func:`repro.core.multitrial.run_fused`: a copy
+    of numpy's PCG64 feeds draw → bucket lookup → place for every ball,
+    with trials split across OS threads.
 
 Three backends provide them:
 
 ``numpy``
-    The reference.  It carries **no** kernels (all three attributes are
-    ``None``): callers keep their existing vectorized numpy code paths,
+    The reference.  It carries **no** kernels (every kernel attribute
+    is ``None``): callers keep their existing vectorized numpy code paths,
     which remain the semantics every other backend must reproduce
     bit-for-bit.
 ``numba``
-    ``@njit``-compiled scalar loops (optional dependency, installed via
+    ``@njit``-compiled ``place_block``, ``dynamic_window`` and
+    ``ring_assign`` loops (optional dependency, installed via
     ``pip install repro-geometric-two-choices[fast]``).  Import is lazy:
     ``import repro`` never touches numba, and an absent numba never
     raises on the auto path.
@@ -124,7 +133,7 @@ class KernelBackend:
 
     Each kernel attribute is either a callable with the uniform
     signature below or ``None``, meaning "use the caller's built-in
-    numpy path" (the numpy reference backend has all three ``None``).
+    numpy path" (the numpy reference backend has every kernel ``None``).
 
     ``place_block(bins, us, loads, measures, strategy_code, heights)``
         Place ``bins.shape[0]`` balls sequentially: for each row pick
@@ -149,24 +158,32 @@ class KernelBackend:
         (:func:`repro.kernels.threads.thread_chunks`) processed
         GIL-free in parallel — each output row is an independent
         lookup, so the partition is bit-identical by construction.
-    ``place_block_multi(bins3, us2, loads2, measures2, strategy_code,
-    heights2, pos, threads)``
-        Thread-parallel twin of ``place_block`` over ``T`` fused
-        trials: ``bins3`` is ``(T, b, d)``, ``us2`` ``(T, b)``,
-        ``loads2`` the full ``(T, n)`` fused load array, ``measures2``
-        ``(T, n)`` or ``None``, ``heights2`` the full ``(T, m)``
-        heights array or ``None`` (rows written at column offset
-        ``pos``).  Trials are partitioned into static contiguous
-        row groups, one ``place_block`` loop per trial — trials never
-        share bins, so any static partition is bit-identical to the
-        serial per-trial loop.
+    ``ring_table(pos_ext, nbuckets)``
+        The table pass: from the sorted positions plus a ``+inf``
+        sentinel, return the ``nbuckets + 1`` int32 bucket table
+        (``table[b]`` = positions below ``b / nbuckets``, numpy's
+        ``bincount`` + ``cumsum``), or ``None`` when two positions are
+        equal.
+    ``ring_trials(bit_generators, tables, measures, loads, heights, m,
+    d, strategy_code, partitioned, rng_block, threads)``
+        Run ``T`` complete ring trials.  Trial ``k`` reads
+        ``bit_generators[k]`` (a ``PCG64``), draws its stream in
+        :func:`repro.core.engine.choice_blocks`' layout, looks each
+        point up in ``tables[k]`` (``(nbuckets, table, pos_ext)``) and
+        places it into row ``k`` of ``loads`` ``(T, n)`` and
+        ``heights`` ``(T, m)`` (or ``None``); ``measures`` is a list of
+        arc-length arrays or ``None``.  Only ``state.state`` is written
+        back to each generator.  Trials are split statically across
+        ``threads`` OS threads — trials share nothing, so any split is
+        bit-identical.
     """
 
     name: str
     place_block: Callable | None = None
     dynamic_window: Callable | None = None
     ring_assign: Callable | None = None
-    place_block_multi: Callable | None = None
+    ring_table: Callable | None = None
+    ring_trials: Callable | None = None
 
     @property
     def is_accelerated(self) -> bool:

@@ -1,7 +1,7 @@
 """C kernel backend: scalar loops compiled on first use via ``ctypes``.
 
-The three hot-path kernels (see :mod:`repro.kernels`) are a few dozen
-lines of portable C99 each.  Rather than shipping a binary wheel, the
+The hot-path kernels (see :mod:`repro.kernels`) are a few dozen lines
+of portable C99 each.  Rather than shipping a binary wheel, the
 source is embedded here and compiled once per machine with the host C
 compiler (``$CC``, else the first of ``cc``/``gcc``/``clang`` on
 ``PATH``) into a shared library cached under
@@ -16,12 +16,15 @@ operation for operation (same minimum scan, same ``floor(u·k)+1``
 tie-break rule — a C cast truncates toward zero, which is ``floor``
 for the non-negative operand — same strict-inequality measure
 preference), so its placements are bit-identical to the numpy
-reference; the parity suite enforces this.
+reference; the parity suite enforces this.  ``ring_trials`` also
+carries a copy of numpy's PCG64 generator, so it draws the same
+numbers ``Generator.random`` would (``tests/kernels/test_ring_kernel.py``).
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import os
 import shutil
@@ -31,15 +34,22 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["build_backend", "C_SOURCE"]
+__all__ = ["build_backend", "load_library", "CFLAGS", "C_SOURCE"]
 
 #: The kernel library source.  ``kind == 0`` is an insert event
 #: (matches ``repro.dynamics.events.EventKind.INSERT``); anything else
 #: in a churn-free window is a delete.
 C_SOURCE = r"""
+#if defined(__linux__)
+#define _GNU_SOURCE /* sched_getcpu, pthread_attr_setaffinity_np */
+#endif
 #include <stdint.h>
+#include <stdlib.h>
 #include <math.h>
 #include <pthread.h>
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 /* Remap-aware candidate lookup: remap == NULL means identity. */
 static inline int64_t bin_of(const int64_t *cand, const int64_t *remap,
@@ -137,8 +147,17 @@ void repro_place_block(const int64_t *bins, const double *us, int64_t b,
                 PREFETCH_RW(&loads[f[j]]);
         }
         const int64_t *cand = bins + t * d;
-        int64_t chosen = cand[decide(loads, cand, 0, d, measures, us[t],
-                                     strategy)];
+        int64_t chosen;
+        if (d == 2 && strategy == 0) {
+            /* branch-free decide() for two random-tie-break candidates:
+             * on a tie floor(u*2)+1 picks the second exactly when
+             * u >= 0.5 */
+            int64_t l0 = loads[cand[0]], l1 = loads[cand[1]];
+            chosen = cand[(l1 < l0) | ((l1 == l0) & (us[t] >= 0.5))];
+        } else {
+            chosen = cand[decide(loads, cand, 0, d, measures, us[t],
+                                 strategy)];
+        }
         if (heights)
             heights[t] = loads[chosen] + 1;
         loads[chosen] += 1;
@@ -180,6 +199,19 @@ void repro_dynamic_window(const int8_t *kinds, const int64_t *args,
     counts[1] += dels;
 }
 
+/* First index at or after j whose position is >= x (pos ends in a +inf
+ * sentinel).  Bucket occupancy averages at most one, so two branch-free
+ * steps finish almost every probe and the loop's exit branch is
+ * predictable — a plain loop mispredicts about once per lookup. */
+static inline int64_t ring_probe(const double *pos, int64_t j, double x)
+{
+    j += pos[j] < x;
+    j += pos[j] < x;
+    while (pos[j] < x)
+        j++;
+    return j;
+}
+
 /* Kernel 3: bucket-table ring ownership lookup.  table caches
  * searchsorted(pos, bucket/nbuckets); pos_ext carries a +inf sentinel
  * at index n, so the probe loop needs no bound check and the only
@@ -216,8 +248,7 @@ void repro_ring_assign(const double *pts, int64_t q, const int32_t *table,
             j0buf[(i + PLACE_LOOKAHEAD) % PLACE_LOOKAHEAD] = j0;
             PREFETCH_RO(&pos_ext[j0]);
         }
-        while (pos_ext[j] < x)
-            j++;
+        j = ring_probe(pos_ext, j, x);
         out[i] = (j == n) ? 0 : j;
     }
 }
@@ -227,80 +258,109 @@ void repro_ring_assign(const double *pts, int64_t q, const int32_t *table,
  * Work is partitioned STATICALLY into contiguous row groups (earlier
  * groups at most one row longer), so the schedule — and therefore the
  * result — is a pure function of (count, nthreads).  Each group's rows
- * are fully independent (trials never share fused bins; ring lookups
- * never share output rows), so every partition is bit-identical to
- * the serial loop.  These entry points are called through ctypes,
- * which drops the GIL for the duration of the call: the threads below
- * run on bare cores while Python-side producers keep generating RNG
- * candidate blocks. */
+ * are fully independent (ring lookups never share output rows, ring
+ * trials never share loads or generators), so every partition is
+ * bit-identical to the serial loop.  These entry points are called
+ * through ctypes, which drops the GIL for the duration of the call. */
 
 #define MAX_KERNEL_THREADS 64
 
-/* One trial range of a fused place_block_multi call. */
-typedef struct {
-    const int64_t *bins;    /* (t, b, d) fused candidate rows */
-    const double *us;       /* (t, b) tie-break uniforms */
-    int64_t k0, k1, b, d;
-    int64_t *loads;         /* (t, n) fused load matrix */
-    int64_t n;
-    const double *measures; /* (t, n) or NULL */
-    int64_t strategy;
-    int64_t *heights;       /* (t, m) or NULL, written at column pos */
-    int64_t m, pos;
-} place_multi_job;
-
-static void *place_multi_worker(void *arg)
+/* Clamp a requested thread count to [1, min(count, MAX_KERNEL_THREADS)]. */
+static int64_t clamp_threads(int64_t nthreads, int64_t count)
 {
-    place_multi_job *job = (place_multi_job *)arg;
-    int64_t k;
-    for (k = job->k0; k < job->k1; k++)
-        repro_place_block(job->bins + k * job->b * job->d,
-                          job->us + k * job->b, job->b, job->d,
-                          job->loads + k * job->n,
-                          job->measures ? job->measures + k * job->n : 0,
-                          job->strategy,
-                          job->heights ? job->heights + k * job->m + job->pos
-                                       : 0);
-    return 0;
-}
-
-/* Kernel 1b: place one RNG block of every fused trial, trials
- * partitioned across nthreads OS threads. */
-void repro_place_block_multi(const int64_t *bins, const double *us,
-                             int64_t t, int64_t b, int64_t d,
-                             int64_t *loads, int64_t n,
-                             const double *measures, int64_t strategy,
-                             int64_t *heights, int64_t m, int64_t pos,
-                             int64_t nthreads)
-{
-    pthread_t tids[MAX_KERNEL_THREADS];
-    place_multi_job jobs[MAX_KERNEL_THREADS];
-    int64_t w, base, extra, start, i, spawned = 0;
-    if (nthreads > t)
-        nthreads = t;
+    if (nthreads > count)
+        nthreads = count;
     if (nthreads > MAX_KERNEL_THREADS)
         nthreads = MAX_KERNEL_THREADS;
-    if (nthreads < 1)
-        nthreads = 1;
-    base = t / nthreads;
-    extra = t % nthreads;
-    start = 0;
-    for (w = 0; w < nthreads; w++) {
-        int64_t stop = start + base + (w < extra ? 1 : 0);
-        jobs[w] = (place_multi_job){bins, us, start, stop, b, d, loads, n,
-                                    measures, strategy, heights, m, pos};
-        start = stop;
-    }
+    return nthreads < 1 ? 1 : nthreads;
+}
+
+/* [*start, *stop) of group w when count rows are split nthreads ways. */
+static void thread_range(int64_t count, int64_t nthreads, int64_t w,
+                         int64_t *start, int64_t *stop)
+{
+    int64_t base = count / nthreads, extra = count % nthreads;
+    *start = w * base + (w < extra ? w : extra);
+    *stop = *start + base + (w < extra ? 1 : 0);
+}
+
+/* Where a worker thread starts.  Left alone, the scheduler often starts
+ * a new thread on its creator's CPU and moves it only after tens of
+ * milliseconds — as long as a whole kernel call — so both share one
+ * core.  On Linux worker w therefore starts on the w-th allowed CPU
+ * after the caller's and drops that pin as its first act: only the
+ * starting point is chosen, the scheduler stays free afterwards. */
+typedef struct {
+    void *(*fn)(void *);
+    void *job;
+#if defined(__linux__)
+    int pinned;
+    cpu_set_t allowed;
+#endif
+} job_start;
+
+static void *start_job(void *arg)
+{
+    job_start *s = (job_start *)arg;
+#if defined(__linux__)
+    if (s->pinned)
+        pthread_setaffinity_np(pthread_self(), sizeof s->allowed, &s->allowed);
+#endif
+    return s->fn(s->job);
+}
+
+static void start_on_cpu(pthread_attr_t *attr, job_start *s, int64_t w)
+{
+#if defined(__linux__)
+    cpu_set_t one;
+    int64_t k;
+    int ncpu, cpu = sched_getcpu();
+    s->pinned = 0;
+    if (cpu < 0 || sched_getaffinity(0, sizeof s->allowed, &s->allowed) != 0)
+        return;
+    ncpu = CPU_COUNT(&s->allowed);
+    if (ncpu < 2 || !CPU_ISSET(cpu, &s->allowed))
+        return;
+    for (k = 0; k < w % ncpu; k++)
+        do
+            cpu = (cpu + 1) % CPU_SETSIZE;
+        while (!CPU_ISSET(cpu, &s->allowed));
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    s->pinned = pthread_attr_setaffinity_np(attr, sizeof one, &one) == 0;
+#else
+    (void)attr;
+    (void)s;
+    (void)w;
+#endif
+}
+
+/* Run fn on nthreads job structs of `size` bytes: jobs 1.. on new
+ * threads (inline when a thread cannot be created), job 0 on the
+ * calling thread. */
+static void run_jobs(void *(*fn)(void *), char *jobs, size_t size,
+                     int64_t nthreads)
+{
+    pthread_t tids[MAX_KERNEL_THREADS];
+    job_start starts[MAX_KERNEL_THREADS];
+    int spawned[MAX_KERNEL_THREADS];
+    int64_t w;
     for (w = 1; w < nthreads; w++) {
-        if (pthread_create(&tids[w], 0, place_multi_worker, &jobs[w]) != 0)
-            place_multi_worker(&jobs[w]); /* degrade: run inline */
-        else
-            spawned |= ((int64_t)1 << w);
+        pthread_attr_t attr;
+        starts[w].fn = fn;
+        starts[w].job = jobs + w * size;
+        pthread_attr_init(&attr);
+        start_on_cpu(&attr, &starts[w], w);
+        spawned[w] = pthread_create(&tids[w], &attr, start_job,
+                                    &starts[w]) == 0;
+        pthread_attr_destroy(&attr);
+        if (!spawned[w])
+            fn(jobs + w * size);
     }
-    place_multi_worker(&jobs[0]); /* the calling thread takes group 0 */
-    for (i = 1; i < nthreads; i++)
-        if (spawned & ((int64_t)1 << i))
-            pthread_join(tids[i], 0);
+    fn(jobs);
+    for (w = 1; w < nthreads; w++)
+        if (spawned[w])
+            pthread_join(tids[w], 0);
 }
 
 /* One point range of a parallel ring_assign call. */
@@ -329,41 +389,314 @@ void repro_ring_assign_par(const double *pts, int64_t q,
                            int64_t nbuckets, int64_t n, int64_t *out,
                            int64_t nthreads)
 {
-    pthread_t tids[MAX_KERNEL_THREADS];
     ring_job jobs[MAX_KERNEL_THREADS];
-    int64_t w, base, extra, start, i, spawned = 0;
-    if (nthreads > q)
-        nthreads = q;
-    if (nthreads > MAX_KERNEL_THREADS)
-        nthreads = MAX_KERNEL_THREADS;
-    if (nthreads <= 1) {
-        repro_ring_assign(pts, q, table, pos_ext, nbuckets, n, out);
-        return;
-    }
-    base = q / nthreads;
-    extra = q % nthreads;
-    start = 0;
+    int64_t w, start, stop;
+    nthreads = clamp_threads(nthreads, q);
     for (w = 0; w < nthreads; w++) {
-        int64_t stop = start + base + (w < extra ? 1 : 0);
+        thread_range(q, nthreads, w, &start, &stop);
         jobs[w] = (ring_job){pts + start, stop - start, table, pos_ext,
                              nbuckets, n, out + start};
-        start = stop;
     }
-    for (w = 1; w < nthreads; w++) {
-        if (pthread_create(&tids[w], 0, ring_worker, &jobs[w]) != 0)
-            ring_worker(&jobs[w]);
-        else
-            spawned |= ((int64_t)1 << w);
-    }
-    ring_worker(&jobs[0]);
-    for (i = 1; i < nthreads; i++)
-        if (spawned & ((int64_t)1 << i))
-            pthread_join(tids[i], 0);
+    run_jobs(ring_worker, (char *)jobs, sizeof(ring_job), nthreads);
 }
+
+/* Kernel 4: bucket table of a ring in one pass over its sorted
+ * positions.  pos_ext holds the n sorted positions and the +inf
+ * sentinel; table (nbuckets + 1 entries, zeroed by the caller) becomes
+ * table[b] = number of positions whose bucket floor(pos * nbuckets) is
+ * below b — numpy's bincount + cumsum, as a branch-free count then a
+ * prefix sum.  Returns 0 when two positions are equal (the ring rejects
+ * duplicates), else 1. */
+int64_t repro_ring_table(const double *pos_ext, int64_t n, int64_t nbuckets,
+                         int32_t *table)
+{
+    int64_t i, b, equal = 0;
+    for (i = 0; i < n; i++) {
+        table[(int64_t)(pos_ext[i] * (double)nbuckets) + 1] += 1;
+        equal |= i > 0 && pos_ext[i] == pos_ext[i - 1];
+    }
+    for (b = 1; b <= nbuckets; b++)
+        table[b] += table[b - 1];
+    return !equal;
+}
+
+/* ---------------- numpy's PCG64 and the fused ring trial ----------------
+ *
+ * A copy of numpy's PCG64 bit generator (O'Neill, "PCG: A Family of
+ * Simple Fast Space-Efficient Statistically Good Algorithms for Random
+ * Number Generation", 2014): a 128-bit LCG whose XSL-RR output is taken
+ * after each step, and doubles formed as (x >> 11) * 2^-53 exactly like
+ * numpy's next_double.  A trial seeded from bit_generator.state
+ * therefore draws the very stream Generator.random would, and writing
+ * the final state back leaves the generator where numpy would have.
+ * Needs a compiler with 128-bit integers; elsewhere these symbols are
+ * absent and the Python side keeps the generic path. */
+
+#if defined(__SIZEOF_INT128__)
+
+typedef unsigned __int128 pcg128;
+
+#define PCG_MULT \
+    (((pcg128)2549297995355413924ULL << 64) | 4865540595714422341ULL)
+
+typedef struct {
+    pcg128 state, inc;
+} pcg64;
+
+static inline uint64_t pcg64_next(pcg64 *g)
+{
+    uint64_t x;
+    unsigned rot;
+    g->state = g->state * PCG_MULT + g->inc;
+    x = (uint64_t)(g->state >> 64) ^ (uint64_t)g->state;
+    rot = (unsigned)(g->state >> 122);
+    return (x >> rot) | (x << ((-rot) & 63));
+}
+
+/* numpy's next_double; the shifted value fits in 53 bits, so the signed
+ * conversion is exact. */
+static inline double pcg64_double(pcg64 *g)
+{
+    return (double)(int64_t)(pcg64_next(g) >> 11) *
+           (1.0 / 9007199254740992.0);
+}
+
+/* The affine map state -> mult * state + plus that jumps `delta` draws,
+ * built in O(log delta) steps (Brown, "Random Number Generation with
+ * Arbitrary Strides", 1994) — what numpy's advance computes. */
+typedef struct {
+    pcg128 mult, plus;
+} pcg64_jump;
+
+static pcg64_jump pcg64_jump_of(pcg128 inc, pcg128 delta)
+{
+    pcg64_jump acc = {1, 0};
+    pcg128 mult = PCG_MULT, plus = inc;
+    while (delta > 0) {
+        if (delta & 1) {
+            acc.mult *= mult;
+            acc.plus = acc.plus * mult + plus;
+        }
+        plus = (mult + 1) * plus;
+        mult *= mult;
+        delta >>= 1;
+    }
+    return acc;
+}
+
+static void pcg64_advance(pcg64 *g, pcg128 delta)
+{
+    pcg64_jump j = pcg64_jump_of(g->inc, delta);
+    g->state = j.mult * g->state + j.plus;
+}
+
+/* Lanes of pcg64_fill.  Each LCG step waits on the previous step's
+ * 128-bit multiply; lanes a quarter of the draws apart are independent
+ * chains the core runs side by side. */
+#define PCG_LANES 4
+
+/* Draw the next `count` doubles of g into out, in stream order. */
+static void pcg64_fill(pcg64 *g, int64_t count, double *out)
+{
+    int64_t len = count / PCG_LANES, i, c;
+    pcg64 lane[PCG_LANES];
+    pcg64_jump jump = pcg64_jump_of(g->inc, (pcg128)len);
+    lane[0] = *g;
+    for (c = 1; c < PCG_LANES; c++) {
+        lane[c] = lane[c - 1];
+        lane[c].state = jump.mult * lane[c].state + jump.plus;
+    }
+    for (i = 0; i < len; i++)
+        for (c = 0; c < PCG_LANES; c++)
+            out[c * len + i] = pcg64_double(&lane[c]);
+    for (i = PCG_LANES * len; i < count; i++)
+        out[i] = pcg64_double(&lane[PCG_LANES - 1]);
+    *g = lane[PCG_LANES - 1];
+}
+
+/* Generator words: s[0..1] state high/low, s[2..3] inc high/low. */
+static pcg64 pcg64_load(const uint64_t *s)
+{
+    pcg64 g;
+    g.state = ((pcg128)s[0] << 64) | s[1];
+    g.inc = ((pcg128)s[2] << 64) | s[3];
+    return g;
+}
+
+static void pcg64_store(const pcg64 *g, uint64_t *s)
+{
+    s[0] = (uint64_t)(g->state >> 64);
+    s[1] = (uint64_t)g->state;
+}
+
+/* Draw `count` doubles into out, updating the state words. */
+void repro_pcg64_fill(uint64_t *s, int64_t count, double *out)
+{
+    pcg64 g = pcg64_load(s);
+    pcg64_fill(&g, count, out);
+    pcg64_store(&g, s);
+}
+
+/* Jump the state words ahead by delta_hi * 2^64 + delta_lo draws. */
+void repro_pcg64_advance(uint64_t *s, uint64_t delta_hi, uint64_t delta_lo)
+{
+    pcg64 g = pcg64_load(s);
+    pcg64_advance(&g, ((pcg128)delta_hi << 64) | delta_lo);
+    pcg64_store(&g, s);
+}
+
+/* Balls per stage of a ring trial: a stage's candidate lines (a few
+ * hundred) stay cache-resident from the stage that warms them to the
+ * stage that reads them. */
+#define RING_STAGE 256
+
+/* A contiguous range [k0, k1) of the fused ring trials. */
+typedef struct {
+    uint64_t *states;              /* (t, 4) generator words, rewritten */
+    const int32_t *const *tables;  /* per trial: nbuckets + 1 entries */
+    const double *const *pos_ext;  /* per trial: n positions + inf */
+    const double *const *measures; /* per trial arc lengths, or NULL */
+    int64_t *loads;                /* (t, n) */
+    int64_t *heights;              /* (t, m) or NULL */
+    int64_t k0, k1, n, m, d, nbuckets, rng_block, partitioned, strategy;
+    int64_t failed;
+} ring_trials_job;
+
+/* One trial, block by block in choice_blocks' layout: an RNG block of b
+ * balls is b*d candidate draws followed by b tie-break draws.  Two
+ * cursors walk it without materialising it — candidates from the
+ * block's first draw, tie-breaks from b*d draws later (jump-ahead) —
+ * and each stage of RING_STAGE balls runs draw -> bucket lookup ->
+ * probe -> place, each pass warming the lines the next pass reads. */
+static void ring_trial(const ring_trials_job *job, int64_t k, double *x,
+                       int64_t *bins, double *us)
+{
+    const int32_t *table = job->tables[k];
+    const double *pos = job->pos_ext[k];
+    const double *measures = job->measures ? job->measures[k] : 0;
+    int64_t *loads = job->loads + k * job->n;
+    int64_t *heights = job->heights ? job->heights + k * job->m : 0;
+    int64_t n = job->n, d = job->d, ball = 0;
+    double nb = (double)job->nbuckets;
+    int needs_u = job->strategy == 0 && d > 1;
+    pcg64 g = pcg64_load(job->states + 4 * k);
+    while (ball < job->m) {
+        int64_t b = job->m - ball < job->rng_block ? job->m - ball
+                                                   : job->rng_block;
+        int64_t s0;
+        pcg64 cand = g, tie = g;
+        if (needs_u)
+            pcg64_advance(&tie, (pcg128)b * (pcg128)d);
+        for (s0 = 0; s0 < b; s0 += RING_STAGE) {
+            int64_t w = b - s0 < RING_STAGE ? b - s0 : RING_STAGE;
+            int64_t q = w * d, i, c;
+            pcg64_fill(&cand, q, x);
+            if (needs_u)
+                pcg64_fill(&tie, w, us);
+            if (job->partitioned)
+                for (i = 0; i < w; i++)
+                    for (c = 0; c < d; c++)
+                        x[i * d + c] = (x[i * d + c] + (double)c) / (double)d;
+            for (i = 0; i < q; i++)
+                PREFETCH_RO(&table[(int64_t)(x[i] * nb)]);
+            for (i = 0; i < q; i++) {
+                bins[i] = table[(int64_t)(x[i] * nb)];
+                PREFETCH_RO(&pos[bins[i]]);
+            }
+            for (i = 0; i < q; i++) {
+                int64_t j = ring_probe(pos, bins[i], x[i]);
+                bins[i] = j == n ? 0 : j;
+                PREFETCH_RW(&loads[bins[i]]);
+            }
+            repro_place_block(bins, us, w, d, loads, measures, job->strategy,
+                              heights ? heights + ball + s0 : 0);
+        }
+        pcg64_advance(&g, (pcg128)b * (pcg128)(d + 1));
+        ball += b;
+    }
+    pcg64_store(&g, job->states + 4 * k);
+}
+
+static void *ring_trials_worker(void *arg)
+{
+    ring_trials_job *job = (ring_trials_job *)arg;
+    double *x = malloc(sizeof(double) * RING_STAGE * job->d);
+    int64_t *bins = malloc(sizeof(int64_t) * RING_STAGE * job->d);
+    /* zeroed: strategies that ignore tie-breaks never draw them */
+    double *us = calloc(RING_STAGE, sizeof(double));
+    int64_t k;
+    if (x && bins && us) {
+        for (k = job->k0; k < job->k1; k++)
+            ring_trial(job, k, x, bins, us);
+    } else {
+        job->failed = 1;
+    }
+    free(x);
+    free(bins);
+    free(us);
+    return 0;
+}
+
+/* Kernel 5: t complete ring trials (draw -> bucket lookup -> place for
+ * every ball), trials partitioned across nthreads OS threads.  Returns
+ * 0, or -1 when scratch memory could not be allocated. */
+int64_t repro_ring_trials(uint64_t *states, const int32_t *const *tables,
+                          const double *const *pos_ext,
+                          const double *const *measures, int64_t t,
+                          int64_t n, int64_t m, int64_t d, int64_t nbuckets,
+                          int64_t rng_block, int64_t partitioned,
+                          int64_t strategy, int64_t *loads, int64_t *heights,
+                          int64_t nthreads)
+{
+    ring_trials_job jobs[MAX_KERNEL_THREADS];
+    int64_t w, start, stop, failed = 0;
+    nthreads = clamp_threads(nthreads, t);
+    for (w = 0; w < nthreads; w++) {
+        thread_range(t, nthreads, w, &start, &stop);
+        jobs[w] = (ring_trials_job){states, tables, pos_ext, measures,
+                                    loads, heights, start, stop, n, m, d,
+                                    nbuckets, rng_block, partitioned,
+                                    strategy, 0};
+    }
+    run_jobs(ring_trials_worker, (char *)jobs, sizeof(ring_trials_job),
+             nthreads);
+    for (w = 0; w < nthreads; w++)
+        failed |= jobs[w].failed;
+    return failed ? -1 : 0;
+}
+
+#endif /* __SIZEOF_INT128__ */
 """
 
 _I64 = ctypes.c_int64
+_U64 = ctypes.c_uint64
 _PTR = ctypes.c_void_p
+_MASK64 = (1 << 64) - 1
+
+#: ctypes signatures of the exported kernels: name -> (argtypes, restype).
+_SIGNATURES = {
+    "repro_place_block": ([_PTR, _PTR, _I64, _I64, _PTR, _PTR, _I64, _PTR], None),
+    "repro_dynamic_window": (
+        [_PTR, _PTR, _I64, _I64, _PTR, _PTR, _I64, _PTR, _PTR, _PTR, _I64,
+         _PTR, _PTR],
+        None,
+    ),
+    "repro_ring_assign": ([_PTR, _I64, _PTR, _PTR, _I64, _I64, _PTR], None),
+    "repro_ring_assign_par": (
+        [_PTR, _I64, _PTR, _PTR, _I64, _I64, _PTR, _I64], None,
+    ),
+    "repro_ring_table": ([_PTR, _I64, _I64, _PTR], _I64),
+    "repro_ring_trials": (
+        [_PTR, _PTR, _PTR, _PTR] + [_I64] * 8 + [_PTR, _PTR, _I64], _I64,
+    ),
+    "repro_pcg64_fill": ([_PTR, _I64, _PTR], None),
+    "repro_pcg64_advance": ([_PTR, _U64, _U64], None),
+}
+
+#: Compiler flags.  Deliberately no ``-ffast-math`` or ``-march=native``:
+#: every kernel must round exactly like numpy, and none has a
+#: multiply-add a compiler could contract into an FMA.
+CFLAGS = ("-O3", "-fPIC", "-shared", "-pthread")
 
 
 def _cache_dir() -> Path:
@@ -402,7 +735,7 @@ def _compile_library() -> Path:
             src.write_text(C_SOURCE, encoding="utf-8")
             tmp = base / f".{libname}.{os.getpid()}.tmp"
             proc = subprocess.run(
-                [cc, "-O3", "-fPIC", "-shared", "-pthread", "-o", str(tmp), str(src)],
+                [cc, *CFLAGS, "-o", str(tmp), str(src)],
                 capture_output=True,
                 text=True,
                 timeout=120,
@@ -442,32 +775,42 @@ def _p(arr: np.ndarray | None) -> int:
     return 0 if arr is None else arr.ctypes.data
 
 
+def _pointers(arrays) -> np.ndarray:
+    """The data addresses of ``arrays`` as a C array of pointers."""
+    return np.array([a.ctypes.data for a in arrays], dtype=np.uintp)
+
+
+def _pcg64_words(state: dict) -> list[int]:
+    """``PCG64.state["state"]`` as the kernel's four 64-bit words."""
+    s, inc = state["state"], state["inc"]
+    return [s >> 64, s & _MASK64, inc >> 64, inc & _MASK64]
+
+
+@functools.cache
+def load_library() -> ctypes.CDLL:
+    """Compile (or load the cached) C library and declare its signatures.
+
+    Raises :class:`RuntimeError` when no compiler or writable cache
+    directory is available.  Symbols the host compiler could not build
+    (the PCG64 kernels need 128-bit integers) are simply absent.
+    """
+    lib = ctypes.CDLL(str(_compile_library()))
+    for name, (argtypes, restype) in _SIGNATURES.items():
+        if hasattr(lib, name):
+            fn = getattr(lib, name)
+            fn.argtypes = argtypes
+            fn.restype = restype
+    return lib
+
+
 def build_backend():
-    """Compile (or load the cached) C library and wrap its kernels.
+    """Wrap the compiled kernels as a :class:`repro.kernels.KernelBackend`.
 
     Raises :class:`RuntimeError` when no compiler or writable cache
     directory is available — the registry's auto path treats that as
     "unavailable" and falls back.
     """
-    lib = ctypes.CDLL(str(_compile_library()))
-    lib.repro_place_block.argtypes = [_PTR, _PTR, _I64, _I64, _PTR, _PTR, _I64, _PTR]
-    lib.repro_place_block.restype = None
-    lib.repro_dynamic_window.argtypes = [
-        _PTR, _PTR, _I64, _I64, _PTR, _PTR, _I64, _PTR, _PTR, _PTR, _I64,
-        _PTR, _PTR,
-    ]
-    lib.repro_dynamic_window.restype = None
-    lib.repro_ring_assign.argtypes = [_PTR, _I64, _PTR, _PTR, _I64, _I64, _PTR]
-    lib.repro_ring_assign.restype = None
-    lib.repro_place_block_multi.argtypes = [
-        _PTR, _PTR, _I64, _I64, _I64, _PTR, _I64, _PTR, _I64, _PTR, _I64,
-        _I64, _I64,
-    ]
-    lib.repro_place_block_multi.restype = None
-    lib.repro_ring_assign_par.argtypes = [
-        _PTR, _I64, _PTR, _PTR, _I64, _I64, _PTR, _I64,
-    ]
-    lib.repro_ring_assign_par.restype = None
+    lib = load_library()
 
     def place_block(bins, us, loads, measures, strategy_code, heights):
         """C kernel for one block of sequential greedy placements."""
@@ -527,29 +870,68 @@ def build_backend():
             )
         return out
 
-    def place_block_multi(
-        bins3, us2, loads2, measures2, strategy_code, heights2, pos, threads
-    ):
-        """C kernel placing one RNG block of every fused trial at once.
+    def ring_table(pos_ext, nbuckets):
+        """C kernel building a ring's bucket table in one pass.
 
-        Trials are partitioned into static contiguous row groups
-        processed on ``threads`` OS threads; each group runs the same
-        scalar ``place_block`` loop as the serial path, so results are
-        bit-identical for every thread count.
+        ``pos_ext`` is the sorted positions plus the ``+inf`` sentinel.
+        Returns the ``nbuckets + 1`` int32 table, or ``None`` when two
+        positions are equal.
         """
-        bins3 = _as_c(bins3, np.int64)
-        us2 = _as_c(us2, np.float64)
-        _check_inplace(loads2, np.int64, "loads2")
-        measures2 = None if measures2 is None else _as_c(measures2, np.float64)
-        if heights2 is not None:
-            _check_inplace(heights2, np.int64, "heights2")
-        t, b, d = bins3.shape
-        n = loads2.shape[1]
-        m = 0 if heights2 is None else heights2.shape[1]
-        lib.repro_place_block_multi(
-            _p(bins3), _p(us2), t, b, d, _p(loads2), n, _p(measures2),
-            int(strategy_code), _p(heights2), m, int(pos), int(threads),
+        pos_ext = _as_c(pos_ext, np.float64)
+        table = np.zeros(int(nbuckets) + 1, dtype=np.int32)
+        distinct = lib.repro_ring_table(
+            _p(pos_ext), pos_ext.size - 1, int(nbuckets), _p(table)
         )
+        return table if distinct else None
+
+    def ring_trials(bit_generators, tables, measures, loads, heights, m, d,
+                    strategy_code, partitioned, rng_block, threads):
+        """C kernel running whole ring trials on numpy PCG64 generators.
+
+        Trial ``k`` draws from ``bit_generators[k]`` exactly as
+        :func:`repro.core.engine.choice_blocks` would, looks each point
+        up in ``tables[k]`` (a ring's ``(nbuckets, table, pos_ext)``)
+        and places it into ``loads[k]`` (heights into ``heights[k]``
+        when not ``None``; ``measures[k]`` are the arc lengths or
+        ``measures`` is ``None``).  Only ``state.state`` is written back
+        to each generator.  Trials are split statically across
+        ``threads`` OS threads.
+        """
+        _check_inplace(loads, np.int64, "loads")
+        t, n = loads.shape
+        if heights is not None:
+            _check_inplace(heights, np.int64, "heights")
+            if heights.shape != (t, m):
+                raise ValueError(f"heights must have shape {(t, m)}")
+        nbuckets = int(tables[0][0])
+        if len(bit_generators) != t or len(tables) != t or any(
+            nb != nbuckets or table.size != nbuckets + 1 or pos_ext.size != n + 1
+            for nb, table, pos_ext in tables
+        ):
+            raise ValueError("ring_trials needs one (n, nbuckets) table per loads row")
+        if measures is not None and any(a.size != n for a in measures):
+            raise ValueError("ring_trials needs n measures per trial")
+        states = [bg.state for bg in bit_generators]
+        words = np.array(
+            [_pcg64_words(st["state"]) for st in states], dtype=np.uint64
+        )
+        tabs = [_as_c(table, np.int32) for _, table, _ in tables]
+        exts = [_as_c(pos_ext, np.float64) for _, _, pos_ext in tables]
+        table_ptrs, ext_ptrs = _pointers(tabs), _pointers(exts)
+        if measures is not None:
+            measures = [_as_c(a, np.float64) for a in measures]
+        measure_ptrs = None if measures is None else _pointers(measures)
+        failed = lib.repro_ring_trials(
+            _p(words), _p(table_ptrs), _p(ext_ptrs), _p(measure_ptrs), t, n,
+            int(m), int(d), nbuckets, int(rng_block),
+            int(bool(partitioned)), int(strategy_code), _p(loads),
+            _p(heights), int(threads),
+        )
+        if failed:
+            raise MemoryError("ring_trials: could not allocate kernel scratch")
+        for bg, st, (hi, lo) in zip(bit_generators, states, words[:, :2].tolist()):
+            st["state"]["state"] = (hi << 64) | lo
+            bg.state = st
 
     from repro.kernels import KernelBackend
 
@@ -558,5 +940,6 @@ def build_backend():
         place_block=place_block,
         dynamic_window=dynamic_window,
         ring_assign=ring_assign,
-        place_block_multi=place_block_multi,
+        ring_table=ring_table,
+        ring_trials=ring_trials if hasattr(lib, "repro_ring_trials") else None,
     )

@@ -168,36 +168,15 @@ def _ring_assign_impl(pts, table, pos_ext, nbuckets, n, out):
         out[i] = 0 if j == n else j
 
 
-def _make_parallel_kernels(jit, numba, place_block_jit):
-    """Build the ``prange`` thread-parallel kernel twins.
+def _make_parallel_ring_assign(numba):
+    """Build the ``prange`` thread-parallel ``ring_assign`` twin.
 
-    ``place_block_multi`` pranges over fused trials (each trial's loop
-    is the serial ``place_block`` body — trials never share bins, so
-    any prange schedule is bit-identical); the parallel ``ring_assign``
-    pranges over points (each output row is an independent lookup).
-    Raises whatever ``numba.njit(parallel=True)`` raises when the
-    threading layer is unavailable; the caller degrades gracefully.
+    It pranges over points (each output row is an independent lookup,
+    so any schedule is bit-identical).  Raises whatever
+    ``numba.njit(parallel=True)`` raises when the threading layer is
+    unavailable; the caller degrades gracefully.
     """
     prange = numba.prange
-    pjit = numba.njit(cache=True, fastmath=False, parallel=True)
-
-    def _place_block_multi_impl(bins3, us2, loads2, measures2, use_measures,
-                                strategy, heights2, record_heights, pos):
-        t = bins3.shape[0]
-        b = bins3.shape[1]
-        for k in prange(t):
-            km = k if use_measures else 0
-            kh = k if record_heights else 0
-            place_block_jit(
-                bins3[k],
-                us2[k],
-                loads2[k],
-                measures2[km],
-                use_measures,
-                strategy,
-                heights2[kh, pos : pos + b],
-                record_heights,
-            )
 
     def _ring_assign_par_impl(pts, table, pos_ext, nbuckets, n, out):
         for i in prange(pts.size):
@@ -207,7 +186,9 @@ def _make_parallel_kernels(jit, numba, place_block_jit):
                 j += 1
             out[i] = 0 if j == n else j
 
-    return pjit(_place_block_multi_impl), pjit(_ring_assign_par_impl)
+    return numba.njit(cache=True, fastmath=False, parallel=True)(
+        _ring_assign_par_impl
+    )
 
 
 def build_backend():
@@ -229,11 +210,9 @@ def build_backend():
     dynamic_window_jit = jit(_dynamic_window_impl)
     ring_assign_jit = jit(_ring_assign_impl)
     try:
-        place_block_multi_jit, ring_assign_par_jit = _make_parallel_kernels(
-            jit, numba, place_block_jit
-        )
+        ring_assign_par_jit = _make_parallel_ring_assign(numba)
     except Exception:  # pragma: no cover - threading layer unavailable
-        place_block_multi_jit = ring_assign_par_jit = None
+        ring_assign_par_jit = None
 
     def _clamped_threads(threads: int) -> int:
         limit = getattr(numba.config, "NUMBA_NUM_THREADS", threads)
@@ -292,36 +271,6 @@ def build_backend():
             ring_assign_jit(pts, table, pos_ext, nbuckets, n, out)
         return out
 
-    def place_block_multi(
-        bins3, us2, loads2, measures2, strategy_code, heights2, pos, threads
-    ):
-        """Numba kernel placing one RNG block of every fused trial.
-
-        Trials are prange-partitioned across numba threads; each
-        trial's loop is the serial ``place_block`` body, so results
-        are bit-identical for every thread count.
-        """
-        bins3 = np.ascontiguousarray(bins3, dtype=np.int64)
-        us2 = np.ascontiguousarray(us2, dtype=np.float64)
-        dummy_f8 = np.zeros((1, 1), dtype=np.float64)
-        dummy_i8 = np.zeros((1, bins3.shape[1]), dtype=np.int64)
-        prev = numba.get_num_threads()
-        numba.set_num_threads(_clamped_threads(threads))
-        try:
-            place_block_multi_jit(
-                bins3,
-                us2,
-                loads2,
-                dummy_f8 if measures2 is None else measures2,
-                measures2 is not None,
-                strategy_code,
-                dummy_i8 if heights2 is None else heights2,
-                heights2 is not None,
-                pos if heights2 is not None else 0,
-            )
-        finally:
-            numba.set_num_threads(prev)
-
     from repro.kernels import KernelBackend
 
     return KernelBackend(
@@ -329,7 +278,4 @@ def build_backend():
         place_block=place_block,
         dynamic_window=dynamic_window,
         ring_assign=ring_assign,
-        place_block_multi=(
-            None if place_block_multi_jit is None else place_block_multi
-        ),
     )

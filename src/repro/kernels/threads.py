@@ -1,10 +1,11 @@
 """Thread-count resolution and CPU topology for the parallel kernels.
 
-The multicore tier (thread-parallel ``place_block_multi`` /
-``ring_assign`` kernels, the double-buffered RNG producer in
-:func:`repro.core.multitrial.run_fused`, the pipelined candidate
-predraw in :func:`repro.dynamics.engine.simulate_dynamics`) is steered
-by **one** knob with the same resolution order as the kernel backend:
+The multicore tier (the ``ring_trials`` kernel splitting ring trials
+across OS threads, the trial pool of
+:func:`repro.core.multitrial.run_fused`'s generic kernel path, the
+thread-parallel ``ring_assign`` lookup, the pipelined candidate predraw
+in :func:`repro.dynamics.engine.simulate_dynamics`) is steered by
+**one** knob with the same resolution order as the kernel backend:
 
 1. the ``REPRO_NUM_THREADS`` environment variable (strongest — one
    shell export steers every layer, and it crosses process boundaries
@@ -19,12 +20,12 @@ by **one** knob with the same resolution order as the kernel backend:
    cores past the physical count add contention, not throughput).
 
 ``threads`` never changes results: work is partitioned statically by
-trial row-group (trials are independent in the fused load array) or by
-output row (ring lookups), and RNG pipelining only moves *when* a
+trial (trials share no loads and no generator) or by output row (ring
+lookups), and the dynamics predraw pipeline only moves *when* a
 candidate block is generated, never its contents.  The parity suite
 (``tests/kernels/test_threads_parity.py``) enforces bit-identity for
-every backend × engine × thread count, which is also why ``threads``
-is excluded from sweep cache keys (like ``backend=``).
+every backend × engine × thread count, which is also why ``threads`` is
+excluded from sweep cache keys (like ``backend=``).
 
 :func:`cpu_topology` additionally feeds the observability layer: run
 manifests (:func:`repro.obs.manifest.run_manifest`) and both tracked

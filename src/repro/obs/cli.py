@@ -3,10 +3,11 @@
 One verb so far::
 
     # aggregate trace JSONL into a per-phase time breakdown
-    python -m repro.experiments obs report [TRACE.jsonl ...] [--dir DIR]
+    python -m repro.experiments obs report [TRACE.jsonl | DIR ...] [--dir DIR]
 
-Without explicit files, every ``trace-*.jsonl`` under ``--dir`` (or
-``REPRO_OBS_DIR``, or ``.repro-obs``) is aggregated.  The report shows
+A directory argument stands for every ``trace-*.jsonl`` in it.  Without
+positional arguments, the traces under ``--dir`` (or ``REPRO_OBS_DIR``,
+or ``.repro-obs``) are aggregated.  The report shows
 self-time per span name (percent of traced wall clock) followed by the
 merged metric counters — kernel backend selections, cache hit/miss
 splits, fused-engine repair counts.
@@ -48,8 +49,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
     report_p = sub.add_parser("report", help="per-phase time breakdown from traces")
     report_p.add_argument(
-        "traces", nargs="*", metavar="TRACE.jsonl",
-        help="trace files (default: trace-*.jsonl under --dir)",
+        "traces", nargs="*", metavar="TRACE.jsonl|DIR",
+        help="trace files, or directories of trace-*.jsonl files "
+             "(default: the traces under --dir)",
     )
     report_p.add_argument(
         "--dir", type=Path, default=None,
@@ -99,17 +101,23 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
 
     # report
-    paths = [Path(p) for p in args.traces]
-    if not paths:
-        trace_root = args.dir if args.dir is not None else _default_dir()
-        paths = sorted(trace_root.glob("trace-*.jsonl"))
-        if not paths:
-            print(
-                f"no trace files under {trace_root} "
-                "(run with REPRO_OBS=1, or pass trace files explicitly)",
-                file=sys.stderr,
-            )
-            return 2
+    targets = [Path(p) for p in args.traces] or [
+        args.dir if args.dir is not None else _default_dir()
+    ]
+    paths = []
+    for target in targets:
+        if target.is_dir() or not args.traces:
+            found = sorted(target.glob("trace-*.jsonl"))
+            if not found:
+                print(
+                    f"no trace files under {target} "
+                    "(run with REPRO_OBS=1, or pass trace files explicitly)",
+                    file=sys.stderr,
+                )
+                return 2
+            paths += found
+        else:
+            paths.append(target)
     try:
         spans, metrics_records = read_trace(paths)
     except (OSError, ValueError) as exc:

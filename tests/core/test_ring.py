@@ -153,7 +153,9 @@ class TestBucketedAssign:
         small = ring.assign(pts)
         assert np.array_equal(small, ring._assign_bucketed(pts) % ring.n)
 
-    def test_table_is_lazy_and_cached(self):
+    def test_table_is_lazy_and_cached(self, monkeypatch):
+        """The numpy reference builds the table on the first bulk query."""
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numpy")
         ring = RingSpace.random(2048, seed=1)
         assert ring._lut is None
         ring.assign(np.random.default_rng(0).random(RingSpace._LUT_MIN_QUERIES))
@@ -161,3 +163,18 @@ class TestBucketedAssign:
         nbuckets, table, pos_ext = ring._lut
         assert nbuckets == 2048 and table[0] == 0 and table[-1] == ring.n
         assert pos_ext[-1] == np.inf
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 1023, 1024, 4097])
+    def test_compiled_table_pass_matches_numpy(self, monkeypatch, n):
+        """A backend's ``ring_table`` pass builds the numpy table eagerly."""
+        from repro.kernels import default_backend
+
+        if default_backend().ring_table is None:
+            pytest.skip("no compiled ring_table on this machine")
+        eager = RingSpace.random(n, seed=5)
+        assert eager._lut is not None
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numpy")
+        lazy = RingSpace.random(n, seed=5)
+        assert lazy._lut is None
+        for a, b in zip(eager._bucket_table(), lazy._bucket_table()):
+            np.testing.assert_array_equal(a, b)

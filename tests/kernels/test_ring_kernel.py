@@ -1,0 +1,280 @@
+"""The ``ring_trials`` kernel: a C copy of numpy's PCG64 plus whole ring trials.
+
+The kernel promises byte-identity with numpy twice over: its generator
+draws the doubles ``Generator.random`` would and jumps exactly like
+``bit_generator.advance``, and each ring trial it runs ends with the
+loads, heights and generator state of
+:func:`repro.core.engine.run_sequential`.  These tests check both, the
+dispatch rules around the kernel (other bit generators keep the generic
+path), the ring table pass, and the compile flags the rounding depends
+on.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from repro.core.engine import DEFAULT_RNG_BLOCK, run_sequential
+from repro.core.multitrial import _ring_kernel_applies, run_fused
+from repro.core.ring import RingSpace
+from repro.core.strategies import TieBreak
+from repro.core.torus import TorusSpace
+from repro.kernels import available_backends, get_backend
+
+pytestmark = pytest.mark.skipif(
+    not available_backends()["cext"]
+    or get_backend("cext").ring_trials is None,
+    reason="no compiled ring_trials kernel on this machine",
+)
+
+MASK64 = (1 << 64) - 1
+STRATEGIES = list(TieBreak)
+THREADS = (1, 2, 7)
+SIZES = (1, 2, 1023, 1024, 3000)
+#: trials per fused call: more than one, fewer than the largest thread count
+TRIALS = 3
+
+
+def _lib():
+    from repro.kernels.cext_backend import load_library
+
+    return load_library()
+
+
+def _words(bit_generator) -> np.ndarray:
+    s = bit_generator.state["state"]
+    return np.array(
+        [s["state"] >> 64, s["state"] & MASK64, s["inc"] >> 64, s["inc"] & MASK64],
+        dtype=np.uint64,
+    )
+
+
+def _state(words: np.ndarray) -> int:
+    return (int(words[0]) << 64) | int(words[1])
+
+
+def _cext():
+    return get_backend("cext")
+
+
+# ---------------------------------------------------------------------------
+# the C PCG64 against numpy's
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("count", [0, 1, 3, 4, 5, 7, 8, 9, 1000, 4097])
+def test_pcg64_doubles_match_generator_random(seed, count):
+    words = _words(np.random.PCG64(seed))
+    out = np.empty(count)
+    _lib().repro_pcg64_fill(words.ctypes.data, count, out.ctypes.data)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    np.testing.assert_array_equal(out, rng.random(count))
+    assert _state(words) == rng.bit_generator.state["state"]["state"]
+
+
+DELTAS = [0, 1, 2, 3, 1000, 3 * (1 << 16), MASK64, 1 << 64, (1 << 64) + 5,
+          (1 << 127) + 12345, (1 << 128) - 1]
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("delta", DELTAS)
+def test_pcg64_advance_matches_numpy(seed, delta):
+    words = _words(np.random.PCG64(seed))
+    _lib().repro_pcg64_advance(words.ctypes.data, delta >> 64, delta & MASK64)
+    ref = np.random.PCG64(seed).advance(delta)
+    assert _state(words) == ref.state["state"]["state"]
+    assert words[2:].tolist() == _words(ref)[2:].tolist()  # inc untouched
+
+
+def test_pcg64_advance_random_deltas():
+    draw = np.random.default_rng(99)
+    for seed in range(20):
+        delta = int(draw.integers(0, 1 << 62)) << 66 | int(draw.integers(0, 1 << 62))
+        words = _words(np.random.PCG64(seed))
+        _lib().repro_pcg64_advance(words.ctypes.data, delta >> 64, delta & MASK64)
+        ref = np.random.PCG64(seed).advance(delta)
+        assert _state(words) == ref.state["state"]["state"]
+
+
+def test_write_back_touches_only_state():
+    """``inc``, ``has_uint32`` and ``uinteger`` survive the kernel as numpy
+    leaves them (a buffered half-word stays buffered)."""
+    space = RingSpace.random(300, seed=4)
+
+    def buffered(seed):
+        rng = np.random.default_rng(seed)
+        st = rng.bit_generator.state
+        st["has_uint32"], st["uinteger"] = 1, 0xDEADBEEF
+        rng.bit_generator.state = st
+        return rng
+
+    rng = buffered(8)
+    before = rng.bit_generator.state
+    run_fused([space], 500, 2, TieBreak.RANDOM, [rng], backend="cext")
+    ref = buffered(8)
+    run_sequential(space, 500, 2, TieBreak.RANDOM, ref)
+    after = rng.bit_generator.state
+    assert after == ref.bit_generator.state
+    assert after["state"]["inc"] == before["state"]["inc"]
+    assert (after["has_uint32"], after["uinteger"]) == (1, 0xDEADBEEF)
+    assert after["state"]["state"] != before["state"]["state"]
+
+
+# ---------------------------------------------------------------------------
+# ring trials against run_sequential
+# ---------------------------------------------------------------------------
+
+
+def _sequential(spaces, m, d, strategy, seeds, partitioned, rng_block):
+    out = []
+    for space, seed in zip(spaces, seeds):
+        rng = np.random.default_rng(seed)
+        loads, heights = run_sequential(
+            space, m, d, strategy, rng, partitioned=partitioned,
+            rng_block=rng_block, record_heights=True,
+        )
+        out.append((loads, heights, rng.bit_generator.state))
+    return out
+
+
+def _check_kernel(spaces, m, d, strategy, seeds, partitioned, rng_block,
+                  expected):
+    for threads in THREADS:
+        rngs = [np.random.default_rng(s) for s in seeds]
+        loads, heights = run_fused(
+            spaces, m, d, strategy, rngs, partitioned=partitioned,
+            rng_block=rng_block, record_heights=True, backend="cext",
+            threads=threads,
+        )
+        where = (f"n={spaces[0].n} m={m} d={d} {strategy.value} "
+                 f"partitioned={partitioned} rng_block={rng_block} "
+                 f"threads={threads}")
+        for k, (ref_loads, ref_heights, ref_state) in enumerate(expected):
+            np.testing.assert_array_equal(loads[k], ref_loads, err_msg=where)
+            np.testing.assert_array_equal(heights[k], ref_heights, err_msg=where)
+            assert rngs[k].bit_generator.state == ref_state, where
+
+
+def _block_sizes_for(rng_block):
+    """m in {0, 1, rng_block - 1, rng_block, rng_block + 1}, deduplicated."""
+    return sorted({0, 1, max(rng_block - 1, 0), rng_block, rng_block + 1})
+
+
+@pytest.mark.parametrize("partitioned", [False, True])
+@pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda s: s.value)
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_ring_kernel_matches_run_sequential(d, strategy, partitioned):
+    """Every small shape: rng_block ∈ {1, 7, 128} with m around a block
+    boundary, and the default 2¹⁶ block with m ∈ {0, 1}."""
+    cases = [(rb, m) for rb in (1, 7, 128) for m in _block_sizes_for(rb)]
+    cases += [(DEFAULT_RNG_BLOCK, 0), (DEFAULT_RNG_BLOCK, 1)]
+    for n in SIZES:
+        spaces = [RingSpace.random(n, seed=100 * n + k) for k in range(TRIALS)]
+        seeds = [7 * n + d + k for k in range(TRIALS)]
+        for rng_block, m in cases:
+            expected = _sequential(spaces, m, d, strategy, seeds, partitioned,
+                                   rng_block)
+            _check_kernel(spaces, m, d, strategy, seeds, partitioned,
+                          rng_block, expected)
+
+
+def test_ring_kernel_full_block_matches_run_sequential():
+    """m = 2¹⁶ + 1 crosses the default block boundary by one ball."""
+    m = DEFAULT_RNG_BLOCK + 1
+    spaces = [RingSpace.random(1024, seed=31)]
+    expected = _sequential(spaces, m, 2, TieBreak.RANDOM, [32], False,
+                           DEFAULT_RNG_BLOCK)
+    _check_kernel(spaces, m, 2, TieBreak.RANDOM, [32], False,
+                  DEFAULT_RNG_BLOCK, expected)
+
+
+@pytest.mark.parametrize("partitioned", [False, True])
+@pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda s: s.value)
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_ring_kernel_default_block_matches_generic_path(d, strategy, partitioned):
+    """m ∈ {2¹⁶ - 1, 2¹⁶, 2¹⁶ + 1} at the default block, against the
+    generic ``choice_blocks`` + ``place_block`` path (numpy draws, the
+    same compiled placement) — run_sequential would take minutes here."""
+    generic = dataclasses.replace(_cext(), ring_trials=None)
+    spaces = [RingSpace.random(3000, seed=60 + k) for k in range(2)]
+    seeds = [70, 71]
+    for m in (DEFAULT_RNG_BLOCK - 1, DEFAULT_RNG_BLOCK, DEFAULT_RNG_BLOCK + 1):
+        rngs = [np.random.default_rng(s) for s in seeds]
+        loads, heights = run_fused(
+            spaces, m, d, strategy, rngs, partitioned=partitioned,
+            record_heights=True, backend=generic,
+        )
+        expected = [(loads[k], heights[k], rngs[k].bit_generator.state)
+                    for k in range(len(spaces))]
+        _check_kernel(spaces, m, d, strategy, seeds, partitioned,
+                      DEFAULT_RNG_BLOCK, expected)
+
+
+# ---------------------------------------------------------------------------
+# dispatch, table pass, compile flags
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.PCG64DXSM])
+def test_other_bit_generators_take_the_generic_path(bit_generator):
+    spaces = [RingSpace.random(500, seed=k) for k in range(2)]
+    rngs = [np.random.Generator(bit_generator(40 + k)) for k in range(2)]
+    assert not _ring_kernel_applies(spaces, rngs, _cext())
+    loads, heights = run_fused(spaces, 700, 2, TieBreak.RANDOM, rngs,
+                               rng_block=128, record_heights=True,
+                               backend="cext", threads=2)
+    for k, space in enumerate(spaces):
+        ref_rng = np.random.Generator(bit_generator(40 + k))
+        ref_loads, ref_heights = run_sequential(
+            space, 700, 2, TieBreak.RANDOM, ref_rng, rng_block=128,
+            record_heights=True,
+        )
+        np.testing.assert_array_equal(loads[k], ref_loads)
+        np.testing.assert_array_equal(heights[k], ref_heights)
+        np.testing.assert_equal(rngs[k].bit_generator.state,
+                                ref_rng.bit_generator.state)
+
+
+@pytest.mark.parametrize("space_cls", [RingSpace, TorusSpace])
+def test_shared_generator_runs_trials_in_order(space_cls):
+    """Trials sharing one generator consume it trial after trial."""
+    spaces = [space_cls.random(200, seed=k) for k in range(3)]
+    shared = np.random.default_rng(12)
+    loads, _ = run_fused(spaces, 300, 2, TieBreak.RANDOM, [shared] * 3,
+                         rng_block=64, backend="cext", threads=2)
+    ref = np.random.default_rng(12)
+    for k, space in enumerate(spaces):
+        ref_loads, _ = run_sequential(space, 300, 2, TieBreak.RANDOM, ref,
+                                      rng_block=64)
+        np.testing.assert_array_equal(loads[k], ref_loads)
+    assert shared.bit_generator.state == ref.bit_generator.state
+
+
+def test_pcg64_rings_take_the_kernel():
+    spaces = [RingSpace.random(64, seed=1)]
+    assert _ring_kernel_applies(spaces, [np.random.default_rng(1)], _cext())
+    assert not _ring_kernel_applies(
+        spaces, [np.random.default_rng(1)], get_backend("numpy")
+    )
+
+
+@pytest.mark.parametrize("backend", ["cext", "numpy"])
+@pytest.mark.parametrize(
+    "positions", [[0.25, 0.25], [0.5, 0.1, 0.9, 0.1], [0.0, -0.0, 0.3]]
+)
+def test_equal_positions_still_raise(monkeypatch, backend, positions):
+    monkeypatch.setenv("REPRO_KERNEL_BACKEND", backend)
+    with pytest.raises(ValueError, match="distinct"):
+        RingSpace(positions)
+
+
+def test_compile_flags_keep_numpy_rounding():
+    from repro.kernels.cext_backend import CFLAGS
+
+    assert CFLAGS == ("-O3", "-fPIC", "-shared", "-pthread")
+    assert not any("fast-math" in f or "fp-contract" in f or "march" in f
+                   for f in CFLAGS)

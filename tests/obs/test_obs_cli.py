@@ -37,6 +37,15 @@ class TestObsReport:
         assert obs_main(["report", "--no-metrics", str(real_trace)]) == 0
         assert "counters:" not in capsys.readouterr().out
 
+    def test_report_accepts_directory_argument(self, real_trace, capsys):
+        assert obs_main(["report", str(real_trace.parent)]) == 0
+        out = capsys.readouterr().out
+        assert str(real_trace) in out and "run_cell" in out
+
+    def test_directory_argument_without_traces_exit_2(self, tmp_path, capsys):
+        assert obs_main(["report", str(tmp_path)]) == 2
+        assert "no trace files" in capsys.readouterr().err
+
     def test_missing_traces_exit_2(self, tmp_path, capsys):
         assert obs_main(["report", "--dir", str(tmp_path / "empty")]) == 2
         assert "no trace files" in capsys.readouterr().err
@@ -55,6 +64,16 @@ def test_real_trace_breakdown_covers_90pct_of_wall(obs_on):
     covered = sum(e["self_s"] for e in agg["phases"].values())
     assert agg["wall_s"] > 0
     assert covered >= 0.9 * agg["wall_s"]
+
+
+def test_threaded_trace_self_times_stay_within_wall(obs_on):
+    """Threads must not inflate the breakdown: over a threaded ring cell
+    and torus cell, self times sum to at most 100% of traced wall."""
+    run_cell(CellSpec("ring", 1 << 14, 2), 16, seed=5, threads=2)
+    run_cell(CellSpec("torus", 1 << 12, 2), 8, seed=6, threads=2)
+    agg = aggregate_spans(drain_spans())
+    covered = sum(e["self_s"] for e in agg["phases"].values())
+    assert 0 < covered <= agg["wall_s"] * (1 + 1e-9)
 
 
 class TestSweepStatus:
@@ -110,6 +129,11 @@ class TestRouting:
     def test_experiments_main_routes_obs(self, real_trace, capsys):
         from repro.experiments.__main__ import main
         assert main(["obs", "report", str(real_trace)]) == 0
+        assert "(traced wall)" in capsys.readouterr().out
+
+    def test_experiments_main_reports_a_trace_directory(self, real_trace, capsys):
+        from repro.experiments.__main__ import main
+        assert main(["obs", "report", str(real_trace.parent)]) == 0
         assert "(traced wall)" in capsys.readouterr().out
 
     def test_experiments_list_mentions_obs(self, capsys):
