@@ -99,6 +99,20 @@ def test_fused_single_trial_and_single_block(threads):
     np.testing.assert_array_equal(ref[0], got[0])
 
 
+def test_trial_pool_under_switch_pressure():
+    """More pool workers than cores, switching every microsecond: the
+    generic path's trial pool still equals the serial loop."""
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        ref = _fused_loads(BACKENDS[-1], 1, space_cls=TorusSpace, t=9)
+        got = _fused_loads(BACKENDS[-1], 7, space_cls=TorusSpace, t=9)
+    finally:
+        sys.setswitchinterval(previous)
+    np.testing.assert_array_equal(ref[0], got[0])
+    np.testing.assert_array_equal(ref[1], got[1])
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_run_cell_threads_kwarg_parity(backend):
     spec = CellSpec("ring", 128, 2, m=256)
