@@ -1,9 +1,10 @@
 """Thread count never changes results — the multicore bit-identity contract.
 
 The multicore tier (:mod:`repro.kernels.threads`) promises that
-``threads`` only moves wall-clock time: parallel kernels partition work
-statically by independent row, and the RNG pipeline only moves *when*
-candidate blocks are generated.  These tests enforce bit-identity of
+``threads`` only moves wall-clock time: parallel kernels and the trial
+pool split work by independent trial or row, and the dynamics predraw
+pipeline only moves *when* candidate blocks are generated.  These tests
+enforce bit-identity of
 threaded against serial execution for every available backend × engine
 × {static, dynamics} × thread count, exercise the knob's env → kwarg →
 auto resolution order (including a subprocess test of the real
