@@ -69,8 +69,6 @@ class RingSpace(GeometricSpace):
         pos = as_float_array(positions, "positions", ndim=1)
         if pos.size < 1:
             raise ValueError("RingSpace needs at least one server position")
-        if np.any((pos < 0.0) | (pos >= 1.0)):
-            raise ValueError("positions must lie in [0, 1)")
         n = int(pos.size)
         # the sorted positions followed by a +inf sentinel, which stops
         # the bucket probe loop at idx == n without per-query bounds
@@ -78,6 +76,9 @@ class RingSpace(GeometricSpace):
         pos_ext[:n] = pos
         pos_ext[:n].sort()
         pos_ext[n] = np.inf
+        # finite and sorted: the extremes bound every position
+        if pos_ext[0] < 0.0 or pos_ext[n - 1] >= 1.0:
+            raise ValueError("positions must lie in [0, 1)")
         self._pos = pos_ext[:n]
         self._pos_ext = pos_ext
         self.n = n

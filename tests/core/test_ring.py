@@ -20,6 +20,8 @@ class TestConstruction:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match=r"\[0, 1\)"):
             RingSpace([0.5, 1.0])
+        with pytest.raises(ValueError, match=r"\[0, 1\)"):
+            RingSpace([0.5, -0.25, 0.75])
 
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError, match="distinct"):
