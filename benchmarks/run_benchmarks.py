@@ -1,11 +1,11 @@
 #!/usr/bin/env python
 """Engine throughput emitter: writes the tracked ``BENCH_engine.json``.
 
-Measures balls-per-second for the three placement engines on the
-paper's hot workload — many trials of a ring cell at ``d = 2`` — at
-``n ∈ {2¹², 2¹⁶, 2²⁰}``, and records the fused-over-batched speedup.
-This file seeds the repo's performance trajectory: re-run it after
-engine work and commit the refreshed JSON.
+Measures balls-per-second for the fused engine and the sequential
+reference on the paper's hot workload — many trials of a ring cell at
+``d = 2`` — at ``n ∈ {2¹², 2¹⁶, 2²⁰}``.  This file seeds the repo's
+performance trajectory: re-run it after engine work and commit the
+refreshed JSON.
 
 Protocol notes (what makes the numbers comparable):
 
@@ -16,20 +16,19 @@ Protocol notes (what makes the numbers comparable):
 * each engine gets an untimed warm-up run (page faults, lazily built
   bucket tables) and the best of ``--repeats`` timed runs is kept —
   the shared-box noise here is easily ±15%;
-* slow engines measure fewer trials / balls at the big sizes (the
-  per-cell ``trials``/``batched_trials``/``sequential_balls`` fields
-  record exactly how many each engine placed) — the statistic is
-  per-ball throughput, which is trial-count independent, so the rows
-  are directly comparable despite the differing trial counts;
+* the sequential reference places fewer balls (the per-cell
+  ``trials``/``sequential_balls`` fields record exactly how many each
+  engine placed) — the statistic is per-ball throughput, which is
+  trial-count independent, so the rows are directly comparable;
 * every measurement pins ``REPRO_KERNEL_BACKEND`` for its duration:
   the engine rows are pure-numpy (no compiled kernels sneaking into
   the ring lookup), and each kernel-backend row runs entirely under
   that backend.
 
-Besides the three engines, the fused engine is measured once per
+Besides the two engines, the fused engine is measured once per
 *kernel backend* available on the machine (``numpy`` reference, plus
-``numba``/``cext`` when importable/compilable — see
-:mod:`repro.kernels`), emitted under ``backends`` with the speedup
+``cext`` when compilable — see :mod:`repro.kernels`), emitted under
+``backends`` with the speedup
 over the numpy reference, and once per *thread count* in
 ``THREAD_COUNTS`` per backend (``REPRO_NUM_THREADS`` pinned per
 measurement), emitted under ``threads`` with the parallel efficiency
@@ -56,7 +55,7 @@ from pathlib import Path
 import numpy as np
 
 from repro._version import __version__
-from repro.core.engine import run_batched, run_sequential
+from repro.core.engine import run_sequential
 from repro.core.multitrial import fused_trial_chunk, run_fused
 from repro.core.ring import RingSpace
 from repro.core.strategies import TieBreak
@@ -72,18 +71,18 @@ STRATEGY = TieBreak.RANDOM
 #: box is interpretable (expected efficiency ~1/4), not misleading.
 THREAD_COUNTS = (1, 2, 4)
 
-#: (n, trials, batched_trials, sequential_balls) per measured cell.
-#: Throughput is per-ball and trial-count independent, so the big-n
-#: cell uses one fused chunk's worth of trials — keeping all spaces
-#: (positions + bucket tables) resident stays well under 1 GB.
+#: (n, trials, sequential_balls) per measured cell.  Throughput is
+#: per-ball and trial-count independent, so the big-n cell uses one
+#: fused chunk's worth of trials — keeping all spaces (positions +
+#: bucket tables) resident stays well under 1 GB.
 FULL_CELLS = (
-    (1 << 12, 100, 100, 1 << 12),
-    (1 << 16, 100, 100, 1 << 14),
-    (1 << 20, 16, 4, 1 << 14),
+    (1 << 12, 100, 1 << 12),
+    (1 << 16, 100, 1 << 14),
+    (1 << 20, 16, 1 << 14),
 )
 FAST_CELLS = (
-    (1 << 10, 16, 16, 1 << 10),
-    (1 << 12, 16, 16, 1 << 11),
+    (1 << 10, 16, 1 << 10),
+    (1 << 12, 16, 1 << 11),
 )
 
 
@@ -142,7 +141,7 @@ def _time_best(fn, repeats: int) -> float:
     return best
 
 
-def _measure_cell(n, trials, batched_trials, sequential_balls, repeats, backends):
+def _measure_cell(n, trials, sequential_balls, repeats, backends):
     spaces = _spaces_and_seeds(n, trials)
 
     def fused():
@@ -154,10 +153,6 @@ def _measure_cell(n, trials, batched_trials, sequential_balls, repeats, backends
             run_fused(spaces[c0 : c0 + chunk], n, D, STRATEGY,
                       rngs[c0 : c0 + chunk])
 
-    def batched():
-        for k in range(batched_trials):
-            run_batched(spaces[k], n, D, STRATEGY, np.random.default_rng(k))
-
     def sequential():
         run_sequential(spaces[0], sequential_balls, D, STRATEGY,
                        np.random.default_rng(0))
@@ -165,7 +160,6 @@ def _measure_cell(n, trials, batched_trials, sequential_balls, repeats, backends
     with _pinned_backend("numpy"), _pinned_threads(1):
         timings = {
             "fused": (_time_best(fused, repeats), trials * n),
-            "batched": (_time_best(batched, repeats), batched_trials * n),
             "sequential": (_time_best(sequential, repeats), sequential_balls),
         }
     engines = {
@@ -211,14 +205,10 @@ def _measure_cell(n, trials, batched_trials, sequential_balls, repeats, backends
     return {
         "n": n,
         "trials": trials,
-        "batched_trials": batched_trials,
         "sequential_balls": sequential_balls,
         "engines": engines,
         "backends": backend_rows,
         "threads": thread_rows,
-        "speedup_fused_over_batched": round(
-            engines["fused"]["balls_per_s"] / engines["batched"]["balls_per_s"], 2
-        ),
     }
 
 
@@ -242,16 +232,15 @@ def _cross_check(n: int, trials: int, backends) -> None:
             )
         if reference is None:
             reference = fused
-            with _pinned_backend("numpy"):
-                for k in range(trials):
-                    batched, _ = run_batched(spaces[k], n, D, STRATEGY,
-                                             np.random.default_rng(k))
-                    if not np.array_equal(fused[k], batched):
-                        raise AssertionError(
-                            f"fused/batched divergence at n={n}, trial {k} — "
-                            "bit-identity broken, refusing to emit benchmark "
-                            "numbers"
-                        )
+            for k in range(trials):
+                sequential, _ = run_sequential(spaces[k], n, D, STRATEGY,
+                                               np.random.default_rng(k))
+                if not np.array_equal(fused[k], sequential):
+                    raise AssertionError(
+                        f"fused/sequential divergence at n={n}, trial {k} — "
+                        "bit-identity broken, refusing to emit benchmark "
+                        "numbers"
+                    )
         elif not np.array_equal(reference, fused):
             raise AssertionError(
                 f"kernel backend {name!r} diverges from numpy at n={n} — "
@@ -281,19 +270,15 @@ def main(argv=None) -> int:
     print(f"kernel backends measured: {', '.join(backends)}")
     _cross_check(cells[0][0], min(8, cells[0][1]), backends)
     results = []
-    for n, trials, batched_trials, sequential_balls in cells:
-        cell = _measure_cell(
-            n, trials, batched_trials, sequential_balls, repeats, backends
-        )
+    for n, trials, sequential_balls in cells:
+        cell = _measure_cell(n, trials, sequential_balls, repeats, backends)
         results.append(cell)
         f = cell["engines"]
         print(
             f"n=2^{n.bit_length() - 1}: fused {f['fused']['balls_per_s']:,.0f} "
-            f"balls/s ({cell['trials']} trials), batched "
-            f"{f['batched']['balls_per_s']:,.0f} ({cell['batched_trials']} "
-            f"trials), sequential {f['sequential']['balls_per_s']:,.0f} "
-            f"({cell['sequential_balls']} balls) "
-            f"(fused/batched = {cell['speedup_fused_over_batched']}x)"
+            f"balls/s ({cell['trials']} trials), sequential "
+            f"{f['sequential']['balls_per_s']:,.0f} "
+            f"({cell['sequential_balls']} balls)"
         )
         for name, row in cell["backends"].items():
             if name == "numpy":
@@ -321,8 +306,8 @@ def main(argv=None) -> int:
         "kernel_backends": backends,
         "note": (
             "throughputs are balls/s and trial-count independent; engines "
-            "place different trial counts per cell (see trials/"
-            "batched_trials/sequential_balls). 'backends' rows rerun the "
+            "place different ball counts per cell (see trials/"
+            "sequential_balls). 'backends' rows rerun the "
             "fused engine under each kernel backend, REPRO_KERNEL_BACKEND "
             "pinned; 'engines' rows are pure numpy. Both are measured at "
             "REPRO_NUM_THREADS=1; 'threads' rows sweep the thread count "

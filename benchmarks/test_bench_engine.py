@@ -1,17 +1,18 @@
 """Engine throughput benchmarks: the guide's "measure before optimizing".
 
-Times the three engines (sequential reference, batched, trial-fused)
-and the geometry substrate primitives so regressions in the
-vectorization are caught as numbers, not vibes.  ``run_benchmarks.py``
-in this directory turns the same engine comparison into the tracked
-``BENCH_engine.json`` artifact.
+Times the sequential reference, the trial-fused engine (one trial
+through ``place_balls``, and a fleet of trials in one pass) and the
+geometry substrate primitives so regressions are caught as numbers,
+not vibes.  ``run_benchmarks.py`` in this directory turns the same
+engine comparison into the tracked ``BENCH_engine.json`` artifact.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.engine import run_batched, run_sequential
+from repro.core.engine import run_sequential
 from repro.core.multitrial import run_fused
+from repro.core.placement import place_balls
 from repro.core.ring import RingSpace
 from repro.core.strategies import TieBreak
 from repro.core.torus import TorusSpace
@@ -39,10 +40,8 @@ def ring_fleet():
     return [RingSpace.random(N, seed=100 + k) for k in range(FUSED_TRIALS)]
 
 
-def test_ring_batched_engine(benchmark, big_ring):
-    loads = benchmark(
-        lambda: run_batched(big_ring, N, 2, TieBreak.RANDOM, resolve_rng(1))[0]
-    )
+def test_ring_single_run(benchmark, big_ring):
+    loads = benchmark(lambda: place_balls(big_ring, N, 2, seed=1).loads)
     assert loads.sum() == N
 
 
@@ -54,10 +53,8 @@ def test_ring_sequential_engine(benchmark, big_ring):
     assert loads.sum() == m
 
 
-def test_torus_batched_engine(benchmark, big_torus):
-    loads = benchmark(
-        lambda: run_batched(big_torus, N, 2, TieBreak.RANDOM, resolve_rng(1))[0]
-    )
+def test_torus_single_run(benchmark, big_torus):
+    loads = benchmark(lambda: place_balls(big_torus, N, 2, seed=1).loads)
     assert loads.sum() == N
 
 
@@ -76,7 +73,7 @@ def test_torus_assign_throughput(benchmark, big_torus):
 def test_smaller_strategy_overhead(benchmark, big_ring):
     """Measure the cost of measure-aware tie-breaking."""
     loads = benchmark(
-        lambda: run_batched(big_ring, N // 4, 2, TieBreak.SMALLER, resolve_rng(4))[0]
+        lambda: place_balls(big_ring, N // 4, 2, strategy="smaller", seed=4).loads
     )
     assert loads.sum() == N // 4
 
@@ -93,26 +90,24 @@ def test_ring_fused_engine(benchmark, ring_fleet):
     assert loads.sum() == FUSED_TRIALS * N
 
 
-def test_ring_batched_same_fleet(benchmark, ring_fleet):
-    """The same workload as ``test_ring_fused_engine``, per-trial batched
-    — the pairing whose ratio is the fused engine's raison d'être."""
+def test_ring_per_trial_same_fleet(benchmark, ring_fleet):
+    """The same workload as ``test_ring_fused_engine``, one ``place_balls``
+    call per trial — the pairing whose ratio is the fusion's gain."""
 
     def job():
-        total = 0
-        for k, space in enumerate(ring_fleet):
-            total += run_batched(space, N, 2, TieBreak.RANDOM, resolve_rng(1 + k))[
-                0
-            ].sum()
-        return total
+        return sum(
+            place_balls(space, N, 2, seed=1 + k).loads.sum()
+            for k, space in enumerate(ring_fleet)
+        )
 
     total = benchmark(job)
     assert total == FUSED_TRIALS * N
 
 
-def test_fused_equals_batched_fleet(ring_fleet):
+def test_fused_equals_per_trial_fleet(ring_fleet):
     """Not a timing: the two paths above really run the same process."""
     rngs = [resolve_rng(1 + k) for k in range(FUSED_TRIALS)]
     fused, _ = run_fused(ring_fleet, N, 2, TieBreak.RANDOM, rngs)
     for k, space in enumerate(ring_fleet):
-        batched, _ = run_batched(space, N, 2, TieBreak.RANDOM, resolve_rng(1 + k))
-        assert np.array_equal(fused[k], batched)
+        single = place_balls(space, N, 2, seed=1 + k).loads
+        assert np.array_equal(fused[k], single)

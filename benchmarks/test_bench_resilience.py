@@ -3,24 +3,27 @@
 import numpy as np
 import pytest
 
-from repro.core.engine import conflict_free_prefix
+from repro.core.incremental import mixed_conflict_prefix
 from repro.dht.chord import ChordRing
 from repro.dht.resilience import ResilientChord
 
 
-def test_conflict_free_prefix_large_batch(benchmark):
-    """The batched engine's hot primitive at a realistic batch shape."""
+ALL_INSERTS = np.ones(2048, dtype=bool)
+
+
+def test_conflict_prefix_large_batch(benchmark):
+    """The batched dynamic engine's hot primitive at a realistic batch shape."""
     rng = np.random.default_rng(0)
     cand = rng.integers(0, 1 << 20, size=(2048, 2))
-    prefix = benchmark(conflict_free_prefix, cand)
+    prefix = benchmark(mixed_conflict_prefix, cand, ALL_INSERTS)
     assert 1 <= prefix <= 2048
 
 
-def test_conflict_free_prefix_dense_conflicts(benchmark):
+def test_conflict_prefix_dense_conflicts(benchmark):
     """Small bin space: prefixes are short, the scalar fallback reigns."""
     rng = np.random.default_rng(1)
     cand = rng.integers(0, 64, size=(2048, 2))
-    prefix = benchmark(conflict_free_prefix, cand)
+    prefix = benchmark(mixed_conflict_prefix, cand, ALL_INSERTS)
     assert 1 <= prefix <= 64
 
 

@@ -29,9 +29,7 @@ def main() -> None:
         ring = RingSpace.random(n, seed=exp)
         maxima = {}
         for d in (1, 2, 3):
-            maxima[d] = place_balls(
-                ring, n, d, seed=1000 + exp, engine="batched"
-            ).max_load
+            maxima[d] = place_balls(ring, n, d, seed=1000 + exp).max_load
         elapsed = time.perf_counter() - start
         print(
             f"{f'2^{exp}':>10} {maxima[1]:>6} {maxima[2]:>6} {maxima[3]:>6} "

@@ -27,11 +27,9 @@ from repro.utils.validation import check_positive_int
 __all__ = ["simulate_single_choice", "uniform_d1_scale", "geometric_d1_scale"]
 
 
-def simulate_single_choice(
-    space: GeometricSpace, m: int, *, seed=None, engine: str = "auto"
-) -> np.ndarray:
+def simulate_single_choice(space: GeometricSpace, m: int, *, seed=None) -> np.ndarray:
     """Place ``m`` items with one choice each; returns the load vector."""
-    return place_balls(space, m, d=1, seed=seed, engine=engine).loads
+    return place_balls(space, m, d=1, seed=seed).loads
 
 
 def uniform_d1_scale(n: int, m: int | None = None) -> float:

@@ -67,7 +67,6 @@ def abku_max_load(
     *,
     strategy: TieBreak | str = TieBreak.RANDOM,
     seed=None,
-    engine: str = "auto",
 ) -> int:
     """Simulate the classical process once and return the maximum load.
 
@@ -77,7 +76,4 @@ def abku_max_load(
     """
     n = check_positive_int(n, "n")
     m = n if m is None else m
-    result = place_balls(
-        UniformSpace(n), m, d, strategy=strategy, seed=seed, engine=engine
-    )
-    return result.max_load
+    return place_balls(UniformSpace(n), m, d, strategy=strategy, seed=seed).max_load

@@ -31,7 +31,6 @@ def always_go_left(
     d: int = 2,
     *,
     seed=None,
-    engine: str = "auto",
 ) -> PlacementResult:
     """Run Vöcking's Always-Go-Left on any space.
 
@@ -55,7 +54,6 @@ def always_go_left(
         strategy=TieBreak.FIRST,
         partitioned=True,
         seed=seed,
-        engine=engine,
     )
 
 

@@ -1,55 +1,24 @@
-"""Placement engines: exact sequential reference and vectorized batched.
+"""The sequential reference engine and the RNG layout every engine shares.
 
 The greedy process of Theorem 1 is inherently sequential — ball ``t``'s
-decision depends on the loads left by ball ``t-1`` — which defeats naive
-numpy vectorization.  Following the HPC guide's doctrine (vectorize the
-hot loop, *verify against the straightforward implementation*), this
-module provides:
+decision depends on the loads left by ball ``t-1``.  This module holds
+the two pieces every placement path is defined against:
 
-``sequential``
+``choice_blocks``
+    The randomness layout: candidate bins and tie-break uniforms are
+    pre-drawn in fixed-size RNG blocks, so RNG consumption is a pure
+    function of ``(m, d, partitioned, rng_block)``.
+
+``run_sequential``
     A plain Python loop over balls.  Trivially correct; the reference.
 
-``batched``
-    Balls are processed in batches.  All candidate bins and tie-break
-    uniforms are pre-drawn in fixed-size RNG blocks (so both engines
-    consume the generator identically).  Within a batch, the engine
-    finds the longest *conflict-free prefix*: the maximal run of balls
-    whose candidate-bin sets are pairwise disjoint.  Those balls'
-    decisions depend only on the batch-start load vector, so they are
-    decided in one vectorized shot; the first conflicting ball is then
-    stepped scalar, and the procedure repeats on the remainder.  With
-    random candidates the expected prefix length is Θ(√n / d), giving
-    large speedups at the table sizes the paper uses (n up to 2²⁴).
-
-``fused`` (:mod:`repro.core.multitrial`)
-    The table workloads run many *independent trials* of the same cell,
-    and within one trial the conflict-free prefix saturates at
-    Θ(√n / d) — the per-call numpy overhead is paid every few hundred
-    balls no matter how large ``n`` grows.  The fused engine runs all
-    ``T`` trials against a single ``(T·n,)`` load array, offsetting
-    trial ``k``'s bins by ``k·n`` and interleaving ball rows
-    round-robin across trials.  Rows from different trials can never
-    conflict, so the expected prefix grows to Θ(T·√n / d) and one
-    ``np.unique`` + one ``decide_rows`` call amortize over hundreds of
-    balls.  Each trial's RNG stream, decision order and tie-break
-    arithmetic are untouched, so per-trial results stay bit-identical
-    to ``sequential``.
-
-Engine-selection model (what ``auto`` means at each layer):
-
-* :func:`repro.core.placement.place_balls` — single run: ``sequential``
-  below ``_BATCHED_MIN_BINS`` bins (prefixes too short to amortize),
-  ``batched`` above.
-* :func:`repro.stats.trials.run_cell` — many runs
-  (``auto_cell_engine``): a process pool when ``n_jobs != 1`` (each
-  worker then applies the single-run rule), ``fused`` for any serial
-  cell with at least two trials (cross-trial amortization wins from
-  tiny ``n`` upward), the single-run rule otherwise.
-
-All engines produce **bit-identical** load vectors for the same seed;
-the test suite enforces this property across spaces, strategies and
-shapes — the vectorized engines may reorganize arithmetic, never
-change results.
+The one fast static engine is :func:`repro.core.multitrial.run_fused`:
+it runs ``T`` independent trials in one pass (inside the ``cext``
+kernel where it applies) and is what both
+:func:`repro.core.placement.place_balls` (``T = 1``) and
+:func:`repro.stats.trials.run_cell` call.  Per-trial results are
+**bit-identical** to ``run_sequential`` for the same seed; the test
+suite enforces this across spaces, strategies and shapes.
 """
 
 from __future__ import annotations
@@ -60,21 +29,13 @@ from typing import Iterator
 import numpy as np
 
 from repro.core.spaces import GeometricSpace
-from repro.core.strategies import (
-    TieBreak,
-    decide_row,
-    decide_rows,
-    strategy_needs_measures,
-)
+from repro.core.strategies import TieBreak, decide_row, strategy_needs_measures
 from repro.utils.validation import check_non_negative_int, check_positive_int
 
 __all__ = [
     "run_sequential",
-    "run_batched",
-    "conflict_free_prefix",
     "choice_blocks",
     "DEFAULT_RNG_BLOCK",
-    "auto_engine",
     "auto_batch_size",
 ]
 
@@ -83,18 +44,9 @@ __all__ = [
 #: stream of random numbers consumed.
 DEFAULT_RNG_BLOCK = 1 << 16
 
-#: Below this bin count the batched engine's conflict-free prefixes are
-#: too short to amortize the vectorization overhead.
-_BATCHED_MIN_BINS = 2048
-
-
-def auto_engine(n: int) -> str:
-    """Pick the engine expected to be faster for ``n`` bins."""
-    return "batched" if n >= _BATCHED_MIN_BINS else "sequential"
-
 
 def auto_batch_size(n: int, d: int) -> int:
-    """Batch size tuned to the expected conflict-free prefix length.
+    """Event-window size for the dynamic engines' conflict-free prefixes.
 
     Birthday heuristics give an expected prefix of about ``sqrt(2 n) / d``
     rows; we aim a small multiple above it so one ``np.unique`` usually
@@ -130,50 +82,6 @@ def choice_blocks(
         remaining -= b
 
 
-def conflict_free_prefix(candidates: np.ndarray) -> int:
-    """Longest prefix of rows with pairwise-disjoint candidate sets.
-
-    A row may repeat a bin *within itself* (a ball can draw the same bin
-    twice); a conflict only occurs when a bin first seen in an earlier
-    row reappears.  Always returns at least 1 for non-empty input (the
-    first row cannot conflict with anything).
-    """
-    if candidates.ndim != 2:
-        raise ValueError(f"candidates must be 2-D, got shape {candidates.shape}")
-    b, d = candidates.shape
-    if b == 0:
-        return 0
-    flat = candidates.ravel()
-    _, first_flat, inverse = np.unique(flat, return_index=True, return_inverse=True)
-    first_row = first_flat[inverse] // d
-    own_row = np.repeat(np.arange(b, dtype=np.int64), d)
-    conflicts = first_row < own_row
-    if not conflicts.any():
-        return b
-    return int(own_row[conflicts].min())
-
-
-def _step_scalar(
-    loads: np.ndarray,
-    cand: np.ndarray,
-    measures: np.ndarray | None,
-    u: float,
-    strategy: TieBreak,
-    heights: list | None,
-) -> None:
-    """Place a single ball (shared by all engines at conflict points)."""
-    j = decide_row(
-        loads[cand],
-        measures[cand] if measures is not None else None,
-        u,
-        strategy,
-    )
-    chosen = int(cand[j])
-    if heights is not None:
-        heights.append(int(loads[chosen]) + 1)
-    loads[chosen] += 1
-
-
 def run_sequential(
     space: GeometricSpace,
     m: int,
@@ -199,71 +107,16 @@ def run_sequential(
     for bins, tiebreaks in choice_blocks(
         space, rng, m, d, partitioned=partitioned, rng_block=rng_block
     ):
-        for t in range(bins.shape[0]):
-            _step_scalar(loads, bins[t], measures, tiebreaks[t], strategy, heights)
-    heights_arr = np.asarray(heights, dtype=np.int64) if record_heights else None
-    return loads, heights_arr
-
-
-def run_batched(
-    space: GeometricSpace,
-    m: int,
-    d: int,
-    strategy: TieBreak,
-    rng: np.random.Generator,
-    *,
-    partitioned: bool = False,
-    rng_block: int = DEFAULT_RNG_BLOCK,
-    batch_size: int | None = None,
-    record_heights: bool = False,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Vectorized engine: conflict-free-prefix batching.
-
-    Bit-identical to :func:`run_sequential` (enforced by tests): the
-    randomness layout is shared via :func:`choice_blocks`, decisions go
-    through the same tie-break arithmetic, and only balls provably
-    independent of intra-batch ordering are decided together.
-    """
-    m = check_non_negative_int(m, "m")
-    d = check_positive_int(d, "d")
-    if batch_size is None:
-        batch_size = auto_batch_size(space.n, d)
-    batch_size = check_positive_int(batch_size, "batch_size")
-    loads = np.zeros(space.n, dtype=np.int64)
-    measures = space.region_measures() if strategy_needs_measures(strategy) else None
-    heights: list | None = [] if record_heights else None
-    rows = np.arange(batch_size, dtype=np.int64)
-
-    for bins, tiebreaks in choice_blocks(
-        space, rng, m, d, partitioned=partitioned, rng_block=rng_block
-    ):
-        block_len = bins.shape[0]
-        pos = 0
-        while pos < block_len:
-            end = min(pos + batch_size, block_len)
-            cand = bins[pos:end]
-            prefix = conflict_free_prefix(cand)
-            if prefix > 0:
-                sub = cand[:prefix]
-                cand_loads = loads[sub]
-                cand_measures = measures[sub] if measures is not None else None
-                j = decide_rows(
-                    cand_loads, cand_measures, tiebreaks[pos : pos + prefix], strategy
-                )
-                chosen = sub[rows[:prefix], j]
-                if heights is not None:
-                    heights.extend((loads[chosen] + 1).tolist())
-                # prefix rows are pairwise disjoint: no duplicate indices
-                loads[chosen] += 1
-            had_conflict = prefix < (end - pos)
-            pos += prefix
-            if had_conflict:
-                # the row at `pos` shares a bin with the prefix it was
-                # batched with: its decision needs the updated loads, so
-                # step it scalar before re-batching the remainder
-                _step_scalar(
-                    loads, bins[pos], measures, tiebreaks[pos], strategy, heights
-                )
-                pos += 1
+        for cand, u in zip(bins, tiebreaks):
+            j = decide_row(
+                loads[cand],
+                measures[cand] if measures is not None else None,
+                u,
+                strategy,
+            )
+            chosen = int(cand[j])
+            if heights is not None:
+                heights.append(int(loads[chosen]) + 1)
+            loads[chosen] += 1
     heights_arr = np.asarray(heights, dtype=np.int64) if record_heights else None
     return loads, heights_arr

@@ -214,26 +214,51 @@ class IncrementalState:
     # ------------------------------------------------------------------
     # churn (scalar by nature: rare, topology-changing)
     # ------------------------------------------------------------------
+    def check_churn(self, slot: int, *, leaving: bool) -> None:
+        """Raise :class:`ValueError` unless bin ``slot`` may leave (join) now.
+
+        The rules :class:`~repro.dynamics.events.EventTrace` enforces on
+        traces: the slot is in range, only an active bin leaves, only an
+        inactive bin joins, and the last active bin never leaves.
+        """
+        if not 0 <= slot < self.n:
+            raise ValueError(f"bin slot {slot} outside [0, {self.n})")
+        if leaving:
+            if not self.active[slot]:
+                raise ValueError(f"bin {slot} leaves but is already inactive")
+            if np.count_nonzero(self.active) <= 1:
+                raise ValueError("the last active bin cannot leave")
+        elif self.active[slot]:
+            raise ValueError(f"bin {slot} joins but is already active")
+
     def bin_leave(self, slot: int) -> None:
-        """Deactivate bin ``slot``, re-placing its displaced balls."""
+        """Deactivate bin ``slot``, re-placing its displaced balls.
+
+        Invalid churn (:meth:`check_churn`) raises before any change.
+        """
+        self.check_churn(slot, leaving=True)
+        displaced = np.nonzero(self.ball_bin == slot)[0]
+        if displaced.size and self.aux_rng is None:
+            raise RuntimeError(
+                "churn re-placement needs aux_rng (construct IncrementalState "
+                "with aux_rng=... to enable bin churn)"
+            )
         self.active[slot] = False
         self._recompute_topology()
-        displaced = np.nonzero(self.ball_bin == slot)[0]
         self.loads[slot] = 0
         for ball in displaced:
             self._replace_ball(int(ball))
 
     def bin_join(self, slot: int) -> None:
-        """Reactivate bin ``slot`` (empty: no eager rebalancing on joins)."""
+        """Reactivate bin ``slot`` (empty: no eager rebalancing on joins).
+
+        Invalid churn (:meth:`check_churn`) raises before any change.
+        """
+        self.check_churn(slot, leaving=False)
         self.active[slot] = True
         self._recompute_topology()
 
     def _replace_ball(self, ball: int) -> None:
-        if self.aux_rng is None:
-            raise RuntimeError(
-                "churn re-placement needs aux_rng (construct IncrementalState "
-                "with aux_rng=... to enable bin churn)"
-            )
         raw = self.space.sample_choice_bins(
             self.aux_rng, 1, self.d, partitioned=self.partitioned
         )[0]
@@ -267,7 +292,7 @@ class IncrementalState:
             )
 
     # ------------------------------------------------------------------
-    # batched window application (the batched engines' inner loop)
+    # batched window application (the batched dynamic engine's inner loop)
     # ------------------------------------------------------------------
     def apply_window(
         self,

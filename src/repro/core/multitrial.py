@@ -2,9 +2,10 @@
 
 The paper's tables are defined by many *independent* trials of the same
 cell — 1000 trials per ``(n, d)`` at ``n`` up to 2²⁴.  Within a single
-trial the batched engine's conflict-free prefix saturates at Θ(√n / d)
-balls, so every trial pays thousands of small numpy calls plus a scalar
-step at each conflict.  Trials, however, never interact: trial ``k``'s
+trial a conflict-free prefix (balls whose candidate bins are pairwise
+disjoint, hence decidable together) saturates at Θ(√n / d) balls, so a
+per-trial vectorized engine pays thousands of small numpy calls plus a
+scalar step at each conflict.  Trials, however, never interact: trial ``k``'s
 balls touch only trial ``k``'s bins.  :func:`run_fused` therefore runs
 all ``T`` trials of a cell simultaneously against one fused load array:
 
@@ -38,8 +39,8 @@ chunk-start loads plus all unflagged increments — later unflagged rows
 never touch its bins, else they would be flagged — plus all
 earlier-flagged repairs: exactly the sequential state.  Each trial
 draws its randomness from its *own* generator through the same
-:func:`~repro.core.engine.choice_blocks` layout the single-trial
-engines use, and decisions go through the same tie-break kernels, so
+:func:`~repro.core.engine.choice_blocks` layout the sequential
+reference uses, and decisions go through the same tie-break kernels, so
 per-trial results are **bit-identical** to
 :func:`~repro.core.engine.run_sequential`.
 """

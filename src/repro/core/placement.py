@@ -1,14 +1,13 @@
 """High-level facade for the greedy d-choice placement process.
 
 :func:`place_balls` is the single entry point used by experiments,
-examples and baselines for one run.  It wires a
-:class:`~repro.core.spaces.GeometricSpace` to one of the engines and
-wraps the outcome in a :class:`PlacementResult` carrying the statistics
-the paper reports.  :func:`place_balls_multi` is its many-runs twin:
-independent repetitions of the same process (the tables' trials) are
-executed through the trial-fused engine in one vectorized pass, one
-:class:`PlacementResult` per run, bit-identical to calling
-:func:`place_balls` per run.
+examples and baselines for one run, and :func:`place_balls_multi` is
+its many-runs twin.  Both run the trial-fused engine
+(:func:`repro.core.multitrial.run_fused`) — ``place_balls`` as one
+trial — and wrap each outcome in a :class:`PlacementResult` carrying
+the statistics the paper reports.  Run ``k`` of ``place_balls_multi``
+is bit-identical to calling :func:`place_balls` per run, and both are
+bit-identical to :func:`repro.core.engine.run_sequential`.
 """
 
 from __future__ import annotations
@@ -18,8 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core import engine as _engine
-from repro.core import multitrial as _multitrial
+from repro.core.engine import DEFAULT_RNG_BLOCK
 from repro.core.loads import (
     height_counts_from_loads,
     load_histogram,
@@ -27,6 +25,7 @@ from repro.core.loads import (
     max_load,
     nu_profile,
 )
+from repro.core.multitrial import run_fused
 from repro.core.spaces import GeometricSpace
 from repro.core.strategies import TieBreak
 from repro.utils.rng import resolve_rng
@@ -50,8 +49,8 @@ class PlacementResult:
     partitioned:
         Whether choices were drawn from Vöcking's interval partition.
     engine:
-        Which engine produced the result
-        (``"sequential"``/``"batched"``/``"fused"``).
+        Which engine produced the result: ``"fused"`` for static runs,
+        the dynamic engine's name for :meth:`from_dynamic`.
     heights:
         Per-ball heights (1-based), present only when requested.
     """
@@ -61,7 +60,7 @@ class PlacementResult:
     d: int
     strategy: TieBreak
     partitioned: bool = False
-    engine: str = "batched"
+    engine: str = "fused"
     heights: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
@@ -133,16 +132,16 @@ def place_balls(
     strategy: TieBreak | str = TieBreak.RANDOM,
     partitioned: bool = False,
     seed=None,
-    engine: str = "auto",
-    batch_size: int | None = None,
-    rng_block: int = _engine.DEFAULT_RNG_BLOCK,
+    rng_block: int = DEFAULT_RNG_BLOCK,
     record_heights: bool = False,
 ) -> PlacementResult:
     """Sequentially place ``m`` balls with ``d`` choices each.
 
     This is the process of Theorem 1: each ball draws ``d`` uniform
     points of the space, maps them to owning bins, and joins the least
-    loaded candidate, resolving ties with ``strategy``.
+    loaded candidate, resolving ties with ``strategy``.  It runs as one
+    trial of :func:`repro.core.multitrial.run_fused`, whose kernel
+    backend follows ``REPRO_KERNEL_BACKEND`` (else auto-detection).
 
     Parameters
     ----------
@@ -164,14 +163,6 @@ def place_balls(
         ``arc-left``.
     seed:
         Anything :func:`repro.utils.rng.resolve_rng` accepts.
-    engine:
-        ``"auto"`` (default), ``"sequential"`` or ``"batched"``.  All
-        engines give bit-identical results for a given seed.  (For
-        many independent runs, :func:`place_balls_multi` additionally
-        offers the trial-fused engine.)
-    batch_size:
-        Batched-engine batch; ``None`` lets :func:`auto_batch_size`
-        tune it to the expected conflict-free prefix length.
     rng_block:
         Pre-draw block size; affects nothing but memory (fixed across
         engines so results do not depend on the engine choice).
@@ -186,48 +177,16 @@ def place_balls(
     >>> res.max_load <= 6
     True
     """
-    m = check_non_negative_int(m, "m")
-    d = check_positive_int(d, "d")
-    strat = TieBreak.coerce(strategy)
-    rng = resolve_rng(seed)
-    if engine == "auto":
-        engine = _engine.auto_engine(space.n)
-    if engine == "sequential":
-        loads, heights = _engine.run_sequential(
-            space,
-            m,
-            d,
-            strat,
-            rng,
-            partitioned=partitioned,
-            rng_block=rng_block,
-            record_heights=record_heights,
-        )
-    elif engine == "batched":
-        loads, heights = _engine.run_batched(
-            space,
-            m,
-            d,
-            strat,
-            rng,
-            partitioned=partitioned,
-            rng_block=rng_block,
-            batch_size=batch_size,
-            record_heights=record_heights,
-        )
-    else:
-        raise ValueError(
-            f"engine must be 'auto', 'sequential' or 'batched', got {engine!r}"
-        )
-    return PlacementResult(
-        loads=loads,
-        m=m,
-        d=d,
-        strategy=strat,
+    return place_balls_multi(
+        [space],
+        m,
+        d,
+        strategy=strategy,
         partitioned=partitioned,
-        engine=engine,
-        heights=heights,
-    )
+        seeds=[seed],
+        rng_block=rng_block,
+        record_heights=record_heights,
+    )[0]
 
 
 def place_balls_multi(
@@ -239,7 +198,7 @@ def place_balls_multi(
     partitioned: bool = False,
     seeds=None,
     batch_size: int | None = None,
-    rng_block: int = _engine.DEFAULT_RNG_BLOCK,
+    rng_block: int = DEFAULT_RNG_BLOCK,
     record_heights: bool = False,
     backend=None,
     threads: int | None = None,
@@ -289,7 +248,7 @@ def place_balls_multi(
         if len(seeds) != len(spaces):
             raise ValueError(f"got {len(spaces)} spaces but {len(seeds)} seeds")
         rngs = [resolve_rng(s) for s in seeds]
-    loads, heights = _multitrial.run_fused(
+    loads, heights = run_fused(
         spaces,
         m,
         d,

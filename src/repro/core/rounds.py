@@ -10,7 +10,7 @@ geometric spaces — evidence for deploying the paper's scheme with
 batched, asynchronous inserts (the systems concern behind its IPTPS
 companion).
 
-Unlike the batched engine (which is an *exact reorganization* of the
+Unlike the fused engine (which is an *exact reorganization* of the
 sequential process), this is a genuinely different process: decisions
 within a round are made against the stale snapshot, and all increments
 commit at the round boundary.

@@ -150,8 +150,8 @@ def decide_rows(
 
 
 # ----------------------------------------------------------------------
-# single-row kernel: one ball, numpy in / numpy out (conflict step of the
-# batched and fused engines — no Python-list round trip)
+# single-row kernel: one ball, numpy in / numpy out (the sequential
+# reference's step — no Python-list round trip)
 # ----------------------------------------------------------------------
 def decide_row(
     cand_loads: np.ndarray,

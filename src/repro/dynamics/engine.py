@@ -1,6 +1,6 @@
 """Dynamic placement engines: sequential reference and vectorized batched.
 
-This module extends the static engine pair of :mod:`repro.core.engine`
+This module extends the static reference of :mod:`repro.core.engine`
 to the dynamic process replayed from an
 :class:`~repro.dynamics.events.EventTrace`:
 
@@ -8,8 +8,8 @@ to the dynamic process replayed from an
     One event at a time.  Trivially correct; the reference.
 
 ``run_batched_dynamic``
-    Generalizes the conflict-free-prefix trick to *mixed* blocks of
-    insert and delete events.  Within a batch, an event prefix can be
+    Batches *mixed* blocks of insert and delete events by their
+    conflict-free prefix.  Within a batch, an event prefix can be
     decided from the batch-start load vector when no **insert** reads a
     bin touched by any earlier event in the prefix:
 
@@ -21,8 +21,7 @@ to the dynamic process replayed from an
     Inserts in such a prefix are decided in one vectorized shot (their
     candidate sets are pairwise disjoint by construction), deletes are
     applied with one scatter-subtract, and the first conflicting event
-    is stepped scalar — exactly the static engine's scheme with deletes
-    threaded through.
+    is stepped scalar before the remainder is batched again.
 
 Bin churn events (rare by nature) and epoch snapshots act as batch
 barriers and run through code shared verbatim between the engines, so
@@ -30,7 +29,7 @@ the two engines produce **bit-identical load trajectories** — the same
 per-epoch snapshots, not just the same endpoint.  The test suite
 enforces this across spaces, strategies, delete policies and churn.
 
-RNG discipline mirrors the static engines: all insert randomness is
+RNG discipline mirrors the static engine: all insert randomness is
 pre-drawn through :func:`repro.core.engine.choice_blocks` (so an
 insert-only trace reproduces ``run_sequential`` bit-for-bit on the same
 seed), while churn re-placement draws from a generator spawned off the
@@ -53,7 +52,6 @@ import threading
 import numpy as np
 
 from repro.core.engine import DEFAULT_RNG_BLOCK, auto_batch_size, choice_blocks
-from repro.core.engine import auto_engine as _static_auto_engine
 from repro.core.incremental import IncrementalState, mixed_conflict_prefix
 from repro.core.loads import nu_profile
 from repro.core.spaces import GeometricSpace
@@ -463,8 +461,8 @@ def simulate_dynamics(
     """Replay a dynamic workload on a space — the dynamics facade.
 
     The dynamic counterpart of :func:`repro.core.placement.place_balls`:
-    same seed handling, same engine auto-selection, same guarantee that
-    the engine choice never changes the result.
+    same seed handling, same guarantee that the engine choice never
+    changes the result.
 
     ``obs`` scopes the observability switch for this call
     (:func:`repro.obs.obs_session`): ``True`` traces a
@@ -473,14 +471,14 @@ def simulate_dynamics(
     process, ``None`` (default) follows the global/env switch.
     Observability never changes results.
 
-    ``backend`` selects the kernel backend
-    (:func:`repro.kernels.resolve_backend`: env var → this kwarg →
-    auto-detect).  With an accelerated backend, ``engine="auto"``
-    resolves to ``"batched"`` at every ``n`` — the compiled window
-    kernel has no vectorization overhead to amortize — and the batched
-    engine's event windows run through it.  ``engine="sequential"`` is
-    always the pure-Python reference and ignores ``backend``.  Results
-    are bit-identical across every engine/backend combination.
+    ``engine="auto"`` resolves to ``"batched"``, which beats the
+    sequential reference at every ``n`` on every backend.  ``backend``
+    selects the kernel backend (:func:`repro.kernels.resolve_backend`:
+    env var → this kwarg → auto-detect); with an accelerated backend the
+    batched engine's event windows run through the compiled window
+    kernel.  ``engine="sequential"`` is always the pure-Python
+    reference and ignores ``backend``.  Results are bit-identical
+    across every engine/backend combination.
 
     ``threads`` (:func:`repro.kernels.resolve_threads`:
     ``REPRO_NUM_THREADS`` → this kwarg → physical cores) ``>= 2``
@@ -510,10 +508,7 @@ def simulate_dynamics(
         rng = resolve_rng(seed)
         backend_obj = resolve_backend(backend)
         if engine == "auto":
-            if backend_obj.dynamic_window is not None:
-                engine = "batched"
-            else:
-                engine = _static_auto_engine(space.n)
+            engine = "batched"
         if engine not in ("sequential", "batched"):
             raise ValueError(
                 f"engine must be 'auto', 'sequential' or 'batched', got {engine!r}"

@@ -7,9 +7,9 @@ served from the sweep-layer result cache)::
 
     python -m repro.experiments table1
 
-Paper-scale Table 3 over all cores, bypassing the cache::
+Paper-scale Table 3 on two kernel threads, bypassing the cache::
 
-    python -m repro.experiments table3 --full --trials 1000 --jobs 0 --no-cache
+    python -m repro.experiments table3 --full --trials 1000 --threads 2 --no-cache
 
 Peak max load along dynamic insert/delete/churn trajectories
 (steady-state, Poisson, adversarial bursts, churn storms)::
@@ -74,7 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes (0 = all cores, 1 = serial)",
+        help="worker processes for dynamic_churn trials (0 = all cores, "
+        "1 = serial)",
     )
     parser.add_argument("--seed", type=int, default=None, help="master seed")
     parser.add_argument(

@@ -43,7 +43,6 @@ def staleness_sweep(
     d_values=(2,),
     trials: int = 30,
     seed: int = 20030206,
-    n_jobs: int | None = 1,
     cache="auto",
 ) -> ExperimentReport:
     """Parallel-arrival ablation: max load vs round size (stale loads).
@@ -106,7 +105,6 @@ def geometry_sweep(
     d_values=(1, 2, 3),
     trials: int = 50,
     seed: int = 20030206,
-    n_jobs: int | None = 1,
     cache="auto",
 ) -> ExperimentReport:
     """Bin geometries head-to-head: uniform vs ring vs torus vs CAN.
@@ -176,8 +174,6 @@ def tiebreak_sweep(
     d_values=(2, 3),
     trials: int = 100,
     seed: int = 20030206,
-    n_jobs: int | None = 1,
-    engine: str = "auto",
     backend=None,
     threads=None,
     cache="auto",
@@ -192,8 +188,6 @@ def tiebreak_sweep(
                 spec,
                 trials,
                 seed=stable_hash_seed("abl-tie", seed, n, d, name),
-                n_jobs=n_jobs,
-                engine=engine,
                 backend=backend,
                 threads=threads,
                 cache=store,
@@ -217,8 +211,6 @@ def mn_sweep(
     d_values=(1, 2),
     trials: int = 50,
     seed: int = 20030206,
-    n_jobs: int | None = 1,
-    engine: str = "auto",
     backend=None,
     threads=None,
     cache="auto",
@@ -233,8 +225,6 @@ def mn_sweep(
                 spec,
                 trials,
                 seed=stable_hash_seed("abl-mn", seed, n, r, d),
-                n_jobs=n_jobs,
-                engine=engine,
                 backend=backend,
                 threads=threads,
                 cache=store,
@@ -258,8 +248,6 @@ def dimension_sweep(
     d_values=(1, 2),
     trials: int = 50,
     seed: int = 20030206,
-    n_jobs: int | None = 1,
-    engine: str = "auto",
     backend=None,
     threads=None,
     cache="auto",
@@ -274,8 +262,6 @@ def dimension_sweep(
                 spec,
                 trials,
                 seed=stable_hash_seed("abl-dim", seed, n, dim, d),
-                n_jobs=n_jobs,
-                engine=engine,
                 backend=backend,
                 threads=threads,
                 cache=store,

@@ -48,15 +48,16 @@ DEFAULT_PLAN: dict[str, tuple[str, dict]] = {
 }
 
 #: kwargs silently dropped when a driver's signature does not accept
-#: them — text-report drivers without ``n_jobs``/``cache``.
+#: them — ``n_jobs`` is only ``dynamic_churn``'s, and some text-report
+#: drivers take no ``cache``.
 _OPTIONAL_KWARGS = ("cache", "n_jobs", "threads")
 
 
 def call_driver(driver: Callable, kwargs: dict):
     """Invoke ``driver(**kwargs)``, dropping unsupported optional kwargs.
 
-    Not every driver takes ``n_jobs`` or ``cache`` (the text-report
-    drivers predate both); optional keys absent from the driver's
+    Only ``dynamic_churn`` takes ``n_jobs``, and not every driver takes
+    ``cache`` or ``threads``; optional keys absent from the driver's
     signature are removed before the single call.  Signature
     inspection — rather than retry-on-``TypeError`` — means a
     ``TypeError`` raised *inside* the driver propagates instead of
@@ -104,8 +105,11 @@ def run_all(
     out_dir:
         Directory for the ``<name>.txt`` report files (created if
         missing).
-    trials, seed, n_jobs:
+    trials, seed:
         When given, override every plan entry's own values.
+    n_jobs:
+        Worker processes for ``dynamic_churn`` trials (its trials have
+        no fused engine); other drivers do not take it.
     cache:
         Result-cache selector forwarded to every driver that accepts
         it (see :func:`repro.sweeps.runner.resolve_cache`); the

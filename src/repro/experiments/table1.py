@@ -29,8 +29,6 @@ def run(
     n_values=None,
     d_values=D_VALUES,
     seed: int = 20030206,  # the TR's publication date
-    n_jobs: int | None = 1,
-    engine: str = "auto",
     backend=None,
     threads=None,
     cache="auto",
@@ -38,9 +36,8 @@ def run(
 ) -> ExperimentReport:
     """Regenerate Table 1 (scaled by default; ``full=True`` for paper scale).
 
-    ``engine`` and kernel ``backend`` are forwarded to :func:`repro.stats.trials.run_cell`;
-    the default auto-selects the trial-fused engine for serial runs.
-    Cells run through the sweep layer's result cache (``cache`` as in
+    Kernel ``backend`` and ``threads`` are forwarded to
+    :func:`repro.stats.trials.run_cell`.  Cells run through the sweep layer's result cache (``cache`` as in
     :func:`repro.sweeps.runner.resolve_cache`), so an identical re-run
     is served from disk; pass ``cache="off"`` to force recomputation.
     """
@@ -57,8 +54,6 @@ def run(
                     spec,
                     trials,
                     seed=stable_hash_seed("table1", seed, n, d),
-                    n_jobs=n_jobs,
-                    engine=engine,
                     backend=backend,
                     threads=threads,
                     cache=store,
@@ -73,7 +68,6 @@ def run(
         meta={
             "trials": trials,
             "seed": seed,
-            "engine": engine,
             "seconds": round(sw.total, 2),
         },
     )

@@ -25,8 +25,6 @@ def run(
     n_values=None,
     d_values=D_VALUES,
     seed: int = 20030206,
-    n_jobs: int | None = 1,
-    engine: str = "auto",
     backend=None,
     threads=None,
     cache="auto",
@@ -36,8 +34,8 @@ def run(
     """Regenerate Table 2 (scaled by default; ``full=True`` for paper scale).
 
     ``dim`` other than 2 exercises the paper's higher-dimension remark
-    (used by the ablation driver).  ``engine`` and kernel ``backend`` are forwarded to
-    :func:`repro.stats.trials.run_cell`; cells are cached through the
+    (used by the ablation driver).  Kernel ``backend`` and ``threads``
+    are forwarded to :func:`repro.stats.trials.run_cell`; cells are cached through the
     sweep layer (``cache`` as in
     :func:`repro.sweeps.runner.resolve_cache`).
     """
@@ -54,8 +52,6 @@ def run(
                     spec,
                     trials,
                     seed=stable_hash_seed("table2", seed, n, d, dim),
-                    n_jobs=n_jobs,
-                    engine=engine,
                     backend=backend,
                     threads=threads,
                     cache=store,

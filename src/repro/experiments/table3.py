@@ -40,8 +40,6 @@ def run(
     strategies=None,
     d: int = 2,
     seed: int = 20030206,
-    n_jobs: int | None = 1,
-    engine: str = "auto",
     backend=None,
     threads=None,
     cache="auto",
@@ -49,8 +47,8 @@ def run(
 ) -> ExperimentReport:
     """Regenerate Table 3 (scaled by default; ``full=True`` for paper scale).
 
-    ``engine`` and kernel ``backend`` are forwarded to :func:`repro.stats.trials.run_cell`;
-    cells are cached through the sweep layer (``cache`` as in
+    Kernel ``backend`` and ``threads`` are forwarded to
+    :func:`repro.stats.trials.run_cell`; cells are cached through the sweep layer (``cache`` as in
     :func:`repro.sweeps.runner.resolve_cache`).
     """
     if n_values is None:
@@ -74,8 +72,6 @@ def run(
                     spec,
                     trials,
                     seed=stable_hash_seed("table3", seed, n, name, d),
-                    n_jobs=n_jobs,
-                    engine=engine,
                     backend=backend,
                     threads=threads,
                     cache=store,

@@ -76,7 +76,6 @@ def run(
     d_values=(2, 3, 4),
     trials: int = 50,
     seed: int = 20030206,
-    n_jobs: int | None = 1,
     cache="auto",
 ) -> TextReport:
     """Tabulate predictions next to simulated modes.
@@ -97,21 +96,18 @@ def run(
                 CellSpec("ring", n, d),
                 trials,
                 seed=stable_hash_seed("tc-ring", seed, n, d),
-                n_jobs=n_jobs,
                 cache=store,
             )
             torus = submit_cell(
                 CellSpec("torus", n, d),
                 trials,
                 seed=stable_hash_seed("tc-torus", seed, n, d),
-                n_jobs=n_jobs,
                 cache=store,
             )
             unif = submit_cell(
                 CellSpec("uniform", n, d),
                 trials,
                 seed=stable_hash_seed("tc-unif", seed, n, d),
-                n_jobs=n_jobs,
                 cache=store,
             )
             fluid = fluid_predicted_max_load(n, d)

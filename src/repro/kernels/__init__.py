@@ -1,16 +1,13 @@
 """Pluggable raw-speed backends for the hot placement kernels.
 
-`BENCH_engine.json` showed the fused engine plateauing around 4M
-balls/s with the fused-over-batched edge decaying as ``n`` grows: at
-paper scale the process is bound by numpy dispatch overhead, not by
-the algorithm.  This package factors the hot paths into *scalar
-kernels* that a compiled tier can run at memory speed:
+At paper scale the numpy fused engine is bound by numpy dispatch
+overhead, not by the algorithm.  This package factors the hot paths
+into *scalar kernels* that a compiled tier can run at memory speed:
 
 ``place_block``
     Sequential greedy placement of one RNG block of balls — the inner
-    loop of :func:`repro.core.multitrial.run_fused` (and, per trial,
-    of every engine).  One compiled pass replaces the whole
-    optimistic-chunk + scalar-repair dance.
+    loop of :func:`repro.core.multitrial.run_fused`.  One compiled pass
+    replaces the whole optimistic-chunk + scalar-repair dance.
 ``dynamic_window``
     A churn-free window of mixed insert/delete events — the inner loop
     of :func:`repro.dynamics.engine.run_batched_dynamic`.
@@ -26,36 +23,28 @@ kernels* that a compiled tier can run at memory speed:
     of numpy's PCG64 feeds draw → bucket lookup → place for every ball,
     with trials split across OS threads.
 
-Three backends provide them:
+Two backends provide them:
 
 ``numpy``
     The reference.  It carries **no** kernels (every kernel attribute
     is ``None``): callers keep their existing vectorized numpy code paths,
     which remain the semantics every other backend must reproduce
     bit-for-bit.
-``numba``
-    ``@njit``-compiled ``place_block``, ``dynamic_window`` and
-    ``ring_assign`` loops (optional dependency, installed via
-    ``pip install repro-geometric-two-choices[fast]``).  Import is lazy:
-    ``import repro`` never touches numba, and an absent numba never
-    raises on the auto path.
 ``cext``
-    The same scalar loops as a tiny C library compiled on first use
-    with the host C compiler (``cc -O3``) and loaded through
-    ``ctypes``; the build artifact is cached on disk keyed by a source
-    hash.  Available wherever a C toolchain is, with zero Python
-    dependencies.
+    Every kernel above as a tiny C library compiled on first use with
+    the host C compiler (``cc -O3``) and loaded through ``ctypes``; the
+    build artifact is cached on disk keyed by a source hash.  Available
+    wherever a C toolchain is, with zero Python dependencies.
 
 Selection order (strongest first): the ``REPRO_KERNEL_BACKEND``
 environment variable, then the ``backend=`` kwarg threaded through
 :func:`repro.stats.trials.run_cell` /
 :func:`repro.dynamics.engine.simulate_dynamics` /
 :func:`repro.core.multitrial.run_fused`, then auto-detection
-(``numba`` if importable, else ``cext`` if a C compiler is found, else
-``numpy``).  The env var lets CI force a backend through every code
-path; auto-detection degrades gracefully — when every accelerated
-backend is unavailable it falls back to ``numpy`` with a **one-time**
-``logging`` warning naming what failed (plus a
+(``cext`` if a C compiler is found, else ``numpy``).  The env var lets
+CI force a backend through every code path; auto-detection degrades
+gracefully — when ``cext`` is unavailable it falls back to ``numpy``
+with a **one-time** ``logging`` warning naming what failed (plus a
 ``kernels.auto_fallback`` obs counter), so a machine silently running
 5x slower than it could is visible without being spammy.
 
@@ -64,10 +53,9 @@ Observability: every :func:`resolve_backend` call bumps the
 ``REPRO_OBS`` is on — see :mod:`repro.obs`), which is how trace
 reports attribute throughput to the backend that actually ran.
 
-All backends are interchangeable **bit-for-bit**: the parity suite
+Both backends are interchangeable **bit-for-bit**: the parity suite
 (``tests/kernels``) checks identical placements, per-epoch dynamic
-trajectories and ring assignments against the numpy reference for
-every backend that is available.
+trajectories and ring assignments against the numpy reference.
 """
 
 from __future__ import annotations
@@ -105,11 +93,11 @@ __all__ = [
 ]
 
 #: Names accepted by :func:`get_backend` (besides ``"auto"``).
-BACKEND_NAMES = ("numpy", "numba", "cext")
+BACKEND_NAMES = ("numpy", "cext")
 
 #: Small-batch dispatch cutoff for mixed-event windows: at or below
 #: this many events, per-event scalar application beats both a kernel
-#: call (ctypes/numba argument marshalling) and the numpy
+#: call (ctypes argument marshalling) and the numpy
 #: conflict-free-prefix machinery (``np.unique`` setup), so
 #: :meth:`repro.core.incremental.IncrementalState.apply_window` — and
 #: through it the batched dynamic engine and the serving tier's
@@ -124,7 +112,7 @@ SMALL_WINDOW_CUTOFF = 16
 STRATEGY_CODES = {"random": 0, "first": 1, "smaller": 2, "larger": 3}
 
 #: Auto-detection preference among accelerated backends.
-_AUTO_ORDER = ("numba", "cext")
+_AUTO_ORDER = ("cext",)
 
 
 @dataclass(frozen=True)
@@ -204,12 +192,6 @@ def _build(name: str) -> KernelBackend:
     """Construct a backend, raising when it is unavailable."""
     if name == "numpy":
         return KernelBackend("numpy")
-    if name == "numba":
-        try:
-            from repro.kernels.numba_backend import build_backend
-        except ImportError as exc:  # pragma: no cover - package damage
-            raise RuntimeError(f"kernel backend 'numba' unavailable: {exc}") from exc
-        return build_backend()
     if name == "cext":
         from repro.kernels.cext_backend import build_backend
 
@@ -221,12 +203,12 @@ def get_backend(name: str) -> KernelBackend:
     """Return the named backend, building (and caching) it on first use.
 
     ``"auto"`` tries the accelerated backends in preference order
-    (``numba`` then ``cext``) and falls back to ``numpy`` when none is
+    (:data:`_AUTO_ORDER`) and falls back to ``numpy`` when none is
     available, logging a one-time warning (and bumping the
     ``kernels.auto_fallback`` obs counter) so the degradation is never
     silent.  An explicit name raises: :class:`ValueError` for an
     unknown name, :class:`RuntimeError` when the backend exists but
-    cannot be loaded (numba not installed, no C compiler, ...).
+    cannot be loaded (no C compiler, ...).
     """
     global _WARNED_FALLBACK
     if name in _CACHE:
@@ -250,8 +232,7 @@ def get_backend(name: str) -> KernelBackend:
             _log.warning(
                 "kernel backend auto-detection fell back to the numpy "
                 "reference — accelerated backends unavailable (%s); install "
-                "the [fast] extra or a C toolchain for 5x+ placement "
-                "throughput",
+                "a C toolchain for 5x+ placement throughput",
                 reasons,
             )
         return backend
@@ -306,9 +287,8 @@ def default_backend() -> KernelBackend:
 def available_backends() -> dict[str, bool]:
     """Availability of every registered backend name, without raising.
 
-    Probing an accelerated backend may import numba or compile the C
-    library on first call; failures are cached, so this is cheap to
-    call repeatedly.
+    Probing an accelerated backend may compile the C library on first
+    call; failures are cached, so this is cheap to call repeatedly.
     """
     out = {}
     for name in BACKEND_NAMES:

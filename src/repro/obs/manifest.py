@@ -79,8 +79,8 @@ def _cpu_topology() -> dict:
 def _detected_backend() -> str:
     """Name of the kernel backend auto-detection would select.
 
-    Probing may import numba or compile the C extension on first call
-    (both cached per process); failures degrade to ``"unknown"``.
+    Probing may compile the C extension on first call (cached per
+    process); failures degrade to ``"unknown"``.
     Imported lazily so ``repro.obs`` never drags ``repro.kernels`` in
     at import time (``repro.kernels`` imports the metrics module).
     """

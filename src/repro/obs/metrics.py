@@ -100,8 +100,8 @@ def metric_key(name: str, labels: dict | None = None) -> str:
     --------
     >>> metric_key("cache.hit")
     'cache.hit'
-    >>> metric_key("backend", {"name": "numba"})
-    'backend{name=numba}'
+    >>> metric_key("backend", {"name": "cext"})
+    'backend{name=cext}'
     """
     if not labels:
         return name

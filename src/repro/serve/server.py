@@ -284,6 +284,13 @@ class _LatencyRecorder:
 class PlacementServer:
     """A long-lived two-choice placement service over one geometric space.
 
+    Keys are ``str`` (what :meth:`save` can store); :meth:`insert`,
+    :meth:`submit` and :meth:`enqueue` raise :class:`TypeError` for any
+    other key type before touching state.  :meth:`bin_leave` and
+    :meth:`bin_join` raise :class:`ValueError`, also before touching
+    state, for churn a trace could not contain
+    (:meth:`~repro.core.incremental.IncrementalState.check_churn`).
+
     Parameters
     ----------
     space, d, strategy, partitioned:
@@ -393,8 +400,9 @@ class PlacementServer:
     # ------------------------------------------------------------------
     # scalar fast path
     # ------------------------------------------------------------------
-    def insert(self, key) -> int:
+    def insert(self, key: str) -> int:
         """Place one key now; returns its bin.  The batch=1 fast path."""
+        _check_keys((key,))
         self._flush_if_pending()
         t0 = perf_counter()
         if key in self._key_ball:
@@ -436,11 +444,13 @@ class PlacementServer:
         sequence.  Results: inserts and lookups yield the bin, deletes
         ``-1``.  Ops apply strictly in order; the batch is split into
         ``max_batch`` blocks internally (identical results for any
-        split).  Inserting a live key or deleting/looking up an unknown
-        key raises ``KeyError`` before any op of the failing block is
-        applied (earlier blocks stay applied; the key map may hold the
-        failing block's earlier inserts).
+        split).  A key that is not a ``str`` raises ``TypeError`` before
+        anything is applied.  Inserting a live key or deleting/looking
+        up an unknown key raises ``KeyError`` before any op of the
+        failing block is applied (earlier blocks stay applied; the key
+        map may hold the failing block's earlier inserts).
         """
+        _check_keys(keys)
         self._flush_if_pending()
         kinds = np.ascontiguousarray(kinds, dtype=np.int8)
         return self._submit_keyed(kinds, keys)
@@ -479,7 +489,7 @@ class PlacementServer:
     # ------------------------------------------------------------------
     # queued submission with backpressure
     # ------------------------------------------------------------------
-    def enqueue(self, kind: int, key) -> None:
+    def enqueue(self, kind: int, key: str) -> None:
         """Buffer one op; drains synchronously when the queue fills.
 
         The queue is the bounded ingress buffer: up to ``max_pending``
@@ -487,6 +497,7 @@ class PlacementServer:
         (backpressure).  Results are delivered, in op order, by the
         next :meth:`flush`.
         """
+        _check_keys((key,))
         self._pending_kinds[self._pending_n] = kind
         self._pending_keys.append(key)
         self._pending_n += 1
@@ -512,11 +523,13 @@ class PlacementServer:
     # ------------------------------------------------------------------
     def bin_leave(self, slot: int) -> None:
         """A bin departs; its balls re-place onto the survivors."""
+        self.state.check_churn(slot, leaving=True)
         self._flush_if_pending()
         self.state.bin_leave(slot)
 
     def bin_join(self, slot: int) -> None:
         """A bin (re)joins empty."""
+        self.state.check_churn(slot, leaving=False)
         self._flush_if_pending()
         self.state.bin_join(slot)
 
@@ -690,6 +703,17 @@ class PlacementServer:
             counter_add("serve.ops", ops)
             histogram_observe("serve.batch_ops", ops)
             histogram_observe("serve.op_latency_s", seconds / ops)
+
+
+def _check_keys(keys) -> None:
+    """Reject non-``str`` keys: checkpoints store keys as strings, so
+    ``5`` or ``b"ab"`` would not survive :meth:`PlacementServer.save`."""
+    for key in keys:
+        if not isinstance(key, str):
+            raise TypeError(
+                f"PlacementServer keys must be str, got {type(key).__name__} "
+                f"{key!r}"
+            )
 
 
 def _checkpoint_meta(path) -> dict:

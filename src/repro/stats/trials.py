@@ -3,19 +3,19 @@
 A *cell* of the paper's tables is a tuple (space kind, n, m, d,
 strategy); each trial re-draws both the server placement and the item
 choices.  Seeds are spawned per trial from a master
-:class:`~numpy.random.SeedSequence`, so results are identical whether
-trials run serially or across a process pool, and whether other cells
-run before or after (DESIGN.md decision 3).
+:class:`~numpy.random.SeedSequence`, so results do not depend on how
+trials are grouped or whether other cells run before or after
+(DESIGN.md decision 3).
 
-Engine selection: trials of one cell are statistically independent, so
-the default (``engine="auto"``) runs them through the trial-fused
-engine (:func:`repro.core.multitrial.run_fused`) whenever the work is
-serial and has at least two trials — one vectorized pass across all
-trials instead of a Python loop of per-trial runs.  ``n_jobs != 1``
-keeps the process-pool path (each worker using the per-run auto
-engine).  Every choice is bit-identical to every other: the engines
-share RNG layout and tie-break kernels, so the engine/parallelism knobs
-only move wall-clock time, never results.
+Trials of one cell are statistically independent, so :func:`run_cell`
+and :func:`run_cell_profile` run them all through the trial-fused
+engine (:func:`repro.core.multitrial.run_fused`): one pass across all
+trials, inside the ``cext`` kernel where it applies, with the kernel
+``threads`` splitting trials.  Trial ``k`` is bit-identical to
+:func:`repro.core.engine.run_sequential` on the same seed.
+:func:`run_trial_map` is the generic harness for trials that have no
+fused engine (dynamic churn trajectories); its optional process pool
+never changes results.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import numpy as np
 
 from repro.core.loads import max_load, nu_profile
 from repro.core.multitrial import fused_trial_chunk, run_fused
-from repro.core.placement import place_balls
 from repro.core.ring import RingSpace
 from repro.core.strategies import TieBreak
 from repro.core.torus import TorusSpace
@@ -39,14 +38,10 @@ from repro.utils.validation import check_positive_int
 
 __all__ = [
     "CellSpec",
-    "simulate_max_load",
     "run_cell",
     "run_cell_profile",
     "run_trial_map",
-    "auto_cell_engine",
 ]
-
-_CELL_ENGINES = ("auto", "fused", "sequential", "batched", "process")
 
 _SPACES = ("ring", "torus", "uniform")
 
@@ -124,73 +119,17 @@ def _build_space(spec: CellSpec, rng: np.random.Generator):
     return UniformSpace(spec.n)
 
 
-def simulate_max_load(spec: CellSpec, seed, engine: str = "auto") -> int:
-    """One trial: fresh server placement, fresh items, max load out."""
-    rng = np.random.default_rng(seed)
-    space = _build_space(spec, rng)
-    result = place_balls(
-        space,
-        spec.balls,
-        spec.d,
-        strategy=spec.strategy,
-        partitioned=spec.partitioned,
-        seed=rng,
-        engine=engine,
-    )
-    return result.max_load
-
-
-def simulate_nu_profile(spec: CellSpec, seed, engine: str = "auto") -> np.ndarray:
-    """One trial returning the full ν-profile (bins with load >= i).
-
-    This is the object the fluid-limit ODE predicts; see
-    :func:`run_cell_profile`.
-    """
-    rng = np.random.default_rng(seed)
-    space = _build_space(spec, rng)
-    result = place_balls(
-        space,
-        spec.balls,
-        spec.d,
-        strategy=spec.strategy,
-        partitioned=spec.partitioned,
-        seed=rng,
-        engine=engine,
-    )
-    return result.nu_profile()
-
-
-def auto_cell_engine(n: int, trials: int, n_jobs: int | None = 1) -> str:
-    """Pick the cell-level execution strategy expected to be fastest.
-
-    ``n_jobs != 1`` keeps the process pool (workers then pick the
-    per-run engine); serial cells with at least two trials fuse — the
-    fused engine amortizes every numpy call over all trials, so it wins
-    from tiny ``n`` upward.  A single serial trial degenerates to the
-    per-run auto rule.  All outcomes are bit-identical.
-    """
-    if n_jobs != 1:
-        return "process"
-    if trials >= 2:
-        return "fused"
-    from repro.core.engine import auto_engine
-
-    return auto_engine(n)
-
-
 def _run_cell_fused(
     spec: CellSpec, trials: int, seed, *, profile: bool, backend=None,
     threads=None,
 ):
     """All trials of a cell through the trial-fused engine.
 
-    Per-trial RNG consumption is identical to
-    :func:`simulate_max_load`: trial ``k``'s generator first draws the
-    server placement, then the item choices, so results are
-    bit-identical to the per-trial paths.  Trials are processed in
-    memory-bounded fusion chunks (:func:`fused_trial_chunk`), which
-    never changes results.  ``backend`` and ``threads`` are forwarded
-    to :func:`~repro.core.multitrial.run_fused` (kernel backend and
+    Trial ``k``'s generator first draws the server placement, then the
+    item choices.  Trials are processed in memory-bounded fusion chunks
+    (:func:`fused_trial_chunk`), which never changes results.
+    ``backend`` and ``threads`` are forwarded to
+    :func:`~repro.core.multitrial.run_fused` (kernel backend and
     thread-count selection; results are independent of both).
     """
     seeds = spawn_seed_sequences(seed, trials)
@@ -217,21 +156,11 @@ def _run_cell_fused(
     return out
 
 
-def _resolve_cell_engine(engine: str, n: int, trials: int, n_jobs: int | None) -> str:
-    if engine not in _CELL_ENGINES:
-        raise ValueError(f"engine must be one of {_CELL_ENGINES}, got {engine!r}")
-    if engine == "auto":
-        return auto_cell_engine(n, trials, n_jobs)
-    return engine
-
-
 def run_cell_profile(
     spec: CellSpec,
     trials: int,
     seed=None,
     *,
-    n_jobs: int | None = 1,
-    engine: str = "auto",
     backend=None,
     threads: int | None = None,
     obs: bool | None = None,
@@ -245,28 +174,17 @@ def run_cell_profile(
     analysis and tests compare against
     :func:`repro.theory.fluid.fluid_limit_tails`.
 
-    ``n_jobs``, ``engine`` and ``threads`` behave exactly as in
-    :func:`run_cell`; ν-profile sweeps parallelize or fuse the same way
-    max-load sweeps do, with identical results either way.
+    ``backend``, ``threads`` and ``obs`` behave exactly as in
+    :func:`run_cell`.
     """
     trials = check_positive_int(trials, "trials")
-    resolved = _resolve_cell_engine(engine, spec.n, trials, n_jobs)
     with obs_session(obs), trace_span(
-        "run_cell_profile", cell=spec.label(), engine=resolved, trials=trials
+        "run_cell_profile", cell=spec.label(), trials=trials
     ):
         counter_add("cell.profile_runs")
-        if resolved == "fused":
-            profiles = _run_cell_fused(
-                spec, trials, seed, profile=True, backend=backend,
-                threads=threads,
-            )
-        elif resolved == "process":
-            profiles = run_trial_map(
-                simulate_nu_profile, spec, trials, seed, n_jobs=n_jobs
-            )
-        else:
-            seeds = spawn_seed_sequences(seed, trials)
-            profiles = [simulate_nu_profile(spec, ss, resolved) for ss in seeds]
+        profiles = _run_cell_fused(
+            spec, trials, seed, profile=True, backend=backend, threads=threads
+        )
         depth = max(p.size for p in profiles)
         acc = np.zeros(depth, dtype=np.float64)
         for p in profiles:
@@ -314,41 +232,23 @@ def run_cell(
     trials: int,
     seed=None,
     *,
-    n_jobs: int | None = 1,
-    engine: str = "auto",
     backend=None,
     threads: int | None = None,
     obs: bool | None = None,
 ) -> MaxLoadDistribution:
-    """Run ``trials`` independent trials of a cell.
+    """Run ``trials`` independent trials of a cell, fused into one pass.
 
     Parameters
     ----------
-    n_jobs:
-        1 = serial (default); ``None`` = one process per CPU; k > 1 =
-        that many worker processes.  Results are independent of this
-        choice.
-    engine:
-        ``"auto"`` (default, see :func:`auto_cell_engine`),
-        ``"fused"`` (all trials through one trial-fused run),
-        ``"process"`` (the ``n_jobs`` worker pool), or
-        ``"sequential"``/``"batched"`` (serial loop with that per-run
-        engine — the pre-fusion behavior, kept mostly for
-        benchmarking).  Results are independent of this choice.
     backend:
-        Kernel backend for the fused path
-        (:func:`repro.kernels.resolve_backend`: env var → this kwarg →
-        auto-detect).  The sequential/batched/process paths honour the
-        ``REPRO_KERNEL_BACKEND`` env var instead (the kwarg does not
-        cross process boundaries).  Results are independent of this
+        Kernel backend (:func:`repro.kernels.resolve_backend`: env var
+        → this kwarg → auto-detect).  Results are independent of this
         choice.
     threads:
-        Worker-thread count for the fused path
-        (:func:`repro.kernels.resolve_threads`: ``REPRO_NUM_THREADS`` →
-        this kwarg → physical cores): GIL-released parallel placement
-        kernels plus a pipelined RNG candidate producer.  Like
-        ``backend``, the other paths honour the env var only.  Results
-        are independent of this choice.
+        Kernel thread count (:func:`repro.kernels.resolve_threads`:
+        ``REPRO_NUM_THREADS`` → this kwarg → physical cores); trials
+        are split across the threads.  Results are independent of this
+        choice.
     obs:
         Observability scope for this call
         (:func:`repro.obs.obs_session`): ``True`` traces a
@@ -364,22 +264,9 @@ def run_cell(
     8
     """
     trials = check_positive_int(trials, "trials")
-    resolved = _resolve_cell_engine(engine, spec.n, trials, n_jobs)
-    with obs_session(obs), trace_span(
-        "run_cell", cell=spec.label(), engine=resolved, trials=trials
-    ):
+    with obs_session(obs), trace_span("run_cell", cell=spec.label(), trials=trials):
         counter_add("cell.runs")
-        counter_add("cell.engine_selected", engine=resolved)
-        if resolved == "fused":
-            maxima = _run_cell_fused(
-                spec, trials, seed, profile=False, backend=backend,
-                threads=threads,
-            )
-        elif resolved == "process":
-            maxima = run_trial_map(
-                simulate_max_load, spec, trials, seed, n_jobs=n_jobs
-            )
-        else:
-            seeds = spawn_seed_sequences(seed, trials)
-            maxima = [simulate_max_load(spec, ss, resolved) for ss in seeds]
+        maxima = _run_cell_fused(
+            spec, trials, seed, profile=False, backend=backend, threads=threads
+        )
         return MaxLoadDistribution.from_samples(maxima, spec=spec)

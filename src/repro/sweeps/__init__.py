@@ -12,9 +12,10 @@ The orchestration layer between the trial engines
 * :class:`ResultCache` (:mod:`repro.sweeps.cache`) — a
   content-addressed on-disk store: each result is keyed by the hash
   of its full spec plus a code-version salt, so identical work is
-  never recomputed and bumping the package version orphans every
-  result computed by older releases (edits that change results
-  without a version bump must also bump the salt or clear the cache);
+  never recomputed.  The salt carries the package version and
+  :data:`~repro.sweeps.cache.PLACEMENT_DIGEST`, a pinned digest of
+  canonical placement results, so a change to placement semantics
+  orphans every result computed before it;
 * :func:`run_sweep` / :func:`submit_cell` (:mod:`repro.sweeps.runner`)
   — cache-aware execution with round-robin shard selection
   (``--shard-index/--shard-count``) and process-parallel workers;

@@ -36,6 +36,7 @@ from repro.obs import counter_add
 
 __all__ = [
     "DEFAULT_SALT",
+    "PLACEMENT_DIGEST",
     "ResultCache",
     "canonical_json",
     "default_cache_dir",
@@ -45,9 +46,16 @@ __all__ = [
 #: Bump when the cached payload schema changes shape.
 _SCHEMA = 1
 
+#: blake2b of canonical cells' results and single-run loads, asserted by
+#: ``tests/sweeps/test_placement_digest.py``.  A change to placement
+#: semantics fails that test until this pin is updated, and updating it
+#: changes every cache key.
+PLACEMENT_DIGEST = "1cd30aa89b9beedbb222d85f05663e83"
+
 #: The code-version salt mixed into every key: results computed by one
-#: version of the simulation code are never served to another.
-DEFAULT_SALT = f"repro-{__version__}-sweeps{_SCHEMA}"
+#: version or placement semantics of the simulation code are never
+#: served to another.
+DEFAULT_SALT = f"repro-{__version__}-sweeps{_SCHEMA}-{PLACEMENT_DIGEST}"
 
 #: ``REPRO_SWEEP_CACHE`` values that mean "caching off".
 _DISABLED = {"", "0", "off", "none", "disabled"}

@@ -70,10 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--shard-index", type=int, default=0, help="this shard's index")
     run_p.add_argument("--shard-count", type=int, default=1, help="total shards")
     run_p.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes within one cell (0 = all cores)",
-    )
-    run_p.add_argument(
         "--workers", type=int, default=1,
         help="worker processes across cells (0 = all cores)",
     )
@@ -82,7 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="kernel threads within one cell (default: REPRO_NUM_THREADS, "
         "else physical cores; forced to 1 under --workers > 1)",
     )
-    run_p.add_argument("--engine", default="auto", help="placement engine selector")
     run_p.add_argument("--cache", default=None, help="cache directory (overrides env)")
     run_p.add_argument("--no-cache", action="store_true", help="disable the cache")
     run_p.add_argument("--out", default=None, help="write the result artifact here")
@@ -173,8 +168,6 @@ def main(argv=None) -> int:
                 cache=store if store is not None else "off",
                 shard_index=args.shard_index,
                 shard_count=args.shard_count,
-                n_jobs=None if args.jobs == 0 else args.jobs,
-                engine=args.engine,
                 workers=None if args.workers == 0 else args.workers,
                 threads=args.threads,
                 progress=lambda line: print(line, file=sys.stderr),

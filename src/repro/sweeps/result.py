@@ -45,7 +45,7 @@ class SweepResult:
         Keys are the cache content addresses under the default salt,
         so they are stable across machines and cache configurations.
     meta:
-        Free-form run info (hits, misses, shard indices, engine).
+        Free-form run info (hits, misses, shard indices).
         Excluded from the canonical byte form.
     """
 

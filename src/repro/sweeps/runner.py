@@ -118,8 +118,6 @@ def submit_cell(
     trials: int,
     seed=None,
     *,
-    n_jobs: int | None = 1,
-    engine: str = "auto",
     cache: CacheLike = "auto",
     backend=None,
     threads: int | None = None,
@@ -127,9 +125,9 @@ def submit_cell(
     """Cached drop-in for :func:`repro.stats.trials.run_cell`.
 
     On a cache hit the stored counts are returned without simulating;
-    on a miss the cell is computed via ``run_cell`` (same ``n_jobs``,
-    ``engine``, kernel-``backend`` and ``threads`` semantics,
-    bit-identical results) and stored.  ``backend`` and ``threads``
+    on a miss the cell is computed via ``run_cell`` (same kernel
+    ``backend`` and ``threads`` semantics, bit-identical results) and
+    stored.  ``backend`` and ``threads``
     are deliberately absent from the cache key: backends and thread
     counts are bit-identical by contract, so a hit from one
     configuration is valid for all.  ``seed=None`` or a disabled cache
@@ -138,18 +136,12 @@ def submit_cell(
     store = resolve_cache(cache)
     cache_seed = _cacheable_seed(seed)
     if store is None or cache_seed is None:
-        return run_cell(
-            spec, trials, seed, n_jobs=n_jobs, engine=engine, backend=backend,
-            threads=threads,
-        )
+        return run_cell(spec, trials, seed, backend=backend, threads=threads)
     spec_d = cell_spec_dict(spec, trials, cache_seed)
     entry = store.get(spec_d)
     if entry is not None:
         return _dist_from_payload(entry["payload"], spec=spec)
-    dist = run_cell(
-        spec, trials, seed, n_jobs=n_jobs, engine=engine, backend=backend,
-        threads=threads,
-    )
+    dist = run_cell(spec, trials, seed, backend=backend, threads=threads)
     store.put(spec_d, _counts_payload(dist))
     return dist
 
@@ -159,8 +151,6 @@ def submit_profile(
     trials: int,
     seed=None,
     *,
-    n_jobs: int | None = 1,
-    engine: str = "auto",
     cache: CacheLike = "auto",
     backend=None,
     threads: int | None = None,
@@ -175,18 +165,12 @@ def submit_profile(
     store = resolve_cache(cache)
     cache_seed = _cacheable_seed(seed)
     if store is None or cache_seed is None:
-        return run_cell_profile(
-            spec, trials, seed, n_jobs=n_jobs, engine=engine, backend=backend,
-            threads=threads,
-        )
+        return run_cell_profile(spec, trials, seed, backend=backend, threads=threads)
     spec_d = cell_spec_dict(spec, trials, cache_seed, kind="cell_profile")
     entry = store.get(spec_d)
     if entry is not None and "profile" in entry["arrays"]:
         return entry["arrays"]["profile"]
-    profile = run_cell_profile(
-        spec, trials, seed, n_jobs=n_jobs, engine=engine, backend=backend,
-        threads=threads,
-    )
+    profile = run_cell_profile(spec, trials, seed, backend=backend, threads=threads)
     store.put(spec_d, {"trials": trials}, arrays={"profile": profile})
     return profile
 
@@ -229,10 +213,8 @@ def _cell_record(cell: SweepCell, dist: MaxLoadDistribution) -> dict:
 
 def _sweep_worker(args) -> dict:
     """Process-pool entry: compute one cell, return its counts."""
-    spec, trials, seed, engine, threads = args
-    return run_cell(
-        spec, trials, seed, engine=engine, threads=threads
-    ).to_json_counts()
+    spec, trials, seed, threads = args
+    return run_cell(spec, trials, seed, threads=threads).to_json_counts()
 
 
 def _worker_threads(workers: int, threads: int | None) -> int:
@@ -268,8 +250,6 @@ def run_sweep(
     cache: CacheLike = "auto",
     shard_index: int = 0,
     shard_count: int = 1,
-    n_jobs: int | None = 1,
-    engine: str = "auto",
     workers: int | None = 1,
     threads: int | None = None,
     progress: Callable[[str], None] | None = None,
@@ -289,14 +269,9 @@ def run_sweep(
         the same grid merge (:meth:`SweepResult.merge
         <repro.sweeps.result.SweepResult.merge>`) to the byte-identical
         unsharded artifact.
-    n_jobs:
-        Worker processes *within* one cell (forwarded to ``run_cell``).
-    engine:
-        Placement engine selector, forwarded to ``run_cell``; results
-        are independent of it.
     workers:
         Process-parallel workers *across* uncached cells (``None`` =
-        one per CPU).  Mutually exclusive with ``n_jobs != 1``.
+        one per CPU).
     threads:
         Kernel threads *within* one cell
         (:func:`repro.kernels.resolve_threads` semantics), forwarded to
@@ -319,8 +294,6 @@ def run_sweep(
         Grid description + per-cell counts; ``meta`` carries hit/miss
         counters and the shard coordinates.
     """
-    if workers != 1 and n_jobs != 1:
-        raise ValueError("use workers (across cells) or n_jobs (within a cell), not both")
     cells = shard_cells(grid.cells(), shard_index, shard_count)
     store = resolve_cache(cache)
     say = progress or (lambda line: None)
@@ -349,8 +322,7 @@ def run_sweep(
                     "sweep_cell", cell=cell.label(), trials=cell.trials
                 ):
                     dist = run_cell(
-                        cell.spec, cell.trials, cell.seed, n_jobs=n_jobs,
-                        engine=engine, threads=threads,
+                        cell.spec, cell.trials, cell.seed, threads=threads
                     )
                     if store is not None:
                         store.put(cell.spec_dict(), _counts_payload(dist))
@@ -362,8 +334,7 @@ def run_sweep(
             inner_threads = _worker_threads(pool_size, threads)
             ctx = get_context("fork") if os.name == "posix" else get_context()
             payload = [
-                (c.spec, c.trials, c.seed, engine, inner_threads)
-                for _, c in pending
+                (c.spec, c.trials, c.seed, inner_threads) for _, c in pending
             ]
             with ctx.Pool(min(pool_size, len(pending))) as pool:
                 counts_list = pool.map(_sweep_worker, payload)
@@ -379,7 +350,6 @@ def run_sweep(
             "misses": len(pending),
             "shard_index": shard_index,
             "shard_count": shard_count,
-            "engine": engine,
             "cached": store is not None,
         }
         return SweepResult(

@@ -83,7 +83,7 @@ def interleave_uniforms(
     (candidate locations in [0, 1), consumed row by row in arrival order)
     and ``tiebreaks`` has shape ``(m,)`` (one uniform per ball used to
     resolve ties).  Pre-drawing in a fixed layout is what makes the
-    batched engine bit-identical to the sequential reference
+    fused engine bit-identical to the sequential reference
     (DESIGN.md, decision 1).
     """
     points = rng.random((m, d))

@@ -6,44 +6,47 @@ import pytest
 from repro.core.engine import (
     DEFAULT_RNG_BLOCK,
     auto_batch_size,
-    auto_engine,
     choice_blocks,
-    conflict_free_prefix,
-    run_batched,
     run_sequential,
 )
+from repro.core.incremental import mixed_conflict_prefix
 from repro.core.ring import RingSpace
 from repro.core.strategies import TieBreak
 from repro.utils.rng import resolve_rng
 
 
+def _all_insert_prefix(candidates):
+    """All-insert windows: the longest prefix of pairwise-disjoint rows."""
+    return mixed_conflict_prefix(candidates, np.ones(len(candidates), dtype=bool))
+
+
 class TestConflictFreePrefix:
     def test_empty(self):
-        assert conflict_free_prefix(np.empty((0, 2), dtype=np.int64)) == 0
+        assert _all_insert_prefix(np.empty((0, 2), dtype=np.int64)) == 0
 
     def test_all_disjoint(self):
         c = np.array([[0, 1], [2, 3], [4, 5]])
-        assert conflict_free_prefix(c) == 3
+        assert _all_insert_prefix(c) == 3
 
     def test_conflict_at_second_row(self):
         c = np.array([[0, 1], [1, 2], [3, 4]])
-        assert conflict_free_prefix(c) == 1
+        assert _all_insert_prefix(c) == 1
 
     def test_conflict_later(self):
         c = np.array([[0, 1], [2, 3], [0, 4]])
-        assert conflict_free_prefix(c) == 2
+        assert _all_insert_prefix(c) == 2
 
     def test_within_row_duplicate_is_not_conflict(self):
         c = np.array([[5, 5], [1, 2]])
-        assert conflict_free_prefix(c) == 2
+        assert _all_insert_prefix(c) == 2
 
     def test_first_row_never_conflicts(self):
         c = np.array([[7, 7]])
-        assert conflict_free_prefix(c) == 1
+        assert _all_insert_prefix(c) == 1
 
     def test_rejects_1d(self):
         with pytest.raises(ValueError, match="2-D"):
-            conflict_free_prefix(np.array([1, 2, 3]))
+            _all_insert_prefix(np.array([1, 2, 3]))
 
     def test_brute_force_agreement(self, rng):
         """Compare against a direct O(B^2) computation."""
@@ -57,7 +60,7 @@ class TestConflictFreePrefix:
                     expected = row
                     break
                 seen.update(int(x) for x in c[row])
-            assert conflict_free_prefix(c) == expected, c
+            assert _all_insert_prefix(c) == expected, c
 
 
 class TestChoiceBlocks:
@@ -83,7 +86,7 @@ class TestChoiceBlocks:
         # NOTE: different rng_block *does* change the draw interleaving
         # (candidates vs tiebreaks), so we only require same-block-size
         # determinism here; cross-engine equality is tested at fixed
-        # rng_block in test_engine_equivalence.
+        # rng_block in test_multitrial_equivalence.
         b = np.concatenate(
             [
                 blk
@@ -100,10 +103,6 @@ class TestChoiceBlocks:
 
 
 class TestAutoTuning:
-    def test_auto_engine_thresholds(self):
-        assert auto_engine(128) == "sequential"
-        assert auto_engine(1 << 16) == "batched"
-
     def test_auto_batch_size_bounds(self):
         assert 32 <= auto_batch_size(1, 1) <= 8192
         assert 32 <= auto_batch_size(1 << 24, 4) <= 8192
@@ -113,13 +112,13 @@ class TestAutoTuning:
 
 
 class TestEngineAccounting:
-    @pytest.mark.parametrize("runner", [run_sequential, run_batched])
+    @pytest.mark.parametrize("runner", [run_sequential])
     def test_loads_sum_to_m(self, small_ring, runner):
         loads, _ = runner(small_ring, 37, 2, TieBreak.RANDOM, resolve_rng(1))
         assert loads.sum() == 37
         assert loads.shape == (small_ring.n,)
 
-    @pytest.mark.parametrize("runner", [run_sequential, run_batched])
+    @pytest.mark.parametrize("runner", [run_sequential])
     def test_zero_balls(self, small_ring, runner):
         loads, heights = runner(
             small_ring, 0, 2, TieBreak.RANDOM, resolve_rng(1), record_heights=True
@@ -127,7 +126,7 @@ class TestEngineAccounting:
         assert loads.sum() == 0
         assert heights.size == 0
 
-    @pytest.mark.parametrize("runner", [run_sequential, run_batched])
+    @pytest.mark.parametrize("runner", [run_sequential])
     def test_heights_consistent_with_loads(self, small_ring, runner):
         loads, heights = runner(
             small_ring, 200, 2, TieBreak.RANDOM, resolve_rng(5), record_heights=True
@@ -141,7 +140,7 @@ class TestEngineAccounting:
 
     def test_single_bin_everything_lands_there(self):
         ring = RingSpace([0.5])
-        loads, _ = run_batched(ring, 25, 3, TieBreak.RANDOM, resolve_rng(0))
+        loads, _ = run_sequential(ring, 25, 3, TieBreak.RANDOM, resolve_rng(0))
         assert loads.tolist() == [25]
 
     def test_d_one_is_pure_hashing(self, small_ring):
@@ -156,11 +155,7 @@ class TestEngineAccounting:
         with pytest.raises(ValueError):
             run_sequential(small_ring, -1, 2, TieBreak.RANDOM, resolve_rng(0))
         with pytest.raises(ValueError):
-            run_batched(small_ring, 5, 0, TieBreak.RANDOM, resolve_rng(0))
-        with pytest.raises(ValueError):
-            run_batched(
-                small_ring, 5, 2, TieBreak.RANDOM, resolve_rng(0), batch_size=0
-            )
+            run_sequential(small_ring, 5, 0, TieBreak.RANDOM, resolve_rng(0))
 
     def test_default_rng_block_constant(self):
         """Changing this constant silently breaks stored-seed results."""

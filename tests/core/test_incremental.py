@@ -64,8 +64,54 @@ class TestSingleOps:
         for i in range(5):
             st.insert(i, cands[i], float(us[i]))
         victim = int(np.flatnonzero(st.loads > 0)[0])
+        loads = st.loads.copy()
         with pytest.raises(RuntimeError, match="aux_rng"):
             st.bin_leave(victim)
+        assert st.active.all() and np.array_equal(st.loads, loads)
+
+
+class TestInvalidChurn:
+    """Churn a trace could not contain raises and changes nothing."""
+
+    def _loaded(self, n=4, balls=8):
+        space, rng, st = _state(n=n)
+        cands, us = _draw(space, rng, balls)
+        for i in range(balls):
+            st.insert(i, cands[i], float(us[i]))
+        return st
+
+    def _assert_rejected(self, st, call, match):
+        before = (st.loads.copy(), st.active.copy(), st.ball_bin.copy(),
+                  st.aux_rng.bit_generator.state)
+        with pytest.raises(ValueError, match=match):
+            call()
+        assert np.array_equal(st.loads, before[0])
+        assert np.array_equal(st.active, before[1])
+        assert np.array_equal(st.ball_bin, before[2])
+        assert st.aux_rng.bit_generator.state == before[3]
+
+    @pytest.mark.parametrize("slot", [-1, 4, 100])
+    def test_slot_out_of_range(self, slot):
+        st = self._loaded()
+        self._assert_rejected(st, lambda: st.bin_leave(slot), "outside")
+        st.bin_leave(0)
+        self._assert_rejected(st, lambda: st.bin_join(slot), "outside")
+
+    def test_inactive_bin_cannot_leave(self):
+        st = self._loaded()
+        st.bin_leave(1)
+        self._assert_rejected(st, lambda: st.bin_leave(1), "already inactive")
+
+    def test_active_bin_cannot_join(self):
+        st = self._loaded()
+        self._assert_rejected(st, lambda: st.bin_join(0), "already active")
+
+    def test_last_active_bin_cannot_leave(self):
+        st = self._loaded()
+        for slot in (0, 1, 2):
+            st.bin_leave(slot)
+        assert st.loads[3] == 8
+        self._assert_rejected(st, lambda: st.bin_leave(3), "last active bin")
 
 
 class TestApplyWindow:

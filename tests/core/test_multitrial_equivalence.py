@@ -1,7 +1,7 @@
 """Property tests: the trial-fused engine is bit-for-bit sequential.
 
-Same doctrine as ``test_engine_equivalence``: the fused engine may
-reorganize arithmetic across trials, never change results.  Each fused
+The fused engine may reorganize arithmetic across trials, never change
+results.  Each fused
 trial must equal a standalone :func:`run_sequential` run with the same
 space and generator state — loads *and* per-ball heights — across
 spaces, strategies, d, partitioned sampling, chunk sizes, and the
@@ -161,8 +161,14 @@ class TestFusedTuning:
 
     def test_chunking_never_changes_results(self):
         from repro.stats.trials import CellSpec, run_cell
+        from repro.utils.rng import spawn_seed_sequences
 
         spec = CellSpec("ring", 64, 2)
-        baseline = run_cell(spec, trials=9, seed=0, engine="sequential")
-        fused = run_cell(spec, trials=9, seed=0, engine="fused")
-        assert fused.counts == baseline.counts
+        maxima = []
+        for ss in spawn_seed_sequences(0, 9):
+            rng = np.random.default_rng(ss)
+            space = RingSpace.random(64, seed=rng)
+            loads, _ = run_sequential(space, 64, 2, TieBreak.RANDOM, rng)
+            maxima.append(int(loads.max()))
+        fused = run_cell(spec, trials=9, seed=0)
+        assert fused.counts == {k: maxima.count(k) for k in sorted(set(maxima))}

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core import RingSpace, TieBreak, place_balls
+from repro.core.engine import run_sequential
 from repro.core.placement import PlacementResult
+from repro.utils.rng import resolve_rng
 
 
 class TestPlaceBalls:
@@ -15,18 +17,18 @@ class TestPlaceBalls:
         assert res.loads.sum() == 100
         assert res.strategy is TieBreak.RANDOM
 
-    def test_engine_auto_picks_by_size(self, small_ring, medium_ring):
-        assert place_balls(small_ring, 10, 2, seed=0).engine == "sequential"
-        assert place_balls(medium_ring, 10, 2, seed=0).engine == "batched"
+    def test_engine_is_fused(self, small_ring, medium_ring):
+        assert place_balls(small_ring, 10, 2, seed=0).engine == "fused"
+        assert place_balls(medium_ring, 10, 2, seed=0).engine == "fused"
 
     def test_explicit_engines_agree(self, medium_ring):
-        a = place_balls(medium_ring, 1000, 2, seed=3, engine="sequential")
-        b = place_balls(medium_ring, 1000, 2, seed=3, engine="batched")
-        assert np.array_equal(a.loads, b.loads)
-
-    def test_invalid_engine(self, small_ring):
-        with pytest.raises(ValueError, match="engine must be"):
-            place_balls(small_ring, 10, 2, engine="warp")
+        a = place_balls(medium_ring, 1000, 2, seed=3, record_heights=True)
+        loads, heights = run_sequential(
+            medium_ring, 1000, 2, TieBreak.RANDOM, resolve_rng(3),
+            record_heights=True,
+        )
+        assert np.array_equal(a.loads, loads)
+        assert np.array_equal(a.heights, heights)
 
     def test_strategy_string_coerced(self, small_ring):
         res = place_balls(small_ring, 10, 2, strategy="smaller", seed=0)

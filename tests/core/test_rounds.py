@@ -21,9 +21,7 @@ class TestRounds:
         as the rounds process does.
         """
         a = place_balls_in_rounds(small_ring, 300, 2, round_size=1, seed=5)
-        b = place_balls(
-            small_ring, 300, 2, seed=5, engine="sequential", rng_block=1
-        ).loads
+        b = place_balls(small_ring, 300, 2, seed=5, rng_block=1).loads
         assert np.array_equal(a, b)
 
     def test_full_parallel_round(self, small_ring):

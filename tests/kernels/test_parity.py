@@ -6,8 +6,8 @@ kernels plug in: fused placements (loads and per-ball heights), dynamic
 trajectories (per-epoch snapshots included), the raw ring lookup, and
 the ``backend=`` kwarg surface of :func:`repro.stats.trials.run_cell`.
 
-Backends that cannot build on this machine (numba not installed, no C
-compiler) are skipped, not failed — the numpy reference path is covered
+Backends that cannot build on this machine (no C compiler) are
+skipped, not failed — the numpy reference path is covered
 by the rest of the suite either way.
 """
 

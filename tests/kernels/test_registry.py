@@ -49,6 +49,15 @@ def test_unknown_name_lists_valid_choices():
     assert "REPRO_KERNEL_BACKEND" in message
 
 
+def test_numba_is_an_unknown_backend(monkeypatch):
+    """The removed numba backend is rejected like any unknown name."""
+    with pytest.raises(ValueError, match="unknown kernel backend 'numba'"):
+        get_backend("numba")
+    monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numba")
+    with pytest.raises(ValueError, match="unknown kernel backend"):
+        resolve_backend(None)
+
+
 def test_bogus_env_var_raises_clear_error(monkeypatch):
     monkeypatch.setenv("REPRO_KERNEL_BACKEND", "bogus")
     with pytest.raises(ValueError, match="unknown kernel backend"):
@@ -98,13 +107,13 @@ def test_explicit_unavailable_backend_raises_runtime_error(
     """Asking for a backend that cannot build is an error, not a fallback."""
 
     def boom():
-        raise RuntimeError("kernel backend 'numba' unavailable: not installed")
+        raise RuntimeError("kernel backend 'cext' unavailable: no C compiler")
 
-    import repro.kernels.numba_backend as numba_backend
+    import repro.kernels.cext_backend as cext_backend
 
-    monkeypatch.setattr(numba_backend, "build_backend", boom)
+    monkeypatch.setattr(cext_backend, "build_backend", boom)
     with pytest.raises(RuntimeError, match="unavailable"):
-        get_backend("numba")
+        get_backend("cext")
 
 
 def test_auto_falls_back_silently_when_accelerators_missing(
@@ -116,9 +125,7 @@ def test_auto_falls_back_silently_when_accelerators_missing(
         raise RuntimeError("unavailable")
 
     import repro.kernels.cext_backend as cext_backend
-    import repro.kernels.numba_backend as numba_backend
 
-    monkeypatch.setattr(numba_backend, "build_backend", boom)
     monkeypatch.setattr(cext_backend, "build_backend", boom)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -144,24 +151,22 @@ def test_failed_build_is_cached(reset_registry, monkeypatch):
         calls.append(1)
         raise RuntimeError("unavailable")
 
-    import repro.kernels.numba_backend as numba_backend
+    import repro.kernels.cext_backend as cext_backend
 
-    monkeypatch.setattr(numba_backend, "build_backend", boom)
+    monkeypatch.setattr(cext_backend, "build_backend", boom)
     for _ in range(3):
         with pytest.raises(RuntimeError):
-            get_backend("numba")
+            get_backend("cext")
     assert len(calls) == 1
 
 
-def test_import_repro_does_not_import_numba_or_compile():
+def test_import_repro_does_not_compile():
     """Cold ``import repro`` must not pay for any accelerator."""
     import subprocess
     import sys
 
     code = (
         "import sys; import repro; "
-        "assert 'numba' not in sys.modules, 'numba imported eagerly'; "
-        "assert 'repro.kernels.numba_backend' not in sys.modules; "
         "assert 'repro.kernels.cext_backend' not in sys.modules"
     )
     subprocess.run(

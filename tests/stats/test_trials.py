@@ -2,9 +2,28 @@
 
 import numpy as np
 import pytest
+from helpers import build_space
 
+from repro.core.engine import run_sequential
+from repro.core.loads import nu_profile
+from repro.core.strategies import TieBreak
 from repro.stats.distributions import MaxLoadDistribution
-from repro.stats.trials import CellSpec, run_cell, simulate_max_load
+from repro.stats.trials import CellSpec, run_cell
+from repro.utils.rng import spawn_seed_sequences
+
+
+def _sequential_loads(spec, trials, seed):
+    """Each trial's loads through the reference engine, seeded as run_cell does."""
+    out = []
+    for ss in spawn_seed_sequences(seed, trials):
+        rng = np.random.default_rng(ss)
+        space = build_space(spec.space, spec.n, rng, dim=spec.dim)
+        loads, _ = run_sequential(
+            space, spec.balls, spec.d, TieBreak.coerce(spec.strategy), rng,
+            partitioned=spec.partitioned,
+        )
+        out.append(loads)
+    return out
 
 
 class TestCellSpec:
@@ -36,26 +55,30 @@ class TestCellSpec:
 
 
 class TestSimulateMaxLoad:
+    """Single-trial cells: one trial's max load, checked against the reference."""
+
     def test_deterministic(self):
         spec = CellSpec("ring", 128, 2)
         ss = np.random.SeedSequence(1)
-        assert simulate_max_load(spec, ss) == simulate_max_load(
-            spec, np.random.SeedSequence(1)
-        )
+        assert run_cell(spec, 1, ss).counts == run_cell(
+            spec, 1, np.random.SeedSequence(1)
+        ).counts
 
     def test_different_seeds_vary(self):
         spec = CellSpec("ring", 256, 1)
-        vals = {simulate_max_load(spec, np.random.SeedSequence(s)) for s in range(8)}
+        vals = {run_cell(spec, 1, s).mode for s in range(8)}
         assert len(vals) > 1
 
     @pytest.mark.parametrize("space", ["ring", "torus", "uniform"])
     def test_all_spaces(self, space):
         spec = CellSpec(space, 64, 2)
-        assert simulate_max_load(spec, np.random.SeedSequence(0)) >= 1
+        (loads,) = _sequential_loads(spec, 1, 0)
+        assert run_cell(spec, 1, 0).counts == {int(loads.max()): 1}
 
     def test_partitioned_strategy(self):
         spec = CellSpec("ring", 64, 2, strategy="first", partitioned=True)
-        assert simulate_max_load(spec, np.random.SeedSequence(0)) >= 1
+        (loads,) = _sequential_loads(spec, 1, 0)
+        assert run_cell(spec, 1, 0).counts == {int(loads.max()): 1}
 
 
 class TestRunCell:
@@ -70,10 +93,10 @@ class TestRunCell:
         assert a.counts == b.counts
 
     def test_parallel_matches_serial(self):
-        """DESIGN decision 3: n_jobs must not affect results."""
+        """DESIGN decision 3: parallelism must not affect results."""
         spec = CellSpec("ring", 128, 2)
-        serial = run_cell(spec, trials=8, seed=5, n_jobs=1)
-        parallel = run_cell(spec, trials=8, seed=5, n_jobs=2)
+        serial = run_cell(spec, trials=8, seed=5, threads=1)
+        parallel = run_cell(spec, trials=8, seed=5, threads=2)
         assert serial.counts == parallel.counts
 
     def test_trial_prefix_stability(self):
@@ -138,7 +161,7 @@ class TestRunCellProfile:
 
 
 class TestEngineSelection:
-    """The engine knob moves wall-clock time only, never results."""
+    """The fused cell path gives the sequential reference's results."""
 
     @pytest.mark.parametrize(
         "spec",
@@ -152,44 +175,30 @@ class TestEngineSelection:
         ids=lambda s: s.label(),
     )
     def test_all_engines_bit_identical(self, spec):
-        reference = run_cell(spec, trials=11, seed=7, engine="sequential")
-        for engine in ("auto", "fused", "batched"):
-            dist = run_cell(spec, trials=11, seed=7, engine=engine)
-            assert dist.counts == reference.counts, engine
+        reference = MaxLoadDistribution.from_samples(
+            loads.max() for loads in _sequential_loads(spec, 11, 7)
+        )
+        assert run_cell(spec, trials=11, seed=7).counts == reference.counts
 
     def test_profile_engines_bit_identical(self):
         from repro.stats.trials import run_cell_profile
 
         spec = CellSpec("ring", 96, 2)
-        reference = run_cell_profile(spec, 9, seed=3, engine="sequential")
-        for engine in ("auto", "fused", "batched"):
-            assert np.array_equal(
-                run_cell_profile(spec, 9, seed=3, engine=engine), reference
-            ), engine
+        profiles = [nu_profile(loads) for loads in _sequential_loads(spec, 9, 3)]
+        reference = np.zeros(max(p.size for p in profiles))
+        for p in profiles:
+            reference[: p.size] += p
+        assert np.array_equal(run_cell_profile(spec, 9, seed=3), reference / 9)
 
     def test_profile_parallel_matches_serial(self):
         from repro.stats.trials import run_cell_profile
 
         spec = CellSpec("ring", 64, 2)
-        serial = run_cell_profile(spec, 6, seed=1)
-        pooled = run_cell_profile(spec, 6, seed=1, n_jobs=2)
-        assert np.array_equal(serial, pooled)
-
-    def test_auto_resolution(self):
-        from repro.stats.trials import auto_cell_engine
-
-        assert auto_cell_engine(1 << 16, 100, 1) == "fused"
-        assert auto_cell_engine(1 << 16, 100, 4) == "process"
-        assert auto_cell_engine(1 << 16, 100, None) == "process"
-        assert auto_cell_engine(64, 1, 1) == "sequential"
-        assert auto_cell_engine(1 << 16, 1, 1) == "batched"
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            run_cell(CellSpec("ring", 64, 2), trials=2, engine="warp")
+        serial = run_cell_profile(spec, 6, seed=1, threads=1)
+        threaded = run_cell_profile(spec, 6, seed=1, threads=2)
+        assert np.array_equal(serial, threaded)
 
     def test_single_trial_fused_matches(self):
         spec = CellSpec("ring", 64, 2)
-        a = run_cell(spec, trials=1, seed=9, engine="fused")
-        b = run_cell(spec, trials=1, seed=9, engine="sequential")
-        assert a.counts == b.counts
+        (loads,) = _sequential_loads(spec, 1, 9)
+        assert run_cell(spec, trials=1, seed=9).counts == {int(loads.max()): 1}

@@ -161,10 +161,6 @@ class TestRunSweep:
         full_path = unsharded.save(tmp_path / "full.json")
         assert merged_path.read_bytes() == full_path.read_bytes()
 
-    def test_workers_and_njobs_mutually_exclusive(self):
-        with pytest.raises(ValueError, match="workers"):
-            run_sweep(self.GRID, cache="off", workers=2, n_jobs=2)
-
     def test_progress_lines(self, tmp_path):
         lines = []
         run_sweep(self.GRID, cache=ResultCache(tmp_path), progress=lines.append)

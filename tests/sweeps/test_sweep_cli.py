@@ -42,14 +42,6 @@ class TestSweepRun:
         assert sweep_main(["run", "bogus=1", "--no-cache"]) == 2
         assert "bad grid" in capsys.readouterr().err
 
-    def test_jobs_and_workers_conflict_is_clean(self, capsys):
-        code = sweep_main(
-            ["run", "n=64", "d=1", "--trials", "2", "--no-cache",
-             "--jobs", "2", "--workers", "2"]
-        )
-        assert code == 2
-        assert "sweep failed" in capsys.readouterr().err
-
     def test_bad_shard_index_is_clean(self, capsys):
         code = sweep_main(
             ["run", "n=64", "d=1", "--trials", "2", "--no-cache",
