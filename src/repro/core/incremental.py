@@ -26,15 +26,17 @@ construction: the scalar path **is** the sequential reference
 (:func:`repro.core.strategies.decide_row_scalar`), the vectorized and
 kernel paths are the existing batched machinery, and churn
 re-placement consumes the auxiliary RNG exactly as before.  Feeding
-the same pre-drawn candidate stream through this class therefore
-reproduces ``simulate_dynamics`` bit-for-bit — enforced by
+the same candidate stream through this class therefore reproduces
+``simulate_dynamics`` bit-for-bit — enforced by
 ``tests/serve/test_incremental_parity.py``.
 
 Randomness is deliberately *external*: inserts take their candidate
-row and tie-break uniform as arguments (the caller owns the stream
-layout — :func:`repro.core.engine.choice_blocks` for replay parity, a
-block-drawing online stream for servers).  Only churn re-placement
-draws internally, from ``aux_rng``, mirroring the dynamic engines.
+row and tie-break uniform as arguments, which every caller reads from
+one :class:`repro.core.engine.CandidateStream` (bounded at the
+trace's insert count for the dynamic engines and trace replay,
+unbounded for a server).  Only churn re-placement draws internally,
+from ``aux_rng``, one :func:`~repro.core.engine.choice_blocks` row per
+displaced ball, mirroring the dynamic engines.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ import json
 
 import numpy as np
 
+from repro.core.engine import choice_blocks
 from repro.core.spaces import GeometricSpace
 from repro.core.strategies import (
     TieBreak,
@@ -68,7 +71,7 @@ KIND_INSERT = 0
 KIND_DELETE = 1
 
 #: Snapshot format version written by :meth:`IncrementalState.save`.
-_SNAPSHOT_FORMAT = 1
+_SNAPSHOT_FORMAT = 2
 
 
 def mixed_conflict_prefix(touched: np.ndarray, is_insert: np.ndarray) -> int:
@@ -122,8 +125,9 @@ class IncrementalState:
         for snapshots; draws themselves are the caller's).
     aux_rng:
         Generator consumed by churn re-placement only.  The dynamic
-        engines spawn it off the main seed *before* the insert
-        pre-draw; a server may leave it ``None`` until churn is used.
+        engines spawn it off the main seed *before* building the
+        insert stream; a server may leave it ``None`` until churn is
+        used.
     expect_balls:
         Initial ball-index capacity (grows on demand).
     """
@@ -259,11 +263,13 @@ class IncrementalState:
         self._recompute_topology()
 
     def _replace_ball(self, ball: int) -> None:
-        raw = self.space.sample_choice_bins(
-            self.aux_rng, 1, self.d, partitioned=self.partitioned
-        )[0]
-        cand = self.remap[raw]
-        u = float(self.aux_rng.random())
+        raw, us = next(
+            choice_blocks(
+                self.space, self.aux_rng, 1, self.d, partitioned=self.partitioned
+            )
+        )
+        cand = self.remap[raw[0]]
+        u = float(us[0])
         row = self.loads[cand]
         mrow = self.measures[cand] if self.needs_measures else None
         j = decide_row_scalar(
@@ -308,9 +314,9 @@ class IncrementalState:
     ) -> None:
         """Apply a churn-free window of insert/delete events in order.
 
-        ``cands``/``us`` are indexed by ball id (the pre-drawn or
-        streamed candidate arrays).  Three dispatch tiers, all
-        bit-identical:
+        ``cands``/``us`` are indexed by ball id (a
+        :class:`~repro.core.engine.CandidateStream`'s arrays).  Three
+        dispatch tiers, all bit-identical:
 
         * windows below :data:`repro.kernels.SMALL_WINDOW_CUTOFF`
           events run the scalar reference directly — per-event

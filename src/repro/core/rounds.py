@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.engine import choice_blocks
 from repro.core.loads import max_load
 from repro.core.spaces import GeometricSpace
 from repro.core.strategies import TieBreak, decide_rows, strategy_needs_measures
@@ -64,18 +65,15 @@ def place_balls_in_rounds(
     rng = resolve_rng(seed)
     loads = np.zeros(space.n, dtype=np.int64)
     measures = space.region_measures() if strategy_needs_measures(strat) else None
-    placed = 0
-    while placed < m:
-        b = min(round_size, m - placed)
-        cand = space.sample_choice_bins(rng, b, d, partitioned=partitioned)
-        tiebreaks = rng.random(b)
+    for cand, tiebreaks in choice_blocks(
+        space, rng, m, d, partitioned=partitioned, rng_block=round_size
+    ):
         cand_loads = loads[cand]
         cand_measures = measures[cand] if measures is not None else None
         j = decide_rows(cand_loads, cand_measures, tiebreaks, strat)
-        chosen = cand[np.arange(b), j]
+        chosen = cand[np.arange(cand.shape[0]), j]
         # within a round several balls may pick the same bin: commit all
         np.add.at(loads, chosen, 1)
-        placed += b
     return loads
 
 

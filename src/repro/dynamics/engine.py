@@ -30,11 +30,13 @@ per-epoch snapshots, not just the same endpoint.  The test suite
 enforces this across spaces, strategies, delete policies and churn.
 
 RNG discipline mirrors the static engine: all insert randomness is
-pre-drawn through :func:`repro.core.engine.choice_blocks` (so an
-insert-only trace reproduces ``run_sequential`` bit-for-bit on the same
-seed), while churn re-placement draws from a generator spawned off the
-main seed, consumed identically by both engines because churn handling
-is shared scalar code.
+drawn up front into a :class:`repro.core.engine.CandidateStream`
+bounded at the trace's insert count, which holds exactly the rows of
+:func:`repro.core.engine.choice_blocks` (so an insert-only trace
+reproduces ``run_sequential`` bit-for-bit on the same seed), while
+churn re-placement draws from a generator spawned off the main seed,
+consumed identically by both engines because churn handling is shared
+scalar code.
 
 When bins leave, ownership is remapped by **cyclic successor**: a
 candidate drawn in a departed bin's region belongs to the next active
@@ -47,18 +49,16 @@ same way, so tie-breaking stays meaningful under churn.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
-from repro.core.engine import DEFAULT_RNG_BLOCK, auto_batch_size, choice_blocks
+from repro.core.engine import DEFAULT_RNG_BLOCK, CandidateStream, auto_batch_size
 from repro.core.incremental import IncrementalState, mixed_conflict_prefix
 from repro.core.loads import nu_profile
 from repro.core.spaces import GeometricSpace
 from repro.core.strategies import TieBreak
 from repro.dynamics.events import EventKind, EventTrace
 from repro.dynamics.result import DynamicResult
-from repro.kernels import KernelBackend, resolve_backend, resolve_threads
+from repro.kernels import KernelBackend, resolve_backend
 from repro.obs import counter_add, obs_session, trace_span
 from repro.utils.rng import resolve_rng
 from repro.utils.validation import check_positive_int
@@ -71,94 +71,6 @@ __all__ = [
 ]
 
 
-def _predraw_inserts(
-    space: GeometricSpace,
-    rng: np.random.Generator,
-    count: int,
-    d: int,
-    partitioned: bool,
-    rng_block: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Materialize candidate bins and tie-break uniforms for all inserts.
-
-    Uses :func:`choice_blocks`, so the RNG stream layout is identical to
-    the static engines' and independent of which dynamic engine runs.
-    """
-    cands = np.empty((count, d), dtype=np.int64)
-    us = np.empty(count, dtype=np.float64)
-    pos = 0
-    for bins, tiebreaks in choice_blocks(
-        space, rng, count, d, partitioned=partitioned, rng_block=rng_block
-    ):
-        b = bins.shape[0]
-        cands[pos : pos + b] = bins
-        us[pos : pos + b] = tiebreaks
-        pos += b
-    return cands, us
-
-
-class _PredrawPipeline:
-    """Background producer of the pre-drawn insert candidate stream.
-
-    The synchronous :func:`_predraw_inserts` pays the full candidate
-    generation cost up front, serializing it with trace replay.  This
-    pipeline fills the same ``cands``/``us`` arrays chunk-by-chunk from
-    the **same** :func:`choice_blocks` iterator on a producer thread
-    (numpy's bulk fills release the GIL), so replay of event window
-    ``w`` overlaps generation of the candidates windows ``w+1, ...``
-    will read.  :meth:`ensure` gates the consumer: it blocks until the
-    first ``count`` insert rows are materialized.
-
-    Bit-identity: one iterator, one thread consuming it, identical
-    block layout — the stream is byte-for-byte the synchronous one;
-    pipelining changes *when* rows are filled, never their values.
-    """
-
-    def __init__(self, space, rng, count, d, partitioned, rng_block):
-        self.cands = np.empty((count, d), dtype=np.int64)
-        self.us = np.empty(count, dtype=np.float64)
-        self._filled = 0
-        self._error: BaseException | None = None
-        self._cond = threading.Condition()
-        self._thread = threading.Thread(
-            target=self._produce,
-            args=(space, rng, count, d, partitioned, rng_block),
-            name="repro-predraw",
-            daemon=True,
-        )
-        self._thread.start()
-
-    def _produce(self, space, rng, count, d, partitioned, rng_block):
-        try:
-            pos = 0
-            for bins, tiebreaks in choice_blocks(
-                space, rng, count, d, partitioned=partitioned, rng_block=rng_block
-            ):
-                b = bins.shape[0]
-                self.cands[pos : pos + b] = bins
-                self.us[pos : pos + b] = tiebreaks
-                pos += b
-                with self._cond:
-                    self._filled = pos
-                    self._cond.notify_all()
-        except BaseException as exc:  # pragma: no cover - defensive
-            with self._cond:
-                self._error = exc
-                self._cond.notify_all()
-
-    def ensure(self, count: int) -> None:
-        """Block until the first ``count`` insert rows are filled."""
-        if self._filled >= count and self._error is None:
-            # lock-free fast path: _filled grows monotonically and a
-            # stale (smaller) read only sends us through the slow path
-            return
-        with self._cond:
-            while self._filled < count and self._error is None:
-                self._cond.wait()
-            if self._error is not None:
-                raise self._error
-
-
 class _DynamicState:
     """Trace-replay wrapper over the shared :class:`IncrementalState` core.
 
@@ -168,8 +80,7 @@ class _DynamicState:
     engines (and the ``repro.serve`` tier) mutate through the same
     methods, so the engines can only differ in *when* they decide
     events, never in *how*.  This wrapper owns what is trace-specific:
-    the pre-drawn candidate stream (optionally pipelined), epoch
-    snapshots, and result assembly.
+    the candidate stream, epoch snapshots, and result assembly.
     """
 
     def __init__(
@@ -183,7 +94,6 @@ class _DynamicState:
         partitioned: bool,
         rng_block: int,
         record_loads: bool,
-        threads: int = 1,
     ) -> None:
         if not isinstance(trace, EventTrace):
             raise TypeError(f"trace must be an EventTrace, got {type(trace).__name__}")
@@ -198,20 +108,19 @@ class _DynamicState:
         self.partitioned = partitioned
         self.trace = trace
         rng = resolve_rng(rng)
-        # spawned (not consumed) before the insert pre-draw, so the
-        # insert stream matches the static engines' exactly
+        # spawned (not consumed) before the insert stream is drawn, so
+        # the stream matches the static engines' exactly
         aux_rng = rng.spawn(1)[0]
-        if threads >= 2 and trace.num_inserts > 0:
-            self._pipeline = _PredrawPipeline(
-                space, rng, trace.num_inserts, self.d, partitioned, rng_block
-            )
-            self.cands = self._pipeline.cands
-            self.us = self._pipeline.us
-        else:
-            self._pipeline = None
-            self.cands, self.us = _predraw_inserts(
-                space, rng, trace.num_inserts, self.d, partitioned, rng_block
-            )
+        stream = CandidateStream(
+            space,
+            rng,
+            self.d,
+            partitioned=partitioned,
+            rng_block=rng_block,
+            total=trace.num_inserts,
+        )
+        stream.ensure(trace.num_inserts)
+        self.cands, self.us = stream.cands, stream.us
         self.core = IncrementalState(
             space,
             self.d,
@@ -246,16 +155,6 @@ class _DynamicState:
     def deletes_done(self) -> int:
         """Deletes applied so far (core counter)."""
         return self.core.deletes_done
-
-    def ensure_cands(self, count: int) -> None:
-        """Wait until the first ``count`` insert rows are pre-drawn.
-
-        A no-op without a pipelined predraw.  Ball ids are validated
-        consecutive in trace order, so the cumulative insert count of a
-        window upper-bounds every ball id it can read.
-        """
-        if self._pipeline is not None:
-            self._pipeline.ensure(count)
 
     # ------------------------------------------------------------------
     # scalar event application (the sequential engine; conflict steps)
@@ -361,7 +260,6 @@ def run_batched_dynamic(
     batch_size: int | None = None,
     record_loads: bool = False,
     backend: KernelBackend | str | None = None,
-    threads: int | None = None,
 ) -> DynamicResult:
     """Vectorized engine: mixed-event conflict-free-prefix batching.
 
@@ -375,22 +273,11 @@ def run_batched_dynamic(
     windows (:func:`repro.kernels.resolve_backend` semantics);
     accelerated backends replace the prefix machinery with one compiled
     in-order pass per window, with identical trajectories.
-
-    ``threads`` (:func:`repro.kernels.resolve_threads` semantics) ``>=
-    2`` pipelines the insert pre-draw on a producer thread
-    (:class:`_PredrawPipeline`): each event window waits only for the
-    candidates it can actually read — gated by the cumulative insert
-    count at its end — so candidate generation overlaps replay.  The
-    window chain itself is a serial dependency (each decision reads the
-    loads the previous one wrote), so this overlap is the dynamic
-    path's whole multicore story; results are bit-identical for every
-    thread count.
     """
     if batch_size is None:
         batch_size = auto_batch_size(space.n, d)
     batch_size = check_positive_int(batch_size, "batch_size")
     backend_obj = resolve_backend(backend)
-    eff_threads = resolve_threads(threads)
     state = _DynamicState(
         space,
         trace,
@@ -400,15 +287,9 @@ def run_batched_dynamic(
         partitioned=partitioned,
         rng_block=rng_block,
         record_loads=record_loads,
-        threads=eff_threads,
     )
     kinds = trace.kinds
     args = trace.args
-    # inserts-before-or-at each event index, for pipeline gating (ball
-    # ids are consecutive in trace order, so this bounds window reads)
-    insert_cum = (
-        np.cumsum(kinds == EventKind.INSERT) if state._pipeline is not None else None
-    )
     churn_positions = np.nonzero(kinds >= EventKind.BIN_LEAVE)[0]
     churn_ptr = 0
     i = 0
@@ -425,8 +306,6 @@ def run_batched_dynamic(
             stop = epoch_end
             if churn_ptr < churn_positions.size:
                 stop = min(stop, int(churn_positions[churn_ptr]))
-            if insert_cum is not None and stop > 0:
-                state.ensure_cands(int(insert_cum[stop - 1]))
             state.core.apply_window(
                 kinds,
                 args,
@@ -455,7 +334,6 @@ def simulate_dynamics(
     partitioned: bool = False,
     record_loads: bool = False,
     backend: KernelBackend | str | None = None,
-    threads: int | None = None,
     obs: bool | None = None,
 ) -> DynamicResult:
     """Replay a dynamic workload on a space — the dynamics facade.
@@ -479,13 +357,6 @@ def simulate_dynamics(
     kernel.  ``engine="sequential"`` is always the pure-Python
     reference and ignores ``backend``.  Results are bit-identical
     across every engine/backend combination.
-
-    ``threads`` (:func:`repro.kernels.resolve_threads`:
-    ``REPRO_NUM_THREADS`` → this kwarg → physical cores) ``>= 2``
-    pipelines the insert pre-draw on a producer thread in the batched
-    engine; the sequential reference stays single-threaded.  Thread
-    count never changes results (enforced by
-    ``tests/kernels/test_threads_parity.py``).
 
     Examples
     --------
@@ -513,7 +384,6 @@ def simulate_dynamics(
             raise ValueError(
                 f"engine must be 'auto', 'sequential' or 'batched', got {engine!r}"
             )
-        eff_threads = resolve_threads(threads)
         with trace_span(
             "simulate_dynamics",
             engine=engine,
@@ -521,7 +391,6 @@ def simulate_dynamics(
             events=trace.num_events,
             n=space.n,
             d=d,
-            threads=eff_threads,
         ):
             counter_add("dynamics.events", trace.num_events)
             if engine == "sequential":
@@ -546,5 +415,4 @@ def simulate_dynamics(
                 batch_size=batch_size,
                 record_loads=record_loads,
                 backend=backend_obj,
-                threads=eff_threads,
             )

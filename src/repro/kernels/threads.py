@@ -2,10 +2,9 @@
 
 The multicore tier (the ``ring_trials`` kernel splitting ring trials
 across OS threads, the trial pool of
-:func:`repro.core.multitrial.run_fused`'s generic kernel path, the
-thread-parallel ``ring_assign`` lookup, the pipelined candidate predraw
-in :func:`repro.dynamics.engine.simulate_dynamics`) is steered by
-**one** knob with the same resolution order as the kernel backend:
+:func:`repro.core.multitrial.run_fused`'s generic kernel path, and the
+thread-parallel ``ring_assign`` lookup) is steered by **one** knob
+with the same resolution order as the kernel backend:
 
 1. the ``REPRO_NUM_THREADS`` environment variable (strongest — one
    shell export steers every layer, and it crosses process boundaries
@@ -13,7 +12,6 @@ in :func:`repro.dynamics.engine.simulate_dynamics`) is steered by
 2. the ``threads=`` kwarg threaded through
    :func:`repro.stats.trials.run_cell` /
    :func:`repro.core.multitrial.run_fused` /
-   :func:`repro.dynamics.engine.simulate_dynamics` /
    :func:`repro.sweeps.runner.run_sweep`;
 3. auto-detection: the number of **physical** cores (SMT siblings share
    the load/store units the placement kernels are bound by, so logical
@@ -21,11 +19,11 @@ in :func:`repro.dynamics.engine.simulate_dynamics`) is steered by
 
 ``threads`` never changes results: work is partitioned statically by
 trial (trials share no loads and no generator) or by output row (ring
-lookups), and the dynamics predraw pipeline only moves *when* a
-candidate block is generated, never its contents.  The parity suite
-(``tests/kernels/test_threads_parity.py``) enforces bit-identity for
-every backend × engine × thread count, which is also why ``threads`` is
-excluded from sweep cache keys (like ``backend=``).
+lookups).  The parity suite (``tests/kernels/test_threads_parity.py``)
+enforces bit-identity for every backend × engine × thread count, which
+is also why ``threads`` is excluded from sweep cache keys (like
+``backend=``).  The dynamic engines and the serving tier take no
+``threads``: their event windows are one serial dependency chain.
 
 :func:`cpu_topology` additionally feeds the observability layer: run
 manifests (:func:`repro.obs.manifest.run_manifest`) and both tracked

@@ -16,8 +16,9 @@ giving up the batch engines' speed:
     ``load()`` checkpoint the whole server to NPZ mid-stream.
 :mod:`repro.serve.replay`
     :func:`replay_trace` — feed a :class:`repro.dynamics.events.EventTrace`
-    through a server with the batch engines' exact pre-drawn RNG
-    layout, so final loads *and* per-epoch trajectories are
+    through a server with the batch engines' exact RNG layout (one
+    :class:`~repro.core.engine.CandidateStream`, bounded at the trace's
+    insert count), so final loads *and* per-epoch trajectories are
     bit-identical to :func:`repro.dynamics.simulate_dynamics`
     (enforced by ``tests/serve``); measures decision latency along the
     way.
@@ -32,13 +33,15 @@ Decision semantics never depend on batching: a request stream produces
 the same placements whether submitted one op at a time, in
 micro-batches, or replayed as one trace — the same contract the batch
 engines make, extended to a server that never sees its trace end.
+:class:`CandidateStream` is re-exported from :mod:`repro.core.engine`,
+where the dynamic engines share it.
 """
 
+from repro.core.engine import CandidateStream
 from repro.serve.server import (
     OP_DELETE,
     OP_INSERT,
     OP_LOOKUP,
-    CandidateStream,
     LatencyStats,
     PlacementServer,
 )

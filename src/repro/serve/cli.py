@@ -10,8 +10,8 @@ latency, sustained ops/s) to stdout and can write a **deterministic**
 JSON artifact with ``--out``: placements, trajectories and a blake2b
 digest of the final load vector, but no timings and no backend name —
 so two artifacts from the same seed are byte-identical regardless of
-backend, thread count, batching, or whether the run was interrupted by
-a checkpoint and resumed.  The CI ``serve`` leg leans on that: it
+backend, batching, or whether the run was interrupted by a checkpoint
+and resumed.  The CI ``serve`` leg leans on that: it
 ``cmp``'s a checkpoint/resume artifact against an uninterrupted one.
 
 Checkpointing::
@@ -20,8 +20,9 @@ Checkpointing::
     ... serve replay --resume ck.npz --out b.json   # finishes the run
 
 ``--resume`` rebuilds the space and trace from the parameters recorded
-in the checkpoint — only engine knobs (``--backend``, ``--threads``,
-``--batch``) may be re-chosen, because they cannot change results.
+in the checkpoint and takes the candidate stream from the checkpoint
+itself — only engine knobs (``--backend``, ``--batch``) may be
+re-chosen, because they cannot change results.
 """
 
 from __future__ import annotations
@@ -82,7 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="micro-batch size (results are batch-independent)",
     )
     rp.add_argument("--backend", default=None, help="kernel backend override")
-    rp.add_argument("--threads", type=int, default=None, help="predraw threads")
     rp.add_argument(
         "--quick", action="store_true",
         help=f"CI smoke scale ({_QUICK})",
@@ -186,7 +186,6 @@ def main(argv=None) -> int:
         seed=params["seed"] + 2,
         max_batch=args.batch,
         backend=args.backend,
-        threads=args.threads,
         checkpoint=args.checkpoint,
         checkpoint_at=args.checkpoint_at,
         checkpoint_meta=params,

@@ -3,21 +3,20 @@
 :func:`replay_trace` feeds an :class:`~repro.dynamics.events.EventTrace`
 through a :class:`~repro.serve.server.PlacementServer` using the batch
 engines' exact RNG discipline — the churn generator spawned first,
-then every insert's candidates pre-drawn through
-:func:`repro.core.engine.choice_blocks` (pipelined on a producer
-thread when ``threads >= 2``).  Because the server applies events
-strictly in order through the same decision kernels, the final loads
-*and* the per-epoch trajectory are bit-identical to
-:func:`repro.dynamics.simulate_dynamics` on the same seed — the
-serving tier's parity contract, enforced by
+then a :class:`~repro.core.engine.CandidateStream` bounded at the
+trace's insert count, which the server draws from lazily.  Because
+the server applies events strictly in order through the same decision
+kernels, the final loads *and* the per-epoch trajectory are
+bit-identical to :func:`repro.dynamics.simulate_dynamics` on the same
+seed — the serving tier's parity contract, enforced by
 ``tests/serve/test_incremental_parity.py``.
 
 Checkpointing: ``checkpoint_at=k`` stops the replay after ``k`` events
-and writes a full server snapshot (plus the trajectory series so far
-and the caller's parameters) to ``checkpoint``; ``resume_from``
-restores it and replays the rest.  A resumed replay's artifact is
-byte-identical to an uninterrupted run's — checked by the CI ``serve``
-leg with ``cmp``.
+and writes a full server snapshot (candidate stream included, plus the
+trajectory series so far and the caller's parameters) to
+``checkpoint``; ``resume_from`` restores it and replays the rest.  A
+resumed replay's artifact is byte-identical to an uninterrupted run's
+— checked by the CI ``serve`` leg with ``cmp``.
 """
 
 from __future__ import annotations
@@ -26,16 +25,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.engine import DEFAULT_RNG_BLOCK
+from repro.core.engine import DEFAULT_RNG_BLOCK, CandidateStream
 from repro.core.incremental import IncrementalState
 from repro.core.loads import nu_profile
 from repro.core.spaces import GeometricSpace
 from repro.core.strategies import TieBreak
-from repro.dynamics.engine import _predraw_inserts, _PredrawPipeline
 from repro.dynamics.events import EventKind, EventTrace
-from repro.kernels import KernelBackend, resolve_backend, resolve_threads
+from repro.kernels import KernelBackend, resolve_backend
 from repro.obs import counter_add, trace_span
-from repro.serve.server import CandidateStream, LatencyStats, PlacementServer
+from repro.serve.server import LatencyStats, PlacementServer
 from repro.utils.rng import resolve_rng
 
 __all__ = ["ReplayResult", "checkpoint_params", "replay_trace"]
@@ -93,11 +91,9 @@ def checkpoint_params(path) -> dict:
     return _checkpoint_meta(path).get("extra", {}).get("params", {})
 
 
-def _restore(space, trace, resume_from, stream, backend, threads):
+def _restore(space, trace, resume_from, backend):
     """Rebuild (server, series, cursor) from a replay checkpoint."""
-    server, extra = PlacementServer.load(
-        resume_from, space=space, stream=stream, backend=backend, threads=threads
-    )
+    server, extra = PlacementServer.load(resume_from, space=space, backend=backend)
     replay_meta = extra["meta"].get("replay")
     if replay_meta is None:
         raise ValueError(f"{resume_from} is not a replay checkpoint")
@@ -131,7 +127,6 @@ def replay_trace(
     rng_block: int = DEFAULT_RNG_BLOCK,
     max_batch: int = 1024,
     backend: KernelBackend | str | None = None,
-    threads: int | None = None,
     checkpoint=None,
     checkpoint_at: int | None = None,
     checkpoint_meta: dict | None = None,
@@ -143,42 +138,24 @@ def replay_trace(
     churn events and epoch boundaries as barriers — exactly the batched
     dynamic engine's window structure, so results are bit-identical to
     :func:`~repro.dynamics.simulate_dynamics` for the same ``seed``
-    regardless of ``max_batch``, ``backend`` or ``threads``.
+    regardless of ``max_batch`` or ``backend``.
 
     ``checkpoint_at`` stops after that many events and saves a resumable
     snapshot to ``checkpoint`` (with ``checkpoint_meta`` recorded for
-    :func:`checkpoint_params`); ``resume_from`` continues one.  The
-    same ``seed`` must be passed on resume (the candidate stream is
-    re-predrawn from it; the mutable state comes from the snapshot).
+    :func:`checkpoint_params`); ``resume_from`` continues one.  A
+    resumed replay takes its candidate stream and its churn generator
+    from the snapshot, so ``seed`` is unused on resume.
     """
     if not isinstance(trace, EventTrace):
         raise TypeError(f"trace must be an EventTrace, got {type(trace).__name__}")
     backend_obj = resolve_backend(backend)
-    eff_threads = resolve_threads(threads)
     strat = TieBreak.coerce(strategy)
-    rng = resolve_rng(seed)
-    # spawn order matches the dynamic engines (churn RNG first); on
-    # resume the spawned generator is discarded in favour of the
-    # checkpointed one, but the main stream's position is unaffected
-    aux_rng = rng.spawn(1)[0]
-    pipeline = None
-    if eff_threads >= 2 and trace.num_inserts > 0:
-        pipeline = _PredrawPipeline(
-            space, rng, trace.num_inserts, d, partitioned, rng_block
-        )
-        cands, us = pipeline.cands, pipeline.us
-    else:
-        cands, us = _predraw_inserts(
-            space, rng, trace.num_inserts, d, partitioned, rng_block
-        )
-    stream = CandidateStream.predrawn(
-        cands, us, ensure=pipeline.ensure if pipeline is not None else None
-    )
     if resume_from is not None:
-        server, series, start = _restore(
-            space, trace, resume_from, stream, backend_obj, eff_threads
-        )
+        server, series, start = _restore(space, trace, resume_from, backend_obj)
     else:
+        rng = resolve_rng(seed)
+        # spawn order matches the dynamic engines: churn RNG first
+        aux_rng = rng.spawn(1)[0]
         state = IncrementalState(
             space,
             d,
@@ -187,6 +164,14 @@ def replay_trace(
             aux_rng=aux_rng,
             expect_balls=trace.num_inserts,
         )
+        stream = CandidateStream(
+            space,
+            rng,
+            d,
+            partitioned=partitioned,
+            rng_block=rng_block,
+            total=trace.num_inserts,
+        )
         server = PlacementServer(
             space,
             d,
@@ -194,7 +179,6 @@ def replay_trace(
             partitioned=partitioned,
             max_batch=max_batch,
             backend=backend_obj,
-            threads=eff_threads,
             state=state,
             stream=stream,
         )
@@ -217,7 +201,6 @@ def replay_trace(
         d=d,
         backend=backend_obj.name,
         max_batch=max_batch,
-        threads=eff_threads,
     ):
         counter_add("serve.replay_events", stop_at - start)
         i = start

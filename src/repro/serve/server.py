@@ -29,14 +29,14 @@ decision kernels.
 
 Randomness
 ----------
-Candidate bins and tie-break uniforms come from a
-:class:`CandidateStream`.  The online mode draws full RNG blocks
-lazily as inserts arrive — the block layout is fixed (always
-``rng_block`` rows), so a server's decisions depend only on its seed,
-never on request arrival patterns.  The pre-drawn mode wraps the batch
-engines' :func:`repro.core.engine.choice_blocks` arrays, which is what
-makes trace replay (:mod:`repro.serve.replay`) bit-identical to
-:func:`repro.dynamics.simulate_dynamics`.
+Candidate bins and tie-break uniforms come from one
+:class:`~repro.core.engine.CandidateStream`, drawn lazily as inserts
+arrive.  A server's own stream is unbounded and always draws whole
+``rng_block`` blocks, so its decisions depend only on its seed, never
+on request arrival patterns.  Trace replay (:mod:`repro.serve.replay`)
+passes a stream bounded at the trace's insert count, which holds
+exactly the rows the dynamic engines read; that is what makes replay
+bit-identical to :func:`repro.dynamics.simulate_dynamics`.
 
 Every applied block records decision latency into a
 :class:`LatencyStats` reservoir (and, when observability is on, the
@@ -52,10 +52,10 @@ from time import perf_counter
 
 import numpy as np
 
-from repro.core.engine import DEFAULT_RNG_BLOCK, auto_batch_size
+from repro.core.engine import DEFAULT_RNG_BLOCK, CandidateStream, auto_batch_size
 from repro.core.incremental import IncrementalState
 from repro.core.spaces import GeometricSpace
-from repro.kernels import KernelBackend, resolve_backend, resolve_threads
+from repro.kernels import KernelBackend, resolve_backend
 from repro.obs import counter_add, histogram_observe
 from repro.obs import enabled as obs_enabled
 from repro.utils.rng import resolve_rng
@@ -65,7 +65,6 @@ __all__ = [
     "OP_INSERT",
     "OP_DELETE",
     "OP_LOOKUP",
-    "CandidateStream",
     "LatencyStats",
     "PlacementServer",
 ]
@@ -74,135 +73,7 @@ __all__ = [
 OP_INSERT = 0
 OP_DELETE = 1
 OP_LOOKUP = 2
-
-
-class CandidateStream:
-    """Per-insert candidate bins + tie-break uniforms, indexed by ball id.
-
-    Two modes:
-
-    * **online** (the constructor): draws full blocks of ``rng_block``
-      rows lazily from ``rng`` as :meth:`ensure` demands them.  Always
-      whole blocks, so the stream is a pure function of the seed —
-      independent of request batching.
-    * **pre-drawn** (:meth:`predrawn`): wraps externally materialized
-      arrays (the batch engines' :func:`choice_blocks` layout), with an
-      optional ``ensure`` hook gating a background predraw pipeline.
-    """
-
-    def __init__(
-        self,
-        space: GeometricSpace,
-        rng,
-        d: int,
-        *,
-        partitioned: bool = False,
-        rng_block: int = DEFAULT_RNG_BLOCK,
-    ) -> None:
-        self._space = space
-        self._rng = resolve_rng(rng)
-        self.d = check_positive_int(d, "d")
-        self.partitioned = bool(partitioned)
-        self.rng_block = check_positive_int(rng_block, "rng_block")
-        self.cands = np.empty((0, self.d), dtype=np.int64)
-        self.us = np.empty(0, dtype=np.float64)
-        self.drawn = 0
-        self._ensure_hook = None
-        self._online = True
-
-    @classmethod
-    def predrawn(cls, cands: np.ndarray, us: np.ndarray, *, ensure=None):
-        """Wrap pre-materialized candidate arrays (replay parity mode).
-
-        ``ensure`` (optional) is called with the required row count
-        before reads — the hook a background predraw pipeline gates on.
-        """
-        stream = cls.__new__(cls)
-        stream._space = None
-        stream._rng = None
-        stream.d = int(cands.shape[1])
-        stream.partitioned = False
-        stream.rng_block = DEFAULT_RNG_BLOCK
-        stream.cands = cands
-        stream.us = us
-        stream.drawn = cands.shape[0]
-        stream._ensure_hook = ensure
-        stream._online = False
-        return stream
-
-    def ensure(self, count: int) -> None:
-        """Materialize candidate rows ``[0, count)`` (blocking if needed)."""
-        if not self._online:
-            if self._ensure_hook is not None:
-                self._ensure_hook(count)
-            elif count > self.drawn:
-                raise RuntimeError(
-                    f"pre-drawn candidate stream exhausted: need {count} rows, "
-                    f"have {self.drawn}"
-                )
-            return
-        while self.drawn < count:
-            if self.drawn + self.rng_block > self.cands.shape[0]:
-                grow = max(self.drawn + self.rng_block, 2 * self.cands.shape[0])
-                cands = np.empty((grow, self.d), dtype=np.int64)
-                us = np.empty(grow, dtype=np.float64)
-                cands[: self.drawn] = self.cands[: self.drawn]
-                us[: self.drawn] = self.us[: self.drawn]
-                self.cands, self.us = cands, us
-            b = self.rng_block
-            self.cands[self.drawn : self.drawn + b] = self._space.sample_choice_bins(
-                self._rng, b, self.d, partitioned=self.partitioned
-            )
-            self.us[self.drawn : self.drawn + b] = self._rng.random(b)
-            self.drawn += b
-
-    def state_dict(self, consumed: int) -> tuple[dict, dict]:
-        """Snapshot the stream for :meth:`PlacementServer.save`.
-
-        Returns ``(meta, arrays)``: the RNG state plus the drawn-but-
-        unconsumed tail rows ``[consumed, drawn)``, so a restored
-        server's future draws are byte-identical to an uninterrupted
-        one's.  Pre-drawn streams raise — replay owns their restore
-        (it re-predraws from the seed).
-        """
-        if not self._online:
-            raise RuntimeError(
-                "pre-drawn candidate streams are snapshotted by their owner "
-                "(replay re-predraws from the seed); only online streams "
-                "save RNG state"
-            )
-        meta = {
-            "kind": "online",
-            "rng_state": self._rng.bit_generator.state,
-            "rng_block": self.rng_block,
-            "partitioned": self.partitioned,
-            "drawn": self.drawn,
-            "consumed": int(consumed),
-        }
-        arrays = {
-            "serve_tail_cands": self.cands[consumed : self.drawn],
-            "serve_tail_us": self.us[consumed : self.drawn],
-        }
-        return meta, arrays
-
-    @classmethod
-    def from_state(cls, space, d, meta: dict, arrays: dict):
-        """Rebuild an online stream from :meth:`state_dict` output."""
-        stream = cls(
-            space,
-            np.random.default_rng(0),
-            d,
-            partitioned=meta["partitioned"],
-            rng_block=meta["rng_block"],
-        )
-        stream._rng.bit_generator.state = meta["rng_state"]
-        drawn, consumed = meta["drawn"], meta["consumed"]
-        stream.cands = np.zeros((drawn, d), dtype=np.int64)
-        stream.us = np.zeros(drawn, dtype=np.float64)
-        stream.cands[consumed:drawn] = arrays["serve_tail_cands"]
-        stream.us[consumed:drawn] = arrays["serve_tail_us"]
-        stream.drawn = drawn
-        return stream
+_OP_CODES = (OP_INSERT, OP_DELETE, OP_LOOKUP)
 
 
 @dataclass(frozen=True)
@@ -286,9 +157,14 @@ class PlacementServer:
 
     Keys are ``str`` (what :meth:`save` can store); :meth:`insert`,
     :meth:`submit` and :meth:`enqueue` raise :class:`TypeError` for any
-    other key type before touching state.  :meth:`bin_leave` and
-    :meth:`bin_join` raise :class:`ValueError`, also before touching
-    state, for churn a trace could not contain
+    other key type before touching state.  :meth:`submit`,
+    :meth:`submit_ids` and :meth:`enqueue` raise :class:`ValueError`,
+    also before touching state, for an op code other than
+    :data:`OP_INSERT`, :data:`OP_DELETE` or :data:`OP_LOOKUP`, and the
+    batch calls for ``kinds`` whose length differs from the keys' or
+    args'.  :meth:`bin_leave` and :meth:`bin_join` raise
+    :class:`ValueError` before touching state for churn a trace could
+    not contain
     (:meth:`~repro.core.incremental.IncrementalState.check_churn`).
 
     Parameters
@@ -296,7 +172,7 @@ class PlacementServer:
     space, d, strategy, partitioned:
         The placement process (as in the batch engines).
     seed:
-        Master seed: the churn RNG is spawned first, then the online
+        Master seed: the churn RNG is spawned first, then the
         candidate stream — the same spawn order as the dynamic
         engines.  Ignored when ``state`` is supplied.
     max_batch:
@@ -306,16 +182,13 @@ class PlacementServer:
     max_pending:
         Bounded queue capacity for :meth:`enqueue`; reaching it drains
         the queue synchronously (backpressure).
-    backend, threads:
-        Kernel backend / thread budget
-        (:func:`repro.kernels.resolve_backend` /
-        :func:`~repro.kernels.resolve_threads` semantics).  Threads
-        ``>= 2`` matter on the replay path, where candidate pre-draw
-        runs on a producer pipeline.
+    backend:
+        Kernel backend (:func:`repro.kernels.resolve_backend`
+        semantics).
     state, stream:
         Pre-built :class:`~repro.core.incremental.IncrementalState` /
-        :class:`CandidateStream` (the replay harness and
-        :meth:`load` use these; normal construction leaves them
+        :class:`~repro.core.engine.CandidateStream` (the replay harness
+        and :meth:`load` use these; normal construction leaves them
         ``None``).
     """
 
@@ -330,7 +203,6 @@ class PlacementServer:
         max_batch: int = 1024,
         max_pending: int = 65536,
         backend: KernelBackend | str | None = None,
-        threads: int | None = None,
         rng_block: int = DEFAULT_RNG_BLOCK,
         state: IncrementalState | None = None,
         stream: CandidateStream | None = None,
@@ -344,7 +216,6 @@ class PlacementServer:
                 f"({self.max_batch})"
             )
         self.backend = resolve_backend(backend)
-        self.threads = resolve_threads(threads)
         if state is None:
             rng = resolve_rng(seed)
             # spawn order mirrors the dynamic engines: churn RNG first,
@@ -444,15 +315,17 @@ class PlacementServer:
         sequence.  Results: inserts and lookups yield the bin, deletes
         ``-1``.  Ops apply strictly in order; the batch is split into
         ``max_batch`` blocks internally (identical results for any
-        split).  A key that is not a ``str`` raises ``TypeError`` before
-        anything is applied.  Inserting a live key or deleting/looking
-        up an unknown key raises ``KeyError`` before any op of the
-        failing block is applied (earlier blocks stay applied; the key
-        map may hold the failing block's earlier inserts).
+        split).  A key that is not a ``str`` raises ``TypeError``, and an
+        unknown op code or a ``kinds``/``keys`` length mismatch raises
+        ``ValueError``, before anything is applied.  Inserting a live
+        key or deleting/looking up an unknown key raises ``KeyError``
+        before any op of the failing block is applied (earlier blocks
+        stay applied; the key map may hold the failing block's earlier
+        inserts).
         """
         _check_keys(keys)
+        kinds = _check_kinds(kinds, len(keys), "keys")
         self._flush_if_pending()
-        kinds = np.ascontiguousarray(kinds, dtype=np.int8)
         return self._submit_keyed(kinds, keys)
 
     def submit_ids(self, kinds, args) -> np.ndarray:
@@ -461,11 +334,12 @@ class PlacementServer:
         Insert args must be consecutive from the server's next ball id
         — the trace discipline (:class:`~repro.dynamics.events.EventTrace`
         validates it for traces; this method re-checks).  No key map is
-        touched.
+        touched.  An unknown op code or a ``kinds``/``args`` length
+        mismatch raises ``ValueError`` before anything is applied.
         """
-        self._flush_if_pending()
-        kinds = np.ascontiguousarray(kinds, dtype=np.int8)
         args = np.ascontiguousarray(args, dtype=np.int64)
+        kinds = _check_kinds(kinds, args.size, "args")
+        self._flush_if_pending()
         results = np.empty(args.size, dtype=np.int64)
         for a in range(0, args.size, self.max_batch):
             b = min(a + self.max_batch, args.size)
@@ -495,9 +369,12 @@ class PlacementServer:
         The queue is the bounded ingress buffer: up to ``max_pending``
         ops accumulate, then the enqueueing caller pays for the drain
         (backpressure).  Results are delivered, in op order, by the
-        next :meth:`flush`.
+        next :meth:`flush`.  An unknown op code raises ``ValueError``
+        before the op is queued.
         """
         _check_keys((key,))
+        if kind not in _OP_CODES:
+            raise ValueError(f"invalid op code {kind!r}; expected one of {_OP_CODES}")
         self._pending_kinds[self._pending_n] = kind
         self._pending_keys.append(key)
         self._pending_n += 1
@@ -543,29 +420,28 @@ class PlacementServer:
         ball→bin index, active mask, churn RNG), the key map, the
         candidate stream's RNG state + unconsumed tail, and the serving
         knobs — everything needed for :meth:`load` to resume
-        byte-identically to an uninterrupted server.  Pre-drawn
-        streams (replay) store no stream state; their owner re-predraws.
+        byte-identically to an uninterrupted server.  Keys are stored
+        as their UTF-8 bytes (lone surrogates pass through) plus
+        per-key byte lengths, so every ``str`` round-trips exactly.
         """
         self.flush()
         arrays = dict(extra_arrays or {})
-        keys = list(self._key_ball)
-        arrays["serve_keys"] = (
-            np.array(keys, dtype=np.str_) if keys else np.empty(0, dtype="U1")
+        encoded = [k.encode("utf-8", "surrogatepass") for k in self._key_ball]
+        arrays["serve_key_bytes"] = np.frombuffer(b"".join(encoded), np.uint8)
+        arrays["serve_key_lens"] = np.fromiter(
+            map(len, encoded), dtype=np.int64, count=len(encoded)
         )
         arrays["serve_key_ids"] = np.fromiter(
-            (self._key_ball[k] for k in keys), dtype=np.int64, count=len(keys)
+            self._key_ball.values(), dtype=np.int64, count=len(encoded)
         )
+        stream_meta, stream_arrays = self.stream.state_dict(self._next_ball)
+        arrays.update(stream_arrays)
         meta = {
             "next_ball": self._next_ball,
             "max_batch": self.max_batch,
             "max_pending": self.max_pending,
+            "stream": stream_meta,
         }
-        if self.stream._online:
-            stream_meta, stream_arrays = self.stream.state_dict(self._next_ball)
-            meta["stream"] = stream_meta
-            arrays.update(stream_arrays)
-        else:
-            meta["stream"] = {"kind": "predrawn", "consumed": self._next_ball}
         full_meta = dict(extra_meta or {})
         full_meta["server"] = meta
         self.state.save(path, extra_arrays=arrays, extra_meta=full_meta)
@@ -576,42 +452,30 @@ class PlacementServer:
         path,
         *,
         space: GeometricSpace | None = None,
-        stream: CandidateStream | None = None,
         backend: KernelBackend | str | None = None,
-        threads: int | None = None,
     ):
         """Restore a :meth:`save` checkpoint; returns ``(server, extra)``.
 
         ``extra`` is the ``{"meta", "arrays"}`` dict of whatever the
         saver piggybacked (the replay harness stores its trajectory
         series there).  ``space`` may be omitted for ring snapshots.
-        A checkpoint of a pre-drawn (replay) stream needs ``stream=``
-        re-supplied by the caller.
         """
         state, extra = IncrementalState.load(path, space=space)
         meta = extra["meta"].pop("server")
         arrays = extra["arrays"]
-        keys = arrays.pop("serve_keys").tolist()
+        blob = arrays.pop("serve_key_bytes").tobytes()
+        ends = np.cumsum(arrays.pop("serve_key_lens")).tolist()
+        keys = [
+            blob[a:b].decode("utf-8", "surrogatepass")
+            for a, b in zip([0, *ends[:-1]], ends)
+        ]
         ids = arrays.pop("serve_key_ids").tolist()
-        stream_meta = meta["stream"]
-        if stream is None:
-            if stream_meta.get("kind") != "online":
-                raise ValueError(
-                    "checkpoint was saved with a pre-drawn candidate stream; "
-                    "pass stream= (the replay harness re-predraws it)"
-                )
-            stream = CandidateStream.from_state(
-                state.space,
-                state.d,
-                stream_meta,
-                {
-                    "serve_tail_cands": arrays.pop("serve_tail_cands"),
-                    "serve_tail_us": arrays.pop("serve_tail_us"),
-                },
-            )
-        else:
-            arrays.pop("serve_tail_cands", None)
-            arrays.pop("serve_tail_us", None)
+        stream = CandidateStream.from_state(
+            state.space,
+            state.d,
+            meta["stream"],
+            {name: arrays.pop(name) for name in ("stream_cands", "stream_us")},
+        )
         server = cls(
             state.space,
             state.d,
@@ -620,7 +484,6 @@ class PlacementServer:
             max_batch=meta["max_batch"],
             max_pending=meta["max_pending"],
             backend=backend,
-            threads=threads,
             state=state,
             stream=stream,
         )
@@ -674,6 +537,9 @@ class PlacementServer:
         state = self.state
         is_lookup = (kinds[a:b] == OP_LOOKUP).view(np.int8)
         run_edges = np.flatnonzero(np.diff(is_lookup)) + 1 + a
+        cuts = _delete_cuts(kinds, args, a, b)
+        if cuts:
+            run_edges = np.union1d(run_edges, cuts)
         bounds = [a, *run_edges.tolist(), b]
         for r in range(len(bounds) - 1):
             ra, rb = bounds[r], bounds[r + 1]
@@ -703,6 +569,50 @@ class PlacementServer:
             counter_add("serve.ops", ops)
             histogram_observe("serve.batch_ops", ops)
             histogram_observe("serve.op_latency_s", seconds / ops)
+
+
+def _delete_cuts(kinds, args, a: int, b: int) -> list[int]:
+    """Op indices in ``[a, b)`` where a mutation run must be cut.
+
+    An insert's result is read from the ball→bin index once its run is
+    applied, so a later delete of the same ball in that run would have
+    cleared it already.  Cutting before such deletes (greedily: one cut
+    serves every insert before it) keeps results independent of
+    ``max_batch``.
+    """
+    if b - a < 2:
+        return []
+    ins = np.flatnonzero(kinds[a:b] == OP_INSERT)
+    if not ins.size:
+        return []
+    ids = args[a:b]
+    first = int(ids[ins[0]])  # a block's inserts take consecutive ids
+    dels = np.flatnonzero(
+        (kinds[a:b] == OP_DELETE) & (ids >= first) & (ids < first + ins.size)
+    )
+    cuts, start = [], 0
+    for j, i in zip(dels.tolist(), ins[ids[dels] - first].tolist()):
+        if i >= start:  # the deleted ball was inserted in the current run
+            cuts.append(a + j)
+            start = j
+    return cuts
+
+
+def _check_kinds(kinds, count: int, what: str) -> np.ndarray:
+    """Validate a batch's op codes against its ``count`` keys or args.
+
+    Returns the codes as contiguous ``int8``; raises :class:`ValueError`
+    for a shape mismatch or an unknown code, before any state change.
+    """
+    raw = np.asarray(kinds)
+    if raw.shape != (count,):
+        raise ValueError(f"op kinds of shape {raw.shape} do not match {count} {what}")
+    bad = ~np.isin(raw, _OP_CODES)
+    if bad.any():
+        raise ValueError(
+            f"invalid op code {raw[bad][0]!r}; expected one of {_OP_CODES}"
+        )
+    return np.ascontiguousarray(raw, dtype=np.int8)
 
 
 def _check_keys(keys) -> None:

@@ -29,6 +29,7 @@ __all__ = [
     "build_trace",
     "named_scenarios",
     "assert_dynamics_equal",
+    "check_state",
 ]
 
 
@@ -108,3 +109,27 @@ def assert_dynamics_equal(a, b) -> None:
     if snaps_a is not None and snaps_b is not None:
         for x, y in zip(snaps_a, snaps_b):
             assert np.array_equal(x, y)
+
+
+def check_state(state) -> list[str]:
+    """Invariant violations of a live ``IncrementalState``; empty if sound.
+
+    ``loads`` must equal the bincount of the live ``ball_bin`` entries,
+    inactive bins must hold no load and no live ball, and
+    ``occupancy`` must count the live balls.
+    """
+    live = state.ball_bin[state.ball_bin >= 0]
+    if live.size and live.max() >= state.n:
+        return [f"ball_bin holds bin {int(live.max())} outside [0, {state.n})"]
+    problems = []
+    if not np.array_equal(np.bincount(live, minlength=state.n), state.loads):
+        problems.append("loads differ from the bincount of live ball_bin")
+    if state.loads[~state.active].any():
+        problems.append("an inactive bin has nonzero load")
+    if live.size and not state.active[live].all():
+        problems.append("a live ball sits on an inactive bin")
+    if state.occupancy != live.size:
+        problems.append(
+            f"occupancy {state.occupancy} != {live.size} live balls"
+        )
+    return problems

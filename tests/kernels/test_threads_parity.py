@@ -2,11 +2,9 @@
 
 The multicore tier (:mod:`repro.kernels.threads`) promises that
 ``threads`` only moves wall-clock time: parallel kernels and the trial
-pool split work by independent trial or row, and the dynamics predraw
-pipeline only moves *when* candidate blocks are generated.  These tests
-enforce bit-identity of
-threaded against serial execution for every available backend × engine
-× {static, dynamics} × thread count, exercise the knob's env → kwarg →
+pool split work by independent trial or row.  These tests enforce
+bit-identity of threaded against serial execution for every available
+backend × engine × thread count, exercise the knob's env → kwarg →
 auto resolution order (including a subprocess test of the real
 environment path), and pin the supporting topology/partition helpers.
 
@@ -27,8 +25,6 @@ from repro.core.multitrial import run_fused
 from repro.core.ring import RingSpace
 from repro.core.strategies import TieBreak
 from repro.core.torus import TorusSpace
-from repro.dynamics import simulate_dynamics
-from repro.dynamics.events import churn_storm_trace, steady_state_trace
 from repro.kernels import (
     available_backends,
     cpu_topology,
@@ -41,7 +37,7 @@ from repro.kernels.threads import _parse_proc_cpuinfo
 from repro.stats.trials import CellSpec, run_cell
 
 #: All backends usable here (the numpy reference always is; threading
-#: must be a no-op on results for it too — it pipelines the RNG).
+#: must be a no-op on results for it too).
 BACKENDS = [name for name, ok in available_backends().items() if ok]
 
 THREAD_COUNTS = (1, 2, 7)
@@ -120,49 +116,6 @@ def test_run_cell_threads_kwarg_parity(backend):
     ref = run_cell(spec, trials=6, seed=11, backend=backend, threads=1)
     got = run_cell(spec, trials=6, seed=11, backend=backend, threads=7)
     assert ref.to_json_counts() == got.to_json_counts()
-
-
-# ---------------------------------------------------------------------------
-# dynamics: pipelined predraw == synchronous predraw
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("threads", THREAD_COUNTS)
-def test_dynamics_threaded_parity_steady_state(backend, threads):
-    trace = steady_state_trace(160, pairs=400, epochs=3, seed=21)
-    space = RingSpace.random(160, seed=22)
-    ref = simulate_dynamics(
-        space, trace, 2, seed=23, engine="batched", backend=backend, threads=1,
-    )
-    got = simulate_dynamics(
-        space, trace, 2, seed=23, engine="batched", backend=backend,
-        threads=threads,
-    )
-    np.testing.assert_array_equal(ref.loads, got.loads)
-    np.testing.assert_array_equal(
-        ref.max_load_over_time, got.max_load_over_time
-    )
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_dynamics_threaded_parity_churn(backend):
-    """Churn storms interleave remaps with windows; the pipeline gate
-    (cumulative insert count) must stay correct across the barriers."""
-    trace = churn_storm_trace(
-        220, 700, waves=3, leave_fraction=0.25, pairs_per_wave=4, seed=31
-    )
-    space = RingSpace.random(220, seed=32)
-    ref = simulate_dynamics(
-        space, trace, 2, seed=33, engine="sequential", record_loads=True,
-    )
-    got = simulate_dynamics(
-        space, trace, 2, seed=33, engine="batched", backend=backend,
-        threads=7, record_loads=True,
-    )
-    np.testing.assert_array_equal(ref.loads, got.loads)
-    for a, b in zip(ref.load_snapshots, got.load_snapshots):
-        np.testing.assert_array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,19 @@ class TestCheckpointResume:
                                    backend=backend, resume_from=ck)
             _assert_matches(resumed, full)
 
+    def test_resume_takes_stream_from_checkpoint(self, tmp_path):
+        # the checkpoint carries the candidate stream: a resume given a
+        # different seed still finishes the uninterrupted run
+        space = RingSpace.random(32, seed=4)
+        trace = churn_storm_trace(32, 120, waves=3, leave_fraction=0.25,
+                                  pairs_per_wave=30, policy="fifo", seed=5)
+        full = replay_trace(space, trace, d=2, seed=18)
+        ck = tmp_path / "ck.npz"
+        replay_trace(space, trace, d=2, seed=18, checkpoint=ck,
+                     checkpoint_at=trace.num_events // 3)
+        resumed = replay_trace(space, trace, d=2, seed=999, resume_from=ck)
+        _assert_matches(resumed, full)
+
     def test_checkpoint_requires_path(self):
         space = RingSpace.random(16, seed=0)
         trace = steady_state_trace(30, 20, policy="random", epochs=2, seed=1)

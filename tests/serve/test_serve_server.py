@@ -52,6 +52,21 @@ class TestBatchingEquivalence:
         s.submit(kinds, keys)
         assert np.array_equal(ref.loads, s.loads)
 
+    @pytest.mark.parametrize("max_batch", [1, 2, 3, 7, 4096])
+    def test_insert_deleted_in_same_batch_reports_its_bin(self, max_batch):
+        # a later delete in the same block must not hide the insert's bin
+        ref = _server()
+        a, b = ref.insert("a"), ref.insert("b")
+        ref.delete("a")
+        c = ref.insert("c")
+        ref.delete("b")
+        s = _server(max_batch=max_batch)
+        kinds = np.array([OP_INSERT, OP_INSERT, OP_DELETE, OP_INSERT,
+                          OP_DELETE, OP_LOOKUP], dtype=np.int8)
+        res = s.submit(kinds, ["a", "b", "a", "c", "b", "c"])
+        assert res.tolist() == [a, b, -1, c, -1, c]
+        assert np.array_equal(ref.loads, s.loads)
+
     def test_enqueue_flush_matches_submit(self):
         s1 = _server()
         outs1 = _scalar_run(s1)
@@ -227,10 +242,10 @@ class TestValidation:
         with pytest.raises(ValueError, match="stream"):
             PlacementServer(space, 2, state=state)
 
-    def test_predrawn_stream_exhaustion(self):
+    def test_bounded_stream_exhaustion(self):
         space = RingSpace.random(16, seed=9)
-        stream = CandidateStream.predrawn(
-            np.zeros((2, 2), dtype=np.int64), np.zeros(2)
-        )
+        stream = CandidateStream(space, np.random.default_rng(0), 2, total=2)
+        stream.ensure(2)
         with pytest.raises(RuntimeError, match="exhausted"):
             stream.ensure(3)
+        assert stream.drawn == 2

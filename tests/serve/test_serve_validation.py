@@ -1,4 +1,4 @@
-"""PlacementServer input validation: str keys only, trace-legal churn.
+"""PlacementServer input validation: str keys, op codes, trace-legal churn.
 
 Every rejection must happen before the server touches its state, so a
 bad request can be retried or dropped without corrupting placements.
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core.ring import RingSpace
-from repro.serve import OP_INSERT, OP_LOOKUP, PlacementServer
+from repro.serve import OP_DELETE, OP_INSERT, OP_LOOKUP, PlacementServer
 
 BAD_KEYS = [5, b"ab", None, 1.5, ("a",), np.int64(3)]
 
@@ -75,6 +75,75 @@ class TestStrKeys:
                 assert restored.lookup(key) == bin_
         assert np.array_equal(restored.loads, server.loads)
         assert restored.insert("ab") == server.insert("ab")
+
+    def test_save_load_roundtrips_nul_and_surrogate_keys(self, tmp_path):
+        # a numpy ``U`` array strips trailing NULs: "a\x00" came back "a"
+        server = _server(n=16, keys=0)
+        keys = ["", "\x00", "a\x00", "a", "é", "\ud800", "🙂"]
+        bins = server.submit(np.full(len(keys), OP_INSERT, dtype=np.int8), keys)
+        server.save(tmp_path / "ck.npz")
+        restored, _ = PlacementServer.load(tmp_path / "ck.npz")
+        assert restored._key_ball == server._key_ball
+        assert len(restored._key_ball) == restored.occupancy == len(keys)
+        for key, bin_ in zip(keys, bins.tolist()):
+            assert restored.lookup(key) == bin_
+
+
+class TestOpValidation:
+    """Bad op codes and length mismatches raise before any change."""
+
+    def _rejects(self, server, call, match):
+        server.enqueue(OP_INSERT, "queued")
+        before = _fingerprint(server)
+        with pytest.raises(ValueError, match=match):
+            call()
+        _assert_unchanged(server, before)
+
+    def test_submit_rejects_unknown_op(self):
+        server = _server()
+        self._rejects(
+            server, lambda: server.submit([7], ["key-0"]), "invalid op code"
+        )
+        assert server.lookup("key-0") >= 0
+
+    def test_enqueue_rejects_unknown_op(self):
+        server = _server()
+        self._rejects(server, lambda: server.enqueue(9, "key-0"), "invalid op code")
+        server.flush()
+        assert server.occupancy == 9
+        assert server.lookup("key-0") >= 0
+
+    def test_submit_ids_rejects_unknown_op(self):
+        server = _server()
+        self._rejects(
+            server, lambda: server.submit_ids([5], [0]), "invalid op code"
+        )
+        assert server.state.lookup(0) >= 0
+
+    def test_submit_rejects_more_keys_than_kinds(self):
+        server = _server()
+        kinds = [OP_DELETE, OP_DELETE]
+        self._rejects(
+            server,
+            lambda: server.submit(kinds, ["key-0", "key-1", "key-2"]),
+            "do not match 3 keys",
+        )
+
+    def test_submit_rejects_fewer_keys_than_kinds(self):
+        server = _server()
+        kinds = [OP_INSERT, OP_INSERT, OP_INSERT]
+        self._rejects(
+            server, lambda: server.submit(kinds, ["x"]), "do not match 1 keys"
+        )
+        assert "x" not in server._key_ball
+
+    def test_submit_ids_rejects_length_mismatch(self):
+        server = _server()
+        self._rejects(
+            server,
+            lambda: server.submit_ids([OP_LOOKUP, OP_LOOKUP], [0]),
+            "do not match 1 args",
+        )
 
 
 class TestChurnRules:
