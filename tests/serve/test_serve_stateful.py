@@ -39,6 +39,7 @@ class ServerModel(RuleBasedStateMachine):
         self.twin = PlacementServer(space, d=2, seed=11, rng_block=5,
                                     max_batch=4, max_pending=4)
         self.live: set[str] = set()
+        self.fresh = 0  # batched inserts take f"{fresh}{suffix}": unique
         self.dir = Path(tempfile.mkdtemp())
 
     def teardown(self):
@@ -59,7 +60,8 @@ class ServerModel(RuleBasedStateMachine):
         """One valid ``(kind, key)`` against ``live``, which it updates."""
         kind = data.draw(OPS)
         if kind == OP_INSERT or not live:
-            key = data.draw(KEYS.filter(lambda k: k not in live))
+            self.fresh += 1
+            key = f"{self.fresh}{data.draw(KEYS)}"
             live.add(key)
             return OP_INSERT, key
         key = data.draw(st.sampled_from(sorted(live)))
