@@ -2,8 +2,9 @@
 """Engine throughput emitter: writes the tracked ``BENCH_engine.json``.
 
 Measures balls-per-second for the fused engine and the sequential
-reference on the paper's hot workload — many trials of a ring cell at
-``d = 2`` — at ``n ∈ {2¹², 2¹⁶, 2²⁰}``.  This file seeds the repo's
+reference on the paper's hot workloads — many trials of a ring cell at
+``d = 2`` and ``n ∈ {2¹², 2¹⁶, 2²⁰}`` (Table 1), and of a 2-D torus
+cell at ``n = 2¹⁴`` (Table 2).  This file seeds the repo's
 performance trajectory: re-run it after engine work and commit the
 refreshed JSON.
 
@@ -31,8 +32,9 @@ Besides the two engines, the fused engine is measured once per
 ``backends`` with the speedup
 over the numpy reference, and once per *thread count* in
 ``THREAD_COUNTS`` per backend (``REPRO_NUM_THREADS`` pinned per
-measurement), emitted under ``threads`` with the parallel efficiency
-relative to the backend's own 1-thread row.  The embedded manifest's
+measurement; ``(1, 2)`` for the torus), emitted under ``threads``
+with the parallel efficiency relative to the backend's own 1-thread
+row.  Each cell names its ``space``.  The embedded manifest's
 ``cpu`` field records the physical/logical core counts the scaling
 numbers must be read against.
 
@@ -59,6 +61,7 @@ from repro.core.engine import run_sequential
 from repro.core.multitrial import fused_trial_chunk, run_fused
 from repro.core.ring import RingSpace
 from repro.core.strategies import TieBreak
+from repro.core.torus import TorusSpace
 from repro.kernels import available_backends
 from repro.obs.manifest import run_manifest
 
@@ -71,23 +74,37 @@ STRATEGY = TieBreak.RANDOM
 #: box is interpretable (expected efficiency ~1/4), not misleading.
 THREAD_COUNTS = (1, 2, 4)
 
-#: (n, trials, sequential_balls) per measured cell.  Throughput is
-#: per-ball and trial-count independent, so the big-n cell uses one
-#: fused chunk's worth of trials — keeping all spaces (positions +
-#: bucket tables) resident stays well under 1 GB.
+#: Thread counts of the torus cell: its trials split across the
+#: ``torus_trials`` kernel's threads.
+TORUS_THREAD_COUNTS = (1, 2)
+
+#: (space, n, trials, sequential_balls, thread counts) per measured
+#: cell.  Throughput is per-ball and trial-count independent, so the
+#: big-n cell uses one fused chunk's worth of trials — keeping all
+#: spaces (positions + bucket tables) resident stays well under 1 GB.
 FULL_CELLS = (
-    (1 << 12, 100, 1 << 12),
-    (1 << 16, 100, 1 << 14),
-    (1 << 20, 16, 1 << 14),
+    ("ring", 1 << 12, 100, 1 << 12, THREAD_COUNTS),
+    ("ring", 1 << 16, 100, 1 << 14, THREAD_COUNTS),
+    ("ring", 1 << 20, 16, 1 << 14, THREAD_COUNTS),
+    ("torus", 1 << 14, 16, 1 << 12, TORUS_THREAD_COUNTS),
 )
 FAST_CELLS = (
-    (1 << 10, 16, 1 << 10),
-    (1 << 12, 16, 1 << 11),
+    ("ring", 1 << 10, 16, 1 << 10, THREAD_COUNTS),
+    ("ring", 1 << 12, 16, 1 << 11, THREAD_COUNTS),
+    ("torus", 1 << 10, 8, 1 << 10, TORUS_THREAD_COUNTS),
 )
 
 
-def _spaces_and_seeds(n: int, trials: int):
-    return [RingSpace.random(n, seed=9000 + k) for k in range(trials)]
+def _spaces(space: str, n: int, trials: int):
+    """The cell's spaces, built under the auto-detected backend.
+
+    Under ``cext`` they carry the ring bucket tables or torus grids; the
+    numpy rows then look points up the reference way (bucketed
+    ``searchsorted``, the KD-tree), so every row places into the same
+    spaces.
+    """
+    cls = RingSpace if space == "ring" else TorusSpace
+    return [cls.random(n, seed=9000 + k) for k in range(trials)]
 
 
 @contextmanager
@@ -141,8 +158,9 @@ def _time_best(fn, repeats: int) -> float:
     return best
 
 
-def _measure_cell(n, trials, sequential_balls, repeats, backends):
-    spaces = _spaces_and_seeds(n, trials)
+def _measure_cell(space, n, trials, sequential_balls, thread_counts, repeats,
+                  backends):
+    spaces = _spaces(space, n, trials)
 
     def fused():
         # same memory-bounded trial chunking the stats layer applies
@@ -189,7 +207,7 @@ def _measure_cell(n, trials, sequential_balls, repeats, backends):
     for name in backends:
         rows: dict[str, dict] = {}
         base = None
-        for count in THREAD_COUNTS:
+        for count in thread_counts:
             with _pinned_backend(name), _pinned_threads(count):
                 seconds = _time_best(fused, repeats)
             bps = trials * n / seconds
@@ -203,6 +221,7 @@ def _measure_cell(n, trials, sequential_balls, repeats, backends):
             }
         thread_rows[name] = rows
     return {
+        "space": space,
         "n": n,
         "trials": trials,
         "sequential_balls": sequential_balls,
@@ -212,23 +231,24 @@ def _measure_cell(n, trials, sequential_balls, repeats, backends):
     }
 
 
-def _cross_check(n: int, trials: int, backends) -> None:
+def _cross_check(space: str, n: int, trials: int, thread_counts,
+                 backends) -> None:
     """Every engine × backend × thread count must produce identical
     loads (fail loudly)."""
-    spaces = _spaces_and_seeds(n, trials)
+    spaces = _spaces(space, n, trials)
     reference = None
     for name in backends:
         with _pinned_backend(name), _pinned_threads(1):
             rngs = [np.random.default_rng(k) for k in range(trials)]
             fused, _ = run_fused(spaces, n, D, STRATEGY, rngs)
-        with _pinned_backend(name), _pinned_threads(max(THREAD_COUNTS)):
+        with _pinned_backend(name), _pinned_threads(max(thread_counts)):
             rngs = [np.random.default_rng(k) for k in range(trials)]
             fused_mt, _ = run_fused(spaces, n, D, STRATEGY, rngs)
         if not np.array_equal(fused, fused_mt):
             raise AssertionError(
                 f"threaded fused run diverges from serial under backend "
-                f"{name!r} at n={n} — bit-identity broken, refusing to "
-                "emit benchmark numbers"
+                f"{name!r} at {space} n={n} — bit-identity broken, refusing "
+                "to emit benchmark numbers"
             )
         if reference is None:
             reference = fused
@@ -237,14 +257,15 @@ def _cross_check(n: int, trials: int, backends) -> None:
                                                np.random.default_rng(k))
                 if not np.array_equal(fused[k], sequential):
                     raise AssertionError(
-                        f"fused/sequential divergence at n={n}, trial {k} — "
-                        "bit-identity broken, refusing to emit benchmark "
-                        "numbers"
+                        f"fused/sequential divergence at {space} n={n}, trial "
+                        f"{k} — bit-identity broken, refusing to emit "
+                        "benchmark numbers"
                     )
         elif not np.array_equal(reference, fused):
             raise AssertionError(
-                f"kernel backend {name!r} diverges from numpy at n={n} — "
-                "bit-identity broken, refusing to emit benchmark numbers"
+                f"kernel backend {name!r} diverges from numpy at {space} "
+                f"n={n} — bit-identity broken, refusing to emit benchmark "
+                "numbers"
             )
 
 
@@ -268,14 +289,18 @@ def main(argv=None) -> int:
         if ok and name != "numpy"
     ]
     print(f"kernel backends measured: {', '.join(backends)}")
-    _cross_check(cells[0][0], min(8, cells[0][1]), backends)
+    for space in ("ring", "torus"):
+        _, n, trials, _, thread_counts = next(c for c in cells if c[0] == space)
+        _cross_check(space, n, min(8, trials), thread_counts, backends)
     results = []
-    for n, trials, sequential_balls in cells:
-        cell = _measure_cell(n, trials, sequential_balls, repeats, backends)
+    for space, n, trials, sequential_balls, thread_counts in cells:
+        cell = _measure_cell(space, n, trials, sequential_balls, thread_counts,
+                             repeats, backends)
         results.append(cell)
         f = cell["engines"]
         print(
-            f"n=2^{n.bit_length() - 1}: fused {f['fused']['balls_per_s']:,.0f} "
+            f"{space} n=2^{n.bit_length() - 1}: fused "
+            f"{f['fused']['balls_per_s']:,.0f} "
             f"balls/s ({cell['trials']} trials), sequential "
             f"{f['sequential']['balls_per_s']:,.0f} "
             f"({cell['sequential_balls']} balls)"
@@ -299,7 +324,7 @@ def main(argv=None) -> int:
         "benchmark": "engine_throughput",
         "version": __version__,
         "mode": "fast" if args.fast else "full",
-        "space": "ring",
+        "spaces": ["ring", "torus"],
         "d": D,
         "strategy": STRATEGY.value,
         "repeats": repeats,
@@ -313,7 +338,8 @@ def main(argv=None) -> int:
             "REPRO_NUM_THREADS=1; 'threads' rows sweep the thread count "
             "per backend (parallel_efficiency = speedup / threads — "
             "interpret against manifest.cpu, a 4-thread row on a 1-core "
-            "host cannot exceed efficiency ~0.25)."
+            "host cannot exceed efficiency ~0.25). Each cell names its "
+            "space; the torus cell sweeps threads 1 and 2 only."
         ),
         "thread_counts": list(THREAD_COUNTS),
         "unix_time": int(time.time()),

@@ -63,6 +63,7 @@ from repro.core.strategies import (
     decide_rows,
     strategy_needs_measures,
 )
+from repro.core.torus import TorusSpace
 from repro.kernels import (
     STRATEGY_CODES,
     KernelBackend,
@@ -131,9 +132,29 @@ def _ring_kernel_applies(
     return (
         backend.ring_trials is not None
         and all(isinstance(s, RingSpace) for s in spaces)
-        and all(type(r.bit_generator) is np.random.PCG64 for r in rngs)
-        and _distinct_generators(rngs)
+        and _pcg64_trials(rngs)
     )
+
+
+def _torus_kernel_applies(
+    spaces: Sequence[GeometricSpace],
+    rngs: Sequence[np.random.Generator],
+    backend: KernelBackend,
+) -> bool:
+    """Whether every trial can run inside the backend's ``torus_trials``:
+    2-D tori that built a grid, on ``PCG64`` generators."""
+    return (
+        backend.torus_trials is not None
+        and all(isinstance(s, TorusSpace) and s._grid is not None for s in spaces)
+        and _pcg64_trials(rngs)
+    )
+
+
+def _pcg64_trials(rngs: Sequence[np.random.Generator]) -> bool:
+    """Whether every trial draws from its own ``PCG64`` generator."""
+    return all(
+        type(r.bit_generator) is np.random.PCG64 for r in rngs
+    ) and _distinct_generators(rngs)
 
 
 def _distinct_generators(rngs: Sequence[np.random.Generator]) -> bool:
@@ -145,8 +166,10 @@ def _distinct_generators(rngs: Sequence[np.random.Generator]) -> bool:
     return len({id(r.bit_generator) for r in rngs}) == len(rngs)
 
 
-def _run_fused_ring(
-    spaces: Sequence[RingSpace],
+def _run_fused_trials(
+    kernel: str,
+    indexes: list,
+    spaces: Sequence[GeometricSpace],
     m: int,
     d: int,
     strategy: TieBreak,
@@ -158,16 +181,18 @@ def _run_fused_ring(
     rng_block: int,
     record_heights: bool,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """All ring trials in one ``ring_trials`` kernel call.
+    """All trials in one call of the backend's ``kernel`` (``ring_trials``
+    or ``torus_trials``), trial ``k`` looked up in ``indexes[k]``.
 
-    Each trial runs draw → bucket lookup → place for every ball inside
-    the kernel, from a C copy of its PCG64 generator that walks the
+    Each trial runs draw → lookup → place for every ball inside the
+    kernel, from a C copy of its PCG64 generator that walks the
     :func:`~repro.core.engine.choice_blocks` layout with two cursors
     per RNG block; only ``state.state`` is written back.  Trials are
     split statically across ``threads`` OS threads.  Results and final
     generator states are bit-identical to
     :func:`~repro.core.engine.run_sequential`
-    (``tests/kernels/test_ring_kernel.py``).
+    (``tests/kernels/test_ring_kernel.py``,
+    ``tests/kernels/test_torus_kernel.py``).
     """
     t = len(spaces)
     loads = np.zeros((t, spaces[0].n), dtype=np.int64)
@@ -180,9 +205,9 @@ def _run_fused_ring(
     _obs = obs_enabled()
     if _obs:
         t0 = time.perf_counter()
-    backend.ring_trials(
+    getattr(backend, kernel)(
         [r.bit_generator for r in rngs],
-        [s._bucket_table() for s in spaces],
+        indexes,
         measures,
         loads,
         heights,
@@ -194,7 +219,7 @@ def _run_fused_ring(
         threads,
     )
     if _obs:
-        add_span("run_fused.ring_trials", time.perf_counter() - t0, threads=threads)
+        add_span(f"run_fused.{kernel}", time.perf_counter() - t0, threads=threads)
     return loads, heights
 
 
@@ -225,7 +250,8 @@ def _run_fused_kernel(
 
     ``threads > 1`` places trials on a pool of that many threads.
     Trials share no loads and no generator, and the numpy draws, the
-    torus KD-tree queries and the kernel all release the GIL.
+    torus lookups (grid kernel or KD-tree) and the kernel all release
+    the GIL.
     """
     t = len(spaces)
     code = STRATEGY_CODES[strategy.value]
@@ -330,12 +356,13 @@ def run_fused(
         :func:`repro.kernels.resolve_threads` (``REPRO_NUM_THREADS`` →
         this kwarg → physical cores).  With an accelerated backend the
         trials are split across that many threads: inside the
-        ``ring_trials`` kernel for rings drawing from ``PCG64``
-        generators, on a thread pool for everything else.  The numpy
-        reference runs on one thread.  Results are bit-identical for
-        every thread count (enforced by
-        ``tests/kernels/test_threads_parity.py`` and
-        ``tests/kernels/test_ring_kernel.py``).
+        ``ring_trials`` / ``torus_trials`` kernel for rings and gridded
+        2-D tori drawing from ``PCG64`` generators, on a thread pool for
+        everything else.  The numpy reference runs on one thread.
+        Results are bit-identical for every thread count (enforced by
+        ``tests/kernels/test_threads_parity.py``,
+        ``tests/kernels/test_ring_kernel.py`` and
+        ``tests/kernels/test_torus_kernel.py``).
 
     Returns
     -------
@@ -373,8 +400,15 @@ def run_fused(
     ):
         counter_add("placement.balls", t * m)
         counter_add("placement.trials", t)
+        kernel = indexes = None
         if _ring_kernel_applies(spaces, rngs, backend_obj):
-            return _run_fused_ring(
+            kernel, indexes = "ring_trials", [s._bucket_table() for s in spaces]
+        elif _torus_kernel_applies(spaces, rngs, backend_obj):
+            kernel, indexes = "torus_trials", [s._grid for s in spaces]
+        if kernel is not None:
+            return _run_fused_trials(
+                kernel,
+                indexes,
                 spaces,
                 m,
                 d,

@@ -8,21 +8,36 @@ to any constant dimension; we support ``1 <= k <= 8``.
 
 Implementation notes
 --------------------
-Nearest-neighbor assignment uses :class:`scipy.spatial.cKDTree` with
-``boxsize=1.0``, which implements exact periodic metrics — the whole
-simulation therefore never materializes the Voronoi diagram.  Region
-*areas* (for measure-aware tie-breaking and the Lemma 9 experiments)
-are computed exactly for k = 2 via :func:`repro.geo2d.voronoi.
-toroidal_voronoi_areas`, exactly for k = 1 in closed form, and by
-Monte-Carlo for k >= 3.
+Ownership is a nearest-neighbor query under the periodic metric; the
+simulation never materializes the Voronoi diagram.  The reference is
+:class:`scipy.spatial.cKDTree` with ``boxsize=1.0`` (exact periodic
+metrics).  For k = 2 a compiled kernel backend replaces it with a
+**periodic uniform grid**, built at construction by one ``torus_grid``
+pass: a power-of-two ``side × side`` grid with about one server per
+cell, filled by a counting sort that also checks the servers are
+distinct.  A query scans the 3 × 3 cells around its own, then ring
+after ring until a rounding-safe bound rules out every cell left.  It
+computes squared distances in cKDTree's arithmetic (wrap ``q − p`` by
+±1 beyond ±0.5, then ``r = dx*dx; r += dy*dy``), so it returns the
+server cKDTree returns; on an exact tie it takes the lowest index.
+Servers too unevenly spread for a bounded search (a cell with more
+than 64, or an empty 8 × 8 block of cells) keep the KD-tree.  The
+KD-tree, and with it ``scipy.spatial``, is built only on first use:
+by the numpy reference backend, by tori with k ≠ 2, and by those
+unevenly spread servers.
+
+Region *areas* (for measure-aware tie-breaking and the Lemma 9
+experiments) are computed exactly for k = 2 via
+:func:`repro.geo2d.voronoi.toroidal_voronoi_areas`, exactly for k = 1
+in closed form, and by Monte-Carlo for k >= 3.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.core.spaces import GeometricSpace
+from repro.kernels import default_backend
 from repro.utils.rng import resolve_rng
 from repro.utils.validation import as_float_array, check_dimension, check_positive_int
 
@@ -54,9 +69,20 @@ class TorusSpace(GeometricSpace):
         self._pts = pts
         self.n = int(pts.shape[0])
         self.dim = int(pts.shape[1])
-        self._tree = cKDTree(pts, boxsize=1.0)
-        if self.n > 1:
-            dist, _ = self._tree.query(pts, k=2)
+        self._tree = None
+        # (side, start, xy, ids): the compiled backend's periodic grid,
+        # or None where the KD-tree answers queries
+        self._grid: tuple[int, np.ndarray, np.ndarray, np.ndarray] | None = None
+        if self.dim == 2:
+            try:
+                grid_pass = default_backend().torus_grid
+            except (ValueError, RuntimeError):
+                # a bad REPRO_KERNEL_BACKEND is reported by the engines
+                grid_pass = None
+            if grid_pass is not None:
+                self._grid = grid_pass(pts, self._grid_side())
+        if self._grid is None and self.n > 1:
+            dist, _ = self._kdtree().query(pts, k=2)
             if np.any(dist[:, 1] == 0.0):
                 raise ValueError("points must be distinct on the torus")
         self._measures: np.ndarray | None = None
@@ -72,6 +98,27 @@ class TorusSpace(GeometricSpace):
         dim = check_dimension(dim, "dim")
         rng = resolve_rng(seed)
         return cls(rng.random((n, dim)))
+
+    def _grid_side(self) -> int:
+        """The grid side: the power of two whose square is ≥ n."""
+        return 1 << (int(self.n - 1).bit_length() + 1) // 2
+
+    def _kdtree(self):
+        """The periodic :class:`scipy.spatial.cKDTree`, built on first use."""
+        if self._tree is None:
+            from scipy.spatial import cKDTree
+
+            self._tree = cKDTree(self._pts, boxsize=1.0)
+        return self._tree
+
+    def _assign_trusted(self, pts: np.ndarray) -> np.ndarray:
+        """Owners of ``(q, dim)`` points already known to lie in the torus."""
+        if self._grid is not None:
+            backend = default_backend()
+            if backend.torus_assign is not None:
+                return backend.torus_assign(pts, self._grid)
+        _, idx = self._kdtree().query(pts)
+        return np.asarray(idx, dtype=np.int64)
 
     # ------------------------------------------------------------------
     # GeometricSpace interface
@@ -92,10 +139,11 @@ class TorusSpace(GeometricSpace):
             raise ValueError(
                 f"points must have last dimension {self.dim}, got {pts.shape}"
             )
-        if pts.size and (np.any(pts < 0.0) or np.any(pts >= 1.0)):
+        if pts.size and not np.all((pts >= 0.0) & (pts < 1.0)):
             raise ValueError("points must lie in [0, 1)^k")
-        _, idx = self._tree.query(pts)
-        return np.asarray(idx, dtype=np.int64)
+        return self._assign_trusted(pts.reshape(-1, self.dim)).reshape(
+            pts.shape[:-1]
+        )
 
     def sample_choice_bins(
         self,
@@ -114,8 +162,7 @@ class TorusSpace(GeometricSpace):
         u = rng.random((m, d, self.dim))
         if partitioned:
             u[..., 0] = (u[..., 0] + np.arange(d)[None, :]) / d
-        _, idx = self._tree.query(u.reshape(m * d, self.dim))
-        return np.asarray(idx, dtype=np.int64).reshape(m, d)
+        return self._assign_trusted(u.reshape(m * d, self.dim)).reshape(m, d)
 
     def region_measures(self) -> np.ndarray:
         """Voronoi cell measures (cached).

@@ -22,6 +22,17 @@ into *scalar kernels* that a compiled tier can run at memory speed:
     Whole ring trials of :func:`repro.core.multitrial.run_fused`: a copy
     of numpy's PCG64 feeds draw → bucket lookup → place for every ball,
     with trials split across OS threads.
+``torus_grid``
+    The periodic uniform grid of a 2-D :class:`repro.core.torus.TorusSpace`
+    (one counting sort, with the distinctness check in the same pass),
+    built at construction.
+``torus_assign``
+    The grid's exact nearest-server lookup behind
+    :meth:`repro.core.torus.TorusSpace.assign`, in cKDTree's periodic
+    arithmetic.
+``torus_trials``
+    ``ring_trials`` for 2-D tori: the same PCG64 walker, stage loop and
+    threads, with the grid lookup in place of the bucket probe.
 
 Two backends provide them:
 
@@ -55,7 +66,10 @@ reports attribute throughput to the backend that actually ran.
 
 Both backends are interchangeable **bit-for-bit**: the parity suite
 (``tests/kernels``) checks identical placements, per-epoch dynamic
-trajectories and ring assignments against the numpy reference.
+trajectories and ring assignments against the numpy reference.  The
+one exception is a query point at exactly equal distance from two torus
+servers (probability zero for random points): the grid takes the lower
+index, the numpy reference's KD-tree whichever it visits first.
 """
 
 from __future__ import annotations
@@ -164,6 +178,23 @@ class KernelBackend:
         back to each generator.  Trials are split statically across
         ``threads`` OS threads — trials share nothing, so any split is
         bit-identical.
+    ``torus_grid(points, side)``
+        From ``(n, 2)`` points in ``[0, 1)²``, the periodic grid
+        ``(side, start, xy, ids)``: ``side × side`` cells (``side`` a
+        power of two), the points sorted cell by cell.  ``None`` when
+        two points are at squared distance 0 (where cKDTree's ``k=2``
+        check finds a zero distance) or when the points are too
+        unevenly spread for a grid; the caller then keeps the KD-tree.
+    ``torus_assign(pts, grid)``
+        Index of the nearest grid point of each ``(x, y)`` row of
+        ``pts``: the server cKDTree finds (same periodic squared
+        distance, rounded the same way), the lowest index on an exact
+        tie.
+    ``torus_trials(bit_generators, grids, measures, loads, heights,
+    m, d, strategy_code, partitioned, rng_block, threads)``
+        ``ring_trials`` with ``grids[k]`` (``torus_grid`` results) in
+        place of the ring tables: ``2·d`` candidate doubles per ball in
+        ``choice_blocks``' ``(b, d, 2)`` layout.
     """
 
     name: str
@@ -172,6 +203,9 @@ class KernelBackend:
     ring_assign: Callable | None = None
     ring_table: Callable | None = None
     ring_trials: Callable | None = None
+    torus_grid: Callable | None = None
+    torus_assign: Callable | None = None
+    torus_trials: Callable | None = None
 
     @property
     def is_accelerated(self) -> bool:

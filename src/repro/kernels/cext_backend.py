@@ -1,24 +1,30 @@
 """C kernel backend: scalar loops compiled on first use via ``ctypes``.
 
-The hot-path kernels (see :mod:`repro.kernels`) are a few dozen lines
-of portable C99 each.  Rather than shipping a binary wheel, the
+The hot-path kernels (see :mod:`repro.kernels`: ``place_block``,
+``dynamic_window``, ``ring_assign``, ``ring_table``, ``ring_trials``,
+``torus_grid``, ``torus_assign`` and ``torus_trials``) are a few dozen
+lines of portable C99 each.  Rather than shipping a binary wheel, the
 source is embedded here and compiled once per machine with the host C
 compiler (``$CC``, else the first of ``cc``/``gcc``/``clang`` on
 ``PATH``) into a shared library cached under
 ``$REPRO_KERNEL_CACHE`` (default ``~/.cache/repro-kernels``), keyed by
-a hash of the source — editing the C invalidates the cache, re-running
-does not rebuild.  Everything degrades gracefully: no compiler, an
-unwritable cache dir, or a failed compile raise :class:`RuntimeError`,
-which the registry's auto-detection treats as "backend unavailable".
+a hash of the source and :data:`CFLAGS` — editing either invalidates
+the cache, re-running does not rebuild.  Everything degrades
+gracefully: no compiler, an unwritable cache dir, or a failed compile
+raise :class:`RuntimeError`, which the registry's auto-detection treats
+as "backend unavailable".
 
 The C code mirrors :func:`repro.core.strategies.decide_row_scalar`
 operation for operation (same minimum scan, same ``floor(u·k)+1``
 tie-break rule — a C cast truncates toward zero, which is ``floor``
 for the non-negative operand — same strict-inequality measure
 preference), so its placements are bit-identical to the numpy
-reference; the parity suite enforces this.  ``ring_trials`` also
-carries a copy of numpy's PCG64 generator, so it draws the same
-numbers ``Generator.random`` would (``tests/kernels/test_ring_kernel.py``).
+reference; the parity suite enforces this.  The torus grid computes
+squared distances in cKDTree's periodic arithmetic, so it finds the
+server cKDTree finds (``tests/kernels/test_torus_kernel.py``).  The
+trial kernels also carry a copy of numpy's PCG64 generator, so they
+draw the same numbers ``Generator.random`` would
+(``tests/kernels/test_ring_kernel.py``).
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ C_SOURCE = r"""
 #endif
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 #include <math.h>
 #include <pthread.h>
 #if defined(__linux__)
@@ -420,7 +427,223 @@ int64_t repro_ring_table(const double *pos_ext, int64_t n, int64_t nbuckets,
     return !equal;
 }
 
-/* ---------------- numpy's PCG64 and the fused ring trial ----------------
+/* ---------------- the 2-D torus: a periodic uniform grid ----------------
+ *
+ * [0,1)^2 is cut into side x side cells, side a power of two, so x*side
+ * is exact and its truncation is the cell column.  The index keeps the
+ * points cell by cell in row-major order: cell c holds sorted positions
+ * start[c] .. start[c+1] - 1, xy their coordinates and ids their
+ * original indices (ascending within a cell).  Neighbouring cells of a
+ * row are therefore one contiguous run of points. */
+
+typedef struct {
+    const int32_t *start; /* side*side + 1 cell offsets */
+    const double *xy;     /* cell-sorted coordinates, x then y */
+    const int32_t *ids;   /* original index of each cell-sorted point */
+} torus_index;
+
+/* x mod side, for a power-of-two side and any integer x. */
+static inline int64_t torus_wrap(int64_t x, int64_t side)
+{
+    return (int64_t)((uint64_t)x & (uint64_t)(side - 1));
+}
+
+static inline int64_t torus_cell(const double *p, int64_t side)
+{
+    return (int64_t)(p[1] * (double)side) * side +
+           (int64_t)(p[0] * (double)side);
+}
+
+/* Squared periodic distance in cKDTree's arithmetic (boxsize 1): a
+ * difference beyond +-0.5 is wrapped by -+1 (exactly, by Sterbenz),
+ * then r = dx*dx; r += dy*dy.  With wrap == 0 the caller knows both
+ * differences lie within +-0.5, where the wrap never fires. */
+static inline double torus_d2(double qx, double qy, const double *p,
+                              int wrap)
+{
+    double dx = qx - p[0], dy = qy - p[1], r;
+    if (wrap) {
+        if (dx < -0.5)
+            dx = 1.0 + dx;
+        else if (dx > 0.5)
+            dx = dx - 1.0;
+        if (dy < -0.5)
+            dy = 1.0 + dy;
+        else if (dy > 0.5)
+            dy = dy - 1.0;
+    }
+    r = dx * dx;
+    r += dy * dy;
+    return r;
+}
+
+/* Scan sorted points j0 .. j1 - 1 for one nearer than the point at sorted
+ * position *bj (squared distance *best), or as near with a lower index.
+ * Squared distances are never negative or NaN, so their bit patterns
+ * order like their values, and integer masks keep the common update
+ * branch-free (a compare-and-branch mispredicts about half the time);
+ * exact ties are rare enough for a branch. */
+static inline void torus_scan(const torus_index *g, int64_t j0, int64_t j1,
+                              double qx, double qy, int wrap,
+                              uint64_t *best, int64_t *bj)
+{
+    uint64_t b = *best;
+    int64_t k = *bj, j;
+    for (j = j0; j < j1; j++) {
+        double r = torus_d2(qx, qy, g->xy + 2 * j, wrap);
+        uint64_t rb, keep;
+        memcpy(&rb, &r, sizeof rb);
+        if (rb == b) {
+            if (g->ids[j] < g->ids[k])
+                k = j;
+            continue;
+        }
+        keep = (uint64_t)(rb < b) - 1;
+        b = (b & keep) | (rb & ~keep);
+        k = (int64_t)(((uint64_t)k & keep) | ((uint64_t)j & ~keep));
+    }
+    *best = b;
+    *bj = k;
+}
+
+/* Scan cells x0..x1 of row y (any integers, x0 <= x1, taken mod side). */
+static inline void torus_run(const torus_index *g, int64_t side, int64_t y,
+                             int64_t x0, int64_t x1, double qx, double qy,
+                             uint64_t *best, int64_t *bj)
+{
+    const int32_t *row = g->start + torus_wrap(y, side) * side;
+    if (x1 - x0 + 1 >= side) {
+        torus_scan(g, row[0], row[side], qx, qy, 1, best, bj);
+        return;
+    }
+    x0 = torus_wrap(x0, side);
+    x1 = torus_wrap(x1, side);
+    if (x0 > x1) { /* the run crosses the seam */
+        torus_scan(g, row[x0], row[side], qx, qy, 1, best, bj);
+        x0 = 0;
+    }
+    torus_scan(g, row[x0], row[x1 + 1], qx, qy, 1, best, bj);
+}
+
+/* Below the computed squared distance of every point outside the block
+ * of cells within Chebyshev radius r >= 1 of the query's cell: such a
+ * point lies at least r/side away along one axis.  The 2^-50 and 2^-40
+ * margins exceed the rounding of the difference, of its square and of
+ * this bound, so stopping once best < bound never misses a nearer or
+ * tied point. */
+static inline uint64_t torus_bound(int64_t r, int64_t side)
+{
+    double t = (double)r / (double)side - 0x1p-50;
+    uint64_t bits;
+    t = t * t * (1.0 - 0x1p-40);
+    memcpy(&bits, &t, sizeof bits);
+    return bits;
+}
+
+/* Index of the point nearest to (qx, qy) in [0, 1]^2, the lowest on
+ * exact ties: the 3 x 3 block of cells around the query as three row
+ * runs, then ring after ring until the bound rules out every cell left.
+ * A block clear of the seam on a grid of side >= 8 spans under 0.5 on
+ * both axes, so its distances need no wrap. */
+static int64_t torus_nearest(const torus_index *g, int64_t side, double qx,
+                             double qy)
+{
+    int64_t cx, cy, r = 1, y, bj = -1; /* bj: sorted position of the best */
+    uint64_t best = UINT64_MAX; /* above every distance's bits */
+    /* like cKDTree, wrap the query into [0, 1) first: a partitioned
+     * coordinate (u + c) / d can round up to exactly 1 */
+    if (qx >= 1.0)
+        qx -= 1.0;
+    if (qy >= 1.0)
+        qy -= 1.0;
+    cx = (int64_t)(qx * (double)side);
+    cy = (int64_t)(qy * (double)side);
+    if (side >= 8 && cx >= 1 && cx <= side - 2 && cy >= 1 && cy <= side - 2) {
+        for (y = cy - 1; y <= cy + 1; y++) {
+            const int32_t *row = g->start + y * side;
+            torus_scan(g, row[cx - 1], row[cx + 2], qx, qy, 0, &best, &bj);
+        }
+    } else {
+        for (y = cy - 1; y <= cy + 1; y++)
+            torus_run(g, side, y, cx - 1, cx + 1, qx, qy, &best, &bj);
+    }
+    while (2 * r + 1 < side && !(best < torus_bound(r, side))) {
+        r++;
+        torus_run(g, side, cy - r, cx - r, cx + r, qx, qy, &best, &bj);
+        torus_run(g, side, cy + r, cx - r, cx + r, qx, qy, &best, &bj);
+        for (y = cy - r + 1; y < cy + r; y++) {
+            torus_run(g, side, y, cx - r, cx - r, qx, qy, &best, &bj);
+            torus_run(g, side, y, cx + r, cx + r, qx, qy, &best, &bj);
+        }
+    }
+    return g->ids[bj];
+}
+
+/* Kernel 5: nearest point of a torus grid for q query points (x, y). */
+void repro_torus_assign(const double *pts, int64_t q, const int32_t *start,
+                        const double *xy, const int32_t *ids, int64_t side,
+                        int64_t *out)
+{
+    torus_index g = {start, xy, ids};
+    int64_t i;
+    for (i = 0; i < q; i++)
+        out[i] = torus_nearest(&g, side, pts[2 * i], pts[2 * i + 1]);
+}
+
+/* A grid is built only when no cell holds more than TORUS_MAX_CELL
+ * points and every aligned TORUS_BLOCK x TORUS_BLOCK block of cells
+ * holds one: then every query has a point within 8 cells, so a search
+ * stops by ring 12, and the distinctness check stays linear.  Random
+ * uniform points pass except with negligible probability. */
+#define TORUS_MAX_CELL 64
+#define TORUS_BLOCK 8
+
+/* Kernel 6: the grid of n points (x, y) in one counting sort.  start
+ * (side*side + 1 entries) must be zeroed by the caller.  Returns 1, 0
+ * when two points are at computed squared distance 0 (cKDTree's k=2
+ * check would find them; only points of one cell can be), or -1 when
+ * the points are too unevenly spread for a grid (nothing is checked). */
+int64_t repro_torus_grid(const double *pts, int64_t n, int64_t side,
+                         int32_t *start, double *xy, int32_t *ids)
+{
+    int64_t i, j, c, x, y, cells = side * side;
+    int64_t b = side < TORUS_BLOCK ? side : TORUS_BLOCK;
+    for (i = 0; i < n; i++)
+        start[torus_cell(pts + 2 * i, side) + 1] += 1;
+    for (c = 0; c < cells; c++) {
+        if (start[c + 1] > TORUS_MAX_CELL)
+            return -1;
+        start[c + 1] += start[c];
+    }
+    for (y = 0; y < side; y += b)
+        for (x = 0; x < side; x += b) {
+            int64_t count = 0;
+            for (c = y; c < y + b; c++)
+                count += start[c * side + x + b] - start[c * side + x];
+            if (count == 0)
+                return -1;
+        }
+    /* stable scatter: start[c] walks to the end of cell c, then the
+     * offsets shift back by one cell */
+    for (i = 0; i < n; i++) {
+        j = start[torus_cell(pts + 2 * i, side)]++;
+        xy[2 * j] = pts[2 * i];
+        xy[2 * j + 1] = pts[2 * i + 1];
+        ids[j] = (int32_t)i;
+    }
+    memmove(start + 1, start, sizeof(int32_t) * (size_t)cells);
+    start[0] = 0;
+    for (c = 0; c < cells; c++)
+        if (start[c + 1] - start[c] > 1) /* most cells hold one point */
+            for (i = start[c]; i < start[c + 1]; i++)
+                for (j = i + 1; j < start[c + 1]; j++)
+                    if (torus_d2(xy[2 * i], xy[2 * i + 1], xy + 2 * j, 1) ==
+                        0.0)
+                        return 0;
+    return 1;
+}
+
+/* ---------------- numpy's PCG64 and the fused trials ----------------
  *
  * A copy of numpy's PCG64 bit generator (O'Neill, "PCG: A Family of
  * Simple Fast Space-Efficient Statistically Good Algorithms for Random
@@ -545,39 +768,78 @@ void repro_pcg64_advance(uint64_t *s, uint64_t delta_hi, uint64_t delta_lo)
     pcg64_store(&g, s);
 }
 
-/* Balls per stage of a ring trial: a stage's candidate lines (a few
+/* Balls per stage of a trial: a stage's candidate lines (a few
  * hundred) stay cache-resident from the stage that warms them to the
  * stage that reads them. */
-#define RING_STAGE 256
+#define TRIAL_STAGE 256
 
-/* A contiguous range [k0, k1) of the fused ring trials. */
+/* A contiguous range [k0, k1) of the fused trials. */
 typedef struct {
     uint64_t *states;              /* (t, 4) generator words, rewritten */
-    const int32_t *const *tables;  /* per trial: nbuckets + 1 entries */
-    const double *const *pos_ext;  /* per trial: n positions + inf */
-    const double *const *measures; /* per trial arc lengths, or NULL */
+    const void *index;             /* t ring_index or torus_index rows */
+    const double *const *measures; /* per trial region measures, or NULL */
     int64_t *loads;                /* (t, n) */
     int64_t *heights;              /* (t, m) or NULL */
-    int64_t k0, k1, n, m, d, nbuckets, rng_block, partitioned, strategy;
+    int64_t k0, k1, n, m, d, dim, grid, rng_block, partitioned, strategy;
     int64_t failed;
-} ring_trials_job;
+} trials_job;
+
+/* A ring's bucket table (grid = nbuckets buckets) and sorted positions
+ * plus the +inf sentinel. */
+typedef struct {
+    const int32_t *table;
+    const double *pos_ext;
+} ring_index;
+
+/* The lookups map the q points of x (dim coordinates each) of trial k
+ * to bins, warming each bin's load line. */
+static void ring_lookup(const trials_job *job, int64_t k, const double *x,
+                        int64_t q, int64_t *bins, int64_t *loads)
+{
+    const ring_index *ix = (const ring_index *)job->index + k;
+    const int32_t *table = ix->table;
+    const double *pos = ix->pos_ext;
+    double nb = (double)job->grid;
+    int64_t i, n = job->n;
+    for (i = 0; i < q; i++)
+        PREFETCH_RO(&table[(int64_t)(x[i] * nb)]);
+    for (i = 0; i < q; i++) {
+        bins[i] = table[(int64_t)(x[i] * nb)];
+        PREFETCH_RO(&pos[bins[i]]);
+    }
+    for (i = 0; i < q; i++) {
+        int64_t j = ring_probe(pos, bins[i], x[i]);
+        bins[i] = j == n ? 0 : j;
+        PREFETCH_RW(&loads[bins[i]]);
+    }
+}
+
+/* A torus grid of side job->grid. */
+static void torus_lookup(const trials_job *job, int64_t k, const double *x,
+                         int64_t q, int64_t *bins, int64_t *loads)
+{
+    const torus_index *g = (const torus_index *)job->index + k;
+    int64_t i, side = job->grid;
+    for (i = 0; i < q; i++) {
+        bins[i] = torus_nearest(g, side, x[2 * i], x[2 * i + 1]);
+        PREFETCH_RW(&loads[bins[i]]);
+    }
+}
 
 /* One trial, block by block in choice_blocks' layout: an RNG block of b
- * balls is b*d candidate draws followed by b tie-break draws.  Two
- * cursors walk it without materialising it — candidates from the
- * block's first draw, tie-breaks from b*d draws later (jump-ahead) —
- * and each stage of RING_STAGE balls runs draw -> bucket lookup ->
- * probe -> place, each pass warming the lines the next pass reads. */
-static void ring_trial(const ring_trials_job *job, int64_t k, double *x,
-                       int64_t *bins, double *us)
+ * balls is b*d*dim candidate coordinates followed by b tie-break draws.
+ * Two cursors walk it without materialising it — candidates from the
+ * block's first draw, tie-breaks from b*d*dim draws later (jump-ahead)
+ * — and each stage of TRIAL_STAGE balls runs draw -> lookup -> place,
+ * each pass warming the lines the next pass reads.  With partitioned,
+ * coordinate 0 of choice c maps to (u + c) / d. */
+static void space_trial(const trials_job *job, int64_t k, double *x,
+                        int64_t *bins, double *us)
 {
-    const int32_t *table = job->tables[k];
-    const double *pos = job->pos_ext[k];
     const double *measures = job->measures ? job->measures[k] : 0;
     int64_t *loads = job->loads + k * job->n;
     int64_t *heights = job->heights ? job->heights + k * job->m : 0;
-    int64_t n = job->n, d = job->d, ball = 0;
-    double nb = (double)job->nbuckets;
+    int64_t d = job->d, dim = job->dim, ball = 0;
     int needs_u = job->strategy == 0 && d > 1;
     pcg64 g = pcg64_load(job->states + 4 * k);
     while (ball < job->m) {
@@ -586,48 +848,43 @@ static void ring_trial(const ring_trials_job *job, int64_t k, double *x,
         int64_t s0;
         pcg64 cand = g, tie = g;
         if (needs_u)
-            pcg64_advance(&tie, (pcg128)b * (pcg128)d);
-        for (s0 = 0; s0 < b; s0 += RING_STAGE) {
-            int64_t w = b - s0 < RING_STAGE ? b - s0 : RING_STAGE;
+            pcg64_advance(&tie, (pcg128)b * (pcg128)(d * dim));
+        for (s0 = 0; s0 < b; s0 += TRIAL_STAGE) {
+            int64_t w = b - s0 < TRIAL_STAGE ? b - s0 : TRIAL_STAGE;
             int64_t q = w * d, i, c;
-            pcg64_fill(&cand, q, x);
+            pcg64_fill(&cand, q * dim, x);
             if (needs_u)
                 pcg64_fill(&tie, w, us);
             if (job->partitioned)
                 for (i = 0; i < w; i++)
-                    for (c = 0; c < d; c++)
-                        x[i * d + c] = (x[i * d + c] + (double)c) / (double)d;
-            for (i = 0; i < q; i++)
-                PREFETCH_RO(&table[(int64_t)(x[i] * nb)]);
-            for (i = 0; i < q; i++) {
-                bins[i] = table[(int64_t)(x[i] * nb)];
-                PREFETCH_RO(&pos[bins[i]]);
-            }
-            for (i = 0; i < q; i++) {
-                int64_t j = ring_probe(pos, bins[i], x[i]);
-                bins[i] = j == n ? 0 : j;
-                PREFETCH_RW(&loads[bins[i]]);
-            }
+                    for (c = 0; c < d; c++) {
+                        double *u = x + (i * d + c) * dim;
+                        *u = (*u + (double)c) / (double)d;
+                    }
+            if (dim == 1)
+                ring_lookup(job, k, x, q, bins, loads);
+            else
+                torus_lookup(job, k, x, q, bins, loads);
             repro_place_block(bins, us, w, d, loads, measures, job->strategy,
                               heights ? heights + ball + s0 : 0);
         }
-        pcg64_advance(&g, (pcg128)b * (pcg128)(d + 1));
+        pcg64_advance(&g, (pcg128)b * (pcg128)(d * dim + 1));
         ball += b;
     }
     pcg64_store(&g, job->states + 4 * k);
 }
 
-static void *ring_trials_worker(void *arg)
+static void *trials_worker(void *arg)
 {
-    ring_trials_job *job = (ring_trials_job *)arg;
-    double *x = malloc(sizeof(double) * RING_STAGE * job->d);
-    int64_t *bins = malloc(sizeof(int64_t) * RING_STAGE * job->d);
+    trials_job *job = (trials_job *)arg;
+    double *x = malloc(sizeof(double) * TRIAL_STAGE * job->d * job->dim);
+    int64_t *bins = malloc(sizeof(int64_t) * TRIAL_STAGE * job->d);
     /* zeroed: strategies that ignore tie-breaks never draw them */
-    double *us = calloc(RING_STAGE, sizeof(double));
+    double *us = calloc(TRIAL_STAGE, sizeof(double));
     int64_t k;
     if (x && bins && us) {
         for (k = job->k0; k < job->k1; k++)
-            ring_trial(job, k, x, bins, us);
+            space_trial(job, k, x, bins, us);
     } else {
         job->failed = 1;
     }
@@ -637,29 +894,29 @@ static void *ring_trials_worker(void *arg)
     return 0;
 }
 
-/* Kernel 5: t complete ring trials (draw -> bucket lookup -> place for
- * every ball), trials partitioned across nthreads OS threads.  Returns
- * 0, or -1 when scratch memory could not be allocated. */
-int64_t repro_ring_trials(uint64_t *states, const int32_t *const *tables,
-                          const double *const *pos_ext,
-                          const double *const *measures, int64_t t,
-                          int64_t n, int64_t m, int64_t d, int64_t nbuckets,
-                          int64_t rng_block, int64_t partitioned,
-                          int64_t strategy, int64_t *loads, int64_t *heights,
-                          int64_t nthreads)
+/* Kernel 7: t complete trials (draw -> lookup -> place for every ball)
+ * on rings (dim 1: index holds ring_index rows, grid = nbuckets) or
+ * 2-D torus grids (dim 2: torus_index rows, grid = side), trials
+ * partitioned across nthreads OS threads.  Returns 0, or -1 when
+ * scratch memory could not be allocated. */
+int64_t repro_space_trials(uint64_t *states, const void *index,
+                           const double *const *measures, int64_t t,
+                           int64_t n, int64_t m, int64_t d, int64_t dim,
+                           int64_t grid, int64_t rng_block,
+                           int64_t partitioned, int64_t strategy,
+                           int64_t *loads, int64_t *heights,
+                           int64_t nthreads)
 {
-    ring_trials_job jobs[MAX_KERNEL_THREADS];
+    trials_job jobs[MAX_KERNEL_THREADS];
     int64_t w, start, stop, failed = 0;
     nthreads = clamp_threads(nthreads, t);
     for (w = 0; w < nthreads; w++) {
         thread_range(t, nthreads, w, &start, &stop);
-        jobs[w] = (ring_trials_job){states, tables, pos_ext, measures,
-                                    loads, heights, start, stop, n, m, d,
-                                    nbuckets, rng_block, partitioned,
-                                    strategy, 0};
+        jobs[w] = (trials_job){states, index, measures, loads, heights,
+                               start, stop, n, m, d, dim, grid, rng_block,
+                               partitioned, strategy, 0};
     }
-    run_jobs(ring_trials_worker, (char *)jobs, sizeof(ring_trials_job),
-             nthreads);
+    run_jobs(trials_worker, (char *)jobs, sizeof(trials_job), nthreads);
     for (w = 0; w < nthreads; w++)
         failed |= jobs[w].failed;
     return failed ? -1 : 0;
@@ -686,17 +943,21 @@ _SIGNATURES = {
         [_PTR, _I64, _PTR, _PTR, _I64, _I64, _PTR, _I64], None,
     ),
     "repro_ring_table": ([_PTR, _I64, _I64, _PTR], _I64),
-    "repro_ring_trials": (
-        [_PTR, _PTR, _PTR, _PTR] + [_I64] * 8 + [_PTR, _PTR, _I64], _I64,
+    "repro_torus_assign": ([_PTR, _I64, _PTR, _PTR, _PTR, _I64, _PTR], None),
+    "repro_torus_grid": ([_PTR, _I64, _I64, _PTR, _PTR, _PTR], _I64),
+    "repro_space_trials": (
+        [_PTR, _PTR, _PTR] + [_I64] * 9 + [_PTR, _PTR, _I64], _I64,
     ),
     "repro_pcg64_fill": ([_PTR, _I64, _PTR], None),
     "repro_pcg64_advance": ([_PTR, _U64, _U64], None),
 }
 
-#: Compiler flags.  Deliberately no ``-ffast-math`` or ``-march=native``:
-#: every kernel must round exactly like numpy, and none has a
-#: multiply-add a compiler could contract into an FMA.
-CFLAGS = ("-O3", "-fPIC", "-shared", "-pthread")
+#: Compiler flags.  Every kernel must round exactly like numpy and
+#: cKDTree, so there is no ``-ffast-math`` or ``-march=native``, and
+#: ``-ffp-contract=off`` keeps the torus distance ``dx*dx + dy*dy`` from
+#: being fused into one FMA (rounded once) on targets that have one,
+#: such as aarch64 or ``-mfma``.
+CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared", "-pthread")
 
 
 def _cache_dir() -> Path:
@@ -722,7 +983,8 @@ def _find_compiler() -> str:
 
 def _compile_library() -> Path:
     """Compile the kernel library (cached by source hash) and return it."""
-    digest = hashlib.blake2b(C_SOURCE.encode(), digest_size=16).hexdigest()
+    key = "\0".join((C_SOURCE, *CFLAGS))
+    digest = hashlib.blake2b(key.encode(), digest_size=16).hexdigest()
     libname = f"repro_kernels_{digest}.so"
     for base in (_cache_dir(), Path(tempfile.gettempdir()) / "repro-kernels"):
         libpath = base / libname
@@ -768,6 +1030,23 @@ def _check_inplace(arr: np.ndarray, dtype, name: str) -> np.ndarray:
             f"{arr.dtype.name} (contiguous={arr.flags.c_contiguous})"
         )
     return arr
+
+
+def _unit_square(points, closed: bool) -> np.ndarray:
+    """``points`` as C-contiguous ``(n, 2)`` float64 rows inside
+    ``[0, 1)²`` (``[0, 1]²`` when ``closed``): the torus kernels index
+    grid cells by coordinate, so anything else would read out of bounds.
+    """
+    pts = _as_c(points, np.float64)
+    if pts.ndim == 0 or pts.shape[-1] != 2:
+        raise ValueError(
+            f"torus kernel points must be (x, y) rows, got shape {pts.shape}"
+        )
+    pts = pts.reshape(-1, 2)
+    inside = (pts >= 0.0) & ((pts <= 1.0) if closed else (pts < 1.0))
+    if not inside.all():
+        raise ValueError("torus kernel points must lie in the unit square")
+    return pts
 
 
 def _p(arr: np.ndarray | None) -> int:
@@ -884,6 +1163,79 @@ def build_backend():
         )
         return table if distinct else None
 
+    def torus_assign(pts, grid):
+        """C kernel: nearest grid point of each ``(x, y)`` row of ``pts``.
+
+        Coordinates must lie in ``[0, 1]``; 1 wraps to 0, as in cKDTree.
+        """
+        pts = _unit_square(pts, closed=True)
+        side, start, xy, ids = grid
+        out = np.empty(pts.shape[0], dtype=np.int64)
+        lib.repro_torus_assign(
+            _p(pts), pts.shape[0], _p(start), _p(xy), _p(ids), int(side),
+            _p(out),
+        )
+        return out
+
+    def torus_grid(points, side):
+        """C kernel building the periodic grid of ``(n, 2)`` torus points.
+
+        Returns ``(side, start, xy, ids)``, or ``None`` when two points
+        coincide or the points are too unevenly spread for a grid.
+        """
+        pts = _unit_square(points, closed=False)
+        n = pts.shape[0]
+        if side < 1 or side & (side - 1):
+            raise ValueError(f"grid side must be a power of two, got {side}")
+        if n >= 1 << 31:
+            return None
+        start = np.zeros(side * side + 1, dtype=np.int32)
+        xy = np.empty((n, 2), dtype=np.float64)
+        ids = np.empty(n, dtype=np.int32)
+        status = lib.repro_torus_grid(
+            _p(pts), n, int(side), _p(start), _p(xy), _p(ids)
+        )
+        return (int(side), start, xy, ids) if status == 1 else None
+
+    def space_trials(dim, grid, rows, bit_generators, measures, loads,
+                     heights, m, d, strategy_code, partitioned, rng_block,
+                     threads):
+        """Shared body of ``ring_trials`` and ``torus_trials``.
+
+        ``rows[k]`` are trial ``k``'s index arrays in the C struct's
+        field order; ``grid`` is the bucket count or the grid side.
+        """
+        _check_inplace(loads, np.int64, "loads")
+        t, n = loads.shape
+        if heights is not None:
+            _check_inplace(heights, np.int64, "heights")
+            if heights.shape != (t, m):
+                raise ValueError(f"heights must have shape {(t, m)}")
+        if len(bit_generators) != t or len(rows) != t:
+            raise ValueError("need one generator and one index per loads row")
+        if measures is not None:
+            if any(a.size != n for a in measures):
+                raise ValueError("need n measures per trial")
+            measures = [_as_c(a, np.float64) for a in measures]
+        states = [bg.state for bg in bit_generators]
+        words = np.array(
+            [_pcg64_words(st["state"]) for st in states], dtype=np.uint64
+        )
+        index = np.array(
+            [[a.ctypes.data for a in row] for row in rows], dtype=np.uintp
+        )
+        measure_ptrs = None if measures is None else _pointers(measures)
+        failed = lib.repro_space_trials(
+            _p(words), _p(index), _p(measure_ptrs), t, n, int(m), int(d),
+            dim, int(grid), int(rng_block), int(bool(partitioned)),
+            int(strategy_code), _p(loads), _p(heights), int(threads),
+        )
+        if failed:
+            raise MemoryError("trial kernel: could not allocate scratch")
+        for bg, st, (hi, lo) in zip(bit_generators, states, words[:, :2].tolist()):
+            st["state"]["state"] = (hi << 64) | lo
+            bg.state = st
+
     def ring_trials(bit_generators, tables, measures, loads, heights, m, d,
                     strategy_code, partitioned, rng_block, threads):
         """C kernel running whole ring trials on numpy PCG64 generators.
@@ -897,49 +1249,56 @@ def build_backend():
         to each generator.  Trials are split statically across
         ``threads`` OS threads.
         """
-        _check_inplace(loads, np.int64, "loads")
-        t, n = loads.shape
-        if heights is not None:
-            _check_inplace(heights, np.int64, "heights")
-            if heights.shape != (t, m):
-                raise ValueError(f"heights must have shape {(t, m)}")
+        n = loads.shape[1]
         nbuckets = int(tables[0][0])
-        if len(bit_generators) != t or len(tables) != t or any(
+        if any(
             nb != nbuckets or table.size != nbuckets + 1 or pos_ext.size != n + 1
             for nb, table, pos_ext in tables
         ):
             raise ValueError("ring_trials needs one (n, nbuckets) table per loads row")
-        if measures is not None and any(a.size != n for a in measures):
-            raise ValueError("ring_trials needs n measures per trial")
-        states = [bg.state for bg in bit_generators]
-        words = np.array(
-            [_pcg64_words(st["state"]) for st in states], dtype=np.uint64
-        )
-        tabs = [_as_c(table, np.int32) for _, table, _ in tables]
-        exts = [_as_c(pos_ext, np.float64) for _, _, pos_ext in tables]
-        table_ptrs, ext_ptrs = _pointers(tabs), _pointers(exts)
-        if measures is not None:
-            measures = [_as_c(a, np.float64) for a in measures]
-        measure_ptrs = None if measures is None else _pointers(measures)
-        failed = lib.repro_ring_trials(
-            _p(words), _p(table_ptrs), _p(ext_ptrs), _p(measure_ptrs), t, n,
-            int(m), int(d), nbuckets, int(rng_block),
-            int(bool(partitioned)), int(strategy_code), _p(loads),
-            _p(heights), int(threads),
-        )
-        if failed:
-            raise MemoryError("ring_trials: could not allocate kernel scratch")
-        for bg, st, (hi, lo) in zip(bit_generators, states, words[:, :2].tolist()):
-            st["state"]["state"] = (hi << 64) | lo
-            bg.state = st
+        rows = [
+            (_as_c(table, np.int32), _as_c(pos_ext, np.float64))
+            for _, table, pos_ext in tables
+        ]
+        space_trials(1, nbuckets, rows, bit_generators, measures, loads,
+                     heights, m, d, strategy_code, partitioned, rng_block,
+                     threads)
+
+    def torus_trials(bit_generators, grids, measures, loads, heights, m, d,
+                     strategy_code, partitioned, rng_block, threads):
+        """C kernel running whole 2-D torus trials on PCG64 generators.
+
+        ``ring_trials`` with ``grids[k]`` (a ``torus_grid`` result) in
+        place of the ring's table: each ball's ``d`` candidates are
+        ``2·d`` doubles in ``choice_blocks``' ``(b, d, 2)`` layout, each
+        looked up in the grid.
+        """
+        n = loads.shape[1]
+        side = int(grids[0][0])
+        if any(
+            g_side != side or start.size != side * side + 1 or ids.size != n
+            or xy.size != 2 * n
+            for g_side, start, xy, ids in grids
+        ):
+            raise ValueError("torus_trials needs one (n, side) grid per loads row")
+        rows = [
+            (_as_c(start, np.int32), _as_c(xy, np.float64), _as_c(ids, np.int32))
+            for _, start, xy, ids in grids
+        ]
+        space_trials(2, side, rows, bit_generators, measures, loads, heights,
+                     m, d, strategy_code, partitioned, rng_block, threads)
 
     from repro.kernels import KernelBackend
 
+    trials = hasattr(lib, "repro_space_trials")
     return KernelBackend(
         name="cext",
         place_block=place_block,
         dynamic_window=dynamic_window,
         ring_assign=ring_assign,
         ring_table=ring_table,
-        ring_trials=ring_trials if hasattr(lib, "repro_ring_trials") else None,
+        ring_trials=ring_trials if trials else None,
+        torus_grid=torus_grid,
+        torus_assign=torus_assign,
+        torus_trials=torus_trials if trials else None,
     )

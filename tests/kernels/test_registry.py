@@ -172,3 +172,21 @@ def test_import_repro_does_not_compile():
     subprocess.run(
         [sys.executable, "-c", code], check=True, capture_output=True
     )
+
+
+def test_import_workload_modules_does_not_import_scipy():
+    """The placement, serving, overlay and dynamics layers never need
+    scipy at import: the KD-tree and Voronoi code load it on first use."""
+    import subprocess
+    import sys
+
+    code = (
+        "import sys\n"
+        "import repro.sweeps.runner, repro.serve, repro.net, repro.dynamics\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded[:5]\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -273,8 +273,10 @@ def test_equal_positions_still_raise(monkeypatch, backend, positions):
 
 
 def test_compile_flags_keep_numpy_rounding():
+    """No fast-math or host tuning, and no multiply-add contracted into an
+    FMA: the torus distance ``dx*dx + dy*dy`` must round like cKDTree's."""
     from repro.kernels.cext_backend import CFLAGS
 
-    assert CFLAGS == ("-O3", "-fPIC", "-shared", "-pthread")
-    assert not any("fast-math" in f or "fp-contract" in f or "march" in f
+    assert CFLAGS == ("-O3", "-ffp-contract=off", "-fPIC", "-shared", "-pthread")
+    assert not any("fast-math" in f or "march" in f or "mfma" in f
                    for f in CFLAGS)
