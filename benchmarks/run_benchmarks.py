@@ -74,8 +74,8 @@ STRATEGY = TieBreak.RANDOM
 #: box is interpretable (expected efficiency ~1/4), not misleading.
 THREAD_COUNTS = (1, 2, 4)
 
-#: Thread counts of the torus cell: its trials split across the
-#: ``torus_trials`` kernel's threads.
+#: Thread counts of the torus cell, whose trials run on ``run_fused``'s
+#: trial pool.
 TORUS_THREAD_COUNTS = (1, 2)
 
 #: (space, n, trials, sequential_balls, thread counts) per measured

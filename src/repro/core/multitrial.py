@@ -63,7 +63,6 @@ from repro.core.strategies import (
     decide_rows,
     strategy_needs_measures,
 )
-from repro.core.torus import TorusSpace
 from repro.kernels import (
     STRATEGY_CODES,
     KernelBackend,
@@ -132,29 +131,9 @@ def _ring_kernel_applies(
     return (
         backend.ring_trials is not None
         and all(isinstance(s, RingSpace) for s in spaces)
-        and _pcg64_trials(rngs)
+        and all(type(r.bit_generator) is np.random.PCG64 for r in rngs)
+        and _distinct_generators(rngs)
     )
-
-
-def _torus_kernel_applies(
-    spaces: Sequence[GeometricSpace],
-    rngs: Sequence[np.random.Generator],
-    backend: KernelBackend,
-) -> bool:
-    """Whether every trial can run inside the backend's ``torus_trials``:
-    2-D tori that built a grid, on ``PCG64`` generators."""
-    return (
-        backend.torus_trials is not None
-        and all(isinstance(s, TorusSpace) and s._grid is not None for s in spaces)
-        and _pcg64_trials(rngs)
-    )
-
-
-def _pcg64_trials(rngs: Sequence[np.random.Generator]) -> bool:
-    """Whether every trial draws from its own ``PCG64`` generator."""
-    return all(
-        type(r.bit_generator) is np.random.PCG64 for r in rngs
-    ) and _distinct_generators(rngs)
 
 
 def _distinct_generators(rngs: Sequence[np.random.Generator]) -> bool:
@@ -166,10 +145,8 @@ def _distinct_generators(rngs: Sequence[np.random.Generator]) -> bool:
     return len({id(r.bit_generator) for r in rngs}) == len(rngs)
 
 
-def _run_fused_trials(
-    kernel: str,
-    indexes: list,
-    spaces: Sequence[GeometricSpace],
+def _run_fused_ring(
+    spaces: Sequence[RingSpace],
     m: int,
     d: int,
     strategy: TieBreak,
@@ -181,18 +158,16 @@ def _run_fused_trials(
     rng_block: int,
     record_heights: bool,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """All trials in one call of the backend's ``kernel`` (``ring_trials``
-    or ``torus_trials``), trial ``k`` looked up in ``indexes[k]``.
+    """All ring trials in one ``ring_trials`` kernel call.
 
-    Each trial runs draw → lookup → place for every ball inside the
-    kernel, from a C copy of its PCG64 generator that walks the
+    Each trial runs draw → bucket lookup → place for every ball inside
+    the kernel, from a C copy of its PCG64 generator that walks the
     :func:`~repro.core.engine.choice_blocks` layout with two cursors
     per RNG block; only ``state.state`` is written back.  Trials are
     split statically across ``threads`` OS threads.  Results and final
     generator states are bit-identical to
     :func:`~repro.core.engine.run_sequential`
-    (``tests/kernels/test_ring_kernel.py``,
-    ``tests/kernels/test_torus_kernel.py``).
+    (``tests/kernels/test_ring_kernel.py``).
     """
     t = len(spaces)
     loads = np.zeros((t, spaces[0].n), dtype=np.int64)
@@ -205,9 +180,9 @@ def _run_fused_trials(
     _obs = obs_enabled()
     if _obs:
         t0 = time.perf_counter()
-    getattr(backend, kernel)(
+    backend.ring_trials(
         [r.bit_generator for r in rngs],
-        indexes,
+        [s._bucket_table() for s in spaces],
         measures,
         loads,
         heights,
@@ -219,7 +194,7 @@ def _run_fused_trials(
         threads,
     )
     if _obs:
-        add_span(f"run_fused.{kernel}", time.perf_counter() - t0, threads=threads)
+        add_span("run_fused.ring_trials", time.perf_counter() - t0, threads=threads)
     return loads, heights
 
 
@@ -356,13 +331,12 @@ def run_fused(
         :func:`repro.kernels.resolve_threads` (``REPRO_NUM_THREADS`` →
         this kwarg → physical cores).  With an accelerated backend the
         trials are split across that many threads: inside the
-        ``ring_trials`` / ``torus_trials`` kernel for rings and gridded
-        2-D tori drawing from ``PCG64`` generators, on a thread pool for
-        everything else.  The numpy reference runs on one thread.
-        Results are bit-identical for every thread count (enforced by
-        ``tests/kernels/test_threads_parity.py``,
-        ``tests/kernels/test_ring_kernel.py`` and
-        ``tests/kernels/test_torus_kernel.py``).
+        ``ring_trials`` kernel for rings drawing from ``PCG64``
+        generators, on a thread pool for everything else.  The numpy
+        reference runs on one thread.  Results are bit-identical for
+        every thread count (enforced by
+        ``tests/kernels/test_threads_parity.py`` and
+        ``tests/kernels/test_ring_kernel.py``).
 
     Returns
     -------
@@ -400,15 +374,8 @@ def run_fused(
     ):
         counter_add("placement.balls", t * m)
         counter_add("placement.trials", t)
-        kernel = indexes = None
         if _ring_kernel_applies(spaces, rngs, backend_obj):
-            kernel, indexes = "ring_trials", [s._bucket_table() for s in spaces]
-        elif _torus_kernel_applies(spaces, rngs, backend_obj):
-            kernel, indexes = "torus_trials", [s._grid for s in spaces]
-        if kernel is not None:
-            return _run_fused_trials(
-                kernel,
-                indexes,
+            return _run_fused_ring(
                 spaces,
                 m,
                 d,

@@ -30,9 +30,6 @@ into *scalar kernels* that a compiled tier can run at memory speed:
     The grid's exact nearest-server lookup behind
     :meth:`repro.core.torus.TorusSpace.assign`, in cKDTree's periodic
     arithmetic.
-``torus_trials``
-    ``ring_trials`` for 2-D tori: the same PCG64 walker, stage loop and
-    threads, with the grid lookup in place of the bucket probe.
 
 Two backends provide them:
 
@@ -67,9 +64,11 @@ reports attribute throughput to the backend that actually ran.
 Both backends are interchangeable **bit-for-bit**: the parity suite
 (``tests/kernels``) checks identical placements, per-epoch dynamic
 trajectories and ring assignments against the numpy reference.  The
-one exception is a query point at exactly equal distance from two torus
-servers (probability zero for random points): the grid takes the lower
-index, the numpy reference's KD-tree whichever it visits first.
+one exception is a query point whose rounded squared distances to two
+torus servers are exactly equal: the grid takes the lower index, the
+numpy reference's KD-tree whichever it visits first.  Rounding makes
+such ties possible but negligible for random servers; on servers placed
+on a lattice they are certain.
 """
 
 from __future__ import annotations
@@ -190,11 +189,6 @@ class KernelBackend:
         ``pts``: the server cKDTree finds (same periodic squared
         distance, rounded the same way), the lowest index on an exact
         tie.
-    ``torus_trials(bit_generators, grids, measures, loads, heights,
-    m, d, strategy_code, partitioned, rng_block, threads)``
-        ``ring_trials`` with ``grids[k]`` (``torus_grid`` results) in
-        place of the ring tables: ``2·d`` candidate doubles per ball in
-        ``choice_blocks``' ``(b, d, 2)`` layout.
     """
 
     name: str
@@ -205,7 +199,6 @@ class KernelBackend:
     ring_trials: Callable | None = None
     torus_grid: Callable | None = None
     torus_assign: Callable | None = None
-    torus_trials: Callable | None = None
 
     @property
     def is_accelerated(self) -> bool:

@@ -2,29 +2,28 @@
 
 The hot-path kernels (see :mod:`repro.kernels`: ``place_block``,
 ``dynamic_window``, ``ring_assign``, ``ring_table``, ``ring_trials``,
-``torus_grid``, ``torus_assign`` and ``torus_trials``) are a few dozen
-lines of portable C99 each.  Rather than shipping a binary wheel, the
-source is embedded here and compiled once per machine with the host C
-compiler (``$CC``, else the first of ``cc``/``gcc``/``clang`` on
-``PATH``) into a shared library cached under
-``$REPRO_KERNEL_CACHE`` (default ``~/.cache/repro-kernels``), keyed by
-a hash of the source and :data:`CFLAGS` — editing either invalidates
-the cache, re-running does not rebuild.  Everything degrades
-gracefully: no compiler, an unwritable cache dir, or a failed compile
-raise :class:`RuntimeError`, which the registry's auto-detection treats
-as "backend unavailable".
+``torus_grid`` and ``torus_assign``) are a few dozen lines of portable
+C99 each.  Rather than shipping a binary wheel, the source is embedded
+here and compiled once per machine with the host C compiler (``$CC``,
+else the first of ``cc``/``gcc``/``clang`` on ``PATH``) into a shared
+library cached under ``$REPRO_KERNEL_CACHE`` (default
+``~/.cache/repro-kernels``), keyed by a hash of the source and
+:data:`CFLAGS` — editing either invalidates the cache, re-running does
+not rebuild.  Everything degrades gracefully: no compiler, an
+unwritable cache dir, or a failed compile raise :class:`RuntimeError`,
+which the registry's auto-detection treats as "backend unavailable".
 
 The C code mirrors :func:`repro.core.strategies.decide_row_scalar`
 operation for operation (same minimum scan, same ``floor(u·k)+1``
 tie-break rule — a C cast truncates toward zero, which is ``floor``
 for the non-negative operand — same strict-inequality measure
 preference), so its placements are bit-identical to the numpy
-reference; the parity suite enforces this.  The torus grid computes
-squared distances in cKDTree's periodic arithmetic, so it finds the
-server cKDTree finds (``tests/kernels/test_torus_kernel.py``).  The
-trial kernels also carry a copy of numpy's PCG64 generator, so they
-draw the same numbers ``Generator.random`` would
-(``tests/kernels/test_ring_kernel.py``).
+reference; the parity suite enforces this.  ``ring_trials`` also
+carries a copy of numpy's PCG64 generator, so it draws the same
+numbers ``Generator.random`` would (``tests/kernels/test_ring_kernel.py``).
+The torus grid computes squared distances in cKDTree's periodic
+arithmetic, so it finds the server cKDTree finds
+(``tests/kernels/test_torus_kernel.py``).
 """
 
 from __future__ import annotations
@@ -427,6 +426,253 @@ int64_t repro_ring_table(const double *pos_ext, int64_t n, int64_t nbuckets,
     return !equal;
 }
 
+/* ---------------- numpy's PCG64 and the fused ring trial ----------------
+ *
+ * A copy of numpy's PCG64 bit generator (O'Neill, "PCG: A Family of
+ * Simple Fast Space-Efficient Statistically Good Algorithms for Random
+ * Number Generation", 2014): a 128-bit LCG whose XSL-RR output is taken
+ * after each step, and doubles formed as (x >> 11) * 2^-53 exactly like
+ * numpy's next_double.  A trial seeded from bit_generator.state
+ * therefore draws the very stream Generator.random would, and writing
+ * the final state back leaves the generator where numpy would have.
+ * Needs a compiler with 128-bit integers; elsewhere these symbols are
+ * absent and the Python side keeps the generic path. */
+
+#if defined(__SIZEOF_INT128__)
+
+typedef unsigned __int128 pcg128;
+
+#define PCG_MULT \
+    (((pcg128)2549297995355413924ULL << 64) | 4865540595714422341ULL)
+
+typedef struct {
+    pcg128 state, inc;
+} pcg64;
+
+static inline uint64_t pcg64_next(pcg64 *g)
+{
+    uint64_t x;
+    unsigned rot;
+    g->state = g->state * PCG_MULT + g->inc;
+    x = (uint64_t)(g->state >> 64) ^ (uint64_t)g->state;
+    rot = (unsigned)(g->state >> 122);
+    return (x >> rot) | (x << ((-rot) & 63));
+}
+
+/* numpy's next_double; the shifted value fits in 53 bits, so the signed
+ * conversion is exact. */
+static inline double pcg64_double(pcg64 *g)
+{
+    return (double)(int64_t)(pcg64_next(g) >> 11) *
+           (1.0 / 9007199254740992.0);
+}
+
+/* The affine map state -> mult * state + plus that jumps `delta` draws,
+ * built in O(log delta) steps (Brown, "Random Number Generation with
+ * Arbitrary Strides", 1994) — what numpy's advance computes. */
+typedef struct {
+    pcg128 mult, plus;
+} pcg64_jump;
+
+static pcg64_jump pcg64_jump_of(pcg128 inc, pcg128 delta)
+{
+    pcg64_jump acc = {1, 0};
+    pcg128 mult = PCG_MULT, plus = inc;
+    while (delta > 0) {
+        if (delta & 1) {
+            acc.mult *= mult;
+            acc.plus = acc.plus * mult + plus;
+        }
+        plus = (mult + 1) * plus;
+        mult *= mult;
+        delta >>= 1;
+    }
+    return acc;
+}
+
+static void pcg64_advance(pcg64 *g, pcg128 delta)
+{
+    pcg64_jump j = pcg64_jump_of(g->inc, delta);
+    g->state = j.mult * g->state + j.plus;
+}
+
+/* Lanes of pcg64_fill.  Each LCG step waits on the previous step's
+ * 128-bit multiply; lanes a quarter of the draws apart are independent
+ * chains the core runs side by side. */
+#define PCG_LANES 4
+
+/* Draw the next `count` doubles of g into out, in stream order. */
+static void pcg64_fill(pcg64 *g, int64_t count, double *out)
+{
+    int64_t len = count / PCG_LANES, i, c;
+    pcg64 lane[PCG_LANES];
+    pcg64_jump jump = pcg64_jump_of(g->inc, (pcg128)len);
+    lane[0] = *g;
+    for (c = 1; c < PCG_LANES; c++) {
+        lane[c] = lane[c - 1];
+        lane[c].state = jump.mult * lane[c].state + jump.plus;
+    }
+    for (i = 0; i < len; i++)
+        for (c = 0; c < PCG_LANES; c++)
+            out[c * len + i] = pcg64_double(&lane[c]);
+    for (i = PCG_LANES * len; i < count; i++)
+        out[i] = pcg64_double(&lane[PCG_LANES - 1]);
+    *g = lane[PCG_LANES - 1];
+}
+
+/* Generator words: s[0..1] state high/low, s[2..3] inc high/low. */
+static pcg64 pcg64_load(const uint64_t *s)
+{
+    pcg64 g;
+    g.state = ((pcg128)s[0] << 64) | s[1];
+    g.inc = ((pcg128)s[2] << 64) | s[3];
+    return g;
+}
+
+static void pcg64_store(const pcg64 *g, uint64_t *s)
+{
+    s[0] = (uint64_t)(g->state >> 64);
+    s[1] = (uint64_t)g->state;
+}
+
+/* Draw `count` doubles into out, updating the state words. */
+void repro_pcg64_fill(uint64_t *s, int64_t count, double *out)
+{
+    pcg64 g = pcg64_load(s);
+    pcg64_fill(&g, count, out);
+    pcg64_store(&g, s);
+}
+
+/* Jump the state words ahead by delta_hi * 2^64 + delta_lo draws. */
+void repro_pcg64_advance(uint64_t *s, uint64_t delta_hi, uint64_t delta_lo)
+{
+    pcg64 g = pcg64_load(s);
+    pcg64_advance(&g, ((pcg128)delta_hi << 64) | delta_lo);
+    pcg64_store(&g, s);
+}
+
+/* Balls per stage of a ring trial: a stage's candidate lines (a few
+ * hundred) stay cache-resident from the stage that warms them to the
+ * stage that reads them. */
+#define RING_STAGE 256
+
+/* A contiguous range [k0, k1) of the fused ring trials. */
+typedef struct {
+    uint64_t *states;              /* (t, 4) generator words, rewritten */
+    const int32_t *const *tables;  /* per trial: nbuckets + 1 entries */
+    const double *const *pos_ext;  /* per trial: n positions + inf */
+    const double *const *measures; /* per trial arc lengths, or NULL */
+    int64_t *loads;                /* (t, n) */
+    int64_t *heights;              /* (t, m) or NULL */
+    int64_t k0, k1, n, m, d, nbuckets, rng_block, partitioned, strategy;
+    int64_t failed;
+} ring_trials_job;
+
+/* One trial, block by block in choice_blocks' layout: an RNG block of b
+ * balls is b*d candidate draws followed by b tie-break draws.  Two
+ * cursors walk it without materialising it — candidates from the
+ * block's first draw, tie-breaks from b*d draws later (jump-ahead) —
+ * and each stage of RING_STAGE balls runs draw -> bucket lookup ->
+ * probe -> place, each pass warming the lines the next pass reads. */
+static void ring_trial(const ring_trials_job *job, int64_t k, double *x,
+                       int64_t *bins, double *us)
+{
+    const int32_t *table = job->tables[k];
+    const double *pos = job->pos_ext[k];
+    const double *measures = job->measures ? job->measures[k] : 0;
+    int64_t *loads = job->loads + k * job->n;
+    int64_t *heights = job->heights ? job->heights + k * job->m : 0;
+    int64_t n = job->n, d = job->d, ball = 0;
+    double nb = (double)job->nbuckets;
+    int needs_u = job->strategy == 0 && d > 1;
+    pcg64 g = pcg64_load(job->states + 4 * k);
+    while (ball < job->m) {
+        int64_t b = job->m - ball < job->rng_block ? job->m - ball
+                                                   : job->rng_block;
+        int64_t s0;
+        pcg64 cand = g, tie = g;
+        if (needs_u)
+            pcg64_advance(&tie, (pcg128)b * (pcg128)d);
+        for (s0 = 0; s0 < b; s0 += RING_STAGE) {
+            int64_t w = b - s0 < RING_STAGE ? b - s0 : RING_STAGE;
+            int64_t q = w * d, i, c;
+            pcg64_fill(&cand, q, x);
+            if (needs_u)
+                pcg64_fill(&tie, w, us);
+            if (job->partitioned)
+                for (i = 0; i < w; i++)
+                    for (c = 0; c < d; c++)
+                        x[i * d + c] = (x[i * d + c] + (double)c) / (double)d;
+            for (i = 0; i < q; i++)
+                PREFETCH_RO(&table[(int64_t)(x[i] * nb)]);
+            for (i = 0; i < q; i++) {
+                bins[i] = table[(int64_t)(x[i] * nb)];
+                PREFETCH_RO(&pos[bins[i]]);
+            }
+            for (i = 0; i < q; i++) {
+                int64_t j = ring_probe(pos, bins[i], x[i]);
+                bins[i] = j == n ? 0 : j;
+                PREFETCH_RW(&loads[bins[i]]);
+            }
+            repro_place_block(bins, us, w, d, loads, measures, job->strategy,
+                              heights ? heights + ball + s0 : 0);
+        }
+        pcg64_advance(&g, (pcg128)b * (pcg128)(d + 1));
+        ball += b;
+    }
+    pcg64_store(&g, job->states + 4 * k);
+}
+
+static void *ring_trials_worker(void *arg)
+{
+    ring_trials_job *job = (ring_trials_job *)arg;
+    double *x = malloc(sizeof(double) * RING_STAGE * job->d);
+    int64_t *bins = malloc(sizeof(int64_t) * RING_STAGE * job->d);
+    /* zeroed: strategies that ignore tie-breaks never draw them */
+    double *us = calloc(RING_STAGE, sizeof(double));
+    int64_t k;
+    if (x && bins && us) {
+        for (k = job->k0; k < job->k1; k++)
+            ring_trial(job, k, x, bins, us);
+    } else {
+        job->failed = 1;
+    }
+    free(x);
+    free(bins);
+    free(us);
+    return 0;
+}
+
+/* Kernel 5: t complete ring trials (draw -> bucket lookup -> place for
+ * every ball), trials partitioned across nthreads OS threads.  Returns
+ * 0, or -1 when scratch memory could not be allocated. */
+int64_t repro_ring_trials(uint64_t *states, const int32_t *const *tables,
+                          const double *const *pos_ext,
+                          const double *const *measures, int64_t t,
+                          int64_t n, int64_t m, int64_t d, int64_t nbuckets,
+                          int64_t rng_block, int64_t partitioned,
+                          int64_t strategy, int64_t *loads, int64_t *heights,
+                          int64_t nthreads)
+{
+    ring_trials_job jobs[MAX_KERNEL_THREADS];
+    int64_t w, start, stop, failed = 0;
+    nthreads = clamp_threads(nthreads, t);
+    for (w = 0; w < nthreads; w++) {
+        thread_range(t, nthreads, w, &start, &stop);
+        jobs[w] = (ring_trials_job){states, tables, pos_ext, measures,
+                                    loads, heights, start, stop, n, m, d,
+                                    nbuckets, rng_block, partitioned,
+                                    strategy, 0};
+    }
+    run_jobs(ring_trials_worker, (char *)jobs, sizeof(ring_trials_job),
+             nthreads);
+    for (w = 0; w < nthreads; w++)
+        failed |= jobs[w].failed;
+    return failed ? -1 : 0;
+}
+
+#endif /* __SIZEOF_INT128__ */
+
 /* ---------------- the 2-D torus: a periodic uniform grid ----------------
  *
  * [0,1)^2 is cut into side x side cells, side a power of two, so x*side
@@ -579,7 +825,7 @@ static int64_t torus_nearest(const torus_index *g, int64_t side, double qx,
     return g->ids[bj];
 }
 
-/* Kernel 5: nearest point of a torus grid for q query points (x, y). */
+/* Kernel 6: nearest point of a torus grid for q query points (x, y). */
 void repro_torus_assign(const double *pts, int64_t q, const int32_t *start,
                         const double *xy, const int32_t *ids, int64_t side,
                         int64_t *out)
@@ -598,7 +844,7 @@ void repro_torus_assign(const double *pts, int64_t q, const int32_t *start,
 #define TORUS_MAX_CELL 64
 #define TORUS_BLOCK 8
 
-/* Kernel 6: the grid of n points (x, y) in one counting sort.  start
+/* Kernel 7: the grid of n points (x, y) in one counting sort.  start
  * (side*side + 1 entries) must be zeroed by the caller.  Returns 1, 0
  * when two points are at computed squared distance 0 (cKDTree's k=2
  * check would find them; only points of one cell can be), or -1 when
@@ -642,287 +888,6 @@ int64_t repro_torus_grid(const double *pts, int64_t n, int64_t side,
                         return 0;
     return 1;
 }
-
-/* ---------------- numpy's PCG64 and the fused trials ----------------
- *
- * A copy of numpy's PCG64 bit generator (O'Neill, "PCG: A Family of
- * Simple Fast Space-Efficient Statistically Good Algorithms for Random
- * Number Generation", 2014): a 128-bit LCG whose XSL-RR output is taken
- * after each step, and doubles formed as (x >> 11) * 2^-53 exactly like
- * numpy's next_double.  A trial seeded from bit_generator.state
- * therefore draws the very stream Generator.random would, and writing
- * the final state back leaves the generator where numpy would have.
- * Needs a compiler with 128-bit integers; elsewhere these symbols are
- * absent and the Python side keeps the generic path. */
-
-#if defined(__SIZEOF_INT128__)
-
-typedef unsigned __int128 pcg128;
-
-#define PCG_MULT \
-    (((pcg128)2549297995355413924ULL << 64) | 4865540595714422341ULL)
-
-typedef struct {
-    pcg128 state, inc;
-} pcg64;
-
-static inline uint64_t pcg64_next(pcg64 *g)
-{
-    uint64_t x;
-    unsigned rot;
-    g->state = g->state * PCG_MULT + g->inc;
-    x = (uint64_t)(g->state >> 64) ^ (uint64_t)g->state;
-    rot = (unsigned)(g->state >> 122);
-    return (x >> rot) | (x << ((-rot) & 63));
-}
-
-/* numpy's next_double; the shifted value fits in 53 bits, so the signed
- * conversion is exact. */
-static inline double pcg64_double(pcg64 *g)
-{
-    return (double)(int64_t)(pcg64_next(g) >> 11) *
-           (1.0 / 9007199254740992.0);
-}
-
-/* The affine map state -> mult * state + plus that jumps `delta` draws,
- * built in O(log delta) steps (Brown, "Random Number Generation with
- * Arbitrary Strides", 1994) — what numpy's advance computes. */
-typedef struct {
-    pcg128 mult, plus;
-} pcg64_jump;
-
-static pcg64_jump pcg64_jump_of(pcg128 inc, pcg128 delta)
-{
-    pcg64_jump acc = {1, 0};
-    pcg128 mult = PCG_MULT, plus = inc;
-    while (delta > 0) {
-        if (delta & 1) {
-            acc.mult *= mult;
-            acc.plus = acc.plus * mult + plus;
-        }
-        plus = (mult + 1) * plus;
-        mult *= mult;
-        delta >>= 1;
-    }
-    return acc;
-}
-
-static void pcg64_advance(pcg64 *g, pcg128 delta)
-{
-    pcg64_jump j = pcg64_jump_of(g->inc, delta);
-    g->state = j.mult * g->state + j.plus;
-}
-
-/* Lanes of pcg64_fill.  Each LCG step waits on the previous step's
- * 128-bit multiply; lanes a quarter of the draws apart are independent
- * chains the core runs side by side. */
-#define PCG_LANES 4
-
-/* Draw the next `count` doubles of g into out, in stream order. */
-static void pcg64_fill(pcg64 *g, int64_t count, double *out)
-{
-    int64_t len = count / PCG_LANES, i, c;
-    pcg64 lane[PCG_LANES];
-    pcg64_jump jump = pcg64_jump_of(g->inc, (pcg128)len);
-    lane[0] = *g;
-    for (c = 1; c < PCG_LANES; c++) {
-        lane[c] = lane[c - 1];
-        lane[c].state = jump.mult * lane[c].state + jump.plus;
-    }
-    for (i = 0; i < len; i++)
-        for (c = 0; c < PCG_LANES; c++)
-            out[c * len + i] = pcg64_double(&lane[c]);
-    for (i = PCG_LANES * len; i < count; i++)
-        out[i] = pcg64_double(&lane[PCG_LANES - 1]);
-    *g = lane[PCG_LANES - 1];
-}
-
-/* Generator words: s[0..1] state high/low, s[2..3] inc high/low. */
-static pcg64 pcg64_load(const uint64_t *s)
-{
-    pcg64 g;
-    g.state = ((pcg128)s[0] << 64) | s[1];
-    g.inc = ((pcg128)s[2] << 64) | s[3];
-    return g;
-}
-
-static void pcg64_store(const pcg64 *g, uint64_t *s)
-{
-    s[0] = (uint64_t)(g->state >> 64);
-    s[1] = (uint64_t)g->state;
-}
-
-/* Draw `count` doubles into out, updating the state words. */
-void repro_pcg64_fill(uint64_t *s, int64_t count, double *out)
-{
-    pcg64 g = pcg64_load(s);
-    pcg64_fill(&g, count, out);
-    pcg64_store(&g, s);
-}
-
-/* Jump the state words ahead by delta_hi * 2^64 + delta_lo draws. */
-void repro_pcg64_advance(uint64_t *s, uint64_t delta_hi, uint64_t delta_lo)
-{
-    pcg64 g = pcg64_load(s);
-    pcg64_advance(&g, ((pcg128)delta_hi << 64) | delta_lo);
-    pcg64_store(&g, s);
-}
-
-/* Balls per stage of a trial: a stage's candidate lines (a few
- * hundred) stay cache-resident from the stage that warms them to the
- * stage that reads them. */
-#define TRIAL_STAGE 256
-
-/* A contiguous range [k0, k1) of the fused trials. */
-typedef struct {
-    uint64_t *states;              /* (t, 4) generator words, rewritten */
-    const void *index;             /* t ring_index or torus_index rows */
-    const double *const *measures; /* per trial region measures, or NULL */
-    int64_t *loads;                /* (t, n) */
-    int64_t *heights;              /* (t, m) or NULL */
-    int64_t k0, k1, n, m, d, dim, grid, rng_block, partitioned, strategy;
-    int64_t failed;
-} trials_job;
-
-/* A ring's bucket table (grid = nbuckets buckets) and sorted positions
- * plus the +inf sentinel. */
-typedef struct {
-    const int32_t *table;
-    const double *pos_ext;
-} ring_index;
-
-/* The lookups map the q points of x (dim coordinates each) of trial k
- * to bins, warming each bin's load line. */
-static void ring_lookup(const trials_job *job, int64_t k, const double *x,
-                        int64_t q, int64_t *bins, int64_t *loads)
-{
-    const ring_index *ix = (const ring_index *)job->index + k;
-    const int32_t *table = ix->table;
-    const double *pos = ix->pos_ext;
-    double nb = (double)job->grid;
-    int64_t i, n = job->n;
-    for (i = 0; i < q; i++)
-        PREFETCH_RO(&table[(int64_t)(x[i] * nb)]);
-    for (i = 0; i < q; i++) {
-        bins[i] = table[(int64_t)(x[i] * nb)];
-        PREFETCH_RO(&pos[bins[i]]);
-    }
-    for (i = 0; i < q; i++) {
-        int64_t j = ring_probe(pos, bins[i], x[i]);
-        bins[i] = j == n ? 0 : j;
-        PREFETCH_RW(&loads[bins[i]]);
-    }
-}
-
-/* A torus grid of side job->grid. */
-static void torus_lookup(const trials_job *job, int64_t k, const double *x,
-                         int64_t q, int64_t *bins, int64_t *loads)
-{
-    const torus_index *g = (const torus_index *)job->index + k;
-    int64_t i, side = job->grid;
-    for (i = 0; i < q; i++) {
-        bins[i] = torus_nearest(g, side, x[2 * i], x[2 * i + 1]);
-        PREFETCH_RW(&loads[bins[i]]);
-    }
-}
-
-/* One trial, block by block in choice_blocks' layout: an RNG block of b
- * balls is b*d*dim candidate coordinates followed by b tie-break draws.
- * Two cursors walk it without materialising it — candidates from the
- * block's first draw, tie-breaks from b*d*dim draws later (jump-ahead)
- * — and each stage of TRIAL_STAGE balls runs draw -> lookup -> place,
- * each pass warming the lines the next pass reads.  With partitioned,
- * coordinate 0 of choice c maps to (u + c) / d. */
-static void space_trial(const trials_job *job, int64_t k, double *x,
-                        int64_t *bins, double *us)
-{
-    const double *measures = job->measures ? job->measures[k] : 0;
-    int64_t *loads = job->loads + k * job->n;
-    int64_t *heights = job->heights ? job->heights + k * job->m : 0;
-    int64_t d = job->d, dim = job->dim, ball = 0;
-    int needs_u = job->strategy == 0 && d > 1;
-    pcg64 g = pcg64_load(job->states + 4 * k);
-    while (ball < job->m) {
-        int64_t b = job->m - ball < job->rng_block ? job->m - ball
-                                                   : job->rng_block;
-        int64_t s0;
-        pcg64 cand = g, tie = g;
-        if (needs_u)
-            pcg64_advance(&tie, (pcg128)b * (pcg128)(d * dim));
-        for (s0 = 0; s0 < b; s0 += TRIAL_STAGE) {
-            int64_t w = b - s0 < TRIAL_STAGE ? b - s0 : TRIAL_STAGE;
-            int64_t q = w * d, i, c;
-            pcg64_fill(&cand, q * dim, x);
-            if (needs_u)
-                pcg64_fill(&tie, w, us);
-            if (job->partitioned)
-                for (i = 0; i < w; i++)
-                    for (c = 0; c < d; c++) {
-                        double *u = x + (i * d + c) * dim;
-                        *u = (*u + (double)c) / (double)d;
-                    }
-            if (dim == 1)
-                ring_lookup(job, k, x, q, bins, loads);
-            else
-                torus_lookup(job, k, x, q, bins, loads);
-            repro_place_block(bins, us, w, d, loads, measures, job->strategy,
-                              heights ? heights + ball + s0 : 0);
-        }
-        pcg64_advance(&g, (pcg128)b * (pcg128)(d * dim + 1));
-        ball += b;
-    }
-    pcg64_store(&g, job->states + 4 * k);
-}
-
-static void *trials_worker(void *arg)
-{
-    trials_job *job = (trials_job *)arg;
-    double *x = malloc(sizeof(double) * TRIAL_STAGE * job->d * job->dim);
-    int64_t *bins = malloc(sizeof(int64_t) * TRIAL_STAGE * job->d);
-    /* zeroed: strategies that ignore tie-breaks never draw them */
-    double *us = calloc(TRIAL_STAGE, sizeof(double));
-    int64_t k;
-    if (x && bins && us) {
-        for (k = job->k0; k < job->k1; k++)
-            space_trial(job, k, x, bins, us);
-    } else {
-        job->failed = 1;
-    }
-    free(x);
-    free(bins);
-    free(us);
-    return 0;
-}
-
-/* Kernel 7: t complete trials (draw -> lookup -> place for every ball)
- * on rings (dim 1: index holds ring_index rows, grid = nbuckets) or
- * 2-D torus grids (dim 2: torus_index rows, grid = side), trials
- * partitioned across nthreads OS threads.  Returns 0, or -1 when
- * scratch memory could not be allocated. */
-int64_t repro_space_trials(uint64_t *states, const void *index,
-                           const double *const *measures, int64_t t,
-                           int64_t n, int64_t m, int64_t d, int64_t dim,
-                           int64_t grid, int64_t rng_block,
-                           int64_t partitioned, int64_t strategy,
-                           int64_t *loads, int64_t *heights,
-                           int64_t nthreads)
-{
-    trials_job jobs[MAX_KERNEL_THREADS];
-    int64_t w, start, stop, failed = 0;
-    nthreads = clamp_threads(nthreads, t);
-    for (w = 0; w < nthreads; w++) {
-        thread_range(t, nthreads, w, &start, &stop);
-        jobs[w] = (trials_job){states, index, measures, loads, heights,
-                               start, stop, n, m, d, dim, grid, rng_block,
-                               partitioned, strategy, 0};
-    }
-    run_jobs(trials_worker, (char *)jobs, sizeof(trials_job), nthreads);
-    for (w = 0; w < nthreads; w++)
-        failed |= jobs[w].failed;
-    return failed ? -1 : 0;
-}
-
-#endif /* __SIZEOF_INT128__ */
 """
 
 _I64 = ctypes.c_int64
@@ -943,11 +908,11 @@ _SIGNATURES = {
         [_PTR, _I64, _PTR, _PTR, _I64, _I64, _PTR, _I64], None,
     ),
     "repro_ring_table": ([_PTR, _I64, _I64, _PTR], _I64),
+    "repro_ring_trials": (
+        [_PTR, _PTR, _PTR, _PTR] + [_I64] * 8 + [_PTR, _PTR, _I64], _I64,
+    ),
     "repro_torus_assign": ([_PTR, _I64, _PTR, _PTR, _PTR, _I64, _PTR], None),
     "repro_torus_grid": ([_PTR, _I64, _I64, _PTR, _PTR, _PTR], _I64),
-    "repro_space_trials": (
-        [_PTR, _PTR, _PTR] + [_I64] * 9 + [_PTR, _PTR, _I64], _I64,
-    ),
     "repro_pcg64_fill": ([_PTR, _I64, _PTR], None),
     "repro_pcg64_advance": ([_PTR, _U64, _U64], None),
 }
@@ -1163,6 +1128,55 @@ def build_backend():
         )
         return table if distinct else None
 
+    def ring_trials(bit_generators, tables, measures, loads, heights, m, d,
+                    strategy_code, partitioned, rng_block, threads):
+        """C kernel running whole ring trials on numpy PCG64 generators.
+
+        Trial ``k`` draws from ``bit_generators[k]`` exactly as
+        :func:`repro.core.engine.choice_blocks` would, looks each point
+        up in ``tables[k]`` (a ring's ``(nbuckets, table, pos_ext)``)
+        and places it into ``loads[k]`` (heights into ``heights[k]``
+        when not ``None``; ``measures[k]`` are the arc lengths or
+        ``measures`` is ``None``).  Only ``state.state`` is written back
+        to each generator.  Trials are split statically across
+        ``threads`` OS threads.
+        """
+        _check_inplace(loads, np.int64, "loads")
+        t, n = loads.shape
+        if heights is not None:
+            _check_inplace(heights, np.int64, "heights")
+            if heights.shape != (t, m):
+                raise ValueError(f"heights must have shape {(t, m)}")
+        nbuckets = int(tables[0][0])
+        if len(bit_generators) != t or len(tables) != t or any(
+            nb != nbuckets or table.size != nbuckets + 1 or pos_ext.size != n + 1
+            for nb, table, pos_ext in tables
+        ):
+            raise ValueError("ring_trials needs one (n, nbuckets) table per loads row")
+        if measures is not None and any(a.size != n for a in measures):
+            raise ValueError("ring_trials needs n measures per trial")
+        states = [bg.state for bg in bit_generators]
+        words = np.array(
+            [_pcg64_words(st["state"]) for st in states], dtype=np.uint64
+        )
+        tabs = [_as_c(table, np.int32) for _, table, _ in tables]
+        exts = [_as_c(pos_ext, np.float64) for _, _, pos_ext in tables]
+        table_ptrs, ext_ptrs = _pointers(tabs), _pointers(exts)
+        if measures is not None:
+            measures = [_as_c(a, np.float64) for a in measures]
+        measure_ptrs = None if measures is None else _pointers(measures)
+        failed = lib.repro_ring_trials(
+            _p(words), _p(table_ptrs), _p(ext_ptrs), _p(measure_ptrs), t, n,
+            int(m), int(d), nbuckets, int(rng_block),
+            int(bool(partitioned)), int(strategy_code), _p(loads),
+            _p(heights), int(threads),
+        )
+        if failed:
+            raise MemoryError("ring_trials: could not allocate kernel scratch")
+        for bg, st, (hi, lo) in zip(bit_generators, states, words[:, :2].tolist()):
+            st["state"]["state"] = (hi << 64) | lo
+            bg.state = st
+
     def torus_assign(pts, grid):
         """C kernel: nearest grid point of each ``(x, y)`` row of ``pts``.
 
@@ -1197,108 +1211,15 @@ def build_backend():
         )
         return (int(side), start, xy, ids) if status == 1 else None
 
-    def space_trials(dim, grid, rows, bit_generators, measures, loads,
-                     heights, m, d, strategy_code, partitioned, rng_block,
-                     threads):
-        """Shared body of ``ring_trials`` and ``torus_trials``.
-
-        ``rows[k]`` are trial ``k``'s index arrays in the C struct's
-        field order; ``grid`` is the bucket count or the grid side.
-        """
-        _check_inplace(loads, np.int64, "loads")
-        t, n = loads.shape
-        if heights is not None:
-            _check_inplace(heights, np.int64, "heights")
-            if heights.shape != (t, m):
-                raise ValueError(f"heights must have shape {(t, m)}")
-        if len(bit_generators) != t or len(rows) != t:
-            raise ValueError("need one generator and one index per loads row")
-        if measures is not None:
-            if any(a.size != n for a in measures):
-                raise ValueError("need n measures per trial")
-            measures = [_as_c(a, np.float64) for a in measures]
-        states = [bg.state for bg in bit_generators]
-        words = np.array(
-            [_pcg64_words(st["state"]) for st in states], dtype=np.uint64
-        )
-        index = np.array(
-            [[a.ctypes.data for a in row] for row in rows], dtype=np.uintp
-        )
-        measure_ptrs = None if measures is None else _pointers(measures)
-        failed = lib.repro_space_trials(
-            _p(words), _p(index), _p(measure_ptrs), t, n, int(m), int(d),
-            dim, int(grid), int(rng_block), int(bool(partitioned)),
-            int(strategy_code), _p(loads), _p(heights), int(threads),
-        )
-        if failed:
-            raise MemoryError("trial kernel: could not allocate scratch")
-        for bg, st, (hi, lo) in zip(bit_generators, states, words[:, :2].tolist()):
-            st["state"]["state"] = (hi << 64) | lo
-            bg.state = st
-
-    def ring_trials(bit_generators, tables, measures, loads, heights, m, d,
-                    strategy_code, partitioned, rng_block, threads):
-        """C kernel running whole ring trials on numpy PCG64 generators.
-
-        Trial ``k`` draws from ``bit_generators[k]`` exactly as
-        :func:`repro.core.engine.choice_blocks` would, looks each point
-        up in ``tables[k]`` (a ring's ``(nbuckets, table, pos_ext)``)
-        and places it into ``loads[k]`` (heights into ``heights[k]``
-        when not ``None``; ``measures[k]`` are the arc lengths or
-        ``measures`` is ``None``).  Only ``state.state`` is written back
-        to each generator.  Trials are split statically across
-        ``threads`` OS threads.
-        """
-        n = loads.shape[1]
-        nbuckets = int(tables[0][0])
-        if any(
-            nb != nbuckets or table.size != nbuckets + 1 or pos_ext.size != n + 1
-            for nb, table, pos_ext in tables
-        ):
-            raise ValueError("ring_trials needs one (n, nbuckets) table per loads row")
-        rows = [
-            (_as_c(table, np.int32), _as_c(pos_ext, np.float64))
-            for _, table, pos_ext in tables
-        ]
-        space_trials(1, nbuckets, rows, bit_generators, measures, loads,
-                     heights, m, d, strategy_code, partitioned, rng_block,
-                     threads)
-
-    def torus_trials(bit_generators, grids, measures, loads, heights, m, d,
-                     strategy_code, partitioned, rng_block, threads):
-        """C kernel running whole 2-D torus trials on PCG64 generators.
-
-        ``ring_trials`` with ``grids[k]`` (a ``torus_grid`` result) in
-        place of the ring's table: each ball's ``d`` candidates are
-        ``2·d`` doubles in ``choice_blocks``' ``(b, d, 2)`` layout, each
-        looked up in the grid.
-        """
-        n = loads.shape[1]
-        side = int(grids[0][0])
-        if any(
-            g_side != side or start.size != side * side + 1 or ids.size != n
-            or xy.size != 2 * n
-            for g_side, start, xy, ids in grids
-        ):
-            raise ValueError("torus_trials needs one (n, side) grid per loads row")
-        rows = [
-            (_as_c(start, np.int32), _as_c(xy, np.float64), _as_c(ids, np.int32))
-            for _, start, xy, ids in grids
-        ]
-        space_trials(2, side, rows, bit_generators, measures, loads, heights,
-                     m, d, strategy_code, partitioned, rng_block, threads)
-
     from repro.kernels import KernelBackend
 
-    trials = hasattr(lib, "repro_space_trials")
     return KernelBackend(
         name="cext",
         place_block=place_block,
         dynamic_window=dynamic_window,
         ring_assign=ring_assign,
         ring_table=ring_table,
-        ring_trials=ring_trials if trials else None,
+        ring_trials=ring_trials if hasattr(lib, "repro_ring_trials") else None,
         torus_grid=torus_grid,
         torus_assign=torus_assign,
-        torus_trials=torus_trials if trials else None,
     )

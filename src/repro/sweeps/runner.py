@@ -130,8 +130,11 @@ def submit_cell(
     stored.  ``backend`` and ``threads``
     are deliberately absent from the cache key: backends and thread
     counts are bit-identical by contract, so a hit from one
-    configuration is valid for all.  ``seed=None`` or a disabled cache
-    falls through to plain ``run_cell``.
+    configuration is valid for all.  The one exception is a torus query
+    at exactly tied rounded distances from two servers, where the cext
+    grid and the numpy KD-tree may pick different owners; cells draw
+    random servers, on which such ties are negligible.  ``seed=None``
+    or a disabled cache falls through to plain ``run_cell``.
     """
     store = resolve_cache(cache)
     cache_seed = _cacheable_seed(seed)

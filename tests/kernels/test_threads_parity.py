@@ -14,9 +14,11 @@ count (7, 64) — oversubscription must degrade speed, never results.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from repro.core.torus import TorusSpace
 from repro.kernels import (
     available_backends,
     cpu_topology,
+    get_backend,
     logical_cores,
     physical_cores,
     resolve_threads,
@@ -98,16 +101,31 @@ def test_fused_single_trial_and_single_block(threads):
 
 def test_trial_pool_under_switch_pressure():
     """More pool workers than cores, switching every microsecond: the
-    generic path's trial pool still equals the serial loop."""
+    generic path's trial pool still equals the serial loop.  The backend
+    records which threads place balls, so the test fails rather than
+    passing vacuously if these trials ever stop running on the pool."""
+    base = get_backend(BACKENDS[-1])
+    placers: set[str] = set()
+    backend = base
+    if base.place_block is not None:
+
+        def place_block(*args):
+            placers.add(threading.current_thread().name)
+            base.place_block(*args)
+
+        backend = dataclasses.replace(base, place_block=place_block)
     previous = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        ref = _fused_loads(BACKENDS[-1], 1, space_cls=TorusSpace, t=9)
-        got = _fused_loads(BACKENDS[-1], 7, space_cls=TorusSpace, t=9)
+        ref = _fused_loads(backend, 1, space_cls=TorusSpace, t=9)
+        placers.clear()
+        got = _fused_loads(backend, 7, space_cls=TorusSpace, t=9)
     finally:
         sys.setswitchinterval(previous)
     np.testing.assert_array_equal(ref[0], got[0])
     np.testing.assert_array_equal(ref[1], got[1])
+    if base.place_block is not None:
+        assert len({p for p in placers if p.startswith("repro-trial")}) > 1
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -1,20 +1,19 @@
-"""The torus grid kernels: ``torus_grid``, ``torus_assign`` and ``torus_trials``.
+"""The torus grid kernels: ``torus_grid`` and ``torus_assign``.
 
 The grid promises the server cKDTree's periodic query finds: the same
 squared distance (wrap ``q - p`` by ±1 beyond ±0.5, then
 ``r = dx*dx; r += dy*dy``), rounded the same way, with the lowest index
 on an exact tie.  Its construction pass rejects exactly the points
-cKDTree's ``k=2`` distinctness check rejects.  ``torus_trials`` runs
-whole trials on a C copy of numpy's PCG64 and must end with the loads,
-heights and generator state of :func:`repro.core.engine.run_sequential`.
-These tests check all three, the dispatch rules around the trial kernel
-(other generators, shared generators and other dimensions keep the
-generic path) and that the numpy reference builds no grid.
+cKDTree's ``k=2`` distinctness check rejects.  Trials on gridded tori
+run on :func:`repro.core.multitrial.run_fused`'s trial pool and must end
+with the loads, heights and generator state of
+:func:`repro.core.engine.run_sequential`.  These tests check all three,
+that other generators, shared generators and other dimensions still
+match the reference, and that the numpy reference builds no grid.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 
 import numpy as np
@@ -22,14 +21,13 @@ import pytest
 from scipy.spatial import cKDTree
 
 from repro.core.engine import DEFAULT_RNG_BLOCK, run_sequential
-from repro.core.multitrial import _torus_kernel_applies, run_fused
+from repro.core.multitrial import run_fused
 from repro.core.strategies import TieBreak
 from repro.core.torus import TorusSpace
 from repro.kernels import available_backends, get_backend
 
 pytestmark = pytest.mark.skipif(
-    not available_backends()["cext"]
-    or get_backend("cext").torus_trials is None,
+    not available_backends()["cext"] or get_backend("cext").torus_grid is None,
     reason="no compiled torus kernels on this machine",
 )
 
@@ -297,7 +295,7 @@ def test_duplicates_raise_on_every_backend(monkeypatch, backend):
 
 
 # ---------------------------------------------------------------------------
-# torus trials against run_sequential
+# trials on the grid against run_sequential
 # ---------------------------------------------------------------------------
 
 
@@ -313,11 +311,10 @@ def _sequential(spaces, m, d, strategy, seeds, partitioned, rng_block):
     return out
 
 
-def _check_kernel(spaces, m, d, strategy, seeds, partitioned, rng_block,
+def _check_trials(spaces, m, d, strategy, seeds, partitioned, rng_block,
                   expected):
     for threads in THREADS:
         rngs = [np.random.default_rng(s) for s in seeds]
-        assert _torus_kernel_applies(spaces, rngs, _cext_backend())
         loads, heights = run_fused(
             spaces, m, d, strategy, rngs, partitioned=partitioned,
             rng_block=rng_block, record_heights=True, backend="cext",
@@ -342,13 +339,17 @@ def _trial_spaces(n: int) -> tuple[TorusSpace, ...]:
     """Shared across tests, so each space computes its Voronoi areas once."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("REPRO_KERNEL_BACKEND", "cext")
-        return tuple(TorusSpace.random(n, seed=100 * n + k) for k in range(TRIALS))
+        spaces = tuple(
+            TorusSpace.random(n, seed=100 * n + k) for k in range(TRIALS)
+        )
+    assert all(s._grid is not None for s in spaces)
+    return spaces
 
 
 @pytest.mark.parametrize("partitioned", [False, True])
 @pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda s: s.value)
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
-def test_torus_kernel_matches_run_sequential(d, strategy, partitioned):
+def test_grid_trials_match_run_sequential(d, strategy, partitioned):
     """rng_block ∈ {1, 7, 128} with m around a block boundary, and the
     default 2¹⁶ block with m ∈ {0, 1}."""
     cases = [(rb, m) for rb in (1, 7, 128) for m in _block_sizes_for(rb)]
@@ -359,33 +360,44 @@ def test_torus_kernel_matches_run_sequential(d, strategy, partitioned):
         for rng_block, m in cases:
             expected = _sequential(spaces, m, d, strategy, seeds, partitioned,
                                    rng_block)
-            _check_kernel(spaces, m, d, strategy, seeds, partitioned,
+            _check_trials(spaces, m, d, strategy, seeds, partitioned,
                           rng_block, expected)
 
 
 @pytest.mark.parametrize("partitioned", [False, True])
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_torus_kernel_default_block_matches_generic_path(d, partitioned):
-    """m ∈ {2¹⁶ - 1, 2¹⁶ + 1} at the default block, against the generic
-    ``choice_blocks`` + ``place_block`` path (numpy draws, the grid
-    lookup, the same compiled placement)."""
-    generic = dataclasses.replace(_cext_backend(), torus_trials=None)
-    spaces = [TorusSpace.random(3000, seed=60 + k) for k in range(2)]
-    seeds = [70, 71]
-    for m in (DEFAULT_RNG_BLOCK - 1, DEFAULT_RNG_BLOCK + 1):
-        rngs = [np.random.default_rng(s) for s in seeds]
-        loads, heights = run_fused(
-            spaces, m, d, TieBreak.RANDOM, rngs, partitioned=partitioned,
-            record_heights=True, backend=generic,
-        )
-        expected = [(loads[k], heights[k], rngs[k].bit_generator.state)
-                    for k in range(len(spaces))]
-        _check_kernel(spaces, m, d, TieBreak.RANDOM, seeds, partitioned,
-                      DEFAULT_RNG_BLOCK, expected)
+def test_grid_trials_match_kdtree_trials_at_the_default_block(
+    monkeypatch, d, partitioned
+):
+    """m = 2¹⁶ + 1 at the default block: the same servers with and
+    without a grid (the numpy reference's KD-tree) place every ball
+    alike."""
+    m = DEFAULT_RNG_BLOCK + 1
+    points = [np.random.default_rng(60 + k).random((3000, 2)) for k in range(2)]
+    gridded = [TorusSpace(p) for p in points]
+    monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numpy")
+    trees = [TorusSpace(p) for p in points]
+    assert all(s._grid is not None for s in gridded)
+    assert all(s._grid is None for s in trees)
+    ref_rngs = [np.random.default_rng(70 + k) for k in range(2)]
+    ref_loads, ref_heights = run_fused(
+        trees, m, d, TieBreak.RANDOM, ref_rngs, partitioned=partitioned,
+        record_heights=True,
+    )
+    monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cext")
+    rngs = [np.random.default_rng(70 + k) for k in range(2)]
+    loads, heights = run_fused(
+        gridded, m, d, TieBreak.RANDOM, rngs, partitioned=partitioned,
+        record_heights=True, threads=2,
+    )
+    np.testing.assert_array_equal(loads, ref_loads)
+    np.testing.assert_array_equal(heights, ref_heights)
+    for rng, ref in zip(rngs, ref_rngs):
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 # ---------------------------------------------------------------------------
-# dispatch
+# other generators and dimensions
 # ---------------------------------------------------------------------------
 
 
@@ -405,19 +417,17 @@ def _assert_matches_sequential(spaces, rngs, fresh_rng, m=400, d=2):
                                 ref_rng.bit_generator.state)
 
 
-def test_mt19937_generators_take_the_generic_path():
+def test_mt19937_generators_match_run_sequential():
     spaces = [TorusSpace.random(300, seed=k) for k in range(2)]
     rngs = [np.random.Generator(np.random.MT19937(40 + k)) for k in range(2)]
-    assert not _torus_kernel_applies(spaces, rngs, _cext_backend())
     _assert_matches_sequential(
         spaces, rngs, lambda k: np.random.Generator(np.random.MT19937(40 + k))
     )
 
 
-def test_shared_generator_takes_the_generic_path():
+def test_shared_generator_matches_run_sequential():
     spaces = [TorusSpace.random(200, seed=k) for k in range(3)]
     shared = np.random.default_rng(12)
-    assert not _torus_kernel_applies(spaces, [shared] * 3, _cext_backend())
     loads, _ = run_fused(spaces, 300, 2, TieBreak.RANDOM, [shared] * 3,
                          rng_block=64, backend="cext", threads=2)
     ref = np.random.default_rng(12)
@@ -429,20 +439,11 @@ def test_shared_generator_takes_the_generic_path():
 
 
 @pytest.mark.parametrize("dim", [1, 3])
-def test_other_dimensions_take_the_generic_path(dim):
+def test_other_dimensions_keep_the_kdtree(dim):
     spaces = [TorusSpace.random(300, dim=dim, seed=k) for k in range(2)]
     assert all(s._grid is None for s in spaces)
     rngs = [np.random.default_rng(50 + k) for k in range(2)]
-    assert not _torus_kernel_applies(spaces, rngs, _cext_backend())
     _assert_matches_sequential(spaces, rngs, lambda k: np.random.default_rng(50 + k))
-
-
-def test_pcg64_tori_take_the_kernel():
-    spaces = [TorusSpace.random(64, seed=1)]
-    assert _torus_kernel_applies(spaces, [np.random.default_rng(1)], _cext_backend())
-    assert not _torus_kernel_applies(
-        spaces, [np.random.default_rng(1)], get_backend("numpy")
-    )
 
 
 def test_numpy_backend_builds_no_grid(monkeypatch):
