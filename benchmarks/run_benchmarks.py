@@ -38,6 +38,13 @@ row.  Each cell names its ``space``.  The embedded manifest's
 ``cpu`` field records the physical/logical core counts the scaling
 numbers must be read against.
 
+Every row above places balls into prebuilt spaces, so none of them
+sees ring construction.  Ring cells therefore also get a ``cell`` row:
+:func:`repro.stats.trials.run_cell` from seeds, which draws each
+trial's ring before placing into it, per backend at
+``CELL_THREAD_COUNTS`` (the max-load counts are cross-checked equal
+across every backend and thread count before anything is emitted).
+
 Usage::
 
     PYTHONPATH=src python benchmarks/run_benchmarks.py            # full
@@ -64,6 +71,7 @@ from repro.core.strategies import TieBreak
 from repro.core.torus import TorusSpace
 from repro.kernels import available_backends
 from repro.obs.manifest import run_manifest
+from repro.stats.trials import CellSpec, run_cell
 
 D = 2
 STRATEGY = TieBreak.RANDOM
@@ -77,6 +85,12 @@ THREAD_COUNTS = (1, 2, 4)
 #: Thread counts of the torus cell, whose trials run on ``run_fused``'s
 #: trial pool.
 TORUS_THREAD_COUNTS = (1, 2)
+
+#: Thread counts of the ``run_cell`` rows of ring cells.
+CELL_THREAD_COUNTS = (1, 2)
+
+#: Master seed of the ``run_cell`` rows.
+CELL_SEED = 9000
 
 #: (space, n, trials, sequential_balls, thread counts) per measured
 #: cell.  Throughput is per-ball and trial-count independent, so the
@@ -231,6 +245,35 @@ def _measure_cell(space, n, trials, sequential_balls, thread_counts, repeats,
     }
 
 
+def _measure_run_cell(n, trials, repeats, backends):
+    """``run_cell`` from seeds, ring construction included, per backend
+    and thread count; the max-load counts must agree everywhere."""
+    spec = CellSpec("ring", n, D, strategy=STRATEGY.value)
+    rows: dict[str, dict] = {}
+    reference = None
+    for name in backends:
+        rows[name] = {}
+        for count in CELL_THREAD_COUNTS:
+            with _pinned_backend(name), _pinned_threads(count):
+                counts = run_cell(spec, trials, seed=CELL_SEED).to_json_counts()
+                seconds = _time_best(
+                    lambda: run_cell(spec, trials, seed=CELL_SEED), repeats
+                )
+            if reference is None:
+                reference = counts
+            elif counts != reference:
+                raise AssertionError(
+                    f"run_cell under backend {name!r} at {count} threads "
+                    f"diverges at ring n={n} — bit-identity broken, refusing "
+                    "to emit benchmark numbers"
+                )
+            rows[name][str(count)] = {
+                "seconds": round(seconds, 4),
+                "balls_per_s": round(trials * n / seconds, 1),
+            }
+    return rows
+
+
 def _cross_check(space: str, n: int, trials: int, thread_counts,
                  backends) -> None:
     """Every engine × backend × thread count must produce identical
@@ -296,6 +339,8 @@ def main(argv=None) -> int:
     for space, n, trials, sequential_balls, thread_counts in cells:
         cell = _measure_cell(space, n, trials, sequential_balls, thread_counts,
                              repeats, backends)
+        if space == "ring":
+            cell["cell"] = _measure_run_cell(n, trials, repeats, backends)
         results.append(cell)
         f = cell["engines"]
         print(
@@ -319,6 +364,12 @@ def main(argv=None) -> int:
                 for count, row in rows.items()
             )
             print(f"  threads[{name}]: {scaling}")
+        for name, rows in cell.get("cell", {}).items():
+            scaling = ", ".join(
+                f"{count}t={row['balls_per_s']:,.0f}/s"
+                for count, row in rows.items()
+            )
+            print(f"  run_cell[{name}]: {scaling}")
 
     payload = {
         "benchmark": "engine_throughput",
@@ -339,7 +390,9 @@ def main(argv=None) -> int:
             "per backend (parallel_efficiency = speedup / threads — "
             "interpret against manifest.cpu, a 4-thread row on a 1-core "
             "host cannot exceed efficiency ~0.25). Each cell names its "
-            "space; the torus cell sweeps threads 1 and 2 only."
+            "space; the torus cell sweeps threads 1 and 2 only. Ring cells' "
+            "'cell' rows time run_cell from seeds (ring construction "
+            "included) per backend at threads 1 and 2."
         ),
         "thread_counts": list(THREAD_COUNTS),
         "unix_time": int(time.time()),

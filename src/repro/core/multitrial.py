@@ -74,7 +74,12 @@ from repro.obs import enabled as obs_enabled
 from repro.obs import trace_span
 from repro.utils.validation import check_non_negative_int, check_positive_int
 
-__all__ = ["run_fused", "auto_fused_batch_size", "fused_trial_chunk"]
+__all__ = [
+    "run_fused",
+    "run_random_rings",
+    "auto_fused_batch_size",
+    "fused_trial_chunk",
+]
 
 #: Cap on fused candidate elements materialized per trial chunk (index
 #: entries); keeps peak temporaries around a hundred MB at paper scale
@@ -117,22 +122,31 @@ def fused_trial_chunk(n: int, m: int, d: int) -> int:
     return max(1, min(by_candidates, by_bins))
 
 
+def _ring_kernel_takes(
+    rngs: Sequence[np.random.Generator], backend: KernelBackend
+) -> bool:
+    """Whether the backend's ``ring_trials`` kernel can draw for these trials.
+
+    That kernel carries a copy of numpy's PCG64, so it takes trials
+    whose generators are exactly ``PCG64``, one each; other bit
+    generators (``MT19937``, ``PCG64DXSM``, ...) and shared generators
+    keep the generic path.
+    """
+    return (
+        backend.ring_trials is not None
+        and all(type(r.bit_generator) is np.random.PCG64 for r in rngs)
+        and _distinct_generators(rngs)
+    )
+
+
 def _ring_kernel_applies(
     spaces: Sequence[GeometricSpace],
     rngs: Sequence[np.random.Generator],
     backend: KernelBackend,
 ) -> bool:
-    """Whether every trial can run inside the backend's ``ring_trials``.
-
-    That kernel carries a copy of numpy's PCG64, so it takes rings whose
-    generators are exactly ``PCG64``; other bit generators (``MT19937``,
-    ``PCG64DXSM``, ...) keep the generic ``choice_blocks`` path.
-    """
-    return (
-        backend.ring_trials is not None
-        and all(isinstance(s, RingSpace) for s in spaces)
-        and all(type(r.bit_generator) is np.random.PCG64 for r in rngs)
-        and _distinct_generators(rngs)
+    """Whether every trial can run inside the backend's ``ring_trials``."""
+    return all(isinstance(s, RingSpace) for s in spaces) and _ring_kernel_takes(
+        rngs, backend
     )
 
 
@@ -410,6 +424,104 @@ def run_fused(
             rng_block=rng_block,
             batch_size=batch_size,
             record_heights=record_heights,
+        )
+
+
+def run_random_rings(
+    n: int,
+    m: int,
+    d: int,
+    strategy: TieBreak,
+    rngs: Sequence[np.random.Generator],
+    *,
+    partitioned: bool = False,
+    rng_block: int = DEFAULT_RNG_BLOCK,
+    record_heights: bool = False,
+    backend: KernelBackend | str | None = None,
+    threads: int | None = None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Place ``m`` balls in each of ``len(rngs)`` trials on fresh random rings.
+
+    Trial ``k`` draws its ``n`` servers from ``rngs[k]``, then its
+    balls.  The result is exactly that of
+    ``run_fused([RingSpace.random(n, seed=r) for r in rngs], m, d,
+    strategy, rngs, ...)``, the reference path this function takes
+    whenever the backend's ``ring_trials`` kernel cannot draw for the
+    trials (see :func:`run_fused`: no such kernel, a generator that is
+    not ``PCG64``, a generator shared by trials).
+
+    Otherwise the kernel builds each trial's ring on the worker thread
+    that runs the trial — draw, counting sort, bucket table, arc lengths
+    — and no :class:`~repro.core.ring.RingSpace` is made.  When some
+    drawn ring repeats a position (or crowds one bucket), the kernel
+    writes no generator state back and the trials rerun on the
+    reference path, which raises ``RingSpace``'s :class:`ValueError` for
+    a repeat.  Loads, heights and final generator states are
+    bit-identical to the reference either way
+    (``tests/kernels/test_ring_kernel.py``).  Arguments are as in
+    :func:`run_fused`.
+    """
+    t = len(rngs)
+    if t == 0:
+        raise ValueError("run_random_rings needs at least one generator")
+    n = check_positive_int(n, "n")
+    m = check_non_negative_int(m, "m")
+    d = check_positive_int(d, "d")
+    rng_block = check_positive_int(rng_block, "rng_block")
+    strategy = TieBreak.coerce(strategy)
+    backend_obj = resolve_backend(backend)
+    eff_threads = resolve_threads(threads)
+    with trace_span(
+        "run_random_rings",
+        n=n,
+        d=d,
+        trials=t,
+        m=m,
+        backend=backend_obj.name,
+        strategy=strategy.value,
+        threads=eff_threads,
+    ):
+        if _ring_kernel_takes(rngs, backend_obj):
+            loads = np.zeros((t, n), dtype=np.int64)
+            heights = np.zeros((t, m), dtype=np.int64) if record_heights else None
+            _obs = obs_enabled()
+            if _obs:
+                t0 = time.perf_counter()
+            built = backend_obj.ring_trials(
+                [r.bit_generator for r in rngs],
+                None,
+                None,
+                loads,
+                heights,
+                m,
+                d,
+                STRATEGY_CODES[strategy.value],
+                partitioned,
+                rng_block,
+                eff_threads,
+            )
+            if _obs:
+                add_span(
+                    "run_random_rings.ring_trials",
+                    time.perf_counter() - t0,
+                    threads=eff_threads,
+                )
+            if built:
+                counter_add("placement.balls", t * m)
+                counter_add("placement.trials", t)
+                return loads, heights
+        spaces = [RingSpace.random(n, seed=r) for r in rngs]
+        return run_fused(
+            spaces,
+            m,
+            d,
+            strategy,
+            rngs,
+            partitioned=partitioned,
+            rng_block=rng_block,
+            record_heights=record_heights,
+            backend=backend_obj,
+            threads=eff_threads,
         )
 
 

@@ -21,7 +21,9 @@ into *scalar kernels* that a compiled tier can run at memory speed:
 ``ring_trials``
     Whole ring trials of :func:`repro.core.multitrial.run_fused`: a copy
     of numpy's PCG64 feeds draw → bucket lookup → place for every ball,
-    with trials split across OS threads.
+    with trials split across OS threads.  Given no tables
+    (:func:`repro.core.multitrial.run_random_rings`), each trial first
+    draws and builds its own ring on its worker thread.
 ``torus_grid``
     The periodic uniform grid of a 2-D :class:`repro.core.torus.TorusSpace`
     (one counting sort, with the distinctness check in the same pass),
@@ -173,9 +175,18 @@ class KernelBackend:
         point up in ``tables[k]`` (``(nbuckets, table, pos_ext)``) and
         places it into row ``k`` of ``loads`` ``(T, n)`` and
         ``heights`` ``(T, m)`` (or ``None``); ``measures`` is a list of
-        arc-length arrays or ``None``.  Only ``state.state`` is written
-        back to each generator.  Trials are split statically across
-        ``threads`` OS threads — trials share nothing, so any split is
+        arc-length arrays or ``None``.  With ``tables=None`` (and
+        ``measures=None``) trial ``k`` first draws its ring from its
+        generator, exactly as ``RingSpace.random(n, seed=...)`` would:
+        the ``n`` positions, their bucket table and, for the
+        ``smaller``/``larger`` strategies, their arc lengths, all
+        built in scratch on the trial's thread.  Only ``state.state``
+        is written back to each generator.  Returns ``True``, or
+        ``False`` — writing no state back, the loads then meaningless —
+        when some drawn ring repeats a position or crowds one bucket
+        past the kernel's limit, so that the caller can rebuild it the
+        reference way.  Trials are split statically across ``threads``
+        OS threads — trials share nothing, so any split is
         bit-identical.
     ``torus_grid(points, side)``
         From ``(n, 2)`` points in ``[0, 1)²``, the periodic grid

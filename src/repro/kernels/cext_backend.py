@@ -20,7 +20,9 @@ for the non-negative operand — same strict-inequality measure
 preference), so its placements are bit-identical to the numpy
 reference; the parity suite enforces this.  ``ring_trials`` also
 carries a copy of numpy's PCG64 generator, so it draws the same
-numbers ``Generator.random`` would (``tests/kernels/test_ring_kernel.py``).
+numbers ``Generator.random`` would, and the ring it can build from
+them is the one ``RingSpace.random`` builds
+(``tests/kernels/test_ring_kernel.py``).
 The torus grid computes squared distances in cKDTree's periodic
 arithmetic, so it finds the server cKDTree finds
 (``tests/kernels/test_torus_kernel.py``).
@@ -406,24 +408,43 @@ void repro_ring_assign_par(const double *pts, int64_t q,
     run_jobs(ring_worker, (char *)jobs, sizeof(ring_job), nthreads);
 }
 
-/* Kernel 4: bucket table of a ring in one pass over its sorted
- * positions.  pos_ext holds the n sorted positions and the +inf
- * sentinel; table (nbuckets + 1 entries, zeroed by the caller) becomes
- * table[b] = number of positions whose bucket floor(pos * nbuckets) is
- * below b — numpy's bincount + cumsum, as a branch-free count then a
- * prefix sum.  Returns 0 when two positions are equal (the ring rejects
- * duplicates), else 1. */
+/* The count/prefix pass of a ring's bucket table: table (nbuckets + 1
+ * entries, zeroed by the caller) becomes table[b] = number of positions
+ * whose bucket floor(pos * nbuckets) is below b — numpy's bincount +
+ * cumsum, as a branch-free count then a prefix sum.  The positions
+ * need not be sorted.  Returns the largest bucket's count. */
+static int64_t ring_buckets(const double *pos, int64_t n, int64_t nbuckets,
+                            int32_t *table)
+{
+    int64_t i, b, most = 0;
+    for (i = 0; i < n; i++)
+        table[(int64_t)(pos[i] * (double)nbuckets) + 1] += 1;
+    for (b = 1; b <= nbuckets; b++) {
+        most = table[b] > most ? table[b] : most;
+        table[b] += table[b - 1];
+    }
+    return most;
+}
+
+/* Whether n sorted positions are distinct (the ring rejects
+ * duplicates). */
+static int ring_distinct(const double *pos, int64_t n)
+{
+    int64_t i;
+    for (i = 1; i < n; i++)
+        if (pos[i] == pos[i - 1])
+            return 0;
+    return 1;
+}
+
+/* Kernel 4: bucket table of a ring from its sorted positions.  pos_ext
+ * holds the n sorted positions and the +inf sentinel; table is as in
+ * ring_buckets.  Returns 0 when two positions are equal, else 1. */
 int64_t repro_ring_table(const double *pos_ext, int64_t n, int64_t nbuckets,
                          int32_t *table)
 {
-    int64_t i, b, equal = 0;
-    for (i = 0; i < n; i++) {
-        table[(int64_t)(pos_ext[i] * (double)nbuckets) + 1] += 1;
-        equal |= i > 0 && pos_ext[i] == pos_ext[i - 1];
-    }
-    for (b = 1; b <= nbuckets; b++)
-        table[b] += table[b - 1];
-    return !equal;
+    ring_buckets(pos_ext, n, nbuckets, table);
+    return ring_distinct(pos_ext, n);
 }
 
 /* ---------------- numpy's PCG64 and the fused ring trial ----------------
@@ -551,6 +572,93 @@ void repro_pcg64_advance(uint64_t *s, uint64_t delta_hi, uint64_t delta_lo)
     pcg64_store(&g, s);
 }
 
+/* A bucket holding more than this many positions stops the in-kernel
+ * ring build: its insertion pass then stays linear.  Uniform positions
+ * crowd a bucket this much only with negligible probability. */
+#define RING_MAX_BUCKET 64
+
+static inline uint64_t ring_bits(double x)
+{
+    uint64_t b;
+    memcpy(&b, &x, sizeof b);
+    return b;
+}
+
+/* Sort n positions that already lie in their buckets' ranges, in one
+ * insertion pass.  Positions are never negative, so their bit patterns
+ * order like their values, and the first step of each insertion —
+ * against the largest position so far — is a branch-free integer
+ * min/max: as a compare-and-branch it mispredicts for about one
+ * position in four.  Only a position that belongs two or more places
+ * back takes the loop. */
+static void ring_insertion(double *pos, int64_t n)
+{
+    int64_t i, j;
+    uint64_t top = n > 0 ? ring_bits(pos[0]) : 0, x, lo;
+    for (i = 1; i < n; i++) {
+        x = ring_bits(pos[i]);
+        lo = x < top ? x : top;
+        top = x < top ? top : x;
+        memcpy(&pos[i - 1], &lo, sizeof lo);
+        memcpy(&pos[i], &top, sizeof top);
+        if (i >= 2 && ring_bits(pos[i - 2]) > lo) {
+            for (j = i - 1; j > 0 && ring_bits(pos[j - 1]) > lo; j--)
+                pos[j] = pos[j - 1];
+            memcpy(&pos[j], &lo, sizeof lo);
+        }
+    }
+}
+
+/* The ring RingSpace.random(n) would draw from g, built in scratch.
+ * The positions are g's next n doubles (into raw).  A counting sort
+ * scatters them into the power-of-two buckets: the counts are the
+ * bucket table itself (ring_buckets), and table[b] walks to the end of
+ * bucket b during the stable scatter, after which the offsets shift
+ * back by one bucket.  Buckets are ordered, so ring_insertion sorts
+ * each in place; distinct doubles have one sorted order, so pos_ext
+ * equals np.sort's, with the +inf sentinel at n.  When
+ * measures is not NULL it receives the arc lengths in region_measures'
+ * operation order (raw may be measures).  Returns 1, or 0 when two
+ * positions are equal or a bucket holds more than RING_MAX_BUCKET of
+ * them; g has drawn the n positions either way. */
+static int ring_build(pcg64 *g, int64_t n, int64_t nbuckets, double *raw,
+                      double *pos_ext, int32_t *table, double *measures)
+{
+    int64_t i;
+    double nb = (double)nbuckets;
+    pcg64_fill(g, n, raw);
+    memset(table, 0, sizeof(int32_t) * (size_t)(nbuckets + 1));
+    if (ring_buckets(raw, n, nbuckets, table) > RING_MAX_BUCKET)
+        return 0;
+    for (i = 0; i < n; i++)
+        pos_ext[table[(int64_t)(raw[i] * nb)]++] = raw[i];
+    memmove(table + 1, table, sizeof(int32_t) * (size_t)nbuckets);
+    table[0] = 0;
+    ring_insertion(pos_ext, n);
+    if (!ring_distinct(pos_ext, n))
+        return 0;
+    pos_ext[n] = HUGE_VAL;
+    if (measures) {
+        for (i = 1; i < n; i++)
+            measures[i] = pos_ext[i] - pos_ext[i - 1];
+        measures[0] = n == 1 ? 1.0 : 1.0 - pos_ext[n - 1] + pos_ext[0];
+    }
+    return 1;
+}
+
+/* The build alone, on state words s (updated past the n draws): fills
+ * pos_ext (n + 1), table (nbuckets + 1) and measures (n).  Returns
+ * ring_build's answer.  Only the tests call it. */
+int64_t repro_ring_build(uint64_t *s, int64_t n, int64_t nbuckets,
+                         double *pos_ext, int32_t *table, double *measures)
+{
+    pcg64 g = pcg64_load(s);
+    int built = ring_build(&g, n, nbuckets, measures, pos_ext, table,
+                           measures);
+    pcg64_store(&g, s);
+    return built;
+}
+
 /* Balls per stage of a ring trial: a stage's candidate lines (a few
  * hundred) stay cache-resident from the stage that warms them to the
  * stage that reads them. */
@@ -559,38 +667,37 @@ void repro_pcg64_advance(uint64_t *s, uint64_t delta_hi, uint64_t delta_lo)
 /* A contiguous range [k0, k1) of the fused ring trials. */
 typedef struct {
     uint64_t *states;              /* (t, 4) generator words, rewritten */
-    const int32_t *const *tables;  /* per trial: nbuckets + 1 entries */
+    const int32_t *const *tables;  /* per trial nbuckets + 1, or NULL */
     const double *const *pos_ext;  /* per trial: n positions + inf */
     const double *const *measures; /* per trial arc lengths, or NULL */
     int64_t *loads;                /* (t, n) */
     int64_t *heights;              /* (t, m) or NULL */
     int64_t k0, k1, n, m, d, nbuckets, rng_block, partitioned, strategy;
-    int64_t failed;
+    int64_t status; /* 0, 1: a ring was not built, -1: no scratch */
 } ring_trials_job;
 
-/* One trial, block by block in choice_blocks' layout: an RNG block of b
- * balls is b*d candidate draws followed by b tie-break draws.  Two
- * cursors walk it without materialising it — candidates from the
- * block's first draw, tie-breaks from b*d draws later (jump-ahead) —
- * and each stage of RING_STAGE balls runs draw -> bucket lookup ->
- * probe -> place, each pass warming the lines the next pass reads. */
-static void ring_trial(const ring_trials_job *job, int64_t k, double *x,
-                       int64_t *bins, double *us)
+/* One trial from generator g on the ring (table, pos, measures), block
+ * by block in choice_blocks' layout: an RNG block of b balls is b*d
+ * candidate draws followed by b tie-break draws.  Two cursors walk it
+ * without materialising it — candidates from the block's first draw,
+ * tie-breaks from b*d draws later (jump-ahead) — and each stage of
+ * RING_STAGE balls runs draw -> bucket lookup -> probe -> place, each
+ * pass warming the lines the next pass reads. */
+static void ring_trial(const ring_trials_job *job, int64_t k, pcg64 *g,
+                       const int32_t *table, const double *pos,
+                       const double *measures, double *x, int64_t *bins,
+                       double *us)
 {
-    const int32_t *table = job->tables[k];
-    const double *pos = job->pos_ext[k];
-    const double *measures = job->measures ? job->measures[k] : 0;
     int64_t *loads = job->loads + k * job->n;
     int64_t *heights = job->heights ? job->heights + k * job->m : 0;
     int64_t n = job->n, d = job->d, ball = 0;
     double nb = (double)job->nbuckets;
     int needs_u = job->strategy == 0 && d > 1;
-    pcg64 g = pcg64_load(job->states + 4 * k);
     while (ball < job->m) {
         int64_t b = job->m - ball < job->rng_block ? job->m - ball
                                                    : job->rng_block;
         int64_t s0;
-        pcg64 cand = g, tie = g;
+        pcg64 cand = *g, tie = *g;
         if (needs_u)
             pcg64_advance(&tie, (pcg128)b * (pcg128)d);
         for (s0 = 0; s0 < b; s0 += RING_STAGE) {
@@ -617,35 +724,63 @@ static void ring_trial(const ring_trials_job *job, int64_t k, double *x,
             repro_place_block(bins, us, w, d, loads, measures, job->strategy,
                               heights ? heights + ball + s0 : 0);
         }
-        pcg64_advance(&g, (pcg128)b * (pcg128)(d + 1));
+        pcg64_advance(g, (pcg128)b * (pcg128)(d + 1));
         ball += b;
     }
-    pcg64_store(&g, job->states + 4 * k);
 }
 
+/* A worker's trials.  Without tables each trial first builds its ring
+ * from its own generator (ring_build) in scratch the worker reuses;
+ * the smaller/larger strategies (codes 2, 3) also get its arc lengths.
+ * A ring that is not built stops the worker (status 1). */
 static void *ring_trials_worker(void *arg)
 {
     ring_trials_job *job = (ring_trials_job *)arg;
+    int64_t n = job->n, k;
+    int build = job->tables == 0, arcs = build && job->strategy >= 2;
     double *x = malloc(sizeof(double) * RING_STAGE * job->d);
     int64_t *bins = malloc(sizeof(int64_t) * RING_STAGE * job->d);
     /* zeroed: strategies that ignore tie-breaks never draw them */
     double *us = calloc(RING_STAGE, sizeof(double));
-    int64_t k;
-    if (x && bins && us) {
-        for (k = job->k0; k < job->k1; k++)
-            ring_trial(job, k, x, bins, us);
+    double *raw = build ? malloc(sizeof(double) * n) : 0;
+    double *pos_ext = build ? malloc(sizeof(double) * (n + 1)) : 0;
+    int32_t *table =
+        build ? malloc(sizeof(int32_t) * (job->nbuckets + 1)) : 0;
+    if (!x || !bins || !us || (build && (!raw || !pos_ext || !table))) {
+        job->status = -1;
     } else {
-        job->failed = 1;
+        for (k = job->k0; k < job->k1; k++) {
+            pcg64 g = pcg64_load(job->states + 4 * k);
+            if (!build) {
+                ring_trial(job, k, &g, job->tables[k], job->pos_ext[k],
+                           job->measures ? job->measures[k] : 0, x, bins, us);
+            } else if (ring_build(&g, n, job->nbuckets, raw, pos_ext, table,
+                                  arcs ? raw : 0)) {
+                ring_trial(job, k, &g, table, pos_ext, arcs ? raw : 0, x,
+                           bins, us);
+            } else {
+                job->status = 1;
+                break;
+            }
+            pcg64_store(&g, job->states + 4 * k);
+        }
     }
     free(x);
     free(bins);
     free(us);
+    free(raw);
+    free(pos_ext);
+    free(table);
     return 0;
 }
 
 /* Kernel 5: t complete ring trials (draw -> bucket lookup -> place for
- * every ball), trials partitioned across nthreads OS threads.  Returns
- * 0, or -1 when scratch memory could not be allocated. */
+ * every ball), trials partitioned across nthreads OS threads.  With
+ * tables == NULL each trial first builds its ring from its generator
+ * (ring_build; pos_ext and measures are then ignored).  Returns 0, 1
+ * when some ring was not built (the state words are then partly
+ * advanced and must be discarded), or -1 when scratch memory could not
+ * be allocated. */
 int64_t repro_ring_trials(uint64_t *states, const int32_t *const *tables,
                           const double *const *pos_ext,
                           const double *const *measures, int64_t t,
@@ -655,7 +790,7 @@ int64_t repro_ring_trials(uint64_t *states, const int32_t *const *tables,
                           int64_t nthreads)
 {
     ring_trials_job jobs[MAX_KERNEL_THREADS];
-    int64_t w, start, stop, failed = 0;
+    int64_t w, start, stop, status = 0;
     nthreads = clamp_threads(nthreads, t);
     for (w = 0; w < nthreads; w++) {
         thread_range(t, nthreads, w, &start, &stop);
@@ -666,9 +801,12 @@ int64_t repro_ring_trials(uint64_t *states, const int32_t *const *tables,
     }
     run_jobs(ring_trials_worker, (char *)jobs, sizeof(ring_trials_job),
              nthreads);
-    for (w = 0; w < nthreads; w++)
-        failed |= jobs[w].failed;
-    return failed ? -1 : 0;
+    for (w = 0; w < nthreads; w++) {
+        if (jobs[w].status < 0)
+            return -1;
+        status |= jobs[w].status;
+    }
+    return status;
 }
 
 #endif /* __SIZEOF_INT128__ */
@@ -914,6 +1052,7 @@ _SIGNATURES = {
     "repro_torus_assign": ([_PTR, _I64, _PTR, _PTR, _PTR, _I64, _PTR], None),
     "repro_torus_grid": ([_PTR, _I64, _I64, _PTR, _PTR, _PTR], _I64),
     "repro_pcg64_fill": ([_PTR, _I64, _PTR], None),
+    "repro_ring_build": ([_PTR, _I64, _I64, _PTR, _PTR, _PTR], _I64),
     "repro_pcg64_advance": ([_PTR, _U64, _U64], None),
 }
 
@@ -1137,9 +1276,14 @@ def build_backend():
         up in ``tables[k]`` (a ring's ``(nbuckets, table, pos_ext)``)
         and places it into ``loads[k]`` (heights into ``heights[k]``
         when not ``None``; ``measures[k]`` are the arc lengths or
-        ``measures`` is ``None``).  Only ``state.state`` is written back
-        to each generator.  Trials are split statically across
-        ``threads`` OS threads.
+        ``measures`` is ``None``).  With ``tables=None`` each trial
+        first draws its ring from its own generator, exactly as
+        ``RingSpace.random(n, seed=...)`` would, and ``measures`` must
+        be ``None``.  Only ``state.state`` is written back to each
+        generator.  Trials are split statically across ``threads`` OS
+        threads.  Returns ``False``, writing no state back, when some
+        drawn ring repeats a position or crowds one bucket; else
+        ``True``.
         """
         _check_inplace(loads, np.int64, "loads")
         t, n = loads.shape
@@ -1147,35 +1291,49 @@ def build_backend():
             _check_inplace(heights, np.int64, "heights")
             if heights.shape != (t, m):
                 raise ValueError(f"heights must have shape {(t, m)}")
-        nbuckets = int(tables[0][0])
-        if len(bit_generators) != t or len(tables) != t or any(
-            nb != nbuckets or table.size != nbuckets + 1 or pos_ext.size != n + 1
-            for nb, table, pos_ext in tables
-        ):
-            raise ValueError("ring_trials needs one (n, nbuckets) table per loads row")
-        if measures is not None and any(a.size != n for a in measures):
-            raise ValueError("ring_trials needs n measures per trial")
+        if len(bit_generators) != t:
+            raise ValueError("ring_trials needs one generator per loads row")
+        if tables is None:
+            if measures is not None:
+                raise ValueError("ring_trials draws its own rings' measures")
+            nbuckets = 1 << max(0, (n - 1).bit_length())
+            table_ptrs = ext_ptrs = measure_ptrs = None
+        else:
+            nbuckets = int(tables[0][0])
+            if len(tables) != t or any(
+                nb != nbuckets or table.size != nbuckets + 1
+                or pos_ext.size != n + 1
+                for nb, table, pos_ext in tables
+            ):
+                raise ValueError(
+                    "ring_trials needs one (n, nbuckets) table per loads row"
+                )
+            if measures is not None and any(a.size != n for a in measures):
+                raise ValueError("ring_trials needs n measures per trial")
+            tabs = [_as_c(table, np.int32) for _, table, _ in tables]
+            exts = [_as_c(pos_ext, np.float64) for _, _, pos_ext in tables]
+            table_ptrs, ext_ptrs = _pointers(tabs), _pointers(exts)
+            if measures is not None:
+                measures = [_as_c(a, np.float64) for a in measures]
+            measure_ptrs = None if measures is None else _pointers(measures)
         states = [bg.state for bg in bit_generators]
         words = np.array(
             [_pcg64_words(st["state"]) for st in states], dtype=np.uint64
         )
-        tabs = [_as_c(table, np.int32) for _, table, _ in tables]
-        exts = [_as_c(pos_ext, np.float64) for _, _, pos_ext in tables]
-        table_ptrs, ext_ptrs = _pointers(tabs), _pointers(exts)
-        if measures is not None:
-            measures = [_as_c(a, np.float64) for a in measures]
-        measure_ptrs = None if measures is None else _pointers(measures)
-        failed = lib.repro_ring_trials(
+        status = lib.repro_ring_trials(
             _p(words), _p(table_ptrs), _p(ext_ptrs), _p(measure_ptrs), t, n,
             int(m), int(d), nbuckets, int(rng_block),
             int(bool(partitioned)), int(strategy_code), _p(loads),
             _p(heights), int(threads),
         )
-        if failed:
+        if status < 0:
             raise MemoryError("ring_trials: could not allocate kernel scratch")
+        if status:
+            return False
         for bg, st, (hi, lo) in zip(bit_generators, states, words[:, :2].tolist()):
             st["state"]["state"] = (hi << 64) | lo
             bg.state = st
+        return True
 
     def torus_assign(pts, grid):
         """C kernel: nearest grid point of each ``(x, y)`` row of ``pts``.

@@ -1,9 +1,10 @@
 """Run manifests: attribute every result file to code + environment.
 
 A manifest is the JSON-able answer to "what produced this number?":
-package version, git revision, python/numpy versions, platform, the
-kernel backend auto-detection would pick, and every ``REPRO_*``
-environment override in effect.  The sweep CLI writes one next to each
+package version, git revision and whether tracked files differed from
+it, python/numpy versions, platform, the kernel backend
+auto-detection would pick, and every ``REPRO_*`` environment override
+in effect.  The sweep CLI writes one next to each
 ``--out`` artifact, the benchmark emitters embed one in
 ``BENCH_engine.json`` / ``BENCH_sweeps.json``, and the tracer drops
 one beside each auto-flushed trace file — so any row in any tracked
@@ -27,25 +28,29 @@ import subprocess
 import sys
 from pathlib import Path
 
-__all__ = ["git_revision", "run_manifest", "write_manifest"]
+__all__ = ["git_dirty", "git_revision", "run_manifest", "write_manifest"]
 
 #: Manifest schema version (bump on field changes).
-SCHEMA = 1
+SCHEMA = 2
 
 
-def git_revision() -> str | None:
-    """The git commit hash of the source tree, or ``None`` outside git.
+def _git(args: list[str], root: "Path | str | None") -> str | None:
+    """Standard output of ``git args`` in the source tree, or ``None``.
 
-    Resolved against the directory holding the installed ``repro``
-    package first (the code that actually ran), falling back to the
-    current working directory; any failure — no git binary, not a
-    repository, permission trouble — degrades to ``None`` rather than
-    raising.
+    Run in ``root`` when given, else in the directory holding the
+    installed ``repro`` package first (the code that actually ran),
+    falling back to the current working directory; any failure — no git
+    binary, not a repository, permission trouble — degrades to ``None``
+    rather than raising.
     """
-    for where in (Path(__file__).resolve().parent, Path.cwd()):
+    places = [Path(root)] if root is not None else [
+        Path(__file__).resolve().parent,
+        Path.cwd(),
+    ]
+    for where in places:
         try:
             out = subprocess.run(
-                ["git", "-C", str(where), "rev-parse", "HEAD"],
+                ["git", "-C", str(where), *args],
                 capture_output=True,
                 text=True,
                 timeout=10,
@@ -54,8 +59,27 @@ def git_revision() -> str | None:
         except (OSError, subprocess.SubprocessError):
             continue
         if out.returncode == 0:
-            return out.stdout.strip()
+            return out.stdout
     return None
+
+
+def git_revision(root: "Path | str | None" = None) -> str | None:
+    """The git commit hash of the source tree, or ``None`` outside git
+    (``root`` as in :func:`git_dirty`)."""
+    out = _git(["rev-parse", "HEAD"], root)
+    return None if out is None else out.strip()
+
+
+def git_dirty(root: "Path | str | None" = None) -> bool | None:
+    """Whether tracked files differ from the checked-out commit.
+
+    ``True`` when ``git status --porcelain --untracked-files=no``
+    prints anything, ``None`` outside git.  Looked up in ``root`` when
+    given, else in the installed package's directory, then the current
+    working directory.
+    """
+    out = _git(["status", "--porcelain", "--untracked-files=no"], root)
+    return None if out is None else bool(out.strip())
 
 
 def _cpu_topology() -> dict:
@@ -103,7 +127,7 @@ def run_manifest(extra: dict | None = None) -> dict:
     --------
     >>> m = run_manifest({"seed": 7})
     >>> m["seed"], m["schema"]
-    (7, 1)
+    (7, 2)
     >>> run_manifest() == run_manifest()
     True
     """
@@ -116,6 +140,7 @@ def run_manifest(extra: dict | None = None) -> dict:
         "package": "repro",
         "version": __version__,
         "git_rev": git_revision(),
+        "git_dirty": git_dirty(),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "platform": platform.platform(),

@@ -11,7 +11,9 @@ Trials of one cell are statistically independent, so :func:`run_cell`
 and :func:`run_cell_profile` run them all through the trial-fused
 engine (:func:`repro.core.multitrial.run_fused`): one pass across all
 trials, inside the ``cext`` kernel where it applies, with the kernel
-``threads`` splitting trials.  Trial ``k`` is bit-identical to
+``threads`` splitting trials.  Ring cells also build their rings in
+that kernel (:func:`repro.core.multitrial.run_random_rings`).  Trial
+``k`` is bit-identical to
 :func:`repro.core.engine.run_sequential` on the same seed.
 :func:`run_trial_map` is the generic harness for trials that have no
 fused engine (dynamic churn trajectories); its optional process pool
@@ -27,8 +29,7 @@ from multiprocessing import get_context
 import numpy as np
 
 from repro.core.loads import max_load, nu_profile
-from repro.core.multitrial import fused_trial_chunk, run_fused
-from repro.core.ring import RingSpace
+from repro.core.multitrial import fused_trial_chunk, run_fused, run_random_rings
 from repro.core.strategies import TieBreak
 from repro.core.torus import TorusSpace
 from repro.obs import counter_add, obs_session, trace_span
@@ -110,8 +111,7 @@ class CellSpec:
 
 
 def _build_space(spec: CellSpec, rng: np.random.Generator):
-    if spec.space == "ring":
-        return RingSpace.random(spec.n, seed=rng)
+    """A trial's space for a non-ring cell (rings: ``run_random_rings``)."""
     if spec.space == "torus":
         return TorusSpace.random(spec.n, dim=spec.dim, seed=rng)
     from repro.baselines.uniform import UniformSpace
@@ -126,29 +126,32 @@ def _run_cell_fused(
     """All trials of a cell through the trial-fused engine.
 
     Trial ``k``'s generator first draws the server placement, then the
-    item choices.  Trials are processed in memory-bounded fusion chunks
-    (:func:`fused_trial_chunk`), which never changes results.
-    ``backend`` and ``threads`` are forwarded to
-    :func:`~repro.core.multitrial.run_fused` (kernel backend and
-    thread-count selection; results are independent of both).
+    item choices.  Ring cells go through
+    :func:`~repro.core.multitrial.run_random_rings`, which builds the
+    rings inside the ``ring_trials`` kernel where it applies; other
+    cells build their spaces here for
+    :func:`~repro.core.multitrial.run_fused`.  Trials are processed in
+    memory-bounded fusion chunks (:func:`fused_trial_chunk`), which
+    never changes results.  ``backend`` and ``threads`` are forwarded
+    (kernel backend and thread-count selection; results are
+    independent of both).
     """
     seeds = spawn_seed_sequences(seed, trials)
     chunk = fused_trial_chunk(spec.n, spec.balls, spec.d)
     strategy = TieBreak.coerce(spec.strategy)
+    options = dict(partitioned=spec.partitioned, backend=backend, threads=threads)
     out = []
     for c0 in range(0, trials, chunk):
         rngs = [np.random.default_rng(ss) for ss in seeds[c0 : c0 + chunk]]
-        spaces = [_build_space(spec, rng) for rng in rngs]
-        loads, _ = run_fused(
-            spaces,
-            spec.balls,
-            spec.d,
-            strategy,
-            rngs,
-            partitioned=spec.partitioned,
-            backend=backend,
-            threads=threads,
-        )
+        if spec.space == "ring":
+            loads, _ = run_random_rings(
+                spec.n, spec.balls, spec.d, strategy, rngs, **options
+            )
+        else:
+            spaces = [_build_space(spec, rng) for rng in rngs]
+            loads, _ = run_fused(
+                spaces, spec.balls, spec.d, strategy, rngs, **options
+            )
         if profile:
             out.extend(nu_profile(row) for row in loads)
         else:

@@ -4,7 +4,8 @@ The backend contract (:mod:`repro.kernels`) is that results never
 depend on the backend.  These tests enforce it at every level the
 kernels plug in: fused placements (loads and per-ball heights), dynamic
 trajectories (per-epoch snapshots included), the raw ring lookup, and
-the ``backend=`` kwarg surface of :func:`repro.stats.trials.run_cell`.
+the ``backend=`` kwarg surface of :func:`repro.stats.trials.run_cell`
+and :func:`repro.stats.trials.run_cell_profile`.
 
 Backends that cannot build on this machine (no C compiler) are
 skipped, not failed — the numpy reference path is covered
@@ -23,7 +24,7 @@ from repro.core.torus import TorusSpace
 from repro.dynamics import simulate_dynamics
 from repro.dynamics.events import churn_storm_trace, steady_state_trace
 from repro.kernels import available_backends, get_backend
-from repro.stats.trials import CellSpec, run_cell
+from repro.stats.trials import CellSpec, run_cell, run_cell_profile
 
 #: Accelerated backends usable on this machine (parametrization set).
 ACCELERATED = [
@@ -162,11 +163,19 @@ def test_ring_assign_parity_small_batches(backend_name, q):
 
 
 @pytest.mark.parametrize("backend_name", ACCELERATED)
-def test_run_cell_backend_kwarg_parity(backend_name):
-    spec = CellSpec("ring", 256, 2)
+@pytest.mark.parametrize("partitioned", [False, True])
+@pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda s: s.value)
+def test_run_cell_backend_kwarg_parity(backend_name, strategy, partitioned):
+    """Max-load counts and, bin level by bin level, ν-profiles."""
+    spec = CellSpec("ring", 256, 2, strategy=strategy.value,
+                    partitioned=partitioned)
     ref = run_cell(spec, trials=6, seed=44, backend="numpy")
     got = run_cell(spec, trials=6, seed=44, backend=backend_name)
     assert ref.to_json_counts() == got.to_json_counts()
+    np.testing.assert_array_equal(
+        run_cell_profile(spec, trials=6, seed=44, backend="numpy"),
+        run_cell_profile(spec, trials=6, seed=44, backend=backend_name),
+    )
 
 
 @pytest.mark.parametrize("backend_name", ACCELERATED)

@@ -1,13 +1,14 @@
 """The ``ring_trials`` kernel: a C copy of numpy's PCG64 plus whole ring trials.
 
-The kernel promises byte-identity with numpy twice over: its generator
-draws the doubles ``Generator.random`` would and jumps exactly like
-``bit_generator.advance``, and each ring trial it runs ends with the
-loads, heights and generator state of
-:func:`repro.core.engine.run_sequential`.  These tests check both, the
-dispatch rules around the kernel (other bit generators keep the generic
-path), the ring table pass, and the compile flags the rounding depends
-on.
+The kernel promises byte-identity with numpy three times over: its
+generator draws the doubles ``Generator.random`` would and jumps
+exactly like ``bit_generator.advance``, a ring it builds from a
+generator is the ring ``RingSpace.random`` draws from it, and each ring
+trial it runs ends with the loads, heights and generator state of
+:func:`repro.core.engine.run_sequential`.  These tests check all three,
+the dispatch rules around the kernel (other bit generators and shared
+generators keep the reference path), the ring table pass, and the
+compile flags the rounding depends on.
 """
 
 from __future__ import annotations
@@ -18,7 +19,12 @@ import numpy as np
 import pytest
 
 from repro.core.engine import DEFAULT_RNG_BLOCK, run_sequential
-from repro.core.multitrial import _ring_kernel_applies, run_fused
+from repro.core.multitrial import (
+    _ring_kernel_applies,
+    _ring_kernel_takes,
+    run_fused,
+    run_random_rings,
+)
 from repro.core.ring import RingSpace
 from repro.core.strategies import TieBreak
 from repro.core.torus import TorusSpace
@@ -212,6 +218,175 @@ def test_ring_kernel_default_block_matches_generic_path(d, strategy, partitioned
                     for k in range(len(spaces))]
         _check_kernel(spaces, m, d, strategy, seeds, partitioned,
                       DEFAULT_RNG_BLOCK, expected)
+
+
+# ---------------------------------------------------------------------------
+# rings built inside the kernel against RingSpace.random + run_sequential
+# ---------------------------------------------------------------------------
+
+BUILD_SIZES = (1, 2, 3, 1023, 1024, 3000)
+#: PCG64's LCG multiplier: with inc = state·(1 − mult) mod 2¹²⁸ the
+#: state is a fixed point, so every draw comes out equal
+PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n", BUILD_SIZES + (1 << 16,))
+def test_ring_build_matches_ring_space(n, seed):
+    """Positions, bucket table, arc lengths and the state after n draws."""
+    bit_generator = np.random.PCG64(1000 * seed + n)
+    words = _words(bit_generator)
+    ref = RingSpace.random(n, seed=np.random.Generator(bit_generator))
+    nbuckets, table, pos_ext = ref._bucket_table()
+    got_ext = np.empty(n + 1)
+    got_table = np.empty(nbuckets + 1, dtype=np.int32)
+    got_measures = np.empty(n)
+    built = _lib().repro_ring_build(
+        words.ctypes.data, n, nbuckets, got_ext.ctypes.data,
+        got_table.ctypes.data, got_measures.ctypes.data,
+    )
+    assert built == 1
+    np.testing.assert_array_equal(got_ext, pos_ext)
+    np.testing.assert_array_equal(got_table, table)
+    np.testing.assert_array_equal(got_measures, ref.region_measures())
+    assert _state(words) == bit_generator.state["state"]["state"]
+
+
+def _reference_rings(n, m, d, strategy, seeds, partitioned, rng_block):
+    """Each trial on RingSpace.random, then run_sequential, one generator."""
+    out = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        space = RingSpace.random(n, seed=rng)
+        loads, heights = run_sequential(
+            space, m, d, strategy, rng, partitioned=partitioned,
+            rng_block=rng_block, record_heights=True,
+        )
+        out.append((loads, heights, rng.bit_generator.state))
+    return out
+
+
+def _check_random_rings(n, m, d, strategy, seeds, partitioned, rng_block,
+                        expected):
+    for threads in THREADS:
+        rngs = [np.random.default_rng(s) for s in seeds]
+        loads, heights = run_random_rings(
+            n, m, d, strategy, rngs, partitioned=partitioned,
+            rng_block=rng_block, record_heights=True, backend="cext",
+            threads=threads,
+        )
+        where = (f"n={n} m={m} d={d} {strategy.value} "
+                 f"partitioned={partitioned} threads={threads}")
+        for k, (ref_loads, ref_heights, ref_state) in enumerate(expected):
+            np.testing.assert_array_equal(loads[k], ref_loads, err_msg=where)
+            np.testing.assert_array_equal(heights[k], ref_heights, err_msg=where)
+            assert rngs[k].bit_generator.state == ref_state, where
+
+
+@pytest.mark.parametrize("partitioned", [False, True])
+@pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda s: s.value)
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_random_rings_match_run_sequential(d, strategy, partitioned):
+    """m = 0 (the state after the positions alone) and m = n over several
+    small RNG blocks."""
+    assert _ring_kernel_takes([np.random.default_rng(0)], _cext())
+    for n in BUILD_SIZES:
+        seeds = [11 * n + d + k for k in range(TRIALS)]
+        for m, rng_block in ((0, DEFAULT_RNG_BLOCK), (n, 128)):
+            expected = _reference_rings(n, m, d, strategy, seeds, partitioned,
+                                        rng_block)
+            _check_random_rings(n, m, d, strategy, seeds, partitioned,
+                                rng_block, expected)
+
+
+def test_random_rings_paper_size_matches_run_sequential():
+    """n = m = 2¹⁶ at the default block; run_sequential takes about a
+    second per trial here."""
+    n = 1 << 16
+    seeds = [5, 6]
+    expected = _reference_rings(n, n, 2, TieBreak.RANDOM, seeds, False,
+                                DEFAULT_RNG_BLOCK)
+    _check_random_rings(n, n, 2, TieBreak.RANDOM, seeds, False,
+                        DEFAULT_RNG_BLOCK, expected)
+
+
+def _repeating(seed):
+    """A PCG64 generator whose stream repeats one double forever."""
+    bit_generator = np.random.PCG64(seed)
+    st = bit_generator.state
+    s = st["state"]["state"]
+    st["state"]["inc"] = s * (1 - PCG_MULT) % (1 << 128)
+    bit_generator.state = st
+    return np.random.Generator(bit_generator)
+
+
+@pytest.mark.parametrize("threads", THREADS)
+@pytest.mark.parametrize("n", [2, 50, 100])
+def test_repeated_positions_raise_like_ring_space(n, threads):
+    """The last trial's stream repeats: n = 2 and 50 repeat inside the
+    kernel's buckets, n = 100 crowds one bucket past its limit.  Either
+    way the kernel writes no state back, and the reference path raises
+    RingSpace's own error after drawing the other trials' positions."""
+    def generators():
+        return [np.random.default_rng(30 + k) for k in range(TRIALS - 1)] + [
+            _repeating(9)
+        ]
+
+    rngs = generators()
+    before = [r.bit_generator.state for r in rngs]
+    loads = np.zeros((TRIALS, n), dtype=np.int64)
+    assert not _cext().ring_trials(
+        [r.bit_generator for r in rngs], None, None, loads, None, n, 2, 0,
+        False, DEFAULT_RNG_BLOCK, threads,
+    )
+    assert [r.bit_generator.state for r in rngs] == before
+
+    ref = generators()
+    with pytest.raises(ValueError, match="distinct") as expected:
+        [RingSpace.random(n, seed=r) for r in ref]
+    with pytest.raises(ValueError) as got:
+        run_random_rings(n, n, 2, TieBreak.RANDOM, rngs, backend="cext",
+                         threads=threads)
+    assert str(got.value) == str(expected.value)
+    assert [r.bit_generator.state for r in rngs] == [
+        r.bit_generator.state for r in ref
+    ]
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.PCG64DXSM])
+def test_random_rings_other_bit_generators_take_the_reference_path(bit_generator):
+    rngs = [np.random.Generator(bit_generator(50 + k)) for k in range(2)]
+    assert not _ring_kernel_takes(rngs, _cext())
+    loads, heights = run_random_rings(500, 700, 2, TieBreak.SMALLER, rngs,
+                                      rng_block=128, record_heights=True,
+                                      backend="cext", threads=2)
+    for k in range(2):
+        ref_rng = np.random.Generator(bit_generator(50 + k))
+        space = RingSpace.random(500, seed=ref_rng)
+        ref_loads, ref_heights = run_sequential(
+            space, 700, 2, TieBreak.SMALLER, ref_rng, rng_block=128,
+            record_heights=True,
+        )
+        np.testing.assert_array_equal(loads[k], ref_loads)
+        np.testing.assert_array_equal(heights[k], ref_heights)
+        np.testing.assert_equal(rngs[k].bit_generator.state,
+                                ref_rng.bit_generator.state)
+
+
+def test_random_rings_shared_generator_takes_the_reference_path():
+    """Trials sharing one generator: every ring first, then the trials one
+    after another, exactly as run_fused on RingSpace.random spaces."""
+    shared = np.random.default_rng(13)
+    assert not _ring_kernel_takes([shared] * 3, _cext())
+    loads, _ = run_random_rings(200, 300, 2, TieBreak.RANDOM, [shared] * 3,
+                                rng_block=64, backend="cext", threads=2)
+    ref = np.random.default_rng(13)
+    spaces = [RingSpace.random(200, seed=ref) for _ in range(3)]
+    for k, space in enumerate(spaces):
+        ref_loads, _ = run_sequential(space, 300, 2, TieBreak.RANDOM, ref,
+                                      rng_block=64)
+        np.testing.assert_array_equal(loads[k], ref_loads)
+    assert shared.bit_generator.state == ref.bit_generator.state
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import json
+import shutil
+import subprocess
+
+import pytest
 
 from repro._version import __version__
 from repro.kernels import BACKEND_NAMES
-from repro.obs.manifest import run_manifest, write_manifest
+from repro.obs.manifest import git_dirty, git_revision, run_manifest, write_manifest
 
 REQUIRED_KEYS = {
-    "schema", "package", "version", "git_rev", "python", "numpy",
+    "schema", "package", "version", "git_rev", "git_dirty", "python", "numpy",
     "platform", "machine", "executable", "kernel_backend", "env",
 }
 
@@ -45,6 +49,39 @@ class TestRunManifest:
 
     def test_json_serializable(self):
         json.dumps(run_manifest())
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="no git binary")
+class TestGitState:
+    @staticmethod
+    def _git(root, *args):
+        subprocess.run(
+            ["git", "-C", str(root), "-c", "user.name=t", "-c", "user.email=t@t",
+             "-c", "commit.gpgsign=false", *args],
+            check=True, capture_output=True,
+        )
+
+    def test_dirty_tree(self, tmp_path):
+        self._git(tmp_path, "init", "-q")
+        (tmp_path / "tracked.txt").write_text("one\n")
+        self._git(tmp_path, "add", "tracked.txt")
+        self._git(tmp_path, "commit", "-q", "-m", "first")
+        assert git_dirty(tmp_path) is False
+        assert len(git_revision(tmp_path)) == 40
+        (tmp_path / "untracked.txt").write_text("new\n")
+        assert git_dirty(tmp_path) is False  # untracked files do not count
+        (tmp_path / "tracked.txt").write_text("two\n")
+        assert git_dirty(tmp_path) is True
+
+    def test_outside_git(self, tmp_path):
+        assert git_dirty(tmp_path) is None
+        assert git_revision(tmp_path) is None
+
+    def test_manifest_field(self):
+        manifest = run_manifest()
+        assert manifest["schema"] == 2
+        assert manifest["git_dirty"] in (True, False, None)
+        assert (manifest["git_dirty"] is None) == (manifest["git_rev"] is None)
 
 
 class TestWriteManifest:

@@ -180,10 +180,14 @@ class TestEngineSelection:
         )
         assert run_cell(spec, trials=11, seed=7).counts == reference.counts
 
-    def test_profile_engines_bit_identical(self):
+    @pytest.mark.parametrize("partitioned", [False, True])
+    @pytest.mark.parametrize("strategy", [s.value for s in TieBreak])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 1023, 3000])
+    def test_profile_engines_bit_identical(self, n, d, strategy, partitioned):
         from repro.stats.trials import run_cell_profile
 
-        spec = CellSpec("ring", 96, 2)
+        spec = CellSpec("ring", n, d, strategy=strategy, partitioned=partitioned)
         profiles = [nu_profile(loads) for loads in _sequential_loads(spec, 9, 3)]
         reference = np.zeros(max(p.size for p in profiles))
         for p in profiles:
