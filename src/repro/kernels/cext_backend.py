@@ -737,7 +737,7 @@ static void *ring_trials_worker(void *arg)
 {
     ring_trials_job *job = (ring_trials_job *)arg;
     int64_t n = job->n, k;
-    int build = job->tables == 0, arcs = build && job->strategy >= 2;
+    int build = job->tables == 0;
     double *x = malloc(sizeof(double) * RING_STAGE * job->d);
     int64_t *bins = malloc(sizeof(int64_t) * RING_STAGE * job->d);
     /* zeroed: strategies that ignore tie-breaks never draw them */
@@ -746,6 +746,7 @@ static void *ring_trials_worker(void *arg)
     double *pos_ext = build ? malloc(sizeof(double) * (n + 1)) : 0;
     int32_t *table =
         build ? malloc(sizeof(int32_t) * (job->nbuckets + 1)) : 0;
+    double *arcs = job->strategy >= 2 ? raw : 0; /* raw, once drawn */
     if (!x || !bins || !us || (build && (!raw || !pos_ext || !table))) {
         job->status = -1;
     } else {
@@ -755,9 +756,8 @@ static void *ring_trials_worker(void *arg)
                 ring_trial(job, k, &g, job->tables[k], job->pos_ext[k],
                            job->measures ? job->measures[k] : 0, x, bins, us);
             } else if (ring_build(&g, n, job->nbuckets, raw, pos_ext, table,
-                                  arcs ? raw : 0)) {
-                ring_trial(job, k, &g, table, pos_ext, arcs ? raw : 0, x,
-                           bins, us);
+                                  arcs)) {
+                ring_trial(job, k, &g, table, pos_ext, arcs, x, bins, us);
             } else {
                 job->status = 1;
                 break;
@@ -1295,7 +1295,9 @@ def build_backend():
             raise ValueError("ring_trials needs one generator per loads row")
         if tables is None:
             if measures is not None:
-                raise ValueError("ring_trials draws its own rings' measures")
+                raise ValueError(
+                    "ring_trials computes the measures of the rings it draws"
+                )
             nbuckets = 1 << max(0, (n - 1).bit_length())
             table_ptrs = ext_ptrs = measure_ptrs = None
         else:
