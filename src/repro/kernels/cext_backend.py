@@ -1298,6 +1298,8 @@ def build_backend():
                 raise ValueError(
                     "ring_trials computes the measures of the rings it draws"
                 )
+            if n < 1:
+                raise ValueError("ring_trials draws at least one position")
             nbuckets = 1 << max(0, (n - 1).bit_length())
             table_ptrs = ext_ptrs = measure_ptrs = None
         else:
