@@ -160,7 +160,8 @@ def _distinct_generators(rngs: Sequence[np.random.Generator]) -> bool:
 
 
 def _run_fused_ring(
-    spaces: Sequence[RingSpace],
+    spaces: Sequence[RingSpace] | None,
+    n: int,
     m: int,
     d: int,
     strategy: TieBreak,
@@ -171,7 +172,7 @@ def _run_fused_ring(
     partitioned: bool,
     rng_block: int,
     record_heights: bool,
-) -> tuple[np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray | None] | None:
     """All ring trials in one ``ring_trials`` kernel call.
 
     Each trial runs draw → bucket lookup → place for every ball inside
@@ -182,21 +183,26 @@ def _run_fused_ring(
     generator states are bit-identical to
     :func:`~repro.core.engine.run_sequential`
     (``tests/kernels/test_ring_kernel.py``).
+
+    With ``spaces=None`` each trial first draws its ``n``-server ring
+    from its generator inside the kernel (:func:`run_random_rings`);
+    ``None`` is then returned, with no generator state written back,
+    when some drawn ring repeats a position or crowds one bucket.
     """
-    t = len(spaces)
-    loads = np.zeros((t, spaces[0].n), dtype=np.int64)
+    t = len(rngs)
+    loads = np.zeros((t, n), dtype=np.int64)
     heights = np.zeros((t, m), dtype=np.int64) if record_heights else None
-    measures = (
-        [s.region_measures() for s in spaces]
-        if strategy_needs_measures(strategy)
-        else None
-    )
+    tables = measures = None
+    if spaces is not None:
+        tables = [s._bucket_table() for s in spaces]
+        if strategy_needs_measures(strategy):
+            measures = [s.region_measures() for s in spaces]
     _obs = obs_enabled()
     if _obs:
         t0 = time.perf_counter()
-    backend.ring_trials(
+    built = backend.ring_trials(
         [r.bit_generator for r in rngs],
-        [s._bucket_table() for s in spaces],
+        tables,
         measures,
         loads,
         heights,
@@ -209,7 +215,7 @@ def _run_fused_ring(
     )
     if _obs:
         add_span("run_fused.ring_trials", time.perf_counter() - t0, threads=threads)
-    return loads, heights
+    return (loads, heights) if built else None
 
 
 def _run_fused_kernel(
@@ -391,6 +397,7 @@ def run_fused(
         if _ring_kernel_applies(spaces, rngs, backend_obj):
             return _run_fused_ring(
                 spaces,
+                n,
                 m,
                 d,
                 strategy,
@@ -482,34 +489,23 @@ def run_random_rings(
         threads=eff_threads,
     ):
         if _ring_kernel_takes(rngs, backend_obj):
-            loads = np.zeros((t, n), dtype=np.int64)
-            heights = np.zeros((t, m), dtype=np.int64) if record_heights else None
-            _obs = obs_enabled()
-            if _obs:
-                t0 = time.perf_counter()
-            built = backend_obj.ring_trials(
-                [r.bit_generator for r in rngs],
+            out = _run_fused_ring(
                 None,
-                None,
-                loads,
-                heights,
+                n,
                 m,
                 d,
-                STRATEGY_CODES[strategy.value],
-                partitioned,
-                rng_block,
+                strategy,
+                rngs,
+                backend_obj,
                 eff_threads,
+                partitioned=partitioned,
+                rng_block=rng_block,
+                record_heights=record_heights,
             )
-            if _obs:
-                add_span(
-                    "run_random_rings.ring_trials",
-                    time.perf_counter() - t0,
-                    threads=eff_threads,
-                )
-            if built:
+            if out is not None:
                 counter_add("placement.balls", t * m)
                 counter_add("placement.trials", t)
-                return loads, heights
+                return out
         spaces = [RingSpace.random(n, seed=r) for r in rngs]
         return run_fused(
             spaces,
