@@ -13,6 +13,7 @@ compile flags the rounding depends on.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 
 import numpy as np
@@ -230,14 +231,24 @@ BUILD_SIZES = (1, 2, 3, 1023, 1024, 3000)
 PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
+@contextlib.contextmanager
+def _numpy_reference():
+    """A scope in which rings are built and looked up the numpy way, so
+    references share no compiled pass with the kernel under test."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_KERNEL_BACKEND", "numpy")
+        yield
+
+
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("n", BUILD_SIZES + (1 << 16,))
 def test_ring_build_matches_ring_space(n, seed):
     """Positions, bucket table, arc lengths and the state after n draws."""
     bit_generator = np.random.PCG64(1000 * seed + n)
     words = _words(bit_generator)
-    ref = RingSpace.random(n, seed=np.random.Generator(bit_generator))
-    nbuckets, table, pos_ext = ref._bucket_table()
+    with _numpy_reference():
+        ref = RingSpace.random(n, seed=np.random.Generator(bit_generator))
+        nbuckets, table, pos_ext = ref._bucket_table()
     got_ext = np.empty(n + 1)
     got_table = np.empty(nbuckets + 1, dtype=np.int32)
     got_measures = np.empty(n)
@@ -255,14 +266,15 @@ def test_ring_build_matches_ring_space(n, seed):
 def _reference_rings(n, m, d, strategy, seeds, partitioned, rng_block):
     """Each trial on RingSpace.random, then run_sequential, one generator."""
     out = []
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        space = RingSpace.random(n, seed=rng)
-        loads, heights = run_sequential(
-            space, m, d, strategy, rng, partitioned=partitioned,
-            rng_block=rng_block, record_heights=True,
-        )
-        out.append((loads, heights, rng.bit_generator.state))
+    with _numpy_reference():
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            space = RingSpace.random(n, seed=rng)
+            loads, heights = run_sequential(
+                space, m, d, strategy, rng, partitioned=partitioned,
+                rng_block=rng_block, record_heights=True,
+            )
+            out.append((loads, heights, rng.bit_generator.state))
     return out
 
 
