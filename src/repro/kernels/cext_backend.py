@@ -57,6 +57,7 @@ C_SOURCE = r"""
 #include <pthread.h>
 #if defined(__linux__)
 #include <sched.h>
+#include <sys/mman.h>
 #endif
 
 /* Remap-aware candidate lookup: remap == NULL means identity. */
@@ -411,40 +412,29 @@ void repro_ring_assign_par(const double *pts, int64_t q,
 /* The count/prefix pass of a ring's bucket table: table (nbuckets + 1
  * entries, zeroed by the caller) becomes table[b] = number of positions
  * whose bucket floor(pos * nbuckets) is below b — numpy's bincount +
- * cumsum, as a branch-free count then a prefix sum.  The positions
- * need not be sorted.  Returns the largest bucket's count. */
+ * cumsum, as a branch-free count then a prefix sum.  The same pass
+ * compares neighbours: for sorted positions, returns 0 when two are
+ * equal (the ring rejects duplicates), else 1. */
 static int64_t ring_buckets(const double *pos, int64_t n, int64_t nbuckets,
                             int32_t *table)
 {
-    int64_t i, b, most = 0;
-    for (i = 0; i < n; i++)
+    int64_t i, b, equal = 0;
+    for (i = 0; i < n; i++) {
         table[(int64_t)(pos[i] * (double)nbuckets) + 1] += 1;
-    for (b = 1; b <= nbuckets; b++) {
-        most = table[b] > most ? table[b] : most;
-        table[b] += table[b - 1];
+        equal |= i > 0 && pos[i] == pos[i - 1];
     }
-    return most;
+    for (b = 1; b <= nbuckets; b++)
+        table[b] += table[b - 1];
+    return !equal;
 }
 
-/* Whether n sorted positions are distinct (the ring rejects
- * duplicates). */
-static int ring_distinct(const double *pos, int64_t n)
-{
-    int64_t i;
-    for (i = 1; i < n; i++)
-        if (pos[i] == pos[i - 1])
-            return 0;
-    return 1;
-}
-
-/* Kernel 4: bucket table of a ring from its sorted positions.  pos_ext
- * holds the n sorted positions and the +inf sentinel; table is as in
- * ring_buckets.  Returns 0 when two positions are equal, else 1. */
+/* Kernel 4: bucket table of a ring in one pass over its sorted
+ * positions (ring_buckets).  pos_ext holds the n sorted positions and
+ * the +inf sentinel. */
 int64_t repro_ring_table(const double *pos_ext, int64_t n, int64_t nbuckets,
                          int32_t *table)
 {
-    ring_buckets(pos_ext, n, nbuckets, table);
-    return ring_distinct(pos_ext, n);
+    return ring_buckets(pos_ext, n, nbuckets, table);
 }
 
 /* ---------------- numpy's PCG64 and the fused ring trial ----------------
@@ -624,19 +614,31 @@ static void ring_insertion(double *pos, int64_t n)
 static int ring_build(pcg64 *g, int64_t n, int64_t nbuckets, double *raw,
                       double *pos_ext, int32_t *table, double *measures)
 {
-    int64_t i;
+    int64_t i, b;
     double nb = (double)nbuckets;
     pcg64_fill(g, n, raw);
     memset(table, 0, sizeof(int32_t) * (size_t)(nbuckets + 1));
-    if (ring_buckets(raw, n, nbuckets, table) > RING_MAX_BUCKET)
-        return 0;
-    for (i = 0; i < n; i++)
+    ring_buckets(raw, n, nbuckets, table); /* unsorted: ignore its answer */
+    for (b = 0; b < nbuckets; b++)
+        if (table[b + 1] - table[b] > RING_MAX_BUCKET)
+            return 0;
+    /* pipelined like ring_assign: past L2 the table entry and the slot
+     * are both misses, so each is warmed ahead (a slot read early may be
+     * stale; it only aims the prefetch) */
+    for (i = 0; i < n; i++) {
+        if (i + 2 * PLACE_LOOKAHEAD < n)
+            PREFETCH_RW(&table[(int64_t)(raw[i + 2 * PLACE_LOOKAHEAD] * nb)]);
+        if (i + PLACE_LOOKAHEAD < n)
+            PREFETCH_RW(
+                &pos_ext[table[(int64_t)(raw[i + PLACE_LOOKAHEAD] * nb)]]);
         pos_ext[table[(int64_t)(raw[i] * nb)]++] = raw[i];
+    }
     memmove(table + 1, table, sizeof(int32_t) * (size_t)nbuckets);
     table[0] = 0;
     ring_insertion(pos_ext, n);
-    if (!ring_distinct(pos_ext, n))
-        return 0;
+    for (i = 1; i < n; i++)
+        if (pos_ext[i] == pos_ext[i - 1])
+            return 0;
     pos_ext[n] = HUGE_VAL;
     if (measures) {
         for (i = 1; i < n; i++)
@@ -729,6 +731,23 @@ static void ring_trial(const ring_trials_job *job, int64_t k, pcg64 *g,
     }
 }
 
+/* Scratch of `size` bytes for a ring the kernel builds.  It is read at
+ * random, so on Linux large scratch asks for transparent huge pages, as
+ * numpy does for its own large arrays (RingSpace's): with 4 KB pages a
+ * 2^24-server ring faults 80,000 pages in and its lookups miss the TLB.
+ * The request is only a hint. */
+static void *ring_scratch(size_t size)
+{
+    void *p = malloc(size);
+#if defined(__linux__) && defined(MADV_HUGEPAGE)
+    if (p && size >= ((size_t)1 << 22)) {
+        uintptr_t start = ((uintptr_t)p + 4095) & ~(uintptr_t)4095;
+        madvise((void *)start, (uintptr_t)p + size - start, MADV_HUGEPAGE);
+    }
+#endif
+    return p;
+}
+
 /* A worker's trials.  Without tables each trial first builds its ring
  * from its own generator (ring_build) in scratch the worker reuses;
  * the smaller/larger strategies (codes 2, 3) also get its arc lengths.
@@ -742,10 +761,10 @@ static void *ring_trials_worker(void *arg)
     int64_t *bins = malloc(sizeof(int64_t) * RING_STAGE * job->d);
     /* zeroed: strategies that ignore tie-breaks never draw them */
     double *us = calloc(RING_STAGE, sizeof(double));
-    double *raw = build ? malloc(sizeof(double) * n) : 0;
-    double *pos_ext = build ? malloc(sizeof(double) * (n + 1)) : 0;
+    double *raw = build ? ring_scratch(sizeof(double) * n) : 0;
+    double *pos_ext = build ? ring_scratch(sizeof(double) * (n + 1)) : 0;
     int32_t *table =
-        build ? malloc(sizeof(int32_t) * (job->nbuckets + 1)) : 0;
+        build ? ring_scratch(sizeof(int32_t) * (job->nbuckets + 1)) : 0;
     double *arcs = job->strategy >= 2 ? raw : 0; /* raw, once drawn */
     if (!x || !bins || !us || (build && (!raw || !pos_ext || !table))) {
         job->status = -1;
