@@ -409,32 +409,24 @@ void repro_ring_assign_par(const double *pts, int64_t q,
     run_jobs(ring_worker, (char *)jobs, sizeof(ring_job), nthreads);
 }
 
-/* The count/prefix pass of a ring's bucket table: table (nbuckets + 1
- * entries, zeroed by the caller) becomes table[b] = number of positions
- * whose bucket floor(pos * nbuckets) is below b — numpy's bincount +
- * cumsum, as a branch-free count then a prefix sum.  The same pass
- * compares neighbours: for sorted positions, returns 0 when two are
- * equal (the ring rejects duplicates), else 1. */
-static int64_t ring_buckets(const double *pos, int64_t n, int64_t nbuckets,
-                            int32_t *table)
+/* Kernel 4: bucket table of a ring in one pass over its sorted
+ * positions.  pos_ext holds the n sorted positions and the +inf
+ * sentinel; table (nbuckets + 1 entries, zeroed by the caller) becomes
+ * table[b] = number of positions whose bucket floor(pos * nbuckets) is
+ * below b — numpy's bincount + cumsum, as a branch-free count then a
+ * prefix sum.  Returns 0 when two positions are equal (the ring rejects
+ * duplicates), else 1. */
+int64_t repro_ring_table(const double *pos_ext, int64_t n, int64_t nbuckets,
+                         int32_t *table)
 {
     int64_t i, b, equal = 0;
     for (i = 0; i < n; i++) {
-        table[(int64_t)(pos[i] * (double)nbuckets) + 1] += 1;
-        equal |= i > 0 && pos[i] == pos[i - 1];
+        table[(int64_t)(pos_ext[i] * (double)nbuckets) + 1] += 1;
+        equal |= i > 0 && pos_ext[i] == pos_ext[i - 1];
     }
     for (b = 1; b <= nbuckets; b++)
         table[b] += table[b - 1];
     return !equal;
-}
-
-/* Kernel 4: bucket table of a ring in one pass over its sorted
- * positions (ring_buckets).  pos_ext holds the n sorted positions and
- * the +inf sentinel. */
-int64_t repro_ring_table(const double *pos_ext, int64_t n, int64_t nbuckets,
-                         int32_t *table)
-{
-    return ring_buckets(pos_ext, n, nbuckets, table);
 }
 
 /* ---------------- numpy's PCG64 and the fused ring trial ----------------
@@ -602,11 +594,11 @@ static void ring_insertion(double *pos, int64_t n)
 /* The ring RingSpace.random(n) would draw from g, built in scratch.
  * The positions are g's next n doubles (into raw).  A counting sort
  * scatters them into the power-of-two buckets: the counts are the
- * bucket table itself (ring_buckets), and table[b] walks to the end of
- * bucket b during the stable scatter, after which the offsets shift
- * back by one bucket.  Buckets are ordered, so ring_insertion sorts
- * each in place; distinct doubles have one sorted order, so pos_ext
- * equals np.sort's, with the +inf sentinel at n.  When
+ * bucket table itself (repro_ring_table), and table[b] walks to the
+ * end of bucket b during the stable scatter, after which the offsets
+ * shift back by one bucket.  Buckets are ordered, so ring_insertion
+ * sorts each in place; distinct doubles have one sorted order, so
+ * pos_ext equals np.sort's, with the +inf sentinel at n.  When
  * measures is not NULL it receives the arc lengths in region_measures'
  * operation order (raw may be measures).  Returns 1, or 0 when two
  * positions are equal or a bucket holds more than RING_MAX_BUCKET of
@@ -618,7 +610,8 @@ static int ring_build(pcg64 *g, int64_t n, int64_t nbuckets, double *raw,
     double nb = (double)nbuckets;
     pcg64_fill(g, n, raw);
     memset(table, 0, sizeof(int32_t) * (size_t)(nbuckets + 1));
-    ring_buckets(raw, n, nbuckets, table); /* unsorted: ignore its answer */
+    /* unsorted, so only the table holds, not the distinctness answer */
+    repro_ring_table(raw, n, nbuckets, table);
     for (b = 0; b < nbuckets; b++)
         if (table[b + 1] - table[b] > RING_MAX_BUCKET)
             return 0;
