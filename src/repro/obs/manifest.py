@@ -34,20 +34,20 @@ __all__ = ["git_dirty", "git_revision", "run_manifest", "write_manifest"]
 SCHEMA = 2
 
 
-def _git(args: list[str], root: "Path | str | None") -> str | None:
+def _source_dirs() -> tuple[Path, ...]:
+    """Where git is asked about the source tree: the directory holding
+    the installed ``repro`` package first (the code that actually ran),
+    then the current working directory."""
+    return (Path(__file__).resolve().parent, Path.cwd())
+
+
+def _git(*args: str) -> str | None:
     """Standard output of ``git args`` in the source tree, or ``None``.
 
-    Run in ``root`` when given, else in the directory holding the
-    installed ``repro`` package first (the code that actually ran),
-    falling back to the current working directory; any failure — no git
-    binary, not a repository, permission trouble — degrades to ``None``
-    rather than raising.
+    Any failure — no git binary, not a repository, permission trouble —
+    degrades to ``None`` rather than raising.
     """
-    places = [Path(root)] if root is not None else [
-        Path(__file__).resolve().parent,
-        Path.cwd(),
-    ]
-    for where in places:
+    for where in _source_dirs():
         try:
             out = subprocess.run(
                 ["git", "-C", str(where), *args],
@@ -63,22 +63,19 @@ def _git(args: list[str], root: "Path | str | None") -> str | None:
     return None
 
 
-def git_revision(root: "Path | str | None" = None) -> str | None:
-    """The git commit hash of the source tree, or ``None`` outside git
-    (``root`` as in :func:`git_dirty`)."""
-    out = _git(["rev-parse", "HEAD"], root)
+def git_revision() -> str | None:
+    """The git commit hash of the source tree, or ``None`` outside git."""
+    out = _git("rev-parse", "HEAD")
     return None if out is None else out.strip()
 
 
-def git_dirty(root: "Path | str | None" = None) -> bool | None:
+def git_dirty() -> bool | None:
     """Whether tracked files differ from the checked-out commit.
 
     ``True`` when ``git status --porcelain --untracked-files=no``
-    prints anything, ``None`` outside git.  Looked up in ``root`` when
-    given, else in the installed package's directory, then the current
-    working directory.
+    prints anything, ``None`` outside git.
     """
-    out = _git(["status", "--porcelain", "--untracked-files=no"], root)
+    out = _git("status", "--porcelain", "--untracked-files=no")
     return None if out is None else bool(out.strip())
 
 

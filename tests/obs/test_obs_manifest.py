@@ -10,6 +10,7 @@ import pytest
 
 from repro._version import __version__
 from repro.kernels import BACKEND_NAMES
+from repro.obs import manifest as manifest_module
 from repro.obs.manifest import git_dirty, git_revision, run_manifest, write_manifest
 
 REQUIRED_KEYS = {
@@ -61,21 +62,24 @@ class TestGitState:
             check=True, capture_output=True,
         )
 
-    def test_dirty_tree(self, tmp_path):
+    def test_dirty_tree(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(manifest_module, "_source_dirs", lambda: (tmp_path,))
         self._git(tmp_path, "init", "-q")
         (tmp_path / "tracked.txt").write_text("one\n")
         self._git(tmp_path, "add", "tracked.txt")
         self._git(tmp_path, "commit", "-q", "-m", "first")
-        assert git_dirty(tmp_path) is False
-        assert len(git_revision(tmp_path)) == 40
+        assert git_dirty() is False
+        assert len(git_revision()) == 40
         (tmp_path / "untracked.txt").write_text("new\n")
-        assert git_dirty(tmp_path) is False  # untracked files do not count
+        assert git_dirty() is False  # untracked files do not count
         (tmp_path / "tracked.txt").write_text("two\n")
-        assert git_dirty(tmp_path) is True
+        assert git_dirty() is True
+        assert run_manifest()["git_dirty"] is True
 
-    def test_outside_git(self, tmp_path):
-        assert git_dirty(tmp_path) is None
-        assert git_revision(tmp_path) is None
+    def test_outside_git(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(manifest_module, "_source_dirs", lambda: (tmp_path,))
+        assert git_dirty() is None
+        assert git_revision() is None
 
     def test_manifest_field(self):
         manifest = run_manifest()
