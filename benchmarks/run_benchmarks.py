@@ -39,9 +39,9 @@ row.  Each cell names its ``space``.  The embedded manifest's
 numbers must be read against.
 
 Every row above places balls into prebuilt spaces, so none of them
-sees ring construction.  Ring cells therefore also get a ``cell`` row:
-:func:`repro.stats.trials.run_cell` from seeds, which draws each
-trial's ring before placing into it, per backend at
+sees space construction.  Every cell therefore also gets a ``cell``
+row: :func:`repro.stats.trials.run_cell` from seeds, which draws each
+trial's ring or torus before placing into it, per backend at
 ``CELL_THREAD_COUNTS`` (the max-load counts are cross-checked equal
 across every backend and thread count before anything is emitted).
 
@@ -86,7 +86,7 @@ THREAD_COUNTS = (1, 2, 4)
 #: trial pool.
 TORUS_THREAD_COUNTS = (1, 2)
 
-#: Thread counts of the ``run_cell`` rows of ring cells.
+#: Thread counts of the ``run_cell`` rows.
 CELL_THREAD_COUNTS = (1, 2)
 
 #: Master seed of the ``run_cell`` rows.
@@ -245,10 +245,10 @@ def _measure_cell(space, n, trials, sequential_balls, thread_counts, repeats,
     }
 
 
-def _measure_run_cell(n, trials, repeats, backends):
-    """``run_cell`` from seeds, ring construction included, per backend
+def _measure_run_cell(space, n, trials, repeats, backends):
+    """``run_cell`` from seeds, space construction included, per backend
     and thread count; the max-load counts must agree everywhere."""
-    spec = CellSpec("ring", n, D, strategy=STRATEGY.value)
+    spec = CellSpec(space, n, D, strategy=STRATEGY.value)
     rows: dict[str, dict] = {}
     reference = None
     for name in backends:
@@ -264,7 +264,7 @@ def _measure_run_cell(n, trials, repeats, backends):
             elif counts != reference:
                 raise AssertionError(
                     f"run_cell under backend {name!r} at {count} threads "
-                    f"diverges at ring n={n} — bit-identity broken, refusing "
+                    f"diverges at {space} n={n} — bit-identity broken, refusing "
                     "to emit benchmark numbers"
                 )
             rows[name][str(count)] = {
@@ -339,8 +339,7 @@ def main(argv=None) -> int:
     for space, n, trials, sequential_balls, thread_counts in cells:
         cell = _measure_cell(space, n, trials, sequential_balls, thread_counts,
                              repeats, backends)
-        if space == "ring":
-            cell["cell"] = _measure_run_cell(n, trials, repeats, backends)
+        cell["cell"] = _measure_run_cell(space, n, trials, repeats, backends)
         results.append(cell)
         f = cell["engines"]
         print(
@@ -364,7 +363,7 @@ def main(argv=None) -> int:
                 for count, row in rows.items()
             )
             print(f"  threads[{name}]: {scaling}")
-        for name, rows in cell.get("cell", {}).items():
+        for name, rows in cell["cell"].items():
             scaling = ", ".join(
                 f"{count}t={row['balls_per_s']:,.0f}/s"
                 for count, row in rows.items()
@@ -390,8 +389,8 @@ def main(argv=None) -> int:
             "per backend (parallel_efficiency = speedup / threads — "
             "interpret against manifest.cpu, a 4-thread row on a 1-core "
             "host cannot exceed efficiency ~0.25). Each cell names its "
-            "space; the torus cell sweeps threads 1 and 2 only. Ring cells' "
-            "'cell' rows time run_cell from seeds (ring construction "
+            "space; the torus cell sweeps threads 1 and 2 only. 'cell' "
+            "rows time run_cell from seeds (ring or torus construction "
             "included) per backend at threads 1 and 2."
         ),
         "thread_counts": list(THREAD_COUNTS),

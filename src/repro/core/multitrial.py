@@ -63,6 +63,7 @@ from repro.core.strategies import (
     decide_rows,
     strategy_needs_measures,
 )
+from repro.core.torus import TorusSpace
 from repro.kernels import (
     STRATEGY_CODES,
     KernelBackend,
@@ -76,7 +77,7 @@ from repro.utils.validation import check_non_negative_int, check_positive_int
 
 __all__ = [
     "run_fused",
-    "run_random_rings",
+    "run_random_spaces",
     "auto_fused_batch_size",
     "fused_trial_chunk",
 ]
@@ -150,6 +151,24 @@ def _ring_kernel_applies(
     )
 
 
+def _space_kernel_takes(
+    space: str,
+    dim: int,
+    strategy: TieBreak,
+    rngs: Sequence[np.random.Generator],
+    backend: KernelBackend,
+) -> bool:
+    """Whether ``ring_trials`` can build and run trials on fresh spaces.
+
+    It builds rings, and 2-D tori whose strategy needs no Voronoi
+    areas (``random``, ``first``), for trials it can draw for
+    (:func:`_ring_kernel_takes`).
+    """
+    if space == "torus" and (dim != 2 or strategy_needs_measures(strategy)):
+        return False
+    return _ring_kernel_takes(rngs, backend)
+
+
 def _distinct_generators(rngs: Sequence[np.random.Generator]) -> bool:
     """Whether no two trials share a bit generator.
 
@@ -172,22 +191,26 @@ def _run_fused_ring(
     partitioned: bool,
     rng_block: int,
     record_heights: bool,
+    space: str = "ring",
 ) -> tuple[np.ndarray, np.ndarray | None] | None:
-    """All ring trials in one ``ring_trials`` kernel call.
+    """All trials in one ``ring_trials`` kernel call.
 
-    Each trial runs draw → bucket lookup → place for every ball inside
-    the kernel, from a C copy of its PCG64 generator that walks the
+    Each trial runs draw → lookup → place for every ball inside the
+    kernel, from a C copy of its PCG64 generator that walks the
     :func:`~repro.core.engine.choice_blocks` layout with two cursors
     per RNG block; only ``state.state`` is written back.  Trials are
     split statically across ``threads`` OS threads.  Results and final
     generator states are bit-identical to
     :func:`~repro.core.engine.run_sequential`
-    (``tests/kernels/test_ring_kernel.py``).
+    (``tests/kernels/test_ring_kernel.py``,
+    ``tests/kernels/test_torus_kernel.py``).
 
-    With ``spaces=None`` each trial first draws its ``n``-server ring
-    from its generator inside the kernel (:func:`run_random_rings`);
-    ``None`` is then returned, with no generator state written back,
-    when some drawn ring repeats a position or crowds one bucket.
+    With ``spaces=None`` each trial first draws its ``n``-server
+    ``space`` (a ring, or a 2-D torus) from its generator inside the
+    kernel (:func:`run_random_spaces`); ``None`` is then returned, with
+    no generator state written back, when some drawn space was not
+    built (a repeated server, or servers too crowded for the kernel's
+    index).
     """
     t = len(rngs)
     loads = np.zeros((t, n), dtype=np.int64)
@@ -212,9 +235,15 @@ def _run_fused_ring(
         partitioned,
         rng_block,
         threads,
+        space=space,
     )
     if _obs:
-        add_span("run_fused.ring_trials", time.perf_counter() - t0, threads=threads)
+        add_span(
+            "run_fused.ring_trials",
+            time.perf_counter() - t0,
+            threads=threads,
+            space=space,
+        )
     return (loads, heights) if built else None
 
 
@@ -434,43 +463,62 @@ def run_fused(
         )
 
 
-def run_random_rings(
+def _random_space(
+    space: str, n: int, dim: int, rng: np.random.Generator
+) -> GeometricSpace:
+    """One trial's ``n``-server space, drawn from ``rng`` the reference way."""
+    if space == "ring":
+        return RingSpace.random(n, seed=rng)
+    return TorusSpace.random(n, dim=dim, seed=rng)
+
+
+def run_random_spaces(
+    space: str,
     n: int,
     m: int,
     d: int,
     strategy: TieBreak,
     rngs: Sequence[np.random.Generator],
     *,
+    dim: int = 2,
     partitioned: bool = False,
     rng_block: int = DEFAULT_RNG_BLOCK,
     record_heights: bool = False,
     backend: KernelBackend | str | None = None,
     threads: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Place ``m`` balls in each of ``len(rngs)`` trials on fresh random rings.
+    """Place ``m`` balls in each of ``len(rngs)`` trials on fresh random spaces.
 
-    Trial ``k`` draws its ``n`` servers from ``rngs[k]``, then its
-    balls.  The result is exactly that of
+    ``space`` is ``"ring"`` or ``"torus"`` (of dimension ``dim``;
+    rings ignore it).  Trial ``k`` draws its ``n`` servers from
+    ``rngs[k]``, then its balls.  The result is exactly that of
     ``run_fused([RingSpace.random(n, seed=r) for r in rngs], m, d,
-    strategy, rngs, ...)``, the reference path this function takes
-    whenever the backend's ``ring_trials`` kernel cannot draw for the
-    trials (see :func:`run_fused`: no such kernel, a generator that is
-    not ``PCG64``, a generator shared by trials).
+    strategy, rngs, ...)`` (``TorusSpace.random(n, dim=dim, seed=r)``
+    for tori), the reference path this function takes whenever the
+    backend's ``ring_trials`` kernel cannot build and run the trials:
+    no such kernel, a generator that is not ``PCG64``, a generator
+    shared by trials, a torus of dimension other than 2, or a torus
+    strategy that needs Voronoi areas (``smaller``, ``larger``).
 
-    Otherwise the kernel builds each trial's ring on the worker thread
-    that runs the trial — draw, counting sort, bucket table, arc lengths
-    — and no :class:`~repro.core.ring.RingSpace` is made.  When some
-    drawn ring repeats a position (or crowds one bucket), the kernel
-    writes no generator state back and the trials rerun on the
-    reference path, which raises ``RingSpace``'s :class:`ValueError` for
-    a repeat.  Loads, heights and final generator states are
+    Otherwise the kernel builds each trial's space on the worker thread
+    that runs the trial and no space object is made: a ring's draw,
+    counting sort, bucket table and arc lengths, or a torus's draw and
+    periodic grid.  When some drawn space is not built — a repeated
+    server, a crowded ring bucket, or torus servers too unevenly spread
+    for a grid — the kernel writes no generator state back and the
+    trials rerun on the reference path, which raises the space's own
+    :class:`ValueError` for a repeat (and looks an uneven torus up in
+    its KD-tree).  Loads, heights and final generator states are
     bit-identical to the reference either way
-    (``tests/kernels/test_ring_kernel.py``).  Arguments are as in
+    (``tests/kernels/test_ring_kernel.py``,
+    ``tests/kernels/test_torus_kernel.py``).  Other arguments are as in
     :func:`run_fused`.
     """
+    if space not in ("ring", "torus"):
+        raise ValueError(f"space must be 'ring' or 'torus', got {space!r}")
     t = len(rngs)
     if t == 0:
-        raise ValueError("run_random_rings needs at least one generator")
+        raise ValueError("run_random_spaces needs at least one generator")
     n = check_positive_int(n, "n")
     m = check_non_negative_int(m, "m")
     d = check_positive_int(d, "d")
@@ -479,7 +527,8 @@ def run_random_rings(
     backend_obj = resolve_backend(backend)
     eff_threads = resolve_threads(threads)
     with trace_span(
-        "run_random_rings",
+        "run_random_spaces",
+        space=space,
         n=n,
         d=d,
         trials=t,
@@ -488,7 +537,7 @@ def run_random_rings(
         strategy=strategy.value,
         threads=eff_threads,
     ):
-        if _ring_kernel_takes(rngs, backend_obj):
+        if _space_kernel_takes(space, dim, strategy, rngs, backend_obj):
             out = _run_fused_ring(
                 None,
                 n,
@@ -501,14 +550,14 @@ def run_random_rings(
                 partitioned=partitioned,
                 rng_block=rng_block,
                 record_heights=record_heights,
+                space=space,
             )
             if out is not None:
                 counter_add("placement.balls", t * m)
                 counter_add("placement.trials", t)
                 return out
-        spaces = [RingSpace.random(n, seed=r) for r in rngs]
         return run_fused(
-            spaces,
+            [_random_space(space, n, dim, r) for r in rngs],
             m,
             d,
             strategy,

@@ -24,8 +24,9 @@ numbers ``Generator.random`` would, and the ring it can build from
 them is the one ``RingSpace.random`` builds
 (``tests/kernels/test_ring_kernel.py``).
 The torus grid computes squared distances in cKDTree's periodic
-arithmetic, so it finds the server cKDTree finds
-(``tests/kernels/test_torus_kernel.py``).
+arithmetic, so it finds the server cKDTree finds, and the 2-D torus
+``ring_trials`` builds from a generator is the one
+``TorusSpace.random`` draws (``tests/kernels/test_torus_kernel.py``).
 """
 
 from __future__ import annotations
@@ -429,7 +430,7 @@ int64_t repro_ring_table(const double *pos_ext, int64_t n, int64_t nbuckets,
     return !equal;
 }
 
-/* ---------------- numpy's PCG64 and the fused ring trial ----------------
+/* ---------------- numpy's PCG64 and the ring build ----------------
  *
  * A copy of numpy's PCG64 bit generator (O'Neill, "PCG: A Family of
  * Simple Fast Space-Efficient Statistically Good Algorithms for Random
@@ -654,173 +655,6 @@ int64_t repro_ring_build(uint64_t *s, int64_t n, int64_t nbuckets,
     return built;
 }
 
-/* Balls per stage of a ring trial: a stage's candidate lines (a few
- * hundred) stay cache-resident from the stage that warms them to the
- * stage that reads them. */
-#define RING_STAGE 256
-
-/* A contiguous range [k0, k1) of the fused ring trials. */
-typedef struct {
-    uint64_t *states;              /* (t, 4) generator words, rewritten */
-    const int32_t *const *tables;  /* per trial nbuckets + 1, or NULL */
-    const double *const *pos_ext;  /* per trial: n positions + inf */
-    const double *const *measures; /* per trial arc lengths, or NULL */
-    int64_t *loads;                /* (t, n) */
-    int64_t *heights;              /* (t, m) or NULL */
-    int64_t k0, k1, n, m, d, nbuckets, rng_block, partitioned, strategy;
-    int64_t status; /* 0, 1: a ring was not built, -1: no scratch */
-} ring_trials_job;
-
-/* One trial from generator g on the ring (table, pos, measures), block
- * by block in choice_blocks' layout: an RNG block of b balls is b*d
- * candidate draws followed by b tie-break draws.  Two cursors walk it
- * without materialising it — candidates from the block's first draw,
- * tie-breaks from b*d draws later (jump-ahead) — and each stage of
- * RING_STAGE balls runs draw -> bucket lookup -> probe -> place, each
- * pass warming the lines the next pass reads. */
-static void ring_trial(const ring_trials_job *job, int64_t k, pcg64 *g,
-                       const int32_t *table, const double *pos,
-                       const double *measures, double *x, int64_t *bins,
-                       double *us)
-{
-    int64_t *loads = job->loads + k * job->n;
-    int64_t *heights = job->heights ? job->heights + k * job->m : 0;
-    int64_t n = job->n, d = job->d, ball = 0;
-    double nb = (double)job->nbuckets;
-    int needs_u = job->strategy == 0 && d > 1;
-    while (ball < job->m) {
-        int64_t b = job->m - ball < job->rng_block ? job->m - ball
-                                                   : job->rng_block;
-        int64_t s0;
-        pcg64 cand = *g, tie = *g;
-        if (needs_u)
-            pcg64_advance(&tie, (pcg128)b * (pcg128)d);
-        for (s0 = 0; s0 < b; s0 += RING_STAGE) {
-            int64_t w = b - s0 < RING_STAGE ? b - s0 : RING_STAGE;
-            int64_t q = w * d, i, c;
-            pcg64_fill(&cand, q, x);
-            if (needs_u)
-                pcg64_fill(&tie, w, us);
-            if (job->partitioned)
-                for (i = 0; i < w; i++)
-                    for (c = 0; c < d; c++)
-                        x[i * d + c] = (x[i * d + c] + (double)c) / (double)d;
-            for (i = 0; i < q; i++)
-                PREFETCH_RO(&table[(int64_t)(x[i] * nb)]);
-            for (i = 0; i < q; i++) {
-                bins[i] = table[(int64_t)(x[i] * nb)];
-                PREFETCH_RO(&pos[bins[i]]);
-            }
-            for (i = 0; i < q; i++) {
-                int64_t j = ring_probe(pos, bins[i], x[i]);
-                bins[i] = j == n ? 0 : j;
-                PREFETCH_RW(&loads[bins[i]]);
-            }
-            repro_place_block(bins, us, w, d, loads, measures, job->strategy,
-                              heights ? heights + ball + s0 : 0);
-        }
-        pcg64_advance(g, (pcg128)b * (pcg128)(d + 1));
-        ball += b;
-    }
-}
-
-/* Scratch of `size` bytes for a ring the kernel builds.  It is read at
- * random, so on Linux large scratch asks for transparent huge pages, as
- * numpy does for its own large arrays (RingSpace's): with 4 KB pages a
- * 2^24-server ring faults 80,000 pages in and its lookups miss the TLB.
- * The request is only a hint. */
-static void *ring_scratch(size_t size)
-{
-    void *p = malloc(size);
-#if defined(__linux__) && defined(MADV_HUGEPAGE)
-    if (p && size >= ((size_t)1 << 22)) {
-        uintptr_t start = ((uintptr_t)p + 4095) & ~(uintptr_t)4095;
-        madvise((void *)start, (uintptr_t)p + size - start, MADV_HUGEPAGE);
-    }
-#endif
-    return p;
-}
-
-/* A worker's trials.  Without tables each trial first builds its ring
- * from its own generator (ring_build) in scratch the worker reuses;
- * the smaller/larger strategies (codes 2, 3) also get its arc lengths.
- * A ring that is not built stops the worker (status 1). */
-static void *ring_trials_worker(void *arg)
-{
-    ring_trials_job *job = (ring_trials_job *)arg;
-    int64_t n = job->n, k;
-    int build = job->tables == 0;
-    double *x = malloc(sizeof(double) * RING_STAGE * job->d);
-    int64_t *bins = malloc(sizeof(int64_t) * RING_STAGE * job->d);
-    /* zeroed: strategies that ignore tie-breaks never draw them */
-    double *us = calloc(RING_STAGE, sizeof(double));
-    double *raw = build ? ring_scratch(sizeof(double) * n) : 0;
-    double *pos_ext = build ? ring_scratch(sizeof(double) * (n + 1)) : 0;
-    int32_t *table =
-        build ? ring_scratch(sizeof(int32_t) * (job->nbuckets + 1)) : 0;
-    double *arcs = job->strategy >= 2 ? raw : 0; /* raw, once drawn */
-    if (!x || !bins || !us || (build && (!raw || !pos_ext || !table))) {
-        job->status = -1;
-    } else {
-        for (k = job->k0; k < job->k1; k++) {
-            pcg64 g = pcg64_load(job->states + 4 * k);
-            if (!build) {
-                ring_trial(job, k, &g, job->tables[k], job->pos_ext[k],
-                           job->measures ? job->measures[k] : 0, x, bins, us);
-            } else if (ring_build(&g, n, job->nbuckets, raw, pos_ext, table,
-                                  arcs)) {
-                ring_trial(job, k, &g, table, pos_ext, arcs, x, bins, us);
-            } else {
-                job->status = 1;
-                break;
-            }
-            pcg64_store(&g, job->states + 4 * k);
-        }
-    }
-    free(x);
-    free(bins);
-    free(us);
-    free(raw);
-    free(pos_ext);
-    free(table);
-    return 0;
-}
-
-/* Kernel 5: t complete ring trials (draw -> bucket lookup -> place for
- * every ball), trials partitioned across nthreads OS threads.  With
- * tables == NULL each trial first builds its ring from its generator
- * (ring_build; pos_ext and measures are then ignored).  Returns 0, 1
- * when some ring was not built (the state words are then partly
- * advanced and must be discarded), or -1 when scratch memory could not
- * be allocated. */
-int64_t repro_ring_trials(uint64_t *states, const int32_t *const *tables,
-                          const double *const *pos_ext,
-                          const double *const *measures, int64_t t,
-                          int64_t n, int64_t m, int64_t d, int64_t nbuckets,
-                          int64_t rng_block, int64_t partitioned,
-                          int64_t strategy, int64_t *loads, int64_t *heights,
-                          int64_t nthreads)
-{
-    ring_trials_job jobs[MAX_KERNEL_THREADS];
-    int64_t w, start, stop, status = 0;
-    nthreads = clamp_threads(nthreads, t);
-    for (w = 0; w < nthreads; w++) {
-        thread_range(t, nthreads, w, &start, &stop);
-        jobs[w] = (ring_trials_job){states, tables, pos_ext, measures,
-                                    loads, heights, start, stop, n, m, d,
-                                    nbuckets, rng_block, partitioned,
-                                    strategy, 0};
-    }
-    run_jobs(ring_trials_worker, (char *)jobs, sizeof(ring_trials_job),
-             nthreads);
-    for (w = 0; w < nthreads; w++) {
-        if (jobs[w].status < 0)
-            return -1;
-        status |= jobs[w].status;
-    }
-    return status;
-}
-
 #endif /* __SIZEOF_INT128__ */
 
 /* ---------------- the 2-D torus: a periodic uniform grid ----------------
@@ -1038,6 +872,239 @@ int64_t repro_torus_grid(const double *pts, int64_t n, int64_t side,
                         return 0;
     return 1;
 }
+
+/* ---------------- fused trials on rings and 2-D tori ----------------
+ *
+ * Whole trials, draw -> lookup -> place for every ball, fed by the C
+ * PCG64 above; like it they need 128-bit integers. */
+
+#if defined(__SIZEOF_INT128__)
+
+/* Balls per stage of a trial: a stage's candidate lines (a few
+ * hundred) stay cache-resident from the stage that warms them to the
+ * stage that reads them. */
+#define RING_STAGE 256
+
+/* A contiguous range [k0, k1) of the fused trials. */
+typedef struct {
+    uint64_t *states;              /* (t, 4) generator words, rewritten */
+    const int32_t *const *tables;  /* per trial nbuckets + 1, or NULL */
+    const double *const *pos_ext;  /* per trial: n positions + inf */
+    const double *const *measures; /* per trial arc lengths, or NULL */
+    int64_t *loads;                /* (t, n) */
+    int64_t *heights;              /* (t, m) or NULL */
+    int64_t k0, k1, n, m, d, nbuckets, rng_block, partitioned, strategy;
+    int64_t torus;  /* 1: 2-D tori on grids of side nbuckets, not rings */
+    int64_t status; /* 0, 1: a space was not built, -1: no scratch */
+} ring_trials_job;
+
+/* What a trial places into: a ring (bucket table, sorted positions plus
+ * the +inf sentinel) or a torus grid, and the measures or NULL. */
+typedef struct {
+    const int32_t *table;
+    const double *pos;
+    torus_index grid;
+    const double *measures;
+} trial_space;
+
+/* Owners of the q ring positions x into bins, in three passes — bucket
+ * table, probe start, probe — each warming the lines the next reads;
+ * the last warms the owners' loads for placement. */
+static void ring_lookup(const ring_trials_job *job, const trial_space *sp,
+                        const double *x, int64_t q, int64_t *bins,
+                        int64_t *loads)
+{
+    int64_t i, n = job->n;
+    double nb = (double)job->nbuckets;
+    for (i = 0; i < q; i++)
+        PREFETCH_RO(&sp->table[(int64_t)(x[i] * nb)]);
+    for (i = 0; i < q; i++) {
+        bins[i] = sp->table[(int64_t)(x[i] * nb)];
+        PREFETCH_RO(&sp->pos[bins[i]]);
+    }
+    for (i = 0; i < q; i++) {
+        int64_t j = ring_probe(sp->pos, bins[i], x[i]);
+        bins[i] = j == n ? 0 : j;
+        PREFETCH_RW(&loads[bins[i]]);
+    }
+}
+
+/* One trial from generator g on space sp, block by block in
+ * choice_blocks' layout: an RNG block of b balls is b*d candidate
+ * points of dim draws each (a ring position; a torus point's x then y)
+ * followed by b tie-break draws.  Two cursors walk it without
+ * materialising it — candidates from the block's first draw,
+ * tie-breaks from b*d*dim draws later (jump-ahead) — and each stage of
+ * RING_STAGE balls runs draw -> lookup -> place.  Partitioned, the
+ * first coordinate x of candidate c becomes (x + c) / d. */
+static void space_trial(const ring_trials_job *job, int64_t k, pcg64 *g,
+                        const trial_space *sp, double *x, int64_t *bins,
+                        double *us)
+{
+    int64_t *loads = job->loads + k * job->n;
+    int64_t *heights = job->heights ? job->heights + k * job->m : 0;
+    int64_t d = job->d, dim = job->torus ? 2 : 1, ball = 0;
+    int needs_u = job->strategy == 0 && d > 1;
+    while (ball < job->m) {
+        int64_t b = job->m - ball < job->rng_block ? job->m - ball
+                                                   : job->rng_block;
+        int64_t s0;
+        pcg64 cand = *g, tie = *g;
+        if (needs_u)
+            pcg64_advance(&tie, (pcg128)b * (pcg128)(d * dim));
+        for (s0 = 0; s0 < b; s0 += RING_STAGE) {
+            int64_t w = b - s0 < RING_STAGE ? b - s0 : RING_STAGE;
+            int64_t q = w * d, i, c;
+            pcg64_fill(&cand, q * dim, x);
+            if (needs_u)
+                pcg64_fill(&tie, w, us);
+            if (job->partitioned)
+                for (i = 0; i < w; i++)
+                    for (c = 0; c < d; c++)
+                        x[(i * d + c) * dim] =
+                            (x[(i * d + c) * dim] + (double)c) / (double)d;
+            if (job->torus) {
+                for (i = 0; i < q; i++) {
+                    bins[i] = torus_nearest(&sp->grid, job->nbuckets,
+                                            x[2 * i], x[2 * i + 1]);
+                    PREFETCH_RW(&loads[bins[i]]);
+                }
+            } else {
+                ring_lookup(job, sp, x, q, bins, loads);
+            }
+            repro_place_block(bins, us, w, d, loads, sp->measures,
+                              job->strategy, heights ? heights + ball + s0 : 0);
+        }
+        pcg64_advance(g, (pcg128)b * (pcg128)(d * dim + 1));
+        ball += b;
+    }
+}
+
+/* The torus TorusSpace.random(n) would draw from g, built in scratch:
+ * g's next 2n doubles as n (x, y) points (into raw), gridded by
+ * repro_torus_grid (start has side*side + 1 entries).  Returns 1, or 0
+ * when two points coincide or the points are too unevenly spread for a
+ * grid; g has drawn the points either way. */
+static int torus_build(pcg64 *g, int64_t n, int64_t side, double *raw,
+                       int32_t *start, double *xy, int32_t *ids)
+{
+    pcg64_fill(g, 2 * n, raw);
+    memset(start, 0, sizeof(int32_t) * (size_t)(side * side + 1));
+    return repro_torus_grid(raw, n, side, start, xy, ids) == 1;
+}
+
+/* Scratch of `size` bytes for a space the kernel builds.  It is read at
+ * random, so on Linux large scratch asks for transparent huge pages, as
+ * numpy does for its own large arrays (RingSpace's): with 4 KB pages a
+ * 2^24-server ring faults 80,000 pages in and its lookups miss the TLB.
+ * The request is only a hint. */
+static void *ring_scratch(size_t size)
+{
+    void *p = malloc(size);
+#if defined(__linux__) && defined(MADV_HUGEPAGE)
+    if (p && size >= ((size_t)1 << 22)) {
+        uintptr_t start = ((uintptr_t)p + 4095) & ~(uintptr_t)4095;
+        madvise((void *)start, (uintptr_t)p + size - start, MADV_HUGEPAGE);
+    }
+#endif
+    return p;
+}
+
+/* A worker's trials.  Without tables each trial first builds its space
+ * from its own generator in scratch the worker reuses: a ring
+ * (ring_build; the smaller/larger strategies, codes 2 and 3, also get
+ * its arc lengths) or a torus grid (torus_build; raw holds the points,
+ * pos_ext their grid order and table the cell offsets).  A space that
+ * is not built stops the worker (status 1). */
+static void *ring_trials_worker(void *arg)
+{
+    ring_trials_job *job = (ring_trials_job *)arg;
+    int64_t n = job->n, nb = job->nbuckets, k;
+    int64_t dim = job->torus ? 2 : 1, cells = job->torus ? nb * nb : nb;
+    int build = job->tables == 0;
+    double *x = malloc(sizeof(double) * RING_STAGE * job->d * dim);
+    int64_t *bins = malloc(sizeof(int64_t) * RING_STAGE * job->d);
+    /* zeroed: strategies that ignore tie-breaks never draw them */
+    double *us = calloc(RING_STAGE, sizeof(double));
+    double *raw = build ? ring_scratch(sizeof(double) * n * dim) : 0;
+    double *pos_ext =
+        build ? ring_scratch(sizeof(double) * (n * dim + 1)) : 0;
+    int32_t *table = build ? ring_scratch(sizeof(int32_t) * (cells + 1)) : 0;
+    int32_t *ids = job->torus ? ring_scratch(sizeof(int32_t) * n) : 0;
+    double *arcs = job->strategy >= 2 ? raw : 0; /* raw, once drawn */
+    trial_space sp = {table, pos_ext, {table, pos_ext, ids}, arcs};
+    if (!x || !bins || !us || (build && (!raw || !pos_ext || !table)) ||
+        (job->torus && !ids)) {
+        job->status = -1;
+    } else {
+        for (k = job->k0; k < job->k1; k++) {
+            pcg64 g = pcg64_load(job->states + 4 * k);
+            int built = 1;
+            if (!build) {
+                sp.table = job->tables[k];
+                sp.pos = job->pos_ext[k];
+                sp.measures = job->measures ? job->measures[k] : 0;
+            } else if (job->torus) {
+                built = torus_build(&g, n, nb, raw, table, pos_ext, ids);
+            } else {
+                built = ring_build(&g, n, nb, raw, pos_ext, table, arcs);
+            }
+            if (!built) {
+                job->status = 1;
+                break;
+            }
+            space_trial(job, k, &g, &sp, x, bins, us);
+            pcg64_store(&g, job->states + 4 * k);
+        }
+    }
+    free(x);
+    free(bins);
+    free(us);
+    free(raw);
+    free(pos_ext);
+    free(table);
+    free(ids);
+    return 0;
+}
+
+/* Kernel 5: t complete trials (draw -> lookup -> place for every ball),
+ * trials partitioned across nthreads OS threads.  On rings, given
+ * tables, or with tables == NULL each trial first builds its ring from
+ * its generator (ring_build; pos_ext and measures are then ignored).
+ * With torus set each trial builds a 2-D torus on a grid of side
+ * nbuckets (torus_build; tables and measures must be NULL, strategy
+ * random or first).  Returns 0, 1 when some space was not built (the
+ * state words are then partly advanced and must be discarded), or -1
+ * when scratch memory could not be allocated. */
+int64_t repro_ring_trials(uint64_t *states, const int32_t *const *tables,
+                          const double *const *pos_ext,
+                          const double *const *measures, int64_t t,
+                          int64_t n, int64_t m, int64_t d, int64_t nbuckets,
+                          int64_t rng_block, int64_t partitioned,
+                          int64_t strategy, int64_t torus, int64_t *loads,
+                          int64_t *heights, int64_t nthreads)
+{
+    ring_trials_job jobs[MAX_KERNEL_THREADS];
+    int64_t w, start, stop, status = 0;
+    nthreads = clamp_threads(nthreads, t);
+    for (w = 0; w < nthreads; w++) {
+        thread_range(t, nthreads, w, &start, &stop);
+        jobs[w] = (ring_trials_job){states, tables, pos_ext, measures,
+                                    loads, heights, start, stop, n, m, d,
+                                    nbuckets, rng_block, partitioned,
+                                    strategy, torus, 0};
+    }
+    run_jobs(ring_trials_worker, (char *)jobs, sizeof(ring_trials_job),
+             nthreads);
+    for (w = 0; w < nthreads; w++) {
+        if (jobs[w].status < 0)
+            return -1;
+        status |= jobs[w].status;
+    }
+    return status;
+}
+
+#endif /* __SIZEOF_INT128__ */
 """
 
 _I64 = ctypes.c_int64
@@ -1059,7 +1126,7 @@ _SIGNATURES = {
     ),
     "repro_ring_table": ([_PTR, _I64, _I64, _PTR], _I64),
     "repro_ring_trials": (
-        [_PTR, _PTR, _PTR, _PTR] + [_I64] * 8 + [_PTR, _PTR, _I64], _I64,
+        [_PTR, _PTR, _PTR, _PTR] + [_I64] * 9 + [_PTR, _PTR, _I64], _I64,
     ),
     "repro_torus_assign": ([_PTR, _I64, _PTR, _PTR, _PTR, _I64, _PTR], None),
     "repro_torus_grid": ([_PTR, _I64, _I64, _PTR, _PTR, _PTR], _I64),
@@ -1280,8 +1347,10 @@ def build_backend():
         return table if distinct else None
 
     def ring_trials(bit_generators, tables, measures, loads, heights, m, d,
-                    strategy_code, partitioned, rng_block, threads):
-        """C kernel running whole ring trials on numpy PCG64 generators.
+                    strategy_code, partitioned, rng_block, threads, *,
+                    space="ring"):
+        """C kernel running whole ring or 2-D torus trials on numpy PCG64
+        generators.
 
         Trial ``k`` draws from ``bit_generators[k]`` exactly as
         :func:`repro.core.engine.choice_blocks` would, looks each point
@@ -1291,11 +1360,15 @@ def build_backend():
         ``measures`` is ``None``).  With ``tables=None`` each trial
         first draws its ring from its own generator, exactly as
         ``RingSpace.random(n, seed=...)`` would, and ``measures`` must
-        be ``None``.  Only ``state.state`` is written back to each
-        generator.  Trials are split statically across ``threads`` OS
-        threads.  Returns ``False``, writing no state back, when some
-        drawn ring repeats a position or crowds one bucket; else
-        ``True``.
+        be ``None``.  ``space="torus"`` (``tables`` and ``measures``
+        ``None``, strategy ``random`` or ``first``) draws and grids a
+        2-D torus instead, exactly as ``TorusSpace.random(n, seed=...)``
+        would, and looks candidates up in its grid.  Only
+        ``state.state`` is written back to each generator.  Trials are
+        split statically across ``threads`` OS threads.  Returns
+        ``False``, writing no state back, when some drawn ring repeats
+        a position or crowds one bucket, or some drawn torus repeats a
+        point or is too unevenly spread for a grid; else ``True``.
         """
         _check_inplace(loads, np.int64, "loads")
         t, n = loads.shape
@@ -1305,6 +1378,13 @@ def build_backend():
                 raise ValueError(f"heights must have shape {(t, m)}")
         if len(bit_generators) != t:
             raise ValueError("ring_trials needs one generator per loads row")
+        if space not in ("ring", "torus"):
+            raise ValueError(f"ring_trials runs rings or tori, got {space!r}")
+        torus = space == "torus"
+        if torus and (tables is not None or int(strategy_code) >= 2):
+            raise ValueError(
+                "ring_trials builds its own tori and has no Voronoi areas"
+            )
         if tables is None:
             if measures is not None:
                 raise ValueError(
@@ -1312,7 +1392,13 @@ def build_backend():
                 )
             if n < 1:
                 raise ValueError("ring_trials draws at least one position")
-            nbuckets = 1 << max(0, (n - 1).bit_length())
+            if torus:
+                if n >= 1 << 31:
+                    return False  # the grid's ids are int32
+                # the grid side, as TorusSpace._grid_side
+                nbuckets = 1 << ((n - 1).bit_length() + 1) // 2
+            else:
+                nbuckets = 1 << max(0, (n - 1).bit_length())
             table_ptrs = ext_ptrs = measure_ptrs = None
         else:
             nbuckets = int(tables[0][0])
@@ -1339,7 +1425,7 @@ def build_backend():
         status = lib.repro_ring_trials(
             _p(words), _p(table_ptrs), _p(ext_ptrs), _p(measure_ptrs), t, n,
             int(m), int(d), nbuckets, int(rng_block),
-            int(bool(partitioned)), int(strategy_code), _p(loads),
+            int(bool(partitioned)), int(strategy_code), int(torus), _p(loads),
             _p(heights), int(threads),
         )
         if status < 0:

@@ -11,9 +11,10 @@ Trials of one cell are statistically independent, so :func:`run_cell`
 and :func:`run_cell_profile` run them all through the trial-fused
 engine (:func:`repro.core.multitrial.run_fused`): one pass across all
 trials, inside the ``cext`` kernel where it applies, with the kernel
-``threads`` splitting trials.  Ring cells also build their rings in
-that kernel (:func:`repro.core.multitrial.run_random_rings`).  Trial
-``k`` is bit-identical to
+``threads`` splitting trials.  Ring and 2-D torus cells also build
+their spaces in that kernel
+(:func:`repro.core.multitrial.run_random_spaces`).  Trial ``k`` is
+bit-identical to
 :func:`repro.core.engine.run_sequential` on the same seed.
 :func:`run_trial_map` is the generic harness for trials that have no
 fused engine (dynamic churn trajectories); its optional process pool
@@ -29,9 +30,8 @@ from multiprocessing import get_context
 import numpy as np
 
 from repro.core.loads import max_load, nu_profile
-from repro.core.multitrial import fused_trial_chunk, run_fused, run_random_rings
+from repro.core.multitrial import fused_trial_chunk, run_fused, run_random_spaces
 from repro.core.strategies import TieBreak
-from repro.core.torus import TorusSpace
 from repro.obs import counter_add, obs_session, trace_span
 from repro.stats.distributions import MaxLoadDistribution
 from repro.utils.rng import spawn_seed_sequences
@@ -110,15 +110,6 @@ class CellSpec:
         return " ".join(bits)
 
 
-def _build_space(spec: CellSpec, rng: np.random.Generator):
-    """A trial's space for a non-ring cell (rings: ``run_random_rings``)."""
-    if spec.space == "torus":
-        return TorusSpace.random(spec.n, dim=spec.dim, seed=rng)
-    from repro.baselines.uniform import UniformSpace
-
-    return UniformSpace(spec.n)
-
-
 def _run_cell_fused(
     spec: CellSpec, trials: int, seed, *, profile: bool, backend=None,
     threads=None,
@@ -126,10 +117,10 @@ def _run_cell_fused(
     """All trials of a cell through the trial-fused engine.
 
     Trial ``k``'s generator first draws the server placement, then the
-    item choices.  Ring cells go through
-    :func:`~repro.core.multitrial.run_random_rings`, which builds the
-    rings inside the ``ring_trials`` kernel where it applies; other
-    cells build their spaces here for
+    item choices: ring and torus cells go through
+    :func:`~repro.core.multitrial.run_random_spaces`, which builds the
+    spaces inside the ``ring_trials`` kernel where it applies.  Uniform
+    cells draw no servers; their bins go straight to
     :func:`~repro.core.multitrial.run_fused`.  Trials are processed in
     memory-bounded fusion chunks (:func:`fused_trial_chunk`), which
     never changes results.  ``backend`` and ``threads`` are forwarded
@@ -143,14 +134,17 @@ def _run_cell_fused(
     out = []
     for c0 in range(0, trials, chunk):
         rngs = [np.random.default_rng(ss) for ss in seeds[c0 : c0 + chunk]]
-        if spec.space == "ring":
-            loads, _ = run_random_rings(
-                spec.n, spec.balls, spec.d, strategy, rngs, **options
-            )
-        else:
-            spaces = [_build_space(spec, rng) for rng in rngs]
+        if spec.space == "uniform":
+            from repro.baselines.uniform import UniformSpace
+
+            spaces = [UniformSpace(spec.n)] * len(rngs)
             loads, _ = run_fused(
                 spaces, spec.balls, spec.d, strategy, rngs, **options
+            )
+        else:
+            loads, _ = run_random_spaces(
+                spec.space, spec.n, spec.balls, spec.d, strategy, rngs,
+                dim=spec.dim, **options,
             )
         if profile:
             out.extend(nu_profile(row) for row in loads)

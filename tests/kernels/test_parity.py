@@ -162,12 +162,22 @@ def test_ring_assign_parity_small_batches(backend_name, q):
     np.testing.assert_array_equal(expected, got)
 
 
+#: (space, strategy) of the run_cell parity check; ring cells keep the
+#: ids they had before torus cells joined them
+CELL_STRATEGIES = [
+    pytest.param(space, s, id=s.value if space == "ring" else f"torus-{s.value}")
+    for space in ("ring", "torus")
+    for s in STRATEGIES
+]
+
+
 @pytest.mark.parametrize("backend_name", ACCELERATED)
 @pytest.mark.parametrize("partitioned", [False, True])
-@pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda s: s.value)
-def test_run_cell_backend_kwarg_parity(backend_name, strategy, partitioned):
+@pytest.mark.parametrize("space, strategy", CELL_STRATEGIES)
+def test_run_cell_backend_kwarg_parity(space, strategy, backend_name,
+                                       partitioned):
     """Max-load counts and, bin level by bin level, ν-profiles."""
-    spec = CellSpec("ring", 256, 2, strategy=strategy.value,
+    spec = CellSpec(space, 256, 2, strategy=strategy.value,
                     partitioned=partitioned)
     ref = run_cell(spec, trials=6, seed=44, backend="numpy")
     got = run_cell(spec, trials=6, seed=44, backend=backend_name)

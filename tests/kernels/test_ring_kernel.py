@@ -24,7 +24,7 @@ from repro.core.multitrial import (
     _ring_kernel_applies,
     _ring_kernel_takes,
     run_fused,
-    run_random_rings,
+    run_random_spaces,
 )
 from repro.core.ring import RingSpace
 from repro.core.strategies import TieBreak
@@ -282,8 +282,8 @@ def _check_random_rings(n, m, d, strategy, seeds, partitioned, rng_block,
                         expected):
     for threads in THREADS:
         rngs = [np.random.default_rng(s) for s in seeds]
-        loads, heights = run_random_rings(
-            n, m, d, strategy, rngs, partitioned=partitioned,
+        loads, heights = run_random_spaces(
+            "ring", n, m, d, strategy, rngs, partitioned=partitioned,
             rng_block=rng_block, record_heights=True, backend="cext",
             threads=threads,
         )
@@ -357,8 +357,8 @@ def test_repeated_positions_raise_like_ring_space(n, threads):
     with pytest.raises(ValueError, match="distinct") as expected:
         [RingSpace.random(n, seed=r) for r in ref]
     with pytest.raises(ValueError) as got:
-        run_random_rings(n, n, 2, TieBreak.RANDOM, rngs, backend="cext",
-                         threads=threads)
+        run_random_spaces("ring", n, n, 2, TieBreak.RANDOM, rngs,
+                          backend="cext", threads=threads)
     assert str(got.value) == str(expected.value)
     assert [r.bit_generator.state for r in rngs] == [
         r.bit_generator.state for r in ref
@@ -369,9 +369,9 @@ def test_repeated_positions_raise_like_ring_space(n, threads):
 def test_random_rings_other_bit_generators_take_the_reference_path(bit_generator):
     rngs = [np.random.Generator(bit_generator(50 + k)) for k in range(2)]
     assert not _ring_kernel_takes(rngs, _cext())
-    loads, heights = run_random_rings(500, 700, 2, TieBreak.SMALLER, rngs,
-                                      rng_block=128, record_heights=True,
-                                      backend="cext", threads=2)
+    loads, heights = run_random_spaces("ring", 500, 700, 2, TieBreak.SMALLER,
+                                       rngs, rng_block=128, record_heights=True,
+                                       backend="cext", threads=2)
     for k in range(2):
         ref_rng = np.random.Generator(bit_generator(50 + k))
         space = RingSpace.random(500, seed=ref_rng)
@@ -390,8 +390,9 @@ def test_random_rings_shared_generator_takes_the_reference_path():
     after another, exactly as run_fused on RingSpace.random spaces."""
     shared = np.random.default_rng(13)
     assert not _ring_kernel_takes([shared] * 3, _cext())
-    loads, _ = run_random_rings(200, 300, 2, TieBreak.RANDOM, [shared] * 3,
-                                rng_block=64, backend="cext", threads=2)
+    loads, _ = run_random_spaces("ring", 200, 300, 2, TieBreak.RANDOM,
+                                 [shared] * 3, rng_block=64, backend="cext",
+                                 threads=2)
     ref = np.random.default_rng(13)
     spaces = [RingSpace.random(200, seed=ref) for _ in range(3)]
     for k, space in enumerate(spaces):

@@ -1,19 +1,25 @@
-"""The torus grid kernels: ``torus_grid`` and ``torus_assign``.
+"""The torus grid kernels: ``torus_grid``, ``torus_assign`` and the tori
+``ring_trials`` builds.
 
 The grid promises the server cKDTree's periodic query finds: the same
 squared distance (wrap ``q - p`` by ±1 beyond ±0.5, then
 ``r = dx*dx; r += dy*dy``), rounded the same way, with the lowest index
 on an exact tie.  Its construction pass rejects exactly the points
-cKDTree's ``k=2`` distinctness check rejects.  Trials on gridded tori
-run on :func:`repro.core.multitrial.run_fused`'s trial pool and must end
-with the loads, heights and generator state of
-:func:`repro.core.engine.run_sequential`.  These tests check all three,
-that other generators, shared generators and other dimensions still
-match the reference, and that the numpy reference builds no grid.
+cKDTree's ``k=2`` distinctness check rejects.  Trials on prebuilt
+gridded tori run on :func:`repro.core.multitrial.run_fused`'s trial
+pool, and trials on fresh random 2-D tori
+(:func:`repro.core.multitrial.run_random_spaces`) draw and grid their
+tori inside the ``ring_trials`` kernel; both must end with the loads,
+heights and generator state of :func:`repro.core.engine.run_sequential`
+on ``TorusSpace.random``.  These tests check all of that, that other
+generators, shared generators, other dimensions and the area-based
+strategies still match the reference, and that the numpy reference
+builds no grid.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 
 import numpy as np
@@ -21,7 +27,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from repro.core.engine import DEFAULT_RNG_BLOCK, run_sequential
-from repro.core.multitrial import run_fused
+from repro.core.multitrial import _space_kernel_takes, run_fused, run_random_spaces
 from repro.core.strategies import TieBreak
 from repro.core.torus import TorusSpace
 from repro.kernels import available_backends, get_backend
@@ -453,3 +459,228 @@ def test_numpy_backend_builds_no_grid(monkeypatch):
     queries = np.random.default_rng(5).random((100, 2))
     _, expected = cKDTree(space.points, boxsize=1.0).query(queries)
     np.testing.assert_array_equal(space.assign(queries), expected)
+
+
+# ---------------------------------------------------------------------------
+# tori built inside the ring_trials kernel against TorusSpace.random +
+# run_sequential
+# ---------------------------------------------------------------------------
+
+#: grid sides 1, 2, 8, 8, 16 and 32
+BUILD_SIZES = (1, 2, 3, 63, 64, 65, 1000)
+#: the strategies the kernel runs on tori (the others need Voronoi areas)
+KERNEL_STRATEGIES = (TieBreak.RANDOM, TieBreak.FIRST)
+#: PCG64's LCG multiplier: with inc = state·(1 − mult) mod 2¹²⁸ the
+#: state is a fixed point, so every draw comes out equal
+PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+@contextlib.contextmanager
+def _numpy_reference():
+    """A scope in which tori are built and looked up the numpy way (the
+    KD-tree), so references share no compiled pass with the kernel."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_KERNEL_BACKEND", "numpy")
+        yield
+
+
+def _reference_tori(n, m, d, strategy, seeds, partitioned, rng_block,
+                    dim=2):
+    """Each trial on TorusSpace.random, then run_sequential, one generator."""
+    out = []
+    with _numpy_reference():
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            space = TorusSpace.random(n, dim=dim, seed=rng)
+            loads, heights = run_sequential(
+                space, m, d, strategy, rng, partitioned=partitioned,
+                rng_block=rng_block, record_heights=True,
+            )
+            out.append((loads, heights, rng.bit_generator.state))
+    return out
+
+
+def _check_random_tori(n, m, d, strategy, seeds, partitioned, rng_block,
+                       expected):
+    for threads in THREADS:
+        rngs = [np.random.default_rng(s) for s in seeds]
+        loads, heights = run_random_spaces(
+            "torus", n, m, d, strategy, rngs, partitioned=partitioned,
+            rng_block=rng_block, record_heights=True, backend="cext",
+            threads=threads,
+        )
+        where = (f"n={n} m={m} d={d} {strategy.value} "
+                 f"partitioned={partitioned} rng_block={rng_block} "
+                 f"threads={threads}")
+        for k, (ref_loads, ref_heights, ref_state) in enumerate(expected):
+            np.testing.assert_array_equal(loads[k], ref_loads, err_msg=where)
+            np.testing.assert_array_equal(heights[k], ref_heights, err_msg=where)
+            assert rngs[k].bit_generator.state == ref_state, where
+
+
+@pytest.mark.parametrize("partitioned", [False, True])
+@pytest.mark.parametrize("strategy", KERNEL_STRATEGIES, ids=lambda s: s.value)
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_random_tori_match_run_sequential(d, strategy, partitioned):
+    """m = 0 (the state after the points alone), and m = n over RNG
+    blocks of 7 balls and of 300 (a full 256-ball stage and a short
+    one)."""
+    assert _space_kernel_takes("torus", 2, strategy,
+                               [np.random.default_rng(0)], _cext_backend())
+    for n in BUILD_SIZES:
+        seeds = [11 * n + d + k for k in range(TRIALS)]
+        for m, rng_block in ((0, DEFAULT_RNG_BLOCK), (n, 7), (n, 300)):
+            expected = _reference_tori(n, m, d, strategy, seeds, partitioned,
+                                       rng_block)
+            _check_random_tori(n, m, d, strategy, seeds, partitioned,
+                               rng_block, expected)
+
+
+def test_random_tori_paper_size_matches_run_sequential():
+    """n = m = 2¹⁴ (the benchmark's torus cell) at the default block."""
+    n = 1 << 14
+    seeds = [5, 6]
+    expected = _reference_tori(n, n, 2, TieBreak.RANDOM, seeds, False,
+                               DEFAULT_RNG_BLOCK)
+    _check_random_tori(n, n, 2, TieBreak.RANDOM, seeds, False,
+                       DEFAULT_RNG_BLOCK, expected)
+
+
+def _repeating(seed):
+    """A PCG64 generator whose stream repeats one double forever."""
+    bit_generator = np.random.PCG64(seed)
+    st = bit_generator.state
+    s = st["state"]["state"]
+    st["state"]["inc"] = s * (1 - PCG_MULT) % (1 << 128)
+    bit_generator.state = st
+    return np.random.Generator(bit_generator)
+
+
+@pytest.mark.parametrize("threads", THREADS)
+@pytest.mark.parametrize("n", [2, 50, 100])
+def test_repeated_points_raise_like_torus_space(n, threads):
+    """The last trial's stream repeats, so all its points coincide: n = 2
+    and 50 repeat inside one grid cell, n = 100 crowds it past its limit.
+    Either way the kernel writes no state back, and the reference path
+    raises TorusSpace's own error after drawing the other trials'
+    points."""
+    def generators():
+        return [np.random.default_rng(30 + k) for k in range(TRIALS - 1)] + [
+            _repeating(9)
+        ]
+
+    rngs = generators()
+    before = [r.bit_generator.state for r in rngs]
+    loads = np.zeros((TRIALS, n), dtype=np.int64)
+    assert not _cext_backend().ring_trials(
+        [r.bit_generator for r in rngs], None, None, loads, None, n, 2, 0,
+        False, DEFAULT_RNG_BLOCK, threads, space="torus",
+    )
+    assert [r.bit_generator.state for r in rngs] == before
+
+    ref = generators()
+    with pytest.raises(ValueError, match="distinct") as expected:
+        [TorusSpace.random(n, seed=r) for r in ref]
+    with pytest.raises(ValueError) as got:
+        run_random_spaces("torus", n, n, 2, TieBreak.RANDOM, rngs,
+                          backend="cext", threads=threads)
+    assert str(got.value) == str(expected.value)
+    assert [r.bit_generator.state for r in rngs] == [
+        r.bit_generator.state for r in ref
+    ]
+
+
+def _assert_reference_path(rngs, fresh_rng, strategy=TieBreak.RANDOM, *,
+                           dim=2, n=300, m=400, backend="cext"):
+    """run_random_spaces on a torus equals TorusSpace.random +
+    run_sequential trial by trial, generator states included."""
+    loads, heights = run_random_spaces(
+        "torus", n, m, 2, strategy, rngs, dim=dim, rng_block=64,
+        record_heights=True, backend=backend, threads=2,
+    )
+    for k in range(len(rngs)):
+        ref_rng = fresh_rng(k)
+        with _numpy_reference():
+            space = TorusSpace.random(n, dim=dim, seed=ref_rng)
+            ref_loads, ref_heights = run_sequential(
+                space, m, 2, strategy, ref_rng, rng_block=64,
+                record_heights=True,
+            )
+        np.testing.assert_array_equal(loads[k], ref_loads)
+        np.testing.assert_array_equal(heights[k], ref_heights)
+        np.testing.assert_equal(rngs[k].bit_generator.state,
+                                ref_rng.bit_generator.state)
+
+
+@pytest.mark.parametrize("strategy", [TieBreak.SMALLER, TieBreak.LARGER],
+                         ids=lambda s: s.value)
+def test_random_tori_area_strategies_take_the_reference_path(strategy):
+    rngs = [np.random.default_rng(80 + k) for k in range(2)]
+    assert not _space_kernel_takes("torus", 2, strategy, rngs, _cext_backend())
+    with pytest.raises(ValueError, match="Voronoi areas"):
+        _cext_backend().ring_trials(
+            [r.bit_generator for r in rngs], None, None,
+            np.zeros((2, 300), dtype=np.int64), None, 400, 2,
+            2 if strategy is TieBreak.SMALLER else 3, False, 64, 2,
+            space="torus",
+        )
+    _assert_reference_path(rngs, lambda k: np.random.default_rng(80 + k),
+                           strategy)
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.PCG64DXSM])
+def test_random_tori_other_bit_generators_take_the_reference_path(bit_generator):
+    rngs = [np.random.Generator(bit_generator(50 + k)) for k in range(2)]
+    assert not _space_kernel_takes("torus", 2, TieBreak.RANDOM, rngs,
+                                   _cext_backend())
+    _assert_reference_path(
+        rngs, lambda k: np.random.Generator(bit_generator(50 + k))
+    )
+
+
+def test_random_tori_shared_generator_takes_the_reference_path():
+    """Trials sharing one generator: every torus first, then the trials
+    one after another, exactly as run_fused on TorusSpace.random spaces."""
+    shared = np.random.default_rng(13)
+    assert not _space_kernel_takes("torus", 2, TieBreak.RANDOM, [shared] * 3,
+                                   _cext_backend())
+    loads, _ = run_random_spaces("torus", 200, 300, 2, TieBreak.RANDOM,
+                                 [shared] * 3, rng_block=64, backend="cext",
+                                 threads=2)
+    ref = np.random.default_rng(13)
+    with _numpy_reference():
+        spaces = [TorusSpace.random(200, seed=ref) for _ in range(3)]
+        for k, space in enumerate(spaces):
+            ref_loads, _ = run_sequential(space, 300, 2, TieBreak.RANDOM, ref,
+                                          rng_block=64)
+            np.testing.assert_array_equal(loads[k], ref_loads)
+    assert shared.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_random_tori_other_dimensions_take_the_reference_path(dim):
+    rngs = [np.random.default_rng(60 + k) for k in range(2)]
+    assert not _space_kernel_takes("torus", dim, TieBreak.RANDOM, rngs,
+                                   _cext_backend())
+    _assert_reference_path(rngs, lambda k: np.random.default_rng(60 + k),
+                           dim=dim)
+
+
+def test_random_tori_numpy_backend_takes_the_reference_path(monkeypatch):
+    monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numpy")
+    rngs = [np.random.default_rng(90 + k) for k in range(2)]
+    assert not _space_kernel_takes("torus", 2, TieBreak.RANDOM, rngs,
+                                   get_backend("numpy"))
+    _assert_reference_path(rngs, lambda k: np.random.default_rng(90 + k),
+                           backend="numpy")
+
+
+def test_random_spaces_reject_other_spaces():
+    with pytest.raises(ValueError, match="space"):
+        run_random_spaces("uniform", 10, 10, 2, TieBreak.RANDOM,
+                          [np.random.default_rng(0)], backend="cext")
+    with pytest.raises(ValueError, match="rings or tori"):
+        _cext_backend().ring_trials(
+            [np.random.PCG64(0)], None, None, np.zeros((1, 4), dtype=np.int64),
+            None, 4, 2, 0, False, 64, 1, space="cube",
+        )

@@ -66,6 +66,26 @@ def test_real_trace_breakdown_covers_90pct_of_wall(obs_on):
     assert covered >= 0.9 * agg["wall_s"]
 
 
+def test_real_torus_trace_breakdown_covers_90pct_of_wall(obs_on):
+    """The torus twin: traced phases explain >= 90% of the measured wall,
+    and where the kernel runs, the cell is one ring_trials span under
+    run_random_spaces, with no pool spans."""
+    run_cell(CellSpec("torus", 128, 2), 10, seed=7)
+    spans = drain_spans()
+    agg = aggregate_spans(spans)
+    covered = sum(e["self_s"] for e in agg["phases"].values())
+    assert agg["wall_s"] > 0
+    assert covered >= 0.9 * agg["wall_s"]
+    names = [s["name"] for s in spans]
+    assert "run_random_spaces" in names
+    assert "run_fused.rng" not in names and "run_fused.kernel" not in names
+    if "run_fused" not in names:  # the kernel built the tori
+        parent = {s["id"]: s["name"] for s in spans}
+        kernel = [s for s in spans if s["name"] == "run_fused.ring_trials"]
+        assert len(kernel) == 1
+        assert parent[kernel[0]["parent"]] == "run_random_spaces"
+
+
 def test_threaded_trace_self_times_stay_within_wall(obs_on):
     """Threads must not inflate the breakdown: over a threaded ring cell
     and torus cell, self times sum to at most 100% of traced wall."""

@@ -160,6 +160,39 @@ class TestRunCellProfile:
         assert profile[1:].sum() == pytest.approx(300)
 
 
+#: (space, n) of the profile check; ring cells keep the ids they had
+#: before torus cells joined them
+_SPACE_SIZES = [
+    pytest.param(space, n, id=str(n) if space == "ring" else f"torus-{n}")
+    for space in ("ring", "torus")
+    for n in (1, 2, 1023, 3000)
+]
+
+#: Voronoi areas by torus points, shared by every test that asks
+_TORUS_AREAS: dict[bytes, np.ndarray] = {}
+
+
+@pytest.fixture
+def shared_torus_areas(monkeypatch):
+    """Compute each torus's Voronoi areas once per session.
+
+    A cell's tori depend only on n and the seed, so the reference and
+    every strategy/d/partitioned case of one n share them; the areas
+    come from the real function either way.
+    """
+    from repro.geo2d import voronoi
+
+    compute = voronoi.toroidal_voronoi_areas
+
+    def cached(points):
+        key = np.ascontiguousarray(points).tobytes()
+        if key not in _TORUS_AREAS:
+            _TORUS_AREAS[key] = compute(points)
+        return _TORUS_AREAS[key].copy()
+
+    monkeypatch.setattr(voronoi, "toroidal_voronoi_areas", cached)
+
+
 class TestEngineSelection:
     """The fused cell path gives the sequential reference's results."""
 
@@ -183,11 +216,13 @@ class TestEngineSelection:
     @pytest.mark.parametrize("partitioned", [False, True])
     @pytest.mark.parametrize("strategy", [s.value for s in TieBreak])
     @pytest.mark.parametrize("d", [1, 2, 3])
-    @pytest.mark.parametrize("n", [1, 2, 1023, 3000])
-    def test_profile_engines_bit_identical(self, n, d, strategy, partitioned):
+    @pytest.mark.parametrize("space, n", _SPACE_SIZES)
+    def test_profile_engines_bit_identical(
+        self, space, n, d, strategy, partitioned, shared_torus_areas
+    ):
         from repro.stats.trials import run_cell_profile
 
-        spec = CellSpec("ring", n, d, strategy=strategy, partitioned=partitioned)
+        spec = CellSpec(space, n, d, strategy=strategy, partitioned=partitioned)
         profiles = [nu_profile(loads) for loads in _sequential_loads(spec, 9, 3)]
         reference = np.zeros(max(p.size for p in profiles))
         for p in profiles:
