@@ -168,12 +168,15 @@ _SPACE_SIZES = [
     for n in (1, 2, 1023, 3000)
 ]
 
-#: Voronoi areas by torus points, shared by every test that asks
-_TORUS_AREAS: dict[bytes, np.ndarray] = {}
+
+@pytest.fixture(scope="session")
+def _torus_areas() -> dict:
+    """Voronoi areas by torus points, for the whole session."""
+    return {}
 
 
 @pytest.fixture
-def shared_torus_areas(monkeypatch):
+def shared_torus_areas(monkeypatch, _torus_areas):
     """Compute each torus's Voronoi areas once per session.
 
     A cell's tori depend only on n and the seed, so the reference and
@@ -186,9 +189,9 @@ def shared_torus_areas(monkeypatch):
 
     def cached(points):
         key = np.ascontiguousarray(points).tobytes()
-        if key not in _TORUS_AREAS:
-            _TORUS_AREAS[key] = compute(points)
-        return _TORUS_AREAS[key].copy()
+        if key not in _torus_areas:
+            _torus_areas[key] = compute(points)
+        return _torus_areas[key].copy()
 
     monkeypatch.setattr(voronoi, "toroidal_voronoi_areas", cached)
 
