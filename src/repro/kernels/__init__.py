@@ -22,8 +22,9 @@ into *scalar kernels* that a compiled tier can run at memory speed:
     Whole ring trials of :func:`repro.core.multitrial.run_fused`: a copy
     of numpy's PCG64 feeds draw → bucket lookup → place for every ball,
     with trials split across OS threads.  Given no tables
-    (:func:`repro.core.multitrial.run_random_rings`), each trial first
-    draws and builds its own ring on its worker thread.
+    (:func:`repro.core.multitrial.run_random_spaces`), each trial first
+    draws and builds its own ring on its worker thread — or its own 2-D
+    torus and grid, whose lookups then replace the bucket probe.
 ``torus_grid``
     The periodic uniform grid of a 2-D :class:`repro.core.torus.TorusSpace`
     (one counting sort, with the distinctness check in the same pass),
@@ -168,7 +169,7 @@ class KernelBackend:
         ``bincount`` + ``cumsum``), or ``None`` when two positions are
         equal.
     ``ring_trials(bit_generators, tables, measures, loads, heights, m,
-    d, strategy_code, partitioned, rng_block, threads)``
+    d, strategy_code, partitioned, rng_block, threads, *, space="ring")``
         Run ``T`` complete ring trials.  Trial ``k`` reads
         ``bit_generators[k]`` (a ``PCG64``), draws its stream in
         :func:`repro.core.engine.choice_blocks`' layout, looks each
@@ -180,11 +181,18 @@ class KernelBackend:
         generator, exactly as ``RingSpace.random(n, seed=...)`` would:
         the ``n`` positions, their bucket table and, for the
         ``smaller``/``larger`` strategies, their arc lengths, all
-        built in scratch on the trial's thread.  Only ``state.state``
-        is written back to each generator.  Returns ``True``, or
-        ``False`` — writing no state back, the loads then meaningless —
-        when some drawn ring repeats a position or crowds one bucket
-        past the kernel's limit, so that the caller can rebuild it the
+        built in scratch on the trial's thread.  ``space="torus"``
+        (``tables=None``, strategy ``random`` or ``first``: the kernel
+        has no Voronoi areas) runs 2-D torus trials instead: trial
+        ``k`` draws its ``n`` points exactly as
+        ``TorusSpace.random(n, seed=...)`` would, builds their grid as
+        ``torus_grid`` does and looks its candidates up as
+        ``torus_assign`` does.  Only ``state.state`` is written back to
+        each generator.  Returns ``True``, or ``False`` — writing no
+        state back, the loads then meaningless — when some drawn ring
+        repeats a position or crowds one bucket past the kernel's
+        limit, or some drawn torus repeats a point or is too unevenly
+        spread for a grid, so that the caller can rebuild it the
         reference way.  Trials are split statically across ``threads``
         OS threads — trials share nothing, so any split is
         bit-identical.

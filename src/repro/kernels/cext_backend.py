@@ -914,17 +914,33 @@ static void ring_lookup(const ring_trials_job *job, const trial_space *sp,
                         const double *x, int64_t q, int64_t *bins,
                         int64_t *loads)
 {
+    const int32_t *table = sp->table;
+    const double *pos = sp->pos;
     int64_t i, n = job->n;
     double nb = (double)job->nbuckets;
     for (i = 0; i < q; i++)
-        PREFETCH_RO(&sp->table[(int64_t)(x[i] * nb)]);
+        PREFETCH_RO(&table[(int64_t)(x[i] * nb)]);
     for (i = 0; i < q; i++) {
-        bins[i] = sp->table[(int64_t)(x[i] * nb)];
-        PREFETCH_RO(&sp->pos[bins[i]]);
+        bins[i] = table[(int64_t)(x[i] * nb)];
+        PREFETCH_RO(&pos[bins[i]]);
     }
     for (i = 0; i < q; i++) {
-        int64_t j = ring_probe(sp->pos, bins[i], x[i]);
+        int64_t j = ring_probe(pos, bins[i], x[i]);
         bins[i] = j == n ? 0 : j;
+        PREFETCH_RW(&loads[bins[i]]);
+    }
+}
+
+/* Owners of the q torus points x (x then y) into bins: the grid's
+ * nearest point, as repro_torus_assign finds it; each owner's load is
+ * warmed for placement. */
+static void torus_lookup(const ring_trials_job *job, const trial_space *sp,
+                         const double *x, int64_t q, int64_t *bins,
+                         int64_t *loads)
+{
+    int64_t i, side = job->nbuckets;
+    for (i = 0; i < q; i++) {
+        bins[i] = torus_nearest(&sp->grid, side, x[2 * i], x[2 * i + 1]);
         PREFETCH_RW(&loads[bins[i]]);
     }
 }
@@ -963,15 +979,10 @@ static void space_trial(const ring_trials_job *job, int64_t k, pcg64 *g,
                     for (c = 0; c < d; c++)
                         x[(i * d + c) * dim] =
                             (x[(i * d + c) * dim] + (double)c) / (double)d;
-            if (job->torus) {
-                for (i = 0; i < q; i++) {
-                    bins[i] = torus_nearest(&sp->grid, job->nbuckets,
-                                            x[2 * i], x[2 * i + 1]);
-                    PREFETCH_RW(&loads[bins[i]]);
-                }
-            } else {
+            if (job->torus)
+                torus_lookup(job, sp, x, q, bins, loads);
+            else
                 ring_lookup(job, sp, x, q, bins, loads);
-            }
             repro_place_block(bins, us, w, d, loads, sp->measures,
                               job->strategy, heights ? heights + ball + s0 : 0);
         }
