@@ -12,7 +12,10 @@ the ``tests/`` conftest directory on ``sys.path``.
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
+import pytest
 
 from repro.baselines.uniform import UniformSpace
 from repro.core.ring import RingSpace
@@ -30,6 +33,8 @@ __all__ = [
     "named_scenarios",
     "assert_dynamics_equal",
     "check_state",
+    "numpy_reference",
+    "repeating_generator",
 ]
 
 
@@ -133,3 +138,27 @@ def check_state(state) -> list[str]:
             f"occupancy {state.occupancy} != {live.size} live balls"
         )
     return problems
+
+
+#: PCG64's LCG multiplier: with inc = state·(1 − mult) mod 2¹²⁸ the
+#: state is a fixed point, so every draw comes out equal
+PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def repeating_generator(seed) -> np.random.Generator:
+    """A PCG64 generator whose stream repeats one double forever."""
+    bit_generator = np.random.PCG64(seed)
+    st = bit_generator.state
+    s = st["state"]["state"]
+    st["state"]["inc"] = s * (1 - PCG_MULT) % (1 << 128)
+    bit_generator.state = st
+    return np.random.Generator(bit_generator)
+
+
+@contextlib.contextmanager
+def numpy_reference():
+    """A scope in which spaces are built and looked up the numpy way, so
+    kernel references share no compiled pass with the kernel under test."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_KERNEL_BACKEND", "numpy")
+        yield

@@ -13,11 +13,11 @@ compile flags the rounding depends on.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 
 import numpy as np
 import pytest
+from helpers import numpy_reference, repeating_generator
 
 from repro.core.engine import DEFAULT_RNG_BLOCK, run_sequential
 from repro.core.multitrial import (
@@ -226,18 +226,6 @@ def test_ring_kernel_default_block_matches_generic_path(d, strategy, partitioned
 # ---------------------------------------------------------------------------
 
 BUILD_SIZES = (1, 2, 3, 1023, 1024, 3000)
-#: PCG64's LCG multiplier: with inc = state·(1 − mult) mod 2¹²⁸ the
-#: state is a fixed point, so every draw comes out equal
-PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-@contextlib.contextmanager
-def _numpy_reference():
-    """A scope in which rings are built and looked up the numpy way, so
-    references share no compiled pass with the kernel under test."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("REPRO_KERNEL_BACKEND", "numpy")
-        yield
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -246,7 +234,7 @@ def test_ring_build_matches_ring_space(n, seed):
     """Positions, bucket table, arc lengths and the state after n draws."""
     bit_generator = np.random.PCG64(1000 * seed + n)
     words = _words(bit_generator)
-    with _numpy_reference():
+    with numpy_reference():
         ref = RingSpace.random(n, seed=np.random.Generator(bit_generator))
         nbuckets, table, pos_ext = ref._bucket_table()
     got_ext = np.empty(n + 1)
@@ -266,7 +254,7 @@ def test_ring_build_matches_ring_space(n, seed):
 def _reference_rings(n, m, d, strategy, seeds, partitioned, rng_block):
     """Each trial on RingSpace.random, then run_sequential, one generator."""
     out = []
-    with _numpy_reference():
+    with numpy_reference():
         for seed in seeds:
             rng = np.random.default_rng(seed)
             space = RingSpace.random(n, seed=rng)
@@ -322,16 +310,6 @@ def test_random_rings_paper_size_matches_run_sequential():
                         DEFAULT_RNG_BLOCK, expected)
 
 
-def _repeating(seed):
-    """A PCG64 generator whose stream repeats one double forever."""
-    bit_generator = np.random.PCG64(seed)
-    st = bit_generator.state
-    s = st["state"]["state"]
-    st["state"]["inc"] = s * (1 - PCG_MULT) % (1 << 128)
-    bit_generator.state = st
-    return np.random.Generator(bit_generator)
-
-
 @pytest.mark.parametrize("threads", THREADS)
 @pytest.mark.parametrize("n", [2, 50, 100])
 def test_repeated_positions_raise_like_ring_space(n, threads):
@@ -341,7 +319,7 @@ def test_repeated_positions_raise_like_ring_space(n, threads):
     RingSpace's own error after drawing the other trials' positions."""
     def generators():
         return [np.random.default_rng(30 + k) for k in range(TRIALS - 1)] + [
-            _repeating(9)
+            repeating_generator(9)
         ]
 
     rngs = generators()

@@ -19,11 +19,11 @@ builds no grid.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 
 import numpy as np
 import pytest
+from helpers import numpy_reference, repeating_generator
 from scipy.spatial import cKDTree
 
 from repro.core.engine import DEFAULT_RNG_BLOCK, run_sequential
@@ -470,25 +470,13 @@ def test_numpy_backend_builds_no_grid(monkeypatch):
 BUILD_SIZES = (1, 2, 3, 63, 64, 65, 1000)
 #: the strategies the kernel runs on tori (the others need Voronoi areas)
 KERNEL_STRATEGIES = (TieBreak.RANDOM, TieBreak.FIRST)
-#: PCG64's LCG multiplier: with inc = state·(1 − mult) mod 2¹²⁸ the
-#: state is a fixed point, so every draw comes out equal
-PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-@contextlib.contextmanager
-def _numpy_reference():
-    """A scope in which tori are built and looked up the numpy way (the
-    KD-tree), so references share no compiled pass with the kernel."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("REPRO_KERNEL_BACKEND", "numpy")
-        yield
 
 
 def _reference_tori(n, m, d, strategy, seeds, partitioned, rng_block,
                     dim=2):
     """Each trial on TorusSpace.random, then run_sequential, one generator."""
     out = []
-    with _numpy_reference():
+    with numpy_reference():
         for seed in seeds:
             rng = np.random.default_rng(seed)
             space = TorusSpace.random(n, dim=dim, seed=rng)
@@ -546,16 +534,6 @@ def test_random_tori_paper_size_matches_run_sequential():
                        DEFAULT_RNG_BLOCK, expected)
 
 
-def _repeating(seed):
-    """A PCG64 generator whose stream repeats one double forever."""
-    bit_generator = np.random.PCG64(seed)
-    st = bit_generator.state
-    s = st["state"]["state"]
-    st["state"]["inc"] = s * (1 - PCG_MULT) % (1 << 128)
-    bit_generator.state = st
-    return np.random.Generator(bit_generator)
-
-
 @pytest.mark.parametrize("threads", THREADS)
 @pytest.mark.parametrize("n", [2, 50, 100])
 def test_repeated_points_raise_like_torus_space(n, threads):
@@ -566,7 +544,7 @@ def test_repeated_points_raise_like_torus_space(n, threads):
     points."""
     def generators():
         return [np.random.default_rng(30 + k) for k in range(TRIALS - 1)] + [
-            _repeating(9)
+            repeating_generator(9)
         ]
 
     rngs = generators()
@@ -600,7 +578,7 @@ def _assert_reference_path(rngs, fresh_rng, strategy=TieBreak.RANDOM, *,
     )
     for k in range(len(rngs)):
         ref_rng = fresh_rng(k)
-        with _numpy_reference():
+        with numpy_reference():
             space = TorusSpace.random(n, dim=dim, seed=ref_rng)
             ref_loads, ref_heights = run_sequential(
                 space, m, 2, strategy, ref_rng, rng_block=64,
@@ -648,7 +626,7 @@ def test_random_tori_shared_generator_takes_the_reference_path():
                                  [shared] * 3, rng_block=64, backend="cext",
                                  threads=2)
     ref = np.random.default_rng(13)
-    with _numpy_reference():
+    with numpy_reference():
         spaces = [TorusSpace.random(200, seed=ref) for _ in range(3)]
         for k, space in enumerate(spaces):
             ref_loads, _ = run_sequential(space, 300, 2, TieBreak.RANDOM, ref,
