@@ -466,20 +466,19 @@ def test_numpy_backend_builds_no_grid(monkeypatch):
 # run_sequential
 # ---------------------------------------------------------------------------
 
-#: grid sides 1, 2, 8, 8, 16 and 32
+#: grid sides 1, 2, 2, 8, 8, 16 and 32
 BUILD_SIZES = (1, 2, 3, 63, 64, 65, 1000)
 #: the strategies the kernel runs on tori (the others need Voronoi areas)
 KERNEL_STRATEGIES = (TieBreak.RANDOM, TieBreak.FIRST)
 
 
-def _reference_tori(n, m, d, strategy, seeds, partitioned, rng_block,
-                    dim=2):
+def _reference_tori(n, m, d, strategy, seeds, partitioned, rng_block):
     """Each trial on TorusSpace.random, then run_sequential, one generator."""
     out = []
     with numpy_reference():
         for seed in seeds:
             rng = np.random.default_rng(seed)
-            space = TorusSpace.random(n, dim=dim, seed=rng)
+            space = TorusSpace.random(n, seed=rng)
             loads, heights = run_sequential(
                 space, m, d, strategy, rng, partitioned=partitioned,
                 rng_block=rng_block, record_heights=True,
