@@ -44,6 +44,10 @@ row: :func:`repro.stats.trials.run_cell` from seeds, which draws each
 trial's ring or torus before placing into it, per backend at
 ``CELL_THREAD_COUNTS`` (the max-load counts are cross-checked equal
 across every backend and thread count before anything is emitted).
+Each ``cell`` row also records ``peak_rss_growth_mb``: how far the
+resident set's peak rose, over the warm-up and timed ``run_cell``
+runs, above the resident set before them (Linux's ``VmHWM``, reset
+through ``/proc/self/clear_refs``; ``null`` elsewhere).
 
 Usage::
 
@@ -56,6 +60,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 from contextlib import contextmanager
@@ -162,6 +167,35 @@ def _pinned_threads(count: int):
             os.environ["REPRO_NUM_THREADS"] = prev
 
 
+def _status_kb(field: str) -> int | None:
+    """A ``kB`` field of ``/proc/self/status`` (``None`` off Linux)."""
+    try:
+        text = Path("/proc/self/status").read_text()
+    except OSError:
+        return None
+    match = re.search(rf"^{field}:\s+(\d+) kB", text, re.MULTILINE)
+    return int(match.group(1)) if match else None
+
+
+def _with_peak_rss_growth(fn):
+    """``(fn(), growth)``: how far the resident set's peak rose during the
+    call above the resident set before it, in MB (``None`` off Linux).
+
+    Writing ``5`` to ``/proc/self/clear_refs`` resets the peak
+    (``VmHWM``) to the current resident set.
+    """
+    try:
+        Path("/proc/self/clear_refs").write_text("5")
+    except OSError:
+        return fn(), None
+    before = _status_kb("VmRSS")
+    result = fn()
+    peak = _status_kb("VmHWM")
+    if before is None or peak is None:
+        return result, None
+    return result, round((peak - before) / 1024.0, 2)
+
+
 def _time_best(fn, repeats: int) -> float:
     fn()  # warm-up: page faults, bucket tables, allocator reuse
     best = float("inf")
@@ -256,8 +290,10 @@ def _measure_run_cell(space, n, trials, repeats, backends):
         for count in CELL_THREAD_COUNTS:
             with _pinned_backend(name), _pinned_threads(count):
                 counts = run_cell(spec, trials, seed=CELL_SEED).to_json_counts()
-                seconds = _time_best(
-                    lambda: run_cell(spec, trials, seed=CELL_SEED), repeats
+                seconds, growth = _with_peak_rss_growth(
+                    lambda: _time_best(
+                        lambda: run_cell(spec, trials, seed=CELL_SEED), repeats
+                    )
                 )
             if reference is None:
                 reference = counts
@@ -270,6 +306,7 @@ def _measure_run_cell(space, n, trials, repeats, backends):
             rows[name][str(count)] = {
                 "seconds": round(seconds, 4),
                 "balls_per_s": round(trials * n / seconds, 1),
+                "peak_rss_growth_mb": growth,
             }
     return rows
 
@@ -365,7 +402,8 @@ def main(argv=None) -> int:
             print(f"  threads[{name}]: {scaling}")
         for name, rows in cell["cell"].items():
             scaling = ", ".join(
-                f"{count}t={row['balls_per_s']:,.0f}/s"
+                f"{count}t={row['balls_per_s']:,.0f}/s "
+                f"(+{row['peak_rss_growth_mb']} MB peak RSS)"
                 for count, row in rows.items()
             )
             print(f"  run_cell[{name}]: {scaling}")
@@ -391,7 +429,10 @@ def main(argv=None) -> int:
             "host cannot exceed efficiency ~0.25). Each cell names its "
             "space; the torus cell sweeps threads 1 and 2 only. 'cell' "
             "rows time run_cell from seeds (ring or torus construction "
-            "included) per backend at threads 1 and 2."
+            "included) per backend at threads 1 and 2; their "
+            "peak_rss_growth_mb is VmHWM over those runs (reset through "
+            "/proc/self/clear_refs) minus the RSS before them, in MB, null "
+            "off Linux."
         ),
         "thread_counts": list(THREAD_COUNTS),
         "unix_time": int(time.time()),

@@ -192,6 +192,7 @@ def _run_fused_ring(
     rng_block: int,
     record_heights: bool,
     space: str = "ring",
+    maxima: bool = False,
 ) -> tuple[np.ndarray, np.ndarray | None] | None:
     """All trials in one ``ring_trials`` kernel call.
 
@@ -210,10 +211,13 @@ def _run_fused_ring(
     kernel (:func:`run_random_spaces`); ``None`` is then returned, with
     no generator state written back, when some drawn space was not
     built (a repeated server, or servers too crowded for the kernel's
-    index).
+    index).  With ``maxima`` (``spaces=None`` only) the loads stay in
+    the kernel's scratch and the first result holds each trial's
+    maximum load, shape ``(T,)``, instead.
     """
     t = len(rngs)
-    loads = np.zeros((t, n), dtype=np.int64)
+    loads = None if maxima else np.zeros((t, n), dtype=np.int64)
+    peaks = np.empty(t, dtype=np.int64) if maxima else None
     heights = np.zeros((t, m), dtype=np.int64) if record_heights else None
     tables = measures = None
     if spaces is not None:
@@ -236,6 +240,8 @@ def _run_fused_ring(
         rng_block,
         threads,
         space=space,
+        n=n,
+        maxima=peaks,
     )
     if _obs:
         add_span(
@@ -244,7 +250,7 @@ def _run_fused_ring(
             threads=threads,
             space=space,
         )
-    return (loads, heights) if built else None
+    return (peaks if maxima else loads, heights) if built else None
 
 
 def _run_fused_kernel(
@@ -484,6 +490,7 @@ def run_random_spaces(
     partitioned: bool = False,
     rng_block: int = DEFAULT_RNG_BLOCK,
     record_heights: bool = False,
+    maxima: bool = False,
     backend: KernelBackend | str | None = None,
     threads: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
@@ -511,8 +518,15 @@ def run_random_spaces(
     its KD-tree).  Loads, heights and final generator states are
     bit-identical to the reference either way
     (``tests/kernels/test_ring_kernel.py``,
-    ``tests/kernels/test_torus_kernel.py``).  Other arguments are as in
-    :func:`run_fused`.
+    ``tests/kernels/test_torus_kernel.py``).
+
+    With ``maxima`` the first result is each trial's maximum load,
+    shape ``(T,)``, in place of the ``(T, n)`` loads: the kernel keeps
+    each trial's loads in scratch its worker thread reuses, so no loads
+    array is made (the reference path reduces its loads).
+    :func:`repro.stats.trials.run_cell` needs only the maxima,
+    :func:`repro.stats.trials.run_cell_profile` the loads.  Other
+    arguments are as in :func:`run_fused`.
     """
     if space not in ("ring", "torus"):
         raise ValueError(f"space must be 'ring' or 'torus', got {space!r}")
@@ -551,12 +565,13 @@ def run_random_spaces(
                 rng_block=rng_block,
                 record_heights=record_heights,
                 space=space,
+                maxima=maxima,
             )
             if out is not None:
                 counter_add("placement.balls", t * m)
                 counter_add("placement.trials", t)
                 return out
-        return run_fused(
+        loads, heights = run_fused(
             [_random_space(space, n, dim, r) for r in rngs],
             m,
             d,
@@ -568,6 +583,7 @@ def run_random_spaces(
             backend=backend_obj,
             threads=eff_threads,
         )
+        return (loads.max(axis=1) if maxima else loads), heights
 
 
 def _run_fused_numpy(

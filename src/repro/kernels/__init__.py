@@ -24,7 +24,10 @@ into *scalar kernels* that a compiled tier can run at memory speed:
     with trials split across OS threads.  Given no tables
     (:func:`repro.core.multitrial.run_random_spaces`), each trial first
     draws and builds its own ring on its worker thread — or its own 2-D
-    torus and grid, whose lookups then replace the bucket probe.
+    torus and grid, whose lookups then replace the bucket probe — and,
+    asked for each trial's maximum load only
+    (:func:`repro.stats.trials.run_cell`), places into scratch the
+    thread reuses, so no ``(T, n)`` loads array is made.
 ``torus_grid``
     The periodic uniform grid of a 2-D :class:`repro.core.torus.TorusSpace`
     (one counting sort, with the distinctness check in the same pass),
@@ -169,7 +172,8 @@ class KernelBackend:
         ``bincount`` + ``cumsum``), or ``None`` when two positions are
         equal.
     ``ring_trials(bit_generators, tables, measures, loads, heights, m,
-    d, strategy_code, partitioned, rng_block, threads, *, space="ring")``
+    d, strategy_code, partitioned, rng_block, threads, *, space="ring",
+    n=None, maxima=None)``
         Run ``T`` complete ring trials.  Trial ``k`` reads
         ``bit_generators[k]`` (a ``PCG64``), draws its stream in
         :func:`repro.core.engine.choice_blocks`' layout, looks each
@@ -187,13 +191,19 @@ class KernelBackend:
         ``k`` draws its ``n`` points exactly as
         ``TorusSpace.random(n, seed=...)`` would, builds their grid as
         ``torus_grid`` does and looks its candidates up as
-        ``torus_assign`` does.  Only ``state.state`` is written back to
-        each generator.  Returns ``True``, or ``False`` — writing no
-        state back, the loads then meaningless — when some drawn ring
-        repeats a position or crowds one bucket past the kernel's
-        limit, or some drawn torus repeats a point or is too unevenly
-        spread for a grid, so that the caller can rebuild it the
-        reference way.  Trials are split statically across ``threads``
+        ``torus_assign`` does.  With ``tables=None``, ``loads`` may be
+        ``None``: each trial then places into an ``n``-entry scratch
+        its worker thread zeroes before every trial and reuses (``n``
+        gives the servers per trial), so the call holds ``threads``
+        scratches and no ``(T, n)`` loads array.  ``maxima``, unless
+        ``None``, is a C-contiguous int64 array of shape ``(T,)`` that
+        receives each trial's maximum load.  Only ``state.state`` is
+        written back to each generator.  Returns ``True``, or
+        ``False`` — writing no state back, the loads and maxima then
+        meaningless — when some drawn ring repeats a position or
+        crowds one bucket past the kernel's limit, or some drawn torus
+        repeats a point or is too unevenly spread for a grid, so that
+        the caller can rebuild it the reference way.  Trials are split statically across ``threads``
         OS threads — trials share nothing, so any split is
         bit-identical.
     ``torus_grid(points, side)``

@@ -891,8 +891,9 @@ typedef struct {
     const int32_t *const *tables;  /* per trial nbuckets + 1, or NULL */
     const double *const *pos_ext;  /* per trial: n positions + inf */
     const double *const *measures; /* per trial arc lengths, or NULL */
-    int64_t *loads;                /* (t, n) */
+    int64_t *loads;                /* (t, n), or NULL: worker scratch */
     int64_t *heights;              /* (t, m) or NULL */
+    int64_t *maxima;               /* (t) max loads, or NULL */
     int64_t k0, k1, n, m, d, nbuckets, rng_block, partitioned, strategy;
     int64_t torus;  /* 1: 2-D tori on grids of side nbuckets, not rings */
     int64_t status; /* 0, 1: a space was not built, -1: no scratch */
@@ -945,7 +946,7 @@ static void torus_lookup(const ring_trials_job *job, const trial_space *sp,
     }
 }
 
-/* One trial from generator g on space sp, block by block in
+/* One trial from generator g on space sp into loads, block by block in
  * choice_blocks' layout: an RNG block of b balls is b*d candidate
  * points of dim draws each (a ring position; a torus point's x then y)
  * followed by b tie-break draws.  Two cursors walk it without
@@ -954,10 +955,9 @@ static void torus_lookup(const ring_trials_job *job, const trial_space *sp,
  * RING_STAGE balls runs draw -> lookup -> place.  Partitioned, the
  * first coordinate x of candidate c becomes (x + c) / d. */
 static void space_trial(const ring_trials_job *job, int64_t k, pcg64 *g,
-                        const trial_space *sp, double *x, int64_t *bins,
-                        double *us)
+                        const trial_space *sp, int64_t *loads, double *x,
+                        int64_t *bins, double *us)
 {
-    int64_t *loads = job->loads + k * job->n;
     int64_t *heights = job->heights ? job->heights + k * job->m : 0;
     int64_t d = job->d, dim = job->torus ? 2 : 1, ball = 0;
     int needs_u = job->strategy == 0 && d > 1;
@@ -1021,12 +1021,24 @@ static void *ring_scratch(size_t size)
     return p;
 }
 
+/* The largest of n loads. */
+static int64_t max_load(const int64_t *loads, int64_t n)
+{
+    int64_t i, top = 0;
+    for (i = 0; i < n; i++)
+        top = loads[i] > top ? loads[i] : top;
+    return top;
+}
+
 /* A worker's trials.  Without tables each trial first builds its space
  * from its own generator in scratch the worker reuses: a ring
  * (ring_build; the smaller/larger strategies, codes 2 and 3, also get
  * its arc lengths) or a torus grid (torus_build; raw holds the points,
- * pos_ext their grid order and table the cell offsets).  A space that
- * is not built stops the worker (status 1). */
+ * pos_ext their grid order and table the cell offsets).  Without loads
+ * each trial places into one n-entry load scratch, zeroed first: raw,
+ * whose draws are dead once the space is built, unless raw keeps a
+ * ring's arc lengths; the scratch then has its own buffer.  A space
+ * that is not built stops the worker (status 1). */
 static void *ring_trials_worker(void *arg)
 {
     ring_trials_job *job = (ring_trials_job *)arg;
@@ -1043,13 +1055,17 @@ static void *ring_trials_worker(void *arg)
     int32_t *table = build ? ring_scratch(sizeof(int32_t) * (cells + 1)) : 0;
     int32_t *ids = job->torus ? ring_scratch(sizeof(int32_t) * n) : 0;
     double *arcs = job->strategy >= 2 ? raw : 0; /* raw, once drawn */
+    int64_t *own =
+        !job->loads && arcs ? ring_scratch(sizeof(int64_t) * n) : 0;
+    int64_t *scratch = arcs ? own : (int64_t *)raw;
     trial_space sp = {table, pos_ext, {table, pos_ext, ids}, arcs};
     if (!x || !bins || !us || (build && (!raw || !pos_ext || !table)) ||
-        (job->torus && !ids)) {
+        (job->torus && !ids) || (!job->loads && !scratch)) {
         job->status = -1;
     } else {
         for (k = job->k0; k < job->k1; k++) {
             pcg64 g = pcg64_load(job->states + 4 * k);
+            int64_t *loads = job->loads ? job->loads + k * n : scratch;
             int built = 1;
             if (!build) {
                 sp.table = job->tables[k];
@@ -1064,13 +1080,18 @@ static void *ring_trials_worker(void *arg)
                 job->status = 1;
                 break;
             }
-            space_trial(job, k, &g, &sp, x, bins, us);
+            if (!job->loads)
+                memset(loads, 0, sizeof(int64_t) * (size_t)n);
+            space_trial(job, k, &g, &sp, loads, x, bins, us);
+            if (job->maxima)
+                job->maxima[k] = max_load(loads, n);
             pcg64_store(&g, job->states + 4 * k);
         }
     }
     free(x);
     free(bins);
     free(us);
+    free(own);
     free(raw);
     free(pos_ext);
     free(table);
@@ -1084,16 +1105,19 @@ static void *ring_trials_worker(void *arg)
  * its generator (ring_build; pos_ext and measures are then ignored).
  * With torus set each trial builds a 2-D torus on a grid of side
  * nbuckets (torus_build; tables and measures must be NULL, strategy
- * random or first).  Returns 0, 1 when some space was not built (the
- * state words are then partly advanced and must be discarded), or -1
- * when scratch memory could not be allocated. */
+ * random or first).  Trial k's loads go to row k of loads, or, with
+ * loads == NULL (tables must be NULL), stay in worker scratch; maxima,
+ * unless NULL, gets each trial's max load.  Returns 0, 1 when some
+ * space was not built (the state words are then partly advanced and
+ * must be discarded), or -1 when scratch memory could not be
+ * allocated. */
 int64_t repro_ring_trials(uint64_t *states, const int32_t *const *tables,
                           const double *const *pos_ext,
                           const double *const *measures, int64_t t,
                           int64_t n, int64_t m, int64_t d, int64_t nbuckets,
                           int64_t rng_block, int64_t partitioned,
                           int64_t strategy, int64_t torus, int64_t *loads,
-                          int64_t *heights, int64_t nthreads)
+                          int64_t *heights, int64_t *maxima, int64_t nthreads)
 {
     ring_trials_job jobs[MAX_KERNEL_THREADS];
     int64_t w, start, stop, status = 0;
@@ -1101,9 +1125,9 @@ int64_t repro_ring_trials(uint64_t *states, const int32_t *const *tables,
     for (w = 0; w < nthreads; w++) {
         thread_range(t, nthreads, w, &start, &stop);
         jobs[w] = (ring_trials_job){states, tables, pos_ext, measures,
-                                    loads, heights, start, stop, n, m, d,
-                                    nbuckets, rng_block, partitioned,
-                                    strategy, torus, 0};
+                                    loads, heights, maxima, start, stop,
+                                    n, m, d, nbuckets, rng_block,
+                                    partitioned, strategy, torus, 0};
     }
     run_jobs(ring_trials_worker, (char *)jobs, sizeof(ring_trials_job),
              nthreads);
@@ -1137,7 +1161,8 @@ _SIGNATURES = {
     ),
     "repro_ring_table": ([_PTR, _I64, _I64, _PTR], _I64),
     "repro_ring_trials": (
-        [_PTR, _PTR, _PTR, _PTR] + [_I64] * 9 + [_PTR, _PTR, _I64], _I64,
+        [_PTR, _PTR, _PTR, _PTR] + [_I64] * 9 + [_PTR, _PTR, _PTR, _I64],
+        _I64,
     ),
     "repro_torus_assign": ([_PTR, _I64, _PTR, _PTR, _PTR, _I64, _PTR], None),
     "repro_torus_grid": ([_PTR, _I64, _I64, _PTR, _PTR, _PTR], _I64),
@@ -1359,7 +1384,7 @@ def build_backend():
 
     def ring_trials(bit_generators, tables, measures, loads, heights, m, d,
                     strategy_code, partitioned, rng_block, threads, *,
-                    space="ring"):
+                    space="ring", n=None, maxima=None):
         """C kernel running whole ring or 2-D torus trials on numpy PCG64
         generators.
 
@@ -1374,21 +1399,38 @@ def build_backend():
         be ``None``.  ``space="torus"`` (``tables`` and ``measures``
         ``None``, strategy ``random`` or ``first``) draws and grids a
         2-D torus instead, exactly as ``TorusSpace.random(n, seed=...)``
-        would, and looks candidates up in its grid.  Only
+        would, and looks candidates up in its grid.  With ``tables=None``
+        ``loads`` may also be ``None``: ``n`` then gives the servers per
+        trial, and each trial places into scratch its worker thread
+        reuses.  ``maxima``, unless ``None``, a C-contiguous int64 array
+        of shape ``(T,)``, receives each trial's maximum load.  Only
         ``state.state`` is written back to each generator.  Trials are
         split statically across ``threads`` OS threads.  Returns
         ``False``, writing no state back, when some drawn ring repeats
         a position or crowds one bucket, or some drawn torus repeats a
         point or is too unevenly spread for a grid; else ``True``.
         """
-        _check_inplace(loads, np.int64, "loads")
-        t, n = loads.shape
+        t = len(bit_generators)
+        if loads is None:
+            if tables is not None or n is None:
+                raise ValueError(
+                    "ring_trials keeps loads in scratch only for the spaces "
+                    "it builds, and then needs n"
+                )
+            n = int(n)
+        else:
+            _check_inplace(loads, np.int64, "loads")
+            if loads.shape[0] != t:
+                raise ValueError("ring_trials needs one generator per loads row")
+            n = loads.shape[1]
         if heights is not None:
             _check_inplace(heights, np.int64, "heights")
             if heights.shape != (t, m):
                 raise ValueError(f"heights must have shape {(t, m)}")
-        if len(bit_generators) != t:
-            raise ValueError("ring_trials needs one generator per loads row")
+        if maxima is not None:
+            _check_inplace(maxima, np.int64, "maxima")
+            if maxima.shape != (t,):
+                raise ValueError(f"maxima must have shape {(t,)}")
         if space not in ("ring", "torus"):
             raise ValueError(f"ring_trials runs rings or tori, got {space!r}")
         torus = space == "torus"
@@ -1437,7 +1479,7 @@ def build_backend():
             _p(words), _p(table_ptrs), _p(ext_ptrs), _p(measure_ptrs), t, n,
             int(m), int(d), nbuckets, int(rng_block),
             int(bool(partitioned)), int(strategy_code), int(torus), _p(loads),
-            _p(heights), int(threads),
+            _p(heights), _p(maxima), int(threads),
         )
         if status < 0:
             raise MemoryError("ring_trials: could not allocate kernel scratch")

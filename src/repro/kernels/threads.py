@@ -38,6 +38,8 @@ import os
 import re
 from pathlib import Path
 
+from repro.utils.validation import check_positive_int
+
 __all__ = [
     "cpu_topology",
     "logical_cores",
@@ -157,8 +159,12 @@ def resolve_threads(threads: int | None = None) -> int:
     :func:`repro.kernels.resolve_backend`): a non-empty
     ``REPRO_NUM_THREADS`` environment variable overrides everything, an
     explicit ``threads`` argument comes next, and ``None`` auto-detects
-    the physical core count.  The result is always at least 1; a bogus
-    env value or kwarg raises :class:`ValueError`.
+    the physical core count.  The result is always at least 1.  A bogus
+    env value raises :class:`ValueError`.  A kwarg is checked even when
+    the env var overrides it, by
+    :func:`repro.utils.validation.check_positive_int`: one that is not
+    an integer (a bool, float or str; numpy integers pass) raises
+    :class:`TypeError`, one below 1 :class:`ValueError`.
 
     Examples
     --------
@@ -167,6 +173,8 @@ def resolve_threads(threads: int | None = None) -> int:
     >>> resolve_threads(1)
     1
     """
+    if threads is not None:
+        threads = check_positive_int(threads, "threads")
     env = os.environ.get("REPRO_NUM_THREADS", "").strip()
     if env:
         try:
@@ -180,12 +188,7 @@ def resolve_threads(threads: int | None = None) -> int:
                 f"REPRO_NUM_THREADS must be a positive integer, got {env!r}"
             )
         return value
-    if threads is None:
-        return physical_cores()
-    threads = int(threads)
-    if threads < 1:
-        raise ValueError(f"threads must be a positive integer, got {threads}")
-    return threads
+    return physical_cores() if threads is None else threads
 
 
 def thread_chunks(count: int, threads: int) -> list[tuple[int, int]]:

@@ -81,10 +81,12 @@ class MaxLoadDistribution:
     # ------------------------------------------------------------------
     @property
     def trials(self) -> int:
+        """Number of trials pooled in the distribution."""
         return sum(self.counts.values())
 
     @property
     def support(self) -> list[int]:
+        """Observed maximum loads, ascending."""
         return sorted(self.counts)
 
     @property
@@ -95,14 +97,17 @@ class MaxLoadDistribution:
 
     @property
     def mean(self) -> float:
+        """Mean maximum load over the trials."""
         return sum(k * v for k, v in self.counts.items()) / self.trials
 
     @property
     def min(self) -> int:
+        """Smallest observed maximum load."""
         return min(self.counts)
 
     @property
     def max(self) -> int:
+        """Largest observed maximum load."""
         return max(self.counts)
 
     def frequency(self, load: int) -> float:
@@ -152,6 +157,7 @@ class MaxLoadDistribution:
         return out
 
     def format(self, *, min_pct: float = 0.0) -> str:
+        """The :meth:`lines` joined into one paper-style block."""
         return "\n".join(self.lines(min_pct=min_pct))
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic

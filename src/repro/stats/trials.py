@@ -29,7 +29,7 @@ from multiprocessing import get_context
 
 import numpy as np
 
-from repro.core.loads import max_load, nu_profile
+from repro.core.loads import nu_profile
 from repro.core.multitrial import fused_trial_chunk, run_fused, run_random_spaces
 from repro.core.strategies import TieBreak
 from repro.obs import counter_add, obs_session, trace_span
@@ -91,6 +91,7 @@ class CellSpec:
 
     @property
     def balls(self) -> int:
+        """Items placed per trial: ``m``, or ``n`` when ``m`` is ``None``."""
         return self.n if self.m is None else self.m
 
     def with_(self, **kwargs) -> "CellSpec":
@@ -98,6 +99,12 @@ class CellSpec:
         return replace(self, **kwargs)
 
     def label(self) -> str:
+        """Short human-readable name, e.g. ``"ring n=256 d=2 smaller"``.
+
+        Lists only what differs from the defaults: ``m`` when it is not
+        ``n``, a strategy other than ``random``, partitioning, and a
+        torus dimension other than 2.
+        """
         bits = [self.space, f"n={self.n}", f"d={self.d}"]
         if self.m is not None and self.m != self.n:
             bits.append(f"m={self.m}")
@@ -119,8 +126,10 @@ def _run_cell_fused(
     Trial ``k``'s generator first draws the server placement, then the
     item choices: ring and torus cells go through
     :func:`~repro.core.multitrial.run_random_spaces`, which builds the
-    spaces inside the ``ring_trials`` kernel where it applies.  Uniform
-    cells draw no servers; their bins go straight to
+    spaces inside the ``ring_trials`` kernel where it applies; without
+    ``profile`` it hands back only each trial's maximum load, so the
+    kernel keeps the loads in its own scratch.  Uniform cells draw no
+    servers; their bins go straight to
     :func:`~repro.core.multitrial.run_fused`.  Trials are processed in
     memory-bounded fusion chunks (:func:`fused_trial_chunk`), which
     never changes results.  ``backend`` and ``threads`` are forwarded
@@ -138,18 +147,18 @@ def _run_cell_fused(
             from repro.baselines.uniform import UniformSpace
 
             spaces = [UniformSpace(spec.n)] * len(rngs)
-            loads, _ = run_fused(
+            result, _ = run_fused(
                 spaces, spec.balls, spec.d, strategy, rngs, **options
             )
+            if not profile:
+                result = result.max(axis=1)
         else:
-            loads, _ = run_random_spaces(
+            result, _ = run_random_spaces(
                 spec.space, spec.n, spec.balls, spec.d, strategy, rngs,
-                dim=spec.dim, **options,
+                dim=spec.dim, maxima=not profile, **options,
             )
-        if profile:
-            out.extend(nu_profile(row) for row in loads)
-        else:
-            out.extend(max_load(row) for row in loads)
+        # the trials' loads for a profile, else their maximum loads
+        out.extend(map(nu_profile, result) if profile else result.tolist())
     return out
 
 

@@ -30,6 +30,7 @@ from repro.core.ring import RingSpace
 from repro.core.strategies import TieBreak
 from repro.core.torus import TorusSpace
 from repro.kernels import available_backends, get_backend
+from repro.stats import trials
 
 pytestmark = pytest.mark.skipif(
     not available_backends()["cext"]
@@ -268,19 +269,26 @@ def _reference_rings(n, m, d, strategy, seeds, partitioned, rng_block):
 
 def _check_random_rings(n, m, d, strategy, seeds, partitioned, rng_block,
                         expected):
+    """The loads path, then the maxima path (loads kept in kernel scratch)."""
     for threads in THREADS:
-        rngs = [np.random.default_rng(s) for s in seeds]
-        loads, heights = run_random_spaces(
-            "ring", n, m, d, strategy, rngs, partitioned=partitioned,
-            rng_block=rng_block, record_heights=True, backend="cext",
-            threads=threads,
-        )
-        where = (f"n={n} m={m} d={d} {strategy.value} "
-                 f"partitioned={partitioned} threads={threads}")
-        for k, (ref_loads, ref_heights, ref_state) in enumerate(expected):
-            np.testing.assert_array_equal(loads[k], ref_loads, err_msg=where)
-            np.testing.assert_array_equal(heights[k], ref_heights, err_msg=where)
-            assert rngs[k].bit_generator.state == ref_state, where
+        for maxima in (False, True):
+            rngs = [np.random.default_rng(s) for s in seeds]
+            got, heights = run_random_spaces(
+                "ring", n, m, d, strategy, rngs, partitioned=partitioned,
+                rng_block=rng_block, record_heights=True, maxima=maxima,
+                backend="cext", threads=threads,
+            )
+            where = (f"n={n} m={m} d={d} {strategy.value} "
+                     f"partitioned={partitioned} threads={threads} "
+                     f"maxima={maxima}")
+            for k, (ref_loads, ref_heights, ref_state) in enumerate(expected):
+                np.testing.assert_array_equal(
+                    got[k], ref_loads.max() if maxima else ref_loads,
+                    err_msg=where,
+                )
+                np.testing.assert_array_equal(heights[k], ref_heights,
+                                              err_msg=where)
+                assert rngs[k].bit_generator.state == ref_state, where
 
 
 @pytest.mark.parametrize("partitioned", [False, True])
@@ -329,18 +337,93 @@ def test_repeated_positions_raise_like_ring_space(n, threads):
         [r.bit_generator for r in rngs], None, None, loads, None, n, 2, 0,
         False, DEFAULT_RNG_BLOCK, threads,
     )
+    assert not _cext().ring_trials(
+        [r.bit_generator for r in rngs], None, None, None, None, n, 2, 0,
+        False, DEFAULT_RNG_BLOCK, threads, n=n,
+        maxima=np.zeros(TRIALS, dtype=np.int64),
+    )
     assert [r.bit_generator.state for r in rngs] == before
 
     ref = generators()
     with pytest.raises(ValueError, match="distinct") as expected:
         [RingSpace.random(n, seed=r) for r in ref]
+    for maxima in (False, True):
+        rngs = generators()
+        with pytest.raises(ValueError) as got:
+            run_random_spaces("ring", n, n, 2, TieBreak.RANDOM, rngs,
+                              maxima=maxima, backend="cext", threads=threads)
+        assert str(got.value) == str(expected.value)
+        assert [r.bit_generator.state for r in rngs] == [
+            r.bit_generator.state for r in ref
+        ]
+
+
+def test_repeated_positions_raise_from_run_cell(monkeypatch):
+    """run_cell takes the maxima path: the kernel builds no ring from the
+    repeating stream, and the reference raises RingSpace's own error."""
+    real_default_rng = np.random.default_rng
+
+    def default_rng(seed=None):
+        if isinstance(seed, str):
+            return repeating_generator(9)
+        return real_default_rng(seed)
+
+    monkeypatch.setattr(
+        trials, "spawn_seed_sequences",
+        lambda seed, count: [30 + k for k in range(count - 1)] + ["repeat"],
+    )
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    with pytest.raises(ValueError, match="distinct") as expected:
+        RingSpace.random(50, seed=repeating_generator(9))
     with pytest.raises(ValueError) as got:
-        run_random_spaces("ring", n, n, 2, TieBreak.RANDOM, rngs,
-                          backend="cext", threads=threads)
+        trials.run_cell(trials.CellSpec("ring", 50, 2), TRIALS, seed=0,
+                        backend="cext", threads=2)
     assert str(got.value) == str(expected.value)
-    assert [r.bit_generator.state for r in rngs] == [
-        r.bit_generator.state for r in ref
-    ]
+
+
+@pytest.mark.parametrize("threads", THREADS)
+@pytest.mark.parametrize("strategy", [TieBreak.SMALLER, TieBreak.LARGER],
+                         ids=lambda s: s.value)
+def test_arc_length_strategies_keep_their_own_load_scratch(strategy, threads):
+    """smaller/larger keep the draw buffer for the arc lengths, so loads
+    kept in scratch get their own buffer.  Eight trials per call reuse it
+    on every worker; the maxima and states must match the loads path."""
+    n, trial_count = 3000, 8
+    code = 2 if strategy is TieBreak.SMALLER else 3
+
+    def run(loads, maxima):
+        rngs = [np.random.default_rng(70 + k) for k in range(trial_count)]
+        assert _cext().ring_trials(
+            [r.bit_generator for r in rngs], None, None, loads, None, n, 2,
+            code, False, 128, threads, n=n, maxima=maxima,
+        )
+        return [r.bit_generator.state for r in rngs]
+
+    loads = np.zeros((trial_count, n), dtype=np.int64)
+    states = run(loads, None)
+    maxima = np.full(trial_count, -1, dtype=np.int64)
+    assert run(None, maxima) == states
+    np.testing.assert_array_equal(maxima, loads.max(axis=1))
+
+
+def test_maxima_and_scratch_loads_are_checked():
+    """maxima must be C-contiguous int64 of shape (T,); loads kept in
+    scratch need n and a space the kernel builds."""
+    def call(loads=None, tables=None, **kwargs):
+        bit_generators = [np.random.PCG64(k) for k in range(2)]
+        return _cext().ring_trials(bit_generators, tables, None, loads, None,
+                                   10, 2, 0, False, 64, 1, **kwargs)
+
+    for bad in (np.zeros(2, dtype=np.int32), np.zeros(3, dtype=np.int64),
+                np.zeros(4, dtype=np.int64)[::2]):
+        with pytest.raises(ValueError, match="maxima"):
+            call(n=10, maxima=bad)
+    with pytest.raises(ValueError, match="needs n"):
+        call(maxima=np.zeros(2, dtype=np.int64))
+    space = RingSpace.random(10, seed=0)
+    with pytest.raises(ValueError, match="scratch only"):
+        call(tables=[space._bucket_table()] * 2, n=10,
+             maxima=np.zeros(2, dtype=np.int64))
 
 
 @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.PCG64DXSM])

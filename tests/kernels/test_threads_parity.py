@@ -168,6 +168,31 @@ def test_resolve_threads_bogus_kwarg_raises():
         resolve_threads(0)
 
 
+@pytest.mark.parametrize("bogus", [1.5, 2.0, True, False, "2"], ids=repr)
+def test_resolve_threads_non_integer_kwarg_raises(monkeypatch, bogus):
+    """Never truncated to an int, and checked even when the env var
+    overrides the kwarg."""
+    with pytest.raises(TypeError, match="threads"):
+        resolve_threads(bogus)
+    with pytest.raises(TypeError, match="threads"):
+        run_cell(CellSpec("ring", 8, 2), 1, seed=0, threads=bogus)
+    monkeypatch.setenv("REPRO_NUM_THREADS", "3")
+    with pytest.raises(TypeError, match="threads"):
+        resolve_threads(bogus)
+
+
+@pytest.mark.parametrize("bogus", [0, -1])
+def test_resolve_threads_kwarg_below_one_raises_under_env(monkeypatch, bogus):
+    monkeypatch.setenv("REPRO_NUM_THREADS", "3")
+    with pytest.raises(ValueError, match="threads"):
+        resolve_threads(bogus)
+
+
+def test_resolve_threads_numpy_integer_kwarg():
+    got = resolve_threads(np.int64(3))
+    assert got == 3 and type(got) is int
+
+
 def test_env_selection_in_subprocess():
     """The real environment path: a child process pinned to 7 threads
     must produce the same loads the parent computes serially."""

@@ -489,20 +489,26 @@ def _reference_tori(n, m, d, strategy, seeds, partitioned, rng_block):
 
 def _check_random_tori(n, m, d, strategy, seeds, partitioned, rng_block,
                        expected):
+    """The loads path, then the maxima path (loads kept in kernel scratch)."""
     for threads in THREADS:
-        rngs = [np.random.default_rng(s) for s in seeds]
-        loads, heights = run_random_spaces(
-            "torus", n, m, d, strategy, rngs, partitioned=partitioned,
-            rng_block=rng_block, record_heights=True, backend="cext",
-            threads=threads,
-        )
-        where = (f"n={n} m={m} d={d} {strategy.value} "
-                 f"partitioned={partitioned} rng_block={rng_block} "
-                 f"threads={threads}")
-        for k, (ref_loads, ref_heights, ref_state) in enumerate(expected):
-            np.testing.assert_array_equal(loads[k], ref_loads, err_msg=where)
-            np.testing.assert_array_equal(heights[k], ref_heights, err_msg=where)
-            assert rngs[k].bit_generator.state == ref_state, where
+        for maxima in (False, True):
+            rngs = [np.random.default_rng(s) for s in seeds]
+            got, heights = run_random_spaces(
+                "torus", n, m, d, strategy, rngs, partitioned=partitioned,
+                rng_block=rng_block, record_heights=True, maxima=maxima,
+                backend="cext", threads=threads,
+            )
+            where = (f"n={n} m={m} d={d} {strategy.value} "
+                     f"partitioned={partitioned} rng_block={rng_block} "
+                     f"threads={threads} maxima={maxima}")
+            for k, (ref_loads, ref_heights, ref_state) in enumerate(expected):
+                np.testing.assert_array_equal(
+                    got[k], ref_loads.max() if maxima else ref_loads,
+                    err_msg=where,
+                )
+                np.testing.assert_array_equal(heights[k], ref_heights,
+                                              err_msg=where)
+                assert rngs[k].bit_generator.state == ref_state, where
 
 
 @pytest.mark.parametrize("partitioned", [False, True])
@@ -552,6 +558,11 @@ def test_repeated_points_raise_like_torus_space(n, threads):
     assert not _cext_backend().ring_trials(
         [r.bit_generator for r in rngs], None, None, loads, None, n, 2, 0,
         False, DEFAULT_RNG_BLOCK, threads, space="torus",
+    )
+    assert not _cext_backend().ring_trials(
+        [r.bit_generator for r in rngs], None, None, None, None, n, 2, 0,
+        False, DEFAULT_RNG_BLOCK, threads, space="torus", n=n,
+        maxima=np.zeros(TRIALS, dtype=np.int64),
     )
     assert [r.bit_generator.state for r in rngs] == before
 

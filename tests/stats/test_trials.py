@@ -1,5 +1,7 @@
 """Tests for the deterministic trial runner."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from helpers import build_space
@@ -7,6 +9,7 @@ from helpers import build_space
 from repro.core.engine import run_sequential
 from repro.core.loads import nu_profile
 from repro.core.strategies import TieBreak
+from repro.kernels import available_backends, get_backend
 from repro.stats.distributions import MaxLoadDistribution
 from repro.stats.trials import CellSpec, run_cell
 from repro.utils.rng import spawn_seed_sequences
@@ -244,3 +247,26 @@ class TestEngineSelection:
         spec = CellSpec("ring", 64, 2)
         (loads,) = _sequential_loads(spec, 1, 9)
         assert run_cell(spec, trials=1, seed=9).counts == {int(loads.max()): 1}
+
+
+@pytest.mark.skipif(
+    not available_backends()["cext"] or get_backend("cext").ring_trials is None,
+    reason="no compiled ring_trials kernel on this machine",
+)
+class TestRunCellMemory:
+    """Ring and torus max-load cells keep their loads in kernel scratch."""
+
+    @pytest.mark.parametrize("space, n", [("ring", 1 << 16), ("torus", 1 << 14)])
+    def test_traced_peak_stays_under_a_megabyte(self, monkeypatch, space, n):
+        """16 trials' (16, n) int64 loads would be 8 MB (ring) and 2 MB
+        (torus); only their maxima leave the kernel."""
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cext")
+        spec = CellSpec(space, n, 2)
+        run_cell(spec, 16, seed=0)  # compiled library, lazy imports
+        tracemalloc.start()
+        try:
+            run_cell(spec, 16, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, f"{peak / 2**20:.2f} MB traced"
