@@ -45,9 +45,12 @@ trial's ring or torus before placing into it, per backend at
 ``CELL_THREAD_COUNTS`` (the max-load counts are cross-checked equal
 across every backend and thread count before anything is emitted).
 Each ``cell`` row also records ``peak_rss_growth_mb``: how far the
-resident set's peak rose, over the warm-up and timed ``run_cell``
-runs, above the resident set before them (Linux's ``VmHWM``, reset
-through ``/proc/self/clear_refs``; ``null`` elsewhere).
+resident set's peak rose during a fresh interpreter's first
+``run_cell`` call of that cell, backend and thread count, above the
+resident set before it (Linux's ``VmHWM``, reset through
+``/proc/self/clear_refs``; ``null`` elsewhere).  In this process the
+rows before it have already left the kernel's scratch resident, so
+the growth would read 0.
 
 Usage::
 
@@ -59,10 +62,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import os
 import re
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -196,6 +201,36 @@ def _with_peak_rss_growth(fn):
     return result, round((peak - before) / 1024.0, 2)
 
 
+def _first_run_cell_growth(space: str, n: int, trials: int, backend: str,
+                           threads: int) -> float | None:
+    """``peak_rss_growth_mb`` of this process's first ``run_cell`` of the
+    cell, under ``backend`` at ``threads`` threads.
+
+    A 16-server cell of the same space runs first, outside the window:
+    it loads the compiled library and the modules imported on first use
+    (``numpy.random``, scipy's KD-tree), so the growth is what the
+    measured call itself allocates — spaces or kernel scratch, loads
+    and results.
+    """
+    spec = CellSpec(space, n, D, strategy=STRATEGY.value)
+    with _pinned_backend(backend), _pinned_threads(threads):
+        run_cell(CellSpec(space, 16, D, strategy=STRATEGY.value), 1,
+                 seed=CELL_SEED)
+        _, growth = _with_peak_rss_growth(
+            lambda: run_cell(spec, trials, seed=CELL_SEED)
+        )
+    return growth
+
+
+def _fresh_peak_rss_growth(space: str, n: int, trials: int, backend: str,
+                           threads: int) -> float | None:
+    """:func:`_first_run_cell_growth` in a fresh interpreter."""
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
+        return pool.submit(_first_run_cell_growth, space, n, trials, backend,
+                           threads).result()
+
+
 def _time_best(fn, repeats: int) -> float:
     fn()  # warm-up: page faults, bucket tables, allocator reuse
     best = float("inf")
@@ -281,7 +316,9 @@ def _measure_cell(space, n, trials, sequential_balls, thread_counts, repeats,
 
 def _measure_run_cell(space, n, trials, repeats, backends):
     """``run_cell`` from seeds, space construction included, per backend
-    and thread count; the max-load counts must agree everywhere."""
+    and thread count; the max-load counts must agree everywhere.  Each
+    row's peak RSS growth comes from a fresh interpreter
+    (:func:`_fresh_peak_rss_growth`)."""
     spec = CellSpec(space, n, D, strategy=STRATEGY.value)
     rows: dict[str, dict] = {}
     reference = None
@@ -290,10 +327,8 @@ def _measure_run_cell(space, n, trials, repeats, backends):
         for count in CELL_THREAD_COUNTS:
             with _pinned_backend(name), _pinned_threads(count):
                 counts = run_cell(spec, trials, seed=CELL_SEED).to_json_counts()
-                seconds, growth = _with_peak_rss_growth(
-                    lambda: _time_best(
-                        lambda: run_cell(spec, trials, seed=CELL_SEED), repeats
-                    )
+                seconds = _time_best(
+                    lambda: run_cell(spec, trials, seed=CELL_SEED), repeats
                 )
             if reference is None:
                 reference = counts
@@ -306,7 +341,9 @@ def _measure_run_cell(space, n, trials, repeats, backends):
             rows[name][str(count)] = {
                 "seconds": round(seconds, 4),
                 "balls_per_s": round(trials * n / seconds, 1),
-                "peak_rss_growth_mb": growth,
+                "peak_rss_growth_mb": _fresh_peak_rss_growth(
+                    space, n, trials, name, count
+                ),
             }
     return rows
 
@@ -430,9 +467,9 @@ def main(argv=None) -> int:
             "space; the torus cell sweeps threads 1 and 2 only. 'cell' "
             "rows time run_cell from seeds (ring or torus construction "
             "included) per backend at threads 1 and 2; their "
-            "peak_rss_growth_mb is VmHWM over those runs (reset through "
-            "/proc/self/clear_refs) minus the RSS before them, in MB, null "
-            "off Linux."
+            "peak_rss_growth_mb is VmHWM over a fresh interpreter's first "
+            "run_cell of that row (reset through /proc/self/clear_refs) "
+            "minus the RSS before it, in MB, null off Linux."
         ),
         "thread_counts": list(THREAD_COUNTS),
         "unix_time": int(time.time()),

@@ -38,6 +38,7 @@ class UniformSpace(GeometricSpace):
         self.n = check_positive_int(n, "n")
 
     def assign(self, points: np.ndarray) -> np.ndarray:
+        """Bin ``floor(x · n)`` of each point ``x`` in ``[0, 1)``."""
         pts = np.asarray(points, dtype=np.float64)
         if pts.size and (np.any(pts < 0.0) or np.any(pts >= 1.0)):
             raise ValueError("points must lie in [0, 1)")
@@ -51,12 +52,18 @@ class UniformSpace(GeometricSpace):
         *,
         partitioned: bool = False,
     ) -> np.ndarray:
+        """``(m, d)`` candidate bins from ``m·d`` uniform draws of ``rng``.
+
+        ``partitioned`` maps choice ``j``'s draw ``u`` to ``(u + j)/d``,
+        a uniform bin of the ``j``-th block of ``n/d`` bins.
+        """
         u = rng.random((m, d))
         if partitioned:
             u = (u + np.arange(d)) / d
         return self.assign(u.ravel()).reshape(m, d)
 
     def region_measures(self) -> np.ndarray:
+        """Every bin's cell has length ``1/n``."""
         return np.full(self.n, 1.0 / self.n)
 
 

@@ -90,6 +90,11 @@ _FUSED_CHUNK_ELEMENTS = 1 << 23
 #: Cap on the fused bin-state array length (``T·n``) per trial chunk.
 _FUSED_CHUNK_BINS = 1 << 24
 
+#: ``ring_trials`` places into int32 load scratch and indexes a ring by
+#: an int32 bucket table: trials with this many servers or balls keep
+#: the reference and pool paths.
+_KERNEL_INT32_LIMIT = 1 << 31
+
 #: Interleave tile: balls per transpose tile, sized so a tile of the
 #: fused destination stays cache-resident while all trials write into
 #: it (the naive full-width transpose touches each destination cache
@@ -124,17 +129,20 @@ def fused_trial_chunk(n: int, m: int, d: int) -> int:
 
 
 def _ring_kernel_takes(
-    rngs: Sequence[np.random.Generator], backend: KernelBackend
+    n: int, m: int, rngs: Sequence[np.random.Generator], backend: KernelBackend
 ) -> bool:
-    """Whether the backend's ``ring_trials`` kernel can draw for these trials.
+    """Whether the backend's ``ring_trials`` kernel can run these trials.
 
     That kernel carries a copy of numpy's PCG64, so it takes trials
     whose generators are exactly ``PCG64``, one each; other bit
     generators (``MT19937``, ``PCG64DXSM``, ...) and shared generators
-    keep the generic path.
+    keep the generic path.  Its scratch is int32, so trials of ``n``
+    servers or ``m`` balls at or above 2³¹ keep it too.
     """
     return (
         backend.ring_trials is not None
+        and n < _KERNEL_INT32_LIMIT
+        and m < _KERNEL_INT32_LIMIT
         and all(type(r.bit_generator) is np.random.PCG64 for r in rngs)
         and _distinct_generators(rngs)
     )
@@ -142,17 +150,20 @@ def _ring_kernel_takes(
 
 def _ring_kernel_applies(
     spaces: Sequence[GeometricSpace],
+    m: int,
     rngs: Sequence[np.random.Generator],
     backend: KernelBackend,
 ) -> bool:
     """Whether every trial can run inside the backend's ``ring_trials``."""
     return all(isinstance(s, RingSpace) for s in spaces) and _ring_kernel_takes(
-        rngs, backend
+        spaces[0].n, m, rngs, backend
     )
 
 
 def _space_kernel_takes(
     space: str,
+    n: int,
+    m: int,
     dim: int,
     strategy: TieBreak,
     rngs: Sequence[np.random.Generator],
@@ -161,12 +172,12 @@ def _space_kernel_takes(
     """Whether ``ring_trials`` can build and run trials on fresh spaces.
 
     It builds rings, and 2-D tori whose strategy needs no Voronoi
-    areas (``random``, ``first``), for trials it can draw for
+    areas (``random``, ``first``), for trials it can run
     (:func:`_ring_kernel_takes`).
     """
     if space == "torus" and (dim != 2 or strategy_needs_measures(strategy)):
         return False
-    return _ring_kernel_takes(rngs, backend)
+    return _ring_kernel_takes(n, m, rngs, backend)
 
 
 def _distinct_generators(rngs: Sequence[np.random.Generator]) -> bool:
@@ -211,8 +222,9 @@ def _run_fused_ring(
     kernel (:func:`run_random_spaces`); ``None`` is then returned, with
     no generator state written back, when some drawn space was not
     built (a repeated server, or servers too crowded for the kernel's
-    index).  With ``maxima`` (``spaces=None`` only) the loads stay in
-    the kernel's scratch and the first result holds each trial's
+    index).  Each trial places into the kernel's int32 scratch, and the
+    ``(T, n)`` loads are widened from it; with ``maxima`` (``spaces=None``
+    only) they stay there and the first result holds each trial's
     maximum load, shape ``(T,)``, instead.
     """
     t = len(rngs)
@@ -429,7 +441,7 @@ def run_fused(
     ):
         counter_add("placement.balls", t * m)
         counter_add("placement.trials", t)
-        if _ring_kernel_applies(spaces, rngs, backend_obj):
+        if _ring_kernel_applies(spaces, m, rngs, backend_obj):
             return _run_fused_ring(
                 spaces,
                 n,
@@ -504,7 +516,8 @@ def run_random_spaces(
     for tori), the reference path this function takes whenever the
     backend's ``ring_trials`` kernel cannot build and run the trials:
     no such kernel, a generator that is not ``PCG64``, a generator
-    shared by trials, a torus of dimension other than 2, or a torus
+    shared by trials, ``n`` or ``m`` of 2³¹ or more (the kernel's
+    scratch is int32), a torus of dimension other than 2, or a torus
     strategy that needs Voronoi areas (``smaller``, ``larger``).
 
     Otherwise the kernel builds each trial's space on the worker thread
@@ -522,8 +535,8 @@ def run_random_spaces(
 
     With ``maxima`` the first result is each trial's maximum load,
     shape ``(T,)``, in place of the ``(T, n)`` loads: the kernel keeps
-    each trial's loads in scratch its worker thread reuses, so no loads
-    array is made (the reference path reduces its loads).
+    each trial's loads in int32 scratch its worker thread reuses, so no
+    loads array is made (the reference path reduces its loads).
     :func:`repro.stats.trials.run_cell` needs only the maxima,
     :func:`repro.stats.trials.run_cell_profile` the loads.  Other
     arguments are as in :func:`run_fused`.
@@ -551,7 +564,7 @@ def run_random_spaces(
         strategy=strategy.value,
         threads=eff_threads,
     ):
-        if _space_kernel_takes(space, dim, strategy, rngs, backend_obj):
+        if _space_kernel_takes(space, n, m, dim, strategy, rngs, backend_obj):
             out = _run_fused_ring(
                 None,
                 n,

@@ -258,18 +258,22 @@ class EventTrace:
     # ------------------------------------------------------------------
     @property
     def num_events(self) -> int:
+        """Events in the trace, of every kind."""
         return int(self.kinds.size)
 
     @property
     def num_inserts(self) -> int:
+        """Insert events in the trace."""
         return self._counts[0]
 
     @property
     def num_deletes(self) -> int:
+        """Delete events in the trace."""
         return self._counts[1]
 
     @property
     def has_churn(self) -> bool:
+        """Whether any bin leaves or joins during the trace."""
         return self._counts[2] > 0
 
     @property
@@ -315,10 +319,12 @@ class TraceBuilder:
 
     @property
     def num_events(self) -> int:
+        """Events appended so far, of every kind."""
         return len(self._kinds)
 
     @property
     def occupancy(self) -> int:
+        """Balls live after the events appended so far."""
         return len(self._live)
 
     def insert(self) -> int:

@@ -91,6 +91,7 @@ class DynamicResult:
     # ------------------------------------------------------------------
     @property
     def n_slots(self) -> int:
+        """Size of the slot universe, active or not."""
         return int(self.loads.shape[0])
 
     @property
@@ -100,6 +101,7 @@ class DynamicResult:
 
     @property
     def live_bins(self) -> int:
+        """Bins active at the end of the trace."""
         return int(self.active.sum())
 
     @property
@@ -121,6 +123,7 @@ class DynamicResult:
     # ------------------------------------------------------------------
     @property
     def epochs(self) -> int:
+        """Epochs sampled, one entry of each series per epoch."""
         return int(self.epoch_ends.size)
 
     @property

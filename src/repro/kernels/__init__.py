@@ -21,13 +21,15 @@ into *scalar kernels* that a compiled tier can run at memory speed:
 ``ring_trials``
     Whole ring trials of :func:`repro.core.multitrial.run_fused`: a copy
     of numpy's PCG64 feeds draw → bucket lookup → place for every ball,
-    with trials split across OS threads.  Given no tables
+    with trials split across OS threads; every trial places into int32
+    load scratch its thread reuses.  Given no tables
     (:func:`repro.core.multitrial.run_random_spaces`), each trial first
-    draws and builds its own ring on its worker thread — or its own 2-D
-    torus and grid, whose lookups then replace the bucket probe — and,
-    asked for each trial's maximum load only
-    (:func:`repro.stats.trials.run_cell`), places into scratch the
-    thread reuses, so no ``(T, n)`` loads array is made.
+    draws and builds its own ring on its worker thread (reading its
+    positions twice in small chunks rather than keeping them) — or its
+    own 2-D torus and grid, whose lookups then replace the bucket probe
+    — and, asked for each trial's maximum load only
+    (:func:`repro.stats.trials.run_cell`), reads it from that scratch,
+    so no ``(T, n)`` loads array is made.
 ``torus_grid``
     The periodic uniform grid of a 2-D :class:`repro.core.torus.TorusSpace`
     (one counting sort, with the distinctness check in the same pass),
@@ -178,34 +180,41 @@ class KernelBackend:
         ``bit_generators[k]`` (a ``PCG64``), draws its stream in
         :func:`repro.core.engine.choice_blocks`' layout, looks each
         point up in ``tables[k]`` (``(nbuckets, table, pos_ext)``) and
-        places it into row ``k`` of ``loads`` ``(T, n)`` and
+        places it into an ``n``-entry int32 load scratch its worker
+        thread zeroes before every trial and reuses, then widens it
+        into row ``k`` of ``loads`` ``(T, n)``; heights go to
         ``heights`` ``(T, m)`` (or ``None``); ``measures`` is a list of
         arc-length arrays or ``None``.  With ``tables=None`` (and
         ``measures=None``) trial ``k`` first draws its ring from its
         generator, exactly as ``RingSpace.random(n, seed=...)`` would:
-        the ``n`` positions, their bucket table and, for the
-        ``smaller``/``larger`` strategies, their arc lengths, all
-        built in scratch on the trial's thread.  ``space="torus"``
-        (``tables=None``, strategy ``random`` or ``first``: the kernel
-        has no Voronoi areas) runs 2-D torus trials instead: trial
-        ``k`` draws its ``n`` points exactly as
+        the ``n`` positions (drawn twice, a few thousand at a time:
+        once to count the buckets, once to scatter into them), their
+        bucket table and, for the ``smaller``/``larger`` strategies,
+        their arc lengths, all built in scratch on the trial's thread.
+        ``space="torus"`` (``tables=None``, strategy ``random`` or
+        ``first``: the kernel has no Voronoi areas) runs 2-D torus
+        trials instead: trial ``k`` draws its ``n`` points exactly as
         ``TorusSpace.random(n, seed=...)`` would, builds their grid as
         ``torus_grid`` does and looks its candidates up as
-        ``torus_assign`` does.  With ``tables=None``, ``loads`` may be
-        ``None``: each trial then places into an ``n``-entry scratch
-        its worker thread zeroes before every trial and reuses (``n``
-        gives the servers per trial), so the call holds ``threads``
-        scratches and no ``(T, n)`` loads array.  ``maxima``, unless
-        ``None``, is a C-contiguous int64 array of shape ``(T,)`` that
-        receives each trial's maximum load.  Only ``state.state`` is
-        written back to each generator.  Returns ``True``, or
-        ``False`` — writing no state back, the loads and maxima then
-        meaningless — when some drawn ring repeats a position or
-        crowds one bucket past the kernel's limit, or some drawn torus
-        repeats a point or is too unevenly spread for a grid, so that
-        the caller can rebuild it the reference way.  Trials are split statically across ``threads``
-        OS threads — trials share nothing, so any split is
-        bit-identical.
+        ``torus_assign`` does; its draw buffer, dead once the points
+        are gridded, is its load scratch.  With ``tables=None``,
+        ``loads`` may be ``None`` (``n`` then gives the servers per
+        trial): the loads stay in scratch, so the call holds
+        ``threads`` scratches and no ``(T, n)`` loads array — 16 bytes
+        per server for a ring (positions 8, bucket table 4, loads 4),
+        24 with arc lengths.  ``maxima``, unless ``None``, is a
+        C-contiguous int64 array of shape ``(T,)`` that receives each
+        trial's maximum load.  The int32 scratch and bucket table need
+        ``n`` and ``m`` below 2³¹; larger trials raise
+        :class:`ValueError` (callers route them elsewhere first).  Only
+        ``state.state`` is written back to each generator.  Returns
+        ``True``, or ``False`` — writing no state back, the loads and
+        maxima then meaningless — when some drawn ring repeats a
+        position or crowds one bucket past the kernel's limit, or some
+        drawn torus repeats a point or is too unevenly spread for a
+        grid, so that the caller can rebuild it the reference way.
+        Trials are split statically across ``threads`` OS threads —
+        trials share nothing, so any split is bit-identical.
     ``torus_grid(points, side)``
         From ``(n, 2)`` points in ``[0, 1)²``, the periodic grid
         ``(side, start, xy, ids)``: ``side × side`` cells (``side`` a

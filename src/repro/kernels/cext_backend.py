@@ -18,11 +18,15 @@ operation for operation (same minimum scan, same ``floor(u·k)+1``
 tie-break rule — a C cast truncates toward zero, which is ``floor``
 for the non-negative operand — same strict-inequality measure
 preference), so its placements are bit-identical to the numpy
-reference; the parity suite enforces this.  ``ring_trials`` also
-carries a copy of numpy's PCG64 generator, so it draws the same
-numbers ``Generator.random`` would, and the ring it can build from
-them is the one ``RingSpace.random`` builds
-(``tests/kernels/test_ring_kernel.py``).
+reference; the parity suite enforces this.  Those rules are written
+once and defined per load width: the exported kernels place into
+int64 loads, ``ring_trials``' worker threads into int32 scratch.
+``ring_trials`` also carries a copy of numpy's PCG64 generator, so it
+draws the same numbers ``Generator.random`` would, and the ring it can
+build from them is the one ``RingSpace.random`` builds — drawing the
+positions twice, a few thousand at a time, rather than keeping all of
+them, so a ring trial's scratch is 16 bytes per server, loads
+included (``tests/kernels/test_ring_kernel.py``).
 The torus grid computes squared distances in cKDTree's periodic
 arithmetic, so it finds the server cKDTree finds, and the 2-D torus
 ``ring_trials`` builds from a generator is the one
@@ -69,62 +73,6 @@ static inline int64_t bin_of(const int64_t *cand, const int64_t *remap,
     return remap ? remap[c] : c;
 }
 
-/* Twin of repro.core.strategies.decide_row_scalar: index of the chosen
- * candidate among cand[0..d).  Strategy codes: 0 random, 1 first,
- * 2 smaller, 3 larger (repro.kernels.STRATEGY_CODES). */
-static int64_t decide(const int64_t *loads, const int64_t *cand,
-                      const int64_t *remap, int64_t d,
-                      const double *measures, double u, int64_t strategy)
-{
-    int64_t j, min_load = loads[bin_of(cand, remap, 0)];
-    for (j = 1; j < d; j++) {
-        int64_t l = loads[bin_of(cand, remap, j)];
-        if (l < min_load)
-            min_load = l;
-    }
-    if (strategy == 1) { /* first: lowest tied index */
-        for (j = 0; j < d; j++)
-            if (loads[bin_of(cand, remap, j)] == min_load)
-                return j;
-    } else if (strategy == 0) { /* random: floor(u*k)+1'th tied index */
-        int64_t k = 0, target, seen = 0;
-        for (j = 0; j < d; j++)
-            if (loads[bin_of(cand, remap, j)] == min_load)
-                k++;
-        target = (int64_t)(u * (double)k) + 1; /* trunc == floor: u*k >= 0 */
-        for (j = 0; j < d; j++) {
-            if (loads[bin_of(cand, remap, j)] == min_load) {
-                seen++;
-                if (seen == target)
-                    return j;
-            }
-        }
-    } else if (strategy == 2) { /* smaller: strictly smallest measure */
-        int64_t best_j = -1;
-        double best_key = HUGE_VAL;
-        for (j = 0; j < d; j++) {
-            int64_t b = bin_of(cand, remap, j);
-            if (loads[b] == min_load && measures[b] < best_key) {
-                best_j = j;
-                best_key = measures[b];
-            }
-        }
-        return best_j;
-    } else { /* larger: strictly largest measure */
-        int64_t best_j = -1;
-        double best_key = -HUGE_VAL;
-        for (j = 0; j < d; j++) {
-            int64_t b = bin_of(cand, remap, j);
-            if (loads[b] == min_load && measures[b] > best_key) {
-                best_j = j;
-                best_key = measures[b];
-            }
-        }
-        return best_j;
-    }
-    return 0; /* unreachable: random/first always return in-loop */
-}
-
 /* Best-effort cache-line warming; a no-op where unsupported. */
 #if defined(__GNUC__) || defined(__clang__)
 #define PREFETCH_RW(p) __builtin_prefetch((p), 1, 1)
@@ -144,34 +92,112 @@ static int64_t decide(const int64_t *loads, const int64_t *cand,
  * never changes results — it only moves cache lines. */
 #define PLACE_LOOKAHEAD 16
 
+/* The placement rules, written once and defined per load width by
+ * PLACEMENT(w, T): the exported kernels place into int64 loads (w = i64),
+ * the workers of ring_trials into int32 scratch (w = i32).
+ *
+ * decide_w is the twin of repro.core.strategies.decide_row_scalar: the
+ * index of the chosen candidate among cand[0..d).  Strategy codes:
+ * 0 random (the floor(u*k)+1'th tied index; the cast truncates, which is
+ * floor for u*k >= 0), 1 first (the lowest tied index), 2 smaller and
+ * 3 larger (the tied candidate of strictly smallest or largest measure)
+ * — repro.kernels.STRATEGY_CODES.  Random and first always return in
+ * their loops.
+ *
+ * place_block_w is the sequential greedy placement of one block of b
+ * balls.  Two random-tie-break candidates take a branch-free decide: on
+ * a tie floor(u*2)+1 picks the second exactly when u >= 0.5. */
+#define PLACEMENT(w, T)                                                      \
+    static int64_t decide_##w(const T *loads, const int64_t *cand,           \
+                              const int64_t *remap, int64_t d,               \
+                              const double *measures, double u,              \
+                              int64_t strategy)                              \
+    {                                                                        \
+        int64_t j, min_load = loads[bin_of(cand, remap, 0)];                 \
+        for (j = 1; j < d; j++) {                                            \
+            int64_t l = loads[bin_of(cand, remap, j)];                       \
+            if (l < min_load)                                                \
+                min_load = l;                                                \
+        }                                                                    \
+        if (strategy == 1) {                                                 \
+            for (j = 0; j < d; j++)                                          \
+                if (loads[bin_of(cand, remap, j)] == min_load)               \
+                    return j;                                                \
+        } else if (strategy == 0) {                                          \
+            int64_t k = 0, target, seen = 0;                                 \
+            for (j = 0; j < d; j++)                                          \
+                if (loads[bin_of(cand, remap, j)] == min_load)               \
+                    k++;                                                     \
+            target = (int64_t)(u * (double)k) + 1;                           \
+            for (j = 0; j < d; j++) {                                        \
+                if (loads[bin_of(cand, remap, j)] == min_load) {             \
+                    seen++;                                                  \
+                    if (seen == target)                                      \
+                        return j;                                            \
+                }                                                            \
+            }                                                                \
+        } else if (strategy == 2) {                                          \
+            int64_t best_j = -1;                                             \
+            double best_key = HUGE_VAL;                                      \
+            for (j = 0; j < d; j++) {                                        \
+                int64_t b = bin_of(cand, remap, j);                          \
+                if (loads[b] == min_load && measures[b] < best_key) {        \
+                    best_j = j;                                              \
+                    best_key = measures[b];                                  \
+                }                                                            \
+            }                                                                \
+            return best_j;                                                   \
+        } else {                                                             \
+            int64_t best_j = -1;                                             \
+            double best_key = -HUGE_VAL;                                     \
+            for (j = 0; j < d; j++) {                                        \
+                int64_t b = bin_of(cand, remap, j);                          \
+                if (loads[b] == min_load && measures[b] > best_key) {        \
+                    best_j = j;                                              \
+                    best_key = measures[b];                                  \
+                }                                                            \
+            }                                                                \
+            return best_j;                                                   \
+        }                                                                    \
+        return 0;                                                            \
+    }                                                                        \
+                                                                             \
+    static void place_block_##w(const int64_t *bins, const double *us,       \
+                                int64_t b, int64_t d, T *loads,              \
+                                const double *measures, int64_t strategy,    \
+                                int64_t *heights)                            \
+    {                                                                        \
+        int64_t t, j;                                                        \
+        for (t = 0; t < b; t++) {                                            \
+            if (t + PLACE_LOOKAHEAD < b) {                                   \
+                const int64_t *f = bins + (t + PLACE_LOOKAHEAD) * d;         \
+                for (j = 0; j < d; j++)                                      \
+                    PREFETCH_RW(&loads[f[j]]);                               \
+            }                                                                \
+            const int64_t *cand = bins + t * d;                              \
+            int64_t chosen;                                                  \
+            if (d == 2 && strategy == 0) {                                   \
+                T l0 = loads[cand[0]], l1 = loads[cand[1]];                  \
+                chosen = cand[(l1 < l0) | ((l1 == l0) & (us[t] >= 0.5))];    \
+            } else {                                                         \
+                chosen = cand[decide_##w(loads, cand, 0, d, measures, us[t], \
+                                         strategy)];                         \
+            }                                                                \
+            if (heights)                                                     \
+                heights[t] = (int64_t)loads[chosen] + 1;                     \
+            loads[chosen] += 1;                                              \
+        }                                                                    \
+    }
+
+PLACEMENT(i64, int64_t)
+PLACEMENT(i32, int32_t)
+
 /* Kernel 1: sequential greedy placement of one block of balls. */
 void repro_place_block(const int64_t *bins, const double *us, int64_t b,
                        int64_t d, int64_t *loads, const double *measures,
                        int64_t strategy, int64_t *heights)
 {
-    int64_t t, j;
-    for (t = 0; t < b; t++) {
-        if (t + PLACE_LOOKAHEAD < b) {
-            const int64_t *f = bins + (t + PLACE_LOOKAHEAD) * d;
-            for (j = 0; j < d; j++)
-                PREFETCH_RW(&loads[f[j]]);
-        }
-        const int64_t *cand = bins + t * d;
-        int64_t chosen;
-        if (d == 2 && strategy == 0) {
-            /* branch-free decide() for two random-tie-break candidates:
-             * on a tie floor(u*2)+1 picks the second exactly when
-             * u >= 0.5 */
-            int64_t l0 = loads[cand[0]], l1 = loads[cand[1]];
-            chosen = cand[(l1 < l0) | ((l1 == l0) & (us[t] >= 0.5))];
-        } else {
-            chosen = cand[decide(loads, cand, 0, d, measures, us[t],
-                                 strategy)];
-        }
-        if (heights)
-            heights[t] = loads[chosen] + 1;
-        loads[chosen] += 1;
-    }
+    place_block_i64(bins, us, b, d, loads, measures, strategy, heights);
 }
 
 /* Kernel 2: churn-free window of mixed insert (kind 0) / delete events.
@@ -195,7 +221,8 @@ void repro_dynamic_window(const int8_t *kinds, const int64_t *args,
             const int64_t *cand = cands + ball * d;
             int64_t chosen = bin_of(
                 cand, remap,
-                decide(loads, cand, remap, d, measures, us[ball], strategy));
+                decide_i64(loads, cand, remap, d, measures, us[ball],
+                           strategy));
             loads[chosen] += 1;
             ball_bin[ball] = chosen;
             ins++;
@@ -592,40 +619,62 @@ static void ring_insertion(double *pos, int64_t n)
     }
 }
 
+/* Positions the ring build draws at a time: it reads the stream twice
+ * through a buffer this small instead of keeping all n positions. */
+#define RING_DRAW_CHUNK 4096
+
 /* The ring RingSpace.random(n) would draw from g, built in scratch.
- * The positions are g's next n doubles (into raw).  A counting sort
- * scatters them into the power-of-two buckets: the counts are the
- * bucket table itself (repro_ring_table), and table[b] walks to the
- * end of bucket b during the stable scatter, after which the offsets
- * shift back by one bucket.  Buckets are ordered, so ring_insertion
- * sorts each in place; distinct doubles have one sorted order, so
- * pos_ext equals np.sort's, with the +inf sentinel at n.  When
- * measures is not NULL it receives the arc lengths in region_measures'
- * operation order (raw may be measures).  Returns 1, or 0 when two
- * positions are equal or a bucket holds more than RING_MAX_BUCKET of
- * them; g has drawn the n positions either way. */
-static int ring_build(pcg64 *g, int64_t n, int64_t nbuckets, double *raw,
+ * The positions are g's next n doubles, drawn twice, RING_DRAW_CHUNK at
+ * a time into x (at least min(n, RING_DRAW_CHUNK) doubles); pcg64_fill
+ * yields one stream however it is cut.  A counting sort scatters them
+ * into the power-of-two buckets: the first pass counts them into the
+ * bucket table (table[b + 1] counts bucket b, and a prefix sum makes it
+ * numpy's bincount + cumsum), a rewound copy of g draws them again, and
+ * table[b] walks to the end of bucket b during the stable scatter, after
+ * which the offsets shift back by one bucket.  Both passes are pipelined
+ * like ring_assign: past L2 the table entry and the slot are misses, so
+ * each is warmed ahead (a slot read early may be stale; it only aims the
+ * prefetch).  Buckets are ordered, so ring_insertion sorts each in
+ * place; distinct doubles have one sorted order, so pos_ext equals
+ * np.sort's, with the +inf sentinel at n.  When measures is not NULL it
+ * receives the arc lengths in region_measures' operation order (x may be
+ * measures).  Returns 1, or 0 when two positions are equal or a bucket
+ * holds more than RING_MAX_BUCKET of them; g has drawn the n positions
+ * either way. */
+static int ring_build(pcg64 *g, int64_t n, int64_t nbuckets, double *x,
                       double *pos_ext, int32_t *table, double *measures)
 {
-    int64_t i, b;
+    int64_t i, b, c, len;
     double nb = (double)nbuckets;
-    pcg64_fill(g, n, raw);
+    pcg64 again = *g;
     memset(table, 0, sizeof(int32_t) * (size_t)(nbuckets + 1));
-    /* unsorted, so only the table holds, not the distinctness answer */
-    repro_ring_table(raw, n, nbuckets, table);
-    for (b = 0; b < nbuckets; b++)
-        if (table[b + 1] - table[b] > RING_MAX_BUCKET)
+    for (c = 0; c < n; c += len) {
+        len = n - c < RING_DRAW_CHUNK ? n - c : RING_DRAW_CHUNK;
+        pcg64_fill(g, len, x);
+        for (i = 0; i < len; i++) {
+            if (i + PLACE_LOOKAHEAD < len)
+                PREFETCH_RW(
+                    &table[(int64_t)(x[i + PLACE_LOOKAHEAD] * nb) + 1]);
+            table[(int64_t)(x[i] * nb) + 1] += 1;
+        }
+    }
+    for (b = 1; b <= nbuckets; b++) {
+        if (table[b] > RING_MAX_BUCKET)
             return 0;
-    /* pipelined like ring_assign: past L2 the table entry and the slot
-     * are both misses, so each is warmed ahead (a slot read early may be
-     * stale; it only aims the prefetch) */
-    for (i = 0; i < n; i++) {
-        if (i + 2 * PLACE_LOOKAHEAD < n)
-            PREFETCH_RW(&table[(int64_t)(raw[i + 2 * PLACE_LOOKAHEAD] * nb)]);
-        if (i + PLACE_LOOKAHEAD < n)
-            PREFETCH_RW(
-                &pos_ext[table[(int64_t)(raw[i + PLACE_LOOKAHEAD] * nb)]]);
-        pos_ext[table[(int64_t)(raw[i] * nb)]++] = raw[i];
+        table[b] += table[b - 1];
+    }
+    for (c = 0; c < n; c += len) {
+        len = n - c < RING_DRAW_CHUNK ? n - c : RING_DRAW_CHUNK;
+        pcg64_fill(&again, len, x);
+        for (i = 0; i < len; i++) {
+            if (i + 2 * PLACE_LOOKAHEAD < len)
+                PREFETCH_RW(
+                    &table[(int64_t)(x[i + 2 * PLACE_LOOKAHEAD] * nb)]);
+            if (i + PLACE_LOOKAHEAD < len)
+                PREFETCH_RW(
+                    &pos_ext[table[(int64_t)(x[i + PLACE_LOOKAHEAD] * nb)]]);
+            pos_ext[table[(int64_t)(x[i] * nb)]++] = x[i];
+        }
     }
     memmove(table + 1, table, sizeof(int32_t) * (size_t)nbuckets);
     table[0] = 0;
@@ -891,7 +940,7 @@ typedef struct {
     const int32_t *const *tables;  /* per trial nbuckets + 1, or NULL */
     const double *const *pos_ext;  /* per trial: n positions + inf */
     const double *const *measures; /* per trial arc lengths, or NULL */
-    int64_t *loads;                /* (t, n), or NULL: worker scratch */
+    int64_t *loads;                /* (t, n) rows widened, or NULL */
     int64_t *heights;              /* (t, m) or NULL */
     int64_t *maxima;               /* (t) max loads, or NULL */
     int64_t k0, k1, n, m, d, nbuckets, rng_block, partitioned, strategy;
@@ -913,7 +962,7 @@ typedef struct {
  * the last warms the owners' loads for placement. */
 static void ring_lookup(const ring_trials_job *job, const trial_space *sp,
                         const double *x, int64_t q, int64_t *bins,
-                        int64_t *loads)
+                        int32_t *loads)
 {
     const int32_t *table = sp->table;
     const double *pos = sp->pos;
@@ -937,7 +986,7 @@ static void ring_lookup(const ring_trials_job *job, const trial_space *sp,
  * warmed for placement. */
 static void torus_lookup(const ring_trials_job *job, const trial_space *sp,
                          const double *x, int64_t q, int64_t *bins,
-                         int64_t *loads)
+                         int32_t *loads)
 {
     int64_t i, side = job->nbuckets;
     for (i = 0; i < q; i++) {
@@ -955,7 +1004,7 @@ static void torus_lookup(const ring_trials_job *job, const trial_space *sp,
  * RING_STAGE balls runs draw -> lookup -> place.  Partitioned, the
  * first coordinate x of candidate c becomes (x + c) / d. */
 static void space_trial(const ring_trials_job *job, int64_t k, pcg64 *g,
-                        const trial_space *sp, int64_t *loads, double *x,
+                        const trial_space *sp, int32_t *loads, double *x,
                         int64_t *bins, double *us)
 {
     int64_t *heights = job->heights ? job->heights + k * job->m : 0;
@@ -983,8 +1032,8 @@ static void space_trial(const ring_trials_job *job, int64_t k, pcg64 *g,
                 torus_lookup(job, sp, x, q, bins, loads);
             else
                 ring_lookup(job, sp, x, q, bins, loads);
-            repro_place_block(bins, us, w, d, loads, sp->measures,
-                              job->strategy, heights ? heights + ball + s0 : 0);
+            place_block_i32(bins, us, w, d, loads, sp->measures,
+                            job->strategy, heights ? heights + ball + s0 : 0);
         }
         pcg64_advance(g, (pcg128)b * (pcg128)(d * dim + 1));
         ball += b;
@@ -1022,50 +1071,55 @@ static void *ring_scratch(size_t size)
 }
 
 /* The largest of n loads. */
-static int64_t max_load(const int64_t *loads, int64_t n)
+static int64_t max_load(const int32_t *loads, int64_t n)
 {
-    int64_t i, top = 0;
+    int64_t i;
+    int32_t top = 0;
     for (i = 0; i < n; i++)
         top = loads[i] > top ? loads[i] : top;
     return top;
 }
 
-/* A worker's trials.  Without tables each trial first builds its space
- * from its own generator in scratch the worker reuses: a ring
- * (ring_build; the smaller/larger strategies, codes 2 and 3, also get
- * its arc lengths) or a torus grid (torus_build; raw holds the points,
- * pos_ext their grid order and table the cell offsets).  Without loads
- * each trial places into one n-entry load scratch, zeroed first: raw,
- * whose draws are dead once the space is built, unless raw keeps a
- * ring's arc lengths; the scratch then has its own buffer.  A space
+/* A worker's trials.  Each places into one n-entry int32 load scratch
+ * the worker zeroes before every trial; its maximum goes to maxima and,
+ * when the caller keeps loads, it is widened into the trial's int64 row.
+ * Without tables each trial first builds its space from its own
+ * generator in scratch the worker reuses: a ring (ring_build, drawing
+ * through x before the trial's stages need it; the smaller/larger
+ * strategies, codes 2 and 3, also get its arc lengths) or a torus grid
+ * (torus_build; raw holds the points, pos_ext their grid order and table
+ * the cell offsets).  A torus's raw is dead once it is gridded, so it is
+ * the load scratch; rings keep theirs in a buffer of its own.  A space
  * that is not built stops the worker (status 1). */
 static void *ring_trials_worker(void *arg)
 {
     ring_trials_job *job = (ring_trials_job *)arg;
-    int64_t n = job->n, nb = job->nbuckets, k;
+    int64_t n = job->n, nb = job->nbuckets, k, i;
     int64_t dim = job->torus ? 2 : 1, cells = job->torus ? nb * nb : nb;
-    int build = job->tables == 0;
-    double *x = malloc(sizeof(double) * RING_STAGE * job->d * dim);
+    int build = job->tables == 0, ring = build && !job->torus;
+    int64_t xlen = RING_STAGE * job->d * dim;
+    double *x = malloc(sizeof(double) * (ring && xlen < RING_DRAW_CHUNK
+                                             ? RING_DRAW_CHUNK
+                                             : xlen));
     int64_t *bins = malloc(sizeof(int64_t) * RING_STAGE * job->d);
     /* zeroed: strategies that ignore tie-breaks never draw them */
     double *us = calloc(RING_STAGE, sizeof(double));
-    double *raw = build ? ring_scratch(sizeof(double) * n * dim) : 0;
+    double *raw = job->torus ? ring_scratch(sizeof(double) * n * dim) : 0;
     double *pos_ext =
         build ? ring_scratch(sizeof(double) * (n * dim + 1)) : 0;
     int32_t *table = build ? ring_scratch(sizeof(int32_t) * (cells + 1)) : 0;
     int32_t *ids = job->torus ? ring_scratch(sizeof(int32_t) * n) : 0;
-    double *arcs = job->strategy >= 2 ? raw : 0; /* raw, once drawn */
-    int64_t *own =
-        !job->loads && arcs ? ring_scratch(sizeof(int64_t) * n) : 0;
-    int64_t *scratch = arcs ? own : (int64_t *)raw;
+    int needs_arcs = ring && job->strategy >= 2;
+    double *arcs = needs_arcs ? ring_scratch(sizeof(double) * n) : 0;
+    int32_t *own = job->torus ? 0 : ring_scratch(sizeof(int32_t) * n);
+    int32_t *scratch = job->torus ? (int32_t *)raw : own;
     trial_space sp = {table, pos_ext, {table, pos_ext, ids}, arcs};
-    if (!x || !bins || !us || (build && (!raw || !pos_ext || !table)) ||
-        (job->torus && !ids) || (!job->loads && !scratch)) {
+    if (!x || !bins || !us || !scratch || (build && (!pos_ext || !table)) ||
+        (job->torus && !ids) || (needs_arcs && !arcs)) {
         job->status = -1;
     } else {
         for (k = job->k0; k < job->k1; k++) {
             pcg64 g = pcg64_load(job->states + 4 * k);
-            int64_t *loads = job->loads ? job->loads + k * n : scratch;
             int built = 1;
             if (!build) {
                 sp.table = job->tables[k];
@@ -1074,17 +1128,19 @@ static void *ring_trials_worker(void *arg)
             } else if (job->torus) {
                 built = torus_build(&g, n, nb, raw, table, pos_ext, ids);
             } else {
-                built = ring_build(&g, n, nb, raw, pos_ext, table, arcs);
+                built = ring_build(&g, n, nb, x, pos_ext, table, arcs);
             }
             if (!built) {
                 job->status = 1;
                 break;
             }
-            if (!job->loads)
-                memset(loads, 0, sizeof(int64_t) * (size_t)n);
-            space_trial(job, k, &g, &sp, loads, x, bins, us);
+            memset(scratch, 0, sizeof(int32_t) * (size_t)n);
+            space_trial(job, k, &g, &sp, scratch, x, bins, us);
             if (job->maxima)
-                job->maxima[k] = max_load(loads, n);
+                job->maxima[k] = max_load(scratch, n);
+            if (job->loads)
+                for (i = 0; i < n; i++)
+                    job->loads[k * n + i] = scratch[i];
             pcg64_store(&g, job->states + 4 * k);
         }
     }
@@ -1092,6 +1148,7 @@ static void *ring_trials_worker(void *arg)
     free(bins);
     free(us);
     free(own);
+    free(arcs);
     free(raw);
     free(pos_ext);
     free(table);
@@ -1105,12 +1162,12 @@ static void *ring_trials_worker(void *arg)
  * its generator (ring_build; pos_ext and measures are then ignored).
  * With torus set each trial builds a 2-D torus on a grid of side
  * nbuckets (torus_build; tables and measures must be NULL, strategy
- * random or first).  Trial k's loads go to row k of loads, or, with
- * loads == NULL (tables must be NULL), stay in worker scratch; maxima,
- * unless NULL, gets each trial's max load.  Returns 0, 1 when some
- * space was not built (the state words are then partly advanced and
- * must be discarded), or -1 when scratch memory could not be
- * allocated. */
+ * random or first).  Trials place into int32 worker scratch, so n and m
+ * must be below 2^31.  Trial k's loads are widened into row k of loads
+ * unless loads is NULL (tables must then be NULL); maxima, unless NULL,
+ * gets each trial's max load.  Returns 0, 1 when some space was not
+ * built (the state words are then partly advanced and must be
+ * discarded), or -1 when scratch memory could not be allocated. */
 int64_t repro_ring_trials(uint64_t *states, const int32_t *const *tables,
                           const double *const *pos_ext,
                           const double *const *measures, int64_t t,
@@ -1399,11 +1456,14 @@ def build_backend():
         be ``None``.  ``space="torus"`` (``tables`` and ``measures``
         ``None``, strategy ``random`` or ``first``) draws and grids a
         2-D torus instead, exactly as ``TorusSpace.random(n, seed=...)``
-        would, and looks candidates up in its grid.  With ``tables=None``
-        ``loads`` may also be ``None``: ``n`` then gives the servers per
-        trial, and each trial places into scratch its worker thread
-        reuses.  ``maxima``, unless ``None``, a C-contiguous int64 array
-        of shape ``(T,)``, receives each trial's maximum load.  Only
+        would, and looks candidates up in its grid.  Each trial places
+        into an int32 load scratch its worker thread reuses, and
+        ``loads[k]`` is widened from it; with ``tables=None`` ``loads``
+        may also be ``None``: ``n`` then gives the servers per trial.
+        ``maxima``, unless ``None``, a C-contiguous int64 array of shape
+        ``(T,)``, receives each trial's maximum load.  The int32 scratch
+        (and a ring's int32 bucket table) needs ``n`` and ``m`` below
+        2³¹; larger trials raise :class:`ValueError`.  Only
         ``state.state`` is written back to each generator.  Trials are
         split statically across ``threads`` OS threads.  Returns
         ``False``, writing no state back, when some drawn ring repeats
@@ -1423,6 +1483,11 @@ def build_backend():
             if loads.shape[0] != t:
                 raise ValueError("ring_trials needs one generator per loads row")
             n = loads.shape[1]
+        if n >= 1 << 31 or int(m) >= 1 << 31:
+            raise ValueError(
+                "ring_trials keeps loads and bucket offsets in int32 scratch: "
+                f"it needs n and m below 2**31, got n={n}, m={m}"
+            )
         if heights is not None:
             _check_inplace(heights, np.int64, "heights")
             if heights.shape != (t, m):
@@ -1446,8 +1511,6 @@ def build_backend():
             if n < 1:
                 raise ValueError("ring_trials draws at least one position")
             if torus:
-                if n >= 1 << 31:
-                    return False  # the grid's ids are int32
                 # the grid side, as TorusSpace._grid_side
                 nbuckets = 1 << ((n - 1).bit_length() + 1) // 2
             else:

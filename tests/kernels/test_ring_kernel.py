@@ -6,23 +6,30 @@ exactly like ``bit_generator.advance``, a ring it builds from a
 generator is the ring ``RingSpace.random`` draws from it, and each ring
 trial it runs ends with the loads, heights and generator state of
 :func:`repro.core.engine.run_sequential`.  These tests check all three,
-the dispatch rules around the kernel (other bit generators and shared
-generators keep the reference path), the ring table pass, and the
-compile flags the rounding depends on.
+the dispatch rules around the kernel (other bit generators, shared
+generators and trials too large for its int32 scratch keep the
+reference path), the scratch a trial holds, the ring table pass, and
+the compile flags the rounding depends on.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from helpers import numpy_reference, repeating_generator
 
+from repro.core import multitrial
 from repro.core.engine import DEFAULT_RNG_BLOCK, run_sequential
 from repro.core.multitrial import (
     _ring_kernel_applies,
     _ring_kernel_takes,
+    _space_kernel_takes,
     run_fused,
     run_random_spaces,
 )
@@ -30,6 +37,7 @@ from repro.core.ring import RingSpace
 from repro.core.strategies import TieBreak
 from repro.core.torus import TorusSpace
 from repro.kernels import available_backends, get_backend
+from repro.kernels.cext_backend import C_SOURCE
 from repro.stats import trials
 
 pytestmark = pytest.mark.skipif(
@@ -227,10 +235,14 @@ def test_ring_kernel_default_block_matches_generic_path(d, strategy, partitioned
 # ---------------------------------------------------------------------------
 
 BUILD_SIZES = (1, 2, 3, 1023, 1024, 3000)
+#: positions the ring build draws at a time, on each of its two passes
+DRAW_CHUNK = int(re.search(r"#define RING_DRAW_CHUNK (\d+)", C_SOURCE)[1])
+#: sizes whose stream ends just before, on and just after a chunk boundary
+CHUNK_SIZES = (DRAW_CHUNK - 1, DRAW_CHUNK, DRAW_CHUNK + 1, 3 * DRAW_CHUNK + 5)
 
 
 @pytest.mark.parametrize("seed", range(3))
-@pytest.mark.parametrize("n", BUILD_SIZES + (1 << 16,))
+@pytest.mark.parametrize("n", BUILD_SIZES + (1 << 16,) + CHUNK_SIZES)
 def test_ring_build_matches_ring_space(n, seed):
     """Positions, bucket table, arc lengths and the state after n draws."""
     bit_generator = np.random.PCG64(1000 * seed + n)
@@ -297,7 +309,7 @@ def _check_random_rings(n, m, d, strategy, seeds, partitioned, rng_block,
 def test_random_rings_match_run_sequential(d, strategy, partitioned):
     """m = 0 (the state after the positions alone) and m = n over several
     small RNG blocks."""
-    assert _ring_kernel_takes([np.random.default_rng(0)], _cext())
+    assert _ring_kernel_takes(3000, 3000, [np.random.default_rng(0)], _cext())
     for n in BUILD_SIZES:
         seeds = [11 * n + d + k for k in range(TRIALS)]
         for m, rng_block in ((0, DEFAULT_RNG_BLOCK), (n, 128)):
@@ -312,6 +324,18 @@ def test_random_rings_paper_size_matches_run_sequential():
     second per trial here."""
     n = 1 << 16
     seeds = [5, 6]
+    expected = _reference_rings(n, n, 2, TieBreak.RANDOM, seeds, False,
+                                DEFAULT_RNG_BLOCK)
+    _check_random_rings(n, n, 2, TieBreak.RANDOM, seeds, False,
+                        DEFAULT_RNG_BLOCK, expected)
+
+
+def test_random_rings_across_draw_chunks_match_run_sequential():
+    """n = m = 3 chunks + 5: each ring's two passes over its stream split
+    it into four draws, and the loads are widened from (or reduced in)
+    the int32 scratch."""
+    n = 3 * DRAW_CHUNK + 5
+    seeds = [41, 42, 43]
     expected = _reference_rings(n, n, 2, TieBreak.RANDOM, seeds, False,
                                 DEFAULT_RNG_BLOCK)
     _check_random_rings(n, n, 2, TieBreak.RANDOM, seeds, False,
@@ -385,9 +409,9 @@ def test_repeated_positions_raise_from_run_cell(monkeypatch):
 @pytest.mark.parametrize("strategy", [TieBreak.SMALLER, TieBreak.LARGER],
                          ids=lambda s: s.value)
 def test_arc_length_strategies_keep_their_own_load_scratch(strategy, threads):
-    """smaller/larger keep the draw buffer for the arc lengths, so loads
-    kept in scratch get their own buffer.  Eight trials per call reuse it
-    on every worker; the maxima and states must match the loads path."""
+    """smaller/larger keep the arc lengths in a buffer of their own,
+    beside the int32 load scratch.  Eight trials per call reuse both on
+    every worker; the maxima and states must match the loads path."""
     n, trial_count = 3000, 8
     code = 2 if strategy is TieBreak.SMALLER else 3
 
@@ -426,10 +450,106 @@ def test_maxima_and_scratch_loads_are_checked():
              maxima=np.zeros(2, dtype=np.int64))
 
 
+def test_int32_scratch_limits_keep_the_reference_path(monkeypatch):
+    """Loads and bucket offsets live in int32 scratch, so trials of 2³¹
+    servers or balls never reach the kernel: the dispatch predicates turn
+    them away, run_random_spaces takes the reference path, and the kernel
+    itself refuses them.  Nothing of that size is allocated: the
+    reference path is stubbed and the kernel raises before its call."""
+    big = 1 << 31
+    rngs = [np.random.default_rng(0)]
+    assert _ring_kernel_takes(big - 1, big - 1, rngs, _cext())
+    spaces = [RingSpace.random(64, seed=1)]
+    assert not _ring_kernel_applies(spaces, big, rngs, _cext())
+    limits = ((big, 1), (1, big))
+    for n, m in limits:
+        assert not _ring_kernel_takes(n, m, rngs, _cext())
+        for space in ("ring", "torus"):
+            assert not _space_kernel_takes(space, n, m, 2, TieBreak.RANDOM,
+                                           rngs, _cext())
+            with pytest.raises(ValueError, match="below 2\\*\\*31"):
+                _cext().ring_trials(
+                    [np.random.PCG64(0)], None, None, None, None, m, 2, 0,
+                    False, DEFAULT_RNG_BLOCK, 1, space=space, n=n,
+                    maxima=np.zeros(1, dtype=np.int64),
+                )
+
+    reference = []
+
+    def fake_run_fused(spaces, m, *args, **kwargs):
+        reference.append((spaces, m))
+        return np.full((len(spaces), 1), 7, dtype=np.int64), None
+
+    monkeypatch.setattr(multitrial, "_random_space",
+                        lambda space, n, dim, rng: (space, n))
+    monkeypatch.setattr(multitrial, "run_fused", fake_run_fused)
+    for n, m in limits:
+        for space in ("ring", "torus"):
+            maxima, _ = run_random_spaces(space, n, m, 2, TieBreak.RANDOM,
+                                          [np.random.default_rng(0)],
+                                          maxima=True, backend="cext")
+            assert maxima.tolist() == [7]
+            assert reference.pop() == ([(space, n)], m)
+
+
+#: One n = m = N ring trial of run_cell's maxima path in a fresh process:
+#: prints how far the resident set's peak rose, per server, above the
+#: resident set before it (Linux's VmHWM, reset through clear_refs), or
+#: exits 77 when /proc/self/clear_refs cannot be written.
+_PEAK_PER_SERVER = """
+import re, sys
+from pathlib import Path
+import numpy as np
+from repro.core.multitrial import run_random_spaces
+from repro.core.strategies import TieBreak
+
+def status_kb(field):
+    text = Path("/proc/self/status").read_text()
+    return int(re.search(rf"^{field}:\\s+(\\d+) kB", text, re.MULTILINE)[1])
+
+def trial(n):
+    run_random_spaces("ring", n, n, 2, TieBreak.RANDOM,
+                      [np.random.default_rng(3)], maxima=True, backend="cext")
+
+n = int(sys.argv[1])
+trial(1 << 10)  # the compiled library and every code path, warmed
+try:
+    Path("/proc/self/clear_refs").write_text("5")
+except OSError:
+    sys.exit(77)
+before = status_kb("VmRSS")
+trial(n)
+print((status_kb("VmHWM") - before) * 1024 / n)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads Linux's VmHWM")
+def test_ring_trial_scratch_stays_under_18_bytes_per_server():
+    """A kernel-built ring trial holds its sorted positions (8 bytes per
+    server), its bucket table (4) and its int32 loads (4): 16 bytes per
+    server.  An n-entry draw buffer or int64 loads would make it 20.  One
+    trial runs on one worker, whatever REPRO_NUM_THREADS says."""
+    n = 1 << 22
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", _PEAK_PER_SERVER, str(n)], env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+    if out.returncode == 77:
+        pytest.skip("/proc/self/clear_refs is not writable")
+    assert out.returncode == 0, out.stderr
+    per_server = float(out.stdout)
+    assert per_server < 18, f"{per_server:.2f} bytes per server"
+
+
 @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.PCG64DXSM])
 def test_random_rings_other_bit_generators_take_the_reference_path(bit_generator):
     rngs = [np.random.Generator(bit_generator(50 + k)) for k in range(2)]
-    assert not _ring_kernel_takes(rngs, _cext())
+    assert not _ring_kernel_takes(500, 700, rngs, _cext())
     loads, heights = run_random_spaces("ring", 500, 700, 2, TieBreak.SMALLER,
                                        rngs, rng_block=128, record_heights=True,
                                        backend="cext", threads=2)
@@ -450,7 +570,7 @@ def test_random_rings_shared_generator_takes_the_reference_path():
     """Trials sharing one generator: every ring first, then the trials one
     after another, exactly as run_fused on RingSpace.random spaces."""
     shared = np.random.default_rng(13)
-    assert not _ring_kernel_takes([shared] * 3, _cext())
+    assert not _ring_kernel_takes(200, 300, [shared] * 3, _cext())
     loads, _ = run_random_spaces("ring", 200, 300, 2, TieBreak.RANDOM,
                                  [shared] * 3, rng_block=64, backend="cext",
                                  threads=2)
@@ -472,7 +592,7 @@ def test_random_rings_shared_generator_takes_the_reference_path():
 def test_other_bit_generators_take_the_generic_path(bit_generator):
     spaces = [RingSpace.random(500, seed=k) for k in range(2)]
     rngs = [np.random.Generator(bit_generator(40 + k)) for k in range(2)]
-    assert not _ring_kernel_applies(spaces, rngs, _cext())
+    assert not _ring_kernel_applies(spaces, 700, rngs, _cext())
     loads, heights = run_fused(spaces, 700, 2, TieBreak.RANDOM, rngs,
                                rng_block=128, record_heights=True,
                                backend="cext", threads=2)
@@ -505,9 +625,10 @@ def test_shared_generator_runs_trials_in_order(space_cls):
 
 def test_pcg64_rings_take_the_kernel():
     spaces = [RingSpace.random(64, seed=1)]
-    assert _ring_kernel_applies(spaces, [np.random.default_rng(1)], _cext())
+    assert _ring_kernel_applies(spaces, 64, [np.random.default_rng(1)],
+                                _cext())
     assert not _ring_kernel_applies(
-        spaces, [np.random.default_rng(1)], get_backend("numpy")
+        spaces, 64, [np.random.default_rng(1)], get_backend("numpy")
     )
 
 

@@ -518,7 +518,7 @@ def test_random_tori_match_run_sequential(d, strategy, partitioned):
     """m = 0 (the state after the points alone), and m = n over RNG
     blocks of 7 balls and of 300 (a full 256-ball stage and a short
     one)."""
-    assert _space_kernel_takes("torus", 2, strategy,
+    assert _space_kernel_takes("torus", 3000, 3000, 2, strategy,
                                [np.random.default_rng(0)], _cext_backend())
     for n in BUILD_SIZES:
         seeds = [11 * n + d + k for k in range(TRIALS)]
@@ -604,7 +604,8 @@ def _assert_reference_path(rngs, fresh_rng, strategy=TieBreak.RANDOM, *,
                          ids=lambda s: s.value)
 def test_random_tori_area_strategies_take_the_reference_path(strategy):
     rngs = [np.random.default_rng(80 + k) for k in range(2)]
-    assert not _space_kernel_takes("torus", 2, strategy, rngs, _cext_backend())
+    assert not _space_kernel_takes("torus", 300, 400, 2, strategy, rngs,
+                                   _cext_backend())
     with pytest.raises(ValueError, match="Voronoi areas"):
         _cext_backend().ring_trials(
             [r.bit_generator for r in rngs], None, None,
@@ -619,8 +620,8 @@ def test_random_tori_area_strategies_take_the_reference_path(strategy):
 @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.PCG64DXSM])
 def test_random_tori_other_bit_generators_take_the_reference_path(bit_generator):
     rngs = [np.random.Generator(bit_generator(50 + k)) for k in range(2)]
-    assert not _space_kernel_takes("torus", 2, TieBreak.RANDOM, rngs,
-                                   _cext_backend())
+    assert not _space_kernel_takes("torus", 300, 400, 2, TieBreak.RANDOM,
+                                   rngs, _cext_backend())
     _assert_reference_path(
         rngs, lambda k: np.random.Generator(bit_generator(50 + k))
     )
@@ -630,8 +631,8 @@ def test_random_tori_shared_generator_takes_the_reference_path():
     """Trials sharing one generator: every torus first, then the trials
     one after another, exactly as run_fused on TorusSpace.random spaces."""
     shared = np.random.default_rng(13)
-    assert not _space_kernel_takes("torus", 2, TieBreak.RANDOM, [shared] * 3,
-                                   _cext_backend())
+    assert not _space_kernel_takes("torus", 200, 300, 2, TieBreak.RANDOM,
+                                   [shared] * 3, _cext_backend())
     loads, _ = run_random_spaces("torus", 200, 300, 2, TieBreak.RANDOM,
                                  [shared] * 3, rng_block=64, backend="cext",
                                  threads=2)
@@ -648,8 +649,8 @@ def test_random_tori_shared_generator_takes_the_reference_path():
 @pytest.mark.parametrize("dim", [1, 3])
 def test_random_tori_other_dimensions_take_the_reference_path(dim):
     rngs = [np.random.default_rng(60 + k) for k in range(2)]
-    assert not _space_kernel_takes("torus", dim, TieBreak.RANDOM, rngs,
-                                   _cext_backend())
+    assert not _space_kernel_takes("torus", 300, 400, dim, TieBreak.RANDOM,
+                                   rngs, _cext_backend())
     _assert_reference_path(rngs, lambda k: np.random.default_rng(60 + k),
                            dim=dim)
 
@@ -657,8 +658,8 @@ def test_random_tori_other_dimensions_take_the_reference_path(dim):
 def test_random_tori_numpy_backend_takes_the_reference_path(monkeypatch):
     monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numpy")
     rngs = [np.random.default_rng(90 + k) for k in range(2)]
-    assert not _space_kernel_takes("torus", 2, TieBreak.RANDOM, rngs,
-                                   get_backend("numpy"))
+    assert not _space_kernel_takes("torus", 300, 400, 2, TieBreak.RANDOM,
+                                   rngs, get_backend("numpy"))
     _assert_reference_path(rngs, lambda k: np.random.default_rng(90 + k),
                            backend="numpy")
 

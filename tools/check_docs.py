@@ -10,9 +10,10 @@ Two independent checks, both stdlib-only so they run anywhere:
 2. **Docstring coverage** — every module, public class, and public
    function/method in the :data:`DOCSTRING_PACKAGES` public APIs
    (currently ``repro.sweeps``, ``repro.kernels``, ``repro.obs``,
-   ``repro.core``, ``repro.serve``, ``repro.net`` and ``repro.stats``)
-   must carry a docstring (the pydocstyle D1xx family, implemented via
-   ``ast`` so no third-party dependency is needed).
+   ``repro.core``, ``repro.serve``, ``repro.net``, ``repro.stats``,
+   ``repro.baselines`` and ``repro.dynamics``) must carry a docstring
+   (the pydocstyle D1xx family, implemented via ``ast`` so no
+   third-party dependency is needed).
 
 Exit status 0 when clean, 1 with one line per violation otherwise::
 
@@ -39,6 +40,8 @@ DOCSTRING_PACKAGES = (
     "src/repro/serve",
     "src/repro/net",
     "src/repro/stats",
+    "src/repro/baselines",
+    "src/repro/dynamics",
 )
 
 _LINK = re.compile(r"(?<!\!)\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
