@@ -1096,11 +1096,11 @@ static void *ring_trials_worker(void *arg)
     ring_trials_job *job = (ring_trials_job *)arg;
     int64_t n = job->n, nb = job->nbuckets, k, i;
     int64_t dim = job->torus ? 2 : 1, cells = job->torus ? nb * nb : nb;
-    int build = job->tables == 0, ring = build && !job->torus;
-    int64_t xlen = RING_STAGE * job->d * dim;
-    double *x = malloc(sizeof(double) * (ring && xlen < RING_DRAW_CHUNK
-                                             ? RING_DRAW_CHUNK
-                                             : xlen));
+    int build = job->tables == 0;
+    int needs_arcs = build && !job->torus && job->strategy >= 2;
+    int64_t xlen = RING_STAGE * job->d * dim; /* x also takes ring draws */
+    double *x = malloc(sizeof(double) *
+                       (xlen > RING_DRAW_CHUNK ? xlen : RING_DRAW_CHUNK));
     int64_t *bins = malloc(sizeof(int64_t) * RING_STAGE * job->d);
     /* zeroed: strategies that ignore tie-breaks never draw them */
     double *us = calloc(RING_STAGE, sizeof(double));
@@ -1109,7 +1109,6 @@ static void *ring_trials_worker(void *arg)
         build ? ring_scratch(sizeof(double) * (n * dim + 1)) : 0;
     int32_t *table = build ? ring_scratch(sizeof(int32_t) * (cells + 1)) : 0;
     int32_t *ids = job->torus ? ring_scratch(sizeof(int32_t) * n) : 0;
-    int needs_arcs = ring && job->strategy >= 2;
     double *arcs = needs_arcs ? ring_scratch(sizeof(double) * n) : 0;
     int32_t *own = job->torus ? 0 : ring_scratch(sizeof(int32_t) * n);
     int32_t *scratch = job->torus ? (int32_t *)raw : own;

@@ -492,10 +492,10 @@ def test_int32_scratch_limits_keep_the_reference_path(monkeypatch):
             assert reference.pop() == ([(space, n)], m)
 
 
-#: One n = m = N ring trial of run_cell's maxima path in a fresh process:
-#: prints how far the resident set's peak rose, per server, above the
-#: resident set before it (Linux's VmHWM, reset through clear_refs), or
-#: exits 77 when /proc/self/clear_refs cannot be written.
+#: One n = m ring trial (n from argv) on run_cell's maxima path, in a
+#: fresh process: prints how far the resident set's peak rose, per
+#: server, above the resident set before it (Linux's VmHWM, reset through
+#: clear_refs), or exits 77 when /proc/self/clear_refs cannot be written.
 _PEAK_PER_SERVER = """
 import re, sys
 from pathlib import Path
@@ -531,6 +531,7 @@ def test_ring_trial_scratch_stays_under_18_bytes_per_server():
     trial runs on one worker, whatever REPRO_NUM_THREADS says."""
     n = 1 << 22
     env = dict(os.environ)
+    env.pop("REPRO_KERNEL_BACKEND", None)  # it would outrank backend="cext"
     src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p
