@@ -91,8 +91,8 @@ _FUSED_CHUNK_ELEMENTS = 1 << 23
 _FUSED_CHUNK_BINS = 1 << 24
 
 #: ``ring_trials`` places into int32 load scratch and indexes a ring by
-#: an int32 bucket table: trials with this many servers or balls keep
-#: the reference and pool paths.
+#: int32 bucket offsets: trials with this many servers or balls keep the
+#: reference and pool paths.
 _KERNEL_INT32_LIMIT = 1 << 31
 
 #: Interleave tile: balls per transpose tile, sized so a tile of the
@@ -219,10 +219,11 @@ def _run_fused_ring(
 
     With ``spaces=None`` each trial first draws its ``n``-server
     ``space`` (a ring, or a 2-D torus) from its generator inside the
-    kernel (:func:`run_random_spaces`); ``None`` is then returned, with
-    no generator state written back, when some drawn space was not
-    built (a repeated server, or servers too crowded for the kernel's
-    index).  Each trial places into the kernel's int32 scratch, and the
+    kernel (:func:`run_random_spaces`).  ``None`` is returned, with no
+    generator state written back, when some drawn space was not built
+    (a repeated server, or servers too crowded for the kernel's index)
+    or some given ring is too clustered for the kernel's compact bucket
+    index.  Each trial places into the kernel's int32 scratch, and the
     ``(T, n)`` loads are widened from it; with ``maxima`` (``spaces=None``
     only) they stay there and the first result holds each trial's
     maximum load, shape ``(T,)``, instead.
@@ -399,7 +400,8 @@ def run_fused(
         this kwarg → physical cores).  With an accelerated backend the
         trials are split across that many threads: inside the
         ``ring_trials`` kernel for rings drawing from ``PCG64``
-        generators, on a thread pool for everything else.  The numpy
+        generators, on a thread pool for everything else, and for rings
+        too clustered for that kernel's compact bucket index.  The numpy
         reference runs on one thread.  Results are bit-identical for
         every thread count (enforced by
         ``tests/kernels/test_threads_parity.py`` and
@@ -442,7 +444,7 @@ def run_fused(
         counter_add("placement.balls", t * m)
         counter_add("placement.trials", t)
         if _ring_kernel_applies(spaces, m, rngs, backend_obj):
-            return _run_fused_ring(
+            out = _run_fused_ring(
                 spaces,
                 n,
                 m,
@@ -455,6 +457,8 @@ def run_fused(
                 rng_block=rng_block,
                 record_heights=record_heights,
             )
+            if out is not None:
+                return out
         if backend_obj.place_block is not None:
             return _run_fused_kernel(
                 spaces,

@@ -4,7 +4,7 @@ Each driver module exposes ``run(...) -> ExperimentReport`` with scaled
 defaults that finish on a laptop; paper-scale parameters are plain
 keyword arguments away.  ``python -m repro.experiments <name>`` runs a
 driver from the command line; the registry maps experiment ids (see
-DESIGN.md section 3) to drivers.
+``docs/paper_map.md``) to drivers.
 
 All drivers submit their simulation cells through the
 :mod:`repro.sweeps` orchestration layer, so repeated runs with

@@ -1,4 +1,4 @@
-"""Registry mapping experiment ids (DESIGN.md section 3) to drivers.
+"""Registry mapping experiment ids (``docs/paper_map.md``) to drivers.
 
 The single source of truth for which experiments exist: the CLI
 (:mod:`repro.experiments.__main__`), the run-everything harness

@@ -1,6 +1,6 @@
 """Table 3: tie-breaking strategies on the ring at d = 2 (m = n).
 
-The four columns (DESIGN.md records the interpretation):
+The four columns, as this reproduction reads the paper's strategies:
 
 * ``arc-larger`` — uniform choices, ties to the longer arc,
 * ``arc-random`` — uniform choices, ties uniform (Theorem 1's model;

@@ -21,7 +21,8 @@ into *scalar kernels* that a compiled tier can run at memory speed:
 ``ring_trials``
     Whole ring trials of :func:`repro.core.multitrial.run_fused`: a copy
     of numpy's PCG64 feeds draw → bucket lookup → place for every ball,
-    with trials split across OS threads; every trial places into int32
+    with trials split across OS threads; every trial looks rings up in
+    a compact bucket index (a byte per bucket) and places into int32
     load scratch its thread reuses.  Given no tables
     (:func:`repro.core.multitrial.run_random_spaces`), each trial first
     draws and builds its own ring on its worker thread (reading its
@@ -189,8 +190,11 @@ class KernelBackend:
         generator, exactly as ``RingSpace.random(n, seed=...)`` would:
         the ``n`` positions (drawn twice, a few thousand at a time:
         once to count the buckets, once to scatter into them), their
-        bucket table and, for the ``smaller``/``larger`` strategies,
+        bucket index and, for the ``smaller``/``larger`` strategies,
         their arc lengths, all built in scratch on the trial's thread.
+        Every ring trial looks its candidates up in that compact index
+        (an int32 start per 64 buckets and a byte offset per bucket);
+        a given table is copied into it per trial.
         ``space="torus"`` (``tables=None``, strategy ``random`` or
         ``first``: the kernel has no Voronoi areas) runs 2-D torus
         trials instead: trial ``k`` draws its ``n`` points exactly as
@@ -200,19 +204,22 @@ class KernelBackend:
         are gridded, is its load scratch.  With ``tables=None``,
         ``loads`` may be ``None`` (``n`` then gives the servers per
         trial): the loads stay in scratch, so the call holds
-        ``threads`` scratches and no ``(T, n)`` loads array — 16 bytes
-        per server for a ring (positions 8, bucket table 4, loads 4),
-        24 with arc lengths.  ``maxima``, unless ``None``, is a
-        C-contiguous int64 array of shape ``(T,)`` that receives each
-        trial's maximum load.  The int32 scratch and bucket table need
-        ``n`` and ``m`` below 2³¹; larger trials raise
-        :class:`ValueError` (callers route them elsewhere first).  Only
-        ``state.state`` is written back to each generator.  Returns
-        ``True``, or ``False`` — writing no state back, the loads and
-        maxima then meaningless — when some drawn ring repeats a
-        position or crowds one bucket past the kernel's limit, or some
-        drawn torus repeats a point or is too unevenly spread for a
-        grid, so that the caller can rebuild it the reference way.
+        ``threads`` scratches and no ``(T, n)`` loads array — about 13
+        bytes per server for a ring (positions 8, loads 4, which first
+        hold the build's bucket cursors, and the index 1.06), 21 with
+        arc lengths.  ``maxima``, unless ``None``, is a C-contiguous
+        int64 array of shape ``(T,)`` that receives each trial's
+        maximum load.  The int32 scratch and group starts need ``n``
+        and ``m`` below 2³¹; larger trials raise :class:`ValueError`
+        (callers route them elsewhere first).  Only ``state.state`` is
+        written back to each generator.  Returns ``True``, or ``False``
+        — writing no state back, the loads and maxima then meaningless
+        — when some ring, drawn or given, crowds one group of 64
+        buckets past byte offsets (more than 255 positions in its first
+        63), some drawn ring repeats a position or crowds one bucket
+        past the kernel's limit, or some drawn torus repeats a point or
+        is too unevenly spread for a grid, so that the caller can run
+        or rebuild it the reference way.
         Trials are split statically across ``threads`` OS threads —
         trials share nothing, so any split is bit-identical.
     ``torus_grid(points, side)``

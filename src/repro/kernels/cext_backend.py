@@ -25,8 +25,10 @@ int64 loads, ``ring_trials``' worker threads into int32 scratch.
 draws the same numbers ``Generator.random`` would, and the ring it can
 build from them is the one ``RingSpace.random`` builds — drawing the
 positions twice, a few thousand at a time, rather than keeping all of
-them, so a ring trial's scratch is 16 bytes per server, loads
-included (``tests/kernels/test_ring_kernel.py``).
+them, and looking them up in a compact bucket index (a byte per bucket
+and an int32 per 64 buckets) rather than an int32 table, so a ring
+trial's scratch is about 13 bytes per server, loads included
+(``tests/kernels/test_ring_kernel.py``).
 The torus grid computes squared distances in cKDTree's periodic
 arithmetic, so it finds the server cKDTree finds, and the 2-D torus
 ``ring_trials`` builds from a generator is the one
@@ -442,18 +444,20 @@ void repro_ring_assign_par(const double *pts, int64_t q,
  * sentinel; table (nbuckets + 1 entries, zeroed by the caller) becomes
  * table[b] = number of positions whose bucket floor(pos * nbuckets) is
  * below b — numpy's bincount + cumsum, as a branch-free count then a
- * prefix sum.  Returns 0 when two positions are equal (the ring rejects
- * duplicates), else 1. */
+ * prefix sum whose running total stays in a register (summing in the
+ * table would wait on each store).  Returns 0 when two positions are
+ * equal (the ring rejects duplicates), else 1. */
 int64_t repro_ring_table(const double *pos_ext, int64_t n, int64_t nbuckets,
                          int32_t *table)
 {
     int64_t i, b, equal = 0;
+    int32_t total = 0;
     for (i = 0; i < n; i++) {
         table[(int64_t)(pos_ext[i] * (double)nbuckets) + 1] += 1;
         equal |= i > 0 && pos_ext[i] == pos_ext[i - 1];
     }
     for (b = 1; b <= nbuckets; b++)
-        table[b] += table[b - 1];
+        table[b] = total += table[b];
     return !equal;
 }
 
@@ -587,6 +591,22 @@ void repro_pcg64_advance(uint64_t *s, uint64_t delta_hi, uint64_t delta_lo)
  * crowd a bucket this much only with negligible probability. */
 #define RING_MAX_BUCKET 64
 
+/* The compact bucket index in-kernel trials look rings up in: bucket b's
+ * first position (RingSpace's table[b]) is start[b >> RING_GROUP_BITS] +
+ * off[b], an int32 per group of RING_GROUP buckets and a byte per bucket.
+ * That is 1.06 bytes per bucket against the table's 4, so at 2^20
+ * buckets the index fits a 2 MB L2.  A group whose first RING_GROUP - 1
+ * buckets hold more than UINT8_MAX positions does not fit; uniform rings
+ * peak near 100.  Offsets are never negative, so the OR of a group's
+ * offsets passes a byte exactly when one of them does. */
+#define RING_GROUP_BITS 6
+#define RING_GROUP (1 << RING_GROUP_BITS)
+
+typedef struct {
+    int32_t *start; /* (nbuckets >> RING_GROUP_BITS) + 1 group starts */
+    uint8_t *off;   /* nbuckets + 1 offsets from the group's start */
+} ring_index;
+
 static inline uint64_t ring_bits(double x)
 {
     uint64_t b;
@@ -627,57 +647,74 @@ static void ring_insertion(double *pos, int64_t n)
  * The positions are g's next n doubles, drawn twice, RING_DRAW_CHUNK at
  * a time into x (at least min(n, RING_DRAW_CHUNK) doubles); pcg64_fill
  * yields one stream however it is cut.  A counting sort scatters them
- * into the power-of-two buckets: the first pass counts them into the
- * bucket table (table[b + 1] counts bucket b, and a prefix sum makes it
- * numpy's bincount + cumsum), a rewound copy of g draws them again, and
- * table[b] walks to the end of bucket b during the stable scatter, after
- * which the offsets shift back by one bucket.  Both passes are pipelined
- * like ring_assign: past L2 the table entry and the slot are misses, so
- * each is warmed ahead (a slot read early may be stale; it only aims the
+ * into the power-of-two buckets: the first pass counts them into cursor
+ * (nbuckets entries), a prefix sum turns each count into its bucket's
+ * first position — numpy's bincount + cumsum — and enters it into the
+ * index ix, a rewound copy of g draws them again, and cursor[b] walks
+ * through bucket b during the stable scatter.  Both passes are pipelined
+ * like ring_assign: past L2 the cursor and the slot are misses, so each
+ * is warmed ahead (a slot read early may be stale; it only aims the
  * prefetch).  Buckets are ordered, so ring_insertion sorts each in
  * place; distinct doubles have one sorted order, so pos_ext equals
  * np.sort's, with the +inf sentinel at n.  When measures is not NULL it
  * receives the arc lengths in region_measures' operation order (x may be
- * measures).  Returns 1, or 0 when two positions are equal or a bucket
- * holds more than RING_MAX_BUCKET of them; g has drawn the n positions
- * either way. */
+ * measures).  Returns 1, or 0 when two positions are equal, a bucket
+ * holds more than RING_MAX_BUCKET of them or a group's offsets pass a
+ * byte; g has drawn the n positions either way. */
 static int ring_build(pcg64 *g, int64_t n, int64_t nbuckets, double *x,
-                      double *pos_ext, int32_t *table, double *measures)
+                      double *pos_ext, int32_t *cursor, ring_index ix,
+                      double *measures)
 {
-    int64_t i, b, c, len;
+    int64_t i, b, b0, b1, c, len;
+    int32_t total = 0, base = 0, count, peak = 0;
+    uint32_t spread = 0;
     double nb = (double)nbuckets;
     pcg64 again = *g;
-    memset(table, 0, sizeof(int32_t) * (size_t)(nbuckets + 1));
+    memset(cursor, 0, sizeof(int32_t) * (size_t)nbuckets);
     for (c = 0; c < n; c += len) {
         len = n - c < RING_DRAW_CHUNK ? n - c : RING_DRAW_CHUNK;
         pcg64_fill(g, len, x);
         for (i = 0; i < len; i++) {
             if (i + PLACE_LOOKAHEAD < len)
-                PREFETCH_RW(
-                    &table[(int64_t)(x[i + PLACE_LOOKAHEAD] * nb) + 1]);
-            table[(int64_t)(x[i] * nb) + 1] += 1;
+                PREFETCH_RW(&cursor[(int64_t)(x[i + PLACE_LOOKAHEAD] * nb)]);
+            cursor[(int64_t)(x[i] * nb)] += 1;
         }
     }
-    for (b = 1; b <= nbuckets; b++) {
-        if (table[b] > RING_MAX_BUCKET)
-            return 0;
-        table[b] += table[b - 1];
+    /* the prefix sum, group by group; its running total stays in a
+     * register, where summing in the array would wait on each store */
+    for (b0 = 0; b0 < nbuckets; b0 += RING_GROUP) {
+        b1 = b0 + RING_GROUP < nbuckets ? b0 + RING_GROUP : nbuckets;
+        ix.start[b0 >> RING_GROUP_BITS] = base = total;
+        for (b = b0; b < b1; b++) {
+            count = cursor[b];
+            peak = count > peak ? count : peak;
+            ix.off[b] = (uint8_t)(total - base);
+            spread |= (uint32_t)(total - base);
+            cursor[b] = total;
+            total += count;
+        }
     }
+    /* bucket nbuckets, where a partitioned candidate rounded up to 1
+     * looks: position n */
+    if (nbuckets % RING_GROUP == 0)
+        ix.start[nbuckets >> RING_GROUP_BITS] = base = total;
+    ix.off[nbuckets] = (uint8_t)(total - base);
+    spread |= (uint32_t)(total - base);
+    if (peak > RING_MAX_BUCKET || spread > UINT8_MAX)
+        return 0;
     for (c = 0; c < n; c += len) {
         len = n - c < RING_DRAW_CHUNK ? n - c : RING_DRAW_CHUNK;
         pcg64_fill(&again, len, x);
         for (i = 0; i < len; i++) {
             if (i + 2 * PLACE_LOOKAHEAD < len)
                 PREFETCH_RW(
-                    &table[(int64_t)(x[i + 2 * PLACE_LOOKAHEAD] * nb)]);
+                    &cursor[(int64_t)(x[i + 2 * PLACE_LOOKAHEAD] * nb)]);
             if (i + PLACE_LOOKAHEAD < len)
                 PREFETCH_RW(
-                    &pos_ext[table[(int64_t)(x[i + PLACE_LOOKAHEAD] * nb)]]);
-            pos_ext[table[(int64_t)(x[i] * nb)]++] = x[i];
+                    &pos_ext[cursor[(int64_t)(x[i + PLACE_LOOKAHEAD] * nb)]]);
+            pos_ext[cursor[(int64_t)(x[i] * nb)]++] = x[i];
         }
     }
-    memmove(table + 1, table, sizeof(int32_t) * (size_t)nbuckets);
-    table[0] = 0;
     ring_insertion(pos_ext, n);
     for (i = 1; i < n; i++)
         if (pos_ext[i] == pos_ext[i - 1])
@@ -692,16 +729,42 @@ static int ring_build(pcg64 *g, int64_t n, int64_t nbuckets, double *x,
 }
 
 /* The build alone, on state words s (updated past the n draws): fills
- * pos_ext (n + 1), table (nbuckets + 1) and measures (n).  Returns
- * ring_build's answer.  Only the tests call it. */
+ * pos_ext (n + 1), the index's start ((nbuckets >> RING_GROUP_BITS) + 1)
+ * and off (nbuckets + 1), measures (n) and table (nbuckets + 1): first
+ * the build's cursors, then RingSpace's table read back from the index.
+ * Returns ring_build's answer.  Only the tests call it. */
 int64_t repro_ring_build(uint64_t *s, int64_t n, int64_t nbuckets,
-                         double *pos_ext, int32_t *table, double *measures)
+                         double *pos_ext, int32_t *table, int32_t *start,
+                         uint8_t *off, double *measures)
 {
     pcg64 g = pcg64_load(s);
-    int built = ring_build(&g, n, nbuckets, measures, pos_ext, table,
+    ring_index ix = {start, off};
+    int64_t b;
+    int built = ring_build(&g, n, nbuckets, measures, pos_ext, table, ix,
                            measures);
+    for (b = 0; b <= nbuckets; b++)
+        table[b] = start[b >> RING_GROUP_BITS] + off[b];
     pcg64_store(&g, s);
     return built;
+}
+
+/* Enter a prebuilt ring's int32 bucket table into ix.  Returns 1, or 0
+ * when a group's offsets pass a byte. */
+static int ring_compact(const int32_t *table, int64_t nbuckets,
+                        ring_index ix)
+{
+    int64_t b, b0, b1;
+    int32_t base;
+    uint32_t spread = 0;
+    for (b0 = 0; b0 <= nbuckets; b0 += RING_GROUP) {
+        b1 = b0 + RING_GROUP <= nbuckets ? b0 + RING_GROUP : nbuckets + 1;
+        ix.start[b0 >> RING_GROUP_BITS] = base = table[b0];
+        for (b = b0; b < b1; b++) {
+            ix.off[b] = (uint8_t)(table[b] - base);
+            spread |= (uint32_t)(table[b] - base);
+        }
+    }
+    return spread <= UINT8_MAX;
 }
 
 #endif /* __SIZEOF_INT128__ */
@@ -756,31 +819,38 @@ static inline double torus_d2(double qx, double qy, const double *p,
     return r;
 }
 
-/* Scan sorted points j0 .. j1 - 1 for one nearer than the point at sorted
- * position *bj (squared distance *best), or as near with a lower index.
- * Squared distances are never negative or NaN, so their bit patterns
- * order like their values, and integer masks keep the common update
- * branch-free (a compare-and-branch mispredicts about half the time);
- * exact ties are rare enough for a branch. */
+/* Take sorted point j when it is nearer than the point at sorted position
+ * *bj (squared distance *best), or as near with a lower index.  Squared
+ * distances are never negative or NaN, so their bit patterns order like
+ * their values, and integer masks keep the common update branch-free (a
+ * compare-and-branch mispredicts about half the time); exact ties are
+ * rare enough for a branch. */
+static inline void torus_visit(const torus_index *g, int64_t j, double qx,
+                               double qy, int wrap, uint64_t *best,
+                               int64_t *bj)
+{
+    double r = torus_d2(qx, qy, g->xy + 2 * j, wrap);
+    uint64_t rb, keep;
+    memcpy(&rb, &r, sizeof rb);
+    if (rb == *best) {
+        if (g->ids[j] < g->ids[*bj])
+            *bj = j;
+        return;
+    }
+    keep = (uint64_t)(rb < *best) - 1;
+    *best = (*best & keep) | (rb & ~keep);
+    *bj = (int64_t)(((uint64_t)*bj & keep) | ((uint64_t)j & ~keep));
+}
+
+/* Visit sorted points j0 .. j1 - 1. */
 static inline void torus_scan(const torus_index *g, int64_t j0, int64_t j1,
                               double qx, double qy, int wrap,
                               uint64_t *best, int64_t *bj)
 {
     uint64_t b = *best;
     int64_t k = *bj, j;
-    for (j = j0; j < j1; j++) {
-        double r = torus_d2(qx, qy, g->xy + 2 * j, wrap);
-        uint64_t rb, keep;
-        memcpy(&rb, &r, sizeof rb);
-        if (rb == b) {
-            if (g->ids[j] < g->ids[k])
-                k = j;
-            continue;
-        }
-        keep = (uint64_t)(rb < b) - 1;
-        b = (b & keep) | (rb & ~keep);
-        k = (int64_t)(((uint64_t)k & keep) | ((uint64_t)j & ~keep));
-    }
+    for (j = j0; j < j1; j++)
+        torus_visit(g, j, qx, qy, wrap, &b, &k);
     *best = b;
     *bj = k;
 }
@@ -823,7 +893,9 @@ static inline uint64_t torus_bound(int64_t r, int64_t side)
  * exact ties: the 3 x 3 block of cells around the query as three row
  * runs, then ring after ring until the bound rules out every cell left.
  * A block clear of the seam on a grid of side >= 8 spans under 0.5 on
- * both axes, so its distances need no wrap. */
+ * both axes, so its distances need no wrap, and its runs are visited in
+ * one loop, whose exit mispredicts once rather than three times: step k
+ * jumps the gaps before runs 1 and 2 once it has passed runs 0 and 1. */
 static int64_t torus_nearest(const torus_index *g, int64_t side, double qx,
                              double qy)
 {
@@ -838,10 +910,18 @@ static int64_t torus_nearest(const torus_index *g, int64_t side, double qx,
     cx = (int64_t)(qx * (double)side);
     cy = (int64_t)(qy * (double)side);
     if (side >= 8 && cx >= 1 && cx <= side - 2 && cy >= 1 && cy <= side - 2) {
-        for (y = cy - 1; y <= cy + 1; y++) {
-            const int32_t *row = g->start + y * side;
-            torus_scan(g, row[cx - 1], row[cx + 2], qx, qy, 0, &best, &bj);
-        }
+        const int32_t *run = g->start + (cy - 1) * side + cx - 1;
+        int64_t j0 = run[0], gap1 = run[side] - run[3];
+        int64_t gap2 = run[2 * side] - run[side + 3];
+        int64_t end0 = run[3] - j0, end1 = end0 + run[side + 3] - run[side];
+        int64_t k, count = end1 + run[2 * side + 3] - run[2 * side];
+        uint64_t b = best;
+        int64_t bk = bj;
+        for (k = 0; k < count; k++)
+            torus_visit(g, j0 + k + (k >= end0) * gap1 + (k >= end1) * gap2,
+                        qx, qy, 0, &b, &bk);
+        best = b;
+        bj = bk;
     } else {
         for (y = cy - 1; y <= cy + 1; y++)
             torus_run(g, side, y, cx - 1, cx + 1, qx, qy, &best, &bj);
@@ -887,12 +967,13 @@ int64_t repro_torus_grid(const double *pts, int64_t n, int64_t side,
 {
     int64_t i, j, c, x, y, cells = side * side;
     int64_t b = side < TORUS_BLOCK ? side : TORUS_BLOCK;
+    int32_t total = 0; /* the prefix sum's, kept in a register */
     for (i = 0; i < n; i++)
         start[torus_cell(pts + 2 * i, side) + 1] += 1;
     for (c = 0; c < cells; c++) {
         if (start[c + 1] > TORUS_MAX_CELL)
             return -1;
-        start[c + 1] += start[c];
+        start[c + 1] = total += start[c + 1];
     }
     for (y = 0; y < side; y += b)
         for (x = 0; x < side; x += b) {
@@ -945,33 +1026,36 @@ typedef struct {
     int64_t *maxima;               /* (t) max loads, or NULL */
     int64_t k0, k1, n, m, d, nbuckets, rng_block, partitioned, strategy;
     int64_t torus;  /* 1: 2-D tori on grids of side nbuckets, not rings */
-    int64_t status; /* 0, 1: a space was not built, -1: no scratch */
+    int64_t status; /* 0, 1: space not built or compacted, -1: no memory */
 } ring_trials_job;
 
-/* What a trial places into: a ring (bucket table, sorted positions plus
+/* What a trial places into: a ring (bucket index, sorted positions plus
  * the +inf sentinel) or a torus grid, and the measures or NULL. */
 typedef struct {
-    const int32_t *table;
+    ring_index ring;
     const double *pos;
     torus_index grid;
     const double *measures;
 } trial_space;
 
 /* Owners of the q ring positions x into bins, in three passes — bucket
- * table, probe start, probe — each warming the lines the next reads;
- * the last warms the owners' loads for placement. */
+ * offset, probe start, probe — each warming the lines the next reads;
+ * the last warms the owners' loads for placement.  The group starts are
+ * a 64th of the offsets' entries and stay cached. */
 static void ring_lookup(const ring_trials_job *job, const trial_space *sp,
                         const double *x, int64_t q, int64_t *bins,
                         int32_t *loads)
 {
-    const int32_t *table = sp->table;
+    const int32_t *start = sp->ring.start;
+    const uint8_t *off = sp->ring.off;
     const double *pos = sp->pos;
-    int64_t i, n = job->n;
+    int64_t i, b, n = job->n;
     double nb = (double)job->nbuckets;
     for (i = 0; i < q; i++)
-        PREFETCH_RO(&table[(int64_t)(x[i] * nb)]);
+        PREFETCH_RO(&off[(int64_t)(x[i] * nb)]);
     for (i = 0; i < q; i++) {
-        bins[i] = table[(int64_t)(x[i] * nb)];
+        b = (int64_t)(x[i] * nb);
+        bins[i] = start[b >> RING_GROUP_BITS] + off[b];
         PREFETCH_RO(&pos[bins[i]]);
     }
     for (i = 0; i < q; i++) {
@@ -1083,51 +1167,62 @@ static int64_t max_load(const int32_t *loads, int64_t n)
 /* A worker's trials.  Each places into one n-entry int32 load scratch
  * the worker zeroes before every trial; its maximum goes to maxima and,
  * when the caller keeps loads, it is widened into the trial's int64 row.
+ * A ring trial looks its candidates up in the worker's bucket index:
+ * given tables, each trial's is compacted into it (ring_compact).
  * Without tables each trial first builds its space from its own
  * generator in scratch the worker reuses: a ring (ring_build, drawing
- * through x before the trial's stages need it; the smaller/larger
- * strategies, codes 2 and 3, also get its arc lengths) or a torus grid
- * (torus_build; raw holds the points, pos_ext their grid order and table
- * the cell offsets).  A torus's raw is dead once it is gridded, so it is
- * the load scratch; rings keep theirs in a buffer of its own.  A space
- * that is not built stops the worker (status 1). */
+ * through x and counting in the load scratch, both before the trial's
+ * stages need them; the smaller/larger strategies, codes 2 and 3, also
+ * get its arc lengths) or a torus grid (torus_build; raw holds the
+ * points, pos_ext their grid order and cells the cell offsets).  A
+ * torus's raw is dead once it is gridded, so it is the load scratch;
+ * rings keep theirs in a buffer of its own, of max(n, nbuckets) entries
+ * for the build's cursors.  A space that is not built or a table that
+ * does not compact stops the worker (status 1). */
 static void *ring_trials_worker(void *arg)
 {
     ring_trials_job *job = (ring_trials_job *)arg;
     int64_t n = job->n, nb = job->nbuckets, k, i;
-    int64_t dim = job->torus ? 2 : 1, cells = job->torus ? nb * nb : nb;
-    int build = job->tables == 0;
-    int needs_arcs = build && !job->torus && job->strategy >= 2;
+    int64_t dim = job->torus ? 2 : 1;
+    int build = job->tables == 0, ring = !job->torus;
+    int needs_arcs = build && ring && job->strategy >= 2;
     int64_t xlen = RING_STAGE * job->d * dim; /* x also takes ring draws */
+    int64_t own_len = build && nb > n ? nb : n;
     double *x = malloc(sizeof(double) *
                        (xlen > RING_DRAW_CHUNK ? xlen : RING_DRAW_CHUNK));
     int64_t *bins = malloc(sizeof(int64_t) * RING_STAGE * job->d);
     /* zeroed: strategies that ignore tie-breaks never draw them */
     double *us = calloc(RING_STAGE, sizeof(double));
-    double *raw = job->torus ? ring_scratch(sizeof(double) * n * dim) : 0;
+    double *raw = ring ? 0 : ring_scratch(sizeof(double) * n * dim);
     double *pos_ext =
         build ? ring_scratch(sizeof(double) * (n * dim + 1)) : 0;
-    int32_t *table = build ? ring_scratch(sizeof(int32_t) * (cells + 1)) : 0;
-    int32_t *ids = job->torus ? ring_scratch(sizeof(int32_t) * n) : 0;
+    int32_t *cells =
+        ring ? 0 : ring_scratch(sizeof(int32_t) * (nb * nb + 1));
+    int32_t *ids = ring ? 0 : ring_scratch(sizeof(int32_t) * n);
     double *arcs = needs_arcs ? ring_scratch(sizeof(double) * n) : 0;
-    int32_t *own = job->torus ? 0 : ring_scratch(sizeof(int32_t) * n);
-    int32_t *scratch = job->torus ? (int32_t *)raw : own;
-    trial_space sp = {table, pos_ext, {table, pos_ext, ids}, arcs};
-    if (!x || !bins || !us || !scratch || (build && (!pos_ext || !table)) ||
-        (job->torus && !ids) || (needs_arcs && !arcs)) {
+    int32_t *own = ring ? ring_scratch(sizeof(int32_t) * own_len) : 0;
+    ring_index ix = {
+        ring ? ring_scratch(sizeof(int32_t) * ((nb >> RING_GROUP_BITS) + 1))
+             : 0,
+        ring ? ring_scratch((size_t)nb + 1) : 0};
+    int32_t *scratch = ring ? own : (int32_t *)raw;
+    trial_space sp = {ix, pos_ext, {cells, pos_ext, ids}, arcs};
+    if (!x || !bins || !us || !scratch || (build && !pos_ext) ||
+        (ring && (!ix.start || !ix.off)) || (!ring && (!cells || !ids)) ||
+        (needs_arcs && !arcs)) {
         job->status = -1;
     } else {
         for (k = job->k0; k < job->k1; k++) {
             pcg64 g = pcg64_load(job->states + 4 * k);
-            int built = 1;
+            int built;
             if (!build) {
-                sp.table = job->tables[k];
+                built = ring_compact(job->tables[k], nb, ix);
                 sp.pos = job->pos_ext[k];
                 sp.measures = job->measures ? job->measures[k] : 0;
-            } else if (job->torus) {
-                built = torus_build(&g, n, nb, raw, table, pos_ext, ids);
+            } else if (ring) {
+                built = ring_build(&g, n, nb, x, pos_ext, own, ix, arcs);
             } else {
-                built = ring_build(&g, n, nb, x, pos_ext, table, arcs);
+                built = torus_build(&g, n, nb, raw, cells, pos_ext, ids);
             }
             if (!built) {
                 job->status = 1;
@@ -1150,8 +1245,10 @@ static void *ring_trials_worker(void *arg)
     free(arcs);
     free(raw);
     free(pos_ext);
-    free(table);
+    free(cells);
     free(ids);
+    free(ix.start);
+    free(ix.off);
     return 0;
 }
 
@@ -1165,8 +1262,9 @@ static void *ring_trials_worker(void *arg)
  * must be below 2^31.  Trial k's loads are widened into row k of loads
  * unless loads is NULL (tables must then be NULL); maxima, unless NULL,
  * gets each trial's max load.  Returns 0, 1 when some space was not
- * built (the state words are then partly advanced and must be
- * discarded), or -1 when scratch memory could not be allocated. */
+ * built or some given table does not fit the bucket index (the state
+ * words are then partly advanced and must be discarded), or -1 when
+ * scratch memory could not be allocated. */
 int64_t repro_ring_trials(uint64_t *states, const int32_t *const *tables,
                           const double *const *pos_ext,
                           const double *const *measures, int64_t t,
@@ -1223,7 +1321,7 @@ _SIGNATURES = {
     "repro_torus_assign": ([_PTR, _I64, _PTR, _PTR, _PTR, _I64, _PTR], None),
     "repro_torus_grid": ([_PTR, _I64, _I64, _PTR, _PTR, _PTR], _I64),
     "repro_pcg64_fill": ([_PTR, _I64, _PTR], None),
-    "repro_ring_build": ([_PTR, _I64, _I64, _PTR, _PTR, _PTR], _I64),
+    "repro_ring_build": ([_PTR, _I64, _I64] + [_PTR] * 5, _I64),
     "repro_pcg64_advance": ([_PTR, _U64, _U64], None),
 }
 
@@ -1460,14 +1558,18 @@ def build_backend():
         ``loads[k]`` is widened from it; with ``tables=None`` ``loads``
         may also be ``None``: ``n`` then gives the servers per trial.
         ``maxima``, unless ``None``, a C-contiguous int64 array of shape
-        ``(T,)``, receives each trial's maximum load.  The int32 scratch
-        (and a ring's int32 bucket table) needs ``n`` and ``m`` below
+        ``(T,)``, receives each trial's maximum load.  A ring's
+        candidates are looked up in a compact copy of its bucket table:
+        an int32 start per 64 buckets and a byte offset per bucket.  The
+        int32 scratch (and those starts) needs ``n`` and ``m`` below
         2³¹; larger trials raise :class:`ValueError`.  Only
         ``state.state`` is written back to each generator.  Trials are
         split statically across ``threads`` OS threads.  Returns
-        ``False``, writing no state back, when some drawn ring repeats
-        a position or crowds one bucket, or some drawn torus repeats a
-        point or is too unevenly spread for a grid; else ``True``.
+        ``False``, writing no state back, when some ring, drawn or given,
+        crowds one group of 64 buckets past byte offsets, some drawn ring
+        repeats a position or crowds one bucket, or some drawn torus
+        repeats a point or is too unevenly spread for a grid; else
+        ``True``.
         """
         t = len(bit_generators)
         if loads is None:

@@ -5,7 +5,7 @@ strategy); each trial re-draws both the server placement and the item
 choices.  Seeds are spawned per trial from a master
 :class:`~numpy.random.SeedSequence`, so results do not depend on how
 trials are grouped or whether other cells run before or after
-(DESIGN.md decision 3).
+(``docs/architecture.md#experiment-flow``).
 
 Trials of one cell are statistically independent, so :func:`run_cell`
 and :func:`run_cell_profile` run them all through the trial-fused

@@ -5,7 +5,8 @@ that may be ``None``, an integer, a :class:`numpy.random.SeedSequence`, or
 an already-constructed :class:`numpy.random.Generator`.  This module
 normalizes those inputs and provides deterministic *spawning* so that a
 multi-trial experiment run serially or across a process pool produces
-bit-identical results for a given master seed (DESIGN.md, decision 3).
+bit-identical results for a given master seed
+(``docs/architecture.md#experiment-flow``).
 """
 
 from __future__ import annotations
@@ -83,8 +84,8 @@ def interleave_uniforms(
     (candidate locations in [0, 1), consumed row by row in arrival order)
     and ``tiebreaks`` has shape ``(m,)`` (one uniform per ball used to
     resolve ties).  Pre-drawing in a fixed layout is what makes the
-    fused engine bit-identical to the sequential reference
-    (DESIGN.md, decision 1).
+    fused engine bit-identical to the sequential reference: both read
+    one stream in the same order.
     """
     points = rng.random((m, d))
     tiebreaks = rng.random(m)

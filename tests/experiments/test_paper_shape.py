@@ -1,8 +1,8 @@
 """Shape tests: our simulation must reproduce the paper's findings.
 
-These are the DESIGN.md "paper-shape criteria" run at the paper's
-smallest table size (n = 2^8, where 100+ trials take well under a
-second) plus cross-checks of the transcribed reference data itself.
+These are the paper-shape criteria (``docs/paper_map.md``) run at the
+paper's smallest table size (n = 2^8, where 100+ trials take well under
+a second) plus cross-checks of the transcribed reference data itself.
 Comparisons use Wilson-interval compatibility because our trial counts
 differ from the paper's 1000.
 """

@@ -239,12 +239,18 @@ BUILD_SIZES = (1, 2, 3, 1023, 1024, 3000)
 DRAW_CHUNK = int(re.search(r"#define RING_DRAW_CHUNK (\d+)", C_SOURCE)[1])
 #: sizes whose stream ends just before, on and just after a chunk boundary
 CHUNK_SIZES = (DRAW_CHUNK - 1, DRAW_CHUNK, DRAW_CHUNK + 1, 3 * DRAW_CHUNK + 5)
+#: buckets per group of the trials' compact index, which keeps one int32
+#: start per group and one byte offset per bucket
+GROUP = 1 << int(re.search(r"#define RING_GROUP_BITS (\d+)", C_SOURCE)[1])
 
 
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("n", BUILD_SIZES + (1 << 16,) + CHUNK_SIZES)
 def test_ring_build_matches_ring_space(n, seed):
-    """Positions, bucket table, arc lengths and the state after n draws."""
+    """Positions, bucket table, arc lengths and the state after n draws,
+    and the compact index the trials look the ring up in: each group of
+    buckets starts at its first bucket's table entry, and each bucket's
+    offset is its table entry past that start."""
     bit_generator = np.random.PCG64(1000 * seed + n)
     words = _words(bit_generator)
     with numpy_reference():
@@ -252,14 +258,20 @@ def test_ring_build_matches_ring_space(n, seed):
         nbuckets, table, pos_ext = ref._bucket_table()
     got_ext = np.empty(n + 1)
     got_table = np.empty(nbuckets + 1, dtype=np.int32)
+    got_start = np.empty(nbuckets // GROUP + 1, dtype=np.int32)
+    got_off = np.empty(nbuckets + 1, dtype=np.uint8)
     got_measures = np.empty(n)
     built = _lib().repro_ring_build(
         words.ctypes.data, n, nbuckets, got_ext.ctypes.data,
-        got_table.ctypes.data, got_measures.ctypes.data,
+        got_table.ctypes.data, got_start.ctypes.data, got_off.ctypes.data,
+        got_measures.ctypes.data,
     )
     assert built == 1
     np.testing.assert_array_equal(got_ext, pos_ext)
     np.testing.assert_array_equal(got_table, table)
+    np.testing.assert_array_equal(got_start, table[::GROUP])
+    group_start = table[np.arange(nbuckets + 1) // GROUP * GROUP]
+    np.testing.assert_array_equal(got_off, table - group_start)
     np.testing.assert_array_equal(got_measures, ref.region_measures())
     assert _state(words) == bit_generator.state["state"]["state"]
 
@@ -524,11 +536,13 @@ print((status_kb("VmHWM") - before) * 1024 / n)
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads Linux's VmHWM")
-def test_ring_trial_scratch_stays_under_18_bytes_per_server():
+def test_ring_trial_scratch_stays_under_14_bytes_per_server():
     """A kernel-built ring trial holds its sorted positions (8 bytes per
-    server), its bucket table (4) and its int32 loads (4): 16 bytes per
-    server.  An n-entry draw buffer or int64 loads would make it 20.  One
-    trial runs on one worker, whatever REPRO_NUM_THREADS says."""
+    server), its int32 loads, which first hold the build's bucket cursors
+    (4), and its compact bucket index (a byte per bucket and an int32 per
+    64 buckets): 13.06 bytes per server at n = 2²².  An int32 bucket
+    table would make it 16, an n-entry draw buffer or int64 loads 20.
+    One trial runs on one worker, whatever REPRO_NUM_THREADS says."""
     n = 1 << 22
     env = dict(os.environ)
     env.pop("REPRO_KERNEL_BACKEND", None)  # it would outrank backend="cext"
@@ -544,7 +558,7 @@ def test_ring_trial_scratch_stays_under_18_bytes_per_server():
         pytest.skip("/proc/self/clear_refs is not writable")
     assert out.returncode == 0, out.stderr
     per_server = float(out.stdout)
-    assert per_server < 18, f"{per_server:.2f} bytes per server"
+    assert per_server < 14, f"{per_server:.2f} bytes per server"
 
 
 @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.PCG64DXSM])
@@ -631,6 +645,67 @@ def test_pcg64_rings_take_the_kernel():
     assert not _ring_kernel_applies(
         spaces, 64, [np.random.default_rng(1)], get_backend("numpy")
     )
+
+
+def _clustered_ring(crowd, n=1024):
+    """An n-server ring (n buckets) with ``crowd`` positions spread evenly
+    over the first GROUP - 1 buckets of its second group, at most a few
+    per bucket, and the rest spread evenly past that group: bucket
+    2·GROUP - 1 then starts ``crowd`` positions past its group's start."""
+    crowd_at = (GROUP + (np.arange(crowd) + 0.5) * (GROUP - 1) / crowd) / n
+    rest = np.linspace(2 * GROUP / n, 1.0, n - crowd, endpoint=False)
+    return RingSpace(np.concatenate([crowd_at, rest]))
+
+
+@pytest.mark.parametrize("strategy", [TieBreak.RANDOM, TieBreak.SMALLER],
+                         ids=lambda s: s.value)
+def test_clustered_ring_takes_the_pool_path(strategy):
+    """A prebuilt ring clustering more than 255 positions into one group's
+    first GROUP - 1 buckets does not fit the kernel's byte offsets, so
+    run_fused places its trials on the pool path; the last of three
+    trials is that ring, so the kernel's workers have run the others."""
+    spaces = [RingSpace.random(1024, seed=k) for k in range(2)]
+    spaces.append(_clustered_ring(300))
+    seeds = [81, 82, 83]
+    expected = _sequential(spaces, 1500, 2, strategy, seeds, False, 128)
+    _check_kernel(spaces, 1500, 2, strategy, seeds, False, 128, expected)
+
+
+@pytest.mark.parametrize("threads", THREADS)
+def test_group_offset_limit_sends_trials_to_the_pool_path(monkeypatch,
+                                                          threads):
+    """255 positions in a group's first GROUP - 1 buckets fit a byte
+    offset, 256 do not: the kernel takes the first ring and turns the
+    second away, writing no state back, and run_fused then places the
+    second on the pool path."""
+    pool = []
+    real = multitrial._run_fused_kernel
+
+    def run_fused_kernel(spaces, *args, **kwargs):
+        pool.append(spaces[0].n)
+        return real(spaces, *args, **kwargs)
+
+    monkeypatch.setattr(multitrial, "_run_fused_kernel", run_fused_kernel)
+    for crowd, fits in ((255, True), (256, False)):
+        space = _clustered_ring(crowd)
+        rng = np.random.default_rng(90)
+        before = rng.bit_generator.state
+        loads = np.zeros((1, space.n), dtype=np.int64)
+        assert _cext().ring_trials(
+            [rng.bit_generator], [space._bucket_table()], None, loads, None,
+            700, 2, 0, False, 128, threads,
+        ) is fits
+        assert (rng.bit_generator.state == before) is not fits
+
+        rng = np.random.default_rng(90)
+        got, _ = run_fused([space], 700, 2, TieBreak.RANDOM, [rng],
+                           rng_block=128, backend="cext", threads=threads)
+        assert pool == ([] if fits else [space.n])
+        ref = np.random.default_rng(90)
+        ref_loads, _ = run_sequential(space, 700, 2, TieBreak.RANDOM, ref,
+                                      rng_block=128)
+        np.testing.assert_array_equal(got[0], ref_loads)
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 @pytest.mark.parametrize("backend", ["cext", "numpy"])
