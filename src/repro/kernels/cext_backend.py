@@ -648,7 +648,7 @@ static void ring_insertion(double *pos, int64_t n)
  * a time into x (at least min(n, RING_DRAW_CHUNK) doubles); pcg64_fill
  * yields one stream however it is cut.  A counting sort scatters them
  * into the power-of-two buckets: the first pass counts them into cursor
- * (nbuckets entries), a prefix sum turns each count into its bucket's
+ * (nbuckets + 1 entries), a prefix sum turns each count into its bucket's
  * first position — numpy's bincount + cumsum — and enters it into the
  * index ix, a rewound copy of g draws them again, and cursor[b] walks
  * through bucket b during the stable scatter.  Both passes are pipelined
@@ -670,7 +670,7 @@ static int ring_build(pcg64 *g, int64_t n, int64_t nbuckets, double *x,
     uint32_t spread = 0;
     double nb = (double)nbuckets;
     pcg64 again = *g;
-    memset(cursor, 0, sizeof(int32_t) * (size_t)nbuckets);
+    memset(cursor, 0, sizeof(int32_t) * (size_t)(nbuckets + 1));
     for (c = 0; c < n; c += len) {
         len = n - c < RING_DRAW_CHUNK ? n - c : RING_DRAW_CHUNK;
         pcg64_fill(g, len, x);
@@ -680,10 +680,12 @@ static int ring_build(pcg64 *g, int64_t n, int64_t nbuckets, double *x,
             cursor[(int64_t)(x[i] * nb)] += 1;
         }
     }
-    /* the prefix sum, group by group; its running total stays in a
-     * register, where summing in the array would wait on each store */
-    for (b0 = 0; b0 < nbuckets; b0 += RING_GROUP) {
-        b1 = b0 + RING_GROUP < nbuckets ? b0 + RING_GROUP : nbuckets;
+    /* the prefix sum, group by group, through the empty bucket nbuckets
+     * (a partitioned candidate that rounds up to 1 looks there); its
+     * running total stays in a register, where summing in the array
+     * would wait on each store */
+    for (b0 = 0; b0 <= nbuckets; b0 += RING_GROUP) {
+        b1 = b0 + RING_GROUP <= nbuckets ? b0 + RING_GROUP : nbuckets + 1;
         ix.start[b0 >> RING_GROUP_BITS] = base = total;
         for (b = b0; b < b1; b++) {
             count = cursor[b];
@@ -694,12 +696,6 @@ static int ring_build(pcg64 *g, int64_t n, int64_t nbuckets, double *x,
             total += count;
         }
     }
-    /* bucket nbuckets, where a partitioned candidate rounded up to 1
-     * looks: position n */
-    if (nbuckets % RING_GROUP == 0)
-        ix.start[nbuckets >> RING_GROUP_BITS] = base = total;
-    ix.off[nbuckets] = (uint8_t)(total - base);
-    spread |= (uint32_t)(total - base);
     if (peak > RING_MAX_BUCKET || spread > UINT8_MAX)
         return 0;
     for (c = 0; c < n; c += len) {
@@ -1176,8 +1172,8 @@ static int64_t max_load(const int32_t *loads, int64_t n)
  * get its arc lengths) or a torus grid (torus_build; raw holds the
  * points, pos_ext their grid order and cells the cell offsets).  A
  * torus's raw is dead once it is gridded, so it is the load scratch;
- * rings keep theirs in a buffer of its own, of max(n, nbuckets) entries
- * for the build's cursors.  A space that is not built or a table that
+ * rings keep theirs in a buffer of its own, of max(n, nbuckets + 1)
+ * entries for the build's cursors.  A space that is not built or a table that
  * does not compact stops the worker (status 1). */
 static void *ring_trials_worker(void *arg)
 {
@@ -1187,7 +1183,7 @@ static void *ring_trials_worker(void *arg)
     int build = job->tables == 0, ring = !job->torus;
     int needs_arcs = build && ring && job->strategy >= 2;
     int64_t xlen = RING_STAGE * job->d * dim; /* x also takes ring draws */
-    int64_t own_len = build && nb > n ? nb : n;
+    int64_t own_len = build && nb >= n ? nb + 1 : n;
     double *x = malloc(sizeof(double) *
                        (xlen > RING_DRAW_CHUNK ? xlen : RING_DRAW_CHUNK));
     int64_t *bins = malloc(sizeof(int64_t) * RING_STAGE * job->d);
