@@ -596,9 +596,11 @@ void repro_pcg64_advance(uint64_t *s, uint64_t delta_hi, uint64_t delta_lo)
  * off[b], an int32 per group of RING_GROUP buckets and a byte per bucket.
  * That is 1.06 bytes per bucket against the table's 4, so at 2^20
  * buckets the index fits a 2 MB L2.  A group whose first RING_GROUP - 1
- * buckets hold more than UINT8_MAX positions does not fit; uniform rings
- * peak near 100.  Offsets are never negative, so the OR of a group's
- * offsets passes a byte exactly when one of them does. */
+ * buckets hold more than UINT8_MAX positions does not fit (a wrapped
+ * offset would start probes early: the limit bounds the probe, not its
+ * answer); uniform rings peak near 100.  Offsets are never negative, so
+ * the OR of a group's offsets passes a byte exactly when one of them
+ * does. */
 #define RING_GROUP_BITS 6
 #define RING_GROUP (1 << RING_GROUP_BITS)
 

@@ -695,7 +695,8 @@ def test_group_offset_limit_sends_trials_to_the_pool_path(monkeypatch,
             [rng.bit_generator], [space._bucket_table()], None, loads, None,
             700, 2, 0, False, 128, threads,
         ) is fits
-        assert (rng.bit_generator.state == before) is not fits
+        # the kernel writes state back only when it ran the trial
+        assert (rng.bit_generator.state != before) == fits
 
         rng = np.random.default_rng(90)
         got, _ = run_fused([space], 700, 2, TieBreak.RANDOM, [rng],
