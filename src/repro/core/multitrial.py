@@ -91,7 +91,7 @@ _FUSED_CHUNK_ELEMENTS = 1 << 23
 _FUSED_CHUNK_BINS = 1 << 24
 
 #: ``ring_trials`` places into int32 load scratch and indexes a ring by
-#: int32 bucket offsets: trials with this many servers or balls keep the
+#: int32 group starts: trials with this many servers or balls keep the
 #: reference and pool paths.
 _KERNEL_INT32_LIMIT = 1 << 31
 

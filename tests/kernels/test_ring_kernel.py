@@ -671,13 +671,11 @@ def test_clustered_ring_takes_the_pool_path(strategy):
     _check_kernel(spaces, 1500, 2, strategy, seeds, False, 128, expected)
 
 
-@pytest.mark.parametrize("threads", THREADS)
-def test_group_offset_limit_sends_trials_to_the_pool_path(monkeypatch,
-                                                          threads):
+def test_group_offset_limit_sends_trials_to_the_pool_path(monkeypatch):
     """255 positions in a group's first GROUP - 1 buckets fit a byte
     offset, 256 do not: the kernel takes the first ring and turns the
     second away, writing no state back, and run_fused then places the
-    second on the pool path."""
+    second on the pool path.  One trial runs on one worker."""
     pool = []
     real = multitrial._run_fused_kernel
 
@@ -693,14 +691,14 @@ def test_group_offset_limit_sends_trials_to_the_pool_path(monkeypatch,
         loads = np.zeros((1, space.n), dtype=np.int64)
         assert _cext().ring_trials(
             [rng.bit_generator], [space._bucket_table()], None, loads, None,
-            700, 2, 0, False, 128, threads,
+            700, 2, 0, False, 128, 1,
         ) is fits
         # the kernel writes state back only when it ran the trial
         assert (rng.bit_generator.state != before) == fits
 
         rng = np.random.default_rng(90)
         got, _ = run_fused([space], 700, 2, TieBreak.RANDOM, [rng],
-                           rng_block=128, backend="cext", threads=threads)
+                           rng_block=128, backend="cext")
         assert pool == ([] if fits else [space.n])
         ref = np.random.default_rng(90)
         ref_loads, _ = run_sequential(space, 700, 2, TieBreak.RANDOM, ref,
