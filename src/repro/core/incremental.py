@@ -13,11 +13,13 @@ shapes share:
 * the **cyclic-successor remap** under bin churn (consistent hashing's
   clockwise hand-off on the ring) and the merged region measures the
   ``smaller``/``larger`` tie-breaks read;
-* :meth:`apply_window` — the churn-free mixed insert/delete window
-  application the batched dynamic engine runs, dispatching between a
-  compiled kernel (``dynamic_window``), the mixed-event
-  conflict-free-prefix numpy path, and a scalar fast path for windows
-  below :data:`repro.kernels.SMALL_WINDOW_CUTOFF`;
+* :meth:`apply_window` — a churn-free window of inserts, deletes and
+  lookups applied in order, each op's result written as it is decided:
+  the batched dynamic engine's inner loop and one call per serving
+  block.  It dispatches between a compiled kernel
+  (``dynamic_window``), the mixed-event conflict-free-prefix numpy path,
+  and a scalar fast path for windows below
+  :data:`repro.kernels.SMALL_WINDOW_CUTOFF`;
 * NPZ :meth:`save` / :meth:`load` snapshots, so a long-lived server
   can checkpoint and resume mid-stream.
 
@@ -64,11 +66,13 @@ from repro.utils.validation import check_positive_int
 
 __all__ = ["IncrementalState", "mixed_conflict_prefix"]
 
-#: Event codes inside :meth:`IncrementalState.apply_window` windows —
+#: Op codes inside :meth:`IncrementalState.apply_window` windows —
 #: numerically identical to :class:`repro.dynamics.events.EventKind`
-#: (``INSERT``/``DELETE``) so trace arrays pass through unchanged.
+#: (``INSERT``/``DELETE``) so trace arrays pass through unchanged, and
+#: to the serving tier's ``OP_INSERT``/``OP_DELETE``/``OP_LOOKUP``.
 KIND_INSERT = 0
 KIND_DELETE = 1
+KIND_LOOKUP = 2
 
 #: Snapshot format version written by :meth:`IncrementalState.save`.
 _SNAPSHOT_FORMAT = 2
@@ -311,40 +315,43 @@ class IncrementalState:
         *,
         batch_size: int,
         backend: KernelBackend | None = None,
+        out: np.ndarray | None = None,
     ) -> None:
-        """Apply a churn-free window of insert/delete events in order.
+        """Apply a churn-free window of insert/delete/lookup ops in order.
 
         ``cands``/``us`` are indexed by ball id (a
-        :class:`~repro.core.engine.CandidateStream`'s arrays).  Three
-        dispatch tiers, all bit-identical:
+        :class:`~repro.core.engine.CandidateStream`'s arrays).  ``out``,
+        unless ``None``, is an int64 array indexed like ``kinds`` that
+        receives op ``i``'s result in ``out[i]`` the moment the op is
+        decided: an insert's chosen bin, ``-1`` for a delete, and for a
+        lookup the ball's bin at that point (``-1`` if unplaced).  A
+        later delete in the window therefore cannot hide an insert's
+        bin.  Three dispatch tiers, all bit-identical:
 
         * windows below :data:`repro.kernels.SMALL_WINDOW_CUTOFF`
-          events run the scalar reference directly — per-event
-          application beats both kernel dispatch and numpy batching at
-          that size (the serving tier's single-request fast path);
+          ops run the scalar reference directly — per-op application
+          beats both kernel dispatch and numpy batching at that size
+          (the serving tier's single-request fast path);
         * an accelerated ``backend`` runs the whole window through its
           compiled ``dynamic_window`` kernel (strictly in-order — the
           sequential semantics itself);
-        * otherwise the mixed-event conflict-free-prefix vectorization
-          decides provably order-independent prefixes in one shot.
+        * otherwise each run of lookups is one gather from the
+          ball→bin index, and each run of inserts and deletes is
+          decided in provably order-independent conflict-free prefixes
+          (runs at or below the cutoff step scalar).
         """
         rows = stop - start
         if rows <= 0:
             return
-        if rows > 0:
-            amax = int(args[start:stop].max())
-            if amax >= self.ball_bin.shape[0]:
-                self.reserve(amax + 1)
+        amax = int(args[start:stop].max())
+        if amax >= self.ball_bin.shape[0]:
+            self.reserve(amax + 1)
         _obs = obs_enabled()
         if rows <= SMALL_WINDOW_CUTOFF:
             if _obs:
                 counter_add("dynamics.scalar_steps", rows)
             for i in range(start, stop):
-                arg = int(args[i])
-                if kinds[i] == KIND_INSERT:
-                    self.insert(arg, cands[arg], float(us[arg]))
-                else:
-                    self.delete(arg)
+                self._step(kinds, args, i, cands, us, out)
             return
         if backend is not None and backend.dynamic_window is not None:
             if _obs:
@@ -363,9 +370,24 @@ class IncrementalState:
                 self.measures if self.needs_measures else None,
                 STRATEGY_CODES[self.strategy.value],
                 self.ball_bin,
+                out,
             )
             self.inserts_done += ins
             self.deletes_done += dels
+            return
+        looked = kinds[start:stop] == KIND_LOOKUP
+        if looked.any():
+            # lookups read the index between mutation runs; each run of
+            # inserts and deletes re-enters here free of lookups
+            edges = np.flatnonzero(np.diff(looked.view(np.int8))) + 1 + start
+            bounds = [start, *edges.tolist(), stop]
+            for ra, rb in zip(bounds[:-1], bounds[1:]):
+                if kinds[ra] != KIND_LOOKUP:
+                    self.apply_window(
+                        kinds, args, ra, rb, cands, us, batch_size=batch_size, out=out
+                    )
+                elif out is not None:
+                    out[ra:rb] = self.ball_bin[args[ra:rb]]
             return
         d = self.d
         i = start
@@ -399,24 +421,38 @@ class IncrementalState:
                 self.loads[chosen] += 1
                 self.ball_bin[ins_ids] = chosen
                 self.inserts_done += int(ins_ids.size)
+                if out is not None:
+                    out[i : i + prefix][p_ins] = chosen
             del_ids = aw[:prefix][~p_ins]
             if del_ids.size:
                 bins = self.ball_bin[del_ids]
                 np.subtract.at(self.loads, bins, 1)
                 self.ball_bin[del_ids] = -1
                 self.deletes_done += int(del_ids.size)
+                if out is not None:
+                    out[i : i + prefix][~p_ins] = -1
             i += prefix
             if prefix < b:
                 # the event at `i` reads a bin the prefix touched: its
                 # decision needs the updated loads, so step it scalar
                 if _obs:
                     counter_add("dynamics.scalar_steps")
-                arg = int(aw[prefix])
-                if is_insert[prefix]:
-                    self.insert(arg, cands[arg], float(us[arg]))
-                else:
-                    self.delete(arg)
+                self._step(kinds, args, i, cands, us, out)
                 i += 1
+
+    def _step(self, kinds, args, i: int, cands, us, out) -> None:
+        """Apply op ``i`` through the scalar reference; record its result."""
+        arg = int(args[i])
+        kind = kinds[i]
+        if kind == KIND_INSERT:
+            result = self.insert(arg, cands[arg], float(us[arg]))
+        elif kind == KIND_DELETE:
+            self.delete(arg)
+            result = -1
+        else:
+            result = self.lookup(arg)
+        if out is not None:
+            out[i] = result
 
     # ------------------------------------------------------------------
     # derived views

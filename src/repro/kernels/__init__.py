@@ -9,8 +9,10 @@ into *scalar kernels* that a compiled tier can run at memory speed:
     loop of :func:`repro.core.multitrial.run_fused`.  One compiled pass
     replaces the whole optimistic-chunk + scalar-repair dance.
 ``dynamic_window``
-    A churn-free window of mixed insert/delete events — the inner loop
-    of :func:`repro.dynamics.engine.run_batched_dynamic`.
+    A churn-free window of inserts, deletes and lookups, applied in
+    order, each op's result written as it is decided — the inner loop
+    of :func:`repro.dynamics.engine.run_batched_dynamic`, and one call
+    per :class:`repro.serve.PlacementServer` block.
 ``ring_assign``
     The bucket-table ring ownership lookup behind
     :meth:`repro.core.ring.RingSpace.assign`.
@@ -153,12 +155,15 @@ class KernelBackend:
         not ``None``.  ``measures`` is the full per-bin measure array
         (or ``None`` for strategies that ignore it).
     ``dynamic_window(kinds, args, start, stop, cands, us, d, remap,
-    loads, measures, strategy_code, ball_bin)``
-        Apply trace events ``start <= i < stop`` (inserts and deletes
-        only — churn is a barrier handled by the caller), mutating
-        ``loads`` and ``ball_bin`` in place; ``remap`` is the cyclic-
-        successor bin remap or ``None`` for the identity.  Returns the
-        ``(inserts, deletes)`` counts applied.
+    loads, measures, strategy_code, ball_bin, out=None)``
+        Apply ops ``start <= i < stop`` in order — inserts (kind 0),
+        deletes (1) and lookups (2); churn is a barrier handled by the
+        caller — mutating ``loads`` and ``ball_bin`` in place; ``remap``
+        is the cyclic-successor bin remap or ``None`` for the identity.
+        ``out``, unless ``None``, receives op ``i``'s result in
+        ``out[i]`` as the op is decided: the chosen bin, ``-1`` for a
+        delete, the ball's ``ball_bin`` entry for a lookup.  Returns
+        the ``(inserts, deletes)`` counts applied.
     ``ring_assign(pts, table, pos_ext, nbuckets, n, threads=1)``
         Bucket-table ring ownership lookup: for each point start at
         the cached lower bound of its bucket and probe forward, exactly

@@ -50,9 +50,10 @@ import numpy as np
 
 __all__ = ["build_backend", "load_library", "CFLAGS", "C_SOURCE"]
 
-#: The kernel library source.  ``kind == 0`` is an insert event
-#: (matches ``repro.dynamics.events.EventKind.INSERT``); anything else
-#: in a churn-free window is a delete.
+#: The kernel library source.  Inside a churn-free window ``kind == 0``
+#: is an insert, ``1`` a delete and ``2`` a lookup (the codes of
+#: ``repro.core.incremental``; ``EventKind.BIN_LEAVE`` is also 2, but
+#: churn events are barriers and never enter a window).
 C_SOURCE = r"""
 #if defined(__linux__)
 #define _GNU_SOURCE /* sched_getcpu, pthread_attr_setaffinity_np */
@@ -202,13 +203,16 @@ void repro_place_block(const int64_t *bins, const double *us, int64_t b,
     place_block_i64(bins, us, b, d, loads, measures, strategy, heights);
 }
 
-/* Kernel 2: churn-free window of mixed insert (kind 0) / delete events.
- * counts[0] += inserts applied, counts[1] += deletes applied. */
+/* Kernel 2: churn-free window of insert (kind 0), delete (kind 1) and
+ * lookup (kind 2) ops, in order.  out, unless NULL, receives op i's
+ * result in out[i]: the chosen bin, -1, or the ball's bin (-1 if
+ * unplaced).  counts[0] += inserts applied, counts[1] += deletes
+ * applied. */
 void repro_dynamic_window(const int8_t *kinds, const int64_t *args,
                           int64_t start, int64_t stop, const int64_t *cands,
                           const double *us, int64_t d, const int64_t *remap,
                           int64_t *loads, const double *measures,
-                          int64_t strategy, int64_t *ball_bin,
+                          int64_t strategy, int64_t *ball_bin, int64_t *out,
                           int64_t *counts)
 {
     int64_t i, ins = 0, dels = 0;
@@ -218,21 +222,26 @@ void repro_dynamic_window(const int8_t *kinds, const int64_t *args,
             PREFETCH_RW(&cands[fb * d]);
             PREFETCH_RW(&ball_bin[fb]);
         }
-        int64_t ball = args[i];
+        int64_t ball = args[i], result;
         if (kinds[i] == 0) {
             const int64_t *cand = cands + ball * d;
-            int64_t chosen = bin_of(
+            result = bin_of(
                 cand, remap,
                 decide_i64(loads, cand, remap, d, measures, us[ball],
                            strategy));
-            loads[chosen] += 1;
-            ball_bin[ball] = chosen;
+            loads[result] += 1;
+            ball_bin[ball] = result;
             ins++;
-        } else {
+        } else if (kinds[i] == 1) {
             loads[ball_bin[ball]] -= 1;
             ball_bin[ball] = -1;
+            result = -1;
             dels++;
+        } else {
+            result = ball_bin[ball];
         }
+        if (out)
+            out[i] = result;
     }
     counts[0] += ins;
     counts[1] += dels;
@@ -1304,7 +1313,7 @@ _SIGNATURES = {
     "repro_place_block": ([_PTR, _PTR, _I64, _I64, _PTR, _PTR, _I64, _PTR], None),
     "repro_dynamic_window": (
         [_PTR, _PTR, _I64, _I64, _PTR, _PTR, _I64, _PTR, _PTR, _PTR, _I64,
-         _PTR, _PTR],
+         _PTR, _PTR, _PTR],
         None,
     ),
     "repro_ring_assign": ([_PTR, _I64, _PTR, _PTR, _I64, _I64, _PTR], None),
@@ -1478,9 +1487,9 @@ def build_backend():
 
     def dynamic_window(
         kinds, args, start, stop, cands, us, d, remap, loads, measures,
-        strategy_code, ball_bin,
+        strategy_code, ball_bin, out=None,
     ):
-        """C kernel for a churn-free insert/delete event window."""
+        """C kernel for a churn-free insert/delete/lookup op window."""
         kinds = _as_c(kinds, np.int8)
         args = _as_c(args, np.int64)
         cands = _as_c(cands, np.int64)
@@ -1489,11 +1498,13 @@ def build_backend():
         measures = None if measures is None else _as_c(measures, np.float64)
         _check_inplace(loads, np.int64, "loads")
         _check_inplace(ball_bin, np.int64, "ball_bin")
+        if out is not None:
+            _check_inplace(out, np.int64, "out")
         counts = np.zeros(2, dtype=np.int64)
         lib.repro_dynamic_window(
             _p(kinds), _p(args), int(start), int(stop), _p(cands), _p(us),
             int(d), _p(remap), _p(loads), _p(measures), int(strategy_code),
-            _p(ball_bin), _p(counts),
+            _p(ball_bin), _p(out), _p(counts),
         )
         return int(counts[0]), int(counts[1])
 

@@ -8,10 +8,10 @@ giving up the batch engines' speed:
 :mod:`repro.serve.server`
     :class:`PlacementServer` — live
     :class:`~repro.core.incremental.IncrementalState` behind a request
-    pipeline: ``submit()`` micro-batches adjacent insert/lookup/delete
-    ops into kernel-sized blocks (compiled ``dynamic_window`` kernels
-    for large runs, the scalar reference below
-    :data:`repro.kernels.SMALL_WINDOW_CUTOFF`), ``enqueue()``/
+    pipeline: ``submit()`` micro-batches insert/lookup/delete ops into
+    blocks of at most ``max_batch``, each one ``apply_window`` call
+    (the compiled ``dynamic_window`` kernel, or the scalar reference
+    below :data:`repro.kernels.SMALL_WINDOW_CUTOFF`), ``enqueue()``/
     ``flush()`` add bounded-queue backpressure, and ``save()``/
     ``load()`` checkpoint the whole server to NPZ mid-stream.
 :mod:`repro.serve.replay`

@@ -17,15 +17,15 @@ unchanged).  Two submission shapes:
   the queued ops' results in order.
 
 Either way the ops are micro-batched into blocks of at most
-``max_batch`` and applied through
-:meth:`repro.core.incremental.IncrementalState.apply_window` — the
-compiled ``dynamic_window`` kernel for large mutation runs, the scalar
-reference below :data:`repro.kernels.SMALL_WINDOW_CUTOFF`.  Lookups
-between mutations are answered by one vectorized gather from the
-ball→bin index.  Batching is a *latency/throughput* knob only: any
-partition of the same op sequence produces bit-identical placements,
-because every tier applies events strictly in order with the same
-decision kernels.
+``max_batch``, and each block is one
+:meth:`repro.core.incremental.IncrementalState.apply_window` call —
+the compiled ``dynamic_window`` kernel, the scalar reference below
+:data:`repro.kernels.SMALL_WINDOW_CUTOFF` ops, or the numpy tier —
+which writes every op's result, lookups included, at the moment the
+op is decided.  Batching is a *latency/throughput* knob only: any
+partition of the same op sequence produces bit-identical placements
+and results, because every tier applies ops strictly in order with
+the same decision kernels.
 
 Randomness
 ----------
@@ -318,10 +318,9 @@ class PlacementServer:
         split).  A key that is not a ``str`` raises ``TypeError``, and an
         unknown op code or a ``kinds``/``keys`` length mismatch raises
         ``ValueError``, before anything is applied.  Inserting a live
-        key or deleting/looking up an unknown key raises ``KeyError``
-        before any op of the failing block is applied (earlier blocks
-        stay applied; the key map may hold the failing block's earlier
-        inserts).
+        key or deleting/looking up an unknown key raises ``KeyError``;
+        the failing block then changes nothing, key map included
+        (earlier blocks stay applied).
         """
         _check_keys(keys)
         kinds = _check_kinds(kinds, len(keys), "keys")
@@ -331,33 +330,28 @@ class PlacementServer:
     def submit_ids(self, kinds, args) -> np.ndarray:
         """Apply a batch of ops addressed by raw ball id (replay path).
 
-        Insert args must be consecutive from the server's next ball id
-        — the trace discipline (:class:`~repro.dynamics.events.EventTrace`
-        validates it for traces; this method re-checks).  No key map is
-        touched.  An unknown op code or a ``kinds``/``args`` length
-        mismatch raises ``ValueError`` before anything is applied.
+        The args must keep the trace discipline
+        (:class:`~repro.dynamics.events.EventTrace` validates it for
+        traces; this method re-checks): insert args are consecutive from
+        the server's next ball id, every id is non-negative and below the
+        next ball id once the batch's inserts are counted, and every
+        delete targets a ball placed at its turn.  A lookup of an
+        unplaced ball yields ``-1``.  No key map is touched.  Args that
+        break the discipline, an unknown op code or a ``kinds``/``args``
+        length mismatch raise ``ValueError`` before anything is applied.
         """
         args = np.ascontiguousarray(args, dtype=np.int64)
         kinds = _check_kinds(kinds, args.size, "args")
         self._flush_if_pending()
+        t0 = perf_counter()
+        self._next_ball += self._check_ids(kinds, args)
         results = np.empty(args.size, dtype=np.int64)
         for a in range(0, args.size, self.max_batch):
             b = min(a + self.max_batch, args.size)
-            t0 = perf_counter()
-            ins = kinds[a:b] == OP_INSERT
-            n_ins = int(ins.sum())
-            if n_ins:
-                expected = np.arange(
-                    self._next_ball, self._next_ball + n_ins, dtype=np.int64
-                )
-                if not np.array_equal(args[a:b][ins], expected):
-                    raise ValueError(
-                        "submit_ids insert args must be consecutive from "
-                        f"ball {self._next_ball}"
-                    )
-                self._next_ball += n_ins
             self._apply_block(kinds, args, a, b, results)
-            self._record(perf_counter() - t0, b - a)
+            t1 = perf_counter()
+            self._record(t1 - t0, b - a)
+            t0 = t1
         return results
 
     # ------------------------------------------------------------------
@@ -513,55 +507,65 @@ class PlacementServer:
             b = min(a + self.max_batch, kinds.size)
             t0 = perf_counter()
             ball = self._next_ball
-            for i in range(a, b):
-                kind = kinds[i]
-                key = keys[i]
-                if kind == OP_INSERT:
-                    if key in key_ball:
-                        raise KeyError(f"key {key!r} is already live")
-                    key_ball[key] = ball
-                    args[i] = ball
-                    ball += 1
-                elif kind == OP_DELETE:
-                    args[i] = key_ball.pop(key)
-                else:
-                    args[i] = key_ball[key]
+            try:
+                for i in range(a, b):
+                    kind = kinds[i]
+                    key = keys[i]
+                    if kind == OP_INSERT:
+                        if key in key_ball:
+                            raise KeyError(f"key {key!r} is already live")
+                        key_ball[key] = ball
+                        args[i] = ball
+                        ball += 1
+                    elif kind == OP_DELETE:
+                        args[i] = key_ball.pop(key)
+                    else:
+                        args[i] = key_ball[key]
+            except KeyError:
+                # undo the block's mapped ops, latest first
+                for j in range(i - 1, a - 1, -1):
+                    if kinds[j] == OP_INSERT:
+                        del key_ball[keys[j]]
+                    elif kinds[j] == OP_DELETE:
+                        key_ball[keys[j]] = int(args[j])
+                raise
             self._next_ball = ball
             self._apply_block(kinds, args, a, b, results)
             self._record(perf_counter() - t0, b - a)
         return results
 
+    def _check_ids(self, kinds: np.ndarray, args: np.ndarray) -> int:
+        """Raise ``ValueError`` unless ``submit_ids`` ops keep the trace
+        discipline against the current state; returns their insert
+        count."""
+        first = self._next_ball
+        ins = np.flatnonzero(kinds == OP_INSERT)
+        if not np.array_equal(args[ins], np.arange(first, first + ins.size)):
+            raise ValueError(
+                f"submit_ids insert args must be consecutive from ball {first}"
+            )
+        end = first + ins.size
+        if args.size and (args.min() < 0 or args.max() >= end):
+            raise ValueError(f"submit_ids ball ids must lie in [0, {end})")
+        # a delete's ball was placed before the call, or inserted
+        # earlier in it, and no earlier delete took it
+        dels = np.flatnonzero(kinds == OP_DELETE)
+        ids, held = args[dels], self.state.ball_bin
+        old, new = ids < min(first, held.size), ids >= first
+        placed = np.zeros(ids.size, dtype=bool)
+        placed[old] = held[ids[old]] >= 0
+        placed[new] = ins[ids[new] - first] < dels[new]
+        if not placed.all() or np.unique(ids).size < ids.size:
+            raise ValueError("submit_ids deletes must target placed balls")
+        return ins.size
+
     def _apply_block(self, kinds, args, a: int, b: int, results) -> None:
-        """Apply ops ``[a, b)``: mutation runs batched, lookups gathered."""
-        self.stream.ensure(self._next_ball)
-        state = self.state
-        is_lookup = (kinds[a:b] == OP_LOOKUP).view(np.int8)
-        run_edges = np.flatnonzero(np.diff(is_lookup)) + 1 + a
-        cuts = _delete_cuts(kinds, args, a, b)
-        if cuts:
-            run_edges = np.union1d(run_edges, cuts)
-        bounds = [a, *run_edges.tolist(), b]
-        for r in range(len(bounds) - 1):
-            ra, rb = bounds[r], bounds[r + 1]
-            if kinds[ra] == OP_LOOKUP:
-                results[ra:rb] = state.ball_bin[args[ra:rb]]
-            else:
-                state.apply_window(
-                    kinds,
-                    args,
-                    ra,
-                    rb,
-                    self.stream.cands,
-                    self.stream.us,
-                    batch_size=self._batch_size,
-                    backend=self.backend,
-                )
-                seg_kinds = kinds[ra:rb]
-                seg = results[ra:rb]
-                seg[...] = -1
-                ins = seg_kinds == OP_INSERT
-                if ins.any():
-                    seg[ins] = state.ball_bin[args[ra:rb][ins]]
+        """Apply ops ``[a, b)`` in one window, writing their results."""
+        stream = self.stream
+        stream.ensure(self._next_ball)
+        self.state.apply_window(kinds, args, a, b, stream.cands, stream.us,
+                                batch_size=self._batch_size,
+                                backend=self.backend, out=results)
 
     def _record(self, seconds: float, ops: int) -> None:
         self._lat.record(seconds, ops)
@@ -569,33 +573,6 @@ class PlacementServer:
             counter_add("serve.ops", ops)
             histogram_observe("serve.batch_ops", ops)
             histogram_observe("serve.op_latency_s", seconds / ops)
-
-
-def _delete_cuts(kinds, args, a: int, b: int) -> list[int]:
-    """Op indices in ``[a, b)`` where a mutation run must be cut.
-
-    An insert's result is read from the ball→bin index once its run is
-    applied, so a later delete of the same ball in that run would have
-    cleared it already.  Cutting before such deletes (greedily: one cut
-    serves every insert before it) keeps results independent of
-    ``max_batch``.
-    """
-    if b - a < 2:
-        return []
-    ins = np.flatnonzero(kinds[a:b] == OP_INSERT)
-    if not ins.size:
-        return []
-    ids = args[a:b]
-    first = int(ids[ins[0]])  # a block's inserts take consecutive ids
-    dels = np.flatnonzero(
-        (kinds[a:b] == OP_DELETE) & (ids >= first) & (ids < first + ins.size)
-    )
-    cuts, start = [], 0
-    for j, i in zip(dels.tolist(), ins[ids[dels] - first].tolist()):
-        if i >= start:  # the deleted ball was inserted in the current run
-            cuts.append(a + j)
-            start = j
-    return cuts
 
 
 def _check_kinds(kinds, count: int, what: str) -> np.ndarray:

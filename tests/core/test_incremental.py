@@ -3,8 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.core.incremental import KIND_DELETE, KIND_INSERT, IncrementalState
+from repro.core.incremental import (
+    KIND_DELETE,
+    KIND_INSERT,
+    KIND_LOOKUP,
+    IncrementalState,
+)
 from repro.core.ring import RingSpace
+from repro.kernels import available_backends, get_backend
+
+HAS_CEXT = available_backends().get("cext", False)
 
 
 def _state(n=16, d=2, seed=0, **kwargs):
@@ -114,20 +122,39 @@ class TestInvalidChurn:
         self._assert_rejected(st, lambda: st.bin_leave(3), "last active bin")
 
 
+#: ``(rows, backend)`` cases: the numpy tiers keep their ``[rows]`` ids.
+WINDOW_CASES = [pytest.param(rows, None, id=str(rows)) for rows in (1, 8, 16, 17, 200)]
+WINDOW_CASES += [
+    pytest.param(
+        rows, "cext", id=f"cext-{rows}",
+        marks=pytest.mark.skipif(not HAS_CEXT, reason="no C compiler"),
+    )
+    for rows in (1, 8, 16, 17, 200)
+]
+
+
 class TestApplyWindow:
-    @pytest.mark.parametrize("rows", [1, 8, 16, 17, 200])
-    def test_window_matches_scalar(self, rows):
-        # below/above SMALL_WINDOW_CUTOFF both equal the scalar loop
+    @pytest.mark.parametrize("rows, backend", WINDOW_CASES)
+    def test_window_matches_scalar(self, rows, backend):
+        # below/above SMALL_WINDOW_CUTOFF, through the kernel or the
+        # numpy tier, the loads and every op's result equal the scalar
+        # loop's; mutation runs of 17 ops between lookups reach the
+        # conflict-free prefixes
         space, rng, st1 = _state(seed=3)
         cands, us = _draw(space, rng, rows)
         kinds = np.full(rows, KIND_INSERT, dtype=np.int8)
         kinds[1::4] = KIND_DELETE
+        kinds[np.isin(np.arange(rows) % 25, [2, 20, 21, 22, 23, 24])] = KIND_LOOKUP
         kinds[0] = KIND_INSERT
         args = np.empty(rows, dtype=np.int64)
+        targets = np.random.default_rng(rows)
         nxt = 0
         live = []
         for i in range(rows):
-            if kinds[i] == KIND_INSERT or not live:
+            if kinds[i] == KIND_LOOKUP:
+                # live, deleted or not yet inserted
+                args[i] = targets.integers(0, min(nxt + 2, rows))
+            elif kinds[i] == KIND_INSERT or not live:
                 kinds[i] = KIND_INSERT
                 args[i] = nxt
                 live.append(nxt)
@@ -135,15 +162,27 @@ class TestApplyWindow:
             else:
                 args[i] = live.pop(0)
         # scalar reference
+        expected = np.empty(rows, dtype=np.int64)
         for i in range(rows):
             if kinds[i] == KIND_INSERT:
-                st1.insert(args[i], cands[args[i]], float(us[args[i]]))
-            else:
+                expected[i] = st1.insert(args[i], cands[args[i]], float(us[args[i]]))
+            elif kinds[i] == KIND_DELETE:
                 st1.delete(args[i])
+                expected[i] = -1
+            else:
+                expected[i] = st1.lookup(args[i])
         space2, rng2, st2 = _state(seed=3)
-        st2.apply_window(kinds, args, 0, rows, cands, us, batch_size=64)
+        out = np.full(rows, -7, dtype=np.int64)
+        st2.apply_window(
+            kinds, args, 0, rows, cands, us, batch_size=64,
+            backend=None if backend is None else get_backend(backend), out=out,
+        )
+        assert out.tolist() == expected.tolist()
         assert np.array_equal(st1.loads, st2.loads)
         assert np.array_equal(st1.live_loads(), st2.live_loads())
+        assert np.array_equal(st1.ball_bin[:nxt], st2.ball_bin[:nxt])
+        assert (st1.inserts_done, st1.deletes_done) == (
+            st2.inserts_done, st2.deletes_done)
 
     def test_partition_invariance(self):
         space, rng, ref = _state(seed=4)

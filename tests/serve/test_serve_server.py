@@ -1,9 +1,13 @@
 """PlacementServer semantics: batching, queueing, keys, snapshots."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from helpers import check_state
 
 from repro.core.ring import RingSpace
+from repro.kernels import available_backends, get_backend
 from repro.serve import (
     OP_DELETE,
     OP_INSERT,
@@ -11,6 +15,10 @@ from repro.serve import (
     CandidateStream,
     PlacementServer,
 )
+
+HAS_CEXT = available_backends().get("cext", False)
+needs_cext = pytest.mark.skipif(not HAS_CEXT, reason="no C compiler")
+BACKENDS = ["numpy", pytest.param("cext", marks=needs_cext)]
 
 
 def _server(seed=7, **kwargs):
@@ -52,20 +60,66 @@ class TestBatchingEquivalence:
         s.submit(kinds, keys)
         assert np.array_equal(ref.loads, s.loads)
 
+    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("max_batch", [1, 2, 3, 7, 4096])
-    def test_insert_deleted_in_same_batch_reports_its_bin(self, max_batch):
-        # a later delete in the same block must not hide the insert's bin
+    def test_insert_deleted_in_same_batch_reports_its_bin(self, max_batch, backend):
+        # a later delete in the same block must not hide the insert's
+        # bin; 22 ops pass SMALL_WINDOW_CUTOFF, so at 4096 the block
+        # reaches the kernel or the numpy tier's conflict-free prefixes
         ref = _server()
+        fill = [ref.insert(f"k{i}") for i in range(16)]
         a, b = ref.insert("a"), ref.insert("b")
         ref.delete("a")
         c = ref.insert("c")
         ref.delete("b")
-        s = _server(max_batch=max_batch)
-        kinds = np.array([OP_INSERT, OP_INSERT, OP_DELETE, OP_INSERT,
-                          OP_DELETE, OP_LOOKUP], dtype=np.int8)
-        res = s.submit(kinds, ["a", "b", "a", "c", "b", "c"])
-        assert res.tolist() == [a, b, -1, c, -1, c]
+        s = _server(max_batch=max_batch, backend=backend)
+        kinds = np.array([OP_INSERT] * 16 + [OP_INSERT, OP_INSERT, OP_DELETE,
+                         OP_INSERT, OP_DELETE, OP_LOOKUP], dtype=np.int8)
+        keys = [f"k{i}" for i in range(16)] + ["a", "b", "a", "c", "b", "c"]
+        res = s.submit(kinds, keys)
+        assert res.tolist() == fill + [a, b, -1, c, -1, c]
         assert np.array_equal(ref.loads, s.loads)
+
+    @needs_cext
+    def test_block_is_one_kernel_call(self):
+        # one 4096-op submit_ids block of lookups, inserts and deletes,
+        # some deleting balls inserted earlier in the block, is one
+        # dynamic_window call whose results equal max_batch=1's
+        rng = np.random.default_rng(0)
+        warm = 512
+        kinds, args, nxt, live = [], [], warm, list(range(warm))
+        for _ in range(4096):
+            kind = rng.choice([OP_INSERT, OP_DELETE, OP_LOOKUP], p=[0.3, 0.2, 0.5])
+            if kind == OP_INSERT:
+                live.append(nxt)
+                args.append(nxt)
+                nxt += 1
+            elif kind == OP_DELETE:
+                args.append(live.pop(int(rng.integers(len(live)))))
+            else:
+                args.append(int(rng.integers(nxt)))
+            kinds.append(kind)
+        kinds = np.array(kinds, dtype=np.int8)
+        args = np.array(args, dtype=np.int64)
+        same_block = np.isin(args[kinds == OP_DELETE], args[kinds == OP_INSERT])
+        assert same_block.any()
+        outs = []
+        for max_batch, calls in ((4096, []), (1, None)):
+            s = _server(max_batch=max_batch, backend="cext")
+            s.submit_ids(np.zeros(warm, dtype=np.int8), np.arange(warm))
+            if calls is not None:
+                cext = get_backend("cext")
+
+                def counted(*a, **kw):
+                    calls.append(a[2:4])
+                    return cext.dynamic_window(*a, **kw)
+
+                s.backend = dataclasses.replace(cext, dynamic_window=counted)
+            outs.append((s.submit_ids(kinds, args), s.loads.copy()))
+            if calls is not None:
+                assert calls == [(0, 4096)]
+        assert np.array_equal(outs[0][0], outs[1][0])
+        assert np.array_equal(outs[0][1], outs[1][1])
 
     def test_enqueue_flush_matches_submit(self):
         s1 = _server()
@@ -127,6 +181,25 @@ class TestKeySemantics:
         )
         assert res[0] == res[1]  # insert and lookup agree on the bin
         assert res[2] == -1  # deletes report -1 in batch results
+
+    def test_failing_block_leaves_key_map_unchanged(self):
+        # the block maps "a" and drops "c" before "ghost" fails; both
+        # must be undone, so the next insert cannot reuse a's ball id
+        s = _server()
+        c = s.insert("c")
+        s.insert("d")
+        before = dict(s._key_ball)
+        kinds = np.array([OP_INSERT, OP_DELETE, OP_LOOKUP], dtype=np.int8)
+        with pytest.raises(KeyError, match="ghost"):
+            s.submit(kinds, ["a", "c", "ghost"])
+        assert s._key_ball == before
+        assert s.lookup("c") == c
+        s.insert("b")
+        s.insert("a")
+        assert len(set(s._key_ball.values())) == len(s._key_ball) == s.occupancy
+        s.delete("a")
+        s.delete("b")
+        assert check_state(s.state) == []
 
     def test_submit_ids_requires_consecutive_inserts(self):
         s = _server()

@@ -90,6 +90,20 @@ class ServerModel(RuleBasedStateMachine):
         keys = [key for _, key in ops]
         self._both(lambda s: s.submit(kinds, keys))
 
+    @rule(data=st.data(), size=st.integers(0, 2))
+    def submit_failing(self, data, size):
+        # valid ops, then one unknown-key op inside both twins' first
+        # block: the block must raise KeyError and change nothing
+        live = set(self.live)
+        ops = [self._draw_op(data, live) for _ in range(size)]
+        bad = [(OP_DELETE, "ghost"), (OP_LOOKUP, "ghost")]
+        if live:
+            bad.append((OP_INSERT, data.draw(st.sampled_from(sorted(live)))))
+        ops.append(data.draw(st.sampled_from(bad)))
+        kinds = np.array([k for k, _ in ops], dtype=np.int8)
+        keys = [key for _, key in ops]
+        assert self._both(lambda s: s.submit(kinds, keys)) is KeyError
+
     @rule(data=st.data(), size=st.integers(1, 6))
     def enqueue(self, data, size):
         for _ in range(size):

@@ -8,9 +8,19 @@ import numpy as np
 import pytest
 
 from repro.core.ring import RingSpace
+from repro.kernels import available_backends
 from repro.serve import OP_DELETE, OP_INSERT, OP_LOOKUP, PlacementServer
 
 BAD_KEYS = [5, b"ab", None, 1.5, ("a",), np.int64(3)]
+BACKENDS = [
+    "numpy",
+    pytest.param(
+        "cext",
+        marks=pytest.mark.skipif(
+            not available_backends().get("cext", False), reason="no C compiler"
+        ),
+    ),
+]
 
 
 def _server(n=4, keys=8, seed=3):
@@ -188,3 +198,61 @@ class TestChurnRules:
         with pytest.raises(ValueError):
             server.bin_join(0)
         assert server.pending == 1
+
+
+class TestSubmitIds:
+    """Ids that break the trace discipline raise before any change.
+
+    A 64-bin ring holds balls 0–39; each bad block is padded with
+    lookups to 4 or 40 ops, so that it takes the scalar tier or, at 40,
+    the kernel or the numpy tier.
+    """
+
+    BAD = {
+        "double-delete": [(OP_DELETE, 7), (OP_LOOKUP, 7), (OP_DELETE, 7)],
+        "negative-id": [(OP_LOOKUP, -1)],
+        "id-past-inserts": [(OP_INSERT, 40), (OP_LOOKUP, 41)],
+        "delete-before-insert": [(OP_DELETE, 40), (OP_INSERT, 40)],
+        "delete-of-deleted": [(OP_DELETE, 5)],
+    }
+
+    def _server(self, backend):
+        server = PlacementServer(RingSpace.random(64, seed=1), d=2, seed=3,
+                                 backend=backend)
+        server.submit_ids(np.zeros(40, dtype=np.int8), np.arange(40))
+        server.submit_ids([OP_DELETE], [5])
+        return server
+
+    @staticmethod
+    def _block(ops, size):
+        kinds = np.full(size, OP_LOOKUP, dtype=np.int8)
+        args = np.arange(size, dtype=np.int64) % 40
+        for i, (kind, arg) in enumerate(ops):
+            kinds[i], args[i] = kind, arg
+        return kinds, args
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("size", [4, 40])
+    @pytest.mark.parametrize("case", sorted(BAD))
+    def test_rejected_before_any_change(self, case, size, backend):
+        server = self._server(backend)
+        state = server.state
+        before = (state.loads.copy(), state.ball_bin.copy(), server._next_ball,
+                  state.occupancy)
+        with pytest.raises(ValueError, match="submit_ids"):
+            server.submit_ids(*self._block(self.BAD[case], size))
+        assert np.array_equal(state.loads, before[0])
+        assert np.array_equal(state.ball_bin, before[1])
+        assert (server._next_ball, state.occupancy) == before[2:]
+        assert server.submit_ids([OP_INSERT], [40]).tolist() == [
+            state.lookup(40)]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("size", [4, 40])
+    def test_unplaced_lookups_and_same_block_deletes_accepted(self, size, backend):
+        server = self._server(backend)
+        ops = [(OP_LOOKUP, 5), (OP_INSERT, 40), (OP_DELETE, 40)]
+        res = server.submit_ids(*self._block(ops, size))
+        assert res[0] == -1 and res[1] >= 0 and res[2] == -1
+        assert server.state.occupancy == 39
+        assert server.state.loads.sum() == 39
