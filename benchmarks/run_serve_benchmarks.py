@@ -22,8 +22,10 @@ Protocol notes (what makes the numbers comparable):
   :meth:`~repro.serve.server.PlacementServer.reset_latency`;
 * ``REPRO_KERNEL_BACKEND`` / ``REPRO_NUM_THREADS=1`` are pinned per
   measurement (same discipline as ``benchmarks/run_benchmarks.py``);
-* each cell keeps the best of ``--repeats`` full passes (fresh server
-  each time — the stream is stateful);
+* each cell runs ``--repeats`` full passes (default 5; a fresh server
+  each time — the stream is stateful) and records the median pass (the
+  upper middle one for an even count) with the min and max ops/s, so a
+  row shows its spread;
 * ``speedup_over_batch1`` compares each batched cell against the
   batch=1 cell of the *same backend* — the micro-batching win the
   serving tier exists for.
@@ -98,7 +100,7 @@ def _run_once(space, warm, steady, backend, batch):
 
 
 def _cell(space, warm, steady, backend, batch, repeats):
-    best, loads = None, None
+    runs, loads = [], None
     for _ in range(repeats):
         stats, run_loads = _run_once(space, warm, steady, backend, batch)
         if loads is not None and not np.array_equal(loads, run_loads):
@@ -107,19 +109,22 @@ def _cell(space, warm, steady, backend, batch, repeats):
                 "emit benchmark numbers"
             )
         loads = run_loads
-        if best is None or stats.ops_per_s > best.ops_per_s:
-            best = stats
+        runs.append(stats)
+    runs.sort(key=lambda stats: stats.ops_per_s)
+    med = runs[len(runs) // 2]
     row = {
         "backend": backend,
         "max_batch": batch,
-        "ops": best.count,
-        "seconds": round(best.total_s, 4),
-        "ops_per_s": round(best.ops_per_s, 1),
-        "mean_us": round(best.mean_s * 1e6, 3),
-        "p50_us": round(best.p50_s * 1e6, 3),
-        "p95_us": round(best.p95_s * 1e6, 3),
-        "p99_us": round(best.p99_s * 1e6, 3),
-        "max_us": round(best.max_s * 1e6, 3),
+        "ops": med.count,
+        "seconds": round(med.total_s, 4),
+        "ops_per_s": round(med.ops_per_s, 1),
+        "ops_per_s_min": round(runs[0].ops_per_s, 1),
+        "ops_per_s_max": round(runs[-1].ops_per_s, 1),
+        "mean_us": round(med.mean_s * 1e6, 3),
+        "p50_us": round(med.p50_s * 1e6, 3),
+        "p95_us": round(med.p95_s * 1e6, 3),
+        "p99_us": round(med.p99_s * 1e6, 3),
+        "max_us": round(med.max_s * 1e6, 3),
     }
     return row, loads
 
@@ -129,14 +134,14 @@ def main(argv=None) -> int:
     parser.add_argument("--fast", action="store_true",
                         help="small sizes, 1 repeat (CI smoke mode)")
     parser.add_argument("--repeats", type=int, default=None,
-                        help="full passes per cell (best kept); "
-                             "default 2, or 1 with --fast")
+                        help="full passes per cell (median kept, with the "
+                             "min and max ops/s); default 5, or 1 with --fast")
     parser.add_argument("--out", type=Path,
                         default=Path(__file__).resolve().parent.parent
                         / "BENCH_serve.json",
                         help="output path (default: repo-root BENCH_serve.json)")
     args = parser.parse_args(argv)
-    repeats = args.repeats or (1 if args.fast else 2)
+    repeats = args.repeats or (1 if args.fast else 5)
     n, keys, ops = FAST_SCALE if args.fast else FULL_SCALE
 
     backends = ["numpy"] + [
@@ -173,7 +178,8 @@ def main(argv=None) -> int:
             )
             cells.append(row)
             print(
-                f"  {backend:>6} batch={batch:<5} {row['ops_per_s']:>12,.0f} ops/s  "
+                f"  {backend:>6} batch={batch:<5} {row['ops_per_s']:>12,.0f} ops/s "
+                f"[{row['ops_per_s_min']:,.0f}–{row['ops_per_s_max']:,.0f}]  "
                 f"p50={row['p50_us']}us p95={row['p95_us']}us "
                 f"p99={row['p99_us']}us  ({row['speedup_over_batch1']}x over "
                 f"batch=1)"
@@ -201,9 +207,10 @@ def main(argv=None) -> int:
             "path of PlacementServer.submit_ids (workload generation "
             "excluded); every cell replays the identical warm-up + "
             "Zipf/FIFO-churn stream, final loads cross-checked "
-            "bit-identical (loads_blake2b). speedup_over_batch1 is "
-            "against the same backend's batch=1 cell at "
-            "REPRO_NUM_THREADS=1."
+            "bit-identical (loads_blake2b). Each cell is the median of "
+            "`repeats` passes, with their min and max ops/s. "
+            "speedup_over_batch1 is against the same backend's batch=1 "
+            "cell at REPRO_NUM_THREADS=1."
         ),
         "loads_blake2b": hashlib.blake2b(
             reference_loads.tobytes(), digest_size=16
