@@ -14,9 +14,8 @@ shapes share:
   clockwise hand-off on the ring) and the merged region measures the
   ``smaller``/``larger`` tie-breaks read;
 * :meth:`apply_window` — a churn-free window of inserts, deletes and
-  lookups applied in order, each op's result written as it is decided:
-  the batched dynamic engine's inner loop and one call per serving
-  block.  It dispatches between a compiled kernel
+  lookups (the batched dynamic engine's inner loop, one call per
+  serving block), dispatching between a compiled kernel
   (``dynamic_window``), the mixed-event conflict-free-prefix numpy path,
   and a scalar fast path for windows below
   :data:`repro.kernels.SMALL_WINDOW_CUTOFF`;
@@ -66,10 +65,9 @@ from repro.utils.validation import check_positive_int
 
 __all__ = ["IncrementalState", "mixed_conflict_prefix"]
 
-#: Op codes inside :meth:`IncrementalState.apply_window` windows —
-#: numerically identical to :class:`repro.dynamics.events.EventKind`
-#: (``INSERT``/``DELETE``) so trace arrays pass through unchanged, and
-#: to the serving tier's ``OP_INSERT``/``OP_DELETE``/``OP_LOOKUP``.
+#: Op codes inside :meth:`IncrementalState.apply_window` windows (and
+#: ``repro.serve``'s ``OP_*``) — insert/delete numerically identical to
+#: :class:`repro.dynamics.events.EventKind` so trace arrays pass through.
 KIND_INSERT = 0
 KIND_DELETE = 1
 KIND_LOOKUP = 2
@@ -321,12 +319,10 @@ class IncrementalState:
 
         ``cands``/``us`` are indexed by ball id (a
         :class:`~repro.core.engine.CandidateStream`'s arrays).  ``out``,
-        unless ``None``, is an int64 array indexed like ``kinds`` that
-        receives op ``i``'s result in ``out[i]`` the moment the op is
-        decided: an insert's chosen bin, ``-1`` for a delete, and for a
-        lookup the ball's bin at that point (``-1`` if unplaced).  A
-        later delete in the window therefore cannot hide an insert's
-        bin.  Three dispatch tiers, all bit-identical:
+        unless ``None``, receives op ``i``'s result in ``out[i]`` the
+        moment the op is decided: the chosen bin, ``-1`` for a delete, a
+        lookup's bin at that point (``-1`` if unplaced).  Three dispatch
+        tiers, all bit-identical:
 
         * windows below :data:`repro.kernels.SMALL_WINDOW_CUTOFF`
           ops run the scalar reference directly — per-op application
@@ -335,10 +331,8 @@ class IncrementalState:
         * an accelerated ``backend`` runs the whole window through its
           compiled ``dynamic_window`` kernel (strictly in-order — the
           sequential semantics itself);
-        * otherwise each run of lookups is one gather from the
-          ball→bin index, and each run of inserts and deletes is
-          decided in provably order-independent conflict-free prefixes
-          (runs at or below the cutoff step scalar).
+        * otherwise each lookup run is one gather, and each insert and
+          delete run is decided in provably order-independent prefixes.
         """
         rows = stop - start
         if rows <= 0:

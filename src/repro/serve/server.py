@@ -53,6 +53,7 @@ from time import perf_counter
 import numpy as np
 
 from repro.core.engine import DEFAULT_RNG_BLOCK, CandidateStream, auto_batch_size
+from repro.core.incremental import KIND_DELETE, KIND_INSERT, KIND_LOOKUP
 from repro.core.incremental import IncrementalState
 from repro.core.spaces import GeometricSpace
 from repro.kernels import KernelBackend, resolve_backend
@@ -69,10 +70,9 @@ __all__ = [
     "PlacementServer",
 ]
 
-#: Request op codes.  Insert/delete match ``EventKind`` numerically.
-OP_INSERT = 0
-OP_DELETE = 1
-OP_LOOKUP = 2
+#: Request op codes: the ops of ``IncrementalState.apply_window``
+#: windows, whose insert/delete codes match ``EventKind``.
+OP_INSERT, OP_DELETE, OP_LOOKUP = KIND_INSERT, KIND_DELETE, KIND_LOOKUP
 _OP_CODES = (OP_INSERT, OP_DELETE, OP_LOOKUP)
 
 
