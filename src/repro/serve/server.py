@@ -555,7 +555,8 @@ class PlacementServer:
         placed = np.zeros(ids.size, dtype=bool)
         placed[old] = held[ids[old]] >= 0
         placed[new] = ins[ids[new] - first] < dels[new]
-        if not placed.all() or np.unique(ids).size < ids.size:
+        ids.sort()  # a gathered copy; sorting beats np.unique's hashing
+        if not placed.all() or (ids[1:] == ids[:-1]).any():
             raise ValueError("submit_ids deletes must target placed balls")
         return ins.size
 
