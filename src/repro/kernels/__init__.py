@@ -155,7 +155,7 @@ class KernelBackend:
         not ``None``.  ``measures`` is the full per-bin measure array
         (or ``None`` for strategies that ignore it).
     ``dynamic_window(kinds, args, start, stop, cands, us, d, remap,
-    loads, measures, strategy_code, ball_bin, out=None)``
+    loads, measures, strategy_code, ball_bin, out)``
         Apply ops ``start <= i < stop`` in order — inserts (kind 0),
         deletes (1) and lookups (2); churn is a barrier handled by the
         caller — mutating ``loads`` and ``ball_bin`` in place; ``remap``

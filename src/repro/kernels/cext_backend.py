@@ -1487,7 +1487,7 @@ def build_backend():
 
     def dynamic_window(
         kinds, args, start, stop, cands, us, d, remap, loads, measures,
-        strategy_code, ball_bin, out=None,
+        strategy_code, ball_bin, out,
     ):
         """C kernel for a churn-free insert/delete/lookup op window."""
         kinds = _as_c(kinds, np.int8)
