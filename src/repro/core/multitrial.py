@@ -90,10 +90,18 @@ _FUSED_CHUNK_ELEMENTS = 1 << 23
 #: Cap on the fused bin-state array length (``T·n``) per trial chunk.
 _FUSED_CHUNK_BINS = 1 << 24
 
-#: ``ring_trials`` places into int32 load scratch and indexes a ring by
-#: int32 group starts: trials with this many servers or balls keep the
-#: reference and pool paths.
+#: ``ring_trials`` indexes a trial's servers by int32 (a ring's group
+#: starts, a torus grid's cell starts and ids): trials with this many
+#: servers keep the reference and pool paths, and so, as a bound on the
+#: kernel's domain, do trials with this many balls.
 _KERNEL_INT32_LIMIT = 1 << 31
+
+#: Bytes of kernel scratch one ``run_random_spaces`` call for maxima may
+#: hold across its worker threads.  That call takes every trial at once,
+#: so its thread count is capped at this over one worker's scratch
+#: (:func:`_worker_scratch_bytes`): a 2²⁴-server ring holds about
+#: 160 MiB per worker, and a many-core host must not hold one per core.
+_KERNEL_SCRATCH_BUDGET = 1 << 30
 
 #: Interleave tile: balls per transpose tile, sized so a tile of the
 #: fused destination stays cache-resident while all trials write into
@@ -136,8 +144,8 @@ def _ring_kernel_takes(
     That kernel carries a copy of numpy's PCG64, so it takes trials
     whose generators are exactly ``PCG64``, one each; other bit
     generators (``MT19937``, ``PCG64DXSM``, ...) and shared generators
-    keep the generic path.  Its scratch is int32, so trials of ``n``
-    servers or ``m`` balls at or above 2³¹ keep it too.
+    keep the generic path.  It indexes servers by int32, so trials of
+    ``n`` servers or ``m`` balls at or above 2³¹ keep it too.
     """
     return (
         backend.ring_trials is not None
@@ -178,6 +186,17 @@ def _space_kernel_takes(
     if space == "torus" and (dim != 2 or strategy_needs_measures(strategy)):
         return False
     return _ring_kernel_takes(n, m, rngs, backend)
+
+
+def _worker_scratch_bytes(space: str, n: int, strategy: TieBreak) -> int:
+    """About the scratch one ``ring_trials`` worker holds for the
+    ``n``-server spaces it builds: for a ring 8 bytes per server of
+    positions, a load byte and a 1.06-byte bucket index (11 here), plus
+    8 for arc lengths; for a 2-D torus 16 of points, 16 of their grid
+    order, 4 of ids and under 8 of cell offsets (44)."""
+    if space == "torus":
+        return 44 * n
+    return (19 if strategy_needs_measures(strategy) else 11) * n
 
 
 def _distinct_generators(rngs: Sequence[np.random.Generator]) -> bool:
@@ -223,10 +242,11 @@ def _run_fused_ring(
     generator state written back, when some drawn space was not built
     (a repeated server, or servers too crowded for the kernel's index)
     or some given ring is too clustered for the kernel's compact bucket
-    index.  Each trial places into the kernel's int32 scratch, and the
-    ``(T, n)`` loads are widened from it; with ``maxima`` (``spaces=None``
-    only) they stay there and the first result holds each trial's
-    maximum load, shape ``(T,)``, instead.
+    index.  Each trial places into the kernel's byte-per-server
+    scratch, and the ``(T, n)`` loads are widened from it (a trial whose
+    bin would pass 255 reruns into its int64 row); with ``maxima``
+    (``spaces=None`` only) they stay there and the first result holds
+    each trial's maximum load, shape ``(T,)``, instead.
     """
     t = len(rngs)
     loads = None if maxima else np.zeros((t, n), dtype=np.int64)
@@ -520,8 +540,8 @@ def run_random_spaces(
     for tori), the reference path this function takes whenever the
     backend's ``ring_trials`` kernel cannot build and run the trials:
     no such kernel, a generator that is not ``PCG64``, a generator
-    shared by trials, ``n`` or ``m`` of 2³¹ or more (the kernel's
-    scratch is int32), a torus of dimension other than 2, or a torus
+    shared by trials, ``n`` or ``m`` of 2³¹ or more (the kernel indexes
+    servers by int32), a torus of dimension other than 2, or a torus
     strategy that needs Voronoi areas (``smaller``, ``larger``).
 
     Otherwise the kernel builds each trial's space on the worker thread
@@ -539,11 +559,16 @@ def run_random_spaces(
 
     With ``maxima`` the first result is each trial's maximum load,
     shape ``(T,)``, in place of the ``(T, n)`` loads: the kernel keeps
-    each trial's loads in int32 scratch its worker thread reuses, so no
-    loads array is made (the reference path reduces its loads).
-    :func:`repro.stats.trials.run_cell` needs only the maxima,
-    :func:`repro.stats.trials.run_cell_profile` the loads.  Other
-    arguments are as in :func:`run_fused`.
+    each trial's loads in a byte per server, scratch its worker thread
+    reuses, so no loads array is made, and one kernel call takes every
+    trial.  Its thread count is capped so that the workers' scratch
+    stays within a fixed budget (``_KERNEL_SCRATCH_BUDGET``, 1 GiB: a
+    2²⁴-server ring's worker holds about 160 MiB).  The loads path and
+    the reference path run the trials in memory-bounded chunks of
+    :func:`fused_trial_chunk` instead (when no generator is shared),
+    which never changes results.  :func:`repro.stats.trials.run_cell`
+    needs only the maxima, :func:`repro.stats.trials.run_cell_profile`
+    the loads.  Other arguments are as in :func:`run_fused`.
     """
     if space not in ("ring", "torus"):
         raise ValueError(f"space must be 'ring' or 'torus', got {space!r}")
@@ -557,6 +582,19 @@ def run_random_spaces(
     strategy = TieBreak.coerce(strategy)
     backend_obj = resolve_backend(backend)
     eff_threads = resolve_threads(threads)
+    options = dict(
+        partitioned=partitioned, rng_block=rng_block,
+        record_heights=record_heights,
+    )
+
+    def kernel(part, threads):
+        out = _run_fused_ring(None, n, m, d, strategy, part, backend_obj,
+                              threads, space=space, maxima=maxima, **options)
+        if out is not None:
+            counter_add("placement.balls", len(part) * m)
+            counter_add("placement.trials", len(part))
+        return out
+
     with trace_span(
         "run_random_spaces",
         space=space,
@@ -568,39 +606,38 @@ def run_random_spaces(
         strategy=strategy.value,
         threads=eff_threads,
     ):
-        if _space_kernel_takes(space, n, m, dim, strategy, rngs, backend_obj):
-            out = _run_fused_ring(
-                None,
-                n,
-                m,
-                d,
-                strategy,
-                rngs,
-                backend_obj,
-                eff_threads,
-                partitioned=partitioned,
-                rng_block=rng_block,
-                record_heights=record_heights,
-                space=space,
-                maxima=maxima,
+        takes = _space_kernel_takes(space, n, m, dim, strategy, rngs, backend_obj)
+        if takes and maxima:
+            budget = _KERNEL_SCRATCH_BUDGET // _worker_scratch_bytes(
+                space, n, strategy
             )
+            out = kernel(rngs, max(1, min(eff_threads, budget)))
             if out is not None:
-                counter_add("placement.balls", t * m)
-                counter_add("placement.trials", t)
                 return out
-        loads, heights = run_fused(
-            [_random_space(space, n, dim, r) for r in rngs],
-            m,
-            d,
-            strategy,
-            rngs,
-            partitioned=partitioned,
-            rng_block=rng_block,
-            record_heights=record_heights,
-            backend=backend_obj,
-            threads=eff_threads,
+        chunk = fused_trial_chunk(n, m, d) if _distinct_generators(rngs) else t
+        parts = []
+        for c0 in range(0, t, chunk):
+            part = rngs[c0 : c0 + chunk]
+            out = kernel(part, eff_threads) if takes and not maxima else None
+            if out is None:
+                loads, heights = run_fused(
+                    [_random_space(space, n, dim, r) for r in part],
+                    m,
+                    d,
+                    strategy,
+                    part,
+                    backend=backend_obj,
+                    threads=eff_threads,
+                    **options,
+                )
+                out = (loads.max(axis=1) if maxima else loads), heights
+            parts.append(out)
+        if len(parts) == 1:
+            return parts[0]
+        results, heights = zip(*parts)
+        return np.concatenate(results), (
+            np.concatenate(heights) if record_heights else None
         )
-        return (loads.max(axis=1) if maxima else loads), heights
 
 
 def _run_fused_numpy(

@@ -24,8 +24,9 @@ into *scalar kernels* that a compiled tier can run at memory speed:
     Whole ring trials of :func:`repro.core.multitrial.run_fused`: a copy
     of numpy's PCG64 feeds draw → bucket lookup → place for every ball,
     with trials split across OS threads; every trial looks rings up in
-    a compact bucket index (a byte per bucket) and places into int32
-    load scratch its thread reuses.  Given no tables
+    a compact bucket index (a byte per bucket) and places into a byte
+    per server its thread reuses (a trial whose bin would pass 255
+    reruns into int64 loads).  Given no tables
     (:func:`repro.core.multitrial.run_random_spaces`), each trial first
     draws and builds its own ring on its worker thread (reading its
     positions twice in small chunks rather than keeping them) — or its
@@ -186,9 +187,14 @@ class KernelBackend:
         ``bit_generators[k]`` (a ``PCG64``), draws its stream in
         :func:`repro.core.engine.choice_blocks`' layout, looks each
         point up in ``tables[k]`` (``(nbuckets, table, pos_ext)``) and
-        places it into an ``n``-entry int32 load scratch its worker
-        thread zeroes before every trial and reuses, then widens it
-        into row ``k`` of ``loads`` ``(T, n)``; heights go to
+        places it into a byte per server, scratch its worker thread
+        zeroes before every trial and reuses, then widens it into row
+        ``k`` of ``loads`` ``(T, n)``.  A trial that chooses a bin
+        already holding 255 balls reruns from its state after the ring
+        or torus build into int64 loads: row ``k`` itself, or scratch
+        the worker allocates on its first such trial.  So results are
+        exact whatever ``m``, and the rerun costs only trials whose max
+        load passes 255, far beyond the paper's cells.  Heights go to
         ``heights`` ``(T, m)`` (or ``None``); ``measures`` is a list of
         arc-length arrays or ``None``.  With ``tables=None`` (and
         ``measures=None``) trial ``k`` first draws its ring from its
@@ -209,14 +215,15 @@ class KernelBackend:
         are gridded, is its load scratch.  With ``tables=None``,
         ``loads`` may be ``None`` (``n`` then gives the servers per
         trial): the loads stay in scratch, so the call holds
-        ``threads`` scratches and no ``(T, n)`` loads array — about 13
-        bytes per server for a ring (positions 8, loads 4, which first
-        hold the build's bucket cursors, and the index 1.06), 21 with
-        arc lengths.  ``maxima``, unless ``None``, is a C-contiguous
+        ``threads`` scratches and no ``(T, n)`` loads array — about 10
+        bytes per server for a ring (positions 8, the load byte, which
+        first holds the build's bucket count, and the index 1.06), 18
+        with arc lengths.  ``maxima``, unless ``None``, is a C-contiguous
         int64 array of shape ``(T,)`` that receives each trial's
-        maximum load.  The int32 scratch and group starts need ``n``
-        and ``m`` below 2³¹; larger trials raise :class:`ValueError`
-        (callers route them elsewhere first).  Only ``state.state`` is
+        maximum load.  Servers are indexed by int32 (group starts, grid
+        cells), so ``n`` and ``m`` must be below 2³¹; larger trials
+        raise :class:`ValueError` (callers route them elsewhere first).
+        Only ``state.state`` is
         written back to each generator.  Returns ``True``, or ``False``
         — writing no state back, the loads and maxima then meaningless
         — when some ring, drawn or given, crowds one group of 64

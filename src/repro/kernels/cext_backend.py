@@ -20,14 +20,15 @@ for the non-negative operand — same strict-inequality measure
 preference), so its placements are bit-identical to the numpy
 reference; the parity suite enforces this.  Those rules are written
 once and defined per load width: the exported kernels place into
-int64 loads, ``ring_trials``' worker threads into int32 scratch.
+int64 loads, ``ring_trials``' worker threads into a byte per server,
+rerunning a trial into int64 loads when a bin would pass 255.
 ``ring_trials`` also carries a copy of numpy's PCG64 generator, so it
 draws the same numbers ``Generator.random`` would, and the ring it can
 build from them is the one ``RingSpace.random`` builds — drawing the
 positions twice, a few thousand at a time, rather than keeping all of
 them, and looking them up in a compact bucket index (a byte per bucket
 and an int32 per 64 buckets) rather than an int32 table, so a ring
-trial's scratch is about 13 bytes per server, loads included
+trial's scratch is about 10 bytes per server, loads included
 (``tests/kernels/test_ring_kernel.py``).
 The torus grid computes squared distances in cKDTree's periodic
 arithmetic, so it finds the server cKDTree finds, and the 2-D torus
@@ -96,8 +97,9 @@ static inline int64_t bin_of(const int64_t *cand, const int64_t *remap,
 #define PLACE_LOOKAHEAD 16
 
 /* The placement rules, written once and defined per load width by
- * PLACEMENT(w, T): the exported kernels place into int64 loads (w = i64),
- * the workers of ring_trials into int32 scratch (w = i32).
+ * PLACEMENT(w, T, top): the exported kernels place into int64 loads
+ * (w = i64, top = 0: no limit), the workers of ring_trials into one byte
+ * per server (w = u8, top = UINT8_MAX).
  *
  * decide_w is the twin of repro.core.strategies.decide_row_scalar: the
  * index of the chosen candidate among cand[0..d).  Strategy codes:
@@ -109,8 +111,12 @@ static inline int64_t bin_of(const int64_t *cand, const int64_t *remap,
  *
  * place_block_w is the sequential greedy placement of one block of b
  * balls.  Two random-tie-break candidates take a branch-free decide: on
- * a tie floor(u*2)+1 picks the second exactly when u >= 0.5. */
-#define PLACEMENT(w, T)                                                      \
+ * a tie floor(u*2)+1 picks the second exactly when u >= 0.5.  It returns
+ * b, or the first ball whose chosen bin already holds top balls; that
+ * ball and the ones after it are not placed.
+ *
+ * max_load_w is the largest of n loads. */
+#define PLACEMENT(w, T, top)                                                 \
     static int64_t decide_##w(const T *loads, const int64_t *cand,           \
                               const int64_t *remap, int64_t d,               \
                               const double *measures, double u,              \
@@ -165,10 +171,10 @@ static inline int64_t bin_of(const int64_t *cand, const int64_t *remap,
         return 0;                                                            \
     }                                                                        \
                                                                              \
-    static void place_block_##w(const int64_t *bins, const double *us,       \
-                                int64_t b, int64_t d, T *loads,              \
-                                const double *measures, int64_t strategy,    \
-                                int64_t *heights)                            \
+    static int64_t place_block_##w(const int64_t *bins, const double *us,    \
+                                   int64_t b, int64_t d, T *loads,           \
+                                   const double *measures, int64_t strategy, \
+                                   int64_t *heights)                         \
     {                                                                        \
         int64_t t, j;                                                        \
         for (t = 0; t < b; t++) {                                            \
@@ -186,14 +192,26 @@ static inline int64_t bin_of(const int64_t *cand, const int64_t *remap,
                 chosen = cand[decide_##w(loads, cand, 0, d, measures, us[t], \
                                          strategy)];                         \
             }                                                                \
+            if ((top) && loads[chosen] == (top))                             \
+                return t;                                                    \
             if (heights)                                                     \
                 heights[t] = (int64_t)loads[chosen] + 1;                     \
             loads[chosen] += 1;                                              \
         }                                                                    \
+        return b;                                                            \
+    }                                                                        \
+                                                                             \
+    static int64_t max_load_##w(const T *loads, int64_t n)                   \
+    {                                                                        \
+        int64_t i;                                                           \
+        T peak = 0;                                                          \
+        for (i = 0; i < n; i++)                                              \
+            peak = loads[i] > peak ? loads[i] : peak;                        \
+        return (int64_t)peak;                                                \
     }
 
-PLACEMENT(i64, int64_t)
-PLACEMENT(i32, int32_t)
+PLACEMENT(i64, int64_t, 0)
+PLACEMENT(u8, uint8_t, UINT8_MAX)
 
 /* Kernel 1: sequential greedy placement of one block of balls. */
 void repro_place_block(const int64_t *bins, const double *us, int64_t b,
@@ -658,37 +676,41 @@ static void ring_insertion(double *pos, int64_t n)
  * The positions are g's next n doubles, drawn twice, RING_DRAW_CHUNK at
  * a time into x (at least min(n, RING_DRAW_CHUNK) doubles); pcg64_fill
  * yields one stream however it is cut.  A counting sort scatters them
- * into the power-of-two buckets: the first pass counts them into cursor
- * (nbuckets + 1 entries), a prefix sum turns each count into its bucket's
- * first position — numpy's bincount + cumsum — and enters it into the
- * index ix, a rewound copy of g draws them again, and cursor[b] walks
- * through bucket b during the stable scatter.  Both passes are pipelined
- * like ring_assign: past L2 the cursor and the slot are misses, so each
- * is warmed ahead (a slot read early may be stale; it only aims the
- * prefetch).  Buckets are ordered, so ring_insertion sorts each in
- * place; distinct doubles have one sorted order, so pos_ext equals
- * np.sort's, with the +inf sentinel at n.  When measures is not NULL it
- * receives the arc lengths in region_measures' operation order (x may be
- * measures).  Returns 1, or 0 when two positions are equal, a bucket
- * holds more than RING_MAX_BUCKET of them or a group's offsets pass a
- * byte; g has drawn the n positions either way. */
+ * into the power-of-two buckets: the first pass counts them into the
+ * bytes of count (nbuckets + 1 entries; a count saturates at UINT8_MAX,
+ * far past RING_MAX_BUCKET), a prefix sum turns each count into its
+ * bucket's first position — numpy's bincount + cumsum — and enters it
+ * into the index ix, a rewound copy of g draws them again, and the
+ * scatter fills each bucket from its end, counting count[b] back down to
+ * 0.  Both passes are pipelined like ring_assign: past L2 the count, the
+ * offset and the slot are misses, so each is warmed ahead (the slot
+ * warmed is its bucket's first; it only aims the prefetch).  Buckets are
+ * ordered, so ring_insertion sorts each in place; distinct doubles have
+ * one sorted order, so pos_ext equals np.sort's, with the +inf sentinel
+ * at n.  When measures is not NULL it receives the arc lengths in
+ * region_measures' operation order (x may be measures).  Returns 1, or 0
+ * when two positions are equal, a bucket holds more than
+ * RING_MAX_BUCKET of them or a group's offsets pass a byte; g has drawn
+ * the n positions either way. */
 static int ring_build(pcg64 *g, int64_t n, int64_t nbuckets, double *x,
-                      double *pos_ext, int32_t *cursor, ring_index ix,
+                      double *pos_ext, uint8_t *count, ring_index ix,
                       double *measures)
 {
     int64_t i, b, b0, b1, c, len;
-    int32_t total = 0, base = 0, count, peak = 0;
+    int32_t total = 0, base = 0;
+    uint8_t peak = 0, *slot;
     uint32_t spread = 0;
     double nb = (double)nbuckets;
     pcg64 again = *g;
-    memset(cursor, 0, sizeof(int32_t) * (size_t)(nbuckets + 1));
+    memset(count, 0, (size_t)(nbuckets + 1));
     for (c = 0; c < n; c += len) {
         len = n - c < RING_DRAW_CHUNK ? n - c : RING_DRAW_CHUNK;
         pcg64_fill(g, len, x);
         for (i = 0; i < len; i++) {
             if (i + PLACE_LOOKAHEAD < len)
-                PREFETCH_RW(&cursor[(int64_t)(x[i + PLACE_LOOKAHEAD] * nb)]);
-            cursor[(int64_t)(x[i] * nb)] += 1;
+                PREFETCH_RW(&count[(int64_t)(x[i + PLACE_LOOKAHEAD] * nb)]);
+            slot = &count[(int64_t)(x[i] * nb)];
+            *slot += *slot < UINT8_MAX;
         }
     }
     /* the prefix sum, group by group, through the empty bucket nbuckets
@@ -699,12 +721,10 @@ static int ring_build(pcg64 *g, int64_t n, int64_t nbuckets, double *x,
         b1 = b0 + RING_GROUP <= nbuckets ? b0 + RING_GROUP : nbuckets + 1;
         ix.start[b0 >> RING_GROUP_BITS] = base = total;
         for (b = b0; b < b1; b++) {
-            count = cursor[b];
-            peak = count > peak ? count : peak;
+            peak = count[b] > peak ? count[b] : peak;
             ix.off[b] = (uint8_t)(total - base);
             spread |= (uint32_t)(total - base);
-            cursor[b] = total;
-            total += count;
+            total += count[b];
         }
     }
     if (peak > RING_MAX_BUCKET || spread > UINT8_MAX)
@@ -713,13 +733,19 @@ static int ring_build(pcg64 *g, int64_t n, int64_t nbuckets, double *x,
         len = n - c < RING_DRAW_CHUNK ? n - c : RING_DRAW_CHUNK;
         pcg64_fill(&again, len, x);
         for (i = 0; i < len; i++) {
-            if (i + 2 * PLACE_LOOKAHEAD < len)
+            if (i + 2 * PLACE_LOOKAHEAD < len) {
+                b = (int64_t)(x[i + 2 * PLACE_LOOKAHEAD] * nb);
+                PREFETCH_RW(&count[b]);
+                PREFETCH_RO(&ix.off[b]);
+            }
+            if (i + PLACE_LOOKAHEAD < len) {
+                b = (int64_t)(x[i + PLACE_LOOKAHEAD] * nb);
                 PREFETCH_RW(
-                    &cursor[(int64_t)(x[i + 2 * PLACE_LOOKAHEAD] * nb)]);
-            if (i + PLACE_LOOKAHEAD < len)
-                PREFETCH_RW(
-                    &pos_ext[cursor[(int64_t)(x[i + PLACE_LOOKAHEAD] * nb)]]);
-            pos_ext[cursor[(int64_t)(x[i] * nb)]++] = x[i];
+                    &pos_ext[ix.start[b >> RING_GROUP_BITS] + ix.off[b]]);
+            }
+            b = (int64_t)(x[i] * nb);
+            pos_ext[ix.start[b >> RING_GROUP_BITS] + ix.off[b] + --count[b]] =
+                x[i];
         }
     }
     ring_insertion(pos_ext, n);
@@ -738,8 +764,8 @@ static int ring_build(pcg64 *g, int64_t n, int64_t nbuckets, double *x,
 /* The build alone, on state words s (updated past the n draws): fills
  * pos_ext (n + 1), the index's start ((nbuckets >> RING_GROUP_BITS) + 1)
  * and off (nbuckets + 1), measures (n) and table (nbuckets + 1): first
- * the build's cursors, then RingSpace's table read back from the index.
- * Returns ring_build's answer.  Only the tests call it. */
+ * the build's byte counts, then RingSpace's table read back from the
+ * index.  Returns ring_build's answer.  Only the tests call it. */
 int64_t repro_ring_build(uint64_t *s, int64_t n, int64_t nbuckets,
                          double *pos_ext, int32_t *table, int32_t *start,
                          uint8_t *off, double *measures)
@@ -747,8 +773,8 @@ int64_t repro_ring_build(uint64_t *s, int64_t n, int64_t nbuckets,
     pcg64 g = pcg64_load(s);
     ring_index ix = {start, off};
     int64_t b;
-    int built = ring_build(&g, n, nbuckets, measures, pos_ext, table, ix,
-                           measures);
+    int built = ring_build(&g, n, nbuckets, measures, pos_ext,
+                           (uint8_t *)table, ix, measures);
     for (b = 0; b <= nbuckets; b++)
         table[b] = start[b >> RING_GROUP_BITS] + off[b];
     pcg64_store(&g, s);
@@ -1028,7 +1054,7 @@ typedef struct {
     const int32_t *const *tables;  /* per trial nbuckets + 1, or NULL */
     const double *const *pos_ext;  /* per trial: n positions + inf */
     const double *const *measures; /* per trial arc lengths, or NULL */
-    int64_t *loads;                /* (t, n) rows widened, or NULL */
+    int64_t *loads;                /* (t, n) rows, or NULL */
     int64_t *heights;              /* (t, m) or NULL */
     int64_t *maxima;               /* (t) max loads, or NULL */
     int64_t k0, k1, n, m, d, nbuckets, rng_block, partitioned, strategy;
@@ -1047,11 +1073,11 @@ typedef struct {
 
 /* Owners of the q ring positions x into bins, in three passes — bucket
  * offset, probe start, probe — each warming the lines the next reads;
- * the last warms the owners' loads for placement.  The group starts are
- * a 64th of the offsets' entries and stay cached. */
+ * the last warms the owners' loads (of `size` bytes each) for placement.
+ * The group starts are a 64th of the offsets' entries and stay cached. */
 static void ring_lookup(const ring_trials_job *job, const trial_space *sp,
                         const double *x, int64_t q, int64_t *bins,
-                        int32_t *loads)
+                        const char *loads, int64_t size)
 {
     const int32_t *start = sp->ring.start;
     const uint8_t *off = sp->ring.off;
@@ -1068,21 +1094,21 @@ static void ring_lookup(const ring_trials_job *job, const trial_space *sp,
     for (i = 0; i < q; i++) {
         int64_t j = ring_probe(pos, bins[i], x[i]);
         bins[i] = j == n ? 0 : j;
-        PREFETCH_RW(&loads[bins[i]]);
+        PREFETCH_RW(loads + bins[i] * size);
     }
 }
 
 /* Owners of the q torus points x (x then y) into bins: the grid's
- * nearest point, as repro_torus_assign finds it; each owner's load is
- * warmed for placement. */
+ * nearest point, as repro_torus_assign finds it; each owner's load (of
+ * `size` bytes) is warmed for placement. */
 static void torus_lookup(const ring_trials_job *job, const trial_space *sp,
                          const double *x, int64_t q, int64_t *bins,
-                         int32_t *loads)
+                         const char *loads, int64_t size)
 {
     int64_t i, side = job->nbuckets;
     for (i = 0; i < q; i++) {
         bins[i] = torus_nearest(&sp->grid, side, x[2 * i], x[2 * i + 1]);
-        PREFETCH_RW(&loads[bins[i]]);
+        PREFETCH_RW(loads + bins[i] * size);
     }
 }
 
@@ -1093,13 +1119,17 @@ static void torus_lookup(const ring_trials_job *job, const trial_space *sp,
  * materialising it — candidates from the block's first draw,
  * tie-breaks from b*d*dim draws later (jump-ahead) — and each stage of
  * RING_STAGE balls runs draw -> lookup -> place.  Partitioned, the
- * first coordinate x of candidate c becomes (x + c) / d. */
-static void space_trial(const ring_trials_job *job, int64_t k, pcg64 *g,
-                        const trial_space *sp, int32_t *loads, double *x,
-                        int64_t *bins, double *us)
+ * first coordinate x of candidate c becomes (x + c) / d.  The loads are
+ * n bytes, or with wide set n int64.  Returns 1, or 0 as soon as a
+ * ball chooses a bin whose byte already holds UINT8_MAX; g and the
+ * loads are then partly advanced. */
+static int space_trial(const ring_trials_job *job, int64_t k, pcg64 *g,
+                       const trial_space *sp, void *loads, int wide,
+                       double *x, int64_t *bins, double *us)
 {
     int64_t *heights = job->heights ? job->heights + k * job->m : 0;
     int64_t d = job->d, dim = job->torus ? 2 : 1, ball = 0;
+    int64_t size = wide ? sizeof(int64_t) : sizeof(uint8_t);
     int needs_u = job->strategy == 0 && d > 1;
     while (ball < job->m) {
         int64_t b = job->m - ball < job->rng_block ? job->m - ball
@@ -1111,6 +1141,7 @@ static void space_trial(const ring_trials_job *job, int64_t k, pcg64 *g,
         for (s0 = 0; s0 < b; s0 += RING_STAGE) {
             int64_t w = b - s0 < RING_STAGE ? b - s0 : RING_STAGE;
             int64_t q = w * d, i, c;
+            int64_t *h = heights ? heights + ball + s0 : 0;
             pcg64_fill(&cand, q * dim, x);
             if (needs_u)
                 pcg64_fill(&tie, w, us);
@@ -1120,15 +1151,20 @@ static void space_trial(const ring_trials_job *job, int64_t k, pcg64 *g,
                         x[(i * d + c) * dim] =
                             (x[(i * d + c) * dim] + (double)c) / (double)d;
             if (job->torus)
-                torus_lookup(job, sp, x, q, bins, loads);
+                torus_lookup(job, sp, x, q, bins, loads, size);
             else
-                ring_lookup(job, sp, x, q, bins, loads);
-            place_block_i32(bins, us, w, d, loads, sp->measures,
-                            job->strategy, heights ? heights + ball + s0 : 0);
+                ring_lookup(job, sp, x, q, bins, loads, size);
+            if (wide)
+                place_block_i64(bins, us, w, d, loads, sp->measures,
+                                job->strategy, h);
+            else if (place_block_u8(bins, us, w, d, loads, sp->measures,
+                                    job->strategy, h) < w)
+                return 0;
         }
         pcg64_advance(g, (pcg128)b * (pcg128)(d * dim + 1));
         ball += b;
     }
+    return 1;
 }
 
 /* The torus TorusSpace.random(n) would draw from g, built in scratch:
@@ -1161,19 +1197,12 @@ static void *ring_scratch(size_t size)
     return p;
 }
 
-/* The largest of n loads. */
-static int64_t max_load(const int32_t *loads, int64_t n)
-{
-    int64_t i;
-    int32_t top = 0;
-    for (i = 0; i < n; i++)
-        top = loads[i] > top ? loads[i] : top;
-    return top;
-}
-
-/* A worker's trials.  Each places into one n-entry int32 load scratch
- * the worker zeroes before every trial; its maximum goes to maxima and,
+/* A worker's trials.  Each places into one byte per server, scratch the
+ * worker zeroes before every trial; its maximum goes to maxima and,
  * when the caller keeps loads, it is widened into the trial's int64 row.
+ * A trial that chooses a bin already at UINT8_MAX reruns from its
+ * generator's state after the build into int64 loads: the caller's row,
+ * or wide, allocated on the worker's first overflow.
  * A ring trial looks its candidates up in the worker's bucket index:
  * given tables, each trial's is compacted into it (ring_compact).
  * Without tables each trial first builds its space from its own
@@ -1184,12 +1213,12 @@ static int64_t max_load(const int32_t *loads, int64_t n)
  * points, pos_ext their grid order and cells the cell offsets).  A
  * torus's raw is dead once it is gridded, so it is the load scratch;
  * rings keep theirs in a buffer of its own, of max(n, nbuckets + 1)
- * entries for the build's cursors.  A space that is not built or a table that
- * does not compact stops the worker (status 1). */
+ * bytes for the build's counts.  A space that is not built or a table
+ * that does not compact stops the worker (status 1). */
 static void *ring_trials_worker(void *arg)
 {
     ring_trials_job *job = (ring_trials_job *)arg;
-    int64_t n = job->n, nb = job->nbuckets, k, i;
+    int64_t n = job->n, nb = job->nbuckets, k, i, *wide = 0;
     int64_t dim = job->torus ? 2 : 1;
     int build = job->tables == 0, ring = !job->torus;
     int needs_arcs = build && ring && job->strategy >= 2;
@@ -1207,12 +1236,12 @@ static void *ring_trials_worker(void *arg)
         ring ? 0 : ring_scratch(sizeof(int32_t) * (nb * nb + 1));
     int32_t *ids = ring ? 0 : ring_scratch(sizeof(int32_t) * n);
     double *arcs = needs_arcs ? ring_scratch(sizeof(double) * n) : 0;
-    int32_t *own = ring ? ring_scratch(sizeof(int32_t) * own_len) : 0;
+    uint8_t *own = ring ? ring_scratch((size_t)own_len) : 0;
     ring_index ix = {
         ring ? ring_scratch(sizeof(int32_t) * ((nb >> RING_GROUP_BITS) + 1))
              : 0,
         ring ? ring_scratch((size_t)nb + 1) : 0};
-    int32_t *scratch = ring ? own : (int32_t *)raw;
+    uint8_t *scratch = ring ? own : (uint8_t *)raw;
     trial_space sp = {ix, pos_ext, {cells, pos_ext, ids}, arcs};
     if (!x || !bins || !us || !scratch || (build && !pos_ext) ||
         (ring && (!ix.start || !ix.off)) || (!ring && (!cells || !ids)) ||
@@ -1220,7 +1249,8 @@ static void *ring_trials_worker(void *arg)
         job->status = -1;
     } else {
         for (k = job->k0; k < job->k1; k++) {
-            pcg64 g = pcg64_load(job->states + 4 * k);
+            pcg64 g = pcg64_load(job->states + 4 * k), again;
+            int64_t *row;
             int built;
             if (!build) {
                 built = ring_compact(job->tables[k], nb, ix);
@@ -1235,16 +1265,32 @@ static void *ring_trials_worker(void *arg)
                 job->status = 1;
                 break;
             }
-            memset(scratch, 0, sizeof(int32_t) * (size_t)n);
-            space_trial(job, k, &g, &sp, scratch, x, bins, us);
-            if (job->maxima)
-                job->maxima[k] = max_load(scratch, n);
-            if (job->loads)
-                for (i = 0; i < n; i++)
-                    job->loads[k * n + i] = scratch[i];
+            again = g;
+            memset(scratch, 0, (size_t)n);
+            if (space_trial(job, k, &g, &sp, scratch, 0, x, bins, us)) {
+                if (job->maxima)
+                    job->maxima[k] = max_load_u8(scratch, n);
+                if (job->loads)
+                    for (i = 0; i < n; i++)
+                        job->loads[k * n + i] = scratch[i];
+            } else {
+                row = job->loads ? job->loads + k * n : wide;
+                if (!row)
+                    row = wide = ring_scratch(sizeof(int64_t) * (size_t)n);
+                if (!row) {
+                    job->status = -1;
+                    break;
+                }
+                memset(row, 0, sizeof(int64_t) * (size_t)n);
+                g = again;
+                space_trial(job, k, &g, &sp, row, 1, x, bins, us);
+                if (job->maxima)
+                    job->maxima[k] = max_load_i64(row, n);
+            }
             pcg64_store(&g, job->states + 4 * k);
         }
     }
+    free(wide);
     free(x);
     free(bins);
     free(us);
@@ -1265,13 +1311,14 @@ static void *ring_trials_worker(void *arg)
  * its generator (ring_build; pos_ext and measures are then ignored).
  * With torus set each trial builds a 2-D torus on a grid of side
  * nbuckets (torus_build; tables and measures must be NULL, strategy
- * random or first).  Trials place into int32 worker scratch, so n and m
- * must be below 2^31.  Trial k's loads are widened into row k of loads
- * unless loads is NULL (tables must then be NULL); maxima, unless NULL,
- * gets each trial's max load.  Returns 0, 1 when some space was not
- * built or some given table does not fit the bucket index (the state
- * words are then partly advanced and must be discarded), or -1 when
- * scratch memory could not be allocated. */
+ * random or first).  Servers are indexed by int32, so n must be below
+ * 2^31.  Trials place into a byte per server and rerun into int64 loads
+ * when a bin would pass a byte, so loads are exact for any m.  Trial k's
+ * loads go to row k of loads unless loads is NULL (tables must then be
+ * NULL); maxima, unless NULL, gets each trial's max load.  Returns 0, 1
+ * when some space was not built or some given table does not fit the
+ * bucket index (the state words are then partly advanced and must be
+ * discarded), or -1 when scratch memory could not be allocated. */
 int64_t repro_ring_trials(uint64_t *states, const int32_t *const *tables,
                           const double *const *pos_ext,
                           const double *const *measures, int64_t t,
@@ -1563,14 +1610,17 @@ def build_backend():
         ``None``, strategy ``random`` or ``first``) draws and grids a
         2-D torus instead, exactly as ``TorusSpace.random(n, seed=...)``
         would, and looks candidates up in its grid.  Each trial places
-        into an int32 load scratch its worker thread reuses, and
-        ``loads[k]`` is widened from it; with ``tables=None`` ``loads``
-        may also be ``None``: ``n`` then gives the servers per trial.
-        ``maxima``, unless ``None``, a C-contiguous int64 array of shape
-        ``(T,)``, receives each trial's maximum load.  A ring's
+        into one byte per server, scratch its worker thread reuses, and
+        ``loads[k]`` is widened from it; a trial that chooses a bin
+        already holding 255 balls reruns from its state after the build
+        into int64 loads (``loads[k]`` itself, or worker scratch), so
+        every result is exact whatever ``m``.  With ``tables=None``
+        ``loads`` may also be ``None``: ``n`` then gives the servers per
+        trial.  ``maxima``, unless ``None``, a C-contiguous int64 array
+        of shape ``(T,)``, receives each trial's maximum load.  A ring's
         candidates are looked up in a compact copy of its bucket table:
-        an int32 start per 64 buckets and a byte offset per bucket.  The
-        int32 scratch (and those starts) needs ``n`` and ``m`` below
+        an int32 start per 64 buckets and a byte offset per bucket.
+        Servers are indexed by int32, and ``n`` and ``m`` must be below
         2³¹; larger trials raise :class:`ValueError`.  Only
         ``state.state`` is written back to each generator.  Trials are
         split statically across ``threads`` OS threads.  Returns
@@ -1595,7 +1645,7 @@ def build_backend():
             n = loads.shape[1]
         if n >= 1 << 31 or int(m) >= 1 << 31:
             raise ValueError(
-                "ring_trials keeps loads and bucket offsets in int32 scratch: "
+                "ring_trials indexes servers by int32: "
                 f"it needs n and m below 2**31, got n={n}, m={m}"
             )
         if heights is not None:

@@ -128,16 +128,20 @@ def _run_cell_fused(
     :func:`~repro.core.multitrial.run_random_spaces`, which builds the
     spaces inside the ``ring_trials`` kernel where it applies; without
     ``profile`` it hands back only each trial's maximum load, so the
-    kernel keeps the loads in its own scratch.  Uniform cells draw no
+    kernel keeps the loads in its own scratch, and it gets the whole
+    cell at once (it bounds its own memory).  Uniform cells draw no
     servers; their bins go straight to
-    :func:`~repro.core.multitrial.run_fused`.  Trials are processed in
-    memory-bounded fusion chunks (:func:`fused_trial_chunk`), which
-    never changes results.  ``backend`` and ``threads`` are forwarded
-    (kernel backend and thread-count selection; results are
-    independent of both).
+    :func:`~repro.core.multitrial.run_fused`.  Those and profiles, which
+    need each trial's loads, are processed in memory-bounded fusion
+    chunks (:func:`fused_trial_chunk`), which never changes results.
+    ``backend`` and ``threads`` are forwarded (kernel backend and
+    thread-count selection; results are independent of both).
     """
     seeds = spawn_seed_sequences(seed, trials)
-    chunk = fused_trial_chunk(spec.n, spec.balls, spec.d)
+    if spec.space == "uniform" or profile:
+        chunk = fused_trial_chunk(spec.n, spec.balls, spec.d)
+    else:
+        chunk = trials
     strategy = TieBreak.coerce(spec.strategy)
     options = dict(partitioned=spec.partitioned, backend=backend, threads=threads)
     out = []

@@ -8,13 +8,15 @@ trial it runs ends with the loads, heights and generator state of
 :func:`repro.core.engine.run_sequential`.  These tests check all three,
 the dispatch rules around the kernel (other bit generators, shared
 generators and trials too large for its int32 scratch keep the
-reference path), the scratch a trial holds, the ring table pass, and
-the compile flags the rounding depends on.
+reference path), trials whose loads pass the byte each server places
+into, the scratch a trial holds, the ring table pass, and the compile
+flags the rounding depends on.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import os
 import re
 import subprocess
@@ -34,7 +36,7 @@ from repro.core.multitrial import (
     run_random_spaces,
 )
 from repro.core.ring import RingSpace
-from repro.core.strategies import TieBreak
+from repro.core.strategies import TieBreak, strategy_needs_measures
 from repro.core.torus import TorusSpace
 from repro.kernels import available_backends, get_backend
 from repro.kernels.cext_backend import C_SOURCE
@@ -292,17 +294,17 @@ def _reference_rings(n, m, d, strategy, seeds, partitioned, rng_block):
 
 
 def _check_random_rings(n, m, d, strategy, seeds, partitioned, rng_block,
-                        expected):
+                        expected, space="ring"):
     """The loads path, then the maxima path (loads kept in kernel scratch)."""
     for threads in THREADS:
         for maxima in (False, True):
             rngs = [np.random.default_rng(s) for s in seeds]
             got, heights = run_random_spaces(
-                "ring", n, m, d, strategy, rngs, partitioned=partitioned,
+                space, n, m, d, strategy, rngs, partitioned=partitioned,
                 rng_block=rng_block, record_heights=True, maxima=maxima,
                 backend="cext", threads=threads,
             )
-            where = (f"n={n} m={m} d={d} {strategy.value} "
+            where = (f"{space} n={n} m={m} d={d} {strategy.value} "
                      f"partitioned={partitioned} threads={threads} "
                      f"maxima={maxima}")
             for k, (ref_loads, ref_heights, ref_state) in enumerate(expected):
@@ -355,10 +357,11 @@ def test_random_rings_across_draw_chunks_match_run_sequential():
 
 
 @pytest.mark.parametrize("threads", THREADS)
-@pytest.mark.parametrize("n", [2, 50, 100])
+@pytest.mark.parametrize("n", [2, 50, 100, 300])
 def test_repeated_positions_raise_like_ring_space(n, threads):
     """The last trial's stream repeats: n = 2 and 50 repeat inside the
-    kernel's buckets, n = 100 crowds one bucket past its limit.  Either
+    kernel's buckets, n = 100 crowds one bucket past its limit and
+    n = 300 past what its byte counts (the count saturates).  Either
     way the kernel writes no state back, and the reference path raises
     RingSpace's own error after drawing the other trials' positions."""
     def generators():
@@ -504,6 +507,88 @@ def test_int32_scratch_limits_keep_the_reference_path(monkeypatch):
             assert reference.pop() == ([(space, n)], m)
 
 
+# ---------------------------------------------------------------------------
+# trials whose loads pass a byte
+# ---------------------------------------------------------------------------
+
+#: (n, d, strategy) of heavily loaded trials: at m = 300·n every trial's
+#: maximum passes 255, the most a server's byte of kernel scratch holds
+OVERFLOW_CELLS = [
+    (1, 1, TieBreak.FIRST),
+    (3, 2, TieBreak.RANDOM),
+    (16, 1, TieBreak.RANDOM),
+    (5, 2, TieBreak.SMALLER),
+]
+#: the rings or tori they run on: drawn by each trial, or prebuilt rings
+OVERFLOW_SPACES = ("ring", "torus", "prebuilt")
+
+
+def _overflow_reference(kind, n, m, d, strategy, seeds, rng_block):
+    """Each trial through run_sequential on the space ``kind`` names: a
+    ring or torus drawn from the trial's generator, or the prebuilt ring
+    of seed 500 + k."""
+    out = []
+    with numpy_reference():
+        for k, seed in enumerate(seeds):
+            rng = np.random.default_rng(seed)
+            if kind == "prebuilt":
+                space = RingSpace.random(n, seed=500 + k)
+            elif kind == "ring":
+                space = RingSpace.random(n, seed=rng)
+            else:
+                space = TorusSpace.random(n, seed=rng)
+            loads, heights = run_sequential(space, m, d, strategy, rng,
+                                            rng_block=rng_block,
+                                            record_heights=True)
+            out.append((loads, heights, rng.bit_generator.state))
+    return out
+
+
+@pytest.mark.parametrize(
+    "kind, n, d, strategy",
+    [(kind, *cell) for kind in OVERFLOW_SPACES for cell in OVERFLOW_CELLS
+     if not (kind == "torus" and strategy_needs_measures(cell[2]))],
+    ids=lambda v: v.value if isinstance(v, TieBreak) else str(v),
+)
+def test_byte_overflow_reruns_match_run_sequential(monkeypatch, kind, n, d,
+                                                   strategy):
+    """A trial places into a byte per server until a ball chooses one
+    that already holds 255, then reruns into int64 loads.  At m = 300·n
+    every trial does so mid-trial (n = 1: at ball 255, in its first
+    stage); at m = one past the earliest such ball, one trial does so at
+    its last ball, in its last stage, and the others never do.  RNG
+    blocks of 100 balls put the overflow past the trial's first block,
+    where its generator has moved on.  Loads or maxima, heights and
+    final states must match run_sequential at every thread count, with
+    the kernel running every trial."""
+    def no_reference(*args, **kwargs):
+        raise AssertionError("a trial left the ring_trials kernel")
+
+    seeds = [61 + k for k in range(TRIALS)]
+    for rng_block in (DEFAULT_RNG_BLOCK, 100):
+        full = _overflow_reference(kind, n, 300 * n, d, strategy, seeds,
+                                   rng_block)
+        first = [int(np.flatnonzero(h > 255)[0]) for _, h, _ in full]
+        last = min(first) + 1
+        expected = {
+            300 * n: full,
+            last: _overflow_reference(kind, n, last, d, strategy, seeds,
+                                      rng_block),
+        }
+        with monkeypatch.context() as patch:
+            patch.setattr(multitrial, "_random_space", no_reference)
+            patch.setattr(multitrial, "_run_fused_kernel", no_reference)
+            for m, ref in expected.items():
+                if kind == "prebuilt":
+                    spaces = [RingSpace.random(n, seed=500 + k)
+                              for k in range(TRIALS)]
+                    _check_kernel(spaces, m, d, strategy, seeds, False,
+                                  rng_block, ref)
+                else:
+                    _check_random_rings(n, m, d, strategy, seeds, False,
+                                        rng_block, ref, space=kind)
+
+
 #: One n = m ring trial (n from argv) on run_cell's maxima path, in a
 #: fresh process: prints how far the resident set's peak rose, per
 #: server, above the resident set before it (Linux's VmHWM, reset through
@@ -535,14 +620,11 @@ print((status_kb("VmHWM") - before) * 1024 / n)
 """
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="reads Linux's VmHWM")
-def test_ring_trial_scratch_stays_under_14_bytes_per_server():
-    """A kernel-built ring trial holds its sorted positions (8 bytes per
-    server), its int32 loads, which first hold the build's bucket cursors
-    (4), and its compact bucket index (a byte per bucket and an int32 per
-    64 buckets): 13.06 bytes per server at n = 2²².  An int32 bucket
-    table would make it 16, an n-entry draw buffer or int64 loads 20.
-    One trial runs on one worker, whatever REPRO_NUM_THREADS says."""
+@functools.cache
+def _ring_trial_peak_per_server() -> float:
+    """Peak RSS growth per server of one n = 2²² ring trial on the maxima
+    path, in a fresh process.  One trial runs on one worker, whatever
+    REPRO_NUM_THREADS says."""
     n = 1 << 22
     env = dict(os.environ)
     env.pop("REPRO_KERNEL_BACKEND", None)  # it would outrank backend="cext"
@@ -557,8 +639,27 @@ def test_ring_trial_scratch_stays_under_14_bytes_per_server():
     if out.returncode == 77:
         pytest.skip("/proc/self/clear_refs is not writable")
     assert out.returncode == 0, out.stderr
-    per_server = float(out.stdout)
+    return float(out.stdout)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads Linux's VmHWM")
+def test_ring_trial_scratch_stays_under_14_bytes_per_server():
+    """An int32 bucket table would make a kernel-built ring trial's
+    scratch 16 bytes per server, an n-entry draw buffer or int64 loads
+    20."""
+    per_server = _ring_trial_peak_per_server()
     assert per_server < 14, f"{per_server:.2f} bytes per server"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads Linux's VmHWM")
+def test_ring_trial_scratch_stays_under_11_bytes_per_server():
+    """A kernel-built ring trial holds its sorted positions (8 bytes per
+    server), a load byte, which first holds the build's bucket count (1),
+    and its compact bucket index (a byte per bucket and an int32 per 64
+    buckets): 10.06 bytes per server at n = 2²².  int32 loads would make
+    it 13."""
+    per_server = _ring_trial_peak_per_server()
+    assert per_server < 11, f"{per_server:.2f} bytes per server"
 
 
 @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.PCG64DXSM])

@@ -270,3 +270,35 @@ class TestRunCellMemory:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20, f"{peak / 2**20:.2f} MB traced"
+
+    @pytest.mark.parametrize("space", ["ring", "torus"])
+    def test_cell_is_one_kernel_call(self, monkeypatch, space):
+        """Max-load cells reach the kernel whole, however small their
+        fused_trial_chunk: here 1, where each trial would be a call of
+        its own.  The maxima equal those of one call per trial."""
+        from repro.core import multitrial
+        from repro.core.multitrial import run_random_spaces
+        from repro.stats import trials as trials_module
+
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cext")
+        spec = CellSpec(space, 300, 2)
+        chunked = [
+            int(run_random_spaces(space, 300, 300, 2, "random",
+                                  [np.random.default_rng(ss)], maxima=True,
+                                  threads=2)[0][0])
+            for ss in spawn_seed_sequences(4, 6)
+        ]
+        calls = []
+        real = multitrial._run_fused_ring
+
+        def run_fused_ring(spaces, n, m, d, strategy, rngs, *args, **kwargs):
+            calls.append(len(rngs))
+            return real(spaces, n, m, d, strategy, rngs, *args, **kwargs)
+
+        monkeypatch.setattr(multitrial, "_run_fused_ring", run_fused_ring)
+        for module in (multitrial, trials_module):
+            monkeypatch.setattr(module, "fused_trial_chunk", lambda n, m, d: 1)
+        maxima = trials_module._run_cell_fused(spec, 6, 4, profile=False,
+                                               threads=2)
+        assert calls == [6]
+        assert maxima == chunked
