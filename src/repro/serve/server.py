@@ -245,6 +245,8 @@ class PlacementServer:
         self._pending_kinds = np.empty(self.max_pending, dtype=np.int8)
         self._pending_keys: list = []
         self._pending_n = 0
+        #: whether each key the queue touches is live once it is applied
+        self._pending_live: dict = {}
         self._delivered: list[np.ndarray] = []
 
     # ------------------------------------------------------------------
@@ -279,9 +281,9 @@ class PlacementServer:
         if key in self._key_ball:
             raise KeyError(f"key {key!r} is already live")
         ball = self._next_ball
+        self.stream.ensure(ball + 1)
         self._next_ball = ball + 1
         self._key_ball[key] = ball
-        self.stream.ensure(ball + 1)
         chosen = self.state.insert(
             ball, self.stream.cands[ball], float(self.stream.us[ball])
         )
@@ -320,7 +322,9 @@ class PlacementServer:
         ``ValueError``, before anything is applied.  Inserting a live
         key or deleting/looking up an unknown key raises ``KeyError``;
         the failing block then changes nothing, key map included
-        (earlier blocks stay applied).
+        (earlier blocks stay applied).  A bounded candidate stream too
+        short for the batch's inserts raises ``RuntimeError`` before
+        anything is applied.
         """
         _check_keys(keys)
         kinds = _check_kinds(kinds, len(keys), "keys")
@@ -338,13 +342,17 @@ class PlacementServer:
         delete targets a ball placed at its turn.  A lookup of an
         unplaced ball yields ``-1``.  No key map is touched.  Args that
         break the discipline, an unknown op code or a ``kinds``/``args``
-        length mismatch raise ``ValueError`` before anything is applied.
+        length mismatch raise ``ValueError``, and a bounded candidate
+        stream too short for the inserts ``RuntimeError``, before
+        anything is applied.
         """
         args = np.ascontiguousarray(args, dtype=np.int64)
         kinds = _check_kinds(kinds, args.size, "args")
         self._flush_if_pending()
         t0 = perf_counter()
-        self._next_ball += self._check_ids(kinds, args)
+        inserts = self._check_ids(kinds, args)
+        self.stream.ensure(self._next_ball + inserts)
+        self._next_ball += inserts
         results = np.empty(args.size, dtype=np.int64)
         for a in range(0, args.size, self.max_batch):
             b = min(a + self.max_batch, args.size)
@@ -363,12 +371,29 @@ class PlacementServer:
         The queue is the bounded ingress buffer: up to ``max_pending``
         ops accumulate, then the enqueueing caller pays for the drain
         (backpressure).  Results are delivered, in op order, by the
-        next :meth:`flush`.  An unknown op code raises ``ValueError``
-        before the op is queued.
+        next :meth:`flush`.  An unknown op code raises ``ValueError``,
+        and an op the queue could not apply raises ``KeyError``, before
+        the op is queued: an insert of a key that is live once the ops
+        queued ahead of it are applied, or a delete or lookup of a key
+        that is not.  So a drain never fails on a key; a drain that
+        raises anyway (a bounded candidate stream that runs out) keeps
+        its unapplied blocks queued and delivers the results of the
+        blocks it applied.
         """
         _check_keys((key,))
         if kind not in _OP_CODES:
             raise ValueError(f"invalid op code {kind!r}; expected one of {_OP_CODES}")
+        if self._pending_n == self.max_pending:  # a drain that raised
+            self._delivered.append(self._drain_pending())
+        live = self._pending_live.get(key, key in self._key_ball)
+        if kind == OP_INSERT:
+            if live:
+                raise KeyError(f"key {key!r} is already live")
+            self._pending_live[key] = True
+        elif not live:
+            raise KeyError(key)
+        elif kind == OP_DELETE:
+            self._pending_live[key] = False
         self._pending_kinds[self._pending_n] = kind
         self._pending_keys.append(key)
         self._pending_n += 1
@@ -493,13 +518,33 @@ class PlacementServer:
             self._delivered.append(self._drain_pending())
 
     def _drain_pending(self) -> np.ndarray:
+        """Apply the queue block by block; the results of its ops.
+
+        A block that raises stays queued with every block after it, and
+        the results of the blocks before it are delivered first.
+        """
         kinds = self._pending_kinds[: self._pending_n].copy()
         keys = self._pending_keys
+        parts = []
+        for a in range(0, kinds.size, self.max_batch):
+            b = min(a + self.max_batch, kinds.size)
+            try:
+                parts.append(self._submit_keyed(kinds[a:b], keys[a:b]))
+            except BaseException:
+                self._delivered.extend(parts)
+                self._pending_kinds[: kinds.size - a] = kinds[a:]
+                self._pending_keys = keys[a:]
+                self._pending_n = kinds.size - a
+                raise
         self._pending_keys = []
         self._pending_n = 0
-        return self._submit_keyed(kinds, keys)
+        self._pending_live = {}
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def _submit_keyed(self, kinds: np.ndarray, keys) -> np.ndarray:
+        # the stream covers every ball id the inserts can take before any
+        # key is mapped
+        self.stream.ensure(self._next_ball + int((kinds == OP_INSERT).sum()))
         results = np.empty(kinds.size, dtype=np.int64)
         args = np.empty(kinds.size, dtype=np.int64)
         key_ball = self._key_ball
@@ -561,9 +606,9 @@ class PlacementServer:
         return ins.size
 
     def _apply_block(self, kinds, args, a: int, b: int, results) -> None:
-        """Apply ops ``[a, b)`` in one window, writing their results."""
+        """Apply ops ``[a, b)`` in one window, writing their results; the
+        stream already covers their ball ids."""
         stream = self.stream
-        stream.ensure(self._next_ball)
         self.state.apply_window(kinds, args, a, b, stream.cands, stream.us,
                                 batch_size=self._batch_size,
                                 backend=self.backend, out=results)

@@ -201,6 +201,36 @@ class TestKeySemantics:
         s.delete("b")
         assert check_state(s.state) == []
 
+    def test_enqueue_refuses_an_op_the_queue_could_not_apply(self):
+        # a drain that met "ghost" used to lose the whole queue: "a" and
+        # "b" stayed placed, but their results and every later op were
+        # dropped.  Now the op is refused before it is queued.
+        s = _server(max_batch=2)
+        s.enqueue(OP_INSERT, "a")
+        s.enqueue(OP_INSERT, "b")
+        with pytest.raises(KeyError, match="ghost"):
+            s.enqueue(OP_DELETE, "ghost")
+        assert s.pending == 2 and s.occupancy == 0
+        placed = s.flush()
+        assert placed.tolist() == [s.lookup("a"), s.lookup("b")]
+        assert s.pending == 0 and s.flush().size == 0
+
+    def test_enqueue_checks_keys_as_the_queue_leaves_them(self):
+        s = _server()
+        s.insert("a")
+        s.enqueue(OP_DELETE, "a")
+        for kind in (OP_DELETE, OP_LOOKUP):
+            with pytest.raises(KeyError):
+                s.enqueue(kind, "a")  # deleted by the queue
+        s.enqueue(OP_INSERT, "b")
+        with pytest.raises(KeyError, match="already live"):
+            s.enqueue(OP_INSERT, "b")  # inserted by the queue
+        s.enqueue(OP_INSERT, "a")
+        s.enqueue(OP_LOOKUP, "b")
+        res = s.flush()
+        assert res[0] == -1 and res[1] == res[3] == s.lookup("b")
+        assert res[2] == s.lookup("a") and s.occupancy == 2
+
     def test_submit_ids_requires_consecutive_inserts(self):
         s = _server()
         with pytest.raises(ValueError, match="consecutive"):
@@ -314,6 +344,38 @@ class TestValidation:
         state = IncrementalState(space, 2, "random")
         with pytest.raises(ValueError, match="stream"):
             PlacementServer(space, 2, state=state)
+
+    def test_exhausted_stream_leaves_the_server_unchanged(self):
+        # a replay-shaped server on a 3-row stream: 4 inserts used to
+        # advance the next ball id to 4 before the stream raised, so a
+        # retry of the same ids failed the consecutive-insert check
+        from repro.core.incremental import IncrementalState
+
+        space = RingSpace.random(16, seed=9)
+        s = PlacementServer(
+            space, 2, max_batch=1, state=IncrementalState(space, 2, "random"),
+            stream=CandidateStream(space, np.random.default_rng(0), 2, total=3),
+        )
+        inserts = np.full(4, OP_INSERT, dtype=np.int8)
+        with pytest.raises(RuntimeError, match="exhausted"):
+            s.submit_ids(inserts, np.arange(4))
+        assert (s._next_ball, s.occupancy) == (0, 0)
+        assert s.submit_ids(inserts[:2], np.arange(2)).min() >= 0
+        with pytest.raises(RuntimeError, match="exhausted"):
+            s.submit(inserts[:2], ["a", "b"])
+        assert (s._next_ball, s.occupancy, s._key_ball) == (2, 2, {})
+        s.insert("a")
+        with pytest.raises(RuntimeError, match="exhausted"):
+            s.insert("b")
+        assert (s._next_ball, s.occupancy, s._key_ball) == (3, 3, {"a": 2})
+        # a drain applies the lookup, then keeps the insert queued
+        s.enqueue(OP_LOOKUP, "a")
+        s.enqueue(OP_INSERT, "b")
+        with pytest.raises(RuntimeError, match="exhausted"):
+            s.flush()
+        assert (s.pending, s._next_ball, s.occupancy) == (1, 3, 3)
+        assert [r.tolist() for r in s._delivered] == [[s.state.lookup(2)]]
+        assert check_state(s.state) == []
 
     def test_bounded_stream_exhaustion(self):
         space = RingSpace.random(16, seed=9)

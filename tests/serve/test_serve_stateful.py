@@ -2,7 +2,8 @@
 
 Hypothesis drives random sequences of the whole ``PlacementServer``
 API — scalar insert/delete/lookup, batched ``submit``,
-``enqueue``/``flush``, bin churn, and save → load mid-sequence —
+``enqueue``/``flush`` (with ops the queue must refuse), bin churn, and
+save → load mid-sequence —
 against a twin server with another ``max_batch`` that never
 checkpoints.  After every step both must agree on every decision and
 pass :func:`helpers.check_state`, and the key map must match
@@ -109,6 +110,18 @@ class ServerModel(RuleBasedStateMachine):
         for _ in range(size):
             kind, key = self._draw_op(data, self.live)
             self._both(lambda s: s.enqueue(kind, key))
+
+    @rule(data=st.data())
+    def enqueue_failing(self, data):
+        # an op the queue could not apply, judged by the keys live once
+        # the queue is applied: refused with KeyError, nothing queued
+        bad = [(OP_DELETE, "ghost"), (OP_LOOKUP, "ghost")]
+        if self.live:
+            bad.append((OP_INSERT, data.draw(st.sampled_from(sorted(self.live)))))
+        kind, key = data.draw(st.sampled_from(bad))
+        pending = self.server.pending
+        assert self._both(lambda s: s.enqueue(kind, key)) is KeyError
+        assert self.server.pending == pending
 
     @rule()
     def flush(self):
