@@ -189,14 +189,15 @@ def _space_kernel_takes(
 
 
 def _worker_scratch_bytes(space: str, n: int, strategy: TieBreak) -> int:
-    """About the scratch one ``ring_trials`` worker holds for the
-    ``n``-server spaces it builds: for a ring 8 bytes per server of
-    positions, a load byte and a 1.06-byte bucket index (11 here), plus
-    8 for arc lengths; for a 2-D torus 16 of points, 16 of their grid
-    order, 4 of ids and under 8 of cell offsets (44)."""
+    """At most the scratch one ``ring_trials`` worker holds for the
+    ``n``-server spaces it builds, per server: for a ring 8 bytes of
+    positions, then a load byte and a bucket index of 1.06 bytes per
+    bucket, with up to 2n buckets (13 in all), plus 8 for arc lengths;
+    for a 2-D torus 16 of points, 16 of their grid order, 4 of ids and
+    up to 16 of cell offsets (52)."""
     if space == "torus":
-        return 44 * n
-    return (19 if strategy_needs_measures(strategy) else 11) * n
+        return 52 * n
+    return (21 if strategy_needs_measures(strategy) else 13) * n
 
 
 def _distinct_generators(rngs: Sequence[np.random.Generator]) -> bool:

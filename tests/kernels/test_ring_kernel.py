@@ -704,6 +704,34 @@ def test_random_rings_shared_generator_takes_the_reference_path():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("space", ["ring", "torus"])
+def test_scratch_budget_caps_the_threads_of_a_maxima_call(monkeypatch, space):
+    """A maxima call takes every trial at once, on no more threads than
+    the scratch budget holds workers, and at least one; the loads path
+    keeps the requested count.  Results do not depend on it."""
+    n = 500
+    per_worker = multitrial._worker_scratch_bytes(space, n, TieBreak.RANDOM)
+    threads = []
+    real = multitrial._run_fused_ring
+
+    def run_fused_ring(spaces, n, m, d, strategy, rngs, backend, count,
+                       **kwargs):
+        threads.append(count)
+        return real(spaces, n, m, d, strategy, rngs, backend, count, **kwargs)
+
+    def run(maxima):
+        rngs = [np.random.default_rng(20 + k) for k in range(8)]
+        return run_random_spaces(space, n, n, 2, TieBreak.RANDOM, rngs,
+                                 maxima=maxima, backend="cext", threads=7)[0]
+
+    monkeypatch.setattr(multitrial, "_run_fused_ring", run_fused_ring)
+    loads = run(False)
+    for budget, capped in ((3 * per_worker + 1, 3), (per_worker - 1, 1)):
+        monkeypatch.setattr(multitrial, "_KERNEL_SCRATCH_BUDGET", budget)
+        np.testing.assert_array_equal(run(True), loads.max(axis=1))
+    assert threads == [7, 3, 1]
+
+
 @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.PCG64DXSM])
 def test_other_bit_generators_take_the_generic_path(bit_generator):
     spaces = [RingSpace.random(500, seed=k) for k in range(2)]
