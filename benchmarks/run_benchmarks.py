@@ -15,8 +15,11 @@ Protocol notes (what makes the numbers comparable):
   their outputs cross-check bit-identically (verified at the smallest
   size on every run);
 * each engine gets an untimed warm-up run (page faults, lazily built
-  bucket tables) and the best of ``--repeats`` timed runs is kept —
-  the shared-box noise here is easily ±15%;
+  bucket tables), then ``--repeats`` timed runs (default 5); a row
+  records their median (the upper middle one for an even count) as
+  ``seconds`` with the fastest and slowest as ``seconds_min`` and
+  ``seconds_max`` — the shared-box noise here is easily ±15%, so a
+  row shows its spread;
 * the sequential reference places fewer balls (the per-cell
   ``trials``/``sequential_balls`` fields record exactly how many each
   engine placed) — the statistic is per-ball throughput, which is
@@ -50,7 +53,10 @@ resident set's peak rose during a fresh interpreter's first
 resident set before it (Linux's ``VmHWM``, reset through
 ``/proc/self/clear_refs``; ``null`` elsewhere).  In this process the
 rows before it have already left the kernel's scratch resident, so
-the growth would read 0.
+the growth would read 0.  ``CELL_ONLY`` adds ``cell`` rows at sizes
+where the prebuilt-space rows would hold too much memory: a ring cell
+at ``n = 2²⁴``, the paper's largest, timed on the compiled backend at
+threads 1 and 2 (full mode only).
 
 Usage::
 
@@ -101,6 +107,12 @@ CELL_THREAD_COUNTS = (1, 2)
 
 #: Master seed of the ``run_cell`` rows.
 CELL_SEED = 9000
+
+#: (space, n, trials, backend) of cells measured by ``run_cell`` rows
+#: alone, at ``CELL_THREAD_COUNTS``: a 2²⁴-server ring trial holds about
+#: 10 bytes per server of kernel scratch per thread, where prebuilt
+#: spaces would hold gigabytes.  Full mode only.
+CELL_ONLY = (("ring", 1 << 24, 4, "cext"),)
 
 #: (space, n, trials, sequential_balls, thread counts) per measured
 #: cell.  Throughput is per-ball and trial-count independent, so the
@@ -231,14 +243,30 @@ def _fresh_peak_rss_growth(space: str, n: int, trials: int, backend: str,
                            threads).result()
 
 
-def _time_best(fn, repeats: int) -> float:
-    fn()  # warm-up: page faults, bucket tables, allocator reuse
-    best = float("inf")
+def _time_median(fn, repeats: int) -> tuple[float, float, float]:
+    """``(median, min, max)`` seconds of ``repeats`` timed calls after an
+    untimed warm-up (page faults, bucket tables, allocator reuse); the
+    median of an even count is the upper middle one."""
+    fn()
+    times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
         fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
+        times.append(time.perf_counter() - t0)
+    times.sort()
+    return times[len(times) // 2], times[0], times[-1]
+
+
+def _timed_row(times: tuple[float, float, float], balls: int) -> dict:
+    """A row's ``seconds`` (the median) and spread, and balls/s at the
+    median."""
+    seconds, fastest, slowest = times
+    return {
+        "seconds": round(seconds, 4),
+        "seconds_min": round(fastest, 4),
+        "seconds_max": round(slowest, 4),
+        "balls_per_s": round(balls / seconds, 1),
+    }
 
 
 def _measure_cell(space, n, trials, sequential_balls, thread_counts, repeats,
@@ -260,28 +288,21 @@ def _measure_cell(space, n, trials, sequential_balls, thread_counts, repeats,
 
     with _pinned_backend("numpy"), _pinned_threads(1):
         timings = {
-            "fused": (_time_best(fused, repeats), trials * n),
-            "sequential": (_time_best(sequential, repeats), sequential_balls),
+            "fused": (_time_median(fused, repeats), trials * n),
+            "sequential": (_time_median(sequential, repeats), sequential_balls),
         }
     engines = {
-        name: {
-            "seconds": round(seconds, 4),
-            "balls": balls,
-            "balls_per_s": round(balls / seconds, 1),
-        }
-        for name, (seconds, balls) in timings.items()
+        name: {"balls": balls, **_timed_row(times, balls)}
+        for name, (times, balls) in timings.items()
     }
     backend_rows = {"numpy": dict(engines["fused"])}
     for name in backends:
         if name == "numpy":
             continue
         with _pinned_backend(name), _pinned_threads(1):
-            seconds = _time_best(fused, repeats)
-        backend_rows[name] = {
-            "seconds": round(seconds, 4),
-            "balls": trials * n,
-            "balls_per_s": round(trials * n / seconds, 1),
-        }
+            times = _time_median(fused, repeats)
+        backend_rows[name] = {"balls": trials * n,
+                              **_timed_row(times, trials * n)}
     for row in backend_rows.values():
         row["speedup_over_numpy"] = round(
             row["balls_per_s"] / backend_rows["numpy"]["balls_per_s"], 2
@@ -292,13 +313,12 @@ def _measure_cell(space, n, trials, sequential_balls, thread_counts, repeats,
         base = None
         for count in thread_counts:
             with _pinned_backend(name), _pinned_threads(count):
-                seconds = _time_best(fused, repeats)
-            bps = trials * n / seconds
+                row = _timed_row(_time_median(fused, repeats), trials * n)
+            bps = row["balls_per_s"]
             if base is None:
                 base = bps
             rows[str(count)] = {
-                "seconds": round(seconds, 4),
-                "balls_per_s": round(bps, 1),
+                **row,
                 "speedup_over_1_thread": round(bps / base, 2),
                 "parallel_efficiency": round(bps / base / count, 2),
             }
@@ -327,7 +347,7 @@ def _measure_run_cell(space, n, trials, repeats, backends):
         for count in CELL_THREAD_COUNTS:
             with _pinned_backend(name), _pinned_threads(count):
                 counts = run_cell(spec, trials, seed=CELL_SEED).to_json_counts()
-                seconds = _time_best(
+                times = _time_median(
                     lambda: run_cell(spec, trials, seed=CELL_SEED), repeats
                 )
             if reference is None:
@@ -339,8 +359,7 @@ def _measure_run_cell(space, n, trials, repeats, backends):
                     "to emit benchmark numbers"
                 )
             rows[name][str(count)] = {
-                "seconds": round(seconds, 4),
-                "balls_per_s": round(trials * n / seconds, 1),
+                **_timed_row(times, trials * n),
                 "peak_rss_growth_mb": _fresh_peak_rss_growth(
                     space, n, trials, name, count
                 ),
@@ -386,19 +405,29 @@ def _cross_check(space: str, n: int, trials: int, thread_counts,
             )
 
 
+def _print_run_cell(cell) -> None:
+    for name, rows in cell["cell"].items():
+        scaling = ", ".join(
+            f"{count}t={row['balls_per_s']:,.0f}/s "
+            f"(+{row['peak_rss_growth_mb']} MB peak RSS)"
+            for count, row in rows.items()
+        )
+        print(f"  run_cell[{name}]: {scaling}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--fast", action="store_true",
                         help="small sizes, 1 repeat (CI smoke mode)")
     parser.add_argument("--repeats", type=int, default=None,
-                        help="timed runs per engine (best kept); "
-                             "default 3, or 1 with --fast")
+                        help="timed runs per row (median kept, with the "
+                             "min and max); default 5, or 1 with --fast")
     parser.add_argument("--out", type=Path,
                         default=Path(__file__).resolve().parent.parent
                         / "BENCH_engine.json",
                         help="output path (default: repo-root BENCH_engine.json)")
     args = parser.parse_args(argv)
-    repeats = args.repeats or (1 if args.fast else 3)
+    repeats = args.repeats or (1 if args.fast else 5)
     cells = FAST_CELLS if args.fast else FULL_CELLS
 
     backends = ["numpy"] + [
@@ -437,13 +466,16 @@ def main(argv=None) -> int:
                 for count, row in rows.items()
             )
             print(f"  threads[{name}]: {scaling}")
-        for name, rows in cell["cell"].items():
-            scaling = ", ".join(
-                f"{count}t={row['balls_per_s']:,.0f}/s "
-                f"(+{row['peak_rss_growth_mb']} MB peak RSS)"
-                for count, row in rows.items()
-            )
-            print(f"  run_cell[{name}]: {scaling}")
+        _print_run_cell(cell)
+    for space, n, trials, backend in () if args.fast else CELL_ONLY:
+        if backend not in backends:
+            continue
+        cell = {"space": space, "n": n, "trials": trials,
+                "cell": _measure_run_cell(space, n, trials, repeats, [backend])}
+        results.append(cell)
+        print(f"{space} n=2^{n.bit_length() - 1}: run_cell only "
+              f"({trials} trials)")
+        _print_run_cell(cell)
 
     payload = {
         "benchmark": "engine_throughput",
@@ -455,6 +487,9 @@ def main(argv=None) -> int:
         "repeats": repeats,
         "kernel_backends": backends,
         "note": (
+            "every timed row is the median of `repeats` runs after a "
+            "warm-up (seconds, balls_per_s), with the fastest and slowest "
+            "as seconds_min and seconds_max. "
             "throughputs are balls/s and trial-count independent; engines "
             "place different ball counts per cell (see trials/"
             "sequential_balls). 'backends' rows rerun the "
@@ -469,7 +504,8 @@ def main(argv=None) -> int:
             "included) per backend at threads 1 and 2; their "
             "peak_rss_growth_mb is VmHWM over a fresh interpreter's first "
             "run_cell of that row (reset through /proc/self/clear_refs) "
-            "minus the RSS before it, in MB, null off Linux."
+            "minus the RSS before it, in MB, null off Linux. The n=2^24 "
+            "ring cell has cext 'cell' rows only."
         ),
         "thread_counts": list(THREAD_COUNTS),
         "unix_time": int(time.time()),
