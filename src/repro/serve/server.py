@@ -544,7 +544,7 @@ class PlacementServer:
     def _submit_keyed(self, kinds: np.ndarray, keys) -> np.ndarray:
         # the stream covers every ball id the inserts can take before any
         # key is mapped
-        self.stream.ensure(self._next_ball + int((kinds == OP_INSERT).sum()))
+        self.stream.ensure(self._next_ball + np.count_nonzero(kinds == OP_INSERT))
         results = np.empty(kinds.size, dtype=np.int64)
         args = np.empty(kinds.size, dtype=np.int64)
         key_ball = self._key_ball
