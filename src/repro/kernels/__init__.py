@@ -31,7 +31,9 @@ into *scalar kernels* that a compiled tier can run at memory speed:
     draws and builds its own ring on its worker thread (reading its
     positions twice in small chunks rather than keeping them) — or its
     own 2-D torus and grid, whose lookups then replace the bucket probe
-    — and, asked for each trial's maximum load only
+    (ball by ball, in the order the tie-break prefers and only as far as
+    the choice needs, with loads counted in grid order) — and, asked for
+    each trial's maximum load only
     (:func:`repro.stats.trials.run_cell`), reads it from that scratch,
     so no ``(T, n)`` loads array is made.
 ``torus_grid``

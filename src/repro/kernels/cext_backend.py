@@ -34,6 +34,10 @@ The torus grid computes squared distances in cKDTree's periodic
 arithmetic, so it finds the server cKDTree finds, and the 2-D torus
 ``ring_trials`` builds from a generator is the one
 ``TorusSpace.random`` draws (``tests/kernels/test_torus_kernel.py``).
+A torus trial decides each ball while looking its candidates up, in
+the order the tie-break prefers, and skips the lookups that cannot
+change the choice (every candidate is still drawn); it counts loads by
+the grid's sorted server order, so a lookup needs no server index.
 """
 
 from __future__ import annotations
@@ -115,7 +119,24 @@ static inline int64_t bin_of(const int64_t *cand, const int64_t *remap,
  * b, or the first ball whose chosen bin already holds top balls; that
  * ball and the ones after it are not placed.
  *
+ * place_torus_w is place_block_w on a 2-D torus grid g, strategy random
+ * or first, with loads indexed by grid position: ball t's candidates are
+ * the points x[2 * (t * d + c)], and it looks them up (torus_nearest)
+ * in the order its tie-break prefers, stopping once the ones not yet
+ * looked up cannot change the choice, since an empty bin holds the
+ * least load.  Random with d = 2 looks up candidate (u >= 0.5) first,
+ * which wins when its bin is empty, and else the other, which wins only
+ * when strictly less loaded.  First, and random when (int64_t)(u * d)
+ * is 0, scan forward and stop at the first empty bin: the tied target
+ * floor(u * k) + 1 is then 1 for every tie count k <= d, as rounding is
+ * monotone.  With d = 1 a ball looks up its one candidate, and any
+ * other ball looks up all d.  cand holds d bins.
+ *
  * max_load_w is the largest of n loads. */
+typedef struct torus_index torus_index;
+static int64_t torus_nearest(const torus_index *g, int64_t side, double qx,
+                             double qy);
+
 #define PLACEMENT(w, T, top)                                                 \
     static int64_t decide_##w(const T *loads, const int64_t *cand,           \
                               const int64_t *remap, int64_t d,               \
@@ -191,6 +212,46 @@ static inline int64_t bin_of(const int64_t *cand, const int64_t *remap,
             } else {                                                         \
                 chosen = cand[decide_##w(loads, cand, 0, d, measures, us[t], \
                                          strategy)];                         \
+            }                                                                \
+            if ((top) && loads[chosen] == (top))                             \
+                return t;                                                    \
+            if (heights)                                                     \
+                heights[t] = (int64_t)loads[chosen] + 1;                     \
+            loads[chosen] += 1;                                              \
+        }                                                                    \
+        return b;                                                            \
+    }                                                                        \
+                                                                             \
+    static int64_t place_torus_##w(const torus_index *g, int64_t side,       \
+                                   const double *x, const double *us,        \
+                                   int64_t b, int64_t d, T *loads,           \
+                                   int64_t strategy, int64_t *heights,       \
+                                   int64_t *cand)                            \
+    {                                                                        \
+        int64_t t, j, chosen, other;                                         \
+        for (t = 0; t < b; t++, x += 2 * d) {                                \
+            double u = us[t];                                                \
+            if (d == 1) {                                                    \
+                chosen = torus_nearest(g, side, x[0], x[1]);                 \
+            } else if (d == 2 && strategy == 0) {                            \
+                int64_t f = u >= 0.5;                                        \
+                chosen = torus_nearest(g, side, x[2 * f], x[2 * f + 1]);     \
+                if (loads[chosen] != 0) {                                    \
+                    other = torus_nearest(g, side, x[2 - 2 * f],             \
+                                          x[3 - 2 * f]);                     \
+                    if (loads[other] < loads[chosen])                        \
+                        chosen = other;                                      \
+                }                                                            \
+            } else {                                                         \
+                int stop = strategy == 1 || (int64_t)(u * (double)d) == 0;   \
+                for (j = 0; j < d; j++) {                                    \
+                    cand[j] = torus_nearest(g, side, x[2 * j], x[2 * j + 1]); \
+                    if (stop && loads[cand[j]] == 0)                         \
+                        break;                                               \
+                }                                                            \
+                if (j == d)                                                  \
+                    j = decide_##w(loads, cand, 0, d, 0, u, strategy);       \
+                chosen = cand[j];                                            \
             }                                                                \
             if ((top) && loads[chosen] == (top))                             \
                 return t;                                                    \
@@ -811,11 +872,11 @@ static int ring_compact(const int32_t *table, int64_t nbuckets,
  * original indices (ascending within a cell).  Neighbouring cells of a
  * row are therefore one contiguous run of points. */
 
-typedef struct {
+struct torus_index {
     const int32_t *start; /* side*side + 1 cell offsets */
     const double *xy;     /* cell-sorted coordinates, x then y */
     const int32_t *ids;   /* original index of each cell-sorted point */
-} torus_index;
+};
 
 /* x mod side, for a power-of-two side and any integer x. */
 static inline int64_t torus_wrap(int64_t x, int64_t side)
@@ -922,13 +983,14 @@ static inline uint64_t torus_bound(int64_t r, int64_t side)
     return bits;
 }
 
-/* Index of the point nearest to (qx, qy) in [0, 1]^2, the lowest on
- * exact ties: the 3 x 3 block of cells around the query as three row
- * runs, then ring after ring until the bound rules out every cell left.
- * A block clear of the seam on a grid of side >= 8 spans under 0.5 on
- * both axes, so its distances need no wrap, and its runs are visited in
- * one loop, whose exit mispredicts once rather than three times: step k
- * jumps the gaps before runs 1 and 2 once it has passed runs 0 and 1. */
+/* Sorted position of the point nearest to (qx, qy) in [0, 1]^2, the
+ * lowest index on exact ties: the 3 x 3 block of cells around the query
+ * as three row runs, then ring after ring until the bound rules out
+ * every cell left.  A block clear of the seam on a grid of side >= 8
+ * spans under 0.5 on both axes, so its distances need no wrap, and its
+ * runs are visited in one loop, whose exit mispredicts once rather than
+ * three times: step k jumps the gaps before runs 1 and 2 once it has
+ * passed runs 0 and 1. */
 static int64_t torus_nearest(const torus_index *g, int64_t side, double qx,
                              double qy)
 {
@@ -968,7 +1030,7 @@ static int64_t torus_nearest(const torus_index *g, int64_t side, double qx,
             torus_run(g, side, y, cx + r, cx + r, qx, qy, &best, &bj);
         }
     }
-    return g->ids[bj];
+    return bj;
 }
 
 /* Kernel 6: nearest point of a torus grid for q query points (x, y). */
@@ -979,7 +1041,7 @@ void repro_torus_assign(const double *pts, int64_t q, const int32_t *start,
     torus_index g = {start, xy, ids};
     int64_t i;
     for (i = 0; i < q; i++)
-        out[i] = torus_nearest(&g, side, pts[2 * i], pts[2 * i + 1]);
+        out[i] = ids[torus_nearest(&g, side, pts[2 * i], pts[2 * i + 1])];
 }
 
 /* A grid is built only when no cell holds more than TORUS_MAX_CELL
@@ -1098,31 +1160,19 @@ static void ring_lookup(const ring_trials_job *job, const trial_space *sp,
     }
 }
 
-/* Owners of the q torus points x (x then y) into bins: the grid's
- * nearest point, as repro_torus_assign finds it; each owner's load (of
- * `size` bytes) is warmed for placement. */
-static void torus_lookup(const ring_trials_job *job, const trial_space *sp,
-                         const double *x, int64_t q, int64_t *bins,
-                         const char *loads, int64_t size)
-{
-    int64_t i, side = job->nbuckets;
-    for (i = 0; i < q; i++) {
-        bins[i] = torus_nearest(&sp->grid, side, x[2 * i], x[2 * i + 1]);
-        PREFETCH_RW(loads + bins[i] * size);
-    }
-}
-
 /* One trial from generator g on space sp into loads, block by block in
  * choice_blocks' layout: an RNG block of b balls is b*d candidate
  * points of dim draws each (a ring position; a torus point's x then y)
  * followed by b tie-break draws.  Two cursors walk it without
  * materialising it — candidates from the block's first draw,
  * tie-breaks from b*d*dim draws later (jump-ahead) — and each stage of
- * RING_STAGE balls runs draw -> lookup -> place.  Partitioned, the
- * first coordinate x of candidate c becomes (x + c) / d.  The loads are
- * n bytes, or with wide set n int64.  Returns 1, or 0 as soon as a
- * ball chooses a bin whose byte already holds UINT8_MAX; g and the
- * loads are then partly advanced. */
+ * RING_STAGE balls runs draw -> lookup -> place; on a torus, lookup and
+ * place are one loop (place_torus_w), which skips the lookups a ball's
+ * choice does not need.  Partitioned, the first coordinate x of
+ * candidate c becomes (x + c) / d.  The loads are n bytes, or with wide
+ * set n int64, indexed by server on a ring and by grid position on a
+ * torus.  Returns 1, or 0 as soon as a ball chooses a bin whose byte
+ * already holds UINT8_MAX; g and the loads are then partly advanced. */
 static int space_trial(const ring_trials_job *job, int64_t k, pcg64 *g,
                        const trial_space *sp, void *loads, int wide,
                        double *x, int64_t *bins, double *us)
@@ -1140,7 +1190,7 @@ static int space_trial(const ring_trials_job *job, int64_t k, pcg64 *g,
             pcg64_advance(&tie, (pcg128)b * (pcg128)(d * dim));
         for (s0 = 0; s0 < b; s0 += RING_STAGE) {
             int64_t w = b - s0 < RING_STAGE ? b - s0 : RING_STAGE;
-            int64_t q = w * d, i, c;
+            int64_t q = w * d, i, c, placed;
             int64_t *h = heights ? heights + ball + s0 : 0;
             pcg64_fill(&cand, q * dim, x);
             if (needs_u)
@@ -1150,15 +1200,23 @@ static int space_trial(const ring_trials_job *job, int64_t k, pcg64 *g,
                     for (c = 0; c < d; c++)
                         x[(i * d + c) * dim] =
                             (x[(i * d + c) * dim] + (double)c) / (double)d;
-            if (job->torus)
-                torus_lookup(job, sp, x, q, bins, loads, size);
-            else
+            if (job->torus) {
+                placed = wide ? place_torus_i64(&sp->grid, job->nbuckets, x,
+                                                us, w, d, loads,
+                                                job->strategy, h, bins)
+                              : place_torus_u8(&sp->grid, job->nbuckets, x,
+                                               us, w, d, loads,
+                                               job->strategy, h, bins);
+            } else {
                 ring_lookup(job, sp, x, q, bins, loads, size);
-            if (wide)
-                place_block_i64(bins, us, w, d, loads, sp->measures,
-                                job->strategy, h);
-            else if (place_block_u8(bins, us, w, d, loads, sp->measures,
-                                    job->strategy, h) < w)
+                placed = wide ? place_block_i64(bins, us, w, d, loads,
+                                                sp->measures, job->strategy,
+                                                h)
+                              : place_block_u8(bins, us, w, d, loads,
+                                               sp->measures, job->strategy,
+                                               h);
+            }
+            if (placed < w)
                 return 0;
         }
         pcg64_advance(g, (pcg128)b * (pcg128)(d * dim + 1));
@@ -1201,8 +1259,8 @@ static void *ring_scratch(size_t size)
  * worker zeroes before every trial; its maximum goes to maxima and,
  * when the caller keeps loads, it is widened into the trial's int64 row.
  * A trial that chooses a bin already at UINT8_MAX reruns from its
- * generator's state after the build into int64 loads: the caller's row,
- * or wide, allocated on the worker's first overflow.
+ * generator's state after the build into int64 loads: on a ring the
+ * caller's row, or wide, allocated on the worker's first overflow.
  * A ring trial looks its candidates up in the worker's bucket index:
  * given tables, each trial's is compacted into it (ring_compact).
  * Without tables each trial first builds its space from its own
@@ -1211,10 +1269,12 @@ static void *ring_scratch(size_t size)
  * stages need them; the smaller/larger strategies, codes 2 and 3, also
  * get its arc lengths) or a torus grid (torus_build; raw holds the
  * points, pos_ext their grid order and cells the cell offsets).  A
- * torus's raw is dead once it is gridded, so it is the load scratch;
- * rings keep theirs in a buffer of its own, of max(n, nbuckets + 1)
- * bytes for the build's counts.  A space that is not built or a table
- * that does not compact stops the worker (status 1). */
+ * torus's raw is dead once it is gridded, so it is the load scratch,
+ * bytes or, rerun, int64 (it holds 16 bytes per server), counted by
+ * grid position and scattered to the caller's row through ids; rings
+ * keep theirs in a buffer of its own, of max(n, nbuckets + 1) bytes for
+ * the build's counts.  A space that is not built or a table that does
+ * not compact stops the worker (status 1). */
 static void *ring_trials_worker(void *arg)
 {
     ring_trials_job *job = (ring_trials_job *)arg;
@@ -1272,9 +1332,10 @@ static void *ring_trials_worker(void *arg)
                     job->maxima[k] = max_load_u8(scratch, n);
                 if (job->loads)
                     for (i = 0; i < n; i++)
-                        job->loads[k * n + i] = scratch[i];
+                        job->loads[k * n + (ring ? i : ids[i])] = scratch[i];
             } else {
-                row = job->loads ? job->loads + k * n : wide;
+                row = !ring ? (int64_t *)raw
+                      : job->loads ? job->loads + k * n : wide;
                 if (!row)
                     row = wide = ring_scratch(sizeof(int64_t) * (size_t)n);
                 if (!row) {
@@ -1286,6 +1347,9 @@ static void *ring_trials_worker(void *arg)
                 space_trial(job, k, &g, &sp, row, 1, x, bins, us);
                 if (job->maxima)
                     job->maxima[k] = max_load_i64(row, n);
+                if (!ring && job->loads)
+                    for (i = 0; i < n; i++)
+                        job->loads[k * n + ids[i]] = row[i];
             }
             pcg64_store(&g, job->states + 4 * k);
         }

@@ -513,11 +513,12 @@ def _check_random_tori(n, m, d, strategy, seeds, partitioned, rng_block,
 
 @pytest.mark.parametrize("partitioned", [False, True])
 @pytest.mark.parametrize("strategy", KERNEL_STRATEGIES, ids=lambda s: s.value)
-@pytest.mark.parametrize("d", [1, 2, 3, 5])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 def test_random_tori_match_run_sequential(d, strategy, partitioned):
     """m = 0 (the state after the points alone), and m = n over RNG
     blocks of 7 balls and of 300 (a full 256-ball stage and a short
-    one)."""
+    one).  Table 2 takes d = 1–4; a ball with d >= 3 and the random
+    tie-break skips lookups only when u < 1/d."""
     assert _space_kernel_takes("torus", 3000, 3000, 2, strategy,
                                [np.random.default_rng(0)], _cext_backend())
     for n in BUILD_SIZES:
