@@ -2,8 +2,10 @@
 
 Every entry is ``{max_load: percent}`` over the paper's 1000 trials.
 These are the ground truth the reproduction is compared against in
-EXPERIMENTS.md and in the integration tests (via Wilson-interval
-compatibility, since our default trial counts differ).
+the reports ``python -m repro.experiments all --out DIR`` writes (see
+docs/paper_map.md for which driver reproduces which table) and in the
+integration tests (via Wilson-interval compatibility, since our default
+trial counts differ).
 
 Transcription notes: the d = 1 columns in the source are typeset as two
 sub-columns; they are merged here.  Percentages are as printed and may

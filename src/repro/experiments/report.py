@@ -85,7 +85,9 @@ class ExperimentReport:
         return {key: dist.mode for key, dist in self.cells.items()}
 
     def summary_lines(self) -> list[str]:
-        """One line per cell: mode, mean, range — for EXPERIMENTS.md."""
+        """One line per cell: mode, mean, range — a digest of the
+        :meth:`render` table that ``python -m repro.experiments all
+        --out DIR`` writes."""
         out = []
         for r in self.row_keys:
             for c in self.col_keys:

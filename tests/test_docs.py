@@ -20,6 +20,9 @@ class TestRepoIsClean:
     def test_no_broken_markdown_links(self):
         assert check_docs.check_markdown_links(REPO_ROOT) == []
 
+    def test_no_dangling_citations(self):
+        assert check_docs.check_citations(REPO_ROOT) == []
+
     def test_sweeps_public_api_fully_docstringed(self):
         assert check_docs.check_docstrings(REPO_ROOT) == []
 
@@ -48,6 +51,25 @@ class TestCheckerBites:
             "[x](https://example.com) [y](#local) [z](mailto:a@b.c)\n"
         )
         assert check_docs.check_markdown_links(tmp_path) == []
+
+    def test_detects_dangling_citation(self, tmp_path):
+        # split, so that this file itself cites none of them
+        guide, gone, lost = "GUIDE" ".md", "GONE" ".md", "LOST" ".md"
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "README.md").write_text("# R\n")
+        (tmp_path / "docs" / guide).write_text("# G\n")
+        pkg = tmp_path / "src" / "repro"
+        pkg.mkdir(parents=True)
+        (pkg / "mod.py").write_text(
+            f'"""See README.md and docs/{guide}."""\n\n# compared in {gone}\n'
+        )
+        (tmp_path / "tests").mkdir()
+        (tmp_path / "tests" / "test_x.py").write_text(f"# {guide}, {lost}\n")
+        assert check_docs.check_citations(tmp_path) == [
+            f"src/repro/mod.py:3: cites missing {gone}",
+            f"tests/test_x.py:1: cites missing {lost}",
+        ]
+        assert check_docs.main(["--root", str(tmp_path)]) == 1
 
     def test_detects_missing_docstrings(self, tmp_path, monkeypatch):
         pkg = tmp_path / "src" / "repro" / "sweeps"

@@ -1,13 +1,17 @@
 #!/usr/bin/env python
-"""Docs gate: broken intra-repo markdown links + missing docstrings.
+"""Docs gate: broken intra-repo markdown links, dangling citations and
+missing docstrings.
 
-Two independent checks, both stdlib-only so they run anywhere:
+Three independent checks, all stdlib-only so they run anywhere:
 
 1. **Markdown links** — every relative link target in the repo's
    tracked ``*.md`` files must exist on disk (external ``http(s)``,
    ``mailto:`` and pure-anchor links are skipped; ``#fragment``
    suffixes are stripped before the existence check).
-2. **Docstring coverage** — every module, public class, and public
+2. **Cited documents** — every ``NAME.md`` (an upper-case name, as the
+   repo's top-level documents are named) cited in a Python file under
+   :data:`CITING_ROOTS` must exist at the repo root or under ``docs/``.
+3. **Docstring coverage** — every module, public class, and public
    function/method in the :data:`DOCSTRING_PACKAGES` public APIs
    (currently ``repro.sweeps``, ``repro.kernels``, ``repro.obs``,
    ``repro.core``, ``repro.serve``, ``repro.net``, ``repro.stats``,
@@ -31,6 +35,9 @@ from pathlib import Path
 #: Directories whose markdown is checked (repo-root relative).
 MARKDOWN_ROOTS = (".", "docs")
 
+#: Directories whose Python files' ``NAME.md`` citations are checked.
+CITING_ROOTS = ("src", "tests", "benchmarks")
+
 #: Packages whose public API must be fully docstringed.
 DOCSTRING_PACKAGES = (
     "src/repro/sweeps",
@@ -46,6 +53,7 @@ DOCSTRING_PACKAGES = (
 
 _LINK = re.compile(r"(?<!\!)\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 _EXTERNAL = re.compile(r"^[a-z][a-z0-9+.-]*:", re.IGNORECASE)
+_CITATION = re.compile(r"\b[A-Z][A-Z0-9_]*\.md\b")
 
 
 def iter_markdown_files(root: Path):
@@ -78,6 +86,24 @@ def check_markdown_links(root: Path) -> list[str]:
                     problems.append(
                         f"{rel_md}:{lineno}: broken link -> {target}"
                     )
+    return problems
+
+
+def check_citations(root: Path) -> list[str]:
+    """Return one violation line per cited ``NAME.md`` that exists
+    neither at the repo root nor under ``docs/``."""
+    problems = []
+    for rel in CITING_ROOTS:
+        for py in sorted((root / rel).rglob("*.py")):
+            text = py.read_text(encoding="utf-8")
+            for lineno, line in enumerate(text.splitlines(), 1):
+                for name in _CITATION.findall(line):
+                    if not ((root / name).exists()
+                            or (root / "docs" / name).exists()):
+                        problems.append(
+                            f"{py.relative_to(root)}:{lineno}: cites "
+                            f"missing {name}"
+                        )
     return problems
 
 
@@ -143,14 +169,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     root = args.root.resolve()
 
-    problems = check_markdown_links(root) + check_docstrings(root)
+    problems = (check_markdown_links(root) + check_citations(root)
+                + check_docstrings(root))
     for line in problems:
         print(line, file=sys.stderr)
     if problems:
         print(f"check_docs: {len(problems)} problem(s)", file=sys.stderr)
         return 1
     packages = ", ".join(p.rsplit("/", 1)[-1] for p in DOCSTRING_PACKAGES)
-    print(f"check_docs: markdown links ok, docstrings ok ({packages})")
+    print(f"check_docs: markdown links ok, citations ok, docstrings ok "
+          f"({packages})")
     return 0
 
 
