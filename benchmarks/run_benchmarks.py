@@ -53,10 +53,11 @@ resident set's peak rose during a fresh interpreter's first
 resident set before it (Linux's ``VmHWM``, reset through
 ``/proc/self/clear_refs``; ``null`` elsewhere).  In this process the
 rows before it have already left the kernel's scratch resident, so
-the growth would read 0.  ``CELL_ONLY`` adds ``cell`` rows at sizes
-where the prebuilt-space rows would hold too much memory: a ring cell
-at ``n = 2²⁴``, the paper's largest, timed on the compiled backend at
-threads 1 and 2 (full mode only).
+the growth would read 0.  ``CELL_ONLY`` adds ``cell`` rows at the
+paper's largest sizes, where the prebuilt-space rows would hold too
+much memory or run too long: a ring cell at ``n = 2²⁴`` (Tables 1 and
+3) and a torus cell at ``n = 2²⁰`` (Table 2), timed on the compiled
+backend at threads 1 and 2 (full mode only).
 
 Usage::
 
@@ -111,8 +112,9 @@ CELL_SEED = 9000
 #: (space, n, trials, backend) of cells measured by ``run_cell`` rows
 #: alone, at ``CELL_THREAD_COUNTS``: a 2²⁴-server ring trial holds about
 #: 10 bytes per server of kernel scratch per thread, where prebuilt
-#: spaces would hold gigabytes.  Full mode only.
-CELL_ONLY = (("ring", 1 << 24, 4, "cext"),)
+#: spaces would hold gigabytes, and a 2²⁰-server torus trial is Table
+#: 2's largest.  Full mode only.
+CELL_ONLY = (("ring", 1 << 24, 4, "cext"), ("torus", 1 << 20, 4, "cext"))
 
 #: (space, n, trials, sequential_balls, thread counts) per measured
 #: cell.  Throughput is per-ball and trial-count independent, so the
@@ -505,7 +507,7 @@ def main(argv=None) -> int:
             "peak_rss_growth_mb is VmHWM over a fresh interpreter's first "
             "run_cell of that row (reset through /proc/self/clear_refs) "
             "minus the RSS before it, in MB, null off Linux. The n=2^24 "
-            "ring cell has cext 'cell' rows only."
+            "ring and n=2^20 torus cells have cext 'cell' rows only."
         ),
         "thread_counts": list(THREAD_COUNTS),
         "unix_time": int(time.time()),
