@@ -193,8 +193,9 @@ def _worker_scratch_bytes(space: str, n: int, strategy: TieBreak) -> int:
     ``n``-server spaces it builds, per server: for a ring 8 bytes of
     positions, then a load byte and a bucket index of 1.06 bytes per
     bucket, with up to 2n buckets (13 in all), plus 8 for arc lengths;
-    for a 2-D torus 16 of points, 16 of their grid order, 4 of ids and
-    up to 16 of cell offsets (52)."""
+    for a 2-D torus 16 of points, which then hold the loads (int64 ones
+    too, should a trial rerun), 16 of their grid order, 4 of ids and up
+    to 16 of cell offsets (52)."""
     if space == "torus":
         return 52 * n
     return (21 if strategy_needs_measures(strategy) else 13) * n

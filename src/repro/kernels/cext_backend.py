@@ -1334,8 +1334,8 @@ static void *ring_trials_worker(void *arg)
                     for (i = 0; i < n; i++)
                         job->loads[k * n + (ring ? i : ids[i])] = scratch[i];
             } else {
-                row = !ring ? (int64_t *)raw
-                      : job->loads ? job->loads + k * n : wide;
+                row = ring ? (job->loads ? job->loads + k * n : wide)
+                           : (int64_t *)raw;
                 if (!row)
                     row = wide = ring_scratch(sizeof(int64_t) * (size_t)n);
                 if (!row) {
