@@ -3,7 +3,7 @@
 Every entry is ``{max_load: percent}`` over the paper's 1000 trials.
 These are the ground truth the reproduction is compared against in
 the reports ``python -m repro.experiments all --out DIR`` writes (see
-docs/paper_map.md for which driver reproduces which table) and in the
+docs/paper_map.md for which experiment reproduces which table) and in the
 integration tests (via Wilson-interval compatibility, since our default
 trial counts differ).
 

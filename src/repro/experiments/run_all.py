@@ -1,7 +1,7 @@
 """Run every experiment and write one report file per driver.
 
 This writes the reports that set the reproduction beside the paper
-(docs/paper_map.md maps each table and figure to its driver)::
+(docs/paper_map.md maps each table and figure to its experiment)::
 
     python -m repro.experiments all --out results/
 
