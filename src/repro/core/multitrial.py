@@ -90,7 +90,7 @@ _FUSED_CHUNK_ELEMENTS = 1 << 23
 #: Cap on the fused bin-state array length (``T·n``) per trial chunk.
 _FUSED_CHUNK_BINS = 1 << 24
 
-#: ``ring_trials`` indexes a trial's servers by int32 (a ring's group
+#: ``space_trials`` indexes a trial's servers by int32 (a ring's group
 #: starts, a torus grid's cell starts and ids): trials with this many
 #: servers keep the reference and pool paths, and so, as a bound on the
 #: kernel's domain, do trials with this many balls.
@@ -139,7 +139,7 @@ def fused_trial_chunk(n: int, m: int, d: int) -> int:
 def _ring_kernel_takes(
     n: int, m: int, rngs: Sequence[np.random.Generator], backend: KernelBackend
 ) -> bool:
-    """Whether the backend's ``ring_trials`` kernel can run these trials.
+    """Whether the backend's ``space_trials`` kernel can run these trials.
 
     That kernel carries a copy of numpy's PCG64, so it takes trials
     whose generators are exactly ``PCG64``, one each; other bit
@@ -148,7 +148,7 @@ def _ring_kernel_takes(
     ``n`` servers or ``m`` balls at or above 2³¹ keep it too.
     """
     return (
-        backend.ring_trials is not None
+        backend.space_trials is not None
         and n < _KERNEL_INT32_LIMIT
         and m < _KERNEL_INT32_LIMIT
         and all(type(r.bit_generator) is np.random.PCG64 for r in rngs)
@@ -162,7 +162,7 @@ def _ring_kernel_applies(
     rngs: Sequence[np.random.Generator],
     backend: KernelBackend,
 ) -> bool:
-    """Whether every trial can run inside the backend's ``ring_trials``."""
+    """Whether every trial can run inside the backend's ``space_trials``."""
     return all(isinstance(s, RingSpace) for s in spaces) and _ring_kernel_takes(
         spaces[0].n, m, rngs, backend
     )
@@ -177,7 +177,7 @@ def _space_kernel_takes(
     rngs: Sequence[np.random.Generator],
     backend: KernelBackend,
 ) -> bool:
-    """Whether ``ring_trials`` can build and run trials on fresh spaces.
+    """Whether ``space_trials`` can build and run trials on fresh spaces.
 
     It builds rings, and 2-D tori whose strategy needs no Voronoi
     areas (``random``, ``first``), for trials it can run
@@ -189,7 +189,7 @@ def _space_kernel_takes(
 
 
 def _worker_scratch_bytes(space: str, n: int, strategy: TieBreak) -> int:
-    """At most the scratch one ``ring_trials`` worker holds for the
+    """At most the scratch one ``space_trials`` worker holds for the
     ``n``-server spaces it builds, per server: for a ring 8 bytes of
     positions, then a load byte and a bucket index of 1.06 bytes per
     bucket, with up to 2n buckets (13 in all), plus 8 for arc lengths;
@@ -226,7 +226,7 @@ def _run_fused_ring(
     space: str = "ring",
     maxima: bool = False,
 ) -> tuple[np.ndarray, np.ndarray | None] | None:
-    """All trials in one ``ring_trials`` kernel call.
+    """All trials in one ``space_trials`` kernel call.
 
     Each trial runs draw → lookup → place for every ball inside the
     kernel, from a C copy of its PCG64 generator that walks the
@@ -262,7 +262,7 @@ def _run_fused_ring(
     _obs = obs_enabled()
     if _obs:
         t0 = time.perf_counter()
-    built = backend.ring_trials(
+    built = backend.space_trials(
         [r.bit_generator for r in rngs],
         tables,
         measures,
@@ -280,7 +280,7 @@ def _run_fused_ring(
     )
     if _obs:
         add_span(
-            "run_fused.ring_trials",
+            "run_fused.space_trials",
             time.perf_counter() - t0,
             threads=threads,
             space=space,
@@ -421,7 +421,7 @@ def run_fused(
         :func:`repro.kernels.resolve_threads` (``REPRO_NUM_THREADS`` →
         this kwarg → physical cores).  With an accelerated backend the
         trials are split across that many threads: inside the
-        ``ring_trials`` kernel for rings drawing from ``PCG64``
+        ``space_trials`` kernel for rings drawing from ``PCG64``
         generators, on a thread pool for everything else, and for rings
         too clustered for that kernel's compact bucket index.  The numpy
         reference runs on one thread.  Results are bit-identical for
@@ -540,7 +540,7 @@ def run_random_spaces(
     ``run_fused([RingSpace.random(n, seed=r) for r in rngs], m, d,
     strategy, rngs, ...)`` (``TorusSpace.random(n, dim=dim, seed=r)``
     for tori), the reference path this function takes whenever the
-    backend's ``ring_trials`` kernel cannot build and run the trials:
+    backend's ``space_trials`` kernel cannot build and run the trials:
     no such kernel, a generator that is not ``PCG64``, a generator
     shared by trials, ``n`` or ``m`` of 2³¹ or more (the kernel indexes
     servers by int32), a torus of dimension other than 2, or a torus

@@ -20,7 +20,7 @@ into *scalar kernels* that a compiled tier can run at memory speed:
     The table pass: a ring's bucket table and its distinctness check in
     one pass over the sorted positions, at
     :class:`repro.core.ring.RingSpace` construction.
-``ring_trials``
+``space_trials``
     Whole ring trials of :func:`repro.core.multitrial.run_fused`: a copy
     of numpy's PCG64 feeds draw → bucket lookup → place for every ball,
     with trials split across OS threads; every trial looks rings up in
@@ -182,7 +182,7 @@ class KernelBackend:
         (``table[b]`` = positions below ``b / nbuckets``, numpy's
         ``bincount`` + ``cumsum``), or ``None`` when two positions are
         equal.
-    ``ring_trials(bit_generators, tables, measures, loads, heights, m,
+    ``space_trials(bit_generators, tables, measures, loads, heights, m,
     d, strategy_code, partitioned, rng_block, threads, *, space="ring",
     n=None, maxima=None)``
         Run ``T`` complete ring trials.  Trial ``k`` reads
@@ -255,7 +255,7 @@ class KernelBackend:
     dynamic_window: Callable | None = None
     ring_assign: Callable | None = None
     ring_table: Callable | None = None
-    ring_trials: Callable | None = None
+    space_trials: Callable | None = None
     torus_grid: Callable | None = None
     torus_assign: Callable | None = None
 

@@ -1,7 +1,7 @@
 """C kernel backend: scalar loops compiled on first use via ``ctypes``.
 
 The hot-path kernels (see :mod:`repro.kernels`: ``place_block``,
-``dynamic_window``, ``ring_assign``, ``ring_table``, ``ring_trials``,
+``dynamic_window``, ``ring_assign``, ``ring_table``, ``space_trials``,
 ``torus_grid`` and ``torus_assign``) are a few dozen lines of portable
 C99 each.  Rather than shipping a binary wheel, the source is embedded
 here and compiled once per machine with the host C compiler (``$CC``,
@@ -20,9 +20,9 @@ for the non-negative operand — same strict-inequality measure
 preference), so its placements are bit-identical to the numpy
 reference; the parity suite enforces this.  Those rules are written
 once and defined per load width: the exported kernels place into
-int64 loads, ``ring_trials``' worker threads into a byte per server,
+int64 loads, ``space_trials``' worker threads into a byte per server,
 rerunning a trial into int64 loads when a bin would pass 255.
-``ring_trials`` also carries a copy of numpy's PCG64 generator, so it
+``space_trials`` also carries a copy of numpy's PCG64 generator, so it
 draws the same numbers ``Generator.random`` would, and the ring it can
 build from them is the one ``RingSpace.random`` builds — drawing the
 positions twice, a few thousand at a time, rather than keeping all of
@@ -32,7 +32,7 @@ trial's scratch is about 10 bytes per server, loads included
 (``tests/kernels/test_ring_kernel.py``).
 The torus grid computes squared distances in cKDTree's periodic
 arithmetic, so it finds the server cKDTree finds, and the 2-D torus
-``ring_trials`` builds from a generator is the one
+``space_trials`` builds from a generator is the one
 ``TorusSpace.random`` draws (``tests/kernels/test_torus_kernel.py``).
 A torus trial decides each ball while looking its candidates up, in
 the order the tie-break prefers, and skips the lookups that cannot
@@ -102,7 +102,7 @@ static inline int64_t bin_of(const int64_t *cand, const int64_t *remap,
 
 /* The placement rules, written once and defined per load width by
  * PLACEMENT(w, T, top): the exported kernels place into int64 loads
- * (w = i64, top = 0: no limit), the workers of ring_trials into one byte
+ * (w = i64, top = 0: no limit), the workers of space_trials into one byte
  * per server (w = u8, top = UINT8_MAX).
  *
  * decide_w is the twin of repro.core.strategies.decide_row_scalar: the
@@ -1122,7 +1122,7 @@ typedef struct {
     int64_t k0, k1, n, m, d, nbuckets, rng_block, partitioned, strategy;
     int64_t torus;  /* 1: 2-D tori on grids of side nbuckets, not rings */
     int64_t status; /* 0, 1: space not built or compacted, -1: no memory */
-} ring_trials_job;
+} space_trials_job;
 
 /* What a trial places into: a ring (bucket index, sorted positions plus
  * the +inf sentinel) or a torus grid, and the measures or NULL. */
@@ -1137,7 +1137,7 @@ typedef struct {
  * offset, probe start, probe — each warming the lines the next reads;
  * the last warms the owners' loads (of `size` bytes each) for placement.
  * The group starts are a 64th of the offsets' entries and stay cached. */
-static void ring_lookup(const ring_trials_job *job, const trial_space *sp,
+static void ring_lookup(const space_trials_job *job, const trial_space *sp,
                         const double *x, int64_t q, int64_t *bins,
                         const char *loads, int64_t size)
 {
@@ -1173,7 +1173,7 @@ static void ring_lookup(const ring_trials_job *job, const trial_space *sp,
  * set n int64, indexed by server on a ring and by grid position on a
  * torus.  Returns 1, or 0 as soon as a ball chooses a bin whose byte
  * already holds UINT8_MAX; g and the loads are then partly advanced. */
-static int space_trial(const ring_trials_job *job, int64_t k, pcg64 *g,
+static int space_trial(const space_trials_job *job, int64_t k, pcg64 *g,
                        const trial_space *sp, void *loads, int wide,
                        double *x, int64_t *bins, double *us)
 {
@@ -1275,9 +1275,9 @@ static void *ring_scratch(size_t size)
  * keep theirs in a buffer of its own, of max(n, nbuckets + 1) bytes for
  * the build's counts.  A space that is not built or a table that does
  * not compact stops the worker (status 1). */
-static void *ring_trials_worker(void *arg)
+static void *space_trials_worker(void *arg)
 {
-    ring_trials_job *job = (ring_trials_job *)arg;
+    space_trials_job *job = (space_trials_job *)arg;
     int64_t n = job->n, nb = job->nbuckets, k, i, *wide = 0;
     int64_t dim = job->torus ? 2 : 1;
     int build = job->tables == 0, ring = !job->torus;
@@ -1383,25 +1383,25 @@ static void *ring_trials_worker(void *arg)
  * when some space was not built or some given table does not fit the
  * bucket index (the state words are then partly advanced and must be
  * discarded), or -1 when scratch memory could not be allocated. */
-int64_t repro_ring_trials(uint64_t *states, const int32_t *const *tables,
-                          const double *const *pos_ext,
-                          const double *const *measures, int64_t t,
-                          int64_t n, int64_t m, int64_t d, int64_t nbuckets,
-                          int64_t rng_block, int64_t partitioned,
-                          int64_t strategy, int64_t torus, int64_t *loads,
-                          int64_t *heights, int64_t *maxima, int64_t nthreads)
+int64_t repro_space_trials(uint64_t *states, const int32_t *const *tables,
+                           const double *const *pos_ext,
+                           const double *const *measures, int64_t t,
+                           int64_t n, int64_t m, int64_t d, int64_t nbuckets,
+                           int64_t rng_block, int64_t partitioned,
+                           int64_t strategy, int64_t torus, int64_t *loads,
+                           int64_t *heights, int64_t *maxima, int64_t nthreads)
 {
-    ring_trials_job jobs[MAX_KERNEL_THREADS];
+    space_trials_job jobs[MAX_KERNEL_THREADS];
     int64_t w, start, stop, status = 0;
     nthreads = clamp_threads(nthreads, t);
     for (w = 0; w < nthreads; w++) {
         thread_range(t, nthreads, w, &start, &stop);
-        jobs[w] = (ring_trials_job){states, tables, pos_ext, measures,
-                                    loads, heights, maxima, start, stop,
-                                    n, m, d, nbuckets, rng_block,
-                                    partitioned, strategy, torus, 0};
+        jobs[w] = (space_trials_job){states, tables, pos_ext, measures,
+                                     loads, heights, maxima, start, stop,
+                                     n, m, d, nbuckets, rng_block,
+                                     partitioned, strategy, torus, 0};
     }
-    run_jobs(ring_trials_worker, (char *)jobs, sizeof(ring_trials_job),
+    run_jobs(space_trials_worker, (char *)jobs, sizeof(space_trials_job),
              nthreads);
     for (w = 0; w < nthreads; w++) {
         if (jobs[w].status < 0)
@@ -1432,7 +1432,7 @@ _SIGNATURES = {
         [_PTR, _I64, _PTR, _PTR, _I64, _I64, _PTR, _I64], None,
     ),
     "repro_ring_table": ([_PTR, _I64, _I64, _PTR], _I64),
-    "repro_ring_trials": (
+    "repro_space_trials": (
         [_PTR, _PTR, _PTR, _PTR] + [_I64] * 9 + [_PTR, _PTR, _PTR, _I64],
         _I64,
     ),
@@ -1656,9 +1656,9 @@ def build_backend():
         )
         return table if distinct else None
 
-    def ring_trials(bit_generators, tables, measures, loads, heights, m, d,
-                    strategy_code, partitioned, rng_block, threads, *,
-                    space="ring", n=None, maxima=None):
+    def space_trials(bit_generators, tables, measures, loads, heights, m, d,
+                     strategy_code, partitioned, rng_block, threads, *,
+                     space="ring", n=None, maxima=None):
         """C kernel running whole ring or 2-D torus trials on numpy PCG64
         generators.
 
@@ -1698,18 +1698,18 @@ def build_backend():
         if loads is None:
             if tables is not None or n is None:
                 raise ValueError(
-                    "ring_trials keeps loads in scratch only for the spaces "
+                    "space_trials keeps loads in scratch only for the spaces "
                     "it builds, and then needs n"
                 )
             n = int(n)
         else:
             _check_inplace(loads, np.int64, "loads")
             if loads.shape[0] != t:
-                raise ValueError("ring_trials needs one generator per loads row")
+                raise ValueError("space_trials needs one generator per loads row")
             n = loads.shape[1]
         if n >= 1 << 31 or int(m) >= 1 << 31:
             raise ValueError(
-                "ring_trials indexes servers by int32: "
+                "space_trials indexes servers by int32: "
                 f"it needs n and m below 2**31, got n={n}, m={m}"
             )
         if heights is not None:
@@ -1721,19 +1721,19 @@ def build_backend():
             if maxima.shape != (t,):
                 raise ValueError(f"maxima must have shape {(t,)}")
         if space not in ("ring", "torus"):
-            raise ValueError(f"ring_trials runs rings or tori, got {space!r}")
+            raise ValueError(f"space_trials runs rings or tori, got {space!r}")
         torus = space == "torus"
         if torus and (tables is not None or int(strategy_code) >= 2):
             raise ValueError(
-                "ring_trials builds its own tori and has no Voronoi areas"
+                "space_trials builds its own tori and has no Voronoi areas"
             )
         if tables is None:
             if measures is not None:
                 raise ValueError(
-                    "ring_trials computes the measures of the rings it draws"
+                    "space_trials computes the measures of the rings it draws"
                 )
             if n < 1:
-                raise ValueError("ring_trials draws at least one position")
+                raise ValueError("space_trials draws at least one position")
             if torus:
                 # the grid side, as TorusSpace._grid_side
                 nbuckets = 1 << ((n - 1).bit_length() + 1) // 2
@@ -1748,10 +1748,10 @@ def build_backend():
                 for nb, table, pos_ext in tables
             ):
                 raise ValueError(
-                    "ring_trials needs one (n, nbuckets) table per loads row"
+                    "space_trials needs one (n, nbuckets) table per loads row"
                 )
             if measures is not None and any(a.size != n for a in measures):
-                raise ValueError("ring_trials needs n measures per trial")
+                raise ValueError("space_trials needs n measures per trial")
             tabs = [_as_c(table, np.int32) for _, table, _ in tables]
             exts = [_as_c(pos_ext, np.float64) for _, _, pos_ext in tables]
             table_ptrs, ext_ptrs = _pointers(tabs), _pointers(exts)
@@ -1762,14 +1762,14 @@ def build_backend():
         words = np.array(
             [_pcg64_words(st["state"]) for st in states], dtype=np.uint64
         )
-        status = lib.repro_ring_trials(
+        status = lib.repro_space_trials(
             _p(words), _p(table_ptrs), _p(ext_ptrs), _p(measure_ptrs), t, n,
             int(m), int(d), nbuckets, int(rng_block),
             int(bool(partitioned)), int(strategy_code), int(torus), _p(loads),
             _p(heights), _p(maxima), int(threads),
         )
         if status < 0:
-            raise MemoryError("ring_trials: could not allocate kernel scratch")
+            raise MemoryError("space_trials: could not allocate kernel scratch")
         if status:
             return False
         for bg, st, (hi, lo) in zip(bit_generators, states, words[:, :2].tolist()):
@@ -1819,7 +1819,7 @@ def build_backend():
         dynamic_window=dynamic_window,
         ring_assign=ring_assign,
         ring_table=ring_table,
-        ring_trials=ring_trials if hasattr(lib, "repro_ring_trials") else None,
+        space_trials=space_trials if hasattr(lib, "repro_space_trials") else None,
         torus_grid=torus_grid,
         torus_assign=torus_assign,
     )

@@ -1,6 +1,6 @@
 """Thread-count resolution and CPU topology for the parallel kernels.
 
-The multicore tier (the ``ring_trials`` kernel splitting ring and 2-D
+The multicore tier (the ``space_trials`` kernel splitting ring and 2-D
 torus trials across OS threads, the trial pool of
 :func:`repro.core.multitrial.run_fused`'s generic kernel path, and the
 thread-parallel ``ring_assign`` lookup) is steered by **one** knob

@@ -126,7 +126,7 @@ def _run_cell_fused(
     Trial ``k``'s generator first draws the server placement, then the
     item choices: ring and torus cells go through
     :func:`~repro.core.multitrial.run_random_spaces`, which builds the
-    spaces inside the ``ring_trials`` kernel where it applies; without
+    spaces inside the ``space_trials`` kernel where it applies; without
     ``profile`` it hands back only each trial's maximum load, so the
     kernel keeps the loads in its own scratch, and it gets the whole
     cell at once (it bounds its own memory).  Uniform cells draw no

@@ -1,4 +1,4 @@
-"""The ``ring_trials`` kernel: a C copy of numpy's PCG64 plus whole ring trials.
+"""The ``space_trials`` kernel: a C copy of numpy's PCG64 plus whole ring trials.
 
 The kernel promises byte-identity with numpy three times over: its
 generator draws the doubles ``Generator.random`` would and jumps
@@ -44,8 +44,8 @@ from repro.stats import trials
 
 pytestmark = pytest.mark.skipif(
     not available_backends()["cext"]
-    or get_backend("cext").ring_trials is None,
-    reason="no compiled ring_trials kernel on this machine",
+    or get_backend("cext").space_trials is None,
+    reason="no compiled space_trials kernel on this machine",
 )
 
 MASK64 = (1 << 64) - 1
@@ -217,7 +217,7 @@ def test_ring_kernel_default_block_matches_generic_path(d, strategy, partitioned
     """m ∈ {2¹⁶ - 1, 2¹⁶, 2¹⁶ + 1} at the default block, against the
     generic ``choice_blocks`` + ``place_block`` path (numpy draws, the
     same compiled placement) — run_sequential would take minutes here."""
-    generic = dataclasses.replace(_cext(), ring_trials=None)
+    generic = dataclasses.replace(_cext(), space_trials=None)
     spaces = [RingSpace.random(3000, seed=60 + k) for k in range(2)]
     seeds = [70, 71]
     for m in (DEFAULT_RNG_BLOCK - 1, DEFAULT_RNG_BLOCK, DEFAULT_RNG_BLOCK + 1):
@@ -372,11 +372,11 @@ def test_repeated_positions_raise_like_ring_space(n, threads):
     rngs = generators()
     before = [r.bit_generator.state for r in rngs]
     loads = np.zeros((TRIALS, n), dtype=np.int64)
-    assert not _cext().ring_trials(
+    assert not _cext().space_trials(
         [r.bit_generator for r in rngs], None, None, loads, None, n, 2, 0,
         False, DEFAULT_RNG_BLOCK, threads,
     )
-    assert not _cext().ring_trials(
+    assert not _cext().space_trials(
         [r.bit_generator for r in rngs], None, None, None, None, n, 2, 0,
         False, DEFAULT_RNG_BLOCK, threads, n=n,
         maxima=np.zeros(TRIALS, dtype=np.int64),
@@ -432,7 +432,7 @@ def test_arc_length_strategies_keep_their_own_load_scratch(strategy, threads):
 
     def run(loads, maxima):
         rngs = [np.random.default_rng(70 + k) for k in range(trial_count)]
-        assert _cext().ring_trials(
+        assert _cext().space_trials(
             [r.bit_generator for r in rngs], None, None, loads, None, n, 2,
             code, False, 128, threads, n=n, maxima=maxima,
         )
@@ -450,7 +450,7 @@ def test_maxima_and_scratch_loads_are_checked():
     scratch need n and a space the kernel builds."""
     def call(loads=None, tables=None, **kwargs):
         bit_generators = [np.random.PCG64(k) for k in range(2)]
-        return _cext().ring_trials(bit_generators, tables, None, loads, None,
+        return _cext().space_trials(bit_generators, tables, None, loads, None,
                                    10, 2, 0, False, 64, 1, **kwargs)
 
     for bad in (np.zeros(2, dtype=np.int32), np.zeros(3, dtype=np.int64),
@@ -483,7 +483,7 @@ def test_int32_scratch_limits_keep_the_reference_path(monkeypatch):
             assert not _space_kernel_takes(space, n, m, 2, TieBreak.RANDOM,
                                            rngs, _cext())
             with pytest.raises(ValueError, match="below 2\\*\\*31"):
-                _cext().ring_trials(
+                _cext().space_trials(
                     [np.random.PCG64(0)], None, None, None, None, m, 2, 0,
                     False, DEFAULT_RNG_BLOCK, 1, space=space, n=n,
                     maxima=np.zeros(1, dtype=np.int64),
@@ -562,7 +562,7 @@ def test_byte_overflow_reruns_match_run_sequential(monkeypatch, kind, n, d,
     final states must match run_sequential at every thread count, with
     the kernel running every trial."""
     def no_reference(*args, **kwargs):
-        raise AssertionError("a trial left the ring_trials kernel")
+        raise AssertionError("a trial left the space_trials kernel")
 
     seeds = [61 + k for k in range(TRIALS)]
     for rng_block in (DEFAULT_RNG_BLOCK, 100):
@@ -818,7 +818,7 @@ def test_group_offset_limit_sends_trials_to_the_pool_path(monkeypatch):
         rng = np.random.default_rng(90)
         before = rng.bit_generator.state
         loads = np.zeros((1, space.n), dtype=np.int64)
-        assert _cext().ring_trials(
+        assert _cext().space_trials(
             [rng.bit_generator], [space._bucket_table()], None, loads, None,
             700, 2, 0, False, 128, 1,
         ) is fits

@@ -1,5 +1,5 @@
 """The torus grid kernels: ``torus_grid``, ``torus_assign`` and the tori
-``ring_trials`` builds.
+``space_trials`` builds.
 
 The grid promises the server cKDTree's periodic query finds: the same
 squared distance (wrap ``q - p`` by ±1 beyond ±0.5, then
@@ -9,7 +9,7 @@ cKDTree's ``k=2`` distinctness check rejects.  Trials on prebuilt
 gridded tori run on :func:`repro.core.multitrial.run_fused`'s trial
 pool, and trials on fresh random 2-D tori
 (:func:`repro.core.multitrial.run_random_spaces`) draw and grid their
-tori inside the ``ring_trials`` kernel; both must end with the loads,
+tori inside the ``space_trials`` kernel; both must end with the loads,
 heights and generator state of :func:`repro.core.engine.run_sequential`
 on ``TorusSpace.random``.  These tests check all of that, that other
 generators, shared generators, other dimensions and the area-based
@@ -462,7 +462,7 @@ def test_numpy_backend_builds_no_grid(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# tori built inside the ring_trials kernel against TorusSpace.random +
+# tori built inside the space_trials kernel against TorusSpace.random +
 # run_sequential
 # ---------------------------------------------------------------------------
 
@@ -556,11 +556,11 @@ def test_repeated_points_raise_like_torus_space(n, threads):
     rngs = generators()
     before = [r.bit_generator.state for r in rngs]
     loads = np.zeros((TRIALS, n), dtype=np.int64)
-    assert not _cext_backend().ring_trials(
+    assert not _cext_backend().space_trials(
         [r.bit_generator for r in rngs], None, None, loads, None, n, 2, 0,
         False, DEFAULT_RNG_BLOCK, threads, space="torus",
     )
-    assert not _cext_backend().ring_trials(
+    assert not _cext_backend().space_trials(
         [r.bit_generator for r in rngs], None, None, None, None, n, 2, 0,
         False, DEFAULT_RNG_BLOCK, threads, space="torus", n=n,
         maxima=np.zeros(TRIALS, dtype=np.int64),
@@ -608,7 +608,7 @@ def test_random_tori_area_strategies_take_the_reference_path(strategy):
     assert not _space_kernel_takes("torus", 300, 400, 2, strategy, rngs,
                                    _cext_backend())
     with pytest.raises(ValueError, match="Voronoi areas"):
-        _cext_backend().ring_trials(
+        _cext_backend().space_trials(
             [r.bit_generator for r in rngs], None, None,
             np.zeros((2, 300), dtype=np.int64), None, 400, 2,
             2 if strategy is TieBreak.SMALLER else 3, False, 64, 2,
@@ -670,7 +670,7 @@ def test_random_spaces_reject_other_spaces():
         run_random_spaces("uniform", 10, 10, 2, TieBreak.RANDOM,
                           [np.random.default_rng(0)], backend="cext")
     with pytest.raises(ValueError, match="rings or tori"):
-        _cext_backend().ring_trials(
+        _cext_backend().space_trials(
             [np.random.PCG64(0)], None, None, np.zeros((1, 4), dtype=np.int64),
             None, 4, 2, 0, False, 64, 1, space="cube",
         )

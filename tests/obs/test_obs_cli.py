@@ -68,7 +68,7 @@ def test_real_trace_breakdown_covers_90pct_of_wall(obs_on):
 
 def test_real_torus_trace_breakdown_covers_90pct_of_wall(obs_on):
     """The torus twin: traced phases explain >= 90% of the measured wall,
-    and where the kernel runs, the cell is one ring_trials span under
+    and where the kernel runs, the cell is one space_trials span under
     run_random_spaces, with no pool spans."""
     run_cell(CellSpec("torus", 128, 2), 10, seed=7)
     spans = drain_spans()
@@ -81,7 +81,7 @@ def test_real_torus_trace_breakdown_covers_90pct_of_wall(obs_on):
     assert "run_fused.rng" not in names and "run_fused.kernel" not in names
     if "run_fused" not in names:  # the kernel built the tori
         parent = {s["id"]: s["name"] for s in spans}
-        kernel = [s for s in spans if s["name"] == "run_fused.ring_trials"]
+        kernel = [s for s in spans if s["name"] == "run_fused.space_trials"]
         assert len(kernel) == 1
         assert parent[kernel[0]["parent"]] == "run_random_spaces"
 

@@ -250,8 +250,8 @@ class TestEngineSelection:
 
 
 @pytest.mark.skipif(
-    not available_backends()["cext"] or get_backend("cext").ring_trials is None,
-    reason="no compiled ring_trials kernel on this machine",
+    not available_backends()["cext"] or get_backend("cext").space_trials is None,
+    reason="no compiled space_trials kernel on this machine",
 )
 class TestRunCellMemory:
     """Ring and torus max-load cells keep their loads in kernel scratch."""
