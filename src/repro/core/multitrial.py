@@ -55,6 +55,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.engine import DEFAULT_RNG_BLOCK, choice_blocks
+from repro.core.loads import load_histogram
 from repro.core.ring import RingSpace
 from repro.core.spaces import GeometricSpace
 from repro.core.strategies import (
@@ -96,12 +97,16 @@ _FUSED_CHUNK_BINS = 1 << 24
 #: kernel's domain, do trials with this many balls.
 _KERNEL_INT32_LIMIT = 1 << 31
 
-#: Bytes of kernel scratch one ``run_random_spaces`` call for maxima may
-#: hold across its worker threads.  That call takes every trial at once,
-#: so its thread count is capped at this over one worker's scratch
+#: Bytes of kernel scratch one ``run_random_spaces`` call may hold across
+#: its worker threads.  That call takes every trial at once, so its
+#: thread count is capped at this over one worker's scratch
 #: (:func:`_worker_scratch_bytes`): a 2²⁴-server ring holds about
 #: 160 MiB per worker, and a many-core host must not hold one per core.
 _KERNEL_SCRATCH_BUDGET = 1 << 30
+
+#: Levels of the load histograms ``space_trials`` first writes: every
+#: trial that stays in the kernel's byte per server fits.
+_HIST_LEVELS = 256
 
 #: Interleave tile: balls per transpose tile, sized so a tile of the
 #: fused destination stays cache-resident while all trials write into
@@ -181,8 +186,11 @@ def _space_kernel_takes(
 
     It builds rings, and 2-D tori whose strategy needs no Voronoi
     areas (``random``, ``first``), for trials it can run
-    (:func:`_ring_kernel_takes`).
+    (:func:`_ring_kernel_takes`).  Uniform bins need no build, and the
+    kernel has no lookup for them.
     """
+    if space == "uniform":
+        return False
     if space == "torus" and (dim != 2 or strategy_needs_measures(strategy)):
         return False
     return _ring_kernel_takes(n, m, rngs, backend)
@@ -224,7 +232,6 @@ def _run_fused_ring(
     rng_block: int,
     record_heights: bool,
     space: str = "ring",
-    maxima: bool = False,
 ) -> tuple[np.ndarray, np.ndarray | None] | None:
     """All trials in one ``space_trials`` kernel call.
 
@@ -238,24 +245,26 @@ def _run_fused_ring(
     (``tests/kernels/test_ring_kernel.py``,
     ``tests/kernels/test_torus_kernel.py``).
 
-    With ``spaces=None`` each trial first draws its ``n``-server
-    ``space`` (a ring, or a 2-D torus) from its generator inside the
-    kernel (:func:`run_random_spaces`).  ``None`` is returned, with no
-    generator state written back, when some drawn space was not built
-    (a repeated server, or servers too crowded for the kernel's index)
-    or some given ring is too clustered for the kernel's compact bucket
-    index.  Each trial places into the kernel's byte-per-server
-    scratch, and the ``(T, n)`` loads are widened from it (a trial whose
-    bin would pass 255 reruns into its int64 row); with ``maxima``
-    (``spaces=None`` only) they stay there and the first result holds
-    each trial's maximum load, shape ``(T,)``, instead.
+    Each trial places into the kernel's byte-per-server scratch (a
+    trial whose bin would pass 255 reruns into int64 loads).  Given
+    ``spaces``, the first result is the ``(T, n)`` loads, widened from
+    that scratch.  With ``spaces=None`` each trial first draws its
+    ``n``-server ``space`` (a ring, or a 2-D torus) from its generator
+    inside the kernel (:func:`run_random_spaces`), its loads stay in
+    scratch, and the first result is the trials' load histograms,
+    trimmed to the largest maximum load + 1 levels.  ``None`` is
+    returned, with no generator state written back, when some drawn
+    space was not built (a repeated server, or servers too crowded for
+    the kernel's index) or some given ring is too clustered for the
+    kernel's compact bucket index.
     """
     t = len(rngs)
-    loads = None if maxima else np.zeros((t, n), dtype=np.int64)
-    peaks = np.empty(t, dtype=np.int64) if maxima else None
     heights = np.zeros((t, m), dtype=np.int64) if record_heights else None
-    tables = measures = None
-    if spaces is not None:
+    loads = hist = tables = measures = None
+    if spaces is None:
+        hist = np.empty((t, _HIST_LEVELS), dtype=np.int64)
+    else:
+        loads = np.zeros((t, n), dtype=np.int64)
         tables = [s._bucket_table() for s in spaces]
         if strategy_needs_measures(strategy):
             measures = [s.region_measures() for s in spaces]
@@ -276,7 +285,7 @@ def _run_fused_ring(
         threads,
         space=space,
         n=n,
-        maxima=peaks,
+        hist=hist,
     )
     if _obs:
         add_span(
@@ -285,7 +294,13 @@ def _run_fused_ring(
             threads=threads,
             space=space,
         )
-    return (peaks if maxima else loads, heights) if built else None
+    if built is False:
+        return None
+    if spaces is not None:
+        return loads, heights
+    # trim to the last level some trial reaches
+    width = np.flatnonzero(built.any(axis=0))[-1] + 1
+    return built[:, :width], heights
 
 
 def _run_fused_kernel(
@@ -510,10 +525,15 @@ def run_fused(
 def _random_space(
     space: str, n: int, dim: int, rng: np.random.Generator
 ) -> GeometricSpace:
-    """One trial's ``n``-server space, drawn from ``rng`` the reference way."""
+    """One trial's ``n``-server space, drawn from ``rng`` the reference way
+    (uniform bins draw nothing)."""
     if space == "ring":
         return RingSpace.random(n, seed=rng)
-    return TorusSpace.random(n, dim=dim, seed=rng)
+    if space == "torus":
+        return TorusSpace.random(n, dim=dim, seed=rng)
+    from repro.baselines.uniform import UniformSpace
+
+    return UniformSpace(n)
 
 
 def run_random_spaces(
@@ -528,52 +548,52 @@ def run_random_spaces(
     partitioned: bool = False,
     rng_block: int = DEFAULT_RNG_BLOCK,
     record_heights: bool = False,
-    maxima: bool = False,
     backend: KernelBackend | str | None = None,
     threads: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Place ``m`` balls in each of ``len(rngs)`` trials on fresh random spaces.
+    """Each trial's load histogram over ``m`` balls on a fresh random space.
 
-    ``space`` is ``"ring"`` or ``"torus"`` (of dimension ``dim``;
-    rings ignore it).  Trial ``k`` draws its ``n`` servers from
-    ``rngs[k]``, then its balls.  The result is exactly that of
-    ``run_fused([RingSpace.random(n, seed=r) for r in rngs], m, d,
-    strategy, rngs, ...)`` (``TorusSpace.random(n, dim=dim, seed=r)``
-    for tori), the reference path this function takes whenever the
-    backend's ``space_trials`` kernel cannot build and run the trials:
-    no such kernel, a generator that is not ``PCG64``, a generator
-    shared by trials, ``n`` or ``m`` of 2³¹ or more (the kernel indexes
-    servers by int32), a torus of dimension other than 2, or a torus
-    strategy that needs Voronoi areas (``smaller``, ``larger``).
+    ``space`` is ``"ring"``, ``"torus"`` (of dimension ``dim``) or
+    ``"uniform"`` (``n`` equiprobable bins).  Trial ``k`` draws its
+    ``n`` servers from ``rngs[k]``, then its balls.  The trials are
+    those of ``run_fused([RingSpace.random(n, seed=r) for r in rngs],
+    m, d, strategy, rngs, ...)`` (``TorusSpace.random(n, dim=dim,
+    seed=r)`` for tori, ``UniformSpace(n)`` for uniform bins), the
+    reference path this function takes, in :func:`fused_trial_chunk`
+    chunks when no generator is shared, whenever the backend's
+    ``space_trials`` kernel cannot build and run the trials: uniform
+    bins, no such kernel, a generator that is not ``PCG64``, a
+    generator shared by trials, ``n`` or ``m`` of 2³¹ or more (the
+    kernel indexes servers by int32), a torus of dimension other than
+    2, or a torus strategy that needs Voronoi areas.
 
-    Otherwise the kernel builds each trial's space on the worker thread
-    that runs the trial and no space object is made: a ring's draw,
-    counting sort, bucket table and arc lengths, or a torus's draw and
-    periodic grid.  When some drawn space is not built — a repeated
-    server, a crowded ring bucket, or torus servers too unevenly spread
-    for a grid — the kernel writes no generator state back and the
-    trials rerun on the reference path, which raises the space's own
-    :class:`ValueError` for a repeat (and looks an uneven torus up in
-    its KD-tree).  Loads, heights and final generator states are
-    bit-identical to the reference either way
+    Otherwise one kernel call takes every trial, on at most as many
+    threads as a fixed scratch budget allows
+    (``_KERNEL_SCRATCH_BUDGET``, 1 GiB: a 2²⁴-server ring's worker
+    holds about 160 MiB).  Each worker builds its trial's space, keeps
+    the loads in a byte per server and counts them into the trial's
+    histogram, so no space object and no ``(T, n)`` loads array is
+    made.  When some drawn space is not built — a repeated server, a
+    crowded ring bucket, or torus servers too unevenly spread for a
+    grid — the kernel writes no generator state back and the trials
+    rerun on the reference path, which raises the space's own
+    :class:`ValueError` for a repeat.  Results and final generator
+    states are bit-identical either way
     (``tests/kernels/test_ring_kernel.py``,
     ``tests/kernels/test_torus_kernel.py``).
 
-    With ``maxima`` the first result is each trial's maximum load,
-    shape ``(T,)``, in place of the ``(T, n)`` loads: the kernel keeps
-    each trial's loads in a byte per server, scratch its worker thread
-    reuses, so no loads array is made, and one kernel call takes every
-    trial.  Its thread count is capped so that the workers' scratch
-    stays within a fixed budget (``_KERNEL_SCRATCH_BUDGET``, 1 GiB: a
-    2²⁴-server ring's worker holds about 160 MiB).  The loads path and
-    the reference path run the trials in memory-bounded chunks of
-    :func:`fused_trial_chunk` instead (when no generator is shared),
-    which never changes results.  :func:`repro.stats.trials.run_cell`
-    needs only the maxima, :func:`repro.stats.trials.run_cell_profile`
-    the loads.  Other arguments are as in :func:`run_fused`.
+    Returns ``(hist, heights)``: ``hist[k, l]`` counts trial ``k``'s
+    bins holding exactly ``l`` balls, for ``l`` up to the largest
+    maximum load of any trial, so a trial's maximum is its row's last
+    non-zero level (:func:`repro.stats.trials.run_cell`) and the
+    reverse cumulative sum its ν-profile
+    (:func:`repro.stats.trials.run_cell_profile`).  ``heights`` and the
+    other arguments are as in :func:`run_fused`.
     """
-    if space not in ("ring", "torus"):
-        raise ValueError(f"space must be 'ring' or 'torus', got {space!r}")
+    if space not in ("ring", "torus", "uniform"):
+        raise ValueError(
+            f"space must be 'ring', 'torus' or 'uniform', got {space!r}"
+        )
     t = len(rngs)
     if t == 0:
         raise ValueError("run_random_spaces needs at least one generator")
@@ -588,15 +608,6 @@ def run_random_spaces(
         partitioned=partitioned, rng_block=rng_block,
         record_heights=record_heights,
     )
-
-    def kernel(part, threads):
-        out = _run_fused_ring(None, n, m, d, strategy, part, backend_obj,
-                              threads, space=space, maxima=maxima, **options)
-        if out is not None:
-            counter_add("placement.balls", len(part) * m)
-            counter_add("placement.trials", len(part))
-        return out
-
     with trace_span(
         "run_random_spaces",
         space=space,
@@ -608,38 +619,37 @@ def run_random_spaces(
         strategy=strategy.value,
         threads=eff_threads,
     ):
-        takes = _space_kernel_takes(space, n, m, dim, strategy, rngs, backend_obj)
-        if takes and maxima:
+        if _space_kernel_takes(space, n, m, dim, strategy, rngs, backend_obj):
             budget = _KERNEL_SCRATCH_BUDGET // _worker_scratch_bytes(
                 space, n, strategy
             )
-            out = kernel(rngs, max(1, min(eff_threads, budget)))
+            out = _run_fused_ring(None, n, m, d, strategy, rngs, backend_obj,
+                                  max(1, min(eff_threads, budget)),
+                                  space=space, **options)
             if out is not None:
+                counter_add("placement.balls", t * m)
+                counter_add("placement.trials", t)
                 return out
         chunk = fused_trial_chunk(n, m, d) if _distinct_generators(rngs) else t
-        parts = []
+        hists, heights = [], []
         for c0 in range(0, t, chunk):
             part = rngs[c0 : c0 + chunk]
-            out = kernel(part, eff_threads) if takes and not maxima else None
-            if out is None:
-                loads, heights = run_fused(
-                    [_random_space(space, n, dim, r) for r in part],
-                    m,
-                    d,
-                    strategy,
-                    part,
-                    backend=backend_obj,
-                    threads=eff_threads,
-                    **options,
-                )
-                out = (loads.max(axis=1) if maxima else loads), heights
-            parts.append(out)
-        if len(parts) == 1:
-            return parts[0]
-        results, heights = zip(*parts)
-        return np.concatenate(results), (
-            np.concatenate(heights) if record_heights else None
-        )
+            loads, part_heights = run_fused(
+                [_random_space(space, n, dim, r) for r in part],
+                m,
+                d,
+                strategy,
+                part,
+                backend=backend_obj,
+                threads=eff_threads,
+                **options,
+            )
+            hists.extend(map(load_histogram, loads))
+            heights.append(part_heights)
+        hist = np.zeros((t, max(h.size for h in hists)), dtype=np.int64)
+        for row, h in zip(hist, hists):
+            row[: h.size] = h
+        return hist, (np.concatenate(heights) if record_heights else None)
 
 
 def _run_fused_numpy(

@@ -32,10 +32,11 @@ into *scalar kernels* that a compiled tier can run at memory speed:
     positions twice in small chunks rather than keeping them) — or its
     own 2-D torus and grid, whose lookups then replace the bucket probe
     (ball by ball, in the order the tie-break prefers and only as far as
-    the choice needs, with loads counted in grid order) — and, asked for
-    each trial's maximum load only
-    (:func:`repro.stats.trials.run_cell`), reads it from that scratch,
-    so no ``(T, n)`` loads array is made.
+    the choice needs, with loads counted in grid order) — and counts
+    that scratch into the trial's load histogram, from which
+    :func:`repro.stats.trials.run_cell` reads the maximum load and
+    :func:`repro.stats.trials.run_cell_profile` the ν-profile, so no
+    ``(T, n)`` loads array is made.
 ``torus_grid``
     The periodic uniform grid of a 2-D :class:`repro.core.torus.TorusSpace`
     (one counting sort, with the distinctness check in the same pass),
@@ -184,7 +185,7 @@ class KernelBackend:
         equal.
     ``space_trials(bit_generators, tables, measures, loads, heights, m,
     d, strategy_code, partitioned, rng_block, threads, *, space="ring",
-    n=None, maxima=None)``
+    n=None, hist=None)``
         Run ``T`` complete ring trials.  Trial ``k`` reads
         ``bit_generators[k]`` (a ``PCG64``), draws its stream in
         :func:`repro.core.engine.choice_blocks`' layout, looks each
@@ -220,20 +221,25 @@ class KernelBackend:
         ``threads`` scratches and no ``(T, n)`` loads array — about 10
         bytes per server for a ring (positions 8, the load byte, which
         first holds the build's bucket count, and the index 1.06), 18
-        with arc lengths.  ``maxima``, unless ``None``, is a C-contiguous
-        int64 array of shape ``(T,)`` that receives each trial's
-        maximum load.  Servers are indexed by int32 (group starts, grid
-        cells), so ``n`` and ``m`` must be below 2³¹; larger trials
-        raise :class:`ValueError` (callers route them elsewhere first).
-        Only ``state.state`` is
-        written back to each generator.  Returns ``True``, or ``False``
-        — writing no state back, the loads and maxima then meaningless
-        — when some ring, drawn or given, crowds one group of 64
-        buckets past byte offsets (more than 255 positions in its first
-        63), some drawn ring repeats a position or crowds one bucket
-        past the kernel's limit, or some drawn torus repeats a point or
-        is too unevenly spread for a grid, so that the caller can run
-        or rebuild it the reference way.
+        with arc lengths.  ``hist``, unless ``None``, is a C-contiguous
+        int64 array of shape ``(T, L)``, ``L >= 256`` (every trial that
+        stays in bytes fits): row ``k`` receives trial ``k``'s load
+        histogram (``hist[k, l]`` bins hold exactly ``l`` balls).  When
+        a rerun trial's maximum load does not fit, the wrapper calls the
+        kernel once more, as wide as it needs, from the same generator
+        states.  Servers are indexed
+        by int32 (group starts, grid cells), so ``n`` and ``m`` must be
+        below 2³¹; larger trials raise :class:`ValueError` (callers
+        route them elsewhere first).  Only ``state.state`` is written
+        back to each generator.  Returns the histograms (``hist``, or
+        the wider array), ``True`` when ``hist`` is ``None``, or
+        ``False`` — writing no state back, the loads and histograms then
+        meaningless — when some ring, drawn or given, crowds one group
+        of 64 buckets past byte offsets (more than 255 positions in its
+        first 63), some drawn ring repeats a position or crowds one
+        bucket past the kernel's limit, or some drawn torus repeats a
+        point or is too unevenly spread for a grid, so that the caller
+        can run or rebuild it the reference way.
         Trials are split statically across ``threads`` OS threads —
         trials share nothing, so any split is bit-identical.
     ``torus_grid(points, side)``

@@ -132,7 +132,10 @@ static inline int64_t bin_of(const int64_t *cand, const int64_t *remap,
  * monotone.  With d = 1 a ball looks up its one candidate, and any
  * other ball looks up all d.  cand holds d bins.
  *
- * max_load_w is the largest of n loads. */
+ * load_hist_w is the histogram of n loads: h[l] becomes the number of
+ * loads equal to l, for each of the levels l < levels (at least
+ * UINT8_MAX + 1, so every byte load counts).  It returns 0, or, when some
+ * load is levels or more, the largest load + 1: the levels h needs. */
 typedef struct torus_index torus_index;
 static int64_t torus_nearest(const torus_index *g, int64_t side, double qx,
                              double qy);
@@ -262,13 +265,19 @@ static int64_t torus_nearest(const torus_index *g, int64_t side, double qx,
         return b;                                                            \
     }                                                                        \
                                                                              \
-    static int64_t max_load_##w(const T *loads, int64_t n)                   \
+    static int64_t load_hist_##w(const T *loads, int64_t n, int64_t *h,     \
+                                 int64_t levels)                             \
     {                                                                        \
-        int64_t i;                                                           \
-        T peak = 0;                                                          \
-        for (i = 0; i < n; i++)                                              \
-            peak = loads[i] > peak ? loads[i] : peak;                        \
-        return (int64_t)peak;                                                \
+        int64_t i, l, need = 0;                                              \
+        memset(h, 0, sizeof(int64_t) * (size_t)levels);                      \
+        for (i = 0; i < n; i++) {                                            \
+            l = (int64_t)loads[i];                                           \
+            if ((top) || l < levels)                                         \
+                h[l] += 1;                                                   \
+            else if (l >= need)                                              \
+                need = l + 1;                                                \
+        }                                                                    \
+        return need;                                                         \
     }
 
 PLACEMENT(i64, int64_t, 0)
@@ -1118,10 +1127,12 @@ typedef struct {
     const double *const *measures; /* per trial arc lengths, or NULL */
     int64_t *loads;                /* (t, n) rows, or NULL */
     int64_t *heights;              /* (t, m) or NULL */
-    int64_t *maxima;               /* (t) max loads, or NULL */
+    int64_t *hist;                 /* (t, levels) load histograms, or NULL */
     int64_t k0, k1, n, m, d, nbuckets, rng_block, partitioned, strategy;
+    int64_t levels; /* hist's row length, at least UINT8_MAX + 1 */
     int64_t torus;  /* 1: 2-D tori on grids of side nbuckets, not rings */
     int64_t status; /* 0, 1: space not built or compacted, -1: no memory */
+    int64_t need;   /* 0, or the levels a trial's histogram needs */
 } space_trials_job;
 
 /* What a trial places into: a ring (bucket index, sorted positions plus
@@ -1256,8 +1267,9 @@ static void *ring_scratch(size_t size)
 }
 
 /* A worker's trials.  Each places into one byte per server, scratch the
- * worker zeroes before every trial; its maximum goes to maxima and,
- * when the caller keeps loads, it is widened into the trial's int64 row.
+ * worker zeroes before every trial; its histogram goes to its hist row
+ * (load_hist_w, whose answer need keeps) and, when the caller keeps
+ * loads, they are widened into the trial's int64 row.
  * A trial that chooses a bin already at UINT8_MAX reruns from its
  * generator's state after the build into int64 loads: on a ring the
  * caller's row, or wide, allocated on the worker's first overflow.
@@ -1310,7 +1322,7 @@ static void *space_trials_worker(void *arg)
     } else {
         for (k = job->k0; k < job->k1; k++) {
             pcg64 g = pcg64_load(job->states + 4 * k), again;
-            int64_t *row;
+            int64_t *row, *h = job->hist ? job->hist + k * job->levels : 0;
             int built;
             if (!build) {
                 built = ring_compact(job->tables[k], nb, ix);
@@ -1328,8 +1340,8 @@ static void *space_trials_worker(void *arg)
             again = g;
             memset(scratch, 0, (size_t)n);
             if (space_trial(job, k, &g, &sp, scratch, 0, x, bins, us)) {
-                if (job->maxima)
-                    job->maxima[k] = max_load_u8(scratch, n);
+                if (h)
+                    load_hist_u8(scratch, n, h, job->levels);
                 if (job->loads)
                     for (i = 0; i < n; i++)
                         job->loads[k * n + (ring ? i : ids[i])] = scratch[i];
@@ -1345,8 +1357,10 @@ static void *space_trials_worker(void *arg)
                 memset(row, 0, sizeof(int64_t) * (size_t)n);
                 g = again;
                 space_trial(job, k, &g, &sp, row, 1, x, bins, us);
-                if (job->maxima)
-                    job->maxima[k] = max_load_i64(row, n);
+                if (h) {
+                    int64_t need = load_hist_i64(row, n, h, job->levels);
+                    job->need = need > job->need ? need : job->need;
+                }
                 if (!ring && job->loads)
                     for (i = 0; i < n; i++)
                         job->loads[k * n + ids[i]] = row[i];
@@ -1379,27 +1393,33 @@ static void *space_trials_worker(void *arg)
  * 2^31.  Trials place into a byte per server and rerun into int64 loads
  * when a bin would pass a byte, so loads are exact for any m.  Trial k's
  * loads go to row k of loads unless loads is NULL (tables must then be
- * NULL); maxima, unless NULL, gets each trial's max load.  Returns 0, 1
- * when some space was not built or some given table does not fit the
- * bucket index (the state words are then partly advanced and must be
- * discarded), or -1 when scratch memory could not be allocated. */
+ * NULL); hist, unless NULL, holds a row of levels >= UINT8_MAX + 1
+ * counts per trial, and row k gets trial k's load histogram.  Returns 0;
+ * 1 when some space was not built or some given table does not fit the
+ * bucket index; -1 when scratch memory could not be allocated; or, when
+ * some trial's maximum load is levels or more, the levels its histogram
+ * needs (the largest maximum + 1, so above 1), the widest rows then
+ * partly counted.  Unless it returns 0 the state words are partly
+ * advanced and must be discarded. */
 int64_t repro_space_trials(uint64_t *states, const int32_t *const *tables,
                            const double *const *pos_ext,
                            const double *const *measures, int64_t t,
                            int64_t n, int64_t m, int64_t d, int64_t nbuckets,
                            int64_t rng_block, int64_t partitioned,
                            int64_t strategy, int64_t torus, int64_t *loads,
-                           int64_t *heights, int64_t *maxima, int64_t nthreads)
+                           int64_t *heights, int64_t *hist, int64_t levels,
+                           int64_t nthreads)
 {
     space_trials_job jobs[MAX_KERNEL_THREADS];
-    int64_t w, start, stop, status = 0;
+    int64_t w, start, stop, status = 0, need = 0;
     nthreads = clamp_threads(nthreads, t);
     for (w = 0; w < nthreads; w++) {
         thread_range(t, nthreads, w, &start, &stop);
         jobs[w] = (space_trials_job){states, tables, pos_ext, measures,
-                                     loads, heights, maxima, start, stop,
+                                     loads, heights, hist, start, stop,
                                      n, m, d, nbuckets, rng_block,
-                                     partitioned, strategy, torus, 0};
+                                     partitioned, strategy, levels, torus,
+                                     0, 0};
     }
     run_jobs(space_trials_worker, (char *)jobs, sizeof(space_trials_job),
              nthreads);
@@ -1407,8 +1427,9 @@ int64_t repro_space_trials(uint64_t *states, const int32_t *const *tables,
         if (jobs[w].status < 0)
             return -1;
         status |= jobs[w].status;
+        need = jobs[w].need > need ? jobs[w].need : need;
     }
-    return status;
+    return status ? status : need;
 }
 
 #endif /* __SIZEOF_INT128__ */
@@ -1433,7 +1454,7 @@ _SIGNATURES = {
     ),
     "repro_ring_table": ([_PTR, _I64, _I64, _PTR], _I64),
     "repro_space_trials": (
-        [_PTR, _PTR, _PTR, _PTR] + [_I64] * 9 + [_PTR, _PTR, _PTR, _I64],
+        [_PTR, _PTR, _PTR, _PTR] + [_I64] * 9 + [_PTR, _PTR, _PTR, _I64, _I64],
         _I64,
     ),
     "repro_torus_assign": ([_PTR, _I64, _PTR, _PTR, _PTR, _I64, _PTR], None),
@@ -1658,41 +1679,17 @@ def build_backend():
 
     def space_trials(bit_generators, tables, measures, loads, heights, m, d,
                      strategy_code, partitioned, rng_block, threads, *,
-                     space="ring", n=None, maxima=None):
+                     space="ring", n=None, hist=None):
         """C kernel running whole ring or 2-D torus trials on numpy PCG64
-        generators.
+        generators, as :class:`repro.kernels.KernelBackend` documents.
 
-        Trial ``k`` draws from ``bit_generators[k]`` exactly as
-        :func:`repro.core.engine.choice_blocks` would, looks each point
-        up in ``tables[k]`` (a ring's ``(nbuckets, table, pos_ext)``)
-        and places it into ``loads[k]`` (heights into ``heights[k]``
-        when not ``None``; ``measures[k]`` are the arc lengths or
-        ``measures`` is ``None``).  With ``tables=None`` each trial
-        first draws its ring from its own generator, exactly as
-        ``RingSpace.random(n, seed=...)`` would, and ``measures`` must
-        be ``None``.  ``space="torus"`` (``tables`` and ``measures``
-        ``None``, strategy ``random`` or ``first``) draws and grids a
-        2-D torus instead, exactly as ``TorusSpace.random(n, seed=...)``
-        would, and looks candidates up in its grid.  Each trial places
-        into one byte per server, scratch its worker thread reuses, and
-        ``loads[k]`` is widened from it; a trial that chooses a bin
-        already holding 255 balls reruns from its state after the build
-        into int64 loads (``loads[k]`` itself, or worker scratch), so
-        every result is exact whatever ``m``.  With ``tables=None``
-        ``loads`` may also be ``None``: ``n`` then gives the servers per
-        trial.  ``maxima``, unless ``None``, a C-contiguous int64 array
-        of shape ``(T,)``, receives each trial's maximum load.  A ring's
-        candidates are looked up in a compact copy of its bucket table:
-        an int32 start per 64 buckets and a byte offset per bucket.
-        Servers are indexed by int32, and ``n`` and ``m`` must be below
-        2³¹; larger trials raise :class:`ValueError`.  Only
-        ``state.state`` is written back to each generator.  Trials are
-        split statically across ``threads`` OS threads.  Returns
-        ``False``, writing no state back, when some ring, drawn or given,
-        crowds one group of 64 buckets past byte offsets, some drawn ring
-        repeats a position or crowds one bucket, or some drawn torus
-        repeats a point or is too unevenly spread for a grid; else
-        ``True``.
+        Returns ``False``, writing no generator state back, when some
+        space was not built or some given table does not fit the bucket
+        index.  Else it writes the states back and returns the
+        histograms, or ``True`` when ``hist`` is ``None``: ``hist``
+        itself, or, when some trial's maximum load is ``L`` or more
+        (only a rerun trial's can be), an array as wide as the largest
+        maximum + 1 that a second call, from the same states, fills.
         """
         t = len(bit_generators)
         if loads is None:
@@ -1716,10 +1713,13 @@ def build_backend():
             _check_inplace(heights, np.int64, "heights")
             if heights.shape != (t, m):
                 raise ValueError(f"heights must have shape {(t, m)}")
-        if maxima is not None:
-            _check_inplace(maxima, np.int64, "maxima")
-            if maxima.shape != (t,):
-                raise ValueError(f"maxima must have shape {(t,)}")
+        if hist is not None:
+            _check_inplace(hist, np.int64, "hist")
+            if hist.ndim != 2 or hist.shape[0] != t or hist.shape[1] < 256:
+                raise ValueError(
+                    f"hist must have shape ({t}, L) with L >= 256, "
+                    f"got {hist.shape}"
+                )
         if space not in ("ring", "torus"):
             raise ValueError(f"space_trials runs rings or tori, got {space!r}")
         torus = space == "torus"
@@ -1759,15 +1759,24 @@ def build_backend():
                 measures = [_as_c(a, np.float64) for a in measures]
             measure_ptrs = None if measures is None else _pointers(measures)
         states = [bg.state for bg in bit_generators]
-        words = np.array(
-            [_pcg64_words(st["state"]) for st in states], dtype=np.uint64
-        )
-        status = lib.repro_space_trials(
-            _p(words), _p(table_ptrs), _p(ext_ptrs), _p(measure_ptrs), t, n,
-            int(m), int(d), nbuckets, int(rng_block),
-            int(bool(partitioned)), int(strategy_code), int(torus), _p(loads),
-            _p(heights), _p(maxima), int(threads),
-        )
+
+        def call(hist):
+            words = np.array(
+                [_pcg64_words(st["state"]) for st in states], dtype=np.uint64
+            )
+            status = lib.repro_space_trials(
+                _p(words), _p(table_ptrs), _p(ext_ptrs), _p(measure_ptrs), t,
+                n, int(m), int(d), nbuckets, int(rng_block),
+                int(bool(partitioned)), int(strategy_code), int(torus),
+                _p(loads), _p(heights), _p(hist),
+                0 if hist is None else hist.shape[1], int(threads),
+            )
+            return status, words
+
+        status, words = call(hist)
+        if status > 1:  # the levels the widest trial's histogram needs
+            hist = np.empty((t, status), dtype=np.int64)
+            status, words = call(hist)
         if status < 0:
             raise MemoryError("space_trials: could not allocate kernel scratch")
         if status:
@@ -1775,7 +1784,7 @@ def build_backend():
         for bg, st, (hi, lo) in zip(bit_generators, states, words[:, :2].tolist()):
             st["state"]["state"] = (hi << 64) | lo
             bg.state = st
-        return True
+        return True if hist is None else hist
 
     def torus_assign(pts, grid):
         """C kernel: nearest grid point of each ``(x, y)`` row of ``pts``.

@@ -8,13 +8,14 @@ trials are grouped or whether other cells run before or after
 (``docs/architecture.md#experiment-flow``).
 
 Trials of one cell are statistically independent, so :func:`run_cell`
-and :func:`run_cell_profile` run them all through the trial-fused
-engine (:func:`repro.core.multitrial.run_fused`): one pass across all
-trials, inside the ``cext`` kernel where it applies, with the kernel
-``threads`` splitting trials.  Ring and 2-D torus cells also build
-their spaces in that kernel
-(:func:`repro.core.multitrial.run_random_spaces`).  Trial ``k`` is
-bit-identical to
+and :func:`run_cell_profile` run them all in one
+:func:`repro.core.multitrial.run_random_spaces` call, which returns each
+trial's load histogram: ring and 2-D torus cells build their spaces and
+run their trials inside the ``cext`` kernel where it applies, with the
+kernel ``threads`` splitting trials, and the rest go through the
+trial-fused engine (:func:`repro.core.multitrial.run_fused`).
+:func:`run_cell` reads each trial's maximum load from its histogram,
+:func:`run_cell_profile` the ν-profile.  Trial ``k`` is bit-identical to
 :func:`repro.core.engine.run_sequential` on the same seed.
 :func:`run_trial_map` is the generic harness for trials that have no
 fused engine (dynamic churn trajectories); its optional process pool
@@ -29,8 +30,7 @@ from multiprocessing import get_context
 
 import numpy as np
 
-from repro.core.loads import nu_profile
-from repro.core.multitrial import fused_trial_chunk, run_fused, run_random_spaces
+from repro.core.multitrial import run_random_spaces
 from repro.core.strategies import TieBreak
 from repro.obs import counter_add, obs_session, trace_span
 from repro.stats.distributions import MaxLoadDistribution
@@ -117,53 +117,25 @@ class CellSpec:
         return " ".join(bits)
 
 
-def _run_cell_fused(
-    spec: CellSpec, trials: int, seed, *, profile: bool, backend=None,
-    threads=None,
-):
-    """All trials of a cell through the trial-fused engine.
+def _run_cell_fused(spec: CellSpec, trials: int, seed, *, backend=None,
+                    threads=None) -> np.ndarray:
+    """Each trial's load histogram, ``(trials, L)``: one
+    :func:`~repro.core.multitrial.run_random_spaces` call for every space.
 
-    Trial ``k``'s generator first draws the server placement, then the
-    item choices: ring and torus cells go through
-    :func:`~repro.core.multitrial.run_random_spaces`, which builds the
-    spaces inside the ``space_trials`` kernel where it applies; without
-    ``profile`` it hands back only each trial's maximum load, so the
-    kernel keeps the loads in its own scratch, and it gets the whole
-    cell at once (it bounds its own memory).  Uniform cells draw no
-    servers; their bins go straight to
-    :func:`~repro.core.multitrial.run_fused`.  Those and profiles, which
-    need each trial's loads, are processed in memory-bounded fusion
-    chunks (:func:`fused_trial_chunk`), which never changes results.
-    ``backend`` and ``threads`` are forwarded (kernel backend and
-    thread-count selection; results are independent of both).
+    Trial ``k``'s generator first draws the server placement (ring and
+    torus cells), then the item choices.  ``hist[k, l]`` counts trial
+    ``k``'s bins holding exactly ``l`` balls, for ``l`` up to the
+    largest maximum load of any trial.  ``backend`` and ``threads`` are
+    forwarded (kernel backend and thread-count selection; results are
+    independent of both).
     """
-    seeds = spawn_seed_sequences(seed, trials)
-    if spec.space == "uniform" or profile:
-        chunk = fused_trial_chunk(spec.n, spec.balls, spec.d)
-    else:
-        chunk = trials
-    strategy = TieBreak.coerce(spec.strategy)
-    options = dict(partitioned=spec.partitioned, backend=backend, threads=threads)
-    out = []
-    for c0 in range(0, trials, chunk):
-        rngs = [np.random.default_rng(ss) for ss in seeds[c0 : c0 + chunk]]
-        if spec.space == "uniform":
-            from repro.baselines.uniform import UniformSpace
-
-            spaces = [UniformSpace(spec.n)] * len(rngs)
-            result, _ = run_fused(
-                spaces, spec.balls, spec.d, strategy, rngs, **options
-            )
-            if not profile:
-                result = result.max(axis=1)
-        else:
-            result, _ = run_random_spaces(
-                spec.space, spec.n, spec.balls, spec.d, strategy, rngs,
-                dim=spec.dim, maxima=not profile, **options,
-            )
-        # the trials' loads for a profile, else their maximum loads
-        out.extend(map(nu_profile, result) if profile else result.tolist())
-    return out
+    rngs = [np.random.default_rng(ss) for ss in spawn_seed_sequences(seed, trials)]
+    hist, _ = run_random_spaces(
+        spec.space, spec.n, spec.balls, spec.d, TieBreak.coerce(spec.strategy),
+        rngs, dim=spec.dim, partitioned=spec.partitioned, backend=backend,
+        threads=threads,
+    )
+    return hist
 
 
 def run_cell_profile(
@@ -192,14 +164,10 @@ def run_cell_profile(
         "run_cell_profile", cell=spec.label(), trials=trials
     ):
         counter_add("cell.profile_runs")
-        profiles = _run_cell_fused(
-            spec, trials, seed, profile=True, backend=backend, threads=threads
-        )
-        depth = max(p.size for p in profiles)
-        acc = np.zeros(depth, dtype=np.float64)
-        for p in profiles:
-            acc[: p.size] += p
-        return acc / trials
+        hist = _run_cell_fused(spec, trials, seed, backend=backend,
+                               threads=threads)
+        # bins holding at least i balls: the reverse cumulative sum
+        return np.cumsum(hist.sum(axis=0)[::-1])[::-1] / trials
 
 
 def _worker(args):
@@ -276,7 +244,8 @@ def run_cell(
     trials = check_positive_int(trials, "trials")
     with obs_session(obs), trace_span("run_cell", cell=spec.label(), trials=trials):
         counter_add("cell.runs")
-        maxima = _run_cell_fused(
-            spec, trials, seed, profile=False, backend=backend, threads=threads
-        )
+        hist = _run_cell_fused(spec, trials, seed, backend=backend,
+                               threads=threads)
+        # each trial's maximum load: its last non-zero level
+        maxima = hist.shape[1] - 1 - np.argmax(hist[:, ::-1] > 0, axis=1)
         return MaxLoadDistribution.from_samples(maxima, spec=spec)

@@ -35,6 +35,8 @@ __all__ = [
     "check_state",
     "numpy_reference",
     "repeating_generator",
+    "padded_histograms",
+    "check_random_spaces",
 ]
 
 
@@ -162,3 +164,54 @@ def numpy_reference():
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("REPRO_KERNEL_BACKEND", "numpy")
         yield
+
+
+def padded_histograms(loads_rows) -> np.ndarray:
+    """``np.bincount`` of each trial's loads, zero-padded to the widest:
+    the ``(T, L)`` histograms ``run_random_spaces`` returns."""
+    counts = [np.bincount(loads) for loads in loads_rows]
+    hist = np.zeros((len(counts), max(c.size for c in counts)), dtype=np.int64)
+    for row, c in zip(hist, counts):
+        row[: c.size] = c
+    return hist
+
+
+def check_random_spaces(space, n, m, d, strategy, seeds, partitioned,
+                        rng_block, expected, threads_values):
+    """Trials on ``space``s the kernel builds against ``expected``, each
+    reference trial's ``(loads, heights, final generator state)``: the
+    histograms ``run_random_spaces`` returns, then each server's load
+    through the ``space_trials`` wrapper's ``loads``, with heights and
+    generator states both times, at every thread count."""
+    from repro.core.multitrial import run_random_spaces
+    from repro.kernels import STRATEGY_CODES, get_backend
+
+    ref_hist = padded_histograms([loads for loads, _, _ in expected])
+    for threads in threads_values:
+        where = (f"{space} n={n} m={m} d={d} {strategy.value} "
+                 f"partitioned={partitioned} rng_block={rng_block} "
+                 f"threads={threads}")
+        rngs = [np.random.default_rng(s) for s in seeds]
+        hist, heights = run_random_spaces(
+            space, n, m, d, strategy, rngs, partitioned=partitioned,
+            rng_block=rng_block, record_heights=True, backend="cext",
+            threads=threads,
+        )
+        np.testing.assert_array_equal(hist, ref_hist, err_msg=where)
+        runs = [(rngs, heights)]
+
+        rngs = [np.random.default_rng(s) for s in seeds]
+        loads = np.zeros((len(seeds), n), dtype=np.int64)
+        heights = np.zeros((len(seeds), m), dtype=np.int64)
+        assert get_backend("cext").space_trials(
+            [r.bit_generator for r in rngs], None, None, loads, heights, m, d,
+            STRATEGY_CODES[strategy.value], partitioned, rng_block, threads,
+            space=space,
+        ) is True, where
+        runs.append((rngs, heights))
+        for k, (ref_loads, ref_heights, ref_state) in enumerate(expected):
+            np.testing.assert_array_equal(loads[k], ref_loads, err_msg=where)
+            for rngs, heights in runs:
+                np.testing.assert_array_equal(heights[k], ref_heights,
+                                              err_msg=where)
+                assert rngs[k].bit_generator.state == ref_state, where

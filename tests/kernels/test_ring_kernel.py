@@ -24,7 +24,12 @@ import sys
 
 import numpy as np
 import pytest
-from helpers import numpy_reference, repeating_generator
+from helpers import (
+    check_random_spaces,
+    numpy_reference,
+    padded_histograms,
+    repeating_generator,
+)
 
 from repro.core import multitrial
 from repro.core.engine import DEFAULT_RNG_BLOCK, run_sequential
@@ -295,26 +300,9 @@ def _reference_rings(n, m, d, strategy, seeds, partitioned, rng_block):
 
 def _check_random_rings(n, m, d, strategy, seeds, partitioned, rng_block,
                         expected, space="ring"):
-    """The loads path, then the maxima path (loads kept in kernel scratch)."""
-    for threads in THREADS:
-        for maxima in (False, True):
-            rngs = [np.random.default_rng(s) for s in seeds]
-            got, heights = run_random_spaces(
-                space, n, m, d, strategy, rngs, partitioned=partitioned,
-                rng_block=rng_block, record_heights=True, maxima=maxima,
-                backend="cext", threads=threads,
-            )
-            where = (f"{space} n={n} m={m} d={d} {strategy.value} "
-                     f"partitioned={partitioned} threads={threads} "
-                     f"maxima={maxima}")
-            for k, (ref_loads, ref_heights, ref_state) in enumerate(expected):
-                np.testing.assert_array_equal(
-                    got[k], ref_loads.max() if maxima else ref_loads,
-                    err_msg=where,
-                )
-                np.testing.assert_array_equal(heights[k], ref_heights,
-                                              err_msg=where)
-                assert rngs[k].bit_generator.state == ref_state, where
+    """The histograms (loads kept in kernel scratch), then the loads."""
+    check_random_spaces(space, n, m, d, strategy, seeds, partitioned,
+                        rng_block, expected, THREADS)
 
 
 @pytest.mark.parametrize("partitioned", [False, True])
@@ -346,8 +334,8 @@ def test_random_rings_paper_size_matches_run_sequential():
 
 def test_random_rings_across_draw_chunks_match_run_sequential():
     """n = m = 3 chunks + 5: each ring's two passes over its stream split
-    it into four draws, and the loads are widened from (or reduced in)
-    the int32 scratch."""
+    it into four draws, and the loads are widened from (or counted in)
+    the byte scratch."""
     n = 3 * DRAW_CHUNK + 5
     seeds = [41, 42, 43]
     expected = _reference_rings(n, n, 2, TieBreak.RANDOM, seeds, False,
@@ -379,27 +367,26 @@ def test_repeated_positions_raise_like_ring_space(n, threads):
     assert not _cext().space_trials(
         [r.bit_generator for r in rngs], None, None, None, None, n, 2, 0,
         False, DEFAULT_RNG_BLOCK, threads, n=n,
-        maxima=np.zeros(TRIALS, dtype=np.int64),
+        hist=np.zeros((TRIALS, 256), dtype=np.int64),
     )
     assert [r.bit_generator.state for r in rngs] == before
 
     ref = generators()
     with pytest.raises(ValueError, match="distinct") as expected:
         [RingSpace.random(n, seed=r) for r in ref]
-    for maxima in (False, True):
-        rngs = generators()
-        with pytest.raises(ValueError) as got:
-            run_random_spaces("ring", n, n, 2, TieBreak.RANDOM, rngs,
-                              maxima=maxima, backend="cext", threads=threads)
-        assert str(got.value) == str(expected.value)
-        assert [r.bit_generator.state for r in rngs] == [
-            r.bit_generator.state for r in ref
-        ]
+    rngs = generators()
+    with pytest.raises(ValueError) as got:
+        run_random_spaces("ring", n, n, 2, TieBreak.RANDOM, rngs,
+                          backend="cext", threads=threads)
+    assert str(got.value) == str(expected.value)
+    assert [r.bit_generator.state for r in rngs] == [
+        r.bit_generator.state for r in ref
+    ]
 
 
 def test_repeated_positions_raise_from_run_cell(monkeypatch):
-    """run_cell takes the maxima path: the kernel builds no ring from the
-    repeating stream, and the reference raises RingSpace's own error."""
+    """run_cell's one kernel call builds no ring from the repeating
+    stream, and the reference raises RingSpace's own error."""
     real_default_rng = np.random.default_rng
 
     def default_rng(seed=None):
@@ -425,44 +412,53 @@ def test_repeated_positions_raise_from_run_cell(monkeypatch):
                          ids=lambda s: s.value)
 def test_arc_length_strategies_keep_their_own_load_scratch(strategy, threads):
     """smaller/larger keep the arc lengths in a buffer of their own,
-    beside the int32 load scratch.  Eight trials per call reuse both on
-    every worker; the maxima and states must match the loads path."""
+    beside the byte load scratch.  Eight trials per call reuse both on
+    every worker; the histograms (rows the kernel zeroes) and states
+    must match the loads."""
     n, trial_count = 3000, 8
     code = 2 if strategy is TieBreak.SMALLER else 3
 
-    def run(loads, maxima):
+    def run(loads, hist):
         rngs = [np.random.default_rng(70 + k) for k in range(trial_count)]
-        assert _cext().space_trials(
+        out = _cext().space_trials(
             [r.bit_generator for r in rngs], None, None, loads, None, n, 2,
-            code, False, 128, threads, n=n, maxima=maxima,
+            code, False, 128, threads, n=n, hist=hist,
         )
-        return [r.bit_generator.state for r in rngs]
+        return out, [r.bit_generator.state for r in rngs]
 
     loads = np.zeros((trial_count, n), dtype=np.int64)
-    states = run(loads, None)
-    maxima = np.full(trial_count, -1, dtype=np.int64)
-    assert run(None, maxima) == states
-    np.testing.assert_array_equal(maxima, loads.max(axis=1))
+    built, states = run(loads, None)
+    assert built is True
+    hist = np.full((trial_count, 256), -1, dtype=np.int64)
+    got, hist_states = run(None, hist)
+    assert got is hist and hist_states == states
+    np.testing.assert_array_equal(
+        hist, [np.bincount(row, minlength=256) for row in loads]
+    )
 
 
-def test_maxima_and_scratch_loads_are_checked():
-    """maxima must be C-contiguous int64 of shape (T,); loads kept in
-    scratch need n and a space the kernel builds."""
+def test_hist_and_scratch_loads_are_checked():
+    """hist must be C-contiguous int64 of shape (T, L) with L >= 256, the
+    levels of every byte load; loads kept in scratch need n and a space
+    the kernel builds."""
     def call(loads=None, tables=None, **kwargs):
         bit_generators = [np.random.PCG64(k) for k in range(2)]
         return _cext().space_trials(bit_generators, tables, None, loads, None,
-                                   10, 2, 0, False, 64, 1, **kwargs)
+                                    10, 2, 0, False, 64, 1, **kwargs)
 
-    for bad in (np.zeros(2, dtype=np.int32), np.zeros(3, dtype=np.int64),
-                np.zeros(4, dtype=np.int64)[::2]):
-        with pytest.raises(ValueError, match="maxima"):
-            call(n=10, maxima=bad)
+    for bad in (np.zeros((2, 256), dtype=np.int32),
+                np.zeros((3, 256), dtype=np.int64),
+                np.zeros((2, 255), dtype=np.int64),
+                np.zeros(2 * 256, dtype=np.int64),
+                np.zeros((2, 512), dtype=np.int64)[:, ::2]):
+        with pytest.raises(ValueError, match="hist"):
+            call(n=10, hist=bad)
     with pytest.raises(ValueError, match="needs n"):
-        call(maxima=np.zeros(2, dtype=np.int64))
+        call(hist=np.zeros((2, 256), dtype=np.int64))
     space = RingSpace.random(10, seed=0)
     with pytest.raises(ValueError, match="scratch only"):
         call(tables=[space._bucket_table()] * 2, n=10,
-             maxima=np.zeros(2, dtype=np.int64))
+             hist=np.zeros((2, 256), dtype=np.int64))
 
 
 def test_int32_scratch_limits_keep_the_reference_path(monkeypatch):
@@ -486,7 +482,7 @@ def test_int32_scratch_limits_keep_the_reference_path(monkeypatch):
                 _cext().space_trials(
                     [np.random.PCG64(0)], None, None, None, None, m, 2, 0,
                     False, DEFAULT_RNG_BLOCK, 1, space=space, n=n,
-                    maxima=np.zeros(1, dtype=np.int64),
+                    hist=np.zeros((1, 256), dtype=np.int64),
                 )
 
     reference = []
@@ -500,10 +496,10 @@ def test_int32_scratch_limits_keep_the_reference_path(monkeypatch):
     monkeypatch.setattr(multitrial, "run_fused", fake_run_fused)
     for n, m in limits:
         for space in ("ring", "torus"):
-            maxima, _ = run_random_spaces(space, n, m, 2, TieBreak.RANDOM,
-                                          [np.random.default_rng(0)],
-                                          maxima=True, backend="cext")
-            assert maxima.tolist() == [7]
+            hist, _ = run_random_spaces(space, n, m, 2, TieBreak.RANDOM,
+                                        [np.random.default_rng(0)],
+                                        backend="cext")
+            assert hist.tolist() == [[0] * 7 + [1]]
             assert reference.pop() == ([(space, n)], m)
 
 
@@ -558,9 +554,10 @@ def test_byte_overflow_reruns_match_run_sequential(monkeypatch, kind, n, d,
     stage); at m = one past the earliest such ball, one trial does so at
     its last ball, in its last stage, and the others never do.  RNG
     blocks of 100 balls put the overflow past the trial's first block,
-    where its generator has moved on.  Loads or maxima, heights and
+    where its generator has moved on.  Loads or histograms, heights and
     final states must match run_sequential at every thread count, with
-    the kernel running every trial."""
+    the kernel running every trial; at m = 300·n the histograms need
+    more than 256 levels, so a second, wider kernel call fills them."""
     def no_reference(*args, **kwargs):
         raise AssertionError("a trial left the space_trials kernel")
 
@@ -589,7 +586,7 @@ def test_byte_overflow_reruns_match_run_sequential(monkeypatch, kind, n, d,
                                         rng_block, ref, space=kind)
 
 
-#: One n = m ring trial (n from argv) on run_cell's maxima path, in a
+#: One n = m ring trial (n from argv) as run_cell runs it, in a
 #: fresh process: prints how far the resident set's peak rose, per
 #: server, above the resident set before it (Linux's VmHWM, reset through
 #: clear_refs), or exits 77 when /proc/self/clear_refs cannot be written.
@@ -606,7 +603,7 @@ def status_kb(field):
 
 def trial(n):
     run_random_spaces("ring", n, n, 2, TieBreak.RANDOM,
-                      [np.random.default_rng(3)], maxima=True, backend="cext")
+                      [np.random.default_rng(3)], backend="cext")
 
 n = int(sys.argv[1])
 trial(1 << 10)  # the compiled library and every code path, warmed
@@ -622,8 +619,8 @@ print((status_kb("VmHWM") - before) * 1024 / n)
 
 @functools.cache
 def _ring_trial_peak_per_server() -> float:
-    """Peak RSS growth per server of one n = 2²² ring trial on the maxima
-    path, in a fresh process.  One trial runs on one worker, whatever
+    """Peak RSS growth per server of one n = 2²² ring trial as run_cell
+    runs it, in a fresh process.  One trial runs on one worker, whatever
     REPRO_NUM_THREADS says."""
     n = 1 << 22
     env = dict(os.environ)
@@ -666,20 +663,22 @@ def test_ring_trial_scratch_stays_under_11_bytes_per_server():
 def test_random_rings_other_bit_generators_take_the_reference_path(bit_generator):
     rngs = [np.random.Generator(bit_generator(50 + k)) for k in range(2)]
     assert not _ring_kernel_takes(500, 700, rngs, _cext())
-    loads, heights = run_random_spaces("ring", 500, 700, 2, TieBreak.SMALLER,
-                                       rngs, rng_block=128, record_heights=True,
-                                       backend="cext", threads=2)
+    hist, heights = run_random_spaces("ring", 500, 700, 2, TieBreak.SMALLER,
+                                      rngs, rng_block=128, record_heights=True,
+                                      backend="cext", threads=2)
+    ref_loads = []
     for k in range(2):
         ref_rng = np.random.Generator(bit_generator(50 + k))
         space = RingSpace.random(500, seed=ref_rng)
-        ref_loads, ref_heights = run_sequential(
+        loads, ref_heights = run_sequential(
             space, 700, 2, TieBreak.SMALLER, ref_rng, rng_block=128,
             record_heights=True,
         )
-        np.testing.assert_array_equal(loads[k], ref_loads)
+        ref_loads.append(loads)
         np.testing.assert_array_equal(heights[k], ref_heights)
         np.testing.assert_equal(rngs[k].bit_generator.state,
                                 ref_rng.bit_generator.state)
+    np.testing.assert_array_equal(hist, padded_histograms(ref_loads))
 
 
 def test_random_rings_shared_generator_takes_the_reference_path():
@@ -687,15 +686,16 @@ def test_random_rings_shared_generator_takes_the_reference_path():
     after another, exactly as run_fused on RingSpace.random spaces."""
     shared = np.random.default_rng(13)
     assert not _ring_kernel_takes(200, 300, [shared] * 3, _cext())
-    loads, _ = run_random_spaces("ring", 200, 300, 2, TieBreak.RANDOM,
-                                 [shared] * 3, rng_block=64, backend="cext",
-                                 threads=2)
+    hist, _ = run_random_spaces("ring", 200, 300, 2, TieBreak.RANDOM,
+                                [shared] * 3, rng_block=64, backend="cext",
+                                threads=2)
     ref = np.random.default_rng(13)
     spaces = [RingSpace.random(200, seed=ref) for _ in range(3)]
-    for k, space in enumerate(spaces):
-        ref_loads, _ = run_sequential(space, 300, 2, TieBreak.RANDOM, ref,
-                                      rng_block=64)
-        np.testing.assert_array_equal(loads[k], ref_loads)
+    ref_loads = [
+        run_sequential(space, 300, 2, TieBreak.RANDOM, ref, rng_block=64)[0]
+        for space in spaces
+    ]
+    np.testing.assert_array_equal(hist, padded_histograms(ref_loads))
     assert shared.bit_generator.state == ref.bit_generator.state
 
 
@@ -705,10 +705,10 @@ def test_random_rings_shared_generator_takes_the_reference_path():
 
 
 @pytest.mark.parametrize("space", ["ring", "torus"])
-def test_scratch_budget_caps_the_threads_of_a_maxima_call(monkeypatch, space):
-    """A maxima call takes every trial at once, on no more threads than
-    the scratch budget holds workers, and at least one; the loads path
-    keeps the requested count.  Results do not depend on it."""
+def test_scratch_budget_caps_the_threads_of_a_kernel_call(monkeypatch, space):
+    """A kernel call takes every trial at once, on no more threads than
+    the scratch budget holds workers, and at least one.  Results do not
+    depend on it."""
     n = 500
     per_worker = multitrial._worker_scratch_bytes(space, n, TieBreak.RANDOM)
     threads = []
@@ -719,16 +719,16 @@ def test_scratch_budget_caps_the_threads_of_a_maxima_call(monkeypatch, space):
         threads.append(count)
         return real(spaces, n, m, d, strategy, rngs, backend, count, **kwargs)
 
-    def run(maxima):
+    def run():
         rngs = [np.random.default_rng(20 + k) for k in range(8)]
         return run_random_spaces(space, n, n, 2, TieBreak.RANDOM, rngs,
-                                 maxima=maxima, backend="cext", threads=7)[0]
+                                 backend="cext", threads=7)[0]
 
     monkeypatch.setattr(multitrial, "_run_fused_ring", run_fused_ring)
-    loads = run(False)
-    for budget, capped in ((3 * per_worker + 1, 3), (per_worker - 1, 1)):
+    hist = run()
+    for budget in (3 * per_worker + 1, per_worker - 1):
         monkeypatch.setattr(multitrial, "_KERNEL_SCRATCH_BUDGET", budget)
-        np.testing.assert_array_equal(run(True), loads.max(axis=1))
+        np.testing.assert_array_equal(run(), hist)
     assert threads == [7, 3, 1]
 
 

@@ -23,9 +23,15 @@ import functools
 
 import numpy as np
 import pytest
-from helpers import numpy_reference, repeating_generator
+from helpers import (
+    check_random_spaces,
+    numpy_reference,
+    padded_histograms,
+    repeating_generator,
+)
 from scipy.spatial import cKDTree
 
+from repro.baselines.uniform import UniformSpace
 from repro.core.engine import DEFAULT_RNG_BLOCK, run_sequential
 from repro.core.multitrial import _space_kernel_takes, run_fused, run_random_spaces
 from repro.core.strategies import TieBreak
@@ -489,26 +495,9 @@ def _reference_tori(n, m, d, strategy, seeds, partitioned, rng_block):
 
 def _check_random_tori(n, m, d, strategy, seeds, partitioned, rng_block,
                        expected):
-    """The loads path, then the maxima path (loads kept in kernel scratch)."""
-    for threads in THREADS:
-        for maxima in (False, True):
-            rngs = [np.random.default_rng(s) for s in seeds]
-            got, heights = run_random_spaces(
-                "torus", n, m, d, strategy, rngs, partitioned=partitioned,
-                rng_block=rng_block, record_heights=True, maxima=maxima,
-                backend="cext", threads=threads,
-            )
-            where = (f"n={n} m={m} d={d} {strategy.value} "
-                     f"partitioned={partitioned} rng_block={rng_block} "
-                     f"threads={threads} maxima={maxima}")
-            for k, (ref_loads, ref_heights, ref_state) in enumerate(expected):
-                np.testing.assert_array_equal(
-                    got[k], ref_loads.max() if maxima else ref_loads,
-                    err_msg=where,
-                )
-                np.testing.assert_array_equal(heights[k], ref_heights,
-                                              err_msg=where)
-                assert rngs[k].bit_generator.state == ref_state, where
+    """The histograms (loads kept in kernel scratch), then the loads."""
+    check_random_spaces("torus", n, m, d, strategy, seeds, partitioned,
+                        rng_block, expected, THREADS)
 
 
 @pytest.mark.parametrize("partitioned", [False, True])
@@ -563,7 +552,7 @@ def test_repeated_points_raise_like_torus_space(n, threads):
     assert not _cext_backend().space_trials(
         [r.bit_generator for r in rngs], None, None, None, None, n, 2, 0,
         False, DEFAULT_RNG_BLOCK, threads, space="torus", n=n,
-        maxima=np.zeros(TRIALS, dtype=np.int64),
+        hist=np.zeros((TRIALS, 256), dtype=np.int64),
     )
     assert [r.bit_generator.state for r in rngs] == before
 
@@ -583,22 +572,24 @@ def _assert_reference_path(rngs, fresh_rng, strategy=TieBreak.RANDOM, *,
                            dim=2, n=300, m=400, backend="cext"):
     """run_random_spaces on a torus equals TorusSpace.random +
     run_sequential trial by trial, generator states included."""
-    loads, heights = run_random_spaces(
+    hist, heights = run_random_spaces(
         "torus", n, m, 2, strategy, rngs, dim=dim, rng_block=64,
         record_heights=True, backend=backend, threads=2,
     )
+    ref_loads = []
     for k in range(len(rngs)):
         ref_rng = fresh_rng(k)
         with numpy_reference():
             space = TorusSpace.random(n, dim=dim, seed=ref_rng)
-            ref_loads, ref_heights = run_sequential(
+            loads, ref_heights = run_sequential(
                 space, m, 2, strategy, ref_rng, rng_block=64,
                 record_heights=True,
             )
-        np.testing.assert_array_equal(loads[k], ref_loads)
+        ref_loads.append(loads)
         np.testing.assert_array_equal(heights[k], ref_heights)
         np.testing.assert_equal(rngs[k].bit_generator.state,
                                 ref_rng.bit_generator.state)
+    np.testing.assert_array_equal(hist, padded_histograms(ref_loads))
 
 
 @pytest.mark.parametrize("strategy", [TieBreak.SMALLER, TieBreak.LARGER],
@@ -634,16 +625,18 @@ def test_random_tori_shared_generator_takes_the_reference_path():
     shared = np.random.default_rng(13)
     assert not _space_kernel_takes("torus", 200, 300, 2, TieBreak.RANDOM,
                                    [shared] * 3, _cext_backend())
-    loads, _ = run_random_spaces("torus", 200, 300, 2, TieBreak.RANDOM,
-                                 [shared] * 3, rng_block=64, backend="cext",
-                                 threads=2)
+    hist, _ = run_random_spaces("torus", 200, 300, 2, TieBreak.RANDOM,
+                                [shared] * 3, rng_block=64, backend="cext",
+                                threads=2)
     ref = np.random.default_rng(13)
     with numpy_reference():
         spaces = [TorusSpace.random(200, seed=ref) for _ in range(3)]
-        for k, space in enumerate(spaces):
-            ref_loads, _ = run_sequential(space, 300, 2, TieBreak.RANDOM, ref,
-                                          rng_block=64)
-            np.testing.assert_array_equal(loads[k], ref_loads)
+        ref_loads = [
+            run_sequential(space, 300, 2, TieBreak.RANDOM, ref,
+                           rng_block=64)[0]
+            for space in spaces
+        ]
+    np.testing.assert_array_equal(hist, padded_histograms(ref_loads))
     assert shared.bit_generator.state == ref.bit_generator.state
 
 
@@ -666,8 +659,19 @@ def test_random_tori_numpy_backend_takes_the_reference_path(monkeypatch):
 
 
 def test_random_spaces_reject_other_spaces():
+    """run_random_spaces takes uniform bins (on run_fused, as the kernel
+    has no lookup for them) but no other space; the kernel takes rings
+    and tori only."""
+    rngs = [np.random.default_rng(0)]
+    assert not _space_kernel_takes("uniform", 10, 10, 2, TieBreak.RANDOM,
+                                   rngs, _cext_backend())
+    hist, _ = run_random_spaces("uniform", 10, 10, 2, TieBreak.RANDOM, rngs,
+                                backend="cext")
+    ref_loads, _ = run_sequential(UniformSpace(10), 10, 2, TieBreak.RANDOM,
+                                  np.random.default_rng(0))
+    np.testing.assert_array_equal(hist, padded_histograms([ref_loads]))
     with pytest.raises(ValueError, match="space"):
-        run_random_spaces("uniform", 10, 10, 2, TieBreak.RANDOM,
+        run_random_spaces("cube", 10, 10, 2, TieBreak.RANDOM,
                           [np.random.default_rng(0)], backend="cext")
     with pytest.raises(ValueError, match="rings or tori"):
         _cext_backend().space_trials(

@@ -11,7 +11,7 @@ from repro.core.loads import nu_profile
 from repro.core.strategies import TieBreak
 from repro.kernels import available_backends, get_backend
 from repro.stats.distributions import MaxLoadDistribution
-from repro.stats.trials import CellSpec, run_cell
+from repro.stats.trials import CellSpec, run_cell, run_cell_profile
 from repro.utils.rng import spawn_seed_sequences
 
 
@@ -163,13 +163,15 @@ class TestRunCellProfile:
         assert profile[1:].sum() == pytest.approx(300)
 
 
-#: (space, n) of the profile check; ring cells keep the ids they had
-#: before torus cells joined them
+#: (space, n, m) of the profile check (m None: m = n); ring cells keep
+#: the ids they had before torus and uniform cells joined them.  The
+#: heavily loaded ring's trials pass 255 balls a bin, the most the
+#: kernel's byte scratch holds, and its histograms 256 levels.
 _SPACE_SIZES = [
-    pytest.param(space, n, id=str(n) if space == "ring" else f"torus-{n}")
-    for space in ("ring", "torus")
+    pytest.param(space, n, None, id=str(n) if space == "ring" else f"{space}-{n}")
+    for space in ("ring", "torus", "uniform")
     for n in (1, 2, 1023, 3000)
-]
+] + [pytest.param("ring", 16, 300 * 16, id="16-m4800")]
 
 
 @pytest.fixture(scope="session")
@@ -222,13 +224,12 @@ class TestEngineSelection:
     @pytest.mark.parametrize("partitioned", [False, True])
     @pytest.mark.parametrize("strategy", [s.value for s in TieBreak])
     @pytest.mark.parametrize("d", [1, 2, 3])
-    @pytest.mark.parametrize("space, n", _SPACE_SIZES)
+    @pytest.mark.parametrize("space, n, m", _SPACE_SIZES)
     def test_profile_engines_bit_identical(
-        self, space, n, d, strategy, partitioned, shared_torus_areas
+        self, space, n, m, d, strategy, partitioned, shared_torus_areas
     ):
-        from repro.stats.trials import run_cell_profile
-
-        spec = CellSpec(space, n, d, strategy=strategy, partitioned=partitioned)
+        spec = CellSpec(space, n, d, m=m, strategy=strategy,
+                        partitioned=partitioned)
         profiles = [nu_profile(loads) for loads in _sequential_loads(spec, 9, 3)]
         reference = np.zeros(max(p.size for p in profiles))
         for p in profiles:
@@ -254,18 +255,27 @@ class TestEngineSelection:
     reason="no compiled space_trials kernel on this machine",
 )
 class TestRunCellMemory:
-    """Ring and torus max-load cells keep their loads in kernel scratch."""
+    """Ring and torus cells keep their loads in kernel scratch."""
 
-    @pytest.mark.parametrize("space, n", [("ring", 1 << 16), ("torus", 1 << 14)])
-    def test_traced_peak_stays_under_a_megabyte(self, monkeypatch, space, n):
+    @pytest.mark.parametrize("space, n, run", [
+        pytest.param("ring", 1 << 16, run_cell, id="ring-65536"),
+        pytest.param("torus", 1 << 14, run_cell, id="torus-16384"),
+        pytest.param("ring", 1 << 16, run_cell_profile,
+                     id="ring-65536-profile"),
+        pytest.param("torus", 1 << 14, run_cell_profile,
+                     id="torus-16384-profile"),
+    ])
+    def test_traced_peak_stays_under_a_megabyte(self, monkeypatch, space, n,
+                                                 run):
         """16 trials' (16, n) int64 loads would be 8 MB (ring) and 2 MB
-        (torus); only their maxima leave the kernel."""
+        (torus); only their load histograms leave the kernel, for a
+        max-load cell and a profile alike."""
         monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cext")
         spec = CellSpec(space, n, 2)
-        run_cell(spec, 16, seed=0)  # compiled library, lazy imports
+        run(spec, 16, seed=0)  # compiled library, lazy imports
         tracemalloc.start()
         try:
-            run_cell(spec, 16, seed=0)
+            run(spec, 16, seed=0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -273,21 +283,25 @@ class TestRunCellMemory:
 
     @pytest.mark.parametrize("space", ["ring", "torus"])
     def test_cell_is_one_kernel_call(self, monkeypatch, space):
-        """Max-load cells reach the kernel whole, however small their
-        fused_trial_chunk: here 1, where each trial would be a call of
-        its own.  The maxima equal those of one call per trial."""
+        """Max-load and profile cells reach the kernel whole, however
+        small their fused_trial_chunk: here 1, where each trial would be
+        a call of its own.  The maxima and the profile equal those of one
+        call per trial."""
         from repro.core import multitrial
         from repro.core.multitrial import run_random_spaces
-        from repro.stats import trials as trials_module
 
         monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cext")
         spec = CellSpec(space, 300, 2)
         chunked = [
-            int(run_random_spaces(space, 300, 300, 2, "random",
-                                  [np.random.default_rng(ss)], maxima=True,
-                                  threads=2)[0][0])
+            run_random_spaces(space, 300, 300, 2, "random",
+                              [np.random.default_rng(ss)], threads=2)[0][0]
             for ss in spawn_seed_sequences(4, 6)
         ]
+        # each one-trial histogram is trimmed to its maximum + 1 levels
+        maxima = [h.size - 1 for h in chunked]
+        width = max(h.size for h in chunked)
+        counts = sum(np.pad(h, (0, width - h.size)) for h in chunked)
+        profile = np.cumsum(counts[::-1])[::-1] / 6
         calls = []
         real = multitrial._run_fused_ring
 
@@ -296,9 +310,9 @@ class TestRunCellMemory:
             return real(spaces, n, m, d, strategy, rngs, *args, **kwargs)
 
         monkeypatch.setattr(multitrial, "_run_fused_ring", run_fused_ring)
-        for module in (multitrial, trials_module):
-            monkeypatch.setattr(module, "fused_trial_chunk", lambda n, m, d: 1)
-        maxima = trials_module._run_cell_fused(spec, 6, 4, profile=False,
-                                               threads=2)
-        assert calls == [6]
-        assert maxima == chunked
+        monkeypatch.setattr(multitrial, "fused_trial_chunk", lambda n, m, d: 1)
+        dist = run_cell(spec, 6, seed=4, threads=2)
+        assert dist.counts == MaxLoadDistribution.from_samples(maxima).counts
+        assert np.array_equal(run_cell_profile(spec, 6, seed=4, threads=2),
+                              profile)
+        assert calls == [6, 6]
