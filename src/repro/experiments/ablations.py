@@ -114,36 +114,32 @@ def geometry_sweep(
     — so this sweep probes the conclusion's question of "how much
     non-uniformity the two-choice paradigm can stand".  ``d = 1`` shows
     the geometry-dependent imbalance; ``d >= 2`` should flatten all
-    rows to the same few values.
+    rows to the same few values.  The uniform, ring and torus rows are
+    :func:`~repro.stats.trials.run_cell` cells; CAN zones, which no cell
+    kind draws, place trial by trial from the same per-trial seeds.
     """
-    from repro.dht.can import CanSpace
-    from repro.stats.distributions import MaxLoadDistribution
-    from repro.utils.rng import spawn_seed_sequences
-
     import numpy as np
 
     from repro.core.placement import place_balls
-    from repro.core.ring import RingSpace
-    from repro.core.torus import TorusSpace
-    from repro.baselines.uniform import UniformSpace
+    from repro.dht.can import CanSpace
+    from repro.stats.distributions import MaxLoadDistribution
+    from repro.stats.trials import run_cell
+    from repro.utils.rng import spawn_seed_sequences
 
-    builders = {
-        "uniform": lambda rng: UniformSpace(n),
-        "ring": lambda rng: RingSpace.random(n, seed=rng),
-        "torus": lambda rng: TorusSpace.random(n, seed=rng),
-        "can": lambda rng: CanSpace.random(n, seed=rng),
-    }
+    kinds = ["uniform", "ring", "torus", "can"]
     store = resolve_cache(cache)
     cells = {}
-    for kind, build in builders.items():
+    for kind in kinds:
         for d in d_values:
             cell_seed = stable_hash_seed("abl-geom", seed, n, kind, d)
 
-            def compute(build=build, d=d, cell_seed=cell_seed) -> MaxLoadDistribution:
+            def compute(kind=kind, d=d, cell_seed=cell_seed) -> MaxLoadDistribution:
+                if kind != "can":
+                    return run_cell(CellSpec(kind, n, d), trials, cell_seed)
                 maxima = []
                 for ss in spawn_seed_sequences(cell_seed, trials):
                     rng = np.random.default_rng(ss)
-                    space = build(rng)
+                    space = CanSpace.random(n, seed=rng)
                     maxima.append(place_balls(space, n, d, seed=rng).max_load)
                 return MaxLoadDistribution.from_samples(maxima)
 
@@ -160,7 +156,7 @@ def geometry_sweep(
         name="ablation_geometry",
         title=f"Ablation: bin geometry x d (n = m = {n})",
         cells=cells,
-        row_keys=list(builders),
+        row_keys=kinds,
         col_keys=list(d_values),
         col_label=lambda d: f"d = {d}",
         row_label=str,
