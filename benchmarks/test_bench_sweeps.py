@@ -9,6 +9,7 @@ any hardware; ``run_sweep_benchmarks.py`` records the measured ratio
 in the tracked ``BENCH_sweeps.json``.
 """
 
+import statistics
 import time
 
 import pytest
@@ -19,6 +20,10 @@ from repro.sweeps import ResultCache, SweepGrid, run_sweep
 GRID = SweepGrid(n=(1 << 10, 1 << 11), d=(1, 2), trials=20, name="bench")
 
 TABLE1_KWARGS = dict(trials=20, n_values=(1 << 10, 1 << 11))
+
+#: Warm reruns timed against the cold run: a warm rerun takes about a
+#: millisecond, so a single one can be swung by one scheduling stall.
+WARM_RERUNS = 5
 
 
 @pytest.fixture()
@@ -46,22 +51,28 @@ def test_warm_sweep(benchmark, store):
 
 
 def test_warm_cache_speedup_at_least_10x(store):
-    """Acceptance: warm-cache table reruns >= 10x faster than cold."""
+    """Acceptance: warm-cache table reruns >= 10x faster than cold.
+
+    The warm time is the median of several reruns, each a full hit that
+    reproduces the cold run's counts."""
     t0 = time.perf_counter()
     cold = run_table1(cache=store, **TABLE1_KWARGS)
     cold_s = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    warm = run_table1(cache=store, **TABLE1_KWARGS)
-    warm_s = time.perf_counter() - t0
-
-    assert {k: v.counts for k, v in warm.cells.items()} == {
-        k: v.counts for k, v in cold.cells.items()
-    }
-    assert store.hits == len(cold.cells)
+    warm_times = []
+    for rerun in range(1, WARM_RERUNS + 1):
+        t0 = time.perf_counter()
+        warm = run_table1(cache=store, **TABLE1_KWARGS)
+        warm_times.append(time.perf_counter() - t0)
+        assert {k: v.counts for k, v in warm.cells.items()} == {
+            k: v.counts for k, v in cold.cells.items()
+        }
+        assert store.hits == rerun * len(cold.cells)
+    warm_s = statistics.median(warm_times)
     assert cold_s / warm_s >= 10.0, (
         f"warm rerun only {cold_s / warm_s:.1f}x faster "
-        f"(cold {cold_s:.3f}s, warm {warm_s:.3f}s)"
+        f"(cold {cold_s:.3f}s, median warm {warm_s:.4f}s of "
+        f"{', '.join(f'{w:.4f}' for w in warm_times)})"
     )
 
 
