@@ -12,25 +12,32 @@ This script runs those configurations, ``n = m``:
   arc-left);
 * tori at ``n = 2**20``: d = 1-4 random, plus d = 2 ``first``.
 
-Each configuration's trials first run on the numpy reference
-(``RingSpace.random`` / ``TorusSpace.random`` and ``run_fused`` with
-every kernel off), which gives each trial's per-server loads and final
-generator state.  Then the cext backend runs the same trials twice:
+Each configuration's trials first run on the reference path of
+``run_random_spaces(..., backend="numpy")``: ``RingSpace.random`` /
+``TorusSpace.random`` and ``run_fused(..., backend="numpy")``, numpy's
+generator and decisions, whose spaces look candidates up through the
+default backend's ``ring_assign`` and torus grid (those lookups are
+checked against ``searchsorted`` and cKDTree in ``tests/kernels``).
+That gives each trial's per-server loads and final generator state.
+Then the kernel runs:
 
-* ``run_random_spaces`` at two threads: its load histograms must equal
-  ``np.bincount`` of the reference loads, zero-padded to the widest;
-* the ``space_trials`` wrapper at one thread, with a ``loads`` output:
-  each server's load must equal the reference's.
+* every trial through ``run_random_spaces`` at two threads: its load
+  histograms must equal ``np.bincount`` of the reference loads,
+  zero-padded to the widest;
+* the first trial through the ``space_trials`` wrapper at one thread,
+  with a ``loads`` output: each server's load must equal the
+  reference's.
 
 Final generator states must equal the reference's after both.  Any
-difference exits 1 with one line per configuration that differs::
+difference exits 1; each configuration prints one line::
 
     PYTHONPATH=src python tools/paper_size_parity.py [--trials 2]
         [--ring-n 16777216] [--torus-n 1048576]
 
-Smaller ``--ring-n`` / ``--torus-n`` make a quick local run.  It holds
-two trials' int64 loads twice over (512 MB at 2²⁴) plus one reference
-space at a time, about 1 GB in all at the defaults.
+Smaller ``--ring-n`` / ``--torus-n`` make a quick local run.  At the
+defaults it takes about three minutes on two cores and a peak resident
+set under 1 GB: one reference space at a time and three trials' int64
+loads (384 MB at 2²⁴).
 """
 
 from __future__ import annotations
@@ -70,19 +77,11 @@ def _reference(space, n, d, strategy, partitioned, trials):
     """Each trial's loads and final generator state on the numpy path."""
     build = RingSpace.random if space == "ring" else TorusSpace.random
     loads, states = [], []
-    previous = os.environ.get("REPRO_KERNEL_BACKEND")
-    os.environ["REPRO_KERNEL_BACKEND"] = "numpy"  # spaces built the numpy way
-    try:
-        for rng in _generators(space, d, trials):
-            row, _ = run_fused([build(n, seed=rng)], n, d, strategy, [rng],
-                               partitioned=partitioned, backend="numpy")
-            loads.append(row[0])
-            states.append(rng.bit_generator.state)
-    finally:
-        if previous is None:
-            del os.environ["REPRO_KERNEL_BACKEND"]
-        else:
-            os.environ["REPRO_KERNEL_BACKEND"] = previous
+    for rng in _generators(space, d, trials):
+        row, _ = run_fused([build(n, seed=rng)], n, d, strategy, [rng],
+                           partitioned=partitioned, backend="numpy")
+        loads.append(row[0])
+        states.append(rng.bit_generator.state)
     return np.array(loads), states
 
 
@@ -112,8 +111,8 @@ def check(space, n, d, strategy, partitioned, trials) -> list[str]:
     if [r.bit_generator.state for r in rngs] != ref_states:
         problems.append("threads=2: generator states differ")
 
-    rngs = _generators(space, d, trials)
-    loads = np.zeros((trials, n), dtype=np.int64)
+    rngs = _generators(space, d, 1)
+    loads = np.zeros((1, n), dtype=np.int64)
     built = get_backend("cext").space_trials(
         [r.bit_generator for r in rngs], None, None, loads, None, n, d,
         STRATEGY_CODES[strategy.value], partitioned, DEFAULT_RNG_BLOCK, 1,
@@ -121,10 +120,10 @@ def check(space, n, d, strategy, partitioned, trials) -> list[str]:
     )
     if built is not True:
         problems.append("threads=1: the kernel built no space")
-    elif not np.array_equal(loads, ref_loads):
+    elif not np.array_equal(loads[0], ref_loads[0]):
         problems.append("threads=1: loads differ")
-    if built is True and [r.bit_generator.state for r in rngs] != ref_states:
-        problems.append("threads=1: generator states differ")
+    elif rngs[0].bit_generator.state != ref_states[0]:
+        problems.append("threads=1: generator state differs")
     return problems
 
 
@@ -136,7 +135,7 @@ def main(argv=None) -> int:
     parser.add_argument("--ring-n", type=int, default=1 << 24)
     parser.add_argument("--torus-n", type=int, default=1 << 20)
     args = parser.parse_args(argv)
-    # both would outrank the backend and thread counts checked here
+    # both would outrank the backends and thread counts checked here
     os.environ.pop("REPRO_KERNEL_BACKEND", None)
     os.environ.pop("REPRO_NUM_THREADS", None)
     if get_backend("cext").space_trials is None:
