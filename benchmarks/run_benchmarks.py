@@ -57,7 +57,11 @@ the growth would read 0.  ``CELL_ONLY`` adds ``cell`` rows at the
 paper's largest sizes, where the prebuilt-space rows would hold too
 much memory or run too long: a ring cell at ``n = 2²⁴`` (Tables 1 and
 3) and a torus cell at ``n = 2²⁰`` (Table 2), timed on the compiled
-backend at threads 1 and 2 (full mode only).
+backend at threads 1 and 2 (full mode only).  The ``PROFILE_CELLS``
+among them also get a ``profile`` row:
+:func:`repro.stats.trials.run_cell_profile` of the same cell, timed and
+measured the same way, since the ν-profile comes from the very load
+histograms the maximum loads do.
 
 Usage::
 
@@ -88,7 +92,7 @@ from repro.core.strategies import TieBreak
 from repro.core.torus import TorusSpace
 from repro.kernels import available_backends
 from repro.obs.manifest import run_manifest
-from repro.stats.trials import CellSpec, run_cell
+from repro.stats.trials import CellSpec, run_cell, run_cell_profile
 
 D = 2
 STRATEGY = TieBreak.RANDOM
@@ -115,6 +119,9 @@ CELL_SEED = 9000
 #: spaces would hold gigabytes, and a 2²⁰-server torus trial is Table
 #: 2's largest.  Full mode only.
 CELL_ONLY = (("ring", 1 << 24, 4, "cext"), ("torus", 1 << 20, 4, "cext"))
+
+#: The ``CELL_ONLY`` cells that also get a ``profile`` row.
+PROFILE_CELLS = (("ring", 1 << 24, 4, "cext"),)
 
 #: (space, n, trials, sequential_balls, thread counts) per measured
 #: cell.  Throughput is per-ball and trial-count independent, so the
@@ -216,9 +223,10 @@ def _with_peak_rss_growth(fn):
 
 
 def _first_run_cell_growth(space: str, n: int, trials: int, backend: str,
-                           threads: int) -> float | None:
-    """``peak_rss_growth_mb`` of this process's first ``run_cell`` of the
-    cell, under ``backend`` at ``threads`` threads.
+                           threads: int, profile: bool) -> float | None:
+    """``peak_rss_growth_mb`` of this process's first ``run_cell`` (with
+    ``profile``, ``run_cell_profile``) of the cell, under ``backend`` at
+    ``threads`` threads.
 
     A 16-server cell of the same space runs first, outside the window:
     it loads the compiled library and the modules imported on first use
@@ -227,22 +235,22 @@ def _first_run_cell_growth(space: str, n: int, trials: int, backend: str,
     and results.
     """
     spec = CellSpec(space, n, D, strategy=STRATEGY.value)
+    run = run_cell_profile if profile else run_cell
     with _pinned_backend(backend), _pinned_threads(threads):
-        run_cell(CellSpec(space, 16, D, strategy=STRATEGY.value), 1,
-                 seed=CELL_SEED)
+        run(CellSpec(space, 16, D, strategy=STRATEGY.value), 1, seed=CELL_SEED)
         _, growth = _with_peak_rss_growth(
-            lambda: run_cell(spec, trials, seed=CELL_SEED)
+            lambda: run(spec, trials, seed=CELL_SEED)
         )
     return growth
 
 
 def _fresh_peak_rss_growth(space: str, n: int, trials: int, backend: str,
-                           threads: int) -> float | None:
+                           threads: int, profile: bool) -> float | None:
     """:func:`_first_run_cell_growth` in a fresh interpreter."""
     context = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
         return pool.submit(_first_run_cell_growth, space, n, trials, backend,
-                           threads).result()
+                           threads, profile).result()
 
 
 def _time_median(fn, repeats: int) -> tuple[float, float, float]:
@@ -336,34 +344,37 @@ def _measure_cell(space, n, trials, sequential_balls, thread_counts, repeats,
     }
 
 
-def _measure_run_cell(space, n, trials, repeats, backends):
-    """``run_cell`` from seeds, space construction included, per backend
-    and thread count; the max-load counts must agree everywhere.  Each
-    row's peak RSS growth comes from a fresh interpreter
+def _measure_run_cell(space, n, trials, repeats, backends, profile=False):
+    """``run_cell`` (with ``profile``, ``run_cell_profile``) from seeds,
+    space construction included, per backend and thread count; the
+    max-load counts (the profiles) must agree everywhere.  Each row's
+    peak RSS growth comes from a fresh interpreter
     (:func:`_fresh_peak_rss_growth`)."""
     spec = CellSpec(space, n, D, strategy=STRATEGY.value)
+    run = run_cell_profile if profile else run_cell
     rows: dict[str, dict] = {}
     reference = None
     for name in backends:
         rows[name] = {}
         for count in CELL_THREAD_COUNTS:
             with _pinned_backend(name), _pinned_threads(count):
-                counts = run_cell(spec, trials, seed=CELL_SEED).to_json_counts()
+                result = run(spec, trials, seed=CELL_SEED)
                 times = _time_median(
-                    lambda: run_cell(spec, trials, seed=CELL_SEED), repeats
+                    lambda: run(spec, trials, seed=CELL_SEED), repeats
                 )
+            result = result.tobytes() if profile else result.to_json_counts()
             if reference is None:
-                reference = counts
-            elif counts != reference:
+                reference = result
+            elif result != reference:
                 raise AssertionError(
-                    f"run_cell under backend {name!r} at {count} threads "
-                    f"diverges at {space} n={n} — bit-identity broken, refusing "
-                    "to emit benchmark numbers"
+                    f"{run.__name__} under backend {name!r} at {count} "
+                    f"threads diverges at {space} n={n} — bit-identity "
+                    "broken, refusing to emit benchmark numbers"
                 )
             rows[name][str(count)] = {
                 **_timed_row(times, trials * n),
                 "peak_rss_growth_mb": _fresh_peak_rss_growth(
-                    space, n, trials, name, count
+                    space, n, trials, name, count, profile
                 ),
             }
     return rows
@@ -408,13 +419,14 @@ def _cross_check(space: str, n: int, trials: int, thread_counts,
 
 
 def _print_run_cell(cell) -> None:
-    for name, rows in cell["cell"].items():
-        scaling = ", ".join(
-            f"{count}t={row['balls_per_s']:,.0f}/s "
-            f"(+{row['peak_rss_growth_mb']} MB peak RSS)"
-            for count, row in rows.items()
-        )
-        print(f"  run_cell[{name}]: {scaling}")
+    for key, label in (("cell", "run_cell"), ("profile", "run_cell_profile")):
+        for name, rows in cell.get(key, {}).items():
+            scaling = ", ".join(
+                f"{count}t={row['balls_per_s']:,.0f}/s "
+                f"(+{row['peak_rss_growth_mb']} MB peak RSS)"
+                for count, row in rows.items()
+            )
+            print(f"  {label}[{name}]: {scaling}")
 
 
 def main(argv=None) -> int:
@@ -474,6 +486,9 @@ def main(argv=None) -> int:
             continue
         cell = {"space": space, "n": n, "trials": trials,
                 "cell": _measure_run_cell(space, n, trials, repeats, [backend])}
+        if (space, n, trials, backend) in PROFILE_CELLS:
+            cell["profile"] = _measure_run_cell(space, n, trials, repeats,
+                                                [backend], profile=True)
         results.append(cell)
         print(f"{space} n=2^{n.bit_length() - 1}: run_cell only "
               f"({trials} trials)")
@@ -507,7 +522,10 @@ def main(argv=None) -> int:
             "peak_rss_growth_mb is VmHWM over a fresh interpreter's first "
             "run_cell of that row (reset through /proc/self/clear_refs) "
             "minus the RSS before it, in MB, null off Linux. The n=2^24 "
-            "ring and n=2^20 torus cells have cext 'cell' rows only."
+            "ring and n=2^20 torus cells have cext 'cell' rows only, and "
+            "the n=2^24 ring a 'profile' row beside them: "
+            "run_cell_profile of the same cell, timed and measured the "
+            "same way."
         ),
         "thread_counts": list(THREAD_COUNTS),
         "unix_time": int(time.time()),
