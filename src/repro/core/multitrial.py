@@ -646,9 +646,8 @@ def run_random_spaces(
             )
             hists.extend(map(load_histogram, loads))
             heights.append(part_heights)
-        hist = np.zeros((t, max(h.size for h in hists)), dtype=np.int64)
-        for row, h in zip(hist, hists):
-            row[: h.size] = h
+        width = max(h.size for h in hists)
+        hist = np.array([np.pad(h, (0, width - h.size)) for h in hists])
         return hist, (np.concatenate(heights) if record_heights else None)
 
 

@@ -169,11 +169,8 @@ def numpy_reference():
 def padded_histograms(loads_rows) -> np.ndarray:
     """``np.bincount`` of each trial's loads, zero-padded to the widest:
     the ``(T, L)`` histograms ``run_random_spaces`` returns."""
-    counts = [np.bincount(loads) for loads in loads_rows]
-    hist = np.zeros((len(counts), max(c.size for c in counts)), dtype=np.int64)
-    for row, c in zip(hist, counts):
-        row[: c.size] = c
-    return hist
+    width = max(int(loads.max()) for loads in loads_rows) + 1
+    return np.array([np.bincount(loads, minlength=width) for loads in loads_rows])
 
 
 def check_random_spaces(space, n, m, d, strategy, seeds, partitioned,

@@ -298,13 +298,6 @@ def _reference_rings(n, m, d, strategy, seeds, partitioned, rng_block):
     return out
 
 
-def _check_random_rings(n, m, d, strategy, seeds, partitioned, rng_block,
-                        expected, space="ring"):
-    """The histograms (loads kept in kernel scratch), then the loads."""
-    check_random_spaces(space, n, m, d, strategy, seeds, partitioned,
-                        rng_block, expected, THREADS)
-
-
 @pytest.mark.parametrize("partitioned", [False, True])
 @pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda s: s.value)
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
@@ -317,8 +310,8 @@ def test_random_rings_match_run_sequential(d, strategy, partitioned):
         for m, rng_block in ((0, DEFAULT_RNG_BLOCK), (n, 128)):
             expected = _reference_rings(n, m, d, strategy, seeds, partitioned,
                                         rng_block)
-            _check_random_rings(n, m, d, strategy, seeds, partitioned,
-                                rng_block, expected)
+            check_random_spaces("ring", n, m, d, strategy, seeds,
+                                partitioned, rng_block, expected, THREADS)
 
 
 def test_random_rings_paper_size_matches_run_sequential():
@@ -328,8 +321,8 @@ def test_random_rings_paper_size_matches_run_sequential():
     seeds = [5, 6]
     expected = _reference_rings(n, n, 2, TieBreak.RANDOM, seeds, False,
                                 DEFAULT_RNG_BLOCK)
-    _check_random_rings(n, n, 2, TieBreak.RANDOM, seeds, False,
-                        DEFAULT_RNG_BLOCK, expected)
+    check_random_spaces("ring", n, n, 2, TieBreak.RANDOM, seeds, False,
+                        DEFAULT_RNG_BLOCK, expected, THREADS)
 
 
 def test_random_rings_across_draw_chunks_match_run_sequential():
@@ -340,8 +333,8 @@ def test_random_rings_across_draw_chunks_match_run_sequential():
     seeds = [41, 42, 43]
     expected = _reference_rings(n, n, 2, TieBreak.RANDOM, seeds, False,
                                 DEFAULT_RNG_BLOCK)
-    _check_random_rings(n, n, 2, TieBreak.RANDOM, seeds, False,
-                        DEFAULT_RNG_BLOCK, expected)
+    check_random_spaces("ring", n, n, 2, TieBreak.RANDOM, seeds, False,
+                        DEFAULT_RNG_BLOCK, expected, THREADS)
 
 
 @pytest.mark.parametrize("threads", THREADS)
@@ -582,8 +575,8 @@ def test_byte_overflow_reruns_match_run_sequential(monkeypatch, kind, n, d,
                     _check_kernel(spaces, m, d, strategy, seeds, False,
                                   rng_block, ref)
                 else:
-                    _check_random_rings(n, m, d, strategy, seeds, False,
-                                        rng_block, ref, space=kind)
+                    check_random_spaces(kind, n, m, d, strategy, seeds,
+                                        False, rng_block, ref, THREADS)
 
 
 #: One n = m ring trial (n from argv) as run_cell runs it, in a

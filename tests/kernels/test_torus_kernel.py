@@ -493,13 +493,6 @@ def _reference_tori(n, m, d, strategy, seeds, partitioned, rng_block):
     return out
 
 
-def _check_random_tori(n, m, d, strategy, seeds, partitioned, rng_block,
-                       expected):
-    """The histograms (loads kept in kernel scratch), then the loads."""
-    check_random_spaces("torus", n, m, d, strategy, seeds, partitioned,
-                        rng_block, expected, THREADS)
-
-
 @pytest.mark.parametrize("partitioned", [False, True])
 @pytest.mark.parametrize("strategy", KERNEL_STRATEGIES, ids=lambda s: s.value)
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
@@ -515,8 +508,8 @@ def test_random_tori_match_run_sequential(d, strategy, partitioned):
         for m, rng_block in ((0, DEFAULT_RNG_BLOCK), (n, 7), (n, 300)):
             expected = _reference_tori(n, m, d, strategy, seeds, partitioned,
                                        rng_block)
-            _check_random_tori(n, m, d, strategy, seeds, partitioned,
-                               rng_block, expected)
+            check_random_spaces("torus", n, m, d, strategy, seeds,
+                                partitioned, rng_block, expected, THREADS)
 
 
 def test_random_tori_paper_size_matches_run_sequential():
@@ -525,8 +518,8 @@ def test_random_tori_paper_size_matches_run_sequential():
     seeds = [5, 6]
     expected = _reference_tori(n, n, 2, TieBreak.RANDOM, seeds, False,
                                DEFAULT_RNG_BLOCK)
-    _check_random_tori(n, n, 2, TieBreak.RANDOM, seeds, False,
-                       DEFAULT_RNG_BLOCK, expected)
+    check_random_spaces("torus", n, n, 2, TieBreak.RANDOM, seeds, False,
+                        DEFAULT_RNG_BLOCK, expected, THREADS)
 
 
 @pytest.mark.parametrize("threads", THREADS)

@@ -87,11 +87,8 @@ def _reference(space, n, d, strategy, partitioned, trials):
 
 def _histograms(loads: np.ndarray) -> np.ndarray:
     """``np.bincount`` of each row, zero-padded to the widest."""
-    counts = [np.bincount(row) for row in loads]
-    hist = np.zeros((len(counts), max(c.size for c in counts)), dtype=np.int64)
-    for row, c in zip(hist, counts):
-        row[: c.size] = c
-    return hist
+    width = int(loads.max()) + 1
+    return np.array([np.bincount(row, minlength=width) for row in loads])
 
 
 def check(space, n, d, strategy, partitioned, trials) -> list[str]:
