@@ -104,10 +104,6 @@ _KERNEL_INT32_LIMIT = 1 << 31
 #: 160 MiB per worker, and a many-core host must not hold one per core.
 _KERNEL_SCRATCH_BUDGET = 1 << 30
 
-#: Levels of the load histograms ``space_trials`` first writes: every
-#: trial that stays in the kernel's byte per server fits.
-_HIST_LEVELS = 256
-
 #: Interleave tile: balls per transpose tile, sized so a tile of the
 #: fused destination stays cache-resident while all trials write into
 #: it (the naive full-width transpose touches each destination cache
@@ -260,10 +256,8 @@ def _run_fused_ring(
     """
     t = len(rngs)
     heights = np.zeros((t, m), dtype=np.int64) if record_heights else None
-    loads = hist = tables = measures = None
-    if spaces is None:
-        hist = np.empty((t, _HIST_LEVELS), dtype=np.int64)
-    else:
+    loads = tables = measures = None
+    if spaces is not None:
         loads = np.zeros((t, n), dtype=np.int64)
         tables = [s._bucket_table() for s in spaces]
         if strategy_needs_measures(strategy):
@@ -285,7 +279,7 @@ def _run_fused_ring(
         threads,
         space=space,
         n=n,
-        hist=hist,
+        hist=spaces is None,
     )
     if _obs:
         add_span(

@@ -185,7 +185,7 @@ class KernelBackend:
         equal.
     ``space_trials(bit_generators, tables, measures, loads, heights, m,
     d, strategy_code, partitioned, rng_block, threads, *, space="ring",
-    n=None, hist=None)``
+    n=None, hist=False)``
         Run ``T`` complete ring trials.  Trial ``k`` reads
         ``bit_generators[k]`` (a ``PCG64``), draws its stream in
         :func:`repro.core.engine.choice_blocks`' layout, looks each
@@ -221,27 +221,24 @@ class KernelBackend:
         ``threads`` scratches and no ``(T, n)`` loads array — about 10
         bytes per server for a ring (positions 8, the load byte, which
         first holds the build's bucket count, and the index 1.06), 18
-        with arc lengths.  ``hist``, unless ``None``, is a C-contiguous
-        int64 array of shape ``(T, L)``, ``L >= 256`` (every trial that
-        stays in bytes fits): row ``k`` receives trial ``k``'s load
-        histogram (``hist[k, l]`` bins hold exactly ``l`` balls).  When
-        a rerun trial's maximum load does not fit, the wrapper calls the
-        kernel once more, as wide as it needs, from the same generator
-        states.  Servers are indexed
-        by int32 (group starts, grid cells), so ``n`` and ``m`` must be
-        below 2³¹; larger trials raise :class:`ValueError` (callers
-        route them elsewhere first).  Only ``state.state`` is written
-        back to each generator.  Returns the histograms (``hist``, or
-        the wider array), ``True`` when ``hist`` is ``None``, or
-        ``False`` — writing no state back, the loads and histograms then
-        meaningless — when some ring, drawn or given, crowds one group
-        of 64 buckets past byte offsets (more than 255 positions in its
-        first 63), some drawn ring repeats a position or crowds one
-        bucket past the kernel's limit, or some drawn torus repeats a
-        point or is too unevenly spread for a grid, so that the caller
-        can run or rebuild it the reference way.
-        Trials are split statically across ``threads`` OS threads —
-        trials share nothing, so any split is bit-identical.
+        with arc lengths.  ``hist`` asks for each trial's load
+        histogram, int64 ``(T, L)`` (``hist[k, l]`` bins of trial ``k``
+        hold exactly ``l`` balls): ``L`` is 256, or, when a rerun
+        trial's maximum load passes 255, the largest maximum + 1, which
+        a second kernel call fills from the same generator states.
+        Servers are indexed by int32 (group starts, grid cells), so
+        ``n`` and ``m`` must be below 2³¹; larger trials raise
+        :class:`ValueError` (callers route them elsewhere first).  Only
+        ``state.state`` is written back to each generator.  Returns the
+        histograms, ``True`` without ``hist``, or ``False`` — writing no
+        state back, the loads then meaningless — when some ring, drawn
+        or given, crowds one group of 64 buckets past byte offsets (more
+        than 255 positions in its first 63), some drawn ring repeats a
+        position or crowds one bucket past the kernel's limit, or some
+        drawn torus repeats a point or is too unevenly spread for a
+        grid, so that the caller can run or rebuild it the reference
+        way.  Trials are split statically across ``threads`` OS threads
+        — trials share nothing, so any split is bit-identical.
     ``torus_grid(points, side)``
         From ``(n, 2)`` points in ``[0, 1)²``, the periodic grid
         ``(side, start, xy, ids)``: ``side × side`` cells (``side`` a

@@ -1706,17 +1706,17 @@ def build_backend():
 
     def space_trials(bit_generators, tables, measures, loads, heights, m, d,
                      strategy_code, partitioned, rng_block, threads, *,
-                     space="ring", n=None, hist=None):
+                     space="ring", n=None, hist=False):
         """C kernel running whole ring or 2-D torus trials on numpy PCG64
         generators, as :class:`repro.kernels.KernelBackend` documents.
 
         Returns ``False``, writing no generator state back, when some
         space was not built or some given table does not fit the bucket
-        index.  Else it writes the states back and returns the
-        histograms, or ``True`` when ``hist`` is ``None``: ``hist``
-        itself, or, when some trial's maximum load is ``L`` or more
-        (only a rerun trial's can be), an array as wide as the largest
-        maximum + 1 that a second call, from the same states, fills.
+        index.  Else it writes the states back and returns ``True``, or,
+        given ``hist``, the ``(T, L)`` histograms: ``L`` is 256, the
+        levels of every byte load, or, when some trial's maximum load
+        passes 255 (only a rerun trial's can), the largest maximum + 1,
+        which a second call, from the same states, fills.
         """
         t = len(bit_generators)
         if loads is None:
@@ -1740,13 +1740,6 @@ def build_backend():
             _check_inplace(heights, np.int64, "heights")
             if heights.shape != (t, m):
                 raise ValueError(f"heights must have shape {(t, m)}")
-        if hist is not None:
-            _check_inplace(hist, np.int64, "hist")
-            if hist.ndim != 2 or hist.shape[0] != t or hist.shape[1] < 256:
-                raise ValueError(
-                    f"hist must have shape ({t}, L) with L >= 256, "
-                    f"got {hist.shape}"
-                )
         if space not in ("ring", "torus"):
             raise ValueError(f"space_trials runs rings or tori, got {space!r}")
         torus = space == "torus"
@@ -1787,23 +1780,22 @@ def build_backend():
             measure_ptrs = None if measures is None else _pointers(measures)
         states = [bg.state for bg in bit_generators]
 
-        def call(hist):
+        def call(levels):
             words = np.array(
                 [_pcg64_words(st["state"]) for st in states], dtype=np.uint64
             )
+            out = np.empty((t, levels), dtype=np.int64) if hist else None
             status = lib.repro_space_trials(
                 _p(words), _p(table_ptrs), _p(ext_ptrs), _p(measure_ptrs), t,
                 n, int(m), int(d), nbuckets, int(rng_block),
                 int(bool(partitioned)), int(strategy_code), int(torus),
-                _p(loads), _p(heights), _p(hist),
-                0 if hist is None else hist.shape[1], int(threads),
+                _p(loads), _p(heights), _p(out), levels, int(threads),
             )
-            return status, words
+            return status, words, out
 
-        status, words = call(hist)
+        status, words, out = call(256)
         if status > 1:  # the levels the widest trial's histogram needs
-            hist = np.empty((t, status), dtype=np.int64)
-            status, words = call(hist)
+            status, words, out = call(status)
         if status < 0:
             raise MemoryError("space_trials: could not allocate kernel scratch")
         if status:
@@ -1811,7 +1803,7 @@ def build_backend():
         for bg, st, (hi, lo) in zip(bit_generators, states, words[:, :2].tolist()):
             st["state"]["state"] = (hi << 64) | lo
             bg.state = st
-        return True if hist is None else hist
+        return True if out is None else out
 
     def torus_assign(pts, grid):
         """C kernel: nearest grid point of each ``(x, y)`` row of ``pts``.

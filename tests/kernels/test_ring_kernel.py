@@ -359,8 +359,7 @@ def test_repeated_positions_raise_like_ring_space(n, threads):
     )
     assert not _cext().space_trials(
         [r.bit_generator for r in rngs], None, None, None, None, n, 2, 0,
-        False, DEFAULT_RNG_BLOCK, threads, n=n,
-        hist=np.zeros((TRIALS, 256), dtype=np.int64),
+        False, DEFAULT_RNG_BLOCK, threads, n=n, hist=True,
     )
     assert [r.bit_generator.state for r in rngs] == before
 
@@ -406,8 +405,7 @@ def test_repeated_positions_raise_from_run_cell(monkeypatch):
 def test_arc_length_strategies_keep_their_own_load_scratch(strategy, threads):
     """smaller/larger keep the arc lengths in a buffer of their own,
     beside the byte load scratch.  Eight trials per call reuse both on
-    every worker; the histograms (rows the kernel zeroes) and states
-    must match the loads."""
+    every worker; the histograms and states must match the loads."""
     n, trial_count = 3000, 8
     code = 2 if strategy is TieBreak.SMALLER else 3
 
@@ -420,38 +418,28 @@ def test_arc_length_strategies_keep_their_own_load_scratch(strategy, threads):
         return out, [r.bit_generator.state for r in rngs]
 
     loads = np.zeros((trial_count, n), dtype=np.int64)
-    built, states = run(loads, None)
+    built, states = run(loads, False)
     assert built is True
-    hist = np.full((trial_count, 256), -1, dtype=np.int64)
-    got, hist_states = run(None, hist)
-    assert got is hist and hist_states == states
+    hist, hist_states = run(None, True)
+    assert hist_states == states
     np.testing.assert_array_equal(
         hist, [np.bincount(row, minlength=256) for row in loads]
     )
 
 
-def test_hist_and_scratch_loads_are_checked():
-    """hist must be C-contiguous int64 of shape (T, L) with L >= 256, the
-    levels of every byte load; loads kept in scratch need n and a space
-    the kernel builds."""
+def test_scratch_loads_are_checked():
+    """Loads kept in scratch need n and a space the kernel builds."""
     def call(loads=None, tables=None, **kwargs):
         bit_generators = [np.random.PCG64(k) for k in range(2)]
         return _cext().space_trials(bit_generators, tables, None, loads, None,
-                                    10, 2, 0, False, 64, 1, **kwargs)
+                                    10, 2, 0, False, 64, 1, hist=True,
+                                    **kwargs)
 
-    for bad in (np.zeros((2, 256), dtype=np.int32),
-                np.zeros((3, 256), dtype=np.int64),
-                np.zeros((2, 255), dtype=np.int64),
-                np.zeros(2 * 256, dtype=np.int64),
-                np.zeros((2, 512), dtype=np.int64)[:, ::2]):
-        with pytest.raises(ValueError, match="hist"):
-            call(n=10, hist=bad)
     with pytest.raises(ValueError, match="needs n"):
-        call(hist=np.zeros((2, 256), dtype=np.int64))
+        call()
     space = RingSpace.random(10, seed=0)
     with pytest.raises(ValueError, match="scratch only"):
-        call(tables=[space._bucket_table()] * 2, n=10,
-             hist=np.zeros((2, 256), dtype=np.int64))
+        call(tables=[space._bucket_table()] * 2, n=10)
 
 
 def test_int32_scratch_limits_keep_the_reference_path(monkeypatch):
@@ -474,8 +462,7 @@ def test_int32_scratch_limits_keep_the_reference_path(monkeypatch):
             with pytest.raises(ValueError, match="below 2\\*\\*31"):
                 _cext().space_trials(
                     [np.random.PCG64(0)], None, None, None, None, m, 2, 0,
-                    False, DEFAULT_RNG_BLOCK, 1, space=space, n=n,
-                    hist=np.zeros((1, 256), dtype=np.int64),
+                    False, DEFAULT_RNG_BLOCK, 1, space=space, n=n, hist=True,
                 )
 
     reference = []

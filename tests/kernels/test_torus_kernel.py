@@ -544,8 +544,7 @@ def test_repeated_points_raise_like_torus_space(n, threads):
     )
     assert not _cext_backend().space_trials(
         [r.bit_generator for r in rngs], None, None, None, None, n, 2, 0,
-        False, DEFAULT_RNG_BLOCK, threads, space="torus", n=n,
-        hist=np.zeros((TRIALS, 256), dtype=np.int64),
+        False, DEFAULT_RNG_BLOCK, threads, space="torus", n=n, hist=True,
     )
     assert [r.bit_generator.state for r in rngs] == before
 
