@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import build_space
+from helpers import build_space, padded_histograms
 
 from repro.core.engine import run_sequential
 from repro.core.loads import nu_profile
@@ -285,22 +285,15 @@ class TestRunCellMemory:
     def test_cell_is_one_kernel_call(self, monkeypatch, space):
         """Max-load and profile cells reach the kernel whole, however
         small their fused_trial_chunk: here 1, where each trial would be
-        a call of its own.  The maxima and the profile equal those of one
-        call per trial."""
+        a call of its own.  The maxima and the profile equal the
+        sequential reference's."""
         from repro.core import multitrial
-        from repro.core.multitrial import run_random_spaces
 
         monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cext")
         spec = CellSpec(space, 300, 2)
-        chunked = [
-            run_random_spaces(space, 300, 300, 2, "random",
-                              [np.random.default_rng(ss)], threads=2)[0][0]
-            for ss in spawn_seed_sequences(4, 6)
-        ]
-        # each one-trial histogram is trimmed to its maximum + 1 levels
-        maxima = [h.size - 1 for h in chunked]
-        width = max(h.size for h in chunked)
-        counts = sum(np.pad(h, (0, width - h.size)) for h in chunked)
+        loads = _sequential_loads(spec, 6, 4)
+        maxima = [row.max() for row in loads]
+        counts = padded_histograms(loads).sum(axis=0)
         profile = np.cumsum(counts[::-1])[::-1] / 6
         calls = []
         real = multitrial._run_fused_ring

@@ -22,8 +22,8 @@ That gives each trial's per-server loads and final generator state.
 Then the kernel runs:
 
 * every trial through ``run_random_spaces`` at two threads: its load
-  histograms must equal ``np.bincount`` of the reference loads,
-  zero-padded to the widest;
+  histograms must equal those of the reference loads
+  (:func:`repro.core.loads.load_histogram`), zero-padded to the widest;
 * the first trial through the ``space_trials`` wrapper at one thread,
   with a ``loads`` output: each server's load must equal the
   reference's.
@@ -31,18 +31,16 @@ Then the kernel runs:
 Final generator states must equal the reference's after both.  Any
 difference exits 1; each configuration prints one line::
 
-    PYTHONPATH=src python tools/paper_size_parity.py [--trials 2]
-        [--ring-n 16777216] [--torus-n 1048576]
+    PYTHONPATH=src python tools/paper_size_parity.py
 
-Smaller ``--ring-n`` / ``--torus-n`` make a quick local run.  At the
-defaults it takes about three minutes on two cores and a peak resident
-set under 1 GB: one reference space at a time and three trials' int64
-loads (384 MB at 2²⁴).
+It takes about three minutes on two cores and a peak resident set under
+1 GB: one reference space at a time and two trials' int64 loads (256 MB
+at 2²⁴).  For a quick probe at small sizes, call :func:`check` from a
+Python shell, e.g. ``check("ring", 1 << 16, 2, "random", False, 2)``.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 import time
@@ -50,11 +48,17 @@ import time
 import numpy as np
 
 from repro.core.engine import DEFAULT_RNG_BLOCK
+from repro.core.loads import load_histogram
 from repro.core.multitrial import run_fused, run_random_spaces
 from repro.core.ring import RingSpace
 from repro.core.strategies import TieBreak
 from repro.core.torus import TorusSpace
 from repro.kernels import STRATEGY_CODES, get_backend
+
+#: Trials per configuration, and the servers of its rings and tori
+TRIALS = 2
+RING_N = 1 << 24
+TORUS_N = 1 << 20
 
 #: (space, d, strategy, partitioned) of every configuration checked
 CONFIGS = [
@@ -74,36 +78,34 @@ def _generators(space: str, d: int, trials: int) -> list[np.random.Generator]:
 
 
 def _reference(space, n, d, strategy, partitioned, trials):
-    """Each trial's loads and final generator state on the numpy path."""
+    """The first trial's loads, each trial's load histogram (zero-padded
+    to the widest) and final generator state on the numpy path."""
     build = RingSpace.random if space == "ring" else TorusSpace.random
-    loads, states = [], []
+    first, hists, states = None, [], []
     for rng in _generators(space, d, trials):
         row, _ = run_fused([build(n, seed=rng)], n, d, strategy, [rng],
                            partitioned=partitioned, backend="numpy")
-        loads.append(row[0])
+        first = row[0] if first is None else first
+        hists.append(load_histogram(row[0]))
         states.append(rng.bit_generator.state)
-    return np.array(loads), states
-
-
-def _histograms(loads: np.ndarray) -> np.ndarray:
-    """``np.bincount`` of each row, zero-padded to the widest."""
-    width = int(loads.max()) + 1
-    return np.array([np.bincount(row, minlength=width) for row in loads])
+    width = max(h.size for h in hists)
+    hist = np.array([np.pad(h, (0, width - h.size)) for h in hists])
+    return first, hist, states
 
 
 def check(space, n, d, strategy, partitioned, trials) -> list[str]:
     """The differences between cext and the reference for one
     configuration, as messages (none when they agree)."""
     strategy = TieBreak.coerce(strategy)
-    ref_loads, ref_states = _reference(space, n, d, strategy, partitioned,
-                                       trials)
+    ref_loads, ref_hist, ref_states = _reference(space, n, d, strategy,
+                                                 partitioned, trials)
     problems = []
 
     rngs = _generators(space, d, trials)
     hist, _ = run_random_spaces(space, n, n, d, strategy, rngs,
                                 partitioned=partitioned, backend="cext",
                                 threads=2)
-    if not np.array_equal(hist, _histograms(ref_loads)):
+    if not np.array_equal(hist, ref_hist):
         problems.append("threads=2: histograms differ")
     if [r.bit_generator.state for r in rngs] != ref_states:
         problems.append("threads=2: generator states differ")
@@ -117,21 +119,16 @@ def check(space, n, d, strategy, partitioned, trials) -> list[str]:
     )
     if built is not True:
         problems.append("threads=1: the kernel built no space")
-    elif not np.array_equal(loads[0], ref_loads[0]):
+    elif not np.array_equal(loads[0], ref_loads):
         problems.append("threads=1: loads differ")
     elif rngs[0].bit_generator.state != ref_states[0]:
         problems.append("threads=1: generator state differs")
     return problems
 
 
-def main(argv=None) -> int:
+def main() -> int:
     """Check every configuration; print one line each, exit 1 on a
     difference."""
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--trials", type=int, default=2)
-    parser.add_argument("--ring-n", type=int, default=1 << 24)
-    parser.add_argument("--torus-n", type=int, default=1 << 20)
-    args = parser.parse_args(argv)
     # both would outrank the backends and thread counts checked here
     os.environ.pop("REPRO_KERNEL_BACKEND", None)
     os.environ.pop("REPRO_NUM_THREADS", None)
@@ -140,9 +137,9 @@ def main(argv=None) -> int:
         return 1
     failed = 0
     for space, d, strategy, partitioned in CONFIGS:
-        n = args.ring_n if space == "ring" else args.torus_n
+        n = RING_N if space == "ring" else TORUS_N
         start = time.perf_counter()
-        problems = check(space, n, d, strategy, partitioned, args.trials)
+        problems = check(space, n, d, strategy, partitioned, TRIALS)
         label = (f"{space} n={n} d={d} {strategy}"
                  + (" partitioned" if partitioned else ""))
         status = "; ".join(problems) if problems else "ok"
