@@ -97,8 +97,8 @@ def check(space, n, d, strategy, partitioned, trials) -> list[str]:
     """The differences between cext and the reference for one
     configuration, as messages (none when they agree)."""
     strategy = TieBreak.coerce(strategy)
-    ref_loads, ref_hist, ref_states = _reference(space, n, d, strategy,
-                                                 partitioned, trials)
+    first_loads, ref_hist, ref_states = _reference(space, n, d, strategy,
+                                                   partitioned, trials)
     problems = []
 
     rngs = _generators(space, d, trials)
@@ -119,7 +119,7 @@ def check(space, n, d, strategy, partitioned, trials) -> list[str]:
     )
     if built is not True:
         problems.append("threads=1: the kernel built no space")
-    elif not np.array_equal(loads[0], ref_loads):
+    elif not np.array_equal(loads[0], first_loads):
         problems.append("threads=1: loads differ")
     elif rngs[0].bit_generator.state != ref_states[0]:
         problems.append("threads=1: generator state differs")
