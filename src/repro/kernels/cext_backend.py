@@ -281,7 +281,7 @@ static void load_hist_u8(const uint8_t *loads, int64_t n, int64_t *h,
     h[0] = n;
     for (l = 1; l <= top; l++) {
         const uint8_t level = (uint8_t)l;
-        for (i = 0; i < n;) { /* a byte counter takes UINT8_MAX loads */
+        for (i = 0; i < n;) { /* no counter passes UINT8_MAX loads */
             end = n - i > UINT8_MAX * 64 ? i + UINT8_MAX * 64 : n;
             memset(c, 0, sizeof c);
             for (; i + 64 <= end; i += 64)
