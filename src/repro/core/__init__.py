@@ -6,12 +6,10 @@ The pipeline is::
     result = place_balls(space, m=n, d=2)      # greedy least-loaded insertion
     result.max_load                            # the statistic in Tables 1-3
 
-``place_balls`` is a facade over three interchangeable engines (an
-exact sequential reference, a conflict-free-prefix vectorized engine,
-and a trial-fused engine that vectorizes across independent runs) that
-produce bit-identical results; see :mod:`repro.core.engine` and
-:mod:`repro.core.multitrial`.  ``place_balls_multi`` runs many
-independent repetitions through the fused engine in one pass.
+``place_balls`` runs one trial of the trial-fused engine, which
+vectorizes across independent runs (inside the ``cext`` kernel where
+it applies) and is bit-identical to the exact sequential reference;
+see :mod:`repro.core.engine` and :mod:`repro.core.multitrial`.
 """
 
 from repro.core.spaces import GeometricSpace
@@ -19,7 +17,7 @@ from repro.core.incremental import IncrementalState
 from repro.core.ring import RingSpace
 from repro.core.torus import TorusSpace
 from repro.core.strategies import TieBreak
-from repro.core.placement import PlacementResult, place_balls, place_balls_multi
+from repro.core.placement import PlacementResult, place_balls
 from repro.core.rounds import place_balls_in_rounds
 from repro.core.loads import (
     height_counts_from_loads,
@@ -39,7 +37,6 @@ __all__ = [
     "TieBreak",
     "PlacementResult",
     "place_balls",
-    "place_balls_multi",
     "place_balls_in_rounds",
     "load_histogram",
     "nu_profile",

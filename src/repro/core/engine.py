@@ -34,7 +34,11 @@ from typing import Iterator
 import numpy as np
 
 from repro.core.spaces import GeometricSpace
-from repro.core.strategies import TieBreak, decide_row, strategy_needs_measures
+from repro.core.strategies import (
+    TieBreak,
+    decide_row_scalar,
+    strategy_needs_measures,
+)
 from repro.utils.rng import resolve_rng
 from repro.utils.validation import check_non_negative_int, check_positive_int
 
@@ -217,22 +221,24 @@ def run_sequential(
     """
     m = check_non_negative_int(m, "m")
     d = check_positive_int(d, "d")
-    loads = np.zeros(space.n, dtype=np.int64)
-    measures = space.region_measures() if strategy_needs_measures(strategy) else None
+    loads = [0] * space.n
+    measures = (
+        space.region_measures().tolist() if strategy_needs_measures(strategy) else None
+    )
     heights: list | None = [] if record_heights else None
     for bins, tiebreaks in choice_blocks(
         space, rng, m, d, partitioned=partitioned, rng_block=rng_block
     ):
-        for cand, u in zip(bins, tiebreaks):
-            j = decide_row(
-                loads[cand],
-                measures[cand] if measures is not None else None,
+        for cand, u in zip(bins.tolist(), tiebreaks.tolist()):
+            j = decide_row_scalar(
+                [loads[c] for c in cand],
+                [measures[c] for c in cand] if measures is not None else None,
                 u,
                 strategy,
             )
-            chosen = int(cand[j])
+            chosen = cand[j]
             if heights is not None:
-                heights.append(int(loads[chosen]) + 1)
+                heights.append(loads[chosen] + 1)
             loads[chosen] += 1
     heights_arr = np.asarray(heights, dtype=np.int64) if record_heights else None
-    return loads, heights_arr
+    return np.array(loads, dtype=np.int64), heights_arr

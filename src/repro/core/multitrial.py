@@ -783,12 +783,11 @@ def _run_fused_numpy(
                     conflict_rows += int(flagged.size)
                     t3 = time.perf_counter()
                     decide_s += t3 - t2
-                # Scalar repair, in row order.  The pure-python
-                # kernel is deliberate: per single row it measures
-                # ~9x faster than the numpy decide_row (no ufunc
-                # dispatch), and repairs are python-scalar work
-                # anyway; bit-identity of the two kernels is
-                # enforced by the strategy tests.
+                # Scalar repair, in row order, with the sequential
+                # reference's pure-python kernel: per single row it
+                # beats numpy's ufunc dispatch, and repairs are
+                # python-scalar work anyway; its bit-identity with
+                # decide_rows is enforced by the strategy tests.
                 for r in flagged.tolist():
                     cand = flat[r * d : (r + 1) * d]
                     jr = decide_row_scalar(

@@ -1,19 +1,17 @@
 """High-level facade for the greedy d-choice placement process.
 
 :func:`place_balls` is the single entry point used by experiments,
-examples and baselines for one run, and :func:`place_balls_multi` is
-its many-runs twin.  Both run the trial-fused engine
-(:func:`repro.core.multitrial.run_fused`) — ``place_balls`` as one
-trial — and wrap each outcome in a :class:`PlacementResult` carrying
-the statistics the paper reports.  Run ``k`` of ``place_balls_multi``
-is bit-identical to calling :func:`place_balls` per run, and both are
-bit-identical to :func:`repro.core.engine.run_sequential`.
+examples and baselines for one run.  It runs one trial of the
+trial-fused engine (:func:`repro.core.multitrial.run_fused`) and wraps
+the outcome in a :class:`PlacementResult` carrying the statistics the
+paper reports, bit-identical to
+:func:`repro.core.engine.run_sequential`.  Many runs of a table cell
+go through :func:`repro.stats.trials.run_cell`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -31,7 +29,7 @@ from repro.core.strategies import TieBreak
 from repro.utils.rng import resolve_rng
 from repro.utils.validation import check_non_negative_int, check_positive_int
 
-__all__ = ["PlacementResult", "place_balls", "place_balls_multi"]
+__all__ = ["PlacementResult", "place_balls"]
 
 
 @dataclass(frozen=True)
@@ -177,99 +175,25 @@ def place_balls(
     >>> res.max_load <= 6
     True
     """
-    return place_balls_multi(
-        [space],
-        m,
-        d,
-        strategy=strategy,
-        partitioned=partitioned,
-        seeds=[seed],
-        rng_block=rng_block,
-        record_heights=record_heights,
-    )[0]
-
-
-def place_balls_multi(
-    spaces: Sequence[GeometricSpace],
-    m: int,
-    d: int = 2,
-    *,
-    strategy: TieBreak | str = TieBreak.RANDOM,
-    partitioned: bool = False,
-    seeds=None,
-    batch_size: int | None = None,
-    rng_block: int = DEFAULT_RNG_BLOCK,
-    record_heights: bool = False,
-    backend=None,
-    threads: int | None = None,
-) -> list[PlacementResult]:
-    """Run the greedy process once per space, fused across runs.
-
-    The runs are independent repetitions (one space and one RNG stream
-    each — the paper's table trials), executed together by
-    :func:`repro.core.multitrial.run_fused`: run ``k`` is bit-identical
-    to ``place_balls(spaces[k], ..., seed=seeds[k])``, but all numpy
-    work is batched across runs.
-
-    Parameters
-    ----------
-    spaces:
-        One space per run; all must share the same bin count.
-    seeds:
-        ``None`` (fresh entropy per run) or a sequence of per-run
-        seeds, each anything :func:`repro.utils.rng.resolve_rng`
-        accepts.
-    backend:
-        Kernel backend selection for the fused engine, forwarded to
-        :func:`repro.core.multitrial.run_fused`
-        (:func:`repro.kernels.resolve_backend` semantics; results are
-        backend-independent).
-    threads:
-        Worker-thread count, forwarded to
-        :func:`repro.core.multitrial.run_fused`
-        (:func:`repro.kernels.resolve_threads` semantics; results are
-        thread-count-independent).
-
-    Examples
-    --------
-    >>> from repro.core import RingSpace
-    >>> rings = [RingSpace.random(64, seed=s) for s in (1, 2)]
-    >>> results = place_balls_multi(rings, m=64, d=2, seeds=[3, 4])
-    >>> [r.max_load == place_balls(rings[i], 64, 2, seed=3 + i).max_load
-    ...  for i, r in enumerate(results)]
-    [True, True]
-    """
     m = check_non_negative_int(m, "m")
     d = check_positive_int(d, "d")
     strat = TieBreak.coerce(strategy)
-    if seeds is None:
-        rngs = [resolve_rng(None) for _ in spaces]
-    else:
-        if len(seeds) != len(spaces):
-            raise ValueError(f"got {len(spaces)} spaces but {len(seeds)} seeds")
-        rngs = [resolve_rng(s) for s in seeds]
     loads, heights = run_fused(
-        spaces,
+        [space],
         m,
         d,
         strat,
-        rngs,
+        [resolve_rng(seed)],
         partitioned=partitioned,
         rng_block=rng_block,
-        batch_size=batch_size,
         record_heights=record_heights,
-        backend=backend,
-        threads=threads,
     )
-    return [
-        PlacementResult(
-            loads=loads[k],
-            m=m,
-            d=d,
-            strategy=strat,
-            partitioned=partitioned,
-            engine="fused",
-            heights=heights[k] if heights is not None else None,
-        )
-        for k in range(len(spaces))
-    ]
+    return PlacementResult(
+        loads=loads[0],
+        m=m,
+        d=d,
+        strategy=strat,
+        partitioned=partitioned,
+        engine="fused",
+        heights=heights[0] if heights is not None else None,
+    )

@@ -14,9 +14,10 @@ paper's Table 3 compares four strategies on the ring at ``d = 2``:
   (here: the lowest choice index, combined with ``partitioned=True``
   sampling).
 
-All engines resolve ties through the *same* kernels below (a scalar
-variant, a numpy single-row variant and a vectorized batch variant
-with identical arithmetic), so their outputs agree bit-for-bit.
+All engines resolve ties through the *same* arithmetic: a vectorized
+batch variant (:func:`decide_rows`) and its scalar single-row twin
+(:func:`decide_row_scalar`, which the C kernels mirror), so their
+outputs agree bit-for-bit.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import numpy as np
 __all__ = [
     "TieBreak",
     "decide_rows",
-    "decide_row",
     "decide_row_scalar",
     "strategy_needs_measures",
 ]
@@ -99,8 +99,8 @@ def decide_rows(
     # length-b contiguous kernels beat numpy's axis-1 reductions, whose
     # per-row dispatch dominates on (b, small) arrays.  The arithmetic
     # (min/tie mask, floor(u·k) rule, first-index preference) is
-    # unchanged from the definitional row-wise form that decide_row /
-    # decide_row_scalar implement.
+    # unchanged from the definitional row-wise form that
+    # decide_row_scalar implements.
     cols = [loads[:, j] for j in range(d)]
     min_load = cols[0].copy()
     for c in cols[1:]:
@@ -150,43 +150,7 @@ def decide_rows(
 
 
 # ----------------------------------------------------------------------
-# single-row kernel: one ball, numpy in / numpy out (the sequential
-# reference's step — no Python-list round trip)
-# ----------------------------------------------------------------------
-def decide_row(
-    cand_loads: np.ndarray,
-    cand_measures: np.ndarray | None,
-    tiebreak_u: float,
-    strategy: TieBreak,
-) -> int:
-    """Single-row twin of :func:`decide_rows`.
-
-    Takes the length-``d`` load (and measure) rows as numpy arrays and
-    performs the row-wise arithmetic of :func:`decide_rows` directly —
-    same min/tie mask, same ``floor(u * k)`` rule, same first-index
-    preference — so engines may mix batch and single-ball decisions
-    freely without breaking bit-identity.
-    """
-    min_load = cand_loads.min()
-    tied = cand_loads == min_load
-    if strategy is TieBreak.FIRST:
-        return int(np.argmax(tied))
-    if strategy is TieBreak.RANDOM:
-        k = int(tied.sum())
-        # truncation == floor: u * k is non-negative
-        target = int(tiebreak_u * k) + 1
-        return int(np.argmax(np.cumsum(tied) == target))
-    if cand_measures is None:
-        raise ValueError(f"strategy {strategy.value!r} requires candidate measures")
-    if strategy is TieBreak.SMALLER:
-        return int(np.argmin(np.where(tied, cand_measures, np.inf)))
-    if strategy is TieBreak.LARGER:
-        return int(np.argmax(np.where(tied, cand_measures, -np.inf)))
-    raise AssertionError(f"unhandled strategy {strategy!r}")  # pragma: no cover
-
-
-# ----------------------------------------------------------------------
-# scalar kernel: one row, plain Python (fast path of the sequential engine)
+# scalar kernel: one row, plain Python (the sequential reference's step)
 # ----------------------------------------------------------------------
 def decide_row_scalar(
     loads_row,

@@ -877,6 +877,14 @@ int64_t repro_ring_build(uint64_t *s, int64_t n, int64_t nbuckets,
     return built;
 }
 
+/* load_hist_u8 alone: h (levels >= UINT8_MAX + 1) becomes the histogram
+ * of the n byte loads.  Only the tests call it. */
+void repro_load_hist_u8(const uint8_t *loads, int64_t n, int64_t *h,
+                        int64_t levels)
+{
+    load_hist_u8(loads, n, h, levels);
+}
+
 /* Enter a prebuilt ring's int32 bucket table into ix.  Returns 1, or 0
  * when a group's offsets pass a byte. */
 static int ring_compact(const int32_t *table, int64_t nbuckets,
@@ -1487,8 +1495,10 @@ _SIGNATURES = {
     "repro_torus_assign": ([_PTR, _I64, _PTR, _PTR, _PTR, _I64, _PTR], None),
     "repro_torus_grid": ([_PTR, _I64, _I64, _PTR, _PTR, _PTR], _I64),
     "repro_pcg64_fill": ([_PTR, _I64, _PTR], None),
-    "repro_ring_build": ([_PTR, _I64, _I64] + [_PTR] * 5, _I64),
     "repro_pcg64_advance": ([_PTR, _U64, _U64], None),
+    # only the tests call these two
+    "repro_ring_build": ([_PTR, _I64, _I64] + [_PTR] * 5, _I64),
+    "repro_load_hist_u8": ([_PTR, _I64, _PTR, _I64], None),
 }
 
 #: Compiler flags.  Every kernel must round exactly like numpy and

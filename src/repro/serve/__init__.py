@@ -8,11 +8,11 @@ giving up the batch engines' speed:
 :mod:`repro.serve.server`
     :class:`PlacementServer` — live
     :class:`~repro.core.incremental.IncrementalState` behind a request
-    pipeline: ``submit()`` micro-batches insert/lookup/delete ops into
-    blocks of at most ``max_batch``, each one ``apply_window`` call
-    (the compiled ``dynamic_window`` kernel, or the scalar reference
-    below :data:`repro.kernels.SMALL_WINDOW_CUTOFF`), ``enqueue()``/
-    ``flush()`` add bounded-queue backpressure, and ``save()``/
+    pipeline: single ops apply at once, ``submit()``/``submit_ids()``
+    micro-batch insert/lookup/delete ops into blocks of at most
+    ``max_batch``, each one ``apply_window`` call (the compiled
+    ``dynamic_window`` kernel, or the scalar reference below
+    :data:`repro.kernels.SMALL_WINDOW_CUTOFF`), and ``save()``/
     ``load()`` checkpoint the whole server to NPZ mid-stream.
 :mod:`repro.serve.replay`
     :func:`replay_trace` — feed a :class:`repro.dynamics.events.EventTrace`

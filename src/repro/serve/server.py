@@ -5,19 +5,17 @@ Request model
 Three op kinds (:data:`OP_INSERT`, :data:`OP_DELETE`,
 :data:`OP_LOOKUP`; inserts/deletes numerically match
 :class:`repro.dynamics.events.EventKind` so trace arrays pass through
-unchanged).  Two submission shapes:
+unchanged).  Two submission shapes, both applied now:
 
-* **immediate** — :meth:`PlacementServer.submit` (string keys) /
-  :meth:`PlacementServer.submit_ids` (raw ball ids) apply a batch now
-  and return per-op results;
-* **queued** — :meth:`PlacementServer.enqueue` buffers ops into a
-  bounded pending queue (capacity ``max_pending``); the queue drains
-  automatically when full (backpressure: the producing caller absorbs
-  the flush cost) and on :meth:`PlacementServer.flush`, which returns
-  the queued ops' results in order.
+* **single ops** — :meth:`PlacementServer.insert`,
+  :meth:`~PlacementServer.delete` and :meth:`~PlacementServer.lookup`
+  take one key and return its bin;
+* **batches** — :meth:`PlacementServer.submit` (string keys) /
+  :meth:`PlacementServer.submit_ids` (raw ball ids) return per-op
+  results.
 
-Either way the ops are micro-batched into blocks of at most
-``max_batch``, and each block is one
+A batch is micro-batched into blocks of at most ``max_batch``, and
+each block is one
 :meth:`repro.core.incremental.IncrementalState.apply_window` call —
 the compiled ``dynamic_window`` kernel, the scalar reference below
 :data:`repro.kernels.SMALL_WINDOW_CUTOFF` ops, or the numpy tier —
@@ -38,15 +36,16 @@ passes a stream bounded at the trace's insert count, which holds
 exactly the rows the dynamic engines read; that is what makes replay
 bit-identical to :func:`repro.dynamics.simulate_dynamics`.
 
-Every applied block records decision latency into a
-:class:`LatencyStats` reservoir (and, when observability is on, the
-``serve.op_latency_s`` / ``serve.batch_ops`` histograms — readable
-with p50/p95/p99 via ``obs report``).
+Every applied block records decision latency into the bounded
+quarter-octave histogram behind :class:`LatencyStats` (and, when
+observability is on, the ``serve.op_latency_s`` / ``serve.batch_ops``
+histograms — readable with p50/p95/p99 via ``obs report``).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -59,6 +58,8 @@ from repro.core.spaces import GeometricSpace
 from repro.kernels import KernelBackend, resolve_backend
 from repro.obs import counter_add, histogram_observe
 from repro.obs import enabled as obs_enabled
+from repro.obs.metrics import bucket_index
+from repro.obs.report import histogram_quantiles
 from repro.utils.rng import resolve_rng
 from repro.utils.validation import check_positive_int
 
@@ -82,8 +83,10 @@ class LatencyStats:
 
     Latency is wall time inside the submit path (key mapping + window
     application), attributed per op as its block's time divided by the
-    block size; quantiles are count-weighted over blocks, so a batch=1
-    stream yields true per-request latencies.
+    block size.  ``count``, ``total_s``, ``mean_s`` and ``max_s`` are
+    exact; the quantiles are count-weighted estimates read from
+    quarter-octave buckets, each within a factor ``2**0.25`` of the
+    exact per-op quantile (a batch=1 stream's per-request latencies).
     """
 
     count: int
@@ -108,61 +111,58 @@ class LatencyStats:
 class _LatencyRecorder:
     """Per-block latency accumulator behind :class:`LatencyStats`.
 
-    One entry per applied block — bounded memory for arbitrarily long
-    serving sessions, exact count-weighted quantiles over per-op times.
+    Keeps the op count, total time and extreme per-op times exactly,
+    and each block's ops as a count in the quarter-octave bucket of
+    their per-op time (:func:`repro.obs.metrics.bucket_index`), so
+    memory stays bounded for arbitrarily long serving sessions.
     """
 
     def __init__(self) -> None:
-        self._per_op: list[float] = []
-        self._ops: list[int] = []
         self.count = 0
         self.total_s = 0.0
+        self.min_s = math.inf
+        self.max_s = 0.0
+        self.buckets: dict[int, int] = {}
 
     def record(self, seconds: float, ops: int) -> None:
         """Record one applied block of ``ops`` ops taking ``seconds``."""
-        self._per_op.append(seconds / ops)
-        self._ops.append(ops)
+        per_op = seconds / ops
+        bucket = bucket_index(per_op)
+        self.buckets[bucket] = self.buckets.get(bucket, 0) + ops
         self.count += ops
         self.total_s += seconds
+        self.min_s = min(self.min_s, per_op)
+        self.max_s = max(self.max_s, per_op)
 
     def stats(self) -> LatencyStats:
         """Fold the recorded blocks into a :class:`LatencyStats`."""
         if not self.count:
             return LatencyStats(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        per_op = np.array(self._per_op)
-        ops = np.array(self._ops, dtype=np.int64)
-        order = np.argsort(per_op, kind="stable")
-        per_op, ops = per_op[order], ops[order]
-        cum = np.cumsum(ops)
-
-        def q(quantile: float) -> float:
-            target = quantile * self.count
-            idx = int(np.searchsorted(cum, target))
-            return float(per_op[min(idx, per_op.size - 1)])
-
+        summary = {"count": self.count, "min": self.min_s, "max": self.max_s,
+                   "buckets": self.buckets}
+        p50, p95, p99 = histogram_quantiles(summary, (0.50, 0.95, 0.99))
         return LatencyStats(
             count=self.count,
             total_s=self.total_s,
             ops_per_s=self.count / self.total_s if self.total_s > 0 else 0.0,
             mean_s=self.total_s / self.count,
-            p50_s=q(0.50),
-            p95_s=q(0.95),
-            p99_s=q(0.99),
-            max_s=float(per_op[-1]),
+            p50_s=p50,
+            p95_s=p95,
+            p99_s=p99,
+            max_s=self.max_s,
         )
 
 
 class PlacementServer:
     """A long-lived two-choice placement service over one geometric space.
 
-    Keys are ``str`` (what :meth:`save` can store); :meth:`insert`,
-    :meth:`submit` and :meth:`enqueue` raise :class:`TypeError` for any
-    other key type before touching state.  :meth:`submit`,
-    :meth:`submit_ids` and :meth:`enqueue` raise :class:`ValueError`,
-    also before touching state, for an op code other than
-    :data:`OP_INSERT`, :data:`OP_DELETE` or :data:`OP_LOOKUP`, and the
-    batch calls for ``kinds`` whose length differs from the keys' or
-    args'.  :meth:`bin_leave` and :meth:`bin_join` raise
+    Keys are ``str`` (what :meth:`save` can store); :meth:`insert` and
+    :meth:`submit` raise :class:`TypeError` for any other key type
+    before touching state.  :meth:`submit` and :meth:`submit_ids` raise
+    :class:`ValueError`, also before touching state, for an op code
+    other than :data:`OP_INSERT`, :data:`OP_DELETE` or
+    :data:`OP_LOOKUP`, or for ``kinds`` whose length differs from the
+    keys' or args'.  :meth:`bin_leave` and :meth:`bin_join` raise
     :class:`ValueError` before touching state for churn a trace could
     not contain
     (:meth:`~repro.core.incremental.IncrementalState.check_churn`).
@@ -176,12 +176,9 @@ class PlacementServer:
         candidate stream — the same spawn order as the dynamic
         engines.  Ignored when ``state`` is supplied.
     max_batch:
-        Micro-batch size: immediate submits and queue drains are
-        applied in blocks of at most this many ops (the
+        Micro-batch size: :meth:`submit` and :meth:`submit_ids` apply
+        their batches in blocks of at most this many ops (the
         latency-vs-throughput knob; see ``docs/serving.md``).
-    max_pending:
-        Bounded queue capacity for :meth:`enqueue`; reaching it drains
-        the queue synchronously (backpressure).
     backend:
         Kernel backend (:func:`repro.kernels.resolve_backend`
         semantics).
@@ -201,7 +198,6 @@ class PlacementServer:
         seed=None,
         partitioned: bool = False,
         max_batch: int = 1024,
-        max_pending: int = 65536,
         backend: KernelBackend | str | None = None,
         rng_block: int = DEFAULT_RNG_BLOCK,
         state: IncrementalState | None = None,
@@ -209,12 +205,6 @@ class PlacementServer:
     ) -> None:
         self.space = space
         self.max_batch = check_positive_int(max_batch, "max_batch")
-        self.max_pending = check_positive_int(max_pending, "max_pending")
-        if self.max_pending < self.max_batch:
-            raise ValueError(
-                f"max_pending ({self.max_pending}) must be >= max_batch "
-                f"({self.max_batch})"
-            )
         self.backend = resolve_backend(backend)
         if state is None:
             rng = resolve_rng(seed)
@@ -242,12 +232,6 @@ class PlacementServer:
         self._next_ball = 0
         self._key_ball: dict = {}
         self._lat = _LatencyRecorder()
-        self._pending_kinds = np.empty(self.max_pending, dtype=np.int8)
-        self._pending_keys: list = []
-        self._pending_n = 0
-        #: whether each key the queue touches is live once it is applied
-        self._pending_live: dict = {}
-        self._delivered: list[np.ndarray] = []
 
     # ------------------------------------------------------------------
     # introspection
@@ -276,7 +260,6 @@ class PlacementServer:
     def insert(self, key: str) -> int:
         """Place one key now; returns its bin.  The batch=1 fast path."""
         _check_keys((key,))
-        self._flush_if_pending()
         t0 = perf_counter()
         if key in self._key_ball:
             raise KeyError(f"key {key!r} is already live")
@@ -292,7 +275,6 @@ class PlacementServer:
 
     def delete(self, key) -> int:
         """Remove one key now; returns the bin it vacated."""
-        self._flush_if_pending()
         t0 = perf_counter()
         ball = self._key_ball.pop(key)
         freed = self.state.delete(ball)
@@ -301,14 +283,13 @@ class PlacementServer:
 
     def lookup(self, key) -> int:
         """The bin currently holding ``key`` (raises for unknown keys)."""
-        self._flush_if_pending()
         t0 = perf_counter()
         bin_ = self.state.lookup(self._key_ball[key])
         self._record(perf_counter() - t0, 1)
         return bin_
 
     # ------------------------------------------------------------------
-    # immediate batched submission
+    # batched submission
     # ------------------------------------------------------------------
     def submit(self, kinds, keys) -> np.ndarray:
         """Apply a batch of ``(kind, key)`` ops now; per-op results.
@@ -328,8 +309,42 @@ class PlacementServer:
         """
         _check_keys(keys)
         kinds = _check_kinds(kinds, len(keys), "keys")
-        self._flush_if_pending()
-        return self._submit_keyed(kinds, keys)
+        # the stream covers every ball id the inserts can take before any
+        # key is mapped
+        self.stream.ensure(self._next_ball + np.count_nonzero(kinds == OP_INSERT))
+        results = np.empty(kinds.size, dtype=np.int64)
+        args = np.empty(kinds.size, dtype=np.int64)
+        key_ball = self._key_ball
+        for a in range(0, kinds.size, self.max_batch):
+            b = min(a + self.max_batch, kinds.size)
+            t0 = perf_counter()
+            ball = self._next_ball
+            try:
+                for i in range(a, b):
+                    kind = kinds[i]
+                    key = keys[i]
+                    if kind == OP_INSERT:
+                        if key in key_ball:
+                            raise KeyError(f"key {key!r} is already live")
+                        key_ball[key] = ball
+                        args[i] = ball
+                        ball += 1
+                    elif kind == OP_DELETE:
+                        args[i] = key_ball.pop(key)
+                    else:
+                        args[i] = key_ball[key]
+            except KeyError:
+                # undo the block's mapped ops, latest first
+                for j in range(i - 1, a - 1, -1):
+                    if kinds[j] == OP_INSERT:
+                        del key_ball[keys[j]]
+                    elif kinds[j] == OP_DELETE:
+                        key_ball[keys[j]] = int(args[j])
+                raise
+            self._next_ball = ball
+            self._apply_block(kinds, args, a, b, results)
+            self._record(perf_counter() - t0, b - a)
+        return results
 
     def submit_ids(self, kinds, args) -> np.ndarray:
         """Apply a batch of ops addressed by raw ball id (replay path).
@@ -348,7 +363,6 @@ class PlacementServer:
         """
         args = np.ascontiguousarray(args, dtype=np.int64)
         kinds = _check_kinds(kinds, args.size, "args")
-        self._flush_if_pending()
         t0 = perf_counter()
         inserts = self._check_ids(kinds, args)
         self.stream.ensure(self._next_ball + inserts)
@@ -363,70 +377,16 @@ class PlacementServer:
         return results
 
     # ------------------------------------------------------------------
-    # queued submission with backpressure
-    # ------------------------------------------------------------------
-    def enqueue(self, kind: int, key: str) -> None:
-        """Buffer one op; drains synchronously when the queue fills.
-
-        The queue is the bounded ingress buffer: up to ``max_pending``
-        ops accumulate, then the enqueueing caller pays for the drain
-        (backpressure).  Results are delivered, in op order, by the
-        next :meth:`flush`.  An unknown op code raises ``ValueError``,
-        and an op the queue could not apply raises ``KeyError``, before
-        the op is queued: an insert of a key that is live once the ops
-        queued ahead of it are applied, or a delete or lookup of a key
-        that is not.  So a drain never fails on a key; a drain that
-        raises anyway (a bounded candidate stream that runs out) keeps
-        its unapplied blocks queued and delivers the results of the
-        blocks it applied.
-        """
-        _check_keys((key,))
-        if kind not in _OP_CODES:
-            raise ValueError(f"invalid op code {kind!r}; expected one of {_OP_CODES}")
-        if self._pending_n == self.max_pending:  # a drain that raised
-            self._delivered.append(self._drain_pending())
-        live = self._pending_live.get(key, key in self._key_ball)
-        if kind == OP_INSERT:
-            if live:
-                raise KeyError(f"key {key!r} is already live")
-            self._pending_live[key] = True
-        elif not live:
-            raise KeyError(key)
-        elif kind == OP_DELETE:
-            self._pending_live[key] = False
-        self._pending_kinds[self._pending_n] = kind
-        self._pending_keys.append(key)
-        self._pending_n += 1
-        if self._pending_n >= self.max_pending:
-            self._delivered.append(self._drain_pending())
-
-    def flush(self) -> np.ndarray:
-        """Drain the queue; results of every op enqueued since last flush."""
-        if self._pending_n:
-            self._delivered.append(self._drain_pending())
-        parts, self._delivered = self._delivered, []
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-    @property
-    def pending(self) -> int:
-        """Ops currently buffered in the queue."""
-        return self._pending_n
-
-    # ------------------------------------------------------------------
     # churn
     # ------------------------------------------------------------------
     def bin_leave(self, slot: int) -> None:
         """A bin departs; its balls re-place onto the survivors."""
         self.state.check_churn(slot, leaving=True)
-        self._flush_if_pending()
         self.state.bin_leave(slot)
 
     def bin_join(self, slot: int) -> None:
         """A bin (re)joins empty."""
         self.state.check_churn(slot, leaving=False)
-        self._flush_if_pending()
         self.state.bin_join(slot)
 
     # ------------------------------------------------------------------
@@ -435,15 +395,14 @@ class PlacementServer:
     def save(self, path, *, extra_arrays=None, extra_meta=None) -> None:
         """Checkpoint the whole server to one NPZ file.
 
-        Flushes the queue, then writes the incremental core (loads,
-        ball→bin index, active mask, churn RNG), the key map, the
-        candidate stream's RNG state + unconsumed tail, and the serving
-        knobs — everything needed for :meth:`load` to resume
+        Writes the incremental core (loads, ball→bin index, active mask,
+        churn RNG), the key map, the candidate stream's RNG state +
+        unconsumed tail, and the serving knob ``max_batch`` — everything
+        needed for :meth:`load` to resume
         byte-identically to an uninterrupted server.  Keys are stored
         as their UTF-8 bytes (lone surrogates pass through) plus
         per-key byte lengths, so every ``str`` round-trips exactly.
         """
-        self.flush()
         arrays = dict(extra_arrays or {})
         encoded = [k.encode("utf-8", "surrogatepass") for k in self._key_ball]
         arrays["serve_key_bytes"] = np.frombuffer(b"".join(encoded), np.uint8)
@@ -458,7 +417,6 @@ class PlacementServer:
         meta = {
             "next_ball": self._next_ball,
             "max_batch": self.max_batch,
-            "max_pending": self.max_pending,
             "stream": stream_meta,
         }
         full_meta = dict(extra_meta or {})
@@ -501,7 +459,6 @@ class PlacementServer:
             strategy=state.strategy,
             partitioned=state.partitioned,
             max_batch=meta["max_batch"],
-            max_pending=meta["max_pending"],
             backend=backend,
             state=state,
             stream=stream,
@@ -513,72 +470,6 @@ class PlacementServer:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _flush_if_pending(self) -> None:
-        if self._pending_n:
-            self._delivered.append(self._drain_pending())
-
-    def _drain_pending(self) -> np.ndarray:
-        """Apply the queue block by block; the results of its ops.
-
-        A block that raises stays queued with every block after it, and
-        the results of the blocks before it are delivered first.
-        """
-        kinds = self._pending_kinds[: self._pending_n].copy()
-        keys = self._pending_keys
-        parts = []
-        for a in range(0, kinds.size, self.max_batch):
-            b = min(a + self.max_batch, kinds.size)
-            try:
-                parts.append(self._submit_keyed(kinds[a:b], keys[a:b]))
-            except BaseException:
-                self._delivered.extend(parts)
-                self._pending_kinds[: kinds.size - a] = kinds[a:]
-                self._pending_keys = keys[a:]
-                self._pending_n = kinds.size - a
-                raise
-        self._pending_keys = []
-        self._pending_n = 0
-        self._pending_live = {}
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-    def _submit_keyed(self, kinds: np.ndarray, keys) -> np.ndarray:
-        # the stream covers every ball id the inserts can take before any
-        # key is mapped
-        self.stream.ensure(self._next_ball + np.count_nonzero(kinds == OP_INSERT))
-        results = np.empty(kinds.size, dtype=np.int64)
-        args = np.empty(kinds.size, dtype=np.int64)
-        key_ball = self._key_ball
-        for a in range(0, kinds.size, self.max_batch):
-            b = min(a + self.max_batch, kinds.size)
-            t0 = perf_counter()
-            ball = self._next_ball
-            try:
-                for i in range(a, b):
-                    kind = kinds[i]
-                    key = keys[i]
-                    if kind == OP_INSERT:
-                        if key in key_ball:
-                            raise KeyError(f"key {key!r} is already live")
-                        key_ball[key] = ball
-                        args[i] = ball
-                        ball += 1
-                    elif kind == OP_DELETE:
-                        args[i] = key_ball.pop(key)
-                    else:
-                        args[i] = key_ball[key]
-            except KeyError:
-                # undo the block's mapped ops, latest first
-                for j in range(i - 1, a - 1, -1):
-                    if kinds[j] == OP_INSERT:
-                        del key_ball[keys[j]]
-                    elif kinds[j] == OP_DELETE:
-                        key_ball[keys[j]] = int(args[j])
-                raise
-            self._next_ball = ball
-            self._apply_block(kinds, args, a, b, results)
-            self._record(perf_counter() - t0, b - a)
-        return results
-
     def _check_ids(self, kinds: np.ndarray, args: np.ndarray) -> int:
         """Raise ``ValueError`` unless ``submit_ids`` ops keep the trace
         discipline against the current state; returns their insert

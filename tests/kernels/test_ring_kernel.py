@@ -283,6 +283,22 @@ def test_ring_build_matches_ring_space(n, seed):
     assert _state(words) == bit_generator.state["state"]["state"]
 
 
+@pytest.mark.parametrize("loads", [
+    pytest.param(np.ones(2 * 256 * 64, dtype=np.uint8), id="ones"),
+    pytest.param(np.random.default_rng(0).integers(
+        0, 256, size=3 * 255 * 64 + 37, dtype=np.uint8), id="random"),
+])
+def test_load_hist_u8_matches_bincount(loads):
+    """The byte histogram counts a level 64 loads at a time into byte
+    counters, in blocks of 255 chunks so that no counter wraps: 2·256·64
+    equal loads put 512 in every counter, and the random bytes end in a
+    part chunk.  Levels past the largest load come back zero."""
+    h = np.full(300, -1, dtype=np.int64)
+    _lib().repro_load_hist_u8(loads.ctypes.data, loads.size, h.ctypes.data,
+                              h.size)
+    np.testing.assert_array_equal(h, np.bincount(loads, minlength=h.size))
+
+
 def _reference_rings(n, m, d, strategy, seeds, partitioned, rng_block):
     """Each trial on RingSpace.random, then run_sequential, one generator."""
     out = []

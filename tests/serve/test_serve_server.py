@@ -1,6 +1,7 @@
-"""PlacementServer semantics: batching, queueing, keys, snapshots."""
+"""PlacementServer semantics: batching, keys, snapshots, latency."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from repro.serve import (
     CandidateStream,
     PlacementServer,
 )
+from repro.serve.server import _LatencyRecorder
 
 HAS_CEXT = available_backends().get("cext", False)
 needs_cext = pytest.mark.skipif(not HAS_CEXT, reason="no C compiler")
@@ -121,34 +123,13 @@ class TestBatchingEquivalence:
         assert np.array_equal(outs[0][0], outs[1][0])
         assert np.array_equal(outs[0][1], outs[1][1])
 
-    def test_enqueue_flush_matches_submit(self):
-        s1 = _server()
-        outs1 = _scalar_run(s1)
-        s2 = _server(max_pending=16)
-        for i in range(40):
-            s2.enqueue(OP_INSERT, f"k{i}")
-        for i in range(40):
-            s2.enqueue(OP_LOOKUP, f"k{i}")
-        for i in range(0, 40, 3):
-            s2.enqueue(OP_DELETE, f"k{i}")
-        res = s2.flush()
-        assert list(res[40:80]) == outs1
-        assert np.array_equal(s1.loads, s2.loads)
-
-    def test_backpressure_drains_at_capacity(self):
-        s = _server(max_pending=8)
-        for i in range(8):
-            s.enqueue(OP_INSERT, f"k{i}")
-        assert s.pending == 0  # the queue drained itself
-        assert s.occupancy == 8
-        assert s.flush().size == 8
-
-    def test_scalar_ops_flush_queue_first(self):
-        s = _server()
-        s.enqueue(OP_INSERT, "a")
-        assert s.pending == 1
-        assert s.lookup("a") >= 0  # visible: the queue flushed
-        assert s.flush().size == 1
+    def test_max_batch_has_no_upper_bound(self):
+        ops = np.zeros(300, dtype=np.int8), np.arange(300)
+        big = _server(max_batch=1 << 17)
+        res = big.submit_ids(*ops)
+        one = _server(max_batch=1)
+        assert np.array_equal(res, one.submit_ids(*ops))
+        assert np.array_equal(big.loads, one.loads)
 
 
 class TestKeySemantics:
@@ -201,36 +182,6 @@ class TestKeySemantics:
         s.delete("b")
         assert check_state(s.state) == []
 
-    def test_enqueue_refuses_an_op_the_queue_could_not_apply(self):
-        # a drain that met "ghost" used to lose the whole queue: "a" and
-        # "b" stayed placed, but their results and every later op were
-        # dropped.  Now the op is refused before it is queued.
-        s = _server(max_batch=2)
-        s.enqueue(OP_INSERT, "a")
-        s.enqueue(OP_INSERT, "b")
-        with pytest.raises(KeyError, match="ghost"):
-            s.enqueue(OP_DELETE, "ghost")
-        assert s.pending == 2 and s.occupancy == 0
-        placed = s.flush()
-        assert placed.tolist() == [s.lookup("a"), s.lookup("b")]
-        assert s.pending == 0 and s.flush().size == 0
-
-    def test_enqueue_checks_keys_as_the_queue_leaves_them(self):
-        s = _server()
-        s.insert("a")
-        s.enqueue(OP_DELETE, "a")
-        for kind in (OP_DELETE, OP_LOOKUP):
-            with pytest.raises(KeyError):
-                s.enqueue(kind, "a")  # deleted by the queue
-        s.enqueue(OP_INSERT, "b")
-        with pytest.raises(KeyError, match="already live"):
-            s.enqueue(OP_INSERT, "b")  # inserted by the queue
-        s.enqueue(OP_INSERT, "a")
-        s.enqueue(OP_LOOKUP, "b")
-        res = s.flush()
-        assert res[0] == -1 and res[1] == res[3] == s.lookup("b")
-        assert res[2] == s.lookup("a") and s.occupancy == 2
-
     def test_submit_ids_requires_consecutive_inserts(self):
         s = _server()
         with pytest.raises(ValueError, match="consecutive"):
@@ -282,22 +233,34 @@ class TestSnapshot:
 
     def test_load_restores_key_map_and_knobs(self, tmp_path):
         path = tmp_path / "srv.npz"
-        a = _server(seed=5, max_batch=4, max_pending=32)
+        a = _server(seed=5, max_batch=4)
         a.insert("hello")
         a.save(path)
         b, _ = PlacementServer.load(path)
-        assert b.max_batch == 4 and b.max_pending == 32
+        assert b.max_batch == 4
         assert b.lookup("hello") == a.lookup("hello")
         with pytest.raises(KeyError):
             b.insert("hello")
 
-    def test_save_flushes_queue(self, tmp_path):
+    def test_load_ignores_a_stored_max_pending(self, tmp_path):
+        # checkpoints written while the server kept a pending queue
+        # also store the queue's capacity, max_pending
         path = tmp_path / "srv.npz"
-        a = _server(seed=5)
-        a.enqueue(OP_INSERT, "queued")
+        a = _server(seed=5, max_batch=4)
+        for i in range(10):
+            a.insert(f"k{i}")
         a.save(path)
+        with np.load(path) as payload:
+            arrays = dict(payload)
+        meta = json.loads(arrays["core_meta"].tobytes())
+        meta["extra"]["server"]["max_pending"] = 65536
+        arrays["core_meta"] = np.frombuffer(json.dumps(meta).encode(), np.uint8)
+        np.savez(path, **arrays)
         b, _ = PlacementServer.load(path)
-        assert b.lookup("queued") >= 0
+        assert b.max_batch == 4 and b._key_ball == a._key_ball
+        for i in range(10, 30):
+            assert a.insert(f"k{i}") == b.insert(f"k{i}")
+        assert np.array_equal(a.loads, b.loads)
 
     def test_extra_payload_roundtrip(self, tmp_path):
         path = tmp_path / "srv.npz"
@@ -331,12 +294,30 @@ class TestLatencyStats:
         s.reset_latency()
         assert s.latency_stats().count == 0
 
+    def test_recorder_is_bounded_and_its_quantiles_near_exact(self):
+        # 10^5 blocks of 1-4096 ops, per-op times spread over nine decades
+        rng = np.random.default_rng(3)
+        ops = rng.integers(1, 4097, size=100_000)
+        seconds = 10.0 ** rng.uniform(-9, 0, size=ops.size) * ops
+        rec = _LatencyRecorder()
+        total = 0.0
+        for sec, n in zip(seconds.tolist(), ops.tolist()):
+            rec.record(sec, n)
+            total += sec
+        assert len(rec.buckets) <= 200
+        st = rec.stats()
+        per_op = seconds / ops
+        assert st.count == ops.sum()
+        assert st.mean_s == total / ops.sum()
+        assert st.max_s == per_op.max()
+        order = np.argsort(per_op, kind="stable")
+        cum = np.cumsum(ops[order])
+        for q, got in ((0.50, st.p50_s), (0.95, st.p95_s), (0.99, st.p99_s)):
+            exact = per_op[order][np.searchsorted(cum, q * st.count)]
+            assert abs(np.log2(got / exact)) <= 0.25 + 1e-12, (q, got, exact)
+
 
 class TestValidation:
-    def test_pending_must_cover_batch(self):
-        with pytest.raises(ValueError, match="max_pending"):
-            _server(max_batch=64, max_pending=8)
-
     def test_prebuilt_state_needs_stream(self):
         from repro.core.incremental import IncrementalState
 
@@ -368,13 +349,6 @@ class TestValidation:
         with pytest.raises(RuntimeError, match="exhausted"):
             s.insert("b")
         assert (s._next_ball, s.occupancy, s._key_ball) == (3, 3, {"a": 2})
-        # a drain applies the lookup, then keeps the insert queued
-        s.enqueue(OP_LOOKUP, "a")
-        s.enqueue(OP_INSERT, "b")
-        with pytest.raises(RuntimeError, match="exhausted"):
-            s.flush()
-        assert (s.pending, s._next_ball, s.occupancy) == (1, 3, 3)
-        assert [r.tolist() for r in s._delivered] == [[s.state.lookup(2)]]
         assert check_state(s.state) == []
 
     def test_bounded_stream_exhaustion(self):

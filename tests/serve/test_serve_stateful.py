@@ -1,9 +1,9 @@
 """Model-based stateful testing of the live placement server.
 
 Hypothesis drives random sequences of the whole ``PlacementServer``
-API — scalar insert/delete/lookup, batched ``submit``,
-``enqueue``/``flush`` (with ops the queue must refuse), bin churn, and
-save → load mid-sequence —
+API — scalar insert/delete/lookup, batched ``submit`` (with blocks
+that must fail and change nothing), bin churn, and save → load
+mid-sequence —
 against a twin server with another ``max_batch`` that never
 checkpoints.  After every step both must agree on every decision and
 pass :func:`helpers.check_state`, and the key map must match
@@ -34,11 +34,11 @@ class ServerModel(RuleBasedStateMachine):
         super().__init__()
         space = RingSpace.random(N_BINS, seed=3)
         # a small rng_block makes checkpoints land mid-block; the twin
-        # splits batches differently but drains its queue at the same size
+        # splits batches differently
         self.server = PlacementServer(space, d=2, seed=11, rng_block=5,
-                                      max_batch=3, max_pending=4)
+                                      max_batch=3)
         self.twin = PlacementServer(space, d=2, seed=11, rng_block=5,
-                                    max_batch=4, max_pending=4)
+                                    max_batch=4)
         self.live: set[str] = set()
         self.fresh = 0  # batched inserts take f"{fresh}{suffix}": unique
         self.dir = Path(tempfile.mkdtemp())
@@ -105,28 +105,6 @@ class ServerModel(RuleBasedStateMachine):
         keys = [key for _, key in ops]
         assert self._both(lambda s: s.submit(kinds, keys)) is KeyError
 
-    @rule(data=st.data(), size=st.integers(1, 6))
-    def enqueue(self, data, size):
-        for _ in range(size):
-            kind, key = self._draw_op(data, self.live)
-            self._both(lambda s: s.enqueue(kind, key))
-
-    @rule(data=st.data())
-    def enqueue_failing(self, data):
-        # an op the queue could not apply, judged by the keys live once
-        # the queue is applied: refused with KeyError, nothing queued
-        bad = [(OP_DELETE, "ghost"), (OP_LOOKUP, "ghost")]
-        if self.live:
-            bad.append((OP_INSERT, data.draw(st.sampled_from(sorted(self.live)))))
-        kind, key = data.draw(st.sampled_from(bad))
-        pending = self.server.pending
-        assert self._both(lambda s: s.enqueue(kind, key)) is KeyError
-        assert self.server.pending == pending
-
-    @rule()
-    def flush(self):
-        self._both(lambda s: s.flush())
-
     @rule(slot=st.integers(0, N_BINS - 1))
     def bin_leave(self, slot):
         self._both(lambda s: s.bin_leave(slot))
@@ -137,8 +115,6 @@ class ServerModel(RuleBasedStateMachine):
 
     @rule()
     def save_load(self):
-        # save drains the queue and drops the results: collect them first
-        self._both(lambda s: s.flush())
         path = self.dir / "ck.npz"
         self.server.save(path)
         self.server, _ = PlacementServer.load(path)
@@ -151,7 +127,6 @@ class ServerModel(RuleBasedStateMachine):
         assert self.server._key_ball == self.twin._key_ball
         assert np.array_equal(self.server.loads, self.twin.loads)
         assert np.array_equal(self.server.state.active, self.twin.state.active)
-        assert self.server.pending == self.twin.pending
 
 
 TestServerModel = ServerModel.TestCase

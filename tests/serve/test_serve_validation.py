@@ -34,7 +34,7 @@ def _server(n=4, keys=8, seed=3):
 def _fingerprint(server):
     state = server.state
     return (state.loads.copy(), state.active.copy(), state.ball_bin.copy(),
-            dict(server._key_ball), server.pending)
+            dict(server._key_ball))
 
 
 def _assert_unchanged(server, before):
@@ -56,19 +56,10 @@ class TestStrKeys:
     @pytest.mark.parametrize("key", BAD_KEYS, ids=repr)
     def test_submit_rejects_whole_batch(self, key):
         server = _server()
-        server.enqueue(OP_INSERT, "queued")
         before = _fingerprint(server)
         kinds = np.array([OP_INSERT, OP_INSERT, OP_LOOKUP], dtype=np.int8)
         with pytest.raises(TypeError, match="must be str"):
             server.submit(kinds, ["fresh", key, "key-0"])
-        _assert_unchanged(server, before)
-
-    @pytest.mark.parametrize("key", BAD_KEYS, ids=repr)
-    def test_enqueue_rejects(self, key):
-        server = _server()
-        before = _fingerprint(server)
-        with pytest.raises(TypeError, match="must be str"):
-            server.enqueue(OP_INSERT, key)
         _assert_unchanged(server, before)
 
     def test_save_load_roundtrip(self, tmp_path):
@@ -103,7 +94,6 @@ class TestOpValidation:
     """Bad op codes and length mismatches raise before any change."""
 
     def _rejects(self, server, call, match):
-        server.enqueue(OP_INSERT, "queued")
         before = _fingerprint(server)
         with pytest.raises(ValueError, match=match):
             call()
@@ -114,13 +104,6 @@ class TestOpValidation:
         self._rejects(
             server, lambda: server.submit([7], ["key-0"]), "invalid op code"
         )
-        assert server.lookup("key-0") >= 0
-
-    def test_enqueue_rejects_unknown_op(self):
-        server = _server()
-        self._rejects(server, lambda: server.enqueue(9, "key-0"), "invalid op code")
-        server.flush()
-        assert server.occupancy == 9
         assert server.lookup("key-0") >= 0
 
     def test_submit_ids_rejects_unknown_op(self):
@@ -191,13 +174,6 @@ class TestChurnRules:
             server.bin_leave(3)
         _assert_unchanged(server, before)
         assert server.insert("late") == 3
-
-    def test_rejected_churn_does_not_flush_queue(self):
-        server = _server()
-        server.enqueue(OP_INSERT, "queued")
-        with pytest.raises(ValueError):
-            server.bin_join(0)
-        assert server.pending == 1
 
 
 class TestSubmitIds:
