@@ -83,10 +83,10 @@ class LatencyStats:
 
     Latency is wall time inside the submit path (key mapping + window
     application), attributed per op as its block's time divided by the
-    block size.  ``count``, ``total_s``, ``mean_s`` and ``max_s`` are
-    exact; the quantiles are count-weighted estimates read from
-    quarter-octave buckets, each within a factor ``2**0.25`` of the
-    exact per-op quantile (a batch=1 stream's per-request latencies).
+    block size, so at ``max_batch=1`` it is each request's latency.
+    ``count``, ``total_s``, ``mean_s`` and ``max_s`` are exact; the
+    quantiles are count-weighted estimates read from quarter-octave
+    buckets, each within a factor ``2**0.25`` of the exact one.
     """
 
     count: int
