@@ -182,6 +182,42 @@ class TestKeySemantics:
         s.delete("b")
         assert check_state(s.state) == []
 
+    # ops 0-4 are valid; op 5 fails only because of "x", held before the
+    # batch, or of ops 0-4 themselves
+    PREFIX = [(OP_INSERT, "a"), (OP_DELETE, "x"), (OP_INSERT, "b"),
+              (OP_DELETE, "a"), (OP_LOOKUP, "b")]
+    FAILING = {
+        "unknown-key": (OP_DELETE, "ghost"),
+        "deleted-in-batch": (OP_LOOKUP, "a"),
+        "inserted-in-batch": (OP_INSERT, "b"),
+    }
+
+    @pytest.mark.parametrize("max_batch", [1, 3, 4096])
+    @pytest.mark.parametrize("case", sorted(FAILING))
+    def test_failing_block_keeps_earlier_blocks(self, case, max_batch):
+        # blocks before the failing one stay applied; the failing block,
+        # alone, mid-batch or the whole batch, is undone with its key map
+        # entries and ball ids, and nothing after it runs
+        ops = [*self.PREFIX, self.FAILING[case], (OP_INSERT, "z")]
+        kinds = np.array([kind for kind, _ in ops], dtype=np.int8)
+        s = _server(max_batch=max_batch)
+        s.insert("x")
+        with pytest.raises(KeyError):
+            s.submit(kinds, [key for _, key in ops])
+        ref = _server()
+        ref.insert("x")
+        scalar = {OP_INSERT: ref.insert, OP_DELETE: ref.delete,
+                  OP_LOOKUP: ref.lookup}
+        applied = 5 // max_batch * max_batch
+        for kind, key in self.PREFIX[:applied]:
+            scalar[kind](key)
+        assert s._key_ball == ref._key_ball
+        assert s._next_ball == ref._next_ball
+        assert np.array_equal(s.loads, ref.loads)
+        assert check_state(s.state) == []
+        assert s.insert("z") == ref.insert("z")
+        assert np.array_equal(s.loads, ref.loads)
+
     def test_submit_ids_requires_consecutive_inserts(self):
         s = _server()
         with pytest.raises(ValueError, match="consecutive"):
@@ -315,6 +351,29 @@ class TestLatencyStats:
         for q, got in ((0.50, st.p50_s), (0.95, st.p95_s), (0.99, st.p99_s)):
             exact = per_op[order][np.searchsorted(cum, q * st.count)]
             assert abs(np.log2(got / exact)) <= 0.25 + 1e-12, (q, got, exact)
+
+    def test_one_per_op_time_reads_exactly(self):
+        # estimates are clamped to the exact [min, max], so blocks whose
+        # per-op times are all equal give that time at every quantile
+        rec = _LatencyRecorder()
+        for ops in (1, 7, 4096):
+            rec.record(ops * 2.0**-18, ops)
+        st = rec.stats()
+        assert st.count == 4104
+        assert st.p50_s == st.p95_s == st.p99_s == st.max_s == 2.0**-18
+        assert st.mean_s == 2.0**-18
+
+    def test_zero_time_blocks_read_as_zero(self):
+        # a clock too coarse to see a block records 0 s, which lands in
+        # the non-positive bucket rather than in log2
+        rec = _LatencyRecorder()
+        rec.record(0.0, 60)
+        rec.record(40 * 2.0**-20, 40)
+        st = rec.stats()
+        assert (st.count, st.total_s, st.max_s) == (100, 40 * 2.0**-20, 2.0**-20)
+        assert st.mean_s == st.total_s / 100
+        assert st.p50_s == 0.0
+        assert 2.0**-20.25 < st.p95_s <= st.p99_s <= st.max_s
 
 
 class TestValidation:

@@ -62,6 +62,18 @@ class TestStrKeys:
             server.submit(kinds, ["fresh", key, "key-0"])
         _assert_unchanged(server, before)
 
+    @pytest.mark.parametrize("key", BAD_KEYS, ids=repr)
+    def test_delete_and_lookup_reject(self, key):
+        # only str keys are ever live, so the scalar paths meet any
+        # other key as unknown
+        server = _server()
+        before = _fingerprint(server)
+        for call in (server.delete, server.lookup):
+            with pytest.raises(KeyError):
+                call(key)
+        _assert_unchanged(server, before)
+        assert server.occupancy == 8
+
     def test_save_load_roundtrip(self, tmp_path):
         server = _server(n=16, keys=0)
         keys = ["5", "ab", "", "key with spaces", "ключ", "🙂", "a" * 300]
