@@ -35,6 +35,7 @@ from repro.kernels import KernelBackend, resolve_backend
 from repro.obs import counter_add, trace_span
 from repro.serve.server import LatencyStats, PlacementServer
 from repro.utils.rng import resolve_rng
+from repro.utils.validation import check_positive_int
 
 __all__ = ["ReplayResult", "checkpoint_params", "replay_trace"]
 
@@ -144,14 +145,17 @@ def replay_trace(
     snapshot to ``checkpoint`` (with ``checkpoint_meta`` recorded for
     :func:`checkpoint_params`); ``resume_from`` continues one.  A
     resumed replay takes its candidate stream and its churn generator
-    from the snapshot, so ``seed`` is unused on resume.
+    from the snapshot, so ``seed`` is unused on resume, but applies its
+    own ``max_batch``.
     """
     if not isinstance(trace, EventTrace):
         raise TypeError(f"trace must be an EventTrace, got {type(trace).__name__}")
     backend_obj = resolve_backend(backend)
     strat = TieBreak.coerce(strategy)
+    max_batch = check_positive_int(max_batch, "max_batch")
     if resume_from is not None:
         server, series, start = _restore(space, trace, resume_from, backend_obj)
+        server.max_batch = max_batch  # load() restored the saver's
     else:
         rng = resolve_rng(seed)
         # spawn order matches the dynamic engines: churn RNG first

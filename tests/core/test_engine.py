@@ -62,6 +62,16 @@ class TestConflictFreePrefix:
                 seen.update(int(x) for x in c[row])
             assert _all_insert_prefix(c) == expected, c
 
+    @pytest.mark.parametrize("seed, bins, upper", [
+        pytest.param(0, 1 << 20, 2048, id="sparse"),
+        pytest.param(1, 64, 64, id="dense"),
+    ])
+    def test_large_window_prefix_in_range(self, seed, bins, upper):
+        """A 2048-row window: long prefixes over 2^20 bins, short ones
+        (the scalar fallback's regime) over 64."""
+        c = np.random.default_rng(seed).integers(0, bins, size=(2048, 2))
+        assert 1 <= _all_insert_prefix(c) <= upper
+
 
 class TestChoiceBlocks:
     def test_total_rows(self, small_ring, rng):
@@ -112,11 +122,15 @@ class TestAutoTuning:
 
 
 class TestEngineAccounting:
-    @pytest.mark.parametrize("runner", [run_sequential])
-    def test_loads_sum_to_m(self, small_ring, runner):
-        loads, _ = runner(small_ring, 37, 2, TieBreak.RANDOM, resolve_rng(1))
-        assert loads.sum() == 37
-        assert loads.shape == (small_ring.n,)
+    @pytest.mark.parametrize("n, space_seed, m", [
+        pytest.param(64, 7, 37, id="n64"),
+        pytest.param(1 << 16, 0, 1 << 13, id="n65536"),
+    ])
+    def test_loads_sum_to_m(self, n, space_seed, m):
+        ring = RingSpace.random(n, seed=space_seed)
+        loads, _ = run_sequential(ring, m, 2, TieBreak.RANDOM, resolve_rng(1))
+        assert loads.sum() == m
+        assert loads.shape == (n,)
 
     @pytest.mark.parametrize("runner", [run_sequential])
     def test_zero_balls(self, small_ring, runner):

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from repro.baselines.uniform import UniformSpace
 from repro.core.engine import run_sequential
 from repro.core.multitrial import auto_fused_batch_size, fused_trial_chunk, run_fused
+from repro.core.placement import place_balls
 from repro.core.ring import RingSpace
 from repro.core.strategies import TieBreak
 from repro.core.torus import TorusSpace
@@ -140,6 +141,39 @@ class TestFusedEquivalence:
     def test_no_trials_rejected(self):
         with pytest.raises(ValueError, match="at least one trial"):
             run_fused([], 10, 2, TieBreak.RANDOM, [])
+
+
+class TestFusedFleet:
+    """Eight 2^16-server rings: one fused pass against one ``place_balls``
+    call per trial (the table hot path and its per-trial twin)."""
+
+    N, TRIALS = 1 << 16, 8
+
+    @pytest.fixture(scope="class")
+    def ring_fleet(self):
+        return _spaces("ring", self.N, self.TRIALS, seed=100)
+
+    def _fused(self, ring_fleet):
+        rngs = [resolve_rng(1 + k) for k in range(self.TRIALS)]
+        return run_fused(ring_fleet, self.N, 2, TieBreak.RANDOM, rngs)[0]
+
+    def test_fused_loads_account_for_every_ball(self, ring_fleet):
+        loads = self._fused(ring_fleet)
+        assert loads.shape == (self.TRIALS, self.N)
+        assert loads.sum() == self.TRIALS * self.N
+
+    def test_per_trial_loads_account_for_every_ball(self, ring_fleet):
+        total = sum(
+            place_balls(space, self.N, 2, seed=1 + k).loads.sum()
+            for k, space in enumerate(ring_fleet)
+        )
+        assert total == self.TRIALS * self.N
+
+    def test_fused_equals_per_trial(self, ring_fleet):
+        fused = self._fused(ring_fleet)
+        for k, space in enumerate(ring_fleet):
+            single = place_balls(space, self.N, 2, seed=1 + k).loads
+            assert np.array_equal(fused[k], single)
 
 
 class TestFusedTuning:

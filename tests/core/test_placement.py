@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from helpers import build_space
 
 from repro.core import RingSpace, TieBreak, place_balls
 from repro.core.engine import run_sequential
@@ -10,12 +11,21 @@ from repro.utils.rng import resolve_rng
 
 
 class TestPlaceBalls:
-    def test_result_fields(self, small_ring):
-        res = place_balls(small_ring, 100, 2, seed=1)
-        assert res.m == 100 and res.d == 2
-        assert res.n == small_ring.n
-        assert res.loads.sum() == 100
-        assert res.strategy is TieBreak.RANDOM
+    @pytest.mark.parametrize("kind, n, space_seed, m, strategy, seed", [
+        pytest.param("ring", 64, 7, 100, "random", 1, id="ring-n64"),
+        pytest.param("ring", 1 << 16, 0, 1 << 16, "random", 1, id="ring-n65536"),
+        pytest.param("torus", 1 << 16, 0, 1 << 16, "random", 1,
+                     id="torus-n65536"),
+        pytest.param("ring", 1 << 16, 0, 1 << 14, "smaller", 4,
+                     id="ring-n65536-smaller"),
+    ])
+    def test_result_fields(self, kind, n, space_seed, m, strategy, seed):
+        space = build_space(kind, n, space_seed)
+        res = place_balls(space, m, 2, strategy=strategy, seed=seed)
+        assert res.m == m and res.d == 2
+        assert res.n == n
+        assert res.loads.sum() == m
+        assert res.strategy is TieBreak(strategy)
 
     def test_engine_is_fused(self, small_ring, medium_ring):
         assert place_balls(small_ring, 10, 2, seed=0).engine == "fused"

@@ -65,6 +65,11 @@ class TestAssign:
         singles = [int(small_ring.assign(np.array([p]))[0]) for p in pts]
         assert batch.tolist() == singles
 
+    def test_large_query_batch(self):
+        ring = RingSpace.random(1 << 16, seed=0)
+        queries = np.random.default_rng(2).random(1 << 20)
+        assert ring.assign(queries).shape == queries.shape
+
 
 class TestRegionMeasures:
     def test_sum_to_one(self, small_ring):

@@ -62,6 +62,11 @@ class TestAssign:
             expected = int(np.argmin((d**2).sum(axis=1)))
             assert got == expected
 
+    def test_large_query_batch(self):
+        torus = TorusSpace.random(1 << 16, seed=0)
+        queries = np.random.default_rng(3).random((1 << 18, 2))
+        assert torus.assign(queries).shape == (queries.shape[0],)
+
 
 class TestRegionMeasures:
     def test_single_point(self):

@@ -111,6 +111,15 @@ class TestRouting:
         # below linear scaling (16x)
         assert means[256] / max(means[16], 0.5) < 8
 
+    def test_mean_hops_within_can_bound(self):
+        can = CanNetwork.random(256, seed=5)
+        rng = np.random.default_rng(6)
+        points = rng.random((128, 2))
+        starts = rng.integers(0, can.n, size=128)
+        hops = [can.route(p, int(s)).hops for p, s in zip(points, starts)]
+        # CAN bound ~ (k/2) n^{1/k} = 16 for k=2, n=256
+        assert np.mean(hops) <= 2 * 16
+
     def test_rejects_bad_start(self):
         can = CanNetwork.random(4, seed=11)
         with pytest.raises(ValueError):
@@ -118,10 +127,12 @@ class TestRouting:
 
 
 class TestCanSpace:
-    def test_engine_integration(self):
-        space = CanSpace.random(64, seed=12)
-        res = place_balls(space, 64, 2, seed=13)
-        assert res.loads.sum() == 64
+    @pytest.mark.parametrize("n, space_seed, seed", [(64, 12, 13), (1024, 7, 8)],
+                             ids=["n64", "n1024"])
+    def test_engine_integration(self, n, space_seed, seed):
+        space = CanSpace.random(n, seed=space_seed)
+        res = place_balls(space, n, 2, seed=seed)
+        assert res.loads.sum() == n
 
     def test_measures_are_volumes(self):
         space = CanSpace.random(32, seed=14)

@@ -92,6 +92,15 @@ class TestRouting:
         assert max(hops) <= 2 * math.log2(n)
         assert np.mean(hops) <= math.log2(n)
 
+    def test_mean_hops_within_log2_n(self):
+        n = 1024
+        ring = ChordRing.random(n, seed=0)
+        rng = np.random.default_rng(1)
+        idents = rng.integers(0, 1 << 63, size=512).astype(np.uint64) * np.uint64(2)
+        starts = rng.integers(0, n, size=512)
+        hops = [ring.lookup(int(i), int(s)).hops for i, s in zip(idents, starts)]
+        assert np.mean(hops) <= math.log2(n)
+
     def test_lookup_own_id_zero_hops(self):
         ring = ChordRing([100, 200])
         res = ring.lookup(100, 0)
@@ -118,10 +127,11 @@ class TestRouting:
         with pytest.raises(ValueError, match="bits"):
             ring.lookup(1 << RING_BITS)
 
-    def test_finger_table_shape_and_semantics(self):
-        ring = ChordRing.random(32, seed=9)
+    @pytest.mark.parametrize("n, seed", [(32, 9), (1024, 2)], ids=["n32", "n1024"])
+    def test_finger_table_shape_and_semantics(self, n, seed):
+        ring = ChordRing.random(n, seed=seed)
         fingers = ring.finger_table()
-        assert fingers.shape == (32, RING_BITS)
+        assert fingers.shape == (n, RING_BITS)
         # spot-check: finger k of node i owns id_i + 2^k
         ids = ring.node_ids
         for i in (0, 7, 31):

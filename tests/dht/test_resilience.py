@@ -100,6 +100,16 @@ class TestRoutingUnderFailures:
         # log n routing with detours; generous cap
         assert np.mean(hops) <= 4 * np.log2(64)
 
+    def test_hops_stay_bounded_with_a_quarter_failed(self):
+        rc = ResilientChord(ChordRing.random(512, seed=0))
+        rc.fail_random(128, seed=1)
+        rng = np.random.default_rng(2)
+        live = np.nonzero(rc.alive)[0]
+        idents = rng.integers(0, 1 << 63, size=256).astype(np.uint64) * np.uint64(2)
+        starts = rng.choice(live, size=256)
+        hops = [rc.lookup_live(int(i), int(s)).hops for i, s in zip(idents, starts)]
+        assert np.mean(hops) <= 4 * np.log2(512)
+
 
 class TestChurn:
     def test_episode_availability(self):

@@ -60,11 +60,13 @@ class TestBasicOperations:
         for k in keys:
             assert dht.lookup(k) == k[::-1]
 
-    def test_loads_conserve_items(self, dht):
-        keys = generate_keys(200, seed=3)
-        for k in keys:
+    @pytest.mark.parametrize("n, seed, items", [(64, 1, 200), (1024, 4, 500)],
+                             ids=["n64", "n1024"])
+    def test_loads_conserve_items(self, n, seed, items):
+        dht = TwoChoiceDHT(ChordRing.random(n, seed=0), d=2, seed=seed)
+        for k in generate_keys(items, seed=3):
             dht.insert(k)
-        assert dht.loads().sum() == 200
+        assert dht.loads().sum() == items
 
 
 class TestBalancing:

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.engine import run_sequential
+from repro.core.ring import RingSpace
 from repro.core.strategies import TieBreak
 from repro.dynamics.engine import (
     mixed_conflict_prefix,
@@ -182,6 +183,34 @@ class TestChurnSemantics:
             run_sequential_dynamic(
                 small_ring, trace, 2, TieBreak.RANDOM, resolve_rng(0)
             )
+
+
+#: Server count of the at-scale runs below.
+SCALE_N = 1 << 14
+
+
+class TestOccupancyAtScale:
+    @pytest.mark.parametrize("engine, make_trace, seed, occupancy", [
+        pytest.param(
+            run_batched_dynamic,
+            lambda: steady_state_trace(SCALE_N, pairs=SCALE_N, epochs=8, seed=1),
+            3, SCALE_N, id="batched-steady"),
+        pytest.param(
+            run_sequential_dynamic,
+            lambda: steady_state_trace(SCALE_N // 8, pairs=SCALE_N // 8,
+                                       epochs=4, seed=4),
+            3, SCALE_N // 8, id="sequential-steady"),
+        pytest.param(
+            run_batched_dynamic,
+            lambda: churn_storm_trace(SCALE_N, SCALE_N, waves=2,
+                                      leave_fraction=0.05,
+                                      pairs_per_wave=SCALE_N // 8, seed=2),
+            5, SCALE_N, id="batched-storm"),
+    ])
+    def test_final_occupancy(self, engine, make_trace, seed, occupancy):
+        ring = RingSpace.random(SCALE_N, seed=0)
+        res = engine(ring, make_trace(), 2, TieBreak.RANDOM, resolve_rng(seed))
+        assert res.occupancy == occupancy
 
 
 class TestMixedConflictPrefix:

@@ -151,14 +151,18 @@ class TestEventTraceValidation:
 
 
 class TestGenerators:
-    def test_steady_state_shape(self):
-        t = steady_state_trace(100, pairs=50, epochs=5, seed=1)
-        assert t.num_events == 100 + 2 * 50
-        assert t.num_inserts == 150 and t.num_deletes == 50
-        assert t.final_occupancy == 100
+    @pytest.mark.parametrize("m, pairs, epochs, seed", [
+        (100, 50, 5, 1),
+        (1 << 14, 1 << 14, 8, 6),
+    ], ids=["m100", "m16384"])
+    def test_steady_state_shape(self, m, pairs, epochs, seed):
+        t = steady_state_trace(m, pairs=pairs, epochs=epochs, seed=seed)
+        assert t.num_events == m + 2 * pairs
+        assert t.num_inserts == m + pairs and t.num_deletes == pairs
+        assert t.final_occupancy == m
         assert not t.has_churn
         # warm-up epoch plus the churn-phase epochs
-        assert t.epoch_ends[0] == 100 and int(t.epoch_ends[-1]) == t.num_events
+        assert t.epoch_ends[0] == m and int(t.epoch_ends[-1]) == t.num_events
 
     def test_steady_state_policies_differ(self):
         fifo = steady_state_trace(20, pairs=10, policy="fifo", seed=3)

@@ -1,15 +1,18 @@
 """Tests for experiment drivers at miniature scale."""
 
+import numpy as np
 import pytest
 
 from repro.experiments import get_experiment, list_experiments
 from repro.experiments.ablations import dimension_sweep, mn_sweep, tiebreak_sweep
+from repro.experiments.lemma_validation import _count_empty_sectors
 from repro.experiments.lemma_validation import run as run_lemmas
 from repro.experiments.report import ExperimentReport, TextReport
 from repro.experiments.table1 import run as run_table1
 from repro.experiments.table2 import run as run_table2
 from repro.experiments.table3 import run as run_table3
 from repro.experiments.theory_check import run as run_theory
+from repro.theory.voronoi_tails import expected_large_regions_bound
 
 
 SMALL = dict(trials=5, n_values=(2**7,))
@@ -83,6 +86,13 @@ class TestOtherDrivers:
         assert isinstance(rep, TextReport)
         assert rep.data["sector"]["sector_test_failures"] == 0
         assert "Lemma 8" in rep.render()
+
+    def test_empty_sector_census_within_lemma8_bound(self):
+        # one instance against E[Z] from Lemma 8's chain, with 1.5x slack
+        n = 2048
+        pts = np.random.default_rng(2).random((n, 2))
+        z = _count_empty_sectors(pts, 3.0, np.random.default_rng(3))
+        assert z <= 1.5 * expected_large_regions_bound(3.0, n)
 
     def test_theory_check(self):
         rep = run_theory(n_values=(2**8,), d_values=(2,), trials=4)

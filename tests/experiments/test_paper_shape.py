@@ -4,7 +4,8 @@ These are the paper-shape criteria (``docs/paper_map.md``) run at the
 paper's smallest table size (n = 2^8, where 100+ trials take well under
 a second) plus cross-checks of the transcribed reference data itself.
 Comparisons use Wilson-interval compatibility because our trial counts
-differ from the paper's 1000.
+differ from the paper's 1000.  ``TestTableCells`` checks the modal max
+load of seeded cells up to n = 2^16 against Tables 1-3.
 """
 
 import pytest
@@ -16,11 +17,36 @@ from repro.experiments.paper_data import (
     PAPER_TRIALS,
     paper_distribution,
 )
+from repro.experiments.table3 import STRATEGIES
 from repro.stats.confidence import frequencies_compatible
 from repro.stats.trials import CellSpec, run_cell
 
 TRIALS = 120
 SEED = 987
+
+#: Seed base of ``TestTableCells``; each cell adds its own offset.
+TABLE_SEED = 20030206
+
+
+def _table_cell(space, n, d, offset, trials=25):
+    return pytest.param(space, n, d, trials, TABLE_SEED + offset,
+                        id=f"{space}-n{n}-d{d}")
+
+
+#: Table 1 (ring) and Table 2 (torus) cells: space, n, d, trials, seed.
+TABLE_CELLS = (
+    [_table_cell("ring", 2**8, d, d) for d in (1, 2, 3, 4)]
+    + [_table_cell("ring", 2**12, d, 10 + d) for d in (1, 2, 3, 4)]
+    + [_table_cell("ring", 2**16, 2, 0, trials=5)]
+    + [_table_cell("torus", 2**8, d, 20 + d) for d in (1, 2, 3, 4)]
+    + [_table_cell("torus", 2**12, d, 30 + d) for d in (1, 2)]
+)
+
+
+def _table3_cell(name, seed):
+    tiebreak, partitioned = STRATEGIES[name]
+    spec = CellSpec("ring", 2**8, 2, strategy=tiebreak, partitioned=partitioned)
+    return run_cell(spec, 30, seed=seed)
 
 
 @pytest.fixture(scope="module")
@@ -143,3 +169,30 @@ class TestSimulationStrategyOrdering:
             means[name] = dist.mean
         assert means["smaller"] < means["larger"]
         assert means["left"] < means["larger"]
+
+
+class TestTableCells:
+    @pytest.mark.parametrize("space, n, d, trials, seed", TABLE_CELLS)
+    def test_mode_matches(self, space, n, d, trials, seed):
+        dist = run_cell(CellSpec(space, n, d), trials, seed=seed)
+        table = PAPER_TABLE1 if space == "ring" else PAPER_TABLE2
+        paper_mode = paper_distribution(table[n][d]).mode
+        assert abs(dist.mode - paper_mode) <= (2 if d == 1 else 1)
+
+    @pytest.mark.parametrize("name", list(STRATEGIES))
+    def test_table3_mode_matches(self, name):
+        # seeded by position: hash(name) is salted per interpreter
+        dist = _table3_cell(name, TABLE_SEED + 40 + list(STRATEGIES).index(name))
+        paper_mode = paper_distribution(PAPER_TABLE3[2**8][name]).mode
+        assert abs(dist.mode - paper_mode) <= 1
+
+    def test_table3_ordering(self):
+        """The paper's Section 4 finding: smaller <= random <= larger and
+        left <= larger in mean max load, within 0.15."""
+        means = {
+            name: _table3_cell(name, TABLE_SEED + 100 + i).mean
+            for i, name in enumerate(STRATEGIES)
+        }
+        assert means["arc-smaller"] <= means["arc-random"] + 0.15
+        assert means["arc-random"] <= means["arc-larger"] + 0.15
+        assert means["arc-left"] <= means["arc-larger"] + 0.15

@@ -68,6 +68,10 @@ class TestToroidalVoronoiAreas:
         assert areas.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.all(areas > 0)
 
+    def test_partition_of_unity_at_2048_points(self):
+        areas = toroidal_voronoi_areas(np.random.default_rng(0).random((2048, 2)))
+        assert abs(areas.sum() - 1.0) < 1e-9
+
     def test_translation_invariance(self):
         """Shifting all points on the torus must not change areas."""
         rng = np.random.default_rng(3)
@@ -85,11 +89,14 @@ class TestMonteCarloMeasures:
         mc = monte_carlo_region_measures(pts, 150_000, seed=5)
         assert np.abs(exact - mc).max() < 0.01
 
-    def test_sums_to_one(self):
-        rng = np.random.default_rng(6)
-        pts = rng.random((10, 3))
-        mc = monte_carlo_region_measures(pts, 20_000, seed=7)
-        assert mc.sum() == pytest.approx(1.0)
+    @pytest.mark.parametrize("points_seed, n, dim, samples, seed", [
+        (6, 10, 3, 20_000, 7),
+        (1, 2048, 2, 100_000, 2),
+    ], ids=["3d-n10", "2d-n2048"])
+    def test_sums_to_one(self, points_seed, n, dim, samples, seed):
+        pts = np.random.default_rng(points_seed).random((n, dim))
+        mc = monte_carlo_region_measures(pts, samples, seed=seed)
+        assert abs(mc.sum() - 1.0) < 1e-9
 
     def test_deterministic_given_seed(self):
         pts = np.random.default_rng(8).random((5, 2))

@@ -10,6 +10,7 @@ import pytest
 from helpers import assert_dynamics_equal as _assert_matches
 from helpers import named_scenarios as _traces
 
+from repro.core.incremental import IncrementalState
 from repro.core.ring import RingSpace
 from repro.dynamics import simulate_dynamics
 from repro.dynamics.events import churn_storm_trace, steady_state_trace
@@ -91,6 +92,29 @@ class TestCheckpointResume:
             resumed = replay_trace(space, trace, d=2, seed=17, max_batch=5,
                                    backend=backend, resume_from=ck)
             _assert_matches(resumed, full)
+
+    def test_resume_applies_its_own_max_batch(self, tmp_path, monkeypatch):
+        # the checkpoint was saved at max_batch=1024; the resume must cut
+        # its blocks at the max_batch it is given and reports
+        space = RingSpace.random(32, seed=4)
+        trace = steady_state_trace(150, 100, policy="random", epochs=4, seed=9)
+        full = replay_trace(space, trace, d=2, seed=19)
+        ck = tmp_path / "ck.npz"
+        replay_trace(space, trace, d=2, seed=19, checkpoint=ck,
+                     checkpoint_at=trace.num_events // 3)
+        blocks = []
+        apply_window = IncrementalState.apply_window
+
+        def spy(self, kinds, args, a, b, *rest, **kwargs):
+            blocks.append(b - a)
+            return apply_window(self, kinds, args, a, b, *rest, **kwargs)
+
+        monkeypatch.setattr(IncrementalState, "apply_window", spy)
+        resumed = replay_trace(space, trace, d=2, seed=19, max_batch=7,
+                               resume_from=ck)
+        assert resumed.max_batch == 7
+        assert blocks and max(blocks) <= 7
+        _assert_matches(resumed, full)
 
     def test_resume_takes_stream_from_checkpoint(self, tmp_path):
         # the checkpoint carries the candidate stream: a resume given a

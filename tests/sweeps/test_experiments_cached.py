@@ -1,5 +1,8 @@
 """Experiment drivers through the sweep layer: incremental re-runs."""
 
+import statistics
+import time
+
 import pytest
 
 from repro.experiments.ablations import (
@@ -14,6 +17,11 @@ from repro.experiments.table1 import run as run_table1
 from repro.experiments.table2 import run as run_table2
 from repro.experiments.table3 import run as run_table3
 from repro.sweeps import ResultCache
+
+
+#: Warm reruns timed against the cold run: a warm rerun takes about a
+#: millisecond, so a single one can be swung by one scheduling stall.
+WARM_RERUNS = 5
 
 
 def strip_timing(report):
@@ -50,6 +58,30 @@ class TestTable1Cached:
         run_table1(trials=3, n_values=(64, 128), cache=store)
         assert store.hits == 4      # the n=64 cells, one per d
         assert store.misses == 8    # 4 cold + 4 for n=128
+
+    def test_warm_cache_speedup_at_least_10x(self, tmp_path):
+        """Acceptance: warm-cache table reruns >= 10x faster than cold.
+
+        The warm time is the median of several reruns, each a full hit
+        that reproduces the cold run's counts."""
+        store = ResultCache(tmp_path)
+        kwargs = dict(trials=20, n_values=(1 << 10, 1 << 11), cache=store)
+        t0 = time.perf_counter()
+        cold = run_table1(**kwargs)
+        cold_s = time.perf_counter() - t0
+        warm_times = []
+        for rerun in range(1, WARM_RERUNS + 1):
+            t0 = time.perf_counter()
+            warm = run_table1(**kwargs)
+            warm_times.append(time.perf_counter() - t0)
+            assert strip_timing(warm) == strip_timing(cold)
+            assert store.hits == rerun * len(cold.cells)
+        warm_s = statistics.median(warm_times)
+        assert cold_s / warm_s >= 10.0, (
+            f"warm rerun only {cold_s / warm_s:.1f}x faster "
+            f"(cold {cold_s:.3f}s, median warm {warm_s:.4f}s of "
+            f"{', '.join(f'{w:.4f}' for w in warm_times)})"
+        )
 
 
 class TestOtherDriversCached:

@@ -125,6 +125,12 @@ class TestFetchOrCompute:
 
 class TestRunSweep:
     GRID = SweepGrid(n=(64, 128), d=(1, 2), trials=4, name="t")
+    BENCH_GRID = SweepGrid(n=(1 << 10, 1 << 11), d=(1, 2), trials=20,
+                           name="bench")
+
+    def test_cold_run_misses_every_cell(self, tmp_path):
+        cold = run_sweep(self.BENCH_GRID, cache=ResultCache(tmp_path))
+        assert cold.meta["misses"] == len(self.BENCH_GRID)
 
     def test_cached_uncached_and_workers_agree(self, tmp_path):
         base = run_sweep(self.GRID, cache="off")
@@ -132,12 +138,20 @@ class TestRunSweep:
         workers = run_sweep(self.GRID, cache="off", workers=2)
         assert base.to_json() == cached.to_json() == workers.to_json()
 
-    def test_warm_rerun_hits_every_cell(self, tmp_path):
+    @pytest.mark.parametrize("grid", [GRID, BENCH_GRID], ids=["t", "bench"])
+    def test_warm_rerun_hits_every_cell(self, tmp_path, grid):
         store = ResultCache(tmp_path)
-        run_sweep(self.GRID, cache=store)
-        warm = run_sweep(self.GRID, cache=store)
-        assert warm.meta["hits"] == len(self.GRID)
+        run_sweep(grid, cache=store)
+        warm = run_sweep(grid, cache=store)
+        assert warm.meta["hits"] == len(grid)
         assert warm.meta["misses"] == 0
+
+    def test_warm_shard_hits_its_cells(self, tmp_path):
+        store = ResultCache(tmp_path)
+        run_sweep(self.BENCH_GRID, cache=store)
+        shard = run_sweep(self.BENCH_GRID, cache=store, shard_index=1,
+                          shard_count=4)
+        assert shard.meta["hits"] == len(shard)
 
     def test_sharded_merge_byte_identical(self, tmp_path):
         """Acceptance: sharded execution merges to the unsharded bytes."""

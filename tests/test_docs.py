@@ -23,6 +23,9 @@ class TestRepoIsClean:
     def test_no_dangling_citations(self):
         assert check_docs.check_citations(REPO_ROOT) == []
 
+    def test_no_missing_cited_files(self):
+        assert check_docs.check_cited_paths(REPO_ROOT) == []
+
     def test_sweeps_public_api_fully_docstringed(self):
         assert check_docs.check_docstrings(REPO_ROOT) == []
 
@@ -70,6 +73,27 @@ class TestCheckerBites:
             f"tests/test_x.py:1: cites missing {lost}",
         ]
         assert check_docs.main(["--root", str(tmp_path)]) == 1
+
+    def test_detects_missing_cited_file(self, tmp_path):
+        (tmp_path / "tests").mkdir()
+        (tmp_path / "tests" / "test_a.py").write_text("")
+        (tmp_path / "docs" / "guide").mkdir(parents=True)
+        (tmp_path / "README.md").write_text(
+            "`tests/test_a.py::test_x` and `tests/test_*.py` exist;\n"
+            "run `tests/test_a.py -q`, not `tests/test_gone.py`.\n"
+        )
+        (tmp_path / "ROADMAP.md").write_text(
+            "```sh\npython `tools/fenced.py`\n```\n`tools/*.py` matches nothing\n"
+        )
+        (tmp_path / "docs" / "guide" / "g.md").write_text(
+            "`src/x.py` and `PYTHONPATH=src tools/y.py`\n"
+        )
+        (tmp_path / "CHANGES.md").write_text("`tests/test_removed.py`\n")
+        assert check_docs.check_cited_paths(tmp_path) == [
+            "README.md:2: cites missing tests/test_gone.py",
+            "ROADMAP.md:4: cites missing tools/*.py",
+            "docs/guide/g.md:1: cites missing src/x.py",
+        ]
 
     def test_detects_missing_docstrings(self, tmp_path, monkeypatch):
         pkg = tmp_path / "src" / "repro" / "sweeps"

@@ -190,6 +190,13 @@ class TestSampleSpacings:
         assert np.allclose(s.sum(axis=1), 1.0)
         assert np.all(s > 0)
 
+    def test_lemma4_count_at_n2048(self):
+        n = 2048
+        spacings = sample_spacings(n, 200, 4)
+        assert spacings.shape == (200, n)
+        mean_count = float((spacings >= 3.0 / n).sum(axis=1).mean())
+        assert mean_count < 2 * expected_arcs_at_least(3.0, n, bound=True)
+
     @given(st.integers(2, 100))
     @settings(max_examples=20, deadline=None)
     def test_always_on_simplex(self, n):

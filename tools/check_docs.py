@@ -2,7 +2,7 @@
 """Docs gate: broken intra-repo markdown links, dangling citations and
 missing docstrings.
 
-Three independent checks, all stdlib-only so they run anywhere:
+Four independent checks, all stdlib-only so they run anywhere:
 
 1. **Markdown links** — every relative link target in the repo's
    tracked ``*.md`` files must exist on disk (external ``http(s)``,
@@ -11,7 +11,13 @@ Three independent checks, all stdlib-only so they run anywhere:
 2. **Cited documents** — every ``NAME.md`` (an upper-case name, as the
    repo's top-level documents are named) cited in a Python file under
    :data:`CITING_ROOTS` must exist at the repo root or under ``docs/``.
-3. **Docstring coverage** — every module, public class, and public
+3. **Cited files** — every backticked path under one of
+   :data:`CITED_PATH_ROOTS` in README.md, ROADMAP.md or ``docs/**/*.md``
+   must exist, and a glob must match at least one file (a pytest
+   ``::node`` suffix and a command's arguments are ignored; fenced code
+   blocks are not checked).  CHANGES.md is history and stays
+   unchecked.
+4. **Docstring coverage** — every module, public class, and public
    function/method in the :data:`DOCSTRING_PACKAGES` public APIs
    (currently ``repro.sweeps``, ``repro.kernels``, ``repro.obs``,
    ``repro.core``, ``repro.serve``, ``repro.net``, ``repro.stats``,
@@ -38,6 +44,10 @@ MARKDOWN_ROOTS = (".", "docs")
 #: Directories whose Python files' ``NAME.md`` citations are checked.
 CITING_ROOTS = ("src", "tests", "benchmarks")
 
+#: Top-level directories whose backticked paths in the docs must exist.
+CITED_PATH_ROOTS = ("src", "tests", "benchmarks", "tools", "docs",
+                    "examples", "perfbench")
+
 #: Packages whose public API must be fully docstringed.
 DOCSTRING_PACKAGES = (
     "src/repro/sweeps",
@@ -54,6 +64,8 @@ DOCSTRING_PACKAGES = (
 _LINK = re.compile(r"(?<!\!)\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 _EXTERNAL = re.compile(r"^[a-z][a-z0-9+.-]*:", re.IGNORECASE)
 _CITATION = re.compile(r"\b[A-Z][A-Z0-9_]*\.md\b")
+_CODE_SPAN = re.compile(r"`([^`]+)`")
+_CITED_PATH = re.compile(rf"(?:{'|'.join(CITED_PATH_ROOTS)})/")
 
 
 def iter_markdown_files(root: Path):
@@ -104,6 +116,45 @@ def check_citations(root: Path) -> list[str]:
                             f"{py.relative_to(root)}:{lineno}: cites "
                             f"missing {name}"
                         )
+    return problems
+
+
+def _code_spans(text: str):
+    """Yield ``(lineno, content)`` for each inline code span of a markdown
+    text; fenced code blocks are blanked out first."""
+    lines, fenced = [], False
+    for line in text.splitlines():
+        if line.lstrip().startswith("```"):
+            fenced = not fenced
+            line = ""
+        lines.append("" if fenced else line)
+    text = "\n".join(lines)
+    for match in _CODE_SPAN.finditer(text):
+        yield text.count("\n", 0, match.start()) + 1, match.group(1)
+
+
+def check_cited_paths(root: Path) -> list[str]:
+    """Return one violation line per backticked repo path in README.md,
+    ROADMAP.md or ``docs/**/*.md`` that names no existing file."""
+    docs = [root / "README.md", root / "ROADMAP.md"]
+    docs += sorted((root / "docs").glob("**/*.md"))
+    problems = []
+    for md in docs:
+        if not md.is_file():
+            continue
+        for lineno, span in _code_spans(md.read_text(encoding="utf-8")):
+            words = span.split()
+            if not words or not _CITED_PATH.match(words[0]):
+                continue
+            path = words[0].split("::", 1)[0]
+            if any(c in path for c in "*?["):
+                found = next(root.glob(path), None) is not None
+            else:
+                found = (root / path).exists()
+            if not found:
+                problems.append(
+                    f"{md.relative_to(root)}:{lineno}: cites missing {path}"
+                )
     return problems
 
 
@@ -170,15 +221,15 @@ def main(argv=None) -> int:
     root = args.root.resolve()
 
     problems = (check_markdown_links(root) + check_citations(root)
-                + check_docstrings(root))
+                + check_cited_paths(root) + check_docstrings(root))
     for line in problems:
         print(line, file=sys.stderr)
     if problems:
         print(f"check_docs: {len(problems)} problem(s)", file=sys.stderr)
         return 1
     packages = ", ".join(p.rsplit("/", 1)[-1] for p in DOCSTRING_PACKAGES)
-    print(f"check_docs: markdown links ok, citations ok, docstrings ok "
-          f"({packages})")
+    print(f"check_docs: markdown links ok, citations ok, cited files ok, "
+          f"docstrings ok ({packages})")
     return 0
 
 
