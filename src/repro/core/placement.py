@@ -162,8 +162,10 @@ def place_balls(
     seed:
         Anything :func:`repro.utils.rng.resolve_rng` accepts.
     rng_block:
-        Pre-draw block size; affects nothing but memory (fixed across
-        engines so results do not depend on the engine choice).
+        Pre-draw block size.  It sets how the candidate and tie-break
+        draws interleave, so results depend on it: another size gives
+        other loads for the same seed.  Every engine draws the same
+        blocks, so all engines agree at a given size.
     record_heights:
         Also return per-ball heights (costs O(m) memory).
 

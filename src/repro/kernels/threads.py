@@ -7,8 +7,8 @@ thread-parallel ``ring_assign`` lookup) is steered by **one** knob
 with the same resolution order as the kernel backend:
 
 1. the ``REPRO_NUM_THREADS`` environment variable (strongest — one
-   shell export steers every layer, and it crosses process boundaries
-   into sweep workers);
+   shell export steers every layer, and it reaches every sweep shard
+   process started from that shell);
 2. the ``threads=`` kwarg threaded through
    :func:`repro.stats.trials.run_cell` /
    :func:`repro.core.multitrial.run_fused` /

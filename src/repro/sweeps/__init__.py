@@ -17,8 +17,9 @@ The orchestration layer between the trial engines
   canonical placement results, so a change to placement semantics
   orphans every result computed before it;
 * :func:`run_sweep` / :func:`submit_cell` (:mod:`repro.sweeps.runner`)
-  — cache-aware execution with round-robin shard selection
-  (``--shard-index/--shard-count``) and process-parallel workers;
+  — cache-aware execution, one :func:`submit_cell` call per cell,
+  with round-robin shard selection (``--shard-index/--shard-count``);
+  shards run as separate processes parallelize across cells;
 * :class:`SweepResult` (:mod:`repro.sweeps.result`) — mergeable
   artifacts with a canonical byte form: shards of one grid merge to
   the byte-identical unsharded result, and ``to_report`` renders

@@ -46,7 +46,7 @@ from repro.obs.manifest import write_manifest
 from repro.obs.report import format_progress, progress_eta
 from repro.sweeps.grid import SweepGrid, parse_axis_args, shard_cells
 from repro.sweeps.result import SweepResult
-from repro.sweeps.runner import resolve_cache, run_sweep
+from repro.sweeps.runner import cell_spec_dict, resolve_cache, run_sweep
 
 __all__ = ["build_parser", "main"]
 
@@ -70,13 +70,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--shard-index", type=int, default=0, help="this shard's index")
     run_p.add_argument("--shard-count", type=int, default=1, help="total shards")
     run_p.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes across cells (0 = all cores)",
-    )
-    run_p.add_argument(
         "--threads", type=int, default=None,
         help="kernel threads within one cell (default: REPRO_NUM_THREADS, "
-        "else physical cores; forced to 1 under --workers > 1)",
+        "else physical cores)",
     )
     run_p.add_argument("--cache", default=None, help="cache directory (overrides env)")
     run_p.add_argument("--no-cache", action="store_true", help="disable the cache")
@@ -168,7 +164,6 @@ def main(argv=None) -> int:
                 cache=store if store is not None else "off",
                 shard_index=args.shard_index,
                 shard_count=args.shard_count,
-                workers=None if args.workers == 0 else args.workers,
                 threads=args.threads,
                 progress=lambda line: print(line, file=sys.stderr),
             )
@@ -204,8 +199,9 @@ def main(argv=None) -> int:
         cells = shard_cells(grid.cells(), args.shard_index, args.shard_count)
         mtimes: list[float] = []
         for cell in cells:
+            spec_d = cell_spec_dict(cell.spec, cell.trials, cell.seed)
             try:
-                mtimes.append(store.path_for(cell.spec_dict()).stat().st_mtime)
+                mtimes.append(store.path_for(spec_d).stat().st_mtime)
             except OSError:
                 pass
         progress = progress_eta(len(mtimes), len(cells), mtimes)

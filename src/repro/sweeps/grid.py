@@ -49,21 +49,6 @@ class SweepCell:
     trials: int
     seed: int
 
-    def spec_dict(self) -> dict:
-        """The JSON-able cache spec: every parameter that defines the result."""
-        return {
-            "kind": "cell",
-            "space": self.spec.space,
-            "n": self.spec.n,
-            "d": self.spec.d,
-            "m": self.spec.m,
-            "strategy": self.spec.strategy,
-            "partitioned": self.spec.partitioned,
-            "dim": self.spec.dim,
-            "trials": self.trials,
-            "seed": self.seed,
-        }
-
     def axis(self, name: str) -> object:
         """Value of one grid axis for this cell (e.g. ``axis("n")``)."""
         if name not in AXES:

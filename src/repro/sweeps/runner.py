@@ -11,10 +11,10 @@ Two levels of API:
   computed before are served from the content-addressed cache.
 
 * :func:`run_sweep` — expand a :class:`~repro.sweeps.grid.SweepGrid`,
-  select a shard, execute the uncached cells (serially, or
-  process-parallel across cells with ``workers``), populate the
-  cache, and return a mergeable
-  :class:`~repro.sweeps.result.SweepResult`.
+  select a shard, submit its cells in grid order through
+  :func:`submit_cell`, and return a mergeable
+  :class:`~repro.sweeps.result.SweepResult`.  Shards run as separate
+  processes and merge to the unsharded artifact.
 
 Cache resolution (the ``cache=`` argument accepted everywhere):
 
@@ -34,23 +34,20 @@ bypasses the cache entirely.
 from __future__ import annotations
 
 import os
-import warnings
-from multiprocessing import get_context
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
-from repro.kernels import logical_cores, resolve_threads
 from repro.obs import obs_session, trace_span
 from repro.stats.distributions import MaxLoadDistribution
 from repro.stats.trials import CellSpec, run_cell, run_cell_profile
 from repro.sweeps.cache import DEFAULT_SALT, ResultCache, default_cache_dir, spec_key
 from repro.sweeps.grid import SweepCell, SweepGrid, shard_cells
 from repro.sweeps.result import SweepResult
-from repro.utils.validation import check_positive_int
 
 __all__ = [
+    "cell_spec_dict",
     "fetch_or_compute",
     "resolve_cache",
     "run_sweep",
@@ -98,7 +95,10 @@ def _dist_from_payload(payload: Mapping, spec=None) -> MaxLoadDistribution:
 
 
 def cell_spec_dict(spec: CellSpec, trials: int, seed: int, kind: str = "cell") -> dict:
-    """The canonical cache spec of one ``run_cell`` computation."""
+    """The cache spec of one ``run_cell`` computation: every parameter
+    that defines the result.  :func:`submit_cell`, :func:`submit_profile`
+    (``kind="cell_profile"``), :func:`run_sweep`'s artifact records and
+    ``sweep status`` all key cells by it."""
     return {
         "kind": kind,
         "space": spec.space,
@@ -206,45 +206,12 @@ def fetch_or_compute(
 def _cell_record(cell: SweepCell, dist: MaxLoadDistribution) -> dict:
     """A SweepResult cell record; keys use the default salt so the
     artifact identity is independent of the local cache configuration."""
-    spec_d = cell.spec_dict()
+    spec_d = cell_spec_dict(cell.spec, cell.trials, cell.seed)
     return {
         "key": spec_key(spec_d, DEFAULT_SALT),
         "spec": spec_d,
         "counts": dist.to_json_counts(),
     }
-
-
-def _sweep_worker(args) -> dict:
-    """Process-pool entry: compute one cell, return its counts."""
-    spec, trials, seed, threads = args
-    return run_cell(spec, trials, seed, threads=threads).to_json_counts()
-
-
-def _worker_threads(workers: int, threads: int | None) -> int:
-    """Inner kernel threads per sweep worker process.
-
-    Process workers already parallelize across cells, so each worker
-    defaults to ``threads=1`` — kernel threads on top would
-    oversubscribe the machine.  An explicit request (the ``threads``
-    kwarg or ``REPRO_NUM_THREADS``) is honoured, but when
-    ``workers × threads`` exceeds the logical core count a
-    :class:`RuntimeWarning` flags the oversubscription (results are
-    unaffected either way — only wall-clock time suffers).
-    """
-    if threads is None and not os.environ.get("REPRO_NUM_THREADS", "").strip():
-        return 1
-    eff = resolve_threads(threads)
-    total = workers * eff
-    cores = logical_cores()
-    if total > cores:
-        warnings.warn(
-            f"sweep oversubscription: {workers} worker processes x {eff} "
-            f"kernel threads = {total} > {cores} logical cores; prefer "
-            "workers (across cells) or threads (within a cell), not both",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    return eff
 
 
 def run_sweep(
@@ -253,12 +220,15 @@ def run_sweep(
     cache: CacheLike = "auto",
     shard_index: int = 0,
     shard_count: int = 1,
-    workers: int | None = 1,
     threads: int | None = None,
     progress: Callable[[str], None] | None = None,
     obs: bool | None = None,
 ) -> SweepResult:
     """Execute (one shard of) a grid and return a mergeable result.
+
+    Each cell of the shard, in grid order, goes through
+    :func:`submit_cell`: a hit is read from the cache, a miss is
+    computed by ``run_cell`` and stored.
 
     Parameters
     ----------
@@ -271,25 +241,20 @@ def run_sweep(
         round-robin partition of the expanded cell list.  Shards of
         the same grid merge (:meth:`SweepResult.merge
         <repro.sweeps.result.SweepResult.merge>`) to the byte-identical
-        unsharded artifact.
-    workers:
-        Process-parallel workers *across* uncached cells (``None`` =
-        one per CPU).
+        unsharded artifact, so shards run as separate processes are
+        the way to spread a grid over more cores than one cell uses.
     threads:
         Kernel threads *within* one cell
         (:func:`repro.kernels.resolve_threads` semantics), forwarded to
-        ``run_cell``.  With ``workers > 1`` each worker defaults to one
-        thread — the processes already cover the cores — and an
-        explicit ``workers × threads`` overshoot of the machine raises
-        a :class:`RuntimeWarning` (see :func:`_worker_threads`).  Never
-        part of the cache key; results are independent of it.
+        ``run_cell``.  Never part of the cache key; results are
+        independent of it.
     progress:
-        Optional callable receiving one line per executed cell.
+        Optional callable receiving one line per cell.
     obs:
         Observability scope (:func:`repro.obs.obs_session`): ``True``
         traces a ``run_sweep`` span with one ``sweep_cell`` span per
-        computed cell, ``False`` force-disables, ``None`` follows the
-        global ``REPRO_OBS`` switch.  Never changes results.
+        cell, ``False`` force-disables, ``None`` follows the global
+        ``REPRO_OBS`` switch.  Never changes results.
 
     Returns
     -------
@@ -307,56 +272,25 @@ def run_sweep(
         cells=len(cells),
         shard=f"{shard_index + 1}/{shard_count}",
     ):
-        records: dict[int, dict] = {}
-        pending: list[tuple[int, SweepCell]] = []
+        records = []
         hits = 0
-        for pos, cell in enumerate(cells):
-            entry = store.get(cell.spec_dict()) if store is not None else None
-            if entry is not None:
-                records[pos] = _cell_record(cell, _dist_from_payload(entry["payload"]))
-                hits += 1
-                say(f"[cache hit] {cell.label()} trials={cell.trials}")
-            else:
-                pending.append((pos, cell))
-
-        if pending and workers == 1:
-            for pos, cell in pending:
-                with trace_span(
-                    "sweep_cell", cell=cell.label(), trials=cell.trials
-                ):
-                    dist = run_cell(
-                        cell.spec, cell.trials, cell.seed, threads=threads
-                    )
-                    if store is not None:
-                        store.put(cell.spec_dict(), _counts_payload(dist))
-                records[pos] = _cell_record(cell, dist)
-                say(f"[computed]  {cell.label()} trials={cell.trials}")
-        elif pending:
-            pool_size = workers if workers is not None else (os.cpu_count() or 1)
-            check_positive_int(pool_size, "workers")
-            inner_threads = _worker_threads(pool_size, threads)
-            ctx = get_context("fork") if os.name == "posix" else get_context()
-            payload = [
-                (c.spec, c.trials, c.seed, inner_threads) for _, c in pending
-            ]
-            with ctx.Pool(min(pool_size, len(pending))) as pool:
-                counts_list = pool.map(_sweep_worker, payload)
-            for (pos, cell), counts in zip(pending, counts_list):
-                dist = _dist_from_payload({"counts": counts})
-                if store is not None:
-                    store.put(cell.spec_dict(), {"counts": counts})
-                records[pos] = _cell_record(cell, dist)
-                say(f"[computed]  {cell.label()} trials={cell.trials}")
+        for cell in cells:
+            before = store.hits if store is not None else 0
+            with trace_span("sweep_cell", cell=cell.label(), trials=cell.trials):
+                dist = submit_cell(
+                    cell.spec, cell.trials, cell.seed, cache=store, threads=threads
+                )
+            hit = store is not None and store.hits > before
+            hits += hit
+            records.append(_cell_record(cell, dist))
+            status = "[cache hit]" if hit else "[computed] "
+            say(f"{status} {cell.label()} trials={cell.trials}")
 
         meta = {
             "hits": hits,
-            "misses": len(pending),
+            "misses": len(cells) - hits,
             "shard_index": shard_index,
             "shard_count": shard_count,
             "cached": store is not None,
         }
-        return SweepResult(
-            grid=grid.describe(),
-            cells=[records[pos] for pos in range(len(cells))],
-            meta=meta,
-        )
+        return SweepResult(grid=grid.describe(), cells=records, meta=meta)

@@ -21,23 +21,12 @@ def _all_insert_prefix(candidates):
 
 
 class TestConflictFreePrefix:
-    def test_empty(self):
-        assert _all_insert_prefix(np.empty((0, 2), dtype=np.int64)) == 0
-
-    def test_all_disjoint(self):
-        c = np.array([[0, 1], [2, 3], [4, 5]])
-        assert _all_insert_prefix(c) == 3
-
-    def test_conflict_at_second_row(self):
-        c = np.array([[0, 1], [1, 2], [3, 4]])
-        assert _all_insert_prefix(c) == 1
+    """All-insert windows.  The empty window, disjoint rows, a conflict
+    at the second row and a repeat within a row are tested with mixed
+    windows in ``tests/dynamics/test_dynamic_engine.py``."""
 
     def test_conflict_later(self):
         c = np.array([[0, 1], [2, 3], [0, 4]])
-        assert _all_insert_prefix(c) == 2
-
-    def test_within_row_duplicate_is_not_conflict(self):
-        c = np.array([[5, 5], [1, 2]])
         assert _all_insert_prefix(c) == 2
 
     def test_first_row_never_conflicts(self):
@@ -132,17 +121,15 @@ class TestEngineAccounting:
         assert loads.sum() == m
         assert loads.shape == (n,)
 
-    @pytest.mark.parametrize("runner", [run_sequential])
-    def test_zero_balls(self, small_ring, runner):
-        loads, heights = runner(
+    def test_zero_balls(self, small_ring):
+        loads, heights = run_sequential(
             small_ring, 0, 2, TieBreak.RANDOM, resolve_rng(1), record_heights=True
         )
         assert loads.sum() == 0
         assert heights.size == 0
 
-    @pytest.mark.parametrize("runner", [run_sequential])
-    def test_heights_consistent_with_loads(self, small_ring, runner):
-        loads, heights = runner(
+    def test_heights_consistent_with_loads(self, small_ring):
+        loads, heights = run_sequential(
             small_ring, 200, 2, TieBreak.RANDOM, resolve_rng(5), record_heights=True
         )
         assert heights.shape == (200,)

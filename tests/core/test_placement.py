@@ -5,7 +5,7 @@ import pytest
 from helpers import build_space
 
 from repro.core import RingSpace, TieBreak, place_balls
-from repro.core.engine import run_sequential
+from repro.core.engine import DEFAULT_RNG_BLOCK, run_sequential
 from repro.core.placement import PlacementResult
 from repro.utils.rng import resolve_rng
 
@@ -39,6 +39,19 @@ class TestPlaceBalls:
         )
         assert np.array_equal(a.loads, loads)
         assert np.array_equal(a.heights, heights)
+
+    def test_rng_block_sets_the_draws_and_engines_agree(self):
+        """The block size is part of the result: another size moves the
+        loads of the same seed, and the fused and reference engines
+        agree at each size."""
+        ring = RingSpace.random(4096, seed=1)
+        default = place_balls(ring, 4096, 2, seed=2).loads
+        blocked = place_balls(ring, 4096, 2, seed=2, rng_block=1024).loads
+        assert not np.array_equal(default, blocked)
+        for block, loads in ((DEFAULT_RNG_BLOCK, default), (1024, blocked)):
+            ref, _ = run_sequential(ring, 4096, 2, TieBreak.RANDOM,
+                                    resolve_rng(2), rng_block=block)
+            assert np.array_equal(loads, ref)
 
     def test_strategy_string_coerced(self, small_ring):
         res = place_balls(small_ring, 10, 2, strategy="smaller", seed=0)

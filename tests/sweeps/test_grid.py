@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sweeps.grid import SweepGrid, parse_axis_args, shard_cells
+from repro.sweeps.runner import cell_spec_dict
 
 
 class TestSweepGrid:
@@ -37,7 +38,7 @@ class TestSweepGrid:
 
     def test_spec_dict_carries_every_axis(self):
         cell = SweepGrid(n=64, d=3, m=128, strategy="smaller", trials=9).cells()[0]
-        d = cell.spec_dict()
+        d = cell_spec_dict(cell.spec, cell.trials, cell.seed)
         assert d == {
             "kind": "cell", "space": "ring", "n": 64, "d": 3, "m": 128,
             "strategy": "smaller", "partitioned": False, "dim": 2,

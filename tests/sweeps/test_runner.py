@@ -11,9 +11,12 @@ from repro.sweeps import (
     fetch_or_compute,
     resolve_cache,
     run_sweep,
+    spec_key,
     submit_cell,
     submit_profile,
 )
+from repro.sweeps import runner
+from repro.sweeps.runner import cell_spec_dict
 
 SPEC = CellSpec("ring", 128, 2)
 
@@ -88,6 +91,17 @@ class TestSubmitCell:
         assert store.hits == 1 and a.counts == b.counts
 
 
+class TestCellSpecDict:
+    def test_pinned_key(self):
+        """The key of one grid cell's cache spec under a fixed salt.
+        Existing caches hold their cells under such keys; moving them
+        would orphan every cached cell."""
+        cell = SweepGrid(space="torus", n=64, d=3, m=100, strategy="smaller",
+                         trials=7, name="pin").cells()[0]
+        spec_d = cell_spec_dict(cell.spec, cell.trials, cell.seed)
+        assert spec_key(spec_d, salt="pin") == "37eff59dcb64727e43de2c1f2ea6166a"
+
+
 class TestSubmitProfile:
     def test_roundtrip_exact(self, tmp_path):
         store = ResultCache(tmp_path)
@@ -132,11 +146,43 @@ class TestRunSweep:
         cold = run_sweep(self.BENCH_GRID, cache=ResultCache(tmp_path))
         assert cold.meta["misses"] == len(self.BENCH_GRID)
 
-    def test_cached_uncached_and_workers_agree(self, tmp_path):
+    def test_cached_and_uncached_agree(self, tmp_path):
         base = run_sweep(self.GRID, cache="off")
         cached = run_sweep(self.GRID, cache=ResultCache(tmp_path))
-        workers = run_sweep(self.GRID, cache="off", workers=2)
-        assert base.to_json() == cached.to_json() == workers.to_json()
+        assert base.to_json() == cached.to_json()
+
+    def test_partly_warm_store(self, tmp_path):
+        """Cells already stored are hits, the rest are computed and
+        stored, and every cell equals ``submit_cell``'s."""
+        store = ResultCache(tmp_path)
+        cells = self.GRID.cells()
+        for cell in cells[::2]:
+            submit_cell(cell.spec, cell.trials, cell.seed, cache=store)
+        lines = []
+        result = run_sweep(self.GRID, cache=store, progress=lines.append)
+        warm = len(cells[::2])
+        assert result.meta["hits"] == warm
+        assert result.meta["misses"] == len(cells) - warm
+        assert [line.startswith("[cache hit]") for line in lines] == [
+            pos % 2 == 0 for pos in range(len(cells))
+        ]
+        assert store.stores == len(cells)
+        counts = {rec["key"]: rec["counts"] for rec in result.cells}
+        for cell in cells:
+            key = store.key(cell_spec_dict(cell.spec, cell.trials, cell.seed))
+            direct = submit_cell(cell.spec, cell.trials, cell.seed, cache="off")
+            assert counts[key] == direct.to_json_counts()
+
+    def test_every_cell_goes_through_submit_cell(self, tmp_path, monkeypatch):
+        calls = []
+
+        def spy(spec, trials, seed, **kwargs):
+            calls.append((spec, trials, seed, kwargs["threads"]))
+            return submit_cell(spec, trials, seed, **kwargs)
+
+        monkeypatch.setattr(runner, "submit_cell", spy)
+        run_sweep(self.GRID, cache=ResultCache(tmp_path), threads=2)
+        assert calls == [(c.spec, c.trials, c.seed, 2) for c in self.GRID.cells()]
 
     @pytest.mark.parametrize("grid", [GRID, BENCH_GRID], ids=["t", "bench"])
     def test_warm_rerun_hits_every_cell(self, tmp_path, grid):
@@ -207,40 +253,13 @@ class TestRunSweep:
 
 class TestSweepThreads:
     """``threads`` never enters the cache key, the artifact, or the
-    results — and worker processes default to one kernel thread each."""
+    results."""
 
     GRID = SweepGrid(n=(64, 128), d=(1, 2), trials=4, name="t")
 
     @pytest.fixture(autouse=True)
     def _unpinned_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_NUM_THREADS", raising=False)
-
-    def test_workers_default_to_one_inner_thread(self):
-        import warnings as _warnings
-
-        from repro.sweeps.runner import _worker_threads
-
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("error")  # any warning fails the test
-            assert _worker_threads(8, None) == 1
-
-    def test_explicit_threads_warn_on_oversubscription(self):
-        from repro.kernels import logical_cores
-        from repro.sweeps.runner import _worker_threads
-
-        workers = logical_cores()  # workers x 2 always exceeds cores
-        with pytest.warns(RuntimeWarning, match="oversubscription"):
-            assert _worker_threads(workers, 2) == 2
-
-    def test_env_pinned_threads_reach_workers(self, monkeypatch):
-        import warnings as _warnings
-
-        from repro.sweeps.runner import _worker_threads
-
-        monkeypatch.setenv("REPRO_NUM_THREADS", "3")
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("ignore", RuntimeWarning)
-            assert _worker_threads(2, None) == 3
 
     def test_cache_hit_shared_across_thread_counts(self, tmp_path):
         """``threads`` is not in the key: a cell stored at threads=1
@@ -254,16 +273,8 @@ class TestSweepThreads:
     def test_threaded_sweep_artifact_byte_identical(self, tmp_path):
         """Acceptance: the CI leg ``cmp``s threaded vs serial sweep
         artifacts, so the saved bytes must match exactly."""
-        import warnings as _warnings
-
-        serial = run_sweep(self.GRID, cache="off")
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("ignore", RuntimeWarning)
-            threaded = run_sweep(self.GRID, cache="off", threads=2)
-            workers = run_sweep(
-                self.GRID, cache="off", workers=2, threads=2
-            )
+        serial = run_sweep(self.GRID, cache="off", threads=1)
+        threaded = run_sweep(self.GRID, cache="off", threads=2)
         a = serial.save(tmp_path / "serial.json")
         b = threaded.save(tmp_path / "threaded.json")
         assert a.read_bytes() == b.read_bytes()
-        assert workers.to_json() == serial.to_json()

@@ -50,6 +50,13 @@ class TestSweepRun:
         assert code == 2
         assert "sweep failed" in capsys.readouterr().err
 
+    def test_workers_option_is_rejected(self, capsys):
+        """Processes across cells are shards run side by side."""
+        with pytest.raises(SystemExit) as exc:
+            sweep_main(["run", *GRID_ARGS, "--no-cache", "--workers", "2"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
     def test_delegated_from_experiments_main(self, tmp_path, capsys):
         code = experiments_main(
             ["sweep", "run", *GRID_ARGS, "--cache", str(tmp_path / "c")]

@@ -2,18 +2,46 @@
 
 CI runs the same script in its docs job; keeping it in tier 1 means a
 broken README link or an undocumented ``repro.sweeps`` public function
-fails locally before it fails there.
+fails locally before it fails there.  The ``sweep`` commands the docs
+show are checked here too, against the CLI's own parser.
 """
 
+import argparse
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
+from repro.sweeps.cli import build_parser
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "tools"))
 
 import check_docs  # noqa: E402
+
+_SWEEP_COMMAND = re.compile(r"\bsweep (run|status|merge|show)\b([^`\n]*)")
+_OPTION = re.compile(r"(?<!\S)--[a-z][a-z0-9-]*")
+
+
+def unknown_sweep_options(root: Path) -> list[str]:
+    """One line per option that a ``sweep <verb>`` command shown in
+    README.md or ``docs/**/*.md`` passes and that verb's parser lacks.
+    A command runs to the end of its line (backslash-continued lines
+    joined) or of its inline code span."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    known = {verb: set(p._option_string_actions) for verb, p in sub.choices.items()}
+    problems = []
+    for md in [root / "README.md", *sorted((root / "docs").glob("**/*.md"))]:
+        if not md.is_file():
+            continue
+        text = md.read_text(encoding="utf-8").replace("\\\n", " ")
+        for verb, rest in _SWEEP_COMMAND.findall(text):
+            problems += [f"{md.relative_to(root)}: sweep {verb} {option}"
+                         for option in _OPTION.findall(rest)
+                         if option not in known[verb]]
+    return problems
 
 
 class TestRepoIsClean:
@@ -28,6 +56,9 @@ class TestRepoIsClean:
 
     def test_sweeps_public_api_fully_docstringed(self):
         assert check_docs.check_docstrings(REPO_ROOT) == []
+
+    def test_sweep_commands_use_parser_options(self):
+        assert unknown_sweep_options(REPO_ROOT) == []
 
     def test_main_exits_zero(self, capsys):
         assert check_docs.main(["--root", str(REPO_ROOT)]) == 0
@@ -93,6 +124,21 @@ class TestCheckerBites:
             "README.md:2: cites missing tests/test_gone.py",
             "ROADMAP.md:4: cites missing tools/*.py",
             "docs/guide/g.md:1: cites missing src/x.py",
+        ]
+
+    def test_detects_unknown_sweep_option(self, tmp_path):
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "README.md").write_text(
+            "```sh\npython -m repro.experiments sweep run n=64 \\\n"
+            "    --trials 5 --workers 2 --out a.json\n```\n"
+            "`sweep merge a.json --shard-count 2`, not `sweep run` --bogus\n"
+        )
+        (tmp_path / "docs" / "g.md").write_text(
+            "see `sweep show a.json --row n`; sweep status n=64 --cache c\n"
+        )
+        assert unknown_sweep_options(tmp_path) == [
+            "README.md: sweep run --workers",
+            "README.md: sweep merge --shard-count",
         ]
 
     def test_detects_missing_docstrings(self, tmp_path, monkeypatch):
