@@ -33,11 +33,12 @@ the same candidate stream through this class therefore reproduces
 
 Randomness is deliberately *external*: inserts take their candidate
 row and tie-break uniform as arguments, which every caller reads from
-one :class:`repro.core.engine.CandidateStream` (bounded at the
-trace's insert count for the dynamic engines and trace replay,
-unbounded for a server).  Only churn re-placement draws internally,
-from ``aux_rng``, one :func:`~repro.core.engine.choice_blocks` row per
-displaced ball, mirroring the dynamic engines.
+one :class:`repro.core.engine.CandidateStream`.  Only churn
+re-placement draws internally, from ``aux_rng``, one
+:func:`~repro.core.engine.choice_blocks` row per displaced ball.
+:func:`seeded_state` builds the pair from one seed in the spawn order
+replay parity rests on; the dynamic engines, trace replay and the
+placement server all start there.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import json
 
 import numpy as np
 
-from repro.core.engine import choice_blocks
+from repro.core.engine import DEFAULT_RNG_BLOCK, CandidateStream, choice_blocks
 from repro.core.spaces import GeometricSpace
 from repro.core.strategies import (
     TieBreak,
@@ -61,9 +62,10 @@ from repro.kernels import (
 )
 from repro.obs import counter_add, histogram_observe
 from repro.obs import enabled as obs_enabled
+from repro.utils.rng import resolve_rng
 from repro.utils.validation import check_positive_int
 
-__all__ = ["IncrementalState", "mixed_conflict_prefix"]
+__all__ = ["IncrementalState", "mixed_conflict_prefix", "seeded_state"]
 
 #: Op codes inside :meth:`IncrementalState.apply_window` windows (and
 #: ``repro.serve``'s ``OP_*``) — insert/delete numerically identical to
@@ -111,6 +113,36 @@ def mixed_conflict_prefix(touched: np.ndarray, is_insert: np.ndarray) -> int:
     return int(own_row[conflicts].min())
 
 
+def seeded_state(
+    space: GeometricSpace,
+    d: int,
+    strategy: TieBreak | str,
+    seed=None,
+    *,
+    partitioned: bool = False,
+    rng_block: int = DEFAULT_RNG_BLOCK,
+    total: int | None = None,
+) -> tuple[IncrementalState, CandidateStream]:
+    """A fresh :class:`IncrementalState` and its candidate stream, from one seed.
+
+    The churn generator is spawned off ``seed`` first; spawning draws
+    nothing, so the stream then holds exactly the rows
+    :func:`~repro.core.engine.choice_blocks` draws from ``seed`` alone.
+    This one order keeps the dynamic engines, trace replay and the
+    placement server bit-identical to each other and, on insert-only
+    traces, to :func:`~repro.core.engine.run_sequential`.  ``total``
+    bounds the stream (and sizes the ball index) at a trace's insert
+    count; ``None`` leaves it unbounded, as a server's is.
+    """
+    rng = resolve_rng(seed)
+    aux_rng = rng.spawn(1)[0]
+    state = IncrementalState(space, d, strategy, partitioned=partitioned,
+                             aux_rng=aux_rng, expect_balls=total or 0)
+    stream = CandidateStream(space, rng, d, partitioned=partitioned,
+                             rng_block=rng_block, total=total)
+    return state, stream
+
+
 class IncrementalState:
     """Live placement state with O(d) per-event updates and NPZ snapshots.
 
@@ -126,10 +158,9 @@ class IncrementalState:
         Whether candidate draws use the partitioned variant (recorded
         for snapshots; draws themselves are the caller's).
     aux_rng:
-        Generator consumed by churn re-placement only.  The dynamic
-        engines spawn it off the main seed *before* building the
-        insert stream; a server may leave it ``None`` until churn is
-        used.
+        Generator consumed by churn re-placement only
+        (:func:`seeded_state` spawns it off the seed); without one,
+        a bin holding balls cannot leave.
     expect_balls:
         Initial ball-index capacity (grows on demand).
     """

@@ -266,8 +266,6 @@ class ResilientChord:
 
         Returns one :class:`ChurnReport` per trace epoch.
         """
-        from repro.dynamics.events import EventKind
-
         rng = resolve_rng(seed)
         if trace.has_churn and trace.n_slots != self.ring.n:
             raise ValueError(
@@ -276,20 +274,12 @@ class ResilientChord:
             )
         if not self._alive.all():
             raise ValueError("replay_trace requires an all-alive starting state")
-        kinds = trace.kinds
-        args = trace.args
-        # only churn events touch routing: walk churn positions merged
-        # with epoch boundaries instead of scanning every event
-        churn_positions = np.nonzero(kinds >= EventKind.BIN_LEAVE)[0]
         reports: list[ChurnReport] = []
-        cp = 0
-        for epoch_end in trace.epoch_ends.tolist():
-            while cp < churn_positions.size and churn_positions[cp] < epoch_end:
-                i = int(churn_positions[cp])
-                if kinds[i] == EventKind.BIN_LEAVE:
-                    self.fail(int(args[i]))
-                else:
-                    self.recover(int(args[i]))
-                cp += 1
-            reports.append(self._measure_lookups(lookups_per_epoch, rng))
+        for step, _, slot in trace.windows():
+            if step == "leave":
+                self.fail(slot)
+            elif step == "join":
+                self.recover(slot)
+            elif step == "epoch":
+                reports.append(self._measure_lookups(lookups_per_epoch, rng))
         return reports

@@ -24,19 +24,26 @@ to the dynamic process replayed from an
     is stepped scalar before the remainder is batched again.
 
 Bin churn events (rare by nature) and epoch snapshots act as batch
-barriers and run through code shared verbatim between the engines, so
-the two engines produce **bit-identical load trajectories** — the same
-per-epoch snapshots, not just the same endpoint.  The test suite
-enforces this across spaces, strategies, delete policies and churn.
+barriers — the batched engine takes its windows from
+:meth:`~repro.dynamics.events.EventTrace.windows` — and run through
+code shared verbatim between the engines
+(:class:`~repro.core.incremental.IncrementalState` and
+:class:`~repro.dynamics.result.EpochRecorder`), so the two engines
+produce **bit-identical load trajectories** — the same per-epoch
+snapshots, not just the same endpoint.  The test suite enforces this
+across spaces, strategies, delete policies and churn.
 
-RNG discipline mirrors the static engine: all insert randomness is
-drawn up front into a :class:`repro.core.engine.CandidateStream`
-bounded at the trace's insert count, which holds exactly the rows of
+RNG discipline mirrors the static engine: both engines start from
+:func:`repro.core.incremental.seeded_state`, which spawns the churn
+generator off the seed and then builds a
+:class:`repro.core.engine.CandidateStream` bounded at the trace's
+insert count.  All insert randomness is drawn up front into that
+stream, which holds exactly the rows of
 :func:`repro.core.engine.choice_blocks` (so an insert-only trace
 reproduces ``run_sequential`` bit-for-bit on the same seed), while
-churn re-placement draws from a generator spawned off the main seed,
-consumed identically by both engines because churn handling is shared
-scalar code.
+churn re-placement draws from the spawned generator, consumed
+identically by both engines because churn handling is shared scalar
+code.
 
 When bins leave, ownership is remapped by **cyclic successor**: a
 candidate drawn in a departed bin's region belongs to the next active
@@ -49,15 +56,12 @@ same way, so tie-breaking stays meaningful under churn.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.core.engine import DEFAULT_RNG_BLOCK, CandidateStream, auto_batch_size
-from repro.core.incremental import IncrementalState, mixed_conflict_prefix
-from repro.core.loads import nu_profile
+from repro.core.engine import DEFAULT_RNG_BLOCK, auto_batch_size
+from repro.core.incremental import mixed_conflict_prefix, seeded_state
 from repro.core.spaces import GeometricSpace
 from repro.core.strategies import TieBreak
 from repro.dynamics.events import EventKind, EventTrace
-from repro.dynamics.result import DynamicResult
+from repro.dynamics.result import DynamicResult, EpochRecorder
 from repro.kernels import KernelBackend, resolve_backend
 from repro.obs import counter_add, obs_session, trace_span
 from repro.utils.rng import resolve_rng
@@ -71,138 +75,44 @@ __all__ = [
 ]
 
 
-class _DynamicState:
-    """Trace-replay wrapper over the shared :class:`IncrementalState` core.
-
-    The behaviour-bearing state — scalar event application, churn
-    handling, topology remaps — lives in
-    :class:`repro.core.incremental.IncrementalState`, which both
-    engines (and the ``repro.serve`` tier) mutate through the same
-    methods, so the engines can only differ in *when* they decide
-    events, never in *how*.  This wrapper owns what is trace-specific:
-    the candidate stream, epoch snapshots, and result assembly.
-    """
-
-    def __init__(
-        self,
-        space: GeometricSpace,
-        trace: EventTrace,
-        d: int,
-        strategy: TieBreak,
+def _seeded_replay(space, trace, d, strategy, rng, *, partitioned, rng_block):
+    """Validate ``trace`` against ``space``; return the seeded state and
+    its stream, bounded at the trace's inserts and drawn in full."""
+    if not isinstance(trace, EventTrace):
+        raise TypeError(f"trace must be an EventTrace, got {type(trace).__name__}")
+    if trace.n_slots is not None and trace.n_slots != space.n:
+        raise ValueError(
+            f"trace expects {trace.n_slots} bin slots but space has {space.n}"
+        )
+    state, stream = seeded_state(
+        space,
+        d,
+        strategy,
         rng,
-        *,
-        partitioned: bool,
-        rng_block: int,
-        record_loads: bool,
-    ) -> None:
-        if not isinstance(trace, EventTrace):
-            raise TypeError(f"trace must be an EventTrace, got {type(trace).__name__}")
-        if trace.n_slots is not None and trace.n_slots != space.n:
-            raise ValueError(
-                f"trace expects {trace.n_slots} bin slots but space has {space.n}"
-            )
-        self.space = space
-        self.n = space.n
-        self.d = check_positive_int(d, "d")
-        self.strategy = TieBreak.coerce(strategy)
-        self.partitioned = partitioned
-        self.trace = trace
-        rng = resolve_rng(rng)
-        # spawned (not consumed) before the insert stream is drawn, so
-        # the stream matches the static engines' exactly
-        aux_rng = rng.spawn(1)[0]
-        stream = CandidateStream(
-            space,
-            rng,
-            self.d,
-            partitioned=partitioned,
-            rng_block=rng_block,
-            total=trace.num_inserts,
-        )
-        stream.ensure(trace.num_inserts)
-        self.cands, self.us = stream.cands, stream.us
-        self.core = IncrementalState(
-            space,
-            self.d,
-            self.strategy,
-            partitioned=partitioned,
-            aux_rng=aux_rng,
-            expect_balls=trace.num_inserts,
-        )
-        self.record_loads = record_loads
-        self._max: list[int] = []
-        self._tot: list[int] = []
-        self._live: list[int] = []
-        self._nu: list[np.ndarray] = []
-        self._snaps: list[np.ndarray] = []
+        partitioned=partitioned,
+        rng_block=rng_block,
+        total=trace.num_inserts,
+    )
+    stream.ensure(trace.num_inserts)
+    return state, stream
 
-    @property
-    def loads(self) -> np.ndarray:
-        """The core's live per-bin load vector."""
-        return self.core.loads
 
-    @property
-    def active(self) -> np.ndarray:
-        """The core's live-bin mask."""
-        return self.core.active
-
-    @property
-    def inserts_done(self) -> int:
-        """Inserts applied so far (core counter)."""
-        return self.core.inserts_done
-
-    @property
-    def deletes_done(self) -> int:
-        """Deletes applied so far (core counter)."""
-        return self.core.deletes_done
-
-    # ------------------------------------------------------------------
-    # scalar event application (the sequential engine; conflict steps)
-    # ------------------------------------------------------------------
-    def apply_insert(self, ball: int) -> None:
-        self.core.insert(ball, self.cands[ball], float(self.us[ball]))
-
-    def apply_delete(self, ball: int) -> None:
-        self.core.delete(ball)
-
-    # ------------------------------------------------------------------
-    # churn (shared scalar code in the core: both engines run it)
-    # ------------------------------------------------------------------
-    def bin_leave(self, slot: int) -> None:
-        self.core.bin_leave(slot)
-
-    def bin_join(self, slot: int) -> None:
-        self.core.bin_join(slot)
-
-    # ------------------------------------------------------------------
-    # snapshots and result assembly
-    # ------------------------------------------------------------------
-    def snapshot(self) -> None:
-        live_loads = self.core.live_loads()
-        self._max.append(int(live_loads.max()))
-        self._tot.append(self.core.occupancy)
-        self._live.append(int(self.active.sum()))
-        self._nu.append(nu_profile(live_loads))
-        if self.record_loads:
-            self._snaps.append(self.loads.copy())
-
-    def result(self, engine: str) -> DynamicResult:
-        return DynamicResult(
-            loads=self.loads,
-            active=self.active,
-            d=self.d,
-            strategy=self.strategy,
-            engine=engine,
-            inserts=self.inserts_done,
-            deletes=self.deletes_done,
-            epoch_ends=self.trace.epoch_ends,
-            max_load_over_time=np.array(self._max, dtype=np.int64),
-            total_load_over_time=np.array(self._tot, dtype=np.int64),
-            live_bins_over_time=np.array(self._live, dtype=np.int64),
-            nu_profiles=tuple(self._nu),
-            partitioned=self.partitioned,
-            load_snapshots=tuple(self._snaps) if self.record_loads else None,
-        )
+def _result(state, trace: EventTrace, recorder: EpochRecorder, engine: str):
+    """The :class:`DynamicResult` of a finished replay."""
+    snapshots = recorder.snapshots
+    return DynamicResult(
+        loads=state.loads,
+        active=state.active,
+        d=state.d,
+        strategy=state.strategy,
+        engine=engine,
+        inserts=state.inserts_done,
+        deletes=state.deletes_done,
+        epoch_ends=trace.epoch_ends,
+        partitioned=state.partitioned,
+        load_snapshots=None if snapshots is None else tuple(snapshots),
+        **recorder.series(),
+    )
 
 
 def run_sequential_dynamic(
@@ -217,16 +127,11 @@ def run_sequential_dynamic(
     record_loads: bool = False,
 ) -> DynamicResult:
     """Reference engine: replay the trace one event at a time."""
-    state = _DynamicState(
-        space,
-        trace,
-        d,
-        strategy,
-        rng,
-        partitioned=partitioned,
-        rng_block=rng_block,
-        record_loads=record_loads,
+    state, stream = _seeded_replay(
+        space, trace, d, strategy, rng, partitioned=partitioned, rng_block=rng_block
     )
+    recorder = EpochRecorder(record_loads)
+    cands, us = stream.cands, stream.us
     kinds = trace.kinds
     args = trace.args
     epoch_ends = trace.epoch_ends
@@ -235,17 +140,17 @@ def run_sequential_dynamic(
         kind = kinds[i]
         arg = int(args[i])
         if kind == EventKind.INSERT:
-            state.apply_insert(arg)
+            state.insert(arg, cands[arg], float(us[arg]))
         elif kind == EventKind.DELETE:
-            state.apply_delete(arg)
+            state.delete(arg)
         elif kind == EventKind.BIN_LEAVE:
             state.bin_leave(arg)
         else:
             state.bin_join(arg)
         if next_epoch_idx < epoch_ends.size and i + 1 == int(epoch_ends[next_epoch_idx]):
-            state.snapshot()
+            recorder.sample(state)
             next_epoch_idx += 1
-    return state.result("sequential")
+    return _result(state, trace, recorder, "sequential")
 
 
 def run_batched_dynamic(
@@ -266,8 +171,9 @@ def run_batched_dynamic(
     Bit-identical to :func:`run_sequential_dynamic` (enforced by tests):
     randomness is pre-drawn in the shared layout, decisions run through
     the same tie-break kernels, churn events and snapshots are shared
-    scalar code acting as batch barriers, and only events provably
-    independent of intra-batch ordering are decided together.
+    scalar code acting as batch barriers (the steps of
+    :meth:`EventTrace.windows`), and only events provably independent
+    of intra-batch ordering are decided together.
 
     ``backend`` selects the kernel backend for the churn-free event
     windows (:func:`repro.kernels.resolve_backend` semantics);
@@ -278,47 +184,22 @@ def run_batched_dynamic(
         batch_size = auto_batch_size(space.n, d)
     batch_size = check_positive_int(batch_size, "batch_size")
     backend_obj = resolve_backend(backend)
-    state = _DynamicState(
-        space,
-        trace,
-        d,
-        strategy,
-        rng,
-        partitioned=partitioned,
-        rng_block=rng_block,
-        record_loads=record_loads,
+    state, stream = _seeded_replay(
+        space, trace, d, strategy, rng, partitioned=partitioned, rng_block=rng_block
     )
-    kinds = trace.kinds
-    args = trace.args
-    churn_positions = np.nonzero(kinds >= EventKind.BIN_LEAVE)[0]
-    churn_ptr = 0
-    i = 0
-    for epoch_end in trace.epoch_ends.tolist():
-        while i < epoch_end:
-            if churn_ptr < churn_positions.size and churn_positions[churn_ptr] == i:
-                if kinds[i] == EventKind.BIN_LEAVE:
-                    state.bin_leave(int(args[i]))
-                else:
-                    state.bin_join(int(args[i]))
-                churn_ptr += 1
-                i += 1
-                continue
-            stop = epoch_end
-            if churn_ptr < churn_positions.size:
-                stop = min(stop, int(churn_positions[churn_ptr]))
-            state.core.apply_window(
-                kinds,
-                args,
-                i,
-                stop,
-                state.cands,
-                state.us,
-                batch_size=batch_size,
-                backend=backend_obj,
-            )
-            i = stop
-        state.snapshot()
-    return state.result("batched")
+    recorder = EpochRecorder(record_loads)
+    for step, a, b in trace.windows():
+        if step == "events":
+            state.apply_window(trace.kinds, trace.args, a, b, stream.cands,
+                               stream.us, batch_size=batch_size,
+                               backend=backend_obj)
+        elif step == "leave":
+            state.bin_leave(b)
+        elif step == "join":
+            state.bin_join(b)
+        else:
+            recorder.sample(state)
+    return _result(state, trace, recorder, "batched")
 
 
 def simulate_dynamics(

@@ -281,6 +281,56 @@ class EventTrace:
         """Balls still live after the whole trace (inserts - deletes)."""
         return self.num_inserts - self.num_deletes
 
+    def windows(self, start: int = 0, stop: int | None = None):
+        """Walk events ``[start, stop)`` in the steps a replay applies them.
+
+        Yields ``(step, a, b)`` triples in event order:
+
+        * ``("events", a, b)`` — events ``[a, b)``, a churn-free run of
+          inserts and deletes inside one epoch;
+        * ``("leave", i, slot)`` / ``("join", i, slot)`` — the churn
+          event at position ``i``, a barrier on its own;
+        * ``("epoch", k, end)`` — epoch ``k`` ends after ``end``
+          events, for every ``epoch_ends[k]`` in ``(start, stop]``.
+
+        ``stop`` defaults to the trace's end.  A replay cut at ``stop``
+        and resumed from there walks the same steps as one uninterrupted
+        walk, except that a run spanning ``stop`` is split in two.
+
+        Examples
+        --------
+        >>> b = TraceBuilder(n_slots=2)
+        >>> _ = b.insert(), b.insert()
+        >>> b.mark_epoch()
+        >>> b.bin_leave(0)
+        >>> list(b.build().windows())
+        [('events', 0, 2), ('epoch', 0, 2), ('leave', 2, 0), ('epoch', 1, 3)]
+        """
+        stop = self.num_events if stop is None else int(stop)
+        if not 0 <= start <= stop <= self.num_events:
+            raise ValueError(
+                f"need 0 <= start <= stop <= {self.num_events}, got {start}, {stop}"
+            )
+        churn = np.flatnonzero(self.kinds[start:stop] >= EventKind.BIN_LEAVE) + start
+        first, last = np.searchsorted(
+            self.epoch_ends, [start, stop], side="right"
+        ).tolist()
+        ends = self.epoch_ends[first:last]
+        cuts = np.unique(np.concatenate(([start, stop], churn, churn + 1, ends)))
+        ends = ends.tolist()
+        k = 0
+        for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+            kind = self.kinds[a]
+            if kind == EventKind.BIN_LEAVE:
+                yield "leave", a, int(self.args[a])
+            elif kind == EventKind.BIN_JOIN:
+                yield "join", a, int(self.args[a])
+            else:
+                yield "events", a, b
+            if k < len(ends) and ends[k] == b:
+                yield "epoch", first + k, b
+                k += 1
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"EventTrace(events={self.num_events}, inserts={self.num_inserts}, "

@@ -6,7 +6,9 @@ load state at every epoch boundary of the trace, and
 :class:`DynamicResult` carries the per-epoch series (max load, total
 load, live-bin count, ν-profiles) the dynamic load guarantee is stated
 over.  Bit-identical trajectories — not just final states — are what
-the engine-equivalence tests compare.
+the engine-equivalence tests compare.  :class:`EpochRecorder` takes
+those samples for the batched engine, the sequential reference and
+trace replay (:func:`repro.serve.replay_trace`) alike.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from repro.core.loads import load_imbalance, nu_profile
 from repro.core.strategies import TieBreak
 
-__all__ = ["DynamicResult"]
+__all__ = ["DynamicResult", "EpochRecorder"]
 
 
 @dataclass(frozen=True)
@@ -157,3 +159,68 @@ class DynamicResult:
                 f"max={int(self.max_load_over_time[i])}"
             )
         return out
+
+
+class EpochRecorder:
+    """The per-epoch samples of one replay, in the order epochs end.
+
+    Each :meth:`sample` records the max load, total load and live-bin
+    count of a live :class:`~repro.core.incremental.IncrementalState`,
+    the ν-profile of its active bins and, when ``record_loads``, a copy
+    of its load vector.  :meth:`series` hands the trajectory fields
+    :class:`DynamicResult` and :class:`repro.serve.ReplayResult` share
+    to their constructors; a replay checkpoint stores the samples as
+    :meth:`checkpoint_arrays` and :meth:`from_checkpoint` reads them
+    back.
+    """
+
+    def __init__(self, record_loads: bool = False) -> None:
+        self.max: list[int] = []
+        self.tot: list[int] = []
+        self.live: list[int] = []
+        self.nu: list[np.ndarray] = []
+        self.snapshots: list[np.ndarray] | None = [] if record_loads else None
+
+    def sample(self, state) -> None:
+        """Record ``state`` as it stands at an epoch end."""
+        live = state.live_loads()
+        self.max.append(int(live.max()))
+        self.tot.append(state.occupancy)
+        self.live.append(int(state.active.sum()))
+        self.nu.append(nu_profile(live))
+        if self.snapshots is not None:
+            self.snapshots.append(state.loads.copy())
+
+    def series(self) -> dict:
+        """The trajectory fields, keyed by their result-field names."""
+        return {
+            "max_load_over_time": np.array(self.max, dtype=np.int64),
+            "total_load_over_time": np.array(self.tot, dtype=np.int64),
+            "live_bins_over_time": np.array(self.live, dtype=np.int64),
+            "nu_profiles": tuple(self.nu),
+        }
+
+    def checkpoint_arrays(self) -> dict:
+        """The samples as a replay checkpoint stores them: one array per
+        series, the ν-profiles concatenated with their lengths alongside."""
+        return {
+            "replay_max": np.array(self.max, dtype=np.int64),
+            "replay_tot": np.array(self.tot, dtype=np.int64),
+            "replay_live": np.array(self.live, dtype=np.int64),
+            "replay_nu_flat": (
+                np.concatenate(self.nu) if self.nu else np.empty(0, dtype=np.int64)
+            ),
+            "replay_nu_lens": np.array([p.size for p in self.nu], dtype=np.int64),
+        }
+
+    @classmethod
+    def from_checkpoint(cls, arrays: dict) -> "EpochRecorder":
+        """The recorder whose :meth:`checkpoint_arrays` were ``arrays``."""
+        rec = cls()
+        rec.max = arrays["replay_max"].tolist()
+        rec.tot = arrays["replay_tot"].tolist()
+        rec.live = arrays["replay_live"].tolist()
+        lens = arrays["replay_nu_lens"]
+        if lens.size:
+            rec.nu = np.split(arrays["replay_nu_flat"], np.cumsum(lens)[:-1])
+        return rec

@@ -95,10 +95,8 @@ from typing import Callable
 
 from repro.kernels.threads import (
     cpu_topology,
-    logical_cores,
     physical_cores,
     resolve_threads,
-    thread_chunks,
 )
 from repro.obs.metrics import counter_add
 
@@ -114,10 +112,8 @@ __all__ = [
     "resolve_backend",
     "default_backend",
     "cpu_topology",
-    "logical_cores",
     "physical_cores",
     "resolve_threads",
-    "thread_chunks",
 ]
 
 #: Names accepted by :func:`get_backend` (besides ``"auto"``).
@@ -173,10 +169,11 @@ class KernelBackend:
         the cached lower bound of its bucket and probe forward, exactly
         like :meth:`repro.core.ring.RingSpace._assign_bucketed`.
         Returns an int64 index array.  ``threads > 1`` partitions the
-        points into static contiguous row groups
-        (:func:`repro.kernels.threads.thread_chunks`) processed
-        GIL-free in parallel — each output row is an independent
-        lookup, so the partition is bit-identical by construction.
+        points into static contiguous row groups (the C kernels'
+        ``thread_range``: earlier groups at most one row longer)
+        processed GIL-free in parallel — each output row is an
+        independent lookup, so the partition is bit-identical by
+        construction.
     ``ring_table(pos_ext, nbuckets)``
         The table pass: from the sorted positions plus a ``+inf``
         sentinel, return the ``nbuckets + 1`` int32 bucket table

@@ -42,10 +42,8 @@ from repro.utils.validation import check_positive_int
 
 __all__ = [
     "cpu_topology",
-    "logical_cores",
     "physical_cores",
     "resolve_threads",
-    "thread_chunks",
 ]
 
 #: Cached :func:`cpu_topology` result (the topology cannot change under
@@ -142,11 +140,6 @@ def _sysctl_physical() -> int | None:
     return None
 
 
-def logical_cores() -> int:
-    """The OS scheduler's CPU count (SMT siblings included)."""
-    return cpu_topology()["logical"]
-
-
 def physical_cores() -> int:
     """Distinct physical cores (the ``threads`` auto default)."""
     return cpu_topology()["physical"]
@@ -189,35 +182,3 @@ def resolve_threads(threads: int | None = None) -> int:
             )
         return value
     return physical_cores() if threads is None else threads
-
-
-def thread_chunks(count: int, threads: int) -> list[tuple[int, int]]:
-    """Static contiguous partition of ``count`` rows into thread ranges.
-
-    Returns up to ``threads`` non-empty ``(start, stop)`` half-open
-    ranges covering ``[0, count)``; earlier ranges are at most one row
-    longer.  The partition is a pure function of ``(count, threads)`` —
-    the static schedule that makes thread-parallel kernels trivially
-    bit-identical (each row's computation is independent and lands in
-    its own output slot).
-
-    Examples
-    --------
-    >>> thread_chunks(7, 3)
-    [(0, 3), (3, 5), (5, 7)]
-    >>> thread_chunks(2, 8)
-    [(0, 1), (1, 2)]
-    >>> thread_chunks(0, 4)
-    []
-    """
-    if count <= 0:
-        return []
-    threads = max(1, min(int(threads), count))
-    base, extra = divmod(count, threads)
-    out = []
-    start = 0
-    for i in range(threads):
-        stop = start + base + (1 if i < extra else 0)
-        out.append((start, stop))
-        start = stop
-    return out

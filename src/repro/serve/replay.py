@@ -1,12 +1,14 @@
 """Trace replay through the placement server, with checkpoint/resume.
 
 :func:`replay_trace` feeds an :class:`~repro.dynamics.events.EventTrace`
-through a :class:`~repro.serve.server.PlacementServer` using the batch
-engines' exact RNG discipline — the churn generator spawned first,
-then a :class:`~repro.core.engine.CandidateStream` bounded at the
-trace's insert count, which the server draws from lazily.  Because
-the server applies events strictly in order through the same decision
-kernels, the final loads *and* the per-epoch trajectory are
+through a :class:`~repro.serve.server.PlacementServer` the way the
+batched dynamic engine replays it: the same seeded state and stream
+(:func:`repro.core.incremental.seeded_state`, bounded at the trace's
+insert count; the server draws from it lazily), the same walk
+(:meth:`~repro.dynamics.events.EventTrace.windows`) and the same
+epoch record (:class:`~repro.dynamics.result.EpochRecorder`).
+Because the server applies events strictly in order through the same
+decision kernels, the final loads *and* the per-epoch trajectory are
 bit-identical to :func:`repro.dynamics.simulate_dynamics` on the same
 seed — the serving tier's parity contract, enforced by
 ``tests/serve/test_incremental_parity.py``.
@@ -25,16 +27,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.engine import DEFAULT_RNG_BLOCK, CandidateStream
-from repro.core.incremental import IncrementalState
-from repro.core.loads import nu_profile
+from repro.core.engine import DEFAULT_RNG_BLOCK
+from repro.core.incremental import seeded_state
 from repro.core.spaces import GeometricSpace
 from repro.core.strategies import TieBreak
-from repro.dynamics.events import EventKind, EventTrace
+from repro.dynamics.events import EventTrace
+from repro.dynamics.result import EpochRecorder
 from repro.kernels import KernelBackend, resolve_backend
 from repro.obs import counter_add, trace_span
 from repro.serve.server import LatencyStats, PlacementServer
-from repro.utils.rng import resolve_rng
 from repro.utils.validation import check_positive_int
 
 __all__ = ["ReplayResult", "checkpoint_params", "replay_trace"]
@@ -93,7 +94,7 @@ def checkpoint_params(path) -> dict:
 
 
 def _restore(space, trace, resume_from, backend):
-    """Rebuild (server, series, cursor) from a replay checkpoint."""
+    """Rebuild (server, epoch record, cursor) from a replay checkpoint."""
     server, extra = PlacementServer.load(resume_from, space=space, backend=backend)
     replay_meta = extra["meta"].get("replay")
     if replay_meta is None:
@@ -103,18 +104,8 @@ def _restore(space, trace, resume_from, backend):
             f"checkpoint was taken against a {replay_meta['trace_events']}-event "
             f"trace, not {trace.num_events} events"
         )
-    arrays = extra["arrays"]
-    series = {
-        "max": arrays["replay_max"].tolist(),
-        "tot": arrays["replay_tot"].tolist(),
-        "live": arrays["replay_live"].tolist(),
-        "nu": list(
-            np.split(arrays["replay_nu_flat"], np.cumsum(arrays["replay_nu_lens"])[:-1])
-        )
-        if arrays["replay_nu_lens"].size
-        else [],
-    }
-    return server, series, int(replay_meta["events_done"])
+    recorder = EpochRecorder.from_checkpoint(extra["arrays"])
+    return server, recorder, int(replay_meta["events_done"])
 
 
 def replay_trace(
@@ -154,24 +145,14 @@ def replay_trace(
     strat = TieBreak.coerce(strategy)
     max_batch = check_positive_int(max_batch, "max_batch")
     if resume_from is not None:
-        server, series, start = _restore(space, trace, resume_from, backend_obj)
+        server, recorder, start = _restore(space, trace, resume_from, backend_obj)
         server.max_batch = max_batch  # load() restored the saver's
     else:
-        rng = resolve_rng(seed)
-        # spawn order matches the dynamic engines: churn RNG first
-        aux_rng = rng.spawn(1)[0]
-        state = IncrementalState(
+        state, stream = seeded_state(
             space,
             d,
             strat,
-            partitioned=partitioned,
-            aux_rng=aux_rng,
-            expect_balls=trace.num_inserts,
-        )
-        stream = CandidateStream(
-            space,
-            rng,
-            d,
+            seed,
             partitioned=partitioned,
             rng_block=rng_block,
             total=trace.num_inserts,
@@ -186,18 +167,15 @@ def replay_trace(
             state=state,
             stream=stream,
         )
-        series = {"max": [], "tot": [], "live": [], "nu": []}
+        recorder = EpochRecorder()
         start = 0
-    kinds = trace.kinds
-    args = trace.args
-    churn_positions = np.nonzero(kinds >= EventKind.BIN_LEAVE)[0]
-    epoch_ends = trace.epoch_ends
-    stop_at = trace.num_events if checkpoint_at is None else int(checkpoint_at)
-    if not start <= stop_at <= trace.num_events:
+    stop = trace.num_events if checkpoint_at is None else int(checkpoint_at)
+    if not start <= stop <= trace.num_events:
         raise ValueError(
-            f"checkpoint_at must be in [{start}, {trace.num_events}], got {stop_at}"
+            f"checkpoint_at must be in [{start}, {trace.num_events}], got {stop}"
         )
-    checkpointed = False
+    checkpointed = stop < trace.num_events
+    state = server.state
     with trace_span(
         "serve.replay",
         events=trace.num_events,
@@ -206,57 +184,25 @@ def replay_trace(
         backend=backend_obj.name,
         max_batch=max_batch,
     ):
-        counter_add("serve.replay_events", stop_at - start)
-        i = start
-        churn_ptr = int(np.searchsorted(churn_positions, i))
-        state = server.state
-        for epoch_end in epoch_ends.tolist()[len(series["max"]):]:
-            while i < epoch_end and i < stop_at:
-                if (
-                    churn_ptr < churn_positions.size
-                    and churn_positions[churn_ptr] == i
-                ):
-                    if kinds[i] == EventKind.BIN_LEAVE:
-                        server.bin_leave(int(args[i]))
-                    else:
-                        server.bin_join(int(args[i]))
-                    churn_ptr += 1
-                    i += 1
-                    continue
-                stop = min(epoch_end, stop_at)
-                if churn_ptr < churn_positions.size:
-                    stop = min(stop, int(churn_positions[churn_ptr]))
-                server.submit_ids(kinds[i:stop], args[i:stop])
-                i = stop
-            if i < epoch_end:
-                break  # checkpoint point reached mid-epoch
-            live = state.live_loads()
-            series["max"].append(int(live.max()))
-            series["tot"].append(state.occupancy)
-            series["live"].append(int(state.active.sum()))
-            series["nu"].append(nu_profile(live))
-        if checkpoint_at is not None and i == stop_at and stop_at < trace.num_events:
-            checkpointed = True
+        counter_add("serve.replay_events", stop - start)
+        for step, a, b in trace.windows(start, stop):
+            if step == "events":
+                server.submit_ids(trace.kinds[a:b], trace.args[a:b])
+            elif step == "leave":
+                server.bin_leave(b)
+            elif step == "join":
+                server.bin_join(b)
+            else:
+                recorder.sample(state)
+        if checkpointed:
             if checkpoint is None:
                 raise ValueError("checkpoint_at requires a checkpoint path")
-            nu_lens = np.array([p.size for p in series["nu"]], dtype=np.int64)
-            nu_flat = (
-                np.concatenate(series["nu"])
-                if series["nu"]
-                else np.empty(0, dtype=np.int64)
-            )
             server.save(
                 checkpoint,
-                extra_arrays={
-                    "replay_max": np.array(series["max"], dtype=np.int64),
-                    "replay_tot": np.array(series["tot"], dtype=np.int64),
-                    "replay_live": np.array(series["live"], dtype=np.int64),
-                    "replay_nu_flat": nu_flat,
-                    "replay_nu_lens": nu_lens,
-                },
+                extra_arrays=recorder.checkpoint_arrays(),
                 extra_meta={
                     "replay": {
-                        "events_done": i,
+                        "events_done": stop,
                         "trace_events": trace.num_events,
                     },
                     "params": checkpoint_meta or {},
@@ -269,14 +215,11 @@ def replay_trace(
         strategy=strat,
         inserts=state.inserts_done,
         deletes=state.deletes_done,
-        events=i,
-        epoch_ends=epoch_ends,
-        max_load_over_time=np.array(series["max"], dtype=np.int64),
-        total_load_over_time=np.array(series["tot"], dtype=np.int64),
-        live_bins_over_time=np.array(series["live"], dtype=np.int64),
-        nu_profiles=tuple(np.asarray(p) for p in series["nu"]),
+        events=stop,
+        epoch_ends=trace.epoch_ends,
         latency=server.latency_stats(),
         backend=backend_obj.name,
         max_batch=max_batch,
         checkpointed=checkpointed,
+        **recorder.series(),
     )

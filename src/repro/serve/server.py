@@ -34,7 +34,8 @@ arrive.  A server's own stream is unbounded and always draws whole
 on request arrival patterns.  Trace replay (:mod:`repro.serve.replay`)
 passes a stream bounded at the trace's insert count, which holds
 exactly the rows the dynamic engines read; that is what makes replay
-bit-identical to :func:`repro.dynamics.simulate_dynamics`.
+bit-identical to :func:`repro.dynamics.simulate_dynamics`.  Both
+streams come from :func:`repro.core.incremental.seeded_state`.
 
 Every applied block records decision latency into the bounded
 quarter-octave histogram behind :class:`LatencyStats` (and, when
@@ -53,14 +54,13 @@ import numpy as np
 
 from repro.core.engine import DEFAULT_RNG_BLOCK, CandidateStream, auto_batch_size
 from repro.core.incremental import KIND_DELETE, KIND_INSERT, KIND_LOOKUP
-from repro.core.incremental import IncrementalState
+from repro.core.incremental import IncrementalState, seeded_state
 from repro.core.spaces import GeometricSpace
 from repro.kernels import KernelBackend, resolve_backend
 from repro.obs import counter_add, histogram_observe
 from repro.obs import enabled as obs_enabled
 from repro.obs.metrics import bucket_index
 from repro.obs.report import histogram_quantiles
-from repro.utils.rng import resolve_rng
 from repro.utils.validation import check_positive_int
 
 __all__ = [
@@ -172,9 +172,9 @@ class PlacementServer:
     space, d, strategy, partitioned:
         The placement process (as in the batch engines).
     seed:
-        Master seed: the churn RNG is spawned first, then the
-        candidate stream — the same spawn order as the dynamic
-        engines.  Ignored when ``state`` is supplied.
+        Master seed of the state and its unbounded candidate stream
+        (:func:`repro.core.incremental.seeded_state`, the dynamic
+        engines' spawn order).  Ignored when ``state`` is supplied.
     max_batch:
         Micro-batch size: :meth:`submit` and :meth:`submit_ids` apply
         their batches in blocks of at most this many ops (the
@@ -207,21 +207,10 @@ class PlacementServer:
         self.max_batch = check_positive_int(max_batch, "max_batch")
         self.backend = resolve_backend(backend)
         if state is None:
-            rng = resolve_rng(seed)
-            # spawn order mirrors the dynamic engines: churn RNG first,
-            # then the insert candidate stream
-            aux_rng = rng.spawn(1)[0]
-            state = IncrementalState(
-                space, d, strategy, partitioned=partitioned, aux_rng=aux_rng
+            state, own_stream = seeded_state(
+                space, d, strategy, seed, partitioned=partitioned, rng_block=rng_block
             )
-            if stream is None:
-                stream = CandidateStream(
-                    space,
-                    rng,
-                    d,
-                    partitioned=partitioned,
-                    rng_block=rng_block,
-                )
+            stream = own_stream if stream is None else stream
         elif stream is None:
             raise ValueError("a pre-built state requires a pre-built stream")
         if state.n != space.n:

@@ -150,6 +150,89 @@ class TestEventTraceValidation:
         assert t.num_events == 0 and t.final_occupancy == 0
 
 
+def _edge_trace() -> EventTrace:
+    """Churn first, on an epoch end, back to back, closing an epoch, last."""
+    b = TraceBuilder(n_slots=4)
+    b.bin_leave(0)  # 0: the first event
+    b.insert()  # 1
+    b.insert()  # 2
+    b.mark_epoch()  # epoch 0 ends at 3
+    b.bin_join(0)  # 3: right on epoch 0's end
+    b.bin_leave(1)  # 4: back to back with 3
+    b.mark_epoch()  # epoch 1 ends at 5, right after churn
+    b.insert()  # 5
+    b.delete("fifo", resolve_rng(0))  # 6
+    b.mark_epoch()  # epoch 2 ends at 7
+    b.insert()  # 7
+    b.bin_join(1)  # 8: the last event; epoch 3 ends at 9
+    return b.build()
+
+
+def _merge_runs(steps):
+    """Join ``events`` steps that abut, undoing a cut inside a run."""
+    out = []
+    for step in steps:
+        if out and step[0] == out[-1][0] == "events" and out[-1][2] == step[1]:
+            out[-1] = ("events", out[-1][1], step[2])
+        else:
+            out.append(step)
+    return out
+
+
+class TestWindows:
+    def test_whole_trace(self):
+        assert list(_edge_trace().windows()) == [
+            ("leave", 0, 0),
+            ("events", 1, 3),
+            ("epoch", 0, 3),
+            ("join", 3, 0),
+            ("leave", 4, 1),
+            ("epoch", 1, 5),
+            ("events", 5, 7),
+            ("epoch", 2, 7),
+            ("events", 7, 8),
+            ("join", 8, 1),
+            ("epoch", 3, 9),
+        ]
+
+    def test_start_and_stop_inside_runs(self):
+        assert list(_edge_trace().windows(2, 6)) == [
+            ("events", 2, 3),
+            ("epoch", 0, 3),
+            ("join", 3, 0),
+            ("leave", 4, 1),
+            ("epoch", 1, 5),
+            ("events", 5, 6),
+        ]
+
+    def test_start_and_stop_on_epoch_ends(self):
+        # the epoch ending at start was sampled by the walk that stopped there
+        assert list(_edge_trace().windows(3, 7)) == [
+            ("join", 3, 0),
+            ("leave", 4, 1),
+            ("epoch", 1, 5),
+            ("events", 5, 7),
+            ("epoch", 2, 7),
+        ]
+
+    def test_cut_anywhere_resumes_the_same_walk(self):
+        trace = _edge_trace()
+        whole = list(trace.windows())
+        for cut in range(trace.num_events + 1):
+            halves = list(trace.windows(0, cut)) + list(trace.windows(cut))
+            assert _merge_runs(halves) == whole, cut
+
+    def test_empty_range_and_empty_trace(self):
+        assert list(_edge_trace().windows(4, 4)) == []
+        empty = EventTrace(kinds=[], args=[], epoch_ends=[])
+        assert list(empty.windows()) == []
+
+    @pytest.mark.parametrize("start,stop", [(-1, 3), (5, 4), (0, 10)])
+    def test_rejects_bad_range(self, start, stop):
+        with pytest.raises(ValueError, match="start <= stop"):
+            list(_edge_trace().windows(start, stop))
+
+
 class TestGenerators:
     @pytest.mark.parametrize("m, pairs, epochs, seed", [
         (100, 50, 5, 1),

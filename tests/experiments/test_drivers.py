@@ -141,6 +141,17 @@ class TestDynamicChurn:
             k: v.counts for k, v in b.cells.items()
         }
 
+    def test_trial_pool_matches_serial(self):
+        from repro.experiments.dynamic_churn import run as run_dynamic
+
+        # uncached: a cell cached by one run would answer the other
+        kwargs = dict(trials=4, n_values=(64,), cache=None)
+        serial = run_dynamic(n_jobs=1, **kwargs)
+        pooled = run_dynamic(n_jobs=2, **kwargs)
+        assert {k: v.counts for k, v in pooled.cells.items()} == {
+            k: v.counts for k, v in serial.cells.items()
+        }
+
     def test_rejects_unknown_scenario(self):
         from repro.experiments.dynamic_churn import run as run_dynamic
 

@@ -6,7 +6,7 @@ pool split work by independent trial or row.  These tests enforce
 bit-identity of threaded against serial execution for every available
 backend × engine × thread count, exercise the knob's env → kwarg →
 auto resolution order (including a subprocess test of the real
-environment path), and pin the supporting topology/partition helpers.
+environment path), and pin the supporting topology helpers.
 
 Thread counts deliberately include values above this machine's core
 count (7, 64) — oversubscription must degrade speed, never results.
@@ -31,10 +31,8 @@ from repro.kernels import (
     available_backends,
     cpu_topology,
     get_backend,
-    logical_cores,
     physical_cores,
     resolve_threads,
-    thread_chunks,
 )
 from repro.kernels.threads import _parse_proc_cpuinfo
 from repro.stats.trials import CellSpec, run_cell
@@ -226,7 +224,7 @@ def test_env_selection_in_subprocess():
 
 
 # ---------------------------------------------------------------------------
-# topology and partition helpers
+# topology helpers
 # ---------------------------------------------------------------------------
 
 
@@ -235,7 +233,6 @@ def test_cpu_topology_shape():
     assert set(topo) == {"logical", "physical", "model"}
     assert 1 <= topo["physical"] <= topo["logical"]
     assert isinstance(topo["model"], str) and topo["model"]
-    assert logical_cores() == topo["logical"]
     assert physical_cores() == topo["physical"]
     assert cpu_topology() == topo  # cached, deterministic
 
@@ -256,15 +253,3 @@ def test_parse_proc_cpuinfo_smt_pairs():
 def test_parse_proc_cpuinfo_missing_topology():
     physical, model = _parse_proc_cpuinfo("processor\t: 0\nflags\t: fpu\n")
     assert physical is None and model is None
-
-
-def test_thread_chunks_partition_properties():
-    for count in (0, 1, 2, 7, 64, 1000):
-        for threads in (1, 2, 3, 8, 200):
-            chunks = thread_chunks(count, threads)
-            assert len(chunks) == min(threads, count) if count else chunks == []
-            covered = [i for s, e in chunks for i in range(s, e)]
-            assert covered == list(range(count))
-            if chunks:
-                widths = [e - s for s, e in chunks]
-                assert max(widths) - min(widths) <= 1

@@ -6,6 +6,7 @@ AND per-epoch trajectories bit-identical to
 size, backend, and across a mid-trace checkpoint/restore.
 """
 
+import numpy as np
 import pytest
 from helpers import assert_dynamics_equal as _assert_matches
 from helpers import named_scenarios as _traces
@@ -13,7 +14,7 @@ from helpers import named_scenarios as _traces
 from repro.core.incremental import IncrementalState
 from repro.core.ring import RingSpace
 from repro.dynamics import simulate_dynamics
-from repro.dynamics.events import churn_storm_trace, steady_state_trace
+from repro.dynamics.events import EventKind, churn_storm_trace, steady_state_trace
 from repro.kernels import available_backends
 from repro.serve import replay_trace
 
@@ -70,7 +71,12 @@ class TestCheckpointResume:
     def test_resume_matches_uninterrupted(self, name, space, trace, tmp_path):
         full = replay_trace(space, trace, d=2, seed=16, max_batch=17)
         ck = tmp_path / "ck.npz"
-        for at in (1, trace.num_events // 2, trace.num_events - 1):
+        ats = {1, trace.num_events // 2, trace.num_events - 1,
+               int(trace.epoch_ends[1])}
+        churn = np.flatnonzero(trace.kinds >= EventKind.BIN_LEAVE)
+        if churn.size:
+            ats.add(int(churn[0]))
+        for at in sorted(ats):
             part = replay_trace(space, trace, d=2, seed=16, max_batch=17,
                                 checkpoint=ck, checkpoint_at=at)
             assert part.checkpointed

@@ -11,7 +11,7 @@ from repro.core.loads import nu_profile
 from repro.core.strategies import TieBreak
 from repro.kernels import available_backends, get_backend
 from repro.stats.distributions import MaxLoadDistribution
-from repro.stats.trials import CellSpec, run_cell, run_cell_profile
+from repro.stats.trials import CellSpec, run_cell, run_cell_profile, run_trial_map
 from repro.utils.rng import spawn_seed_sequences
 
 
@@ -27,6 +27,18 @@ def _sequential_loads(spec, trials, seed):
         )
         out.append(loads)
     return out
+
+
+def _draws(context, seed):
+    """A trial for the pool tests: ``context`` draws from its own seed."""
+    return np.random.default_rng(seed).integers(0, 1 << 30, size=context).tolist()
+
+
+class TestRunTrialMap:
+    @pytest.mark.parametrize("n_jobs", [2, None])
+    def test_pool_matches_serial(self, n_jobs):
+        serial = run_trial_map(_draws, 3, trials=6, seed=11, n_jobs=1)
+        assert run_trial_map(_draws, 3, trials=6, seed=11, n_jobs=n_jobs) == serial
 
 
 class TestCellSpec:
