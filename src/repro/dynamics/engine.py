@@ -60,7 +60,7 @@ from repro.core.engine import DEFAULT_RNG_BLOCK, auto_batch_size
 from repro.core.incremental import mixed_conflict_prefix, seeded_state
 from repro.core.spaces import GeometricSpace
 from repro.core.strategies import TieBreak
-from repro.dynamics.events import EventKind, EventTrace
+from repro.dynamics.events import EventKind, EventTrace, check_trace
 from repro.dynamics.result import DynamicResult, EpochRecorder
 from repro.kernels import KernelBackend, resolve_backend
 from repro.obs import counter_add, obs_session, trace_span
@@ -78,12 +78,7 @@ __all__ = [
 def _seeded_replay(space, trace, d, strategy, rng, *, partitioned, rng_block):
     """Validate ``trace`` against ``space``; return the seeded state and
     its stream, bounded at the trace's inserts and drawn in full."""
-    if not isinstance(trace, EventTrace):
-        raise TypeError(f"trace must be an EventTrace, got {type(trace).__name__}")
-    if trace.n_slots is not None and trace.n_slots != space.n:
-        raise ValueError(
-            f"trace expects {trace.n_slots} bin slots but space has {space.n}"
-        )
+    check_trace(trace, space)
     state, stream = seeded_state(
         space,
         d,
@@ -252,10 +247,7 @@ def simulate_dynamics(
     True
     """
     with obs_session(obs):
-        if not isinstance(trace, EventTrace):
-            raise TypeError(
-                f"trace must be an EventTrace, got {type(trace).__name__}"
-            )
+        check_trace(trace, space)
         strat = TieBreak.coerce(strategy)
         rng = resolve_rng(seed)
         backend_obj = resolve_backend(backend)

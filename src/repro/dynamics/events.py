@@ -51,6 +51,7 @@ __all__ = [
     "poisson_trace",
     "adversarial_burst_trace",
     "churn_storm_trace",
+    "check_trace",
 ]
 
 
@@ -336,6 +337,22 @@ class EventTrace:
             f"EventTrace(events={self.num_events}, inserts={self.num_inserts}, "
             f"deletes={self.num_deletes}, churn={self._counts[2]}, "
             f"epochs={self.epoch_ends.size})"
+        )
+
+
+def check_trace(trace, space) -> None:
+    """Raise unless ``space`` can replay ``trace``, before any state is built.
+
+    :class:`TypeError` when ``trace`` is not an :class:`EventTrace`,
+    :class:`ValueError` when its bin slots (``n_slots``) are not
+    ``space.n``.  Both dynamic engines and
+    :func:`repro.serve.replay_trace` (fresh or resumed) check through it.
+    """
+    if not isinstance(trace, EventTrace):
+        raise TypeError(f"trace must be an EventTrace, got {type(trace).__name__}")
+    if trace.n_slots is not None and trace.n_slots != space.n:
+        raise ValueError(
+            f"trace expects {trace.n_slots} bin slots but space has {space.n}"
         )
 
 

@@ -31,7 +31,7 @@ from repro.core.engine import DEFAULT_RNG_BLOCK
 from repro.core.incremental import seeded_state
 from repro.core.spaces import GeometricSpace
 from repro.core.strategies import TieBreak
-from repro.dynamics.events import EventTrace
+from repro.dynamics.events import EventTrace, check_trace
 from repro.dynamics.result import EpochRecorder
 from repro.kernels import KernelBackend, resolve_backend
 from repro.obs import counter_add, trace_span
@@ -139,8 +139,7 @@ def replay_trace(
     from the snapshot, so ``seed`` is unused on resume, but applies its
     own ``max_batch``.
     """
-    if not isinstance(trace, EventTrace):
-        raise TypeError(f"trace must be an EventTrace, got {type(trace).__name__}")
+    check_trace(trace, space)
     backend_obj = resolve_backend(backend)
     strat = TieBreak.coerce(strategy)
     max_batch = check_positive_int(max_batch, "max_batch")

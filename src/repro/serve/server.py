@@ -369,13 +369,15 @@ class PlacementServer:
     # churn
     # ------------------------------------------------------------------
     def bin_leave(self, slot: int) -> None:
-        """A bin departs; its balls re-place onto the survivors."""
-        self.state.check_churn(slot, leaving=True)
+        """A bin departs; its balls re-place onto the survivors.
+
+        Invalid churn raises before any change
+        (:meth:`~repro.core.incremental.IncrementalState.bin_leave`).
+        """
         self.state.bin_leave(slot)
 
     def bin_join(self, slot: int) -> None:
-        """A bin (re)joins empty."""
-        self.state.check_churn(slot, leaving=False)
+        """A bin (re)joins empty; invalid churn raises before any change."""
         self.state.bin_join(slot)
 
     # ------------------------------------------------------------------

@@ -150,6 +150,21 @@ class TestCheckpointResume:
         with pytest.raises(ValueError, match="trace"):
             replay_trace(space, other, seed=2, resume_from=ck)
 
+    def test_slot_count_mismatch_rejected(self, tmp_path):
+        """A trace over 32 bin slots does not replay on 64 bins, fresh
+        or resumed, just as the dynamic engines refuse it."""
+        trace = churn_storm_trace(32, 100, waves=2, seed=2)
+        wide = RingSpace.random(64, seed=0)
+        with pytest.raises(ValueError, match="expects 32 bin slots"):
+            simulate_dynamics(wide, trace, d=2, seed=3)
+        with pytest.raises(ValueError, match="expects 32 bin slots"):
+            replay_trace(wide, trace, seed=3)
+        ck = tmp_path / "ck.npz"
+        replay_trace(RingSpace.random(32, seed=0), trace, seed=3, checkpoint=ck,
+                     checkpoint_at=50)
+        with pytest.raises(ValueError, match="expects 32 bin slots"):
+            replay_trace(wide, trace, seed=3, resume_from=ck)
+
     def test_non_replay_checkpoint_rejected(self, tmp_path):
         from repro.serve import PlacementServer
 

@@ -188,6 +188,42 @@ class TestChurnRules:
         assert server.insert("late") == 3
 
 
+class TestChurnCheckedOnce:
+    """A served leave or join runs the churn rules once, in the state."""
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        from repro.core.incremental import IncrementalState
+
+        calls = []
+        original = IncrementalState.check_churn
+
+        def counted(self, slot, *, leaving):
+            calls.append((slot, leaving))
+            return original(self, slot, leaving=leaving)
+
+        monkeypatch.setattr(IncrementalState, "check_churn", counted)
+        return calls
+
+    def test_one_check_per_leave_and_join(self, checks):
+        server = _server()
+        server.bin_leave(1)
+        assert checks == [(1, True)]
+        server.bin_join(1)
+        assert checks == [(1, True), (1, False)]
+
+    def test_invalid_churn_still_raises_unchanged(self, checks):
+        server = _server()
+        server.bin_leave(1)
+        before = _fingerprint(server)
+        with pytest.raises(ValueError, match="already inactive"):
+            server.bin_leave(1)
+        with pytest.raises(ValueError, match="already active"):
+            server.bin_join(0)
+        _assert_unchanged(server, before)
+        assert len(checks) == 3
+
+
 class TestSubmitIds:
     """Ids that break the trace discipline raise before any change.
 
