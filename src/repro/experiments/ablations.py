@@ -16,14 +16,17 @@ Five sweeps the paper discusses but does not tabulate:
 
 Every sweep submits its cells through :mod:`repro.sweeps`, so re-runs
 with unchanged parameters are served from the result cache (pass
-``cache="off"`` to force recomputation).
+``cache="off"`` to force recomputation).  ``run_cell`` cells are
+seeded by :func:`repro.stats.trials.cell_seed`, so a cell the tables
+or another ablation already ran (Table 3's strategies at d = 2, m = n
+in ``mn_sweep``, Table 2's tori) is a cache hit.
 """
 
 from __future__ import annotations
 
 from repro.experiments.report import ExperimentReport
 from repro.experiments.table3 import STRATEGIES
-from repro.stats.trials import CellSpec
+from repro.stats.trials import CellSpec, cell_seed
 from repro.sweeps.runner import fetch_or_compute, resolve_cache, submit_cell
 from repro.utils.rng import stable_hash_seed
 
@@ -65,11 +68,11 @@ def staleness_sweep(
     resolved = [n if b is None else int(b) for b in round_sizes]
     for b in resolved:
         for d in d_values:
-            cell_seed = stable_hash_seed("abl-stale", seed, n, b, d)
+            stale_seed = stable_hash_seed("abl-stale", seed, n, b, d)
 
-            def compute(b=b, d=d, cell_seed=cell_seed) -> MaxLoadDistribution:
+            def compute(b=b, d=d, stale_seed=stale_seed) -> MaxLoadDistribution:
                 maxima = []
-                for ss in spawn_seed_sequences(cell_seed, trials):
+                for ss in spawn_seed_sequences(stale_seed, trials):
                     rng = np.random.default_rng(ss)
                     space = RingSpace.random(n, seed=rng)
                     loads = place_balls_in_rounds(
@@ -84,7 +87,7 @@ def staleness_sweep(
                 "round_size": b,
                 "d": d,
                 "trials": trials,
-                "seed": cell_seed,
+                "seed": stale_seed,
             }
             cells[(b, d)] = fetch_or_compute(spec_dict, compute, cache=store)
     return ExperimentReport(
@@ -116,42 +119,43 @@ def geometry_sweep(
     the geometry-dependent imbalance; ``d >= 2`` should flatten all
     rows to the same few values.  The uniform, ring and torus rows are
     :func:`~repro.stats.trials.run_cell` cells; CAN zones, which no cell
-    kind draws, place trial by trial from the same per-trial seeds.
+    kind draws, place trial by trial from per-trial seeds.
     """
     import numpy as np
 
     from repro.core.placement import place_balls
     from repro.dht.can import CanSpace
     from repro.stats.distributions import MaxLoadDistribution
-    from repro.stats.trials import run_cell
     from repro.utils.rng import spawn_seed_sequences
 
     kinds = ["uniform", "ring", "torus", "can"]
     store = resolve_cache(cache)
     cells = {}
-    for kind in kinds:
+    for kind in kinds[:-1]:
         for d in d_values:
-            cell_seed = stable_hash_seed("abl-geom", seed, n, kind, d)
+            spec = CellSpec(kind, n, d)
+            cells[(kind, d)] = submit_cell(spec, trials, cell_seed(spec, seed),
+                                           cache=store)
+    for d in d_values:
+        can_seed = stable_hash_seed("abl-geom", seed, n, "can", d)
 
-            def compute(kind=kind, d=d, cell_seed=cell_seed) -> MaxLoadDistribution:
-                if kind != "can":
-                    return run_cell(CellSpec(kind, n, d), trials, cell_seed)
-                maxima = []
-                for ss in spawn_seed_sequences(cell_seed, trials):
-                    rng = np.random.default_rng(ss)
-                    space = CanSpace.random(n, seed=rng)
-                    maxima.append(place_balls(space, n, d, seed=rng).max_load)
-                return MaxLoadDistribution.from_samples(maxima)
+        def compute(d=d, can_seed=can_seed) -> MaxLoadDistribution:
+            maxima = []
+            for ss in spawn_seed_sequences(can_seed, trials):
+                rng = np.random.default_rng(ss)
+                space = CanSpace.random(n, seed=rng)
+                maxima.append(place_balls(space, n, d, seed=rng).max_load)
+            return MaxLoadDistribution.from_samples(maxima)
 
-            spec_dict = {
-                "kind": "ablation_geometry",
-                "n": n,
-                "geometry": kind,
-                "d": d,
-                "trials": trials,
-                "seed": cell_seed,
-            }
-            cells[(kind, d)] = fetch_or_compute(spec_dict, compute, cache=store)
+        spec_dict = {
+            "kind": "ablation_geometry",
+            "n": n,
+            "geometry": "can",
+            "d": d,
+            "trials": trials,
+            "seed": can_seed,
+        }
+        cells[("can", d)] = fetch_or_compute(spec_dict, compute, cache=store)
     return ExperimentReport(
         name="ablation_geometry",
         title=f"Ablation: bin geometry x d (n = m = {n})",
@@ -170,7 +174,6 @@ def tiebreak_sweep(
     d_values=(2, 3),
     trials: int = 100,
     seed: int = 20030206,
-    backend=None,
     threads=None,
     cache="auto",
 ) -> ExperimentReport:
@@ -181,12 +184,7 @@ def tiebreak_sweep(
         for name, (tiebreak, partitioned) in STRATEGIES.items():
             spec = CellSpec("ring", n, d, strategy=tiebreak, partitioned=partitioned)
             cells[(d, name)] = submit_cell(
-                spec,
-                trials,
-                seed=stable_hash_seed("abl-tie", seed, n, d, name),
-                backend=backend,
-                threads=threads,
-                cache=store,
+                spec, trials, cell_seed(spec, seed), cache=store, threads=threads
             )
     return ExperimentReport(
         name="ablation_tiebreak",
@@ -207,7 +205,6 @@ def mn_sweep(
     d_values=(1, 2),
     trials: int = 50,
     seed: int = 20030206,
-    backend=None,
     threads=None,
     cache="auto",
 ) -> ExperimentReport:
@@ -218,12 +215,7 @@ def mn_sweep(
         for d in d_values:
             spec = CellSpec("ring", n, d, m=r * n)
             cells[(r, d)] = submit_cell(
-                spec,
-                trials,
-                seed=stable_hash_seed("abl-mn", seed, n, r, d),
-                backend=backend,
-                threads=threads,
-                cache=store,
+                spec, trials, cell_seed(spec, seed), cache=store, threads=threads
             )
     return ExperimentReport(
         name="ablation_mn",
@@ -244,7 +236,6 @@ def dimension_sweep(
     d_values=(1, 2),
     trials: int = 50,
     seed: int = 20030206,
-    backend=None,
     threads=None,
     cache="auto",
 ) -> ExperimentReport:
@@ -255,12 +246,7 @@ def dimension_sweep(
         for d in d_values:
             spec = CellSpec("torus", n, d, dim=dim)
             cells[(dim, d)] = submit_cell(
-                spec,
-                trials,
-                seed=stable_hash_seed("abl-dim", seed, n, dim, d),
-                backend=backend,
-                threads=threads,
-                cache=store,
+                spec, trials, cell_seed(spec, seed), cache=store, threads=threads
             )
     return ExperimentReport(
         name="ablation_dim",

@@ -6,15 +6,19 @@ Full scale is ~2e10 sequential ball placements; the default here runs
 every ``d`` at the three smaller ``n`` with 100 trials (a laptop-scale
 faithful slice — the paper's qualitative claims are already decided at
 these sizes), and the full sweep is ``run(full=True, trials=1000)``.
+
+The table is one sweep grid (:func:`repro.sweeps.runner.run_sweep`),
+so ``sweep run space=ring n=... d=1,2,3,4`` shards at the same master
+seed and trials compute exactly its cells (``docs/sweeps.md``).
 """
 
 from __future__ import annotations
 
+import time
+
 from repro.experiments.report import ExperimentReport
-from repro.stats.trials import CellSpec
-from repro.sweeps.runner import resolve_cache, submit_cell
-from repro.utils.rng import stable_hash_seed
-from repro.utils.timing import Stopwatch
+from repro.sweeps.grid import SweepGrid
+from repro.sweeps.runner import run_sweep
 
 __all__ = ["run", "DEFAULT_N_VALUES", "FULL_N_VALUES", "D_VALUES"]
 
@@ -29,45 +33,26 @@ def run(
     n_values=None,
     d_values=D_VALUES,
     seed: int = 20030206,  # the TR's publication date
-    backend=None,
     threads=None,
     cache="auto",
     full: bool = False,
 ) -> ExperimentReport:
     """Regenerate Table 1 (scaled by default; ``full=True`` for paper scale).
 
-    Kernel ``backend`` and ``threads`` are forwarded to
-    :func:`repro.stats.trials.run_cell`.  Cells run through the sweep layer's result cache (``cache`` as in
+    Kernel ``threads`` are forwarded to
+    :func:`repro.stats.trials.run_cell_hists`.  Cells run through the
+    sweep layer's result cache (``cache`` as in
     :func:`repro.sweeps.runner.resolve_cache`), so an identical re-run
     is served from disk; pass ``cache="off"`` to force recomputation.
     """
     if n_values is None:
         n_values = FULL_N_VALUES if full else DEFAULT_N_VALUES
-    store = resolve_cache(cache)
-    sw = Stopwatch()
-    cells = {}
-    for n in n_values:
-        for d in d_values:
-            spec = CellSpec("ring", n, d)
-            with sw.lap(f"n={n} d={d}"):
-                cells[(n, d)] = submit_cell(
-                    spec,
-                    trials,
-                    seed=stable_hash_seed("table1", seed, n, d),
-                    backend=backend,
-                    threads=threads,
-                    cache=store,
-                )
-    return ExperimentReport(
-        name="table1",
-        title="Table 1: experimental maximum load with random arcs (m = n)",
-        cells=cells,
-        row_keys=list(n_values),
-        col_keys=list(d_values),
-        col_label=lambda d: f"d = {d}",
-        meta={
-            "trials": trials,
-            "seed": seed,
-            "seconds": round(sw.total, 2),
-        },
+    grid = SweepGrid(space="ring", n=n_values, d=d_values, trials=trials,
+                     seed=seed, name="table1")
+    start = time.perf_counter()
+    result = run_sweep(grid, cache=cache, threads=threads)
+    report = result.to_report(
+        title="Table 1: experimental maximum load with random arcs (m = n)"
     )
+    report.meta["seconds"] = round(time.perf_counter() - start, 2)
+    return report

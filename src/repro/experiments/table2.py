@@ -1,16 +1,18 @@
 """Table 2: maximum load with random Voronoi cells on the torus (m = n).
 
 Same protocol as Table 1 but servers live on the unit 2-torus and bins
-are their Voronoi cells; the paper sweeps ``n`` up to ``2^20``.
+are their Voronoi cells; the paper sweeps ``n`` up to ``2^20``.  Like
+Table 1, the table is one sweep grid, so ``sweep run space=torus ...``
+shards compute its cells.
 """
 
 from __future__ import annotations
 
+import time
+
 from repro.experiments.report import ExperimentReport
-from repro.stats.trials import CellSpec
-from repro.sweeps.runner import resolve_cache, submit_cell
-from repro.utils.rng import stable_hash_seed
-from repro.utils.timing import Stopwatch
+from repro.sweeps.grid import SweepGrid
+from repro.sweeps.runner import run_sweep
 
 __all__ = ["run", "DEFAULT_N_VALUES", "FULL_N_VALUES", "D_VALUES"]
 
@@ -25,7 +27,6 @@ def run(
     n_values=None,
     d_values=D_VALUES,
     seed: int = 20030206,
-    backend=None,
     threads=None,
     cache="auto",
     full: bool = False,
@@ -33,43 +34,23 @@ def run(
 ) -> ExperimentReport:
     """Regenerate Table 2 (scaled by default; ``full=True`` for paper scale).
 
-    ``dim`` other than 2 exercises the paper's higher-dimension remark
-    (used by the ablation driver).  Kernel ``backend`` and ``threads``
-    are forwarded to :func:`repro.stats.trials.run_cell`; cells are cached through the
-    sweep layer (``cache`` as in
+    ``dim`` other than 2 exercises the paper's higher-dimension remark.
+    Kernel ``threads`` are forwarded to
+    :func:`repro.stats.trials.run_cell_hists`; cells are cached through
+    the sweep layer (``cache`` as in
     :func:`repro.sweeps.runner.resolve_cache`).
     """
     if n_values is None:
         n_values = FULL_N_VALUES if full else DEFAULT_N_VALUES
-    store = resolve_cache(cache)
-    sw = Stopwatch()
-    cells = {}
-    for n in n_values:
-        for d in d_values:
-            spec = CellSpec("torus", n, d, dim=dim)
-            with sw.lap(f"n={n} d={d}"):
-                cells[(n, d)] = submit_cell(
-                    spec,
-                    trials,
-                    seed=stable_hash_seed("table2", seed, n, d, dim),
-                    backend=backend,
-                    threads=threads,
-                    cache=store,
-                )
-    return ExperimentReport(
-        name="table2",
+    grid = SweepGrid(space="torus", n=n_values, d=d_values, dim=dim,
+                     trials=trials, seed=seed, name="table2")
+    start = time.perf_counter()
+    result = run_sweep(grid, cache=cache, threads=threads)
+    report = result.to_report(
         title=(
             "Table 2: experimental maximum load with random torus "
             f"polygons (m = n, dim = {dim})"
-        ),
-        cells=cells,
-        row_keys=list(n_values),
-        col_keys=list(d_values),
-        col_label=lambda d: f"d = {d}",
-        meta={
-            "trials": trials,
-            "seed": seed,
-            "dim": dim,
-            "seconds": round(sw.total, 2),
-        },
+        )
     )
+    report.meta.update(dim=dim, seconds=round(time.perf_counter() - start, 2))
+    return report

@@ -9,14 +9,18 @@ The four columns, as this reproduction reads the paper's strategies:
   choices, ties to the lowest interval,
 * ``arc-smaller`` — uniform choices, ties to the shorter arc (the
   paper's own heuristic; empirically the best).
+
+Arc-left is not a value on one cartesian axis, so the table keeps its
+own loop; its cells are seeded like every other
+(:func:`repro.stats.trials.cell_seed`), so the arc-random column is
+Table 1's d = 2 column, cached once for both.
 """
 
 from __future__ import annotations
 
 from repro.experiments.report import ExperimentReport
-from repro.stats.trials import CellSpec
+from repro.stats.trials import CellSpec, cell_seed
 from repro.sweeps.runner import resolve_cache, submit_cell
-from repro.utils.rng import stable_hash_seed
 from repro.utils.timing import Stopwatch
 
 __all__ = ["run", "STRATEGIES", "DEFAULT_N_VALUES", "FULL_N_VALUES"]
@@ -40,15 +44,15 @@ def run(
     strategies=None,
     d: int = 2,
     seed: int = 20030206,
-    backend=None,
     threads=None,
     cache="auto",
     full: bool = False,
 ) -> ExperimentReport:
     """Regenerate Table 3 (scaled by default; ``full=True`` for paper scale).
 
-    Kernel ``backend`` and ``threads`` are forwarded to
-    :func:`repro.stats.trials.run_cell`; cells are cached through the sweep layer (``cache`` as in
+    Kernel ``threads`` are forwarded to
+    :func:`repro.stats.trials.run_cell_hists`; cells are cached through
+    the sweep layer (``cache`` as in
     :func:`repro.sweeps.runner.resolve_cache`).
     """
     if n_values is None:
@@ -69,12 +73,8 @@ def run(
             )
             with sw.lap(f"n={n} {name}"):
                 cells[(n, name)] = submit_cell(
-                    spec,
-                    trials,
-                    seed=stable_hash_seed("table3", seed, n, name, d),
-                    backend=backend,
+                    spec, trials, cell_seed(spec, seed), cache=store,
                     threads=threads,
-                    cache=store,
                 )
     return ExperimentReport(
         name="table3",

@@ -15,23 +15,26 @@ from __future__ import annotations
 
 from repro.baselines.vocking import vocking_bound
 from repro.experiments.report import TextReport
-from repro.stats.trials import CellSpec
-from repro.sweeps.runner import resolve_cache, submit_cell, submit_profile
+from repro.stats.distributions import MaxLoadDistribution
+from repro.stats.trials import CellSpec, cell_seed, mean_nu_profile
+from repro.sweeps.runner import fetch_cell, resolve_cache
 from repro.theory.fluid import fluid_limit_tails, fluid_predicted_max_load
 from repro.theory.recursion import (
     practical_predicted_max_load,
     theorem1_leading_term,
 )
-from repro.utils.rng import stable_hash_seed
 
 __all__ = ["run"]
 
+KINDS = ("ring", "torus", "uniform")
 
-def _profile_section(n: int, d: int, trials: int, seed, store=None) -> list[str]:
+
+def _profile_section(n: int, d: int, trials: int, hists) -> list[str]:
     """Compare empirical tail fractions s_i = nu_i / n with the ODE.
 
     This is the paper-conclusion question made quantitative: the fluid
     limit is exact for uniform bins; how far off is it on the ring?
+    ``hists(kind, n, d)`` gives a cell's per-trial histograms.
     """
     from repro.theory.weighted_fluid import weight_model_for, weighted_fluid_tails
 
@@ -47,14 +50,7 @@ def _profile_section(n: int, d: int, trials: int, seed, store=None) -> list[str]
         f"  {'i':>3} {'fluid':>10} {'uniform':>10} "
         f"{'wfluid-ring':>12} {'ring':>10} {'wfluid-torus':>13} {'torus':>10}",
     ]
-    profiles = {}
-    for kind in ("uniform", "ring", "torus"):
-        profiles[kind] = submit_profile(
-            CellSpec(kind, n, d),
-            trials,
-            seed=stable_hash_seed("tc-prof", seed, kind, n, d),
-            cache=store,
-        )
+    profiles = {kind: mean_nu_profile(hists(kind, n, d)) for kind in KINDS}
     depth = min(6, max(p.size for p in profiles.values()))
 
     def sim(kind, i):
@@ -80,11 +76,21 @@ def run(
 ) -> TextReport:
     """Tabulate predictions next to simulated modes.
 
-    Simulation cells (including the ν-profiles, cached as NPZ arrays)
-    go through the sweep layer's result cache; ``cache`` as in
-    :func:`repro.sweeps.runner.resolve_cache`.
+    Simulation cells go through the sweep layer's result cache
+    (``cache`` as in :func:`repro.sweeps.runner.resolve_cache`); the
+    ν-profile section reads the ``(kind, max n, d = 2)`` cells the rows
+    fetched, or fetches them when ``d = 2`` is not swept.
     """
     store = resolve_cache(cache)
+    fetched = {}
+
+    def hists(kind, n, d):
+        if (kind, n, d) not in fetched:
+            spec = CellSpec(kind, n, d)
+            fetched[kind, n, d] = fetch_cell(spec, trials, cell_seed(spec, seed),
+                                             cache=store)
+        return fetched[kind, n, d]
+
     lines = [
         f"{'n':>8} {'d':>2} | {'ring':>5} {'torus':>5} {'unif':>5} | "
         f"{'fluid':>5} {'llog':>5} {'layer':>5} {'vock':>5}"
@@ -92,23 +98,9 @@ def run(
     data = {}
     for n in n_values:
         for d in d_values:
-            ring = submit_cell(
-                CellSpec("ring", n, d),
-                trials,
-                seed=stable_hash_seed("tc-ring", seed, n, d),
-                cache=store,
-            )
-            torus = submit_cell(
-                CellSpec("torus", n, d),
-                trials,
-                seed=stable_hash_seed("tc-torus", seed, n, d),
-                cache=store,
-            )
-            unif = submit_cell(
-                CellSpec("uniform", n, d),
-                trials,
-                seed=stable_hash_seed("tc-unif", seed, n, d),
-                cache=store,
+            ring, torus, unif = (
+                MaxLoadDistribution.from_histograms(hists(kind, n, d))
+                for kind in KINDS
             )
             fluid = fluid_predicted_max_load(n, d)
             llog = theorem1_leading_term(n, d)
@@ -135,10 +127,7 @@ def run(
         "induction predictor (upper-bound flavoured), Vöcking leading "
         "term"
     )
-    profile_n = max(n_values)
-    lines.extend(
-        _profile_section(profile_n, 2, max(4, trials // 4), seed, store=store)
-    )
+    lines.extend(_profile_section(max(n_values), 2, trials, hists))
     lines.append(
         "reading: the classical ODE is exact for uniform bins; the "
         "measure-weighted ODE (weights Exp(1) for arcs, Gamma(3.575) "

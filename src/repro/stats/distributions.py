@@ -56,6 +56,16 @@ class MaxLoadDistribution:
         return cls(counts=dict(sorted(data.items())), spec=spec)
 
     @classmethod
+    def from_histograms(cls, hist, spec=None) -> "MaxLoadDistribution":
+        """Build from per-trial load histograms (``hist[k, l]`` = trial
+        ``k``'s bins holding exactly ``l`` balls): each trial's maximum
+        load is its row's last non-zero level."""
+        hist = np.asarray(hist)
+        return cls.from_samples(
+            hist.shape[1] - 1 - np.argmax(hist[:, ::-1] > 0, axis=1), spec=spec
+        )
+
+    @classmethod
     def from_json_counts(cls, counts: Mapping, spec=None) -> "MaxLoadDistribution":
         """Build from a JSON count mapping (string keys), sorted by load.
 

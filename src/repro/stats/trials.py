@@ -5,18 +5,21 @@ strategy); each trial re-draws both the server placement and the item
 choices.  Seeds are spawned per trial from a master
 :class:`~numpy.random.SeedSequence`, so results do not depend on how
 trials are grouped or whether other cells run before or after
-(``docs/architecture.md#experiment-flow``).
+(``docs/architecture.md#experiment-flow``).  A cell's identity is
+:func:`canonical_cell`; :func:`cell_seed` hashes it with a master seed,
+so every driver that asks for a cell asks for the same trials.
 
-Trials of one cell are statistically independent, so :func:`run_cell`
-and :func:`run_cell_profile` run them all in one
+Trials of one cell are statistically independent, so
+:func:`run_cell_hists` runs them all in one
 :func:`repro.core.multitrial.run_random_spaces` call, which returns each
 trial's load histogram: ring and 2-D torus cells build their spaces and
 run their trials inside the ``cext`` kernel where it applies, with the
 kernel ``threads`` splitting trials, and the rest go through the
 trial-fused engine (:func:`repro.core.multitrial.run_fused`).
-:func:`run_cell` reads each trial's maximum load from its histogram,
-:func:`run_cell_profile` the ν-profile.  Trial ``k`` is bit-identical to
-:func:`repro.core.engine.run_sequential` on the same seed.
+:func:`run_cell` reads each trial's maximum load from the histograms,
+:func:`run_cell_profile` their mean ν-profile (:func:`mean_nu_profile`).
+Trial ``k`` is bit-identical to :func:`repro.core.engine.run_sequential`
+on the same seed.
 :func:`run_trial_map` is the generic harness for trials that have no
 fused engine (dynamic churn trajectories); its optional process pool
 never changes results.
@@ -34,12 +37,16 @@ from repro.core.multitrial import run_random_spaces
 from repro.core.strategies import TieBreak
 from repro.obs import counter_add, obs_session, trace_span
 from repro.stats.distributions import MaxLoadDistribution
-from repro.utils.rng import spawn_seed_sequences
+from repro.utils.rng import spawn_seed_sequences, stable_hash_seed
 from repro.utils.validation import check_positive_int
 
 __all__ = [
     "CellSpec",
+    "canonical_cell",
+    "cell_seed",
+    "mean_nu_profile",
     "run_cell",
+    "run_cell_hists",
     "run_cell_profile",
     "run_trial_map",
 ]
@@ -117,25 +124,92 @@ class CellSpec:
         return " ".join(bits)
 
 
-def _run_cell_fused(spec: CellSpec, trials: int, seed, *, backend=None,
-                    threads=None) -> np.ndarray:
+def canonical_cell(spec: CellSpec) -> dict:
+    """A cell's identity: the parameters that define its trials.
+
+    ``space``, ``n``, ``m`` resolved to :attr:`CellSpec.balls`, ``d``,
+    ``strategy``, ``partitioned``, and ``dim`` for tori only, so specs
+    that place the same balls the same way (``m=None`` and ``m=n``, a
+    ring at any ``dim``) are one cell.  It gives the cell's seed
+    (:func:`cell_seed`) and the cell fields of its cache key
+    (:func:`repro.sweeps.runner.cell_spec_dict`).
+    """
+    out = {
+        "space": spec.space,
+        "n": int(spec.n),
+        "m": int(spec.balls),
+        "d": int(spec.d),
+        "strategy": TieBreak.coerce(spec.strategy).value,
+        "partitioned": bool(spec.partitioned),
+    }
+    if spec.space == "torus":
+        out["dim"] = int(spec.dim)
+    return out
+
+
+def cell_seed(spec: CellSpec, master_seed: int) -> int:
+    """The seed of cell ``spec`` under ``master_seed``.
+
+    A hash of the master seed and :func:`canonical_cell` only, so every
+    driver, grid and shard that asks for a cell at one master seed runs
+    the same trials, and a cache filled by one serves the others.
+
+    Examples
+    --------
+    >>> cell_seed(CellSpec("ring", 256, 2), 7) == cell_seed(
+    ...     CellSpec("ring", 256, 2, m=256, dim=3), 7)
+    True
+    """
+    parts = (f"{key}={value}" for key, value in canonical_cell(spec).items())
+    return stable_hash_seed("cell", int(master_seed), *parts)
+
+
+def mean_nu_profile(hist) -> np.ndarray:
+    """Mean ν-profile of per-trial load histograms.
+
+    ``hist[k, l]`` counts trial ``k``'s bins holding exactly ``l``
+    balls; ``profile[i]`` is the mean number of bins holding at least
+    ``i`` balls.  Dividing by ``n`` gives the empirical counterpart of
+    the fluid limit's ``s_i`` (and of the layered induction's
+    ``nu_i / n``), which the ``theory_vs_sim`` analysis and tests
+    compare against :func:`repro.theory.fluid.fluid_limit_tails`.
+    """
+    hist = np.asarray(hist)
+    # bins holding at least i balls: the reverse cumulative sum
+    return np.cumsum(hist.sum(axis=0)[::-1])[::-1] / hist.shape[0]
+
+
+def run_cell_hists(
+    spec: CellSpec,
+    trials: int,
+    seed=None,
+    *,
+    backend=None,
+    threads: int | None = None,
+    obs: bool | None = None,
+) -> np.ndarray:
     """Each trial's load histogram, ``(trials, L)``: one
     :func:`~repro.core.multitrial.run_random_spaces` call for every space.
 
     Trial ``k``'s generator first draws the server placement (ring and
     torus cells), then the item choices.  ``hist[k, l]`` counts trial
     ``k``'s bins holding exactly ``l`` balls, for ``l`` up to the
-    largest maximum load of any trial.  ``backend`` and ``threads`` are
-    forwarded (kernel backend and thread-count selection; results are
-    independent of both).
+    largest maximum load of any trial.  Trial seeds are spawned from
+    ``seed``, so the first rows of a cell do not depend on how many
+    trials it has.  :func:`run_cell` and :func:`run_cell_profile` are
+    its two views; ``backend``, ``threads`` and ``obs`` are as in
+    :func:`run_cell`.
     """
-    rngs = [np.random.default_rng(ss) for ss in spawn_seed_sequences(seed, trials)]
-    hist, _ = run_random_spaces(
-        spec.space, spec.n, spec.balls, spec.d, TieBreak.coerce(spec.strategy),
-        rngs, dim=spec.dim, partitioned=spec.partitioned, backend=backend,
-        threads=threads,
-    )
-    return hist
+    trials = check_positive_int(trials, "trials")
+    with obs_session(obs), trace_span("run_cell", cell=spec.label(), trials=trials):
+        counter_add("cell.runs")
+        rngs = [np.random.default_rng(ss) for ss in spawn_seed_sequences(seed, trials)]
+        hist, _ = run_random_spaces(
+            spec.space, spec.n, spec.balls, spec.d, TieBreak.coerce(spec.strategy),
+            rngs, dim=spec.dim, partitioned=spec.partitioned, backend=backend,
+            threads=threads,
+        )
+        return hist
 
 
 def run_cell_profile(
@@ -147,27 +221,14 @@ def run_cell_profile(
     threads: int | None = None,
     obs: bool | None = None,
 ) -> np.ndarray:
-    """Mean ν-profile over trials (padded to the longest observed).
-
-    Returns ``profile`` with ``profile[i]`` = average number of bins
-    holding at least ``i`` balls.  Dividing by ``spec.n`` gives the
-    empirical counterpart of the fluid limit's ``s_i`` (and of the
-    layered induction's ``nu_i / n``), which the `theory_vs_sim`
-    analysis and tests compare against
-    :func:`repro.theory.fluid.fluid_limit_tails`.
+    """Mean ν-profile over trials (:func:`mean_nu_profile` of
+    :func:`run_cell_hists`), padded to the longest observed.
 
     ``backend``, ``threads`` and ``obs`` behave exactly as in
     :func:`run_cell`.
     """
-    trials = check_positive_int(trials, "trials")
-    with obs_session(obs), trace_span(
-        "run_cell_profile", cell=spec.label(), trials=trials
-    ):
-        counter_add("cell.profile_runs")
-        hist = _run_cell_fused(spec, trials, seed, backend=backend,
-                               threads=threads)
-        # bins holding at least i balls: the reverse cumulative sum
-        return np.cumsum(hist.sum(axis=0)[::-1])[::-1] / trials
+    return mean_nu_profile(run_cell_hists(spec, trials, seed, backend=backend,
+                                     threads=threads, obs=obs))
 
 
 def _worker(args):
@@ -231,7 +292,7 @@ def run_cell(
         Observability scope for this call
         (:func:`repro.obs.obs_session`): ``True`` traces a
         ``run_cell`` span (engine spans nested underneath) and bumps
-        the cell counters, ``False`` silences an otherwise-enabled
+        the ``cell.runs`` counter, ``False`` silences an otherwise-enabled
         process, ``None`` follows the global ``REPRO_OBS`` switch.
         Never changes results.
 
@@ -241,11 +302,6 @@ def run_cell(
     >>> dist.trials
     8
     """
-    trials = check_positive_int(trials, "trials")
-    with obs_session(obs), trace_span("run_cell", cell=spec.label(), trials=trials):
-        counter_add("cell.runs")
-        hist = _run_cell_fused(spec, trials, seed, backend=backend,
-                               threads=threads)
-        # each trial's maximum load: its last non-zero level
-        maxima = hist.shape[1] - 1 - np.argmax(hist[:, ::-1] > 0, axis=1)
-        return MaxLoadDistribution.from_samples(maxima, spec=spec)
+    hist = run_cell_hists(spec, trials, seed, backend=backend, threads=threads,
+                          obs=obs)
+    return MaxLoadDistribution.from_histograms(hist, spec=spec)

@@ -8,7 +8,8 @@ The orchestration layer between the trial engines
 * :class:`SweepGrid` (:mod:`repro.sweeps.grid`) — declarative
   parameter grids over the cell axes (space, n, d, m, strategy,
   partitioned, dim) that expand deterministically into per-cell
-  specs with stable derived seeds;
+  specs, each seeded by :func:`repro.stats.trials.cell_seed` as every
+  experiment driver seeds it;
 * :class:`ResultCache` (:mod:`repro.sweeps.cache`) — a
   content-addressed on-disk store: each result is keyed by the hash
   of its full spec plus a code-version salt, so identical work is
@@ -16,10 +17,13 @@ The orchestration layer between the trial engines
   :data:`~repro.sweeps.cache.PLACEMENT_DIGEST`, a pinned digest of
   canonical placement results, so a change to placement semantics
   orphans every result computed before it;
-* :func:`run_sweep` / :func:`submit_cell` (:mod:`repro.sweeps.runner`)
-  — cache-aware execution, one :func:`submit_cell` call per cell,
-  with round-robin shard selection (``--shard-index/--shard-count``);
-  shards run as separate processes parallelize across cells;
+* :func:`run_sweep` / :func:`fetch_cell` / :func:`submit_cell`
+  (:mod:`repro.sweeps.runner`) — cache-aware execution: a cell's
+  entry is its per-trial load histograms, :func:`submit_cell` their
+  max-load view; :func:`run_sweep` makes one :func:`fetch_cell` call
+  per cell, with round-robin shard selection
+  (``--shard-index/--shard-count``); shards run as separate processes
+  parallelize across cells;
 * :class:`SweepResult` (:mod:`repro.sweeps.result`) — mergeable
   artifacts with a canonical byte form: shards of one grid merge to
   the byte-identical unsharded result, and ``to_report`` renders
@@ -50,11 +54,11 @@ from repro.sweeps.cache import (
 from repro.sweeps.grid import AXES, SweepCell, SweepGrid, parse_axis_args, shard_cells
 from repro.sweeps.result import SweepResult
 from repro.sweeps.runner import (
+    fetch_cell,
     fetch_or_compute,
     resolve_cache,
     run_sweep,
     submit_cell,
-    submit_profile,
 )
 
 __all__ = [
@@ -66,6 +70,7 @@ __all__ = [
     "SweepResult",
     "canonical_json",
     "default_cache_dir",
+    "fetch_cell",
     "fetch_or_compute",
     "parse_axis_args",
     "resolve_cache",
@@ -73,5 +78,4 @@ __all__ = [
     "shard_cells",
     "spec_key",
     "submit_cell",
-    "submit_profile",
 ]

@@ -12,7 +12,6 @@ writing the same key race benignly (both write identical bytes).
 Layout on disk (two-level fan-out keeps directories small)::
 
     <root>/<key[:2]>/<key>.json     # spec + JSON payload
-    <root>/<key[:2]>/<key>.npz      # optional numpy arrays (profiles)
 
 Writes are atomic (temp file + ``os.replace``); unreadable or corrupt
 entries degrade to cache misses, never to wrong results — the reader
@@ -29,8 +28,6 @@ import tempfile
 from pathlib import Path
 from typing import Any, Mapping
 
-import numpy as np
-
 from repro._version import __version__
 from repro.obs import counter_add
 
@@ -43,8 +40,10 @@ __all__ = [
     "spec_key",
 ]
 
-#: Bump when the cached payload schema changes shape.
-_SCHEMA = 1
+#: Bump when the cached payload schema changes shape.  Schema 2: a
+#: cell stores its per-trial load histograms under seeds from
+#: :func:`repro.stats.trials.cell_seed`.
+_SCHEMA = 2
 
 #: blake2b of canonical cells' results and single-run loads, asserted by
 #: ``tests/sweeps/test_placement_digest.py``.  A change to placement
@@ -155,13 +154,9 @@ class ResultCache:
         """Content address of ``spec`` under this cache's salt."""
         return spec_key(spec, self.salt)
 
-    def _paths(self, key: str) -> tuple[Path, Path]:
-        shard = self.root / key[:2]
-        return shard / f"{key}.json", shard / f"{key}.npz"
-
     def __contains__(self, spec: Mapping) -> bool:
         """Entry present on disk?  Does not bump the hit/miss counters."""
-        return self._paths(self.key(spec))[0].is_file()
+        return self.path_for(spec).is_file()
 
     def path_for(self, spec: Mapping) -> Path:
         """On-disk JSON path a ``spec`` entry lives at (existing or not).
@@ -170,7 +165,8 @@ class ResultCache:
         finished cells' entries through this to estimate progress/ETA
         without touching the hit/miss counters.
         """
-        return self._paths(self.key(spec))[0]
+        key = self.key(spec)
+        return self.root / key[:2] / f"{key}.json"
 
     # ------------------------------------------------------------------
     # read / write
@@ -178,16 +174,13 @@ class ResultCache:
     def get(self, spec: Mapping) -> dict | None:
         """Look up ``spec``; return the stored entry or ``None`` on miss.
 
-        The returned dict has ``"payload"`` (the JSON payload stored by
-        :meth:`put`) and ``"arrays"`` (a dict of numpy arrays, empty
-        when none were stored).  Corrupt or mismatching entries count
-        as misses — the cache never returns data whose recorded spec
-        differs from the request.
+        The returned dict has ``"payload"``, the JSON payload stored by
+        :meth:`put`.  Corrupt or mismatching entries count as misses —
+        the cache never returns data whose recorded spec differs from
+        the request.
         """
-        key = self.key(spec)
-        json_path, npz_path = self._paths(key)
         try:
-            text = json_path.read_text()
+            text = self.path_for(spec).read_text()
         except OSError:
             return self._miss()
         try:
@@ -196,16 +189,9 @@ class ResultCache:
             return self._miss(corrupt=True)
         if entry.get("salt") != self.salt or entry.get("spec") != _normalize(spec):
             return self._miss()
-        arrays: dict[str, np.ndarray] = {}
-        if entry.get("has_arrays"):
-            try:
-                with np.load(npz_path) as npz:
-                    arrays = {name: npz[name] for name in npz.files}
-            except (OSError, ValueError):
-                return self._miss(corrupt=True)
         self.hits += 1
         counter_add("sweep.cache.hit")
-        return {"payload": entry["payload"], "arrays": arrays}
+        return {"payload": entry["payload"]}
 
     def _miss(self, *, corrupt: bool = False) -> None:
         """Record a miss (optionally a corrupt entry) and return ``None``."""
@@ -216,30 +202,19 @@ class ResultCache:
             counter_add("sweep.cache.corrupt")
         return None
 
-    def put(
-        self,
-        spec: Mapping,
-        payload: Mapping,
-        arrays: Mapping[str, np.ndarray] | None = None,
-    ) -> Path:
-        """Store ``payload`` (JSON-able) and optional numpy ``arrays``.
+    def put(self, spec: Mapping, payload: Mapping) -> Path:
+        """Store the JSON-able ``payload`` under ``spec``.
 
-        Returns the path of the written JSON entry.  Writes are atomic
-        per file; re-putting an existing key overwrites with identical
-        bytes (payloads are deterministic functions of the spec).
+        Returns the path of the written JSON entry.  Writes are atomic;
+        re-putting an existing key overwrites with identical bytes
+        (payloads are deterministic functions of the spec).
         """
-        key = self.key(spec)
-        json_path, npz_path = self._paths(key)
+        json_path = self.path_for(spec)
         json_path.parent.mkdir(parents=True, exist_ok=True)
-        if arrays:
-            self._atomic_write(
-                npz_path, lambda fh: np.savez_compressed(fh, **dict(arrays))
-            )
         entry = {
             "salt": self.salt,
             "spec": _normalize(spec),
             "payload": _normalize(payload),
-            "has_arrays": bool(arrays),
         }
         self._atomic_write(
             json_path,
@@ -283,12 +258,9 @@ class ResultCache:
         return sum(1 for _ in self.root.glob("*/*.json"))
 
     def clear(self) -> int:
-        """Delete every cache file under the root; returns entries removed."""
+        """Delete every cache entry under the root; returns entries removed."""
         removed = 0
-        if not self.root.is_dir():
-            return 0
-        for path in self.root.glob("*/*"):
-            if path.suffix in (".json", ".npz"):
-                removed += path.suffix == ".json"
-                path.unlink()
+        for path in self.root.glob("*/*.json"):
+            path.unlink()
+            removed += 1
         return removed

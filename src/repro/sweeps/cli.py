@@ -66,7 +66,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_p.add_argument("--trials", type=int, default=100, help="trials per cell")
     run_p.add_argument("--seed", type=int, default=20030206, help="master seed")
-    run_p.add_argument("--name", default="sweep", help="grid name (seed namespace)")
+    run_p.add_argument(
+        "--name", default="sweep", help="grid label (names the artifact's grid)"
+    )
     run_p.add_argument("--shard-index", type=int, default=0, help="this shard's index")
     run_p.add_argument("--shard-count", type=int, default=1, help="total shards")
     run_p.add_argument(
@@ -96,7 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     status_p.add_argument("--trials", type=int, default=100, help="trials per cell")
     status_p.add_argument("--seed", type=int, default=20030206, help="master seed")
-    status_p.add_argument("--name", default="sweep", help="grid name (seed namespace)")
     status_p.add_argument(
         "--shard-index", type=int, default=0, help="this shard's index"
     )
@@ -134,7 +135,7 @@ def _grid_from_args(args) -> SweepGrid:
             parse_axis_args(args.axes),
             trials=args.trials,
             seed=args.seed,
-            name=args.name,
+            name=getattr(args, "name", "sweep"),
         )
     )
 
@@ -208,7 +209,7 @@ def main(argv=None) -> int:
         shard = f"shard {args.shard_index + 1}/{args.shard_count}, " \
             if args.shard_count > 1 else ""
         print(
-            f"sweep {grid.name} ({shard}cache at {store.root}): "
+            f"sweep status ({shard}cache at {store.root}): "
             + format_progress(progress)
         )
         return 0

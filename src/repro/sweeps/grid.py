@@ -4,13 +4,13 @@ A :class:`SweepGrid` names, per axis, the values to sweep —
 ``space``, ``n``, ``d``, ``m``, ``strategy``, ``partitioned``, ``dim``
 — plus the trial count and master seed shared by every cell.
 :meth:`SweepGrid.cells` expands the cartesian product in a fixed axis
-order into :class:`SweepCell` specs whose per-cell seeds are derived
-with :func:`repro.utils.rng.stable_hash_seed`, so the expansion is a
-pure function of the grid: the same grid always yields the same cells
-with the same seeds, regardless of sharding, process count, or which
-machine expands it.  That determinism is what makes the
-content-addressed cache (:mod:`repro.sweeps.cache`) and shard merging
-(:mod:`repro.sweeps.result`) correct.
+order into :class:`SweepCell` specs, each seeded by
+:func:`repro.stats.trials.cell_seed` from the master seed and the cell
+alone, so the expansion is a pure function of the grid, and a cell
+gets the seed every experiment driver gives it: a grid's shards fill
+the cache with the cells of the paper's tables.  That determinism is
+what makes the content-addressed cache (:mod:`repro.sweeps.cache`) and
+shard merging (:mod:`repro.sweeps.result`) correct.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ import itertools
 from dataclasses import dataclass, fields, replace
 from typing import Iterable, Mapping, Sequence
 
-from repro.stats.trials import CellSpec
-from repro.utils.rng import stable_hash_seed
+from repro.stats.trials import CellSpec, canonical_cell, cell_seed
 from repro.utils.validation import check_positive_int
 
 __all__ = ["AXES", "SweepCell", "SweepGrid", "parse_axis_args", "shard_cells"]
@@ -41,8 +40,8 @@ class SweepCell:
     trials:
         Independent trials of the cell.
     seed:
-        Deterministic master seed derived from the grid identity and
-        the cell's axis values.
+        The cell's seed, :func:`repro.stats.trials.cell_seed` of the
+        grid's master seed.
     """
 
     spec: CellSpec
@@ -72,9 +71,8 @@ class SweepGrid:
 
     Every axis accepts a scalar or a sequence of values; scalars are
     normalized to one-element tuples.  ``trials`` and ``seed`` are
-    shared by all cells; ``name`` namespaces the per-cell seed
-    derivation so two grids with the same axes but different names
-    draw independent randomness.
+    shared by all cells; ``name`` is a label only, so grids of any
+    name seed a cell alike.
 
     Examples
     --------
@@ -106,10 +104,7 @@ class SweepGrid:
             raise TypeError(f"seed must be an int, got {type(self.seed).__name__}")
 
     def __len__(self) -> int:
-        total = 1
-        for axis in AXES:
-            total *= len(getattr(self, axis))
-        return total
+        return len(self.cells())
 
     def describe(self) -> dict:
         """Canonical JSON-able description (the merge-identity of the grid)."""
@@ -121,17 +116,18 @@ class SweepGrid:
         """Expand to the full deterministic cell list (cartesian product).
 
         Cells are ordered by the fixed :data:`AXES` nesting (``space``
-        outermost, ``dim`` innermost); each cell's seed hashes the grid
-        name, master seed, and its axis values.
+        outermost, ``dim`` innermost); each cell's seed is
+        :func:`~repro.stats.trials.cell_seed` of the master seed.  Axis
+        values that name one cell (``m=None`` and ``m=n``, a ring at
+        several ``dim``) expand to it once, at its first position.
         """
-        out = []
+        out, seen = [], set()
         for values in itertools.product(*(getattr(self, axis) for axis in AXES)):
-            params = dict(zip(AXES, values))
-            spec = CellSpec(**params)
-            cell_seed = stable_hash_seed(
-                "sweep", self.name, self.seed, *(params[a] for a in AXES)
-            )
-            out.append(SweepCell(spec=spec, trials=self.trials, seed=cell_seed))
+            spec = CellSpec(**dict(zip(AXES, values)))
+            identity = tuple(canonical_cell(spec).values())
+            if identity not in seen:
+                seen.add(identity)
+                out.append(SweepCell(spec, self.trials, cell_seed(spec, self.seed)))
         return out
 
     def with_(self, **kwargs) -> "SweepGrid":

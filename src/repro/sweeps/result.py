@@ -2,7 +2,7 @@
 
 A :class:`SweepResult` is what one sweep run (or one shard of it)
 produces: the grid description, one record per executed cell (cache
-key, full spec, max-load counts), and run metadata.  The canonical
+key, full spec, per-trial load histograms), and run metadata.  The canonical
 JSON form (:meth:`SweepResult.to_json`) sorts cells by content key and
 excludes anything nondeterministic (timings, hit/miss counters), so
 
@@ -41,9 +41,11 @@ class SweepResult:
         share it and :meth:`merge` enforces that.
     cells:
         One record per executed cell:
-        ``{"key": <hex>, "spec": {...}, "counts": {load: trials}}``.
-        Keys are the cache content addresses under the default salt,
-        so they are stable across machines and cache configurations.
+        ``{"key": <hex>, "spec": {...}, "hist": [[...], ...]}``, where
+        ``hist[k][l]`` counts trial ``k``'s bins holding exactly ``l``
+        balls.  Keys are the cache content addresses under the default
+        salt, so they are stable across machines and cache
+        configurations.
     meta:
         Free-form run info (hits, misses, shard indices).
         Excluded from the canonical byte form.
@@ -62,7 +64,7 @@ class SweepResult:
     def distributions(self) -> dict[str, MaxLoadDistribution]:
         """``{cell key: MaxLoadDistribution}`` for every executed cell."""
         return {
-            cell["key"]: MaxLoadDistribution.from_json_counts(cell["counts"])
+            cell["key"]: MaxLoadDistribution.from_histograms(cell["hist"])
             for cell in self.cells
         }
 
@@ -81,7 +83,7 @@ class SweepResult:
                     f"axes ({row!r}, {col!r}) do not separate the grid: "
                     f"two cells share {key}"
                 )
-            out[key] = MaxLoadDistribution.from_json_counts(cell["counts"])
+            out[key] = MaxLoadDistribution.from_histograms(cell["hist"])
         return out
 
     def to_report(self, row: str = "n", col: str = "d", title: str | None = None):
@@ -137,7 +139,7 @@ class SweepResult:
         """Union of shard results of **one** grid.
 
         All parts must describe the same grid; duplicate cell keys must
-        carry identical counts (benign re-execution) or the merge
+        carry identical histograms (benign re-execution) or the merge
         refuses.  The merged artifact is byte-identical to an
         unsharded run of the same grid.
         """
@@ -154,9 +156,9 @@ class SweepResult:
             misses += part.meta.get("misses", 0)
             for cell in part.cells:
                 seen = merged.get(cell["key"])
-                if seen is not None and seen["counts"] != cell["counts"]:
+                if seen is not None and seen["hist"] != cell["hist"]:
                     raise ValueError(
-                        f"conflicting counts for cell {cell['key']}: "
+                        f"conflicting histograms for cell {cell['key']}: "
                         "shards disagree — refusing to merge"
                     )
                 merged[cell["key"]] = cell

@@ -2,17 +2,21 @@
 
 Two levels of API:
 
-* :func:`submit_cell` / :func:`submit_profile` / :func:`fetch_or_compute`
-  — drop-in cached versions of the primitives the experiment drivers
-  already use (``run_cell``, ``run_cell_profile``, custom trial
-  loops).  Every driver in :mod:`repro.experiments` routes its cells
-  through these, so **re-running any table is incremental by
-  default**: cells whose (spec, trials, seed, code version) were
-  computed before are served from the content-addressed cache.
+* :func:`fetch_cell` / :func:`submit_cell` / :func:`fetch_or_compute`
+  — cached versions of the primitives the experiment drivers use.  A
+  cell's cache entry is its per-trial load histograms
+  (:func:`repro.stats.trials.run_cell_hists`): :func:`fetch_cell`
+  returns them, :func:`submit_cell` their max-load view (what
+  ``run_cell`` returns), and :func:`repro.stats.trials.mean_nu_profile`
+  reads the ν-profile from the same entry.  Every driver in
+  :mod:`repro.experiments` seeds its cells with
+  :func:`repro.stats.trials.cell_seed` and routes them through these,
+  so **re-running any table is incremental by default**, and a cell
+  computed by one driver, grid or shard is a hit for every other.
 
 * :func:`run_sweep` — expand a :class:`~repro.sweeps.grid.SweepGrid`,
-  select a shard, submit its cells in grid order through
-  :func:`submit_cell`, and return a mergeable
+  select a shard, fetch its cells in grid order through
+  :func:`fetch_cell`, and return a mergeable
   :class:`~repro.sweeps.result.SweepResult`.  Shards run as separate
   processes and merge to the unsharded artifact.
 
@@ -41,18 +45,18 @@ import numpy as np
 
 from repro.obs import obs_session, trace_span
 from repro.stats.distributions import MaxLoadDistribution
-from repro.stats.trials import CellSpec, run_cell, run_cell_profile
+from repro.stats.trials import CellSpec, canonical_cell, run_cell_hists
 from repro.sweeps.cache import DEFAULT_SALT, ResultCache, default_cache_dir, spec_key
 from repro.sweeps.grid import SweepCell, SweepGrid, shard_cells
 from repro.sweeps.result import SweepResult
 
 __all__ = [
     "cell_spec_dict",
+    "fetch_cell",
     "fetch_or_compute",
     "resolve_cache",
     "run_sweep",
     "submit_cell",
-    "submit_profile",
 ]
 
 CacheLike = "ResultCache | str | os.PathLike | None | bool"
@@ -86,31 +90,48 @@ def _cacheable_seed(seed) -> int | None:
     return None
 
 
-def _counts_payload(dist: MaxLoadDistribution) -> dict:
-    return {"counts": dist.to_json_counts()}
-
-
-def _dist_from_payload(payload: Mapping, spec=None) -> MaxLoadDistribution:
-    return MaxLoadDistribution.from_json_counts(payload["counts"], spec=spec)
-
-
-def cell_spec_dict(spec: CellSpec, trials: int, seed: int, kind: str = "cell") -> dict:
-    """The cache spec of one ``run_cell`` computation: every parameter
-    that defines the result.  :func:`submit_cell`, :func:`submit_profile`
-    (``kind="cell_profile"``), :func:`run_sweep`'s artifact records and
+def cell_spec_dict(spec: CellSpec, trials: int, seed: int) -> dict:
+    """The cache spec of one cell computation: the cell's identity
+    (:func:`repro.stats.trials.canonical_cell`) plus its trial count and
+    seed.  :func:`fetch_cell`, :func:`run_sweep`'s artifact records and
     ``sweep status`` all key cells by it."""
-    return {
-        "kind": kind,
-        "space": spec.space,
-        "n": spec.n,
-        "d": spec.d,
-        "m": spec.m,
-        "strategy": spec.strategy,
-        "partitioned": spec.partitioned,
-        "dim": spec.dim,
-        "trials": trials,
-        "seed": seed,
-    }
+    return {"kind": "cell", **canonical_cell(spec), "trials": trials, "seed": seed}
+
+
+def fetch_cell(
+    spec: CellSpec,
+    trials: int,
+    seed=None,
+    *,
+    cache: CacheLike = "auto",
+    threads: int | None = None,
+) -> np.ndarray:
+    """A cell's per-trial load histograms, cached.
+
+    Cached drop-in for :func:`repro.stats.trials.run_cell_hists`: a
+    hit returns the stored ``(trials, L)`` histograms without
+    simulating; a miss computes them (same kernel ``threads``
+    semantics, bit-identical results) and stores them inline in the
+    entry's JSON.  ``threads`` is deliberately absent from the cache
+    key, and so is the kernel backend (``REPRO_KERNEL_BACKEND``):
+    backends and thread counts are bit-identical by contract, so a hit
+    from one configuration is valid for all.  The one exception is a
+    torus query at exactly tied rounded distances from two servers,
+    where the cext grid and the numpy KD-tree may pick different
+    owners; cells draw random servers, on which such ties are
+    negligible.  ``seed=None`` or a disabled cache computes directly.
+    """
+    store = resolve_cache(cache)
+    cache_seed = _cacheable_seed(seed)
+    if store is None or cache_seed is None:
+        return run_cell_hists(spec, trials, seed, threads=threads)
+    spec_d = cell_spec_dict(spec, trials, cache_seed)
+    entry = store.get(spec_d)
+    if entry is not None:
+        return np.asarray(entry["payload"]["hist"], dtype=np.int64)
+    hist = run_cell_hists(spec, trials, seed, threads=threads)
+    store.put(spec_d, {"hist": hist.tolist()})
+    return hist
 
 
 def submit_cell(
@@ -119,63 +140,12 @@ def submit_cell(
     seed=None,
     *,
     cache: CacheLike = "auto",
-    backend=None,
     threads: int | None = None,
 ) -> MaxLoadDistribution:
-    """Cached drop-in for :func:`repro.stats.trials.run_cell`.
-
-    On a cache hit the stored counts are returned without simulating;
-    on a miss the cell is computed via ``run_cell`` (same kernel
-    ``backend`` and ``threads`` semantics, bit-identical results) and
-    stored.  ``backend`` and ``threads``
-    are deliberately absent from the cache key: backends and thread
-    counts are bit-identical by contract, so a hit from one
-    configuration is valid for all.  The one exception is a torus query
-    at exactly tied rounded distances from two servers, where the cext
-    grid and the numpy KD-tree may pick different owners; cells draw
-    random servers, on which such ties are negligible.  ``seed=None``
-    or a disabled cache falls through to plain ``run_cell``.
-    """
-    store = resolve_cache(cache)
-    cache_seed = _cacheable_seed(seed)
-    if store is None or cache_seed is None:
-        return run_cell(spec, trials, seed, backend=backend, threads=threads)
-    spec_d = cell_spec_dict(spec, trials, cache_seed)
-    entry = store.get(spec_d)
-    if entry is not None:
-        return _dist_from_payload(entry["payload"], spec=spec)
-    dist = run_cell(spec, trials, seed, backend=backend, threads=threads)
-    store.put(spec_d, _counts_payload(dist))
-    return dist
-
-
-def submit_profile(
-    spec: CellSpec,
-    trials: int,
-    seed=None,
-    *,
-    cache: CacheLike = "auto",
-    backend=None,
-    threads: int | None = None,
-) -> np.ndarray:
-    """Cached drop-in for :func:`repro.stats.trials.run_cell_profile`.
-
-    The mean ν-profile (a float array) is stored as an NPZ payload next
-    to the JSON entry — the cache's array path.  As in
-    :func:`submit_cell`, ``backend`` and ``threads`` steer execution on
-    a miss and are not part of the cache key.
-    """
-    store = resolve_cache(cache)
-    cache_seed = _cacheable_seed(seed)
-    if store is None or cache_seed is None:
-        return run_cell_profile(spec, trials, seed, backend=backend, threads=threads)
-    spec_d = cell_spec_dict(spec, trials, cache_seed, kind="cell_profile")
-    entry = store.get(spec_d)
-    if entry is not None and "profile" in entry["arrays"]:
-        return entry["arrays"]["profile"]
-    profile = run_cell_profile(spec, trials, seed, backend=backend, threads=threads)
-    store.put(spec_d, {"trials": trials}, arrays={"profile": profile})
-    return profile
+    """Cached drop-in for :func:`repro.stats.trials.run_cell`: the
+    max-load view of :func:`fetch_cell`'s histograms."""
+    hist = fetch_cell(spec, trials, seed, cache=cache, threads=threads)
+    return MaxLoadDistribution.from_histograms(hist, spec=spec)
 
 
 def fetch_or_compute(
@@ -187,7 +157,7 @@ def fetch_or_compute(
     """Cache an arbitrary max-load distribution under an explicit spec.
 
     For drivers whose cells are not ``run_cell`` cells (dynamic churn
-    trajectories, geometry/staleness ablations): ``spec_dict`` must
+    trajectories, CAN zones, parallel-arrival rounds): ``spec_dict`` must
     name every parameter that determines the result — including a
     ``"kind"`` discriminator and the seed — and ``compute`` produces
     the distribution on a miss.
@@ -197,20 +167,20 @@ def fetch_or_compute(
         return compute()
     entry = store.get(spec_dict)
     if entry is not None:
-        return _dist_from_payload(entry["payload"])
+        return MaxLoadDistribution.from_json_counts(entry["payload"]["counts"])
     dist = compute()
-    store.put(spec_dict, _counts_payload(dist))
+    store.put(spec_dict, {"counts": dist.to_json_counts()})
     return dist
 
 
-def _cell_record(cell: SweepCell, dist: MaxLoadDistribution) -> dict:
+def _cell_record(cell: SweepCell, hist: np.ndarray) -> dict:
     """A SweepResult cell record; keys use the default salt so the
     artifact identity is independent of the local cache configuration."""
     spec_d = cell_spec_dict(cell.spec, cell.trials, cell.seed)
     return {
         "key": spec_key(spec_d, DEFAULT_SALT),
         "spec": spec_d,
-        "counts": dist.to_json_counts(),
+        "hist": hist.tolist(),
     }
 
 
@@ -227,8 +197,8 @@ def run_sweep(
     """Execute (one shard of) a grid and return a mergeable result.
 
     Each cell of the shard, in grid order, goes through
-    :func:`submit_cell`: a hit is read from the cache, a miss is
-    computed by ``run_cell`` and stored.
+    :func:`fetch_cell`: a hit is read from the cache, a miss is
+    computed by ``run_cell_hists`` and stored.
 
     Parameters
     ----------
@@ -246,7 +216,7 @@ def run_sweep(
     threads:
         Kernel threads *within* one cell
         (:func:`repro.kernels.resolve_threads` semantics), forwarded to
-        ``run_cell``.  Never part of the cache key; results are
+        ``run_cell_hists``.  Never part of the cache key; results are
         independent of it.
     progress:
         Optional callable receiving one line per cell.
@@ -259,8 +229,8 @@ def run_sweep(
     Returns
     -------
     SweepResult
-        Grid description + per-cell counts; ``meta`` carries hit/miss
-        counters and the shard coordinates.
+        Grid description + per-cell histograms; ``meta`` carries
+        hit/miss counters and the shard coordinates.
     """
     cells = shard_cells(grid.cells(), shard_index, shard_count)
     store = resolve_cache(cache)
@@ -277,12 +247,12 @@ def run_sweep(
         for cell in cells:
             before = store.hits if store is not None else 0
             with trace_span("sweep_cell", cell=cell.label(), trials=cell.trials):
-                dist = submit_cell(
+                hist = fetch_cell(
                     cell.spec, cell.trials, cell.seed, cache=store, threads=threads
                 )
             hit = store is not None and store.hits > before
             hits += hit
-            records.append(_cell_record(cell, dist))
+            records.append(_cell_record(cell, hist))
             status = "[cache hit]" if hit else "[computed] "
             say(f"{status} {cell.label()} trials={cell.trials}")
 

@@ -126,10 +126,17 @@ class TestSweepStatus:
         run_sweep(SweepGrid(n=(64,), d=(1,), trials=2, name="s"), cache=cache)
         before = cache.stats
         assert sweep_main(
-            ["status", "n=64", "d=1", "--trials", "2", "--name", "s",
+            ["status", "n=64", "d=1", "--trials", "2",
              "--cache", str(tmp_path / "cache")]
         ) == 0
         assert cache.stats == before
+        # a grid's name is a label: status finds grid "s"'s cell unnamed
+        assert "1/1 cells done" in capsys.readouterr().out
+
+    def test_status_has_no_name_option(self, capsys):
+        with pytest.raises(SystemExit):
+            sweep_main(["status", "n=64", "--name", "s"])
+        assert "--name" in capsys.readouterr().err
 
 
 class TestSweepRunManifest:

@@ -11,7 +11,15 @@ from repro.core.loads import nu_profile
 from repro.core.strategies import TieBreak
 from repro.kernels import available_backends, get_backend
 from repro.stats.distributions import MaxLoadDistribution
-from repro.stats.trials import CellSpec, run_cell, run_cell_profile, run_trial_map
+from repro.stats.trials import (
+    CellSpec,
+    canonical_cell,
+    cell_seed,
+    run_cell,
+    run_cell_hists,
+    run_cell_profile,
+    run_trial_map,
+)
 from repro.utils.rng import spawn_seed_sequences
 
 
@@ -67,6 +75,51 @@ class TestCellSpec:
         ).label()
         assert "torus" in label and "m=100" in label
         assert "smaller" in label and "dim=3" in label
+
+
+class TestCellIdentity:
+    """One cell, one identity: its seed and cache key come from it."""
+
+    def test_canonical_fields(self):
+        assert canonical_cell(CellSpec("ring", 256, 2, strategy="Smaller")) == {
+            "space": "ring", "n": 256, "m": 256, "d": 2, "strategy": "smaller",
+            "partitioned": False,
+        }
+        assert canonical_cell(CellSpec("torus", 64, 3, m=80, dim=3))["dim"] == 3
+
+    @pytest.mark.parametrize("same", [
+        CellSpec("ring", 256, 2, m=256),
+        CellSpec("ring", 256, 2, dim=5),
+        CellSpec("ring", 256, 2, strategy=TieBreak.RANDOM),
+    ])
+    def test_same_cell_same_seed(self, same):
+        assert cell_seed(same, 11) == cell_seed(CellSpec("ring", 256, 2), 11)
+
+    @pytest.mark.parametrize("other", [
+        CellSpec("ring", 512, 2),
+        CellSpec("ring", 256, 3),
+        CellSpec("ring", 256, 2, m=300),
+        CellSpec("ring", 256, 2, strategy="larger"),
+        CellSpec("ring", 256, 2, partitioned=True),
+        CellSpec("torus", 256, 2),
+        CellSpec("uniform", 256, 2),
+    ])
+    def test_other_cell_other_seed(self, other):
+        assert cell_seed(other, 11) != cell_seed(CellSpec("ring", 256, 2), 11)
+
+    def test_torus_dim_and_master_seed_matter(self):
+        spec = CellSpec("torus", 64, 2)
+        assert cell_seed(spec, 11) != cell_seed(spec.with_(dim=3), 11)
+        assert cell_seed(spec, 11) != cell_seed(spec, 12)
+
+    def test_trials_are_prefix_stable(self):
+        """A cell's first trials do not depend on its trial count."""
+        spec = CellSpec("ring", 512, 2)
+        seed = cell_seed(spec, 3)
+        short, long = run_cell_hists(spec, 4, seed), run_cell_hists(spec, 9, seed)
+        width = short.shape[1]
+        np.testing.assert_array_equal(short, long[:4, :width])
+        assert not long[:4, width:].any()
 
 
 class TestSimulateMaxLoad:

@@ -2,7 +2,6 @@
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.sweeps.cache import (
@@ -30,11 +29,15 @@ class TestSpecKey:
         ("trials", 11),
         ("seed", 43),
         ("space", "torus"),
-        ("kind", "cell_profile"),
+        ("kind", "dynamic_churn"),
     ])
     def test_any_perturbation_changes_key(self, field, value):
         perturbed = dict(SPEC, **{field: value})
         assert spec_key(perturbed) != spec_key(SPEC)
+
+    def test_schema_2_in_default_salt(self):
+        """Histogram payloads are schema 2: no schema-1 entry is served."""
+        assert "-sweeps2-" in DEFAULT_SALT
 
     def test_salt_changes_key(self):
         assert spec_key(SPEC, salt="other") != spec_key(SPEC, salt=DEFAULT_SALT)
@@ -91,19 +94,14 @@ class TestResultCache:
         path.write_text(json.dumps(entry))
         assert cache.get(SPEC) is None
 
-    def test_array_roundtrip(self, tmp_path):
+    def test_entry_is_one_json_file(self, tmp_path):
         cache = ResultCache(tmp_path)
-        profile = np.linspace(0.0, 1.0, 17)
-        cache.put(SPEC, {"trials": 10}, arrays={"profile": profile})
-        entry = cache.get(SPEC)
-        np.testing.assert_array_equal(entry["arrays"]["profile"], profile)
-
-    def test_missing_npz_is_a_miss(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.put(SPEC, {"trials": 10}, arrays={"profile": np.ones(3)})
-        for npz in tmp_path.glob("*/*.npz"):
-            npz.unlink()
-        assert cache.get(SPEC) is None
+        path = cache.put(SPEC, {"hist": [[0, 3], [1, 1]]})
+        assert [p.name for p in tmp_path.glob("*/*")] == [path.name]
+        assert json.loads(path.read_text()) == {
+            "salt": DEFAULT_SALT, "spec": SPEC,
+            "payload": {"hist": [[0, 3], [1, 1]]},
+        }
 
     def test_reput_overwrites_identically(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -115,7 +113,7 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         assert cache.entry_count() == 0
         cache.put(SPEC, {"counts": {}})
-        cache.put(dict(SPEC, n=512), {"counts": {}}, arrays={"a": np.ones(2)})
+        cache.put(dict(SPEC, n=512), {"hist": [[1]]})
         assert cache.entry_count() == 2
         assert cache.clear() == 2
         assert cache.entry_count() == 0

@@ -1,5 +1,6 @@
 """Experiment drivers through the sweep layer: incremental re-runs."""
 
+import re
 import statistics
 import time
 
@@ -16,7 +17,10 @@ from repro.experiments.dynamic_churn import run as run_dynamic
 from repro.experiments.table1 import run as run_table1
 from repro.experiments.table2 import run as run_table2
 from repro.experiments.table3 import run as run_table3
-from repro.sweeps import ResultCache
+from repro.experiments.theory_check import run as run_theory
+from repro.stats.trials import CellSpec, cell_seed
+from repro.sweeps import ResultCache, SweepGrid, run_sweep
+from repro.sweeps.cli import main as sweep_main
 
 
 #: Warm reruns timed against the cold run: a warm rerun takes about a
@@ -104,8 +108,6 @@ class TestOtherDriversCached:
         assert strip_timing(warm) == strip_timing(cold)
 
     def test_theory_check_cached(self, tmp_path):
-        from repro.experiments.theory_check import run as run_theory
-
         store = ResultCache(tmp_path)
         cold = run_theory(n_values=(64,), d_values=(2,), trials=4, cache=store)
         stores = store.stores
@@ -113,6 +115,92 @@ class TestOtherDriversCached:
         warm = run_theory(n_values=(64,), d_values=(2,), trials=4, cache=store)
         assert store.hits == stores
         assert warm.data == cold.data
+
+
+class RecordingCache(ResultCache):
+    """A cache that records each lookup: (spec, hit)."""
+
+    def __init__(self, root):
+        super().__init__(root)
+        self.lookups = []
+
+    def get(self, spec):
+        entry = super().get(spec)
+        self.lookups.append((dict(spec), entry is not None))
+        return entry
+
+
+def strip_seconds(text):
+    return re.sub(r"seconds=[0-9.]+", "", text)
+
+
+class TestOneCellPerSpec:
+    """Every driver seeds a cell by ``cell_seed``: one cache entry."""
+
+    MASTER = 20030206
+    CELL = CellSpec("ring", 4096, 2)
+
+    def test_every_driver_asks_for_one_seed(self, tmp_path):
+        store = RecordingCache(tmp_path)
+        drivers = [
+            lambda: run_table1(trials=2, n_values=(4096,), d_values=(2,),
+                               cache=store),
+            lambda: run_table3(trials=2, n_values=(4096,),
+                               strategies=["arc-random"], cache=store),
+            lambda: run_theory(n_values=(4096,), d_values=(2,), trials=2,
+                               cache=store),
+            lambda: tiebreak_sweep(n=4096, d_values=(2,), trials=2, cache=store),
+            lambda: mn_sweep(n=4096, ratios=(1,), d_values=(2,), trials=2,
+                             cache=store),
+            lambda: run_sweep(SweepGrid(n=4096, d=2, trials=2, name="any"),
+                              cache=store),
+            lambda: run_sweep(SweepGrid(n=4096, d=2, trials=2, name="other"),
+                              cache=store),
+        ]
+        target = {"kind": "cell", "space": "ring", "n": 4096, "m": 4096, "d": 2,
+                  "strategy": "random", "partitioned": False, "trials": 2}
+        seed = cell_seed(self.CELL, self.MASTER)
+        for driver in drivers:
+            driver()
+        asked = [(spec["seed"], hit) for spec, hit in store.lookups
+                 if {k: spec.get(k) for k in target} == target]
+        assert asked == [(seed, False)] + [(seed, True)] * (len(drivers) - 1)
+
+    def test_geometry_rows_are_table_cells(self, tmp_path):
+        store = ResultCache(tmp_path)
+        run_table1(trials=2, n_values=(64,), d_values=(2,), cache=store)
+        run_table2(trials=2, n_values=(64,), d_values=(2,), cache=store)
+        geometry_sweep(n=64, d_values=(2,), trials=2, cache=store)
+        assert store.hits == 2  # ring and torus; uniform and CAN are new
+        assert store.entry_count() == 4
+
+    def test_table3_arc_random_is_table1_d2(self, tmp_path):
+        store = ResultCache(tmp_path)
+        table1 = run_table1(trials=3, n_values=(64, 128, 256), cache=store)
+        entries = store.entry_count()
+        table3 = run_table3(trials=3, n_values=(64, 128, 256), cache=store)
+        assert store.entry_count() - entries == 9
+        for n in (64, 128, 256):
+            assert table3.cells[(n, "arc-random")] == table1.cells[(n, 2)]
+
+
+class TestShardsFillTables:
+    GRID = ["space=ring", "n=64,256,1024", "d=1,2,3,4", "--trials", "5"]
+
+    def test_two_shards_fill_table1(self, tmp_path, capsys):
+        cache = str(tmp_path / "cache")
+        for i in (0, 1):
+            assert sweep_main(["run", *self.GRID, "--cache", cache,
+                               "--shard-index", str(i), "--shard-count", "2"]) == 0
+        store = ResultCache(cache)
+        filled = store.entry_count()
+        assert filled == 12
+        kwargs = dict(trials=5, n_values=(64, 256, 1024))
+        table = run_table1(cache=store, **kwargs)
+        assert store.misses == 0 and store.hits == 12
+        assert store.entry_count() == filled
+        cold = run_table1(cache="off", **kwargs)
+        assert strip_seconds(table.render()) == strip_seconds(cold.render())
 
 
 class TestRunAllCached:

@@ -36,6 +36,18 @@ class TestSweepGrid:
         b = SweepGrid(n=64, name="b").cells()[0].seed
         assert a != b
 
+    def test_one_cell_per_identity(self):
+        """Axis values that name one cell expand to it once."""
+        grid = SweepGrid(n=64, m=(None, 64, 128), space=("ring", "torus"),
+                         dim=(2, 3))
+        labels = [c.label() for c in grid.cells()]
+        assert labels == [
+            "ring n=64 d=2", "ring n=64 d=2 m=128",
+            "torus n=64 d=2", "torus n=64 d=2 dim=3",
+            "torus n=64 d=2 m=128", "torus n=64 d=2 m=128 dim=3",
+        ]
+        assert len(grid) == len(labels)
+
     def test_spec_dict_carries_every_axis(self):
         cell = SweepGrid(n=64, d=3, m=128, strategy="smaller", trials=9).cells()[0]
         d = cell_spec_dict(cell.spec, cell.trials, cell.seed)

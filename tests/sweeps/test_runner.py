@@ -3,17 +3,24 @@
 import numpy as np
 import pytest
 
-from repro.stats.trials import CellSpec, run_cell, run_cell_profile
+from repro.stats.distributions import MaxLoadDistribution
+from repro.stats.trials import (
+    CellSpec,
+    mean_nu_profile,
+    run_cell,
+    run_cell_hists,
+    run_cell_profile,
+)
 from repro.sweeps import (
     ResultCache,
     SweepGrid,
     SweepResult,
+    fetch_cell,
     fetch_or_compute,
     resolve_cache,
     run_sweep,
     spec_key,
     submit_cell,
-    submit_profile,
 )
 from repro.sweeps import runner
 from repro.sweeps.runner import cell_spec_dict
@@ -102,21 +109,38 @@ class TestCellSpecDict:
         assert spec_key(spec_d, salt="pin") == "37eff59dcb64727e43de2c1f2ea6166a"
 
 
-class TestSubmitProfile:
-    def test_roundtrip_exact(self, tmp_path):
+class TestOnePayload:
+    """A cell's entry is its per-trial histograms; the max-load counts
+    and the ν-profile are two views of it."""
+
+    @pytest.mark.parametrize("spec", [SPEC, CellSpec("torus", 64, 3),
+                                      CellSpec("uniform", 96, 2, m=200)],
+                             ids=["ring", "torus", "uniform"])
+    def test_warm_views_equal_cold_runs(self, tmp_path, spec):
         store = ResultCache(tmp_path)
-        cold = submit_profile(SPEC, 4, 42, cache=store)
-        warm = submit_profile(SPEC, 4, 42, cache=store)
-        direct = run_cell_profile(SPEC, 4, 42)
+        cold = fetch_cell(spec, 5, 42, cache=store)
+        warm = fetch_cell(spec, 5, 42, cache=store)
+        assert store.stats == {"hits": 1, "misses": 1, "stores": 1, "corrupt": 0}
+        direct = run_cell_hists(spec, 5, 42)
         np.testing.assert_array_equal(cold, direct)
         np.testing.assert_array_equal(warm, direct)
-        assert store.hits == 1
+        assert warm.dtype == direct.dtype
+        np.testing.assert_array_equal(mean_nu_profile(warm),
+                                      run_cell_profile(spec, 5, 42))
+        assert submit_cell(spec, 5, 42, cache=store).counts == run_cell(spec, 5, 42).counts
+        assert store.hits == 2
 
-    def test_profile_and_cell_keys_do_not_collide(self, tmp_path):
+    def test_entry_stores_histograms_inline(self, tmp_path):
         store = ResultCache(tmp_path)
-        submit_cell(SPEC, 4, 42, cache=store)
-        submit_profile(SPEC, 4, 42, cache=store)
-        assert store.hits == 0 and store.misses == 2
+        hist = fetch_cell(SPEC, 3, 42, cache=store)
+        entry = store.get(runner.cell_spec_dict(SPEC, 3, 42))
+        assert entry == {"payload": {"hist": hist.tolist()}}
+        assert not list(tmp_path.glob("*/*.npz"))
+
+    def test_max_loads_from_histograms(self):
+        hist = np.array([[0, 5, 2, 0], [1, 3, 2, 1], [4, 0, 0, 0]])
+        dist = MaxLoadDistribution.from_histograms(hist)
+        assert dist.counts == {0: 1, 2: 1, 3: 1}
 
 
 class TestFetchOrCompute:
@@ -167,20 +191,20 @@ class TestRunSweep:
             pos % 2 == 0 for pos in range(len(cells))
         ]
         assert store.stores == len(cells)
-        counts = {rec["key"]: rec["counts"] for rec in result.cells}
+        hists = {rec["key"]: rec["hist"] for rec in result.cells}
         for cell in cells:
             key = store.key(cell_spec_dict(cell.spec, cell.trials, cell.seed))
-            direct = submit_cell(cell.spec, cell.trials, cell.seed, cache="off")
-            assert counts[key] == direct.to_json_counts()
+            direct = fetch_cell(cell.spec, cell.trials, cell.seed, cache="off")
+            assert hists[key] == direct.tolist()
 
-    def test_every_cell_goes_through_submit_cell(self, tmp_path, monkeypatch):
+    def test_every_cell_goes_through_fetch_cell(self, tmp_path, monkeypatch):
         calls = []
 
         def spy(spec, trials, seed, **kwargs):
             calls.append((spec, trials, seed, kwargs["threads"]))
-            return submit_cell(spec, trials, seed, **kwargs)
+            return fetch_cell(spec, trials, seed, **kwargs)
 
-        monkeypatch.setattr(runner, "submit_cell", spy)
+        monkeypatch.setattr(runner, "fetch_cell", spy)
         run_sweep(self.GRID, cache=ResultCache(tmp_path), threads=2)
         assert calls == [(c.spec, c.trials, c.seed, 2) for c in self.GRID.cells()]
 
@@ -229,6 +253,20 @@ class TestRunSweep:
         lines.clear()
         run_sweep(self.GRID, cache=ResultCache(tmp_path), progress=lines.append)
         assert all(line.startswith("[cache hit]") for line in lines)
+
+    def test_merge_refuses_differing_histograms(self):
+        """Shards that agree on every max load but not on a histogram
+        do not merge."""
+        a = run_sweep(self.GRID, cache="off")
+        b = run_sweep(self.GRID, cache="off")
+        cell = b.cells[0]
+        row = list(cell["hist"][0])
+        row[0] -= 1
+        row[1] += 1  # same maximum, one more bin holding a ball
+        cell["hist"] = [row, *cell["hist"][1:]]
+        assert a.distributions() == b.distributions()
+        with pytest.raises(ValueError, match="conflicting histograms"):
+            SweepResult.merge([a, b])
 
     def test_merge_rejects_different_grids(self):
         other = SweepGrid(n=(64,), d=(1,), trials=4, name="other")
