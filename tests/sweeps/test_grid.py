@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.stats.trials import cell_seed
 from repro.sweeps.grid import SweepGrid, parse_axis_args, shard_cells
 from repro.sweeps.runner import cell_spec_dict
 
@@ -31,10 +32,10 @@ class TestSweepGrid:
         assert len(set(seeds)) == len(seeds)
         assert seeds == [c.seed for c in SweepGrid(n=(64, 128), d=(1, 2), seed=7).cells()]
 
-    def test_name_namespaces_seeds(self):
-        a = SweepGrid(n=64, name="a").cells()[0].seed
-        b = SweepGrid(n=64, name="b").cells()[0].seed
-        assert a != b
+    def test_name_is_a_label_only(self):
+        a = SweepGrid(n=64, name="a").cells()
+        assert a == SweepGrid(n=64, name="b").cells()
+        assert a[0].seed == cell_seed(a[0].spec, SweepGrid.seed)
 
     def test_one_cell_per_identity(self):
         """Axis values that name one cell expand to it once."""
@@ -53,7 +54,7 @@ class TestSweepGrid:
         d = cell_spec_dict(cell.spec, cell.trials, cell.seed)
         assert d == {
             "kind": "cell", "space": "ring", "n": 64, "d": 3, "m": 128,
-            "strategy": "smaller", "partitioned": False, "dim": 2,
+            "strategy": "smaller", "partitioned": False,
             "trials": 9, "seed": cell.seed,
         }
 
