@@ -228,7 +228,7 @@ def run_cell_profile(
     :func:`run_cell`.
     """
     return mean_nu_profile(run_cell_hists(spec, trials, seed, backend=backend,
-                                     threads=threads, obs=obs))
+                                          threads=threads, obs=obs))
 
 
 def _worker(args):

@@ -2,9 +2,10 @@
 
 A :class:`SweepResult` is what one sweep run (or one shard of it)
 produces: the grid description, one record per executed cell (cache
-key, full spec, per-trial load histograms), and run metadata.  The canonical
-JSON form (:meth:`SweepResult.to_json`) sorts cells by content key and
-excludes anything nondeterministic (timings, hit/miss counters), so
+key, full spec, per-trial load histograms), and run metadata.  The
+canonical JSON form (:meth:`SweepResult.to_json`) sorts cells by content
+key and excludes anything nondeterministic (timings, hit/miss counters),
+so
 
 * merging the shards of a grid reproduces the unsharded artifact
   **byte-identically**, and
@@ -24,7 +25,9 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.stats.distributions import MaxLoadDistribution
+from repro.stats.trials import canonical_cell
 from repro.sweeps.cache import canonical_json
+from repro.sweeps.grid import SweepGrid
 
 __all__ = ["SweepResult"]
 
@@ -77,7 +80,7 @@ class SweepResult:
         """
         out: dict[tuple, MaxLoadDistribution] = {}
         for cell in self.cells:
-            key = (cell["spec"][row], cell["spec"][col])
+            key = (cell["spec"].get(row), cell["spec"].get(col))
             if key in out:
                 raise ValueError(
                     f"axes ({row!r}, {col!r}) do not separate the grid: "
@@ -92,16 +95,20 @@ class SweepResult:
         Row/column orders follow the grid's declared axis value order,
         so the rendered table matches the table1/2/3 layout
         conventions (rows usually ``n``, columns ``d`` or strategy).
+        Keys are the values the cells' specs record, so an ``m=none``
+        row reads ``m = n``.
         """
         from repro.experiments.report import ExperimentReport
 
+        specs = [canonical_cell(c.spec) for c in SweepGrid.from_mapping(self.grid).cells()]
         name = self.grid.get("name", "sweep")
         return ExperimentReport(
             name=name,
             title=title or f"Sweep {name}: max-load distributions",
             cells=self.by_axes(row, col),
-            row_keys=list(self.grid[row]),
-            col_keys=list(self.grid[col]),
+            # the values the cells' specs record, in grid order
+            row_keys=list(dict.fromkeys(spec.get(row) for spec in specs)),
+            col_keys=list(dict.fromkeys(spec.get(col) for spec in specs)),
             col_label=lambda c: f"{col} = {c}",
             meta={"trials": self.grid["trials"], "seed": self.grid["seed"]},
         )

@@ -282,6 +282,16 @@ class TestRunSweep:
         assert "2^6" in text and "d = 2" in text
         assert set(report.cells) == {(n, d) for n in (64, 128) for d in (1, 2)}
 
+    def test_report_keys_are_resolved_axis_values(self):
+        """An ``m=none`` row is the ``m = n`` row; rings record no dim."""
+        grid = SweepGrid(n=64, m=(None, 128), d=(1, 2), trials=2)
+        report = run_sweep(grid, cache="off").to_report(row="m", col="d")
+        assert report.row_keys == [64, 128]
+        assert set(report.cells) == {(m, d) for m in (64, 128) for d in (1, 2)}
+        assert "2^7" in report.render()
+        ring = run_sweep(SweepGrid(n=64, dim=(1, 2), trials=2), cache="off")
+        assert ring.to_report(row="dim", col="d").row_keys == [None]
+
     def test_by_axes_collision_detected(self):
         grid = SweepGrid(n=(64,), d=(1, 2), space=("ring", "torus"), trials=2)
         result = run_sweep(grid, cache="off")
