@@ -100,7 +100,8 @@ class SweepResult:
         """
         from repro.experiments.report import ExperimentReport
 
-        specs = [canonical_cell(c.spec) for c in SweepGrid.from_mapping(self.grid).cells()]
+        cells = SweepGrid.from_mapping(self.grid).cells()
+        specs = [canonical_cell(cell.spec) for cell in cells]
         name = self.grid.get("name", "sweep")
         return ExperimentReport(
             name=name,

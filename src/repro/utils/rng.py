@@ -95,8 +95,9 @@ def interleave_uniforms(
 def stable_hash_seed(*parts: Sequence[object]) -> int:
     """Derive a stable 63-bit seed from string-able parts.
 
-    Used by experiment drivers to give each (table, n, d, strategy) cell
-    its own deterministic stream without manual bookkeeping.
+    :func:`repro.stats.trials.cell_seed` seeds every table cell through
+    it; drivers whose trials are not cells (churn, CAN zones, rounds,
+    lemma checks, overlay traces) name their own parts.
     """
     import hashlib
 

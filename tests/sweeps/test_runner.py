@@ -127,7 +127,8 @@ class TestOnePayload:
         assert warm.dtype == direct.dtype
         np.testing.assert_array_equal(mean_nu_profile(warm),
                                       run_cell_profile(spec, 5, 42))
-        assert submit_cell(spec, 5, 42, cache=store).counts == run_cell(spec, 5, 42).counts
+        warm_dist = submit_cell(spec, 5, 42, cache=store)
+        assert warm_dist.counts == run_cell(spec, 5, 42).counts
         assert store.hits == 2
 
     def test_entry_stores_histograms_inline(self, tmp_path):
