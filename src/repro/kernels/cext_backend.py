@@ -124,13 +124,17 @@ static inline int64_t bin_of(const int64_t *cand, const int64_t *remap,
  * the points x[2 * (t * d + c)], and it looks them up (torus_nearest)
  * in the order its tie-break prefers, stopping once the ones not yet
  * looked up cannot change the choice, since an empty bin holds the
- * least load.  Random with d = 2 looks up candidate (u >= 0.5) first,
- * which wins when its bin is empty, and else the other, which wins only
- * when strictly less loaded.  First, and random when (int64_t)(u * d)
- * is 0, scan forward and stop at the first empty bin: the tied target
- * floor(u * k) + 1 is then 1 for every tie count k <= d, as rounding is
- * monotone.  With d = 1 a ball looks up its one candidate, and any
- * other ball looks up all d.  cand holds d bins. */
+ * least load.  With d = 1 a ball looks up its one candidate.  Random
+ * with d = 2 looks up candidate (u >= 0.5) first, which wins when its
+ * bin is empty, and else the other, which wins only when strictly less
+ * loaded.  For d >= 3 (and first at d = 2), lvl = (int64_t)(u * d):
+ * first, and random at lvl 0, scan forward and stop at the first empty
+ * bin, as the tied target floor(u * k) + 1 is then 1 for every tie
+ * count k <= d (rounding is monotone); random at lvl d - 1 scans
+ * backward from the last candidate and stops at the first empty bin,
+ * as the target is then k, the last tied candidate, for every k <= d
+ * (u * k rounds into [k - 1, k)).  Random at any other lvl looks up all
+ * d.  cand holds d bins. */
 typedef struct torus_index torus_index;
 static int64_t torus_nearest(const torus_index *g, int64_t side, double qx,
                              double qy);
@@ -241,13 +245,16 @@ static int64_t torus_nearest(const torus_index *g, int64_t side, double qx,
                         chosen = other;                                      \
                 }                                                            \
             } else {                                                         \
-                int stop = strategy == 1 || (int64_t)(u * (double)d) == 0;   \
-                for (j = 0; j < d; j++) {                                    \
+                int64_t lvl = (int64_t)(u * (double)d), i;                   \
+                int back = strategy == 0 && lvl == d - 1;                    \
+                int stop = back || strategy == 1 || lvl == 0;                \
+                int64_t step = back ? -1 : 1;                                \
+                for (i = 0, j = back ? d - 1 : 0; i < d; i++, j += step) {   \
                     cand[j] = torus_nearest(g, side, x[2 * j], x[2 * j + 1]); \
                     if (stop && loads[cand[j]] == 0)                         \
                         break;                                               \
                 }                                                            \
-                if (j == d)                                                  \
+                if (i == d)                                                  \
                     j = decide_##w(loads, cand, 0, d, 0, u, strategy);       \
                 chosen = cand[j];                                            \
             }                                                                \
@@ -959,24 +966,23 @@ static inline double torus_d2(double qx, double qy, const double *p,
 /* Take sorted point j when it is nearer than the point at sorted position
  * *bj (squared distance *best), or as near with a lower index.  Squared
  * distances are never negative or NaN, so their bit patterns order like
- * their values, and integer masks keep the common update branch-free (a
- * compare-and-branch mispredicts about half the time); exact ties are
- * rare enough for a branch. */
+ * their values, and the common update is a compare-and-select, which
+ * compiles to conditional moves (a compare-and-branch mispredicts about
+ * half the time); exact ties are rare enough for a branch. */
 static inline void torus_visit(const torus_index *g, int64_t j, double qx,
                                double qy, int wrap, uint64_t *best,
                                int64_t *bj)
 {
     double r = torus_d2(qx, qy, g->xy + 2 * j, wrap);
-    uint64_t rb, keep;
+    uint64_t rb;
     memcpy(&rb, &r, sizeof rb);
     if (rb == *best) {
         if (g->ids[j] < g->ids[*bj])
             *bj = j;
         return;
     }
-    keep = (uint64_t)(rb < *best) - 1;
-    *best = (*best & keep) | (rb & ~keep);
-    *bj = (int64_t)(((uint64_t)*bj & keep) | ((uint64_t)j & ~keep));
+    *bj = rb < *best ? j : *bj;
+    *best = rb < *best ? rb : *best;
 }
 
 /* Visit sorted points j0 .. j1 - 1. */
@@ -1013,13 +1019,14 @@ static inline void torus_run(const torus_index *g, int64_t side, int64_t y,
 
 /* Below the computed squared distance of every point outside the block
  * of cells within Chebyshev radius r >= 1 of the query's cell: such a
- * point lies at least r/side away along one axis.  The 2^-50 and 2^-40
- * margins exceed the rounding of the difference, of its square and of
- * this bound, so stopping once best < bound never misses a nearer or
- * tied point. */
-static inline uint64_t torus_bound(int64_t r, int64_t side)
+ * point lies at least (r + edge)/side away along one axis, edge being
+ * the query's least offset min(fx, 1 - fx, fy, 1 - fy) from its own
+ * cell's sides, in cells.  The 2^-50 and 2^-40 margins exceed the
+ * rounding of the difference, of its square and of this bound, so
+ * stopping once best < bound never misses a nearer or tied point. */
+static inline uint64_t torus_bound(int64_t r, double edge, int64_t side)
 {
-    double t = (double)r / (double)side - 0x1p-50;
+    double t = ((double)r + edge) / (double)side - 0x1p-50;
     uint64_t bits;
     t = t * t * (1.0 - 0x1p-40);
     memcpy(&bits, &t, sizeof bits);
@@ -1028,8 +1035,10 @@ static inline uint64_t torus_bound(int64_t r, int64_t side)
 
 /* Sorted position of the point nearest to (qx, qy) in [0, 1]^2, the
  * lowest index on exact ties: the 3 x 3 block of cells around the query
- * as three row runs, then ring after ring until the bound rules out
- * every cell left.  A block clear of the seam on a grid of side >= 8
+ * as three row runs, then ring after ring until the bound, from the
+ * query's own offsets in its cell (fx and fy are exact: x*side is, and
+ * so is its fraction), rules out every cell left.  Most queries stop
+ * after the block.  A block clear of the seam on a grid of side >= 8
  * spans under 0.5 on both axes, so its distances need no wrap, and its
  * runs are visited in one loop, whose exit mispredicts once rather than
  * three times: step k jumps the gaps before runs 1 and 2 once it has
@@ -1039,6 +1048,7 @@ static int64_t torus_nearest(const torus_index *g, int64_t side, double qx,
 {
     int64_t cx, cy, r = 1, y, bj = -1; /* bj: sorted position of the best */
     uint64_t best = UINT64_MAX; /* above every distance's bits */
+    double fx, fy, edge;
     /* like cKDTree, wrap the query into [0, 1) first: a partitioned
      * coordinate (u + c) / d can round up to exactly 1 */
     if (qx >= 1.0)
@@ -1047,6 +1057,11 @@ static int64_t torus_nearest(const torus_index *g, int64_t side, double qx,
         qy -= 1.0;
     cx = (int64_t)(qx * (double)side);
     cy = (int64_t)(qy * (double)side);
+    fx = qx * (double)side - (double)cx;
+    fy = qy * (double)side - (double)cy;
+    fx = fx < 1.0 - fx ? fx : 1.0 - fx;
+    fy = fy < 1.0 - fy ? fy : 1.0 - fy;
+    edge = fx < fy ? fx : fy;
     if (side >= 8 && cx >= 1 && cx <= side - 2 && cy >= 1 && cy <= side - 2) {
         const int32_t *run = g->start + (cy - 1) * side + cx - 1;
         int64_t j0 = run[0], gap1 = run[side] - run[3];
@@ -1064,7 +1079,7 @@ static int64_t torus_nearest(const torus_index *g, int64_t side, double qx,
         for (y = cy - 1; y <= cy + 1; y++)
             torus_run(g, side, y, cx - 1, cx + 1, qx, qy, &best, &bj);
     }
-    while (2 * r + 1 < side && !(best < torus_bound(r, side))) {
+    while (2 * r + 1 < side && !(best < torus_bound(r, edge, side))) {
         r++;
         torus_run(g, side, cy - r, cx - r, cx + r, qx, qy, &best, &bj);
         torus_run(g, side, cy + r, cx - r, cx + r, qx, qy, &best, &bj);

@@ -184,6 +184,128 @@ def test_any_grid_side_finds_the_nearest(side):
     )
 
 
+# ---------------------------------------------------------------------------
+# where a lookup stops: after the 3 × 3 block once the best is nearer than
+# the query's own distance to the block's edge, (1 + edge) / side, where
+# edge = min(fx, 1 − fx, fy, 1 − fy) are the query's offsets in its cell
+# ---------------------------------------------------------------------------
+
+#: the grid side TorusSpace picks for the stop layouts' 210 servers
+STOP_SIDE = 16
+#: query cells clear of the seam, and on it along x, y and both
+STOP_CELLS = ((7, 9), (0, 5), (15, 3), (4, 0), (6, 15), (0, 0), (15, 15))
+#: query offsets (fx, fy) in its cell: each edge nearest from two
+#: quadrants, then 0 and just below 1 on either axis (TOP: the largest
+#: coordinate below the cell's far edge, fx = 1 − 2⁻⁵³ in cell 0)
+STOP_OFFSETS = (
+    (3 / 16, 5 / 16), (13 / 16, 5 / 16), (3 / 16, 11 / 16), (13 / 16, 11 / 16),
+    (5 / 16, 3 / 16), (11 / 16, 13 / 16), (5 / 16, 13 / 16), (11 / 16, 3 / 16),
+    (0.0, 5 / 16), (TOP, 5 / 16), (5 / 16, 0.0), (5 / 16, TOP),
+)
+#: (cells the inner server lies past the bound, cells the outer one lies
+#: past the block's edge, the index that wins): servers 0 and 1
+STOP_KINDS = {
+    "nearest just outside the block": (2.0**-8, 2.0**-10, 0),
+    "best just inside the bound": (-(2.0**-10), 2.0**-10, 1),
+    "best just outside the bound": (2.0**-10, 2.0**-9, 1),
+    "tie on the bound": (0.0, 0.0, 0),
+}
+
+
+def _cell_coordinate(c: int, f: float) -> float:
+    if f == TOP:
+        return np.nextafter((c + 1) / STOP_SIDE, 0.0)
+    return (c + f) / STOP_SIDE
+
+
+def _stop_layout(cell, offsets, inner, outer):
+    """One query q at ``offsets`` in ``cell`` and dyadic servers around it
+    on a grid of side 16, distances in cells.  Server 0 lies ``outer``
+    past the block edge nearest to q, on q's axis line, so at
+    ``1 + edge + outer``, in the ring after the block (inside the block
+    when ``outer`` is 0 and that edge is a low one).  Server 1 lies
+    ``1 + edge + inner`` from q inside the block, along the one of the
+    two other axis directions where the block reaches further (at least
+    1.5).  Server 2, the decoy, is the centre of
+    the ring cell diagonally after q's, over 2.1 away.  The rest are the
+    centres of every cell at least 4 cells from q's, at least 3.5 away.
+    """
+    cx, cy = cell
+    q = np.array([_cell_coordinate(cx, offsets[0]),
+                  _cell_coordinate(cy, offsets[1])])
+    fx, fy = q * STOP_SIDE - (cx, cy)
+    # the block's reach from q towards -x, +x, -y and +y
+    reach = np.array([1 + fx, 2 - fx, 1 + fy, 2 - fy])
+    near = int(reach.argmin())
+    across = 2 - 2 * (near // 2)  # the first direction of the other axis
+    far = across + int(reach[across + 1] > reach[across])
+    edge = reach[near] - 1
+    axes = np.array([[-1, 0], [1, 0], [0, -1], [0, 1]])
+    # the outer server from the block's edge, so that it is exact
+    outer_pt = q * STOP_SIDE
+    outer_pt[near // 2] = ((cx, cy)[near // 2] - 1 - outer if near % 2 == 0
+                           else (cx, cy)[near // 2] + 2 + outer)
+    inner_pt = q * STOP_SIDE + axes[far] * (1 + edge + inner)
+    decoy = np.array([cx + 2.5, cy + 2.5])
+
+    def gap(k):
+        return np.minimum(k % STOP_SIDE, -k % STOP_SIDE)
+
+    far_cells = [(x + 0.5, y + 0.5)
+                 for x in range(STOP_SIDE) for y in range(STOP_SIDE)
+                 if max(gap(x - cx), gap(y - cy)) >= 4]
+    points = np.vstack([outer_pt, inner_pt, decoy, far_cells]) / STOP_SIDE
+    return np.mod(points, 1.0), q[None, :]
+
+
+def _stop_layouts(kind):
+    """Every cell and offset of one kind; a tie is exact, so its winner
+    known, only at dyadic offsets."""
+    inner, outer, winner = STOP_KINDS[kind]
+    for cell in STOP_CELLS:
+        for offsets in STOP_OFFSETS:
+            points, q = _stop_layout(cell, offsets, inner, outer)
+            exact = kind != "tie on the bound" or TOP not in offsets
+            yield (f"{kind} cell={cell} offsets={offsets}", points, q,
+                   winner if exact else None)
+
+
+@pytest.mark.parametrize("kind", list(STOP_KINDS))
+def test_stop_bound_layouts_find_the_nearest(kind):
+    """Queries in every quadrant of their cell, on cell edges and next to
+    the far one, clear of the seam and on it: the grid finds the server
+    brute force finds, directly and through TorusSpace, and so does
+    cKDTree, except on exact ties, which it need not give the lowest
+    index."""
+    for where, points, q, winner in _stop_layouts(kind):
+        space = TorusSpace(points)
+        assert space._grid_side() == STOP_SIDE, where
+        expected = _brute_force(points, q)
+        assert winner is None or expected[0] == winner, where
+        if kind != "tie on the bound":
+            _, tree = cKDTree(points, boxsize=1.0).query(q)
+            np.testing.assert_array_equal(tree, expected, err_msg=where)
+        np.testing.assert_array_equal(_lookup(points, q), expected, err_msg=where)
+        np.testing.assert_array_equal(space.assign(q), expected, err_msg=where)
+
+
+@pytest.mark.parametrize("kind", ["best just inside the bound",
+                                  "best just outside the bound"])
+def test_search_goes_past_the_block_only_when_the_bound_says(kind):
+    """The decoy's stored coordinates are moved onto the query, so only a
+    search that visits the ring after the block returns it: one whose
+    best in the block is not below (1 + edge) / side."""
+    backend = _cext_backend()
+    for where, points, q, winner in _stop_layouts(kind):
+        grid = _grid(points)
+        side, _, xy, ids = grid
+        assert side == STOP_SIDE
+        xy[np.flatnonzero(ids == 2)[0]] = q[0]
+        expected = [winner] if kind == "best just inside the bound" else [2]
+        np.testing.assert_array_equal(backend.torus_assign(q, grid), expected,
+                                      err_msg=where)
+
+
 def test_coordinate_one_wraps_to_zero_like_ckdtree():
     """A partitioned draw ``(u + c) / d`` can round up to exactly 1;
     cKDTree wraps such a query to 0 before measuring, and so does the
@@ -510,6 +632,22 @@ def test_random_tori_match_run_sequential(d, strategy, partitioned):
                                        rng_block)
             check_random_spaces("torus", n, m, d, strategy, seeds,
                                 partitioned, rng_block, expected, THREADS)
+
+
+@pytest.mark.parametrize("partitioned", [False, True])
+@pytest.mark.parametrize("strategy", KERNEL_STRATEGIES, ids=lambda s: s.value)
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_random_tori_with_empty_bins_match_run_sequential(d, strategy,
+                                                          partitioned):
+    """m ≪ n, so most bins are still empty and most balls stop early:
+    first, and random at (int64_t)(u * d) == 0, at the first empty bin
+    from the front, random at d − 1 at the first from the back."""
+    n = 4096
+    for m in (n // 16, n // 2):
+        seeds = [13 * n + m + d + k for k in range(TRIALS)]
+        expected = _reference_tori(n, m, d, strategy, seeds, partitioned, 300)
+        check_random_spaces("torus", n, m, d, strategy, seeds, partitioned,
+                            300, expected, THREADS)
 
 
 def test_random_tori_paper_size_matches_run_sequential():
