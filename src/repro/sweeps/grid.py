@@ -121,13 +121,23 @@ class SweepGrid:
         values that name one cell (``m=None`` and ``m=n``, a ring at
         several ``dim``) expand to it once, at its first position.
         """
+        return [SweepCell(spec, self.trials, cell_seed(spec, self.seed))
+                for spec, _ in self._expand()]
+
+    def specs(self) -> list[dict]:
+        """The cells' identities (:func:`~repro.stats.trials.canonical_cell`)
+        in :meth:`cells` order, without hashing their seeds."""
+        return [identity for _, identity in self._expand()]
+
+    def _expand(self) -> list[tuple[CellSpec, dict]]:
         out, seen = [], set()
         for values in itertools.product(*(getattr(self, axis) for axis in AXES)):
             spec = CellSpec(**dict(zip(AXES, values)))
-            identity = tuple(canonical_cell(spec).values())
-            if identity not in seen:
-                seen.add(identity)
-                out.append(SweepCell(spec, self.trials, cell_seed(spec, self.seed)))
+            identity = canonical_cell(spec)
+            key = tuple(identity.values())
+            if key not in seen:
+                seen.add(key)
+                out.append((spec, identity))
         return out
 
     def with_(self, **kwargs) -> "SweepGrid":

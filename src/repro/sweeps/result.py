@@ -25,7 +25,6 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.stats.distributions import MaxLoadDistribution
-from repro.stats.trials import canonical_cell
 from repro.sweeps.cache import canonical_json
 from repro.sweeps.grid import SweepGrid
 
@@ -100,8 +99,7 @@ class SweepResult:
         """
         from repro.experiments.report import ExperimentReport
 
-        cells = SweepGrid.from_mapping(self.grid).cells()
-        specs = [canonical_cell(cell.spec) for cell in cells]
+        specs = SweepGrid.from_mapping(self.grid).specs()
         name = self.grid.get("name", "sweep")
         return ExperimentReport(
             name=name,

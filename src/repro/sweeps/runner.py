@@ -16,7 +16,7 @@ Two levels of API:
 
 * :func:`run_sweep` — expand a :class:`~repro.sweeps.grid.SweepGrid`,
   select a shard, fetch its cells in grid order through
-  :func:`fetch_cell`, and return a mergeable
+  :func:`fetch_cell`'s cache lookup, and return a mergeable
   :class:`~repro.sweeps.result.SweepResult`.  Shards run as separate
   processes and merge to the unsharded artifact.
 
@@ -47,7 +47,7 @@ from repro.obs import obs_session, trace_span
 from repro.stats.distributions import MaxLoadDistribution
 from repro.stats.trials import CellSpec, canonical_cell, run_cell_hists
 from repro.sweeps.cache import DEFAULT_SALT, ResultCache, default_cache_dir, spec_key
-from repro.sweeps.grid import SweepCell, SweepGrid, shard_cells
+from repro.sweeps.grid import SweepGrid, shard_cells
 from repro.sweeps.result import SweepResult
 
 __all__ = [
@@ -125,12 +125,23 @@ def fetch_cell(
     cache_seed = _cacheable_seed(seed)
     if store is None or cache_seed is None:
         return run_cell_hists(spec, trials, seed, threads=threads)
-    spec_d = cell_spec_dict(spec, trials, cache_seed)
-    entry = store.get(spec_d)
+    hist = _cell_hist(spec, cell_spec_dict(spec, trials, cache_seed), store, threads)
+    return np.asarray(hist, dtype=np.int64)
+
+
+def _cell_hist(
+    spec: CellSpec, spec_d: dict, store: ResultCache | None, threads: int | None
+) -> list:
+    """The histograms of the cell ``spec_d`` names (:func:`cell_spec_dict`
+    of ``spec``) as the cache stores them, nested lists: the entry's on
+    a hit, else computed (and stored when there is a ``store``)."""
+    entry = store.get(spec_d) if store is not None else None
     if entry is not None:
-        return np.asarray(entry["payload"]["hist"], dtype=np.int64)
-    hist = run_cell_hists(spec, trials, seed, threads=threads)
-    store.put(spec_d, {"hist": hist.tolist()})
+        return entry["payload"]["hist"]
+    hist = run_cell_hists(spec, spec_d["trials"], spec_d["seed"],
+                          threads=threads).tolist()
+    if store is not None:
+        store.put(spec_d, {"hist": hist})
     return hist
 
 
@@ -173,17 +184,6 @@ def fetch_or_compute(
     return dist
 
 
-def _cell_record(cell: SweepCell, hist: np.ndarray) -> dict:
-    """A SweepResult cell record; keys use the default salt so the
-    artifact identity is independent of the local cache configuration."""
-    spec_d = cell_spec_dict(cell.spec, cell.trials, cell.seed)
-    return {
-        "key": spec_key(spec_d, DEFAULT_SALT),
-        "spec": spec_d,
-        "hist": hist.tolist(),
-    }
-
-
 def run_sweep(
     grid: SweepGrid,
     *,
@@ -197,8 +197,8 @@ def run_sweep(
     """Execute (one shard of) a grid and return a mergeable result.
 
     Each cell of the shard, in grid order, goes through
-    :func:`fetch_cell`: a hit is read from the cache, a miss is
-    computed by ``run_cell_hists`` and stored.
+    :func:`fetch_cell`'s lookup: a hit's stored histograms go into the
+    record as read, a miss is computed by ``run_cell_hists`` and stored.
 
     Parameters
     ----------
@@ -245,14 +245,17 @@ def run_sweep(
         records = []
         hits = 0
         for cell in cells:
+            spec_d = cell_spec_dict(cell.spec, cell.trials, cell.seed)
             before = store.hits if store is not None else 0
             with trace_span("sweep_cell", cell=cell.label(), trials=cell.trials):
-                hist = fetch_cell(
-                    cell.spec, cell.trials, cell.seed, cache=store, threads=threads
-                )
+                hist = _cell_hist(cell.spec, spec_d, store, threads)
             hit = store is not None and store.hits > before
             hits += hit
-            records.append(_cell_record(cell, hist))
+            # keyed under the default salt, so the artifact's identity
+            # does not depend on the local cache configuration
+            records.append(
+                {"key": spec_key(spec_d, DEFAULT_SALT), "spec": spec_d, "hist": hist}
+            )
             status = "[cache hit]" if hit else "[computed] "
             say(f"{status} {cell.label()} trials={cell.trials}")
 

@@ -198,16 +198,25 @@ class TestRunSweep:
             direct = fetch_cell(cell.spec, cell.trials, cell.seed, cache="off")
             assert hists[key] == direct.tolist()
 
-    def test_every_cell_goes_through_fetch_cell(self, tmp_path, monkeypatch):
+    def test_every_cell_goes_through_fetch_cells_lookup(self, tmp_path,
+                                                        monkeypatch):
+        """run_sweep and fetch_cell share one cached lookup; run_sweep
+        keeps its histograms as the cache stores them."""
         calls = []
+        lookup = runner._cell_hist
 
-        def spy(spec, trials, seed, **kwargs):
-            calls.append((spec, trials, seed, kwargs["threads"]))
-            return fetch_cell(spec, trials, seed, **kwargs)
+        def spy(spec, spec_d, store, threads):
+            calls.append((spec, spec_d["trials"], spec_d["seed"], threads))
+            return lookup(spec, spec_d, store, threads)
 
-        monkeypatch.setattr(runner, "fetch_cell", spy)
-        run_sweep(self.GRID, cache=ResultCache(tmp_path), threads=2)
+        monkeypatch.setattr(runner, "_cell_hist", spy)
+        store = ResultCache(tmp_path)
+        result = run_sweep(self.GRID, cache=store, threads=2)
         assert calls == [(c.spec, c.trials, c.seed, 2) for c in self.GRID.cells()]
+        cell = self.GRID.cells()[0]
+        fetch_cell(cell.spec, cell.trials, cell.seed, cache=store)
+        assert calls[-1][:3] == calls[0][:3] and store.hits == 1
+        assert all(type(rec["hist"]) is list for rec in result.cells)
 
     @pytest.mark.parametrize("grid", [GRID, BENCH_GRID], ids=["t", "bench"])
     def test_warm_rerun_hits_every_cell(self, tmp_path, grid):
