@@ -202,8 +202,8 @@ STOP_OFFSETS = (
     (5 / 16, 3 / 16), (11 / 16, 13 / 16), (5 / 16, 13 / 16), (11 / 16, 3 / 16),
     (0.0, 5 / 16), (TOP, 5 / 16), (5 / 16, 0.0), (5 / 16, TOP),
 )
-#: (cells the inner server lies past the bound, cells the outer one lies
-#: past the block's edge, the index that wins): servers 0 and 1
+#: kind: (how far server 1, inside the block, lies past the bound and
+#: server 0 past the block's edge, in cells; the server that wins)
 STOP_KINDS = {
     "nearest just outside the block": (2.0**-8, 2.0**-10, 0),
     "best just inside the bound": (-(2.0**-10), 2.0**-10, 1),
@@ -226,9 +226,9 @@ def _stop_layout(cell, offsets, inner, outer):
     when ``outer`` is 0 and that edge is a low one).  Server 1 lies
     ``1 + edge + inner`` from q inside the block, along the one of the
     two other axis directions where the block reaches further (at least
-    1.5).  Server 2, the decoy, is the centre of
-    the ring cell diagonally after q's, over 2.1 away.  The rest are the
-    centres of every cell at least 4 cells from q's, at least 3.5 away.
+    1.5).  Server 2, the decoy, is the centre of the ring cell
+    diagonally after q's, over 2.1 away.  The rest are the centres of
+    every cell at least 4 cells from q's, at least 3.5 away.
     """
     cx, cy = cell
     q = np.array([_cell_coordinate(cx, offsets[0]),
