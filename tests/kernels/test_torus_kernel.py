@@ -243,8 +243,8 @@ def _stop_layout(cell, offsets, inner, outer):
     axes = np.array([[-1, 0], [1, 0], [0, -1], [0, 1]])
     # the outer server from the block's edge, so that it is exact
     outer_pt = q * STOP_SIDE
-    outer_pt[near // 2] = ((cx, cy)[near // 2] - 1 - outer if near % 2 == 0
-                           else (cx, cy)[near // 2] + 2 + outer)
+    c = (cx, cy)[near // 2]
+    outer_pt[near // 2] = c - 1 - outer if near % 2 == 0 else c + 2 + outer
     inner_pt = q * STOP_SIDE + axes[far] * (1 + edge + inner)
     decoy = np.array([cx + 2.5, cy + 2.5])
 
