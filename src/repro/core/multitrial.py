@@ -146,12 +146,16 @@ def _ring_kernel_takes(
     whose generators are exactly ``PCG64``, one each; other bit
     generators (``MT19937``, ``PCG64DXSM``, ...) and shared generators
     keep the generic path.  It indexes servers by int32, so trials of
-    ``n`` servers or ``m`` balls at or above 2³¹ keep it too.
+    ``n`` servers or ``m`` balls at or above 2³¹ keep it too, and it
+    holds a load in a byte, so trials of more than 255·n balls, some
+    bin of which must pass 255, keep it rather than leave the kernel
+    part-way.
     """
     return (
         backend.space_trials is not None
         and n < _KERNEL_INT32_LIMIT
         and m < _KERNEL_INT32_LIMIT
+        and m <= 255 * n
         and all(type(r.bit_generator) is np.random.PCG64 for r in rngs)
         and _distinct_generators(rngs)
     )
@@ -197,9 +201,8 @@ def _worker_scratch_bytes(space: str, n: int, strategy: TieBreak) -> int:
     ``n``-server spaces it builds, per server: for a ring 8 bytes of
     positions, then a load byte and a bucket index of 1.06 bytes per
     bucket, with up to 2n buckets (13 in all), plus 8 for arc lengths;
-    for a 2-D torus 16 of points, which then hold the loads (int64 ones
-    too, should a trial rerun), 16 of their grid order, 4 of ids and up
-    to 16 of cell offsets (52)."""
+    for a 2-D torus 16 of points, which then hold the load bytes, 16 of
+    their grid order, 4 of ids and up to 16 of cell offsets (52)."""
     if space == "torus":
         return 52 * n
     return (21 if strategy_needs_measures(strategy) else 13) * n
@@ -241,8 +244,7 @@ def _run_fused_ring(
     (``tests/kernels/test_ring_kernel.py``,
     ``tests/kernels/test_torus_kernel.py``).
 
-    Each trial places into the kernel's byte-per-server scratch (a
-    trial whose bin would pass 255 reruns into int64 loads).  Given
+    Each trial places into the kernel's byte-per-server scratch.  Given
     ``spaces``, the first result is the ``(T, n)`` loads, widened from
     that scratch.  With ``spaces=None`` each trial first draws its
     ``n``-server ``space`` (a ring, or a 2-D torus) from its generator
@@ -251,8 +253,9 @@ def _run_fused_ring(
     trimmed to the largest maximum load + 1 levels.  ``None`` is
     returned, with no generator state written back, when some drawn
     space was not built (a repeated server, or servers too crowded for
-    the kernel's index) or some given ring is too clustered for the
-    kernel's compact bucket index.
+    the kernel's index), some given ring is too clustered for the
+    kernel's compact bucket index, or some bin would pass 255 balls,
+    the most a byte holds.
     """
     t = len(rngs)
     heights = np.zeros((t, m), dtype=np.int64) if record_heights else None
@@ -431,11 +434,11 @@ def run_fused(
         this kwarg → physical cores).  With an accelerated backend the
         trials are split across that many threads: inside the
         ``space_trials`` kernel for rings drawing from ``PCG64``
-        generators, on a thread pool for everything else, and for rings
-        too clustered for that kernel's compact bucket index.  The numpy
-        reference runs on one thread.  Results are bit-identical for
-        every thread count (enforced by
-        ``tests/kernels/test_threads_parity.py`` and
+        generators, on a thread pool for everything else, for rings too
+        clustered for that kernel's compact bucket index, and for trials
+        in which a bin would pass 255 balls.  The numpy reference runs
+        on one thread.  Results are bit-identical for every thread
+        count (enforced by ``tests/kernels/test_threads_parity.py`` and
         ``tests/kernels/test_ring_kernel.py``).
 
     Returns
@@ -558,8 +561,10 @@ def run_random_spaces(
     ``space_trials`` kernel cannot build and run the trials: uniform
     bins, no such kernel, a generator that is not ``PCG64``, a
     generator shared by trials, ``n`` or ``m`` of 2³¹ or more (the
-    kernel indexes servers by int32), a torus of dimension other than
-    2, or a torus strategy that needs Voronoi areas.
+    kernel indexes servers by int32), ``m`` above 255·n (some bin would
+    pass 255 balls, the most a kernel load byte holds), a torus of
+    dimension other than 2, or a torus strategy that needs Voronoi
+    areas.
 
     Otherwise one kernel call takes every trial, on at most as many
     threads as a fixed scratch budget allows
@@ -569,10 +574,10 @@ def run_random_spaces(
     histogram, so no space object and no ``(T, n)`` loads array is
     made.  When some drawn space is not built — a repeated server, a
     crowded ring bucket, or torus servers too unevenly spread for a
-    grid — the kernel writes no generator state back and the trials
-    rerun on the reference path, which raises the space's own
-    :class:`ValueError` for a repeat.  Results and final generator
-    states are bit-identical either way
+    grid — or a bin would pass 255 balls, the kernel writes no
+    generator state back and the trials rerun on the reference path,
+    which raises the space's own :class:`ValueError` for a repeat.
+    Results and final generator states are bit-identical either way
     (``tests/kernels/test_ring_kernel.py``,
     ``tests/kernels/test_torus_kernel.py``).
 

@@ -25,8 +25,8 @@ into *scalar kernels* that a compiled tier can run at memory speed:
     of numpy's PCG64 feeds draw → bucket lookup → place for every ball,
     with trials split across OS threads; every trial looks rings up in
     a compact bucket index (a byte per bucket) and places into a byte
-    per server its thread reuses (a trial whose bin would pass 255
-    reruns into int64 loads).  Given no tables
+    per server its thread reuses (a bin that would pass 255 balls
+    sends the cell to the generic route).  Given no tables
     (:func:`repro.core.multitrial.run_random_spaces`), each trial first
     draws and builds its own ring on its worker thread (reading its
     positions twice in small chunks rather than keeping them) — or its
@@ -189,14 +189,13 @@ class KernelBackend:
         point up in ``tables[k]`` (``(nbuckets, table, pos_ext)``) and
         places it into a byte per server, scratch its worker thread
         zeroes before every trial and reuses, then widens it into row
-        ``k`` of ``loads`` ``(T, n)``.  A trial that chooses a bin
-        already holding 255 balls reruns from its state after the ring
-        or torus build into int64 loads: row ``k`` itself, or scratch
-        the worker allocates on its first such trial.  So results are
-        exact whatever ``m``, and the rerun costs only trials whose max
-        load passes 255, far beyond the paper's cells.  Heights go to
-        ``heights`` ``(T, m)`` (or ``None``); ``measures`` is a list of
-        arc-length arrays or ``None``.  With ``tables=None`` (and
+        ``k`` of ``loads`` ``(T, n)``.  A ball that chooses a bin
+        already holding 255 balls stops the call, as below: loads that
+        heavy (``m`` far above ``n``) are far beyond the paper's cells,
+        and the generic route runs them faster than filling bytes to
+        the top and rerunning wider would.  Heights go to ``heights``
+        ``(T, m)`` (or ``None``); ``measures`` is a list of arc-length
+        arrays or ``None``.  With ``tables=None`` (and
         ``measures=None``) trial ``k`` first draws its ring from its
         generator, exactly as ``RingSpace.random(n, seed=...)`` would:
         the ``n`` positions (drawn twice, a few thousand at a time:
@@ -219,11 +218,9 @@ class KernelBackend:
         bytes per server for a ring (positions 8, the load byte, which
         first holds the build's bucket count, and the index 1.06), 18
         with arc lengths.  ``hist`` asks for each trial's load
-        histogram, int64 ``(T, L)`` (``hist[k, l]`` bins of trial ``k``
-        hold exactly ``l`` balls): ``L`` is 256, or, when a rerun
-        trial's maximum load passes 255, the largest maximum + 1, which
-        a second kernel call fills from the same generator states.
-        Servers are indexed by int32 (group starts, grid cells), so
+        histogram, int64 ``(T, 256)`` (``hist[k, l]`` bins of trial
+        ``k`` hold exactly ``l`` balls), from one kernel call.  Servers
+        are indexed by int32 (group starts, grid cells), so
         ``n`` and ``m`` must be below 2³¹; larger trials raise
         :class:`ValueError` (callers route them elsewhere first).  Only
         ``state.state`` is written back to each generator.  Returns the
@@ -231,11 +228,12 @@ class KernelBackend:
         state back, the loads then meaningless — when some ring, drawn
         or given, crowds one group of 64 buckets past byte offsets (more
         than 255 positions in its first 63), some drawn ring repeats a
-        position or crowds one bucket past the kernel's limit, or some
+        position or crowds one bucket past the kernel's limit, some
         drawn torus repeats a point or is too unevenly spread for a
-        grid, so that the caller can run or rebuild it the reference
-        way.  Trials are split statically across ``threads`` OS threads
-        — trials share nothing, so any split is bit-identical.
+        grid, or some bin would pass 255 balls, so that the caller can
+        run or rebuild it the reference way.  Trials are split
+        statically across ``threads`` OS threads — trials share
+        nothing, so any split is bit-identical.
     ``torus_grid(points, side)``
         From ``(n, 2)`` points in ``[0, 1)²``, the periodic grid
         ``(side, start, xy, ids)``: ``side × side`` cells (``side`` a

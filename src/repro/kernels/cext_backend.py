@@ -20,15 +20,17 @@ for the non-negative operand — same strict-inequality measure
 preference), so its placements are bit-identical to the numpy
 reference; the parity suite enforces this.  Those rules are written
 once and defined per load width: the exported kernels place into
-int64 loads, ``space_trials``' worker threads into a byte per server,
-rerunning a trial into int64 loads when a bin would pass 255.
-``space_trials`` also carries a copy of numpy's PCG64 generator, so it
-draws the same numbers ``Generator.random`` would, and the ring it can
-build from them is the one ``RingSpace.random`` builds — drawing the
-positions twice, a few thousand at a time, rather than keeping all of
-them, and looking them up in a compact bucket index (a byte per bucket
-and an int32 per 64 buckets) rather than an int32 table, so a ring
-trial's scratch is about 10 bytes per server, loads included
+int64 loads, ``space_trials``' worker threads into a byte per server;
+a bin that would pass 255 balls makes ``space_trials`` return
+``False``, like a space it could not build, and the caller runs the
+cell on its generic route.  ``space_trials`` also carries a copy of
+numpy's PCG64 generator, so it draws the same numbers
+``Generator.random`` would, and the ring it can build from them is the
+one ``RingSpace.random`` builds — drawing the positions twice, a few
+thousand at a time, rather than keeping all of them, and looking them
+up in a compact bucket index (a byte per bucket and an int32 per 64
+buckets) rather than an int32 table, so a ring trial's scratch is
+about 10 bytes per server, loads included
 (``tests/kernels/test_ring_kernel.py``).
 The torus grid computes squared distances in cKDTree's periodic
 arithmetic, so it finds the server cKDTree finds, and the 2-D torus
@@ -103,7 +105,8 @@ static inline int64_t bin_of(const int64_t *cand, const int64_t *remap,
 /* The placement rules, written once and defined per load width by
  * PLACEMENT(w, T, top): the exported kernels place into int64 loads
  * (w = i64, top = 0: no limit), the workers of space_trials into one byte
- * per server (w = u8, top = UINT8_MAX).
+ * per server (w = u8, top = UINT8_MAX).  place_torus runs only in those
+ * workers, so it is written for byte loads alone.
  *
  * decide_w is the twin of repro.core.strategies.decide_row_scalar: the
  * index of the chosen candidate among cand[0..d).  Strategy codes:
@@ -119,7 +122,7 @@ static inline int64_t bin_of(const int64_t *cand, const int64_t *remap,
  * b, or the first ball whose chosen bin already holds top balls; that
  * ball and the ones after it are not placed.
  *
- * place_torus_w is place_block_w on a 2-D torus grid g, strategy random
+ * place_torus is place_block_u8 on a 2-D torus grid g, strategy random
  * or first, with loads indexed by grid position: ball t's candidates are
  * the points x[2 * (t * d + c)], and it looks them up (torus_nearest)
  * in the order its tie-break prefers, stopping once the ones not yet
@@ -222,69 +225,68 @@ static int64_t torus_nearest(const torus_index *g, int64_t side, double qx,
             loads[chosen] += 1;                                              \
         }                                                                    \
         return b;                                                            \
-    }                                                                        \
-                                                                             \
-    static int64_t place_torus_##w(const torus_index *g, int64_t side,       \
-                                   const double *x, const double *us,        \
-                                   int64_t b, int64_t d, T *loads,           \
-                                   int64_t strategy, int64_t *heights,       \
-                                   int64_t *cand)                            \
-    {                                                                        \
-        int64_t t, j, chosen, other;                                         \
-        for (t = 0; t < b; t++, x += 2 * d) {                                \
-            double u = us[t];                                                \
-            if (d == 1) {                                                    \
-                chosen = torus_nearest(g, side, x[0], x[1]);                 \
-            } else if (d == 2 && strategy == 0) {                            \
-                int64_t f = u >= 0.5;                                        \
-                chosen = torus_nearest(g, side, x[2 * f], x[2 * f + 1]);     \
-                if (loads[chosen] != 0) {                                    \
-                    other = torus_nearest(g, side, x[2 - 2 * f],             \
-                                          x[3 - 2 * f]);                     \
-                    if (loads[other] < loads[chosen])                        \
-                        chosen = other;                                      \
-                }                                                            \
-            } else {                                                         \
-                int64_t lvl = (int64_t)(u * (double)d), i;                   \
-                int back = strategy == 0 && lvl == d - 1;                    \
-                int stop = back || strategy == 1 || lvl == 0;                \
-                int64_t step = back ? -1 : 1;                                \
-                for (i = 0, j = back ? d - 1 : 0; i < d; i++, j += step) {   \
-                    cand[j] = torus_nearest(g, side, x[2 * j], x[2 * j + 1]); \
-                    if (stop && loads[cand[j]] == 0)                         \
-                        break;                                               \
-                }                                                            \
-                if (i == d)                                                  \
-                    j = decide_##w(loads, cand, 0, d, 0, u, strategy);       \
-                chosen = cand[j];                                            \
-            }                                                                \
-            if ((top) && loads[chosen] == (top))                             \
-                return t;                                                    \
-            if (heights)                                                     \
-                heights[t] = (int64_t)loads[chosen] + 1;                     \
-            loads[chosen] += 1;                                              \
-        }                                                                    \
-        return b;                                                            \
     }
 
 PLACEMENT(i64, int64_t, 0)
 PLACEMENT(u8, uint8_t, UINT8_MAX)
 
-/* The histogram of n loads: h[l] becomes the number of loads equal to l,
- * for each level l < levels (at least UINT8_MAX + 1: every byte load).
- * Byte loads are counted one level at a time up to the largest, 64 into
- * byte counters at once, which vectorizes: about 0.03 ns a server a level
- * on x86, where one h[l]++ pass, whose equal neighbouring loads wait on
- * each other's increments, takes 1.4-1.8 ns.  load_hist_i64 returns 0,
- * or, when some load is levels or more, the levels h needs. */
-static void load_hist_u8(const uint8_t *loads, int64_t n, int64_t *h,
-                         int64_t levels)
+static int64_t place_torus(const torus_index *g, int64_t side,
+                           const double *x, const double *us, int64_t b,
+                           int64_t d, uint8_t *loads, int64_t strategy,
+                           int64_t *heights, int64_t *cand)
+{
+    int64_t t, j, chosen, other;
+    for (t = 0; t < b; t++, x += 2 * d) {
+        double u = us[t];
+        if (d == 1) {
+            chosen = torus_nearest(g, side, x[0], x[1]);
+        } else if (d == 2 && strategy == 0) {
+            int64_t f = u >= 0.5;
+            chosen = torus_nearest(g, side, x[2 * f], x[2 * f + 1]);
+            if (loads[chosen] != 0) {
+                other = torus_nearest(g, side, x[2 - 2 * f], x[3 - 2 * f]);
+                if (loads[other] < loads[chosen])
+                    chosen = other;
+            }
+        } else {
+            int64_t lvl = (int64_t)(u * (double)d), i;
+            int back = strategy == 0 && lvl == d - 1;
+            int stop = back || strategy == 1 || lvl == 0;
+            int64_t step = back ? -1 : 1;
+            for (i = 0, j = back ? d - 1 : 0; i < d; i++, j += step) {
+                cand[j] = torus_nearest(g, side, x[2 * j], x[2 * j + 1]);
+                if (stop && loads[cand[j]] == 0)
+                    break;
+            }
+            if (i == d)
+                j = decide_u8(loads, cand, 0, d, 0, u, strategy);
+            chosen = cand[j];
+        }
+        if (loads[chosen] == UINT8_MAX)
+            return t;
+        if (heights)
+            heights[t] = (int64_t)loads[chosen] + 1;
+        loads[chosen] += 1;
+    }
+    return b;
+}
+
+/* Levels of a load histogram row: every byte load. */
+#define LOAD_LEVELS (UINT8_MAX + 1)
+
+/* The histogram of n byte loads: h[l] becomes the number of loads equal
+ * to l, for each of the LOAD_LEVELS levels.  They are counted one level
+ * at a time up to the largest, 64 into byte counters at once, which
+ * vectorizes: about 0.03 ns a server a level on x86, where one h[l]++
+ * pass, whose equal neighbouring loads wait on each other's increments,
+ * takes 1.4-1.8 ns. */
+static void load_hist_u8(const uint8_t *loads, int64_t n, int64_t *h)
 {
     int64_t i, j, end, l;
     uint8_t top = 0, c[64];
     for (i = 0; i < n; i++)
         top = loads[i] > top ? loads[i] : top;
-    memset(h, 0, sizeof(int64_t) * (size_t)levels);
+    memset(h, 0, sizeof(int64_t) * LOAD_LEVELS);
     h[0] = n;
     for (l = 1; l <= top; l++) {
         const uint8_t level = (uint8_t)l;
@@ -301,19 +303,6 @@ static void load_hist_u8(const uint8_t *loads, int64_t n, int64_t *h,
         }
         h[0] -= h[l];
     }
-}
-
-static int64_t load_hist_i64(const int64_t *loads, int64_t n, int64_t *h,
-                             int64_t levels)
-{
-    int64_t i, need = 0;
-    memset(h, 0, sizeof(int64_t) * (size_t)levels);
-    for (i = 0; i < n; i++)
-        if (loads[i] < levels)
-            h[loads[i]] += 1;
-        else if (loads[i] >= need)
-            need = loads[i] + 1;
-    return need;
 }
 
 /* Kernel 1: sequential greedy placement of one block of balls. */
@@ -884,12 +873,11 @@ int64_t repro_ring_build(uint64_t *s, int64_t n, int64_t nbuckets,
     return built;
 }
 
-/* load_hist_u8 alone: h (levels >= UINT8_MAX + 1) becomes the histogram
- * of the n byte loads.  Only the tests call it. */
-void repro_load_hist_u8(const uint8_t *loads, int64_t n, int64_t *h,
-                        int64_t levels)
+/* load_hist_u8 alone: h (LOAD_LEVELS) becomes the histogram of the n
+ * byte loads.  Only the tests call it. */
+void repro_load_hist_u8(const uint8_t *loads, int64_t n, int64_t *h)
 {
-    load_hist_u8(loads, n, h, levels);
+    load_hist_u8(loads, n, h);
 }
 
 /* Enter a prebuilt ring's int32 bucket table into ix.  Returns 1, or 0
@@ -1176,12 +1164,11 @@ typedef struct {
     const double *const *measures; /* per trial arc lengths, or NULL */
     int64_t *loads;                /* (t, n) rows, or NULL */
     int64_t *heights;              /* (t, m) or NULL */
-    int64_t *hist;                 /* (t, levels) load histograms, or NULL */
+    int64_t *hist;                 /* (t, LOAD_LEVELS) histograms, or NULL */
     int64_t k0, k1, n, m, d, nbuckets, rng_block, partitioned, strategy;
-    int64_t levels; /* hist's row length, at least UINT8_MAX + 1 */
     int64_t torus;  /* 1: 2-D tori on grids of side nbuckets, not rings */
-    int64_t status; /* 0, 1: space not built or compacted, -1: no memory */
-    int64_t need;   /* 0, or the levels a trial's histogram needs */
+    int64_t status; /* 0; 1: space not built or compacted, or a bin would
+                       pass UINT8_MAX; -1: no memory */
 } space_trials_job;
 
 /* What a trial places into: a ring (bucket index, sorted positions plus
@@ -1195,11 +1182,11 @@ typedef struct {
 
 /* Owners of the q ring positions x into bins, in three passes — bucket
  * offset, probe start, probe — each warming the lines the next reads;
- * the last warms the owners' loads (of `size` bytes each) for placement.
- * The group starts are a 64th of the offsets' entries and stay cached. */
+ * the last warms the owners' load bytes for placement.  The group
+ * starts are a 64th of the offsets' entries and stay cached. */
 static void ring_lookup(const space_trials_job *job, const trial_space *sp,
                         const double *x, int64_t q, int64_t *bins,
-                        const char *loads, int64_t size)
+                        const uint8_t *loads)
 {
     const int32_t *start = sp->ring.start;
     const uint8_t *off = sp->ring.off;
@@ -1216,7 +1203,7 @@ static void ring_lookup(const space_trials_job *job, const trial_space *sp,
     for (i = 0; i < q; i++) {
         int64_t j = ring_probe(pos, bins[i], x[i]);
         bins[i] = j == n ? 0 : j;
-        PREFETCH_RW(loads + bins[i] * size);
+        PREFETCH_RW(loads + bins[i]);
     }
 }
 
@@ -1227,19 +1214,18 @@ static void ring_lookup(const space_trials_job *job, const trial_space *sp,
  * materialising it — candidates from the block's first draw,
  * tie-breaks from b*d*dim draws later (jump-ahead) — and each stage of
  * RING_STAGE balls runs draw -> lookup -> place; on a torus, lookup and
- * place are one loop (place_torus_w), which skips the lookups a ball's
+ * place are one loop (place_torus), which skips the lookups a ball's
  * choice does not need.  Partitioned, the first coordinate x of
- * candidate c becomes (x + c) / d.  The loads are n bytes, or with wide
- * set n int64, indexed by server on a ring and by grid position on a
- * torus.  Returns 1, or 0 as soon as a ball chooses a bin whose byte
- * already holds UINT8_MAX; g and the loads are then partly advanced. */
+ * candidate c becomes (x + c) / d.  The loads are n bytes, indexed by
+ * server on a ring and by grid position on a torus.  Returns 1, or 0
+ * as soon as a ball chooses a bin whose byte already holds UINT8_MAX;
+ * g and the loads are then partly advanced. */
 static int space_trial(const space_trials_job *job, int64_t k, pcg64 *g,
-                       const trial_space *sp, void *loads, int wide,
-                       double *x, int64_t *bins, double *us)
+                       const trial_space *sp, uint8_t *loads, double *x,
+                       int64_t *bins, double *us)
 {
     int64_t *heights = job->heights ? job->heights + k * job->m : 0;
     int64_t d = job->d, dim = job->torus ? 2 : 1, ball = 0;
-    int64_t size = wide ? sizeof(int64_t) : sizeof(uint8_t);
     int needs_u = job->strategy == 0 && d > 1;
     while (ball < job->m) {
         int64_t b = job->m - ball < job->rng_block ? job->m - ball
@@ -1261,20 +1247,12 @@ static int space_trial(const space_trials_job *job, int64_t k, pcg64 *g,
                         x[(i * d + c) * dim] =
                             (x[(i * d + c) * dim] + (double)c) / (double)d;
             if (job->torus) {
-                placed = wide ? place_torus_i64(&sp->grid, job->nbuckets, x,
-                                                us, w, d, loads,
-                                                job->strategy, h, bins)
-                              : place_torus_u8(&sp->grid, job->nbuckets, x,
-                                               us, w, d, loads,
-                                               job->strategy, h, bins);
+                placed = place_torus(&sp->grid, job->nbuckets, x, us, w, d,
+                                     loads, job->strategy, h, bins);
             } else {
-                ring_lookup(job, sp, x, q, bins, loads, size);
-                placed = wide ? place_block_i64(bins, us, w, d, loads,
-                                                sp->measures, job->strategy,
-                                                h)
-                              : place_block_u8(bins, us, w, d, loads,
-                                               sp->measures, job->strategy,
-                                               h);
+                ring_lookup(job, sp, x, q, bins, loads);
+                placed = place_block_u8(bins, us, w, d, loads, sp->measures,
+                                        job->strategy, h);
             }
             if (placed < w)
                 return 0;
@@ -1319,10 +1297,6 @@ static void *ring_scratch(size_t size)
  * worker zeroes before every trial; its histogram goes to its hist row
  * and, when the caller keeps loads, they are widened into the trial's
  * int64 row.
- * A trial that chooses a bin already at UINT8_MAX reruns from its
- * generator's state after the build into int64 loads: on a ring the
- * caller's row, or wide, allocated on the worker's first overflow;
- * need keeps the levels its histogram lacks (load_hist_i64).
  * A ring trial looks its candidates up in the worker's bucket index:
  * given tables, each trial's is compacted into it (ring_compact).
  * Without tables each trial first builds its space from its own
@@ -1332,15 +1306,16 @@ static void *ring_scratch(size_t size)
  * get its arc lengths) or a torus grid (torus_build; raw holds the
  * points, pos_ext their grid order and cells the cell offsets).  A
  * torus's raw is dead once it is gridded, so it is the load scratch,
- * bytes or, rerun, int64 (it holds 16 bytes per server), counted by
- * grid position and scattered to the caller's row through ids; rings
- * keep theirs in a buffer of its own, of max(n, nbuckets + 1) bytes for
- * the build's counts.  A space that is not built or a table that does
- * not compact stops the worker (status 1). */
+ * counted by grid position and scattered to the caller's row through
+ * ids; rings keep theirs in a buffer of its own, of max(n, nbuckets + 1)
+ * bytes for the build's counts.  A space that is not built, a table
+ * that does not compact or a ball that chooses a bin already holding
+ * UINT8_MAX stops the worker (status 1), and the caller runs the cell
+ * on its generic route (see repro_space_trials). */
 static void *space_trials_worker(void *arg)
 {
     space_trials_job *job = (space_trials_job *)arg;
-    int64_t n = job->n, nb = job->nbuckets, k, i, *wide = 0;
+    int64_t n = job->n, nb = job->nbuckets, k, i;
     int64_t dim = job->torus ? 2 : 1;
     int build = job->tables == 0, ring = !job->torus;
     int needs_arcs = build && ring && job->strategy >= 2;
@@ -1371,8 +1346,7 @@ static void *space_trials_worker(void *arg)
         job->status = -1;
     } else {
         for (k = job->k0; k < job->k1; k++) {
-            pcg64 g = pcg64_load(job->states + 4 * k), again;
-            int64_t *row, *h = job->hist ? job->hist + k * job->levels : 0;
+            pcg64 g = pcg64_load(job->states + 4 * k);
             int built;
             if (!build) {
                 built = ring_compact(job->tables[k], nb, ix);
@@ -1387,38 +1361,19 @@ static void *space_trials_worker(void *arg)
                 job->status = 1;
                 break;
             }
-            again = g;
             memset(scratch, 0, (size_t)n);
-            if (space_trial(job, k, &g, &sp, scratch, 0, x, bins, us)) {
-                if (h)
-                    load_hist_u8(scratch, n, h, job->levels);
-                if (job->loads)
-                    for (i = 0; i < n; i++)
-                        job->loads[k * n + (ring ? i : ids[i])] = scratch[i];
-            } else {
-                row = ring ? (job->loads ? job->loads + k * n : wide)
-                           : (int64_t *)raw;
-                if (!row)
-                    row = wide = ring_scratch(sizeof(int64_t) * (size_t)n);
-                if (!row) {
-                    job->status = -1;
-                    break;
-                }
-                memset(row, 0, sizeof(int64_t) * (size_t)n);
-                g = again;
-                space_trial(job, k, &g, &sp, row, 1, x, bins, us);
-                if (h) {
-                    int64_t need = load_hist_i64(row, n, h, job->levels);
-                    job->need = need > job->need ? need : job->need;
-                }
-                if (!ring && job->loads)
-                    for (i = 0; i < n; i++)
-                        job->loads[k * n + ids[i]] = row[i];
+            if (!space_trial(job, k, &g, &sp, scratch, x, bins, us)) {
+                job->status = 1;
+                break;
             }
+            if (job->hist)
+                load_hist_u8(scratch, n, job->hist + k * LOAD_LEVELS);
+            if (job->loads)
+                for (i = 0; i < n; i++)
+                    job->loads[k * n + (ring ? i : ids[i])] = scratch[i];
             pcg64_store(&g, job->states + 4 * k);
         }
     }
-    free(wide);
     free(x);
     free(bins);
     free(us);
@@ -1440,36 +1395,34 @@ static void *space_trials_worker(void *arg)
  * With torus set each trial builds a 2-D torus on a grid of side
  * nbuckets (torus_build; tables and measures must be NULL, strategy
  * random or first).  Servers are indexed by int32, so n must be below
- * 2^31.  Trials place into a byte per server and rerun into int64 loads
- * when a bin would pass a byte, so loads are exact for any m.  Trial k's
- * loads go to row k of loads unless loads is NULL (tables must then be
- * NULL); hist, unless NULL, holds a row of levels >= UINT8_MAX + 1
- * counts per trial, and row k gets trial k's load histogram.  Returns 0;
- * 1 when some space was not built or some given table does not fit the
- * bucket index; -1 when scratch memory could not be allocated; or, when
- * some trial's maximum load is levels or more, the levels its histogram
- * needs (the largest maximum + 1, so above 1), the widest rows then
- * partly counted.  Unless it returns 0 the state words are partly
- * advanced and must be discarded. */
+ * 2^31.  Trials place into a byte per server.  Trial k's loads go to
+ * row k of loads unless loads is NULL (tables must then be NULL); hist,
+ * unless NULL, holds a row of LOAD_LEVELS counts per trial, and row k
+ * gets trial k's load histogram.  Returns 0; 1 when some space was not
+ * built, some given table does not fit the bucket index or some ball
+ * chose a bin already holding UINT8_MAX balls; -1 when scratch memory
+ * could not be allocated.  Unless it returns 0 the state words are
+ * partly advanced and must be discarded.  A bin past a byte is the
+ * heavily loaded regime (m >> n), which no paper cell reaches (Table 1's
+ * largest maximum is 35); the caller's generic route runs those cells
+ * faster than a rerun into wider loads would. */
 int64_t repro_space_trials(uint64_t *states, const int32_t *const *tables,
                            const double *const *pos_ext,
                            const double *const *measures, int64_t t,
                            int64_t n, int64_t m, int64_t d, int64_t nbuckets,
                            int64_t rng_block, int64_t partitioned,
                            int64_t strategy, int64_t torus, int64_t *loads,
-                           int64_t *heights, int64_t *hist, int64_t levels,
-                           int64_t nthreads)
+                           int64_t *heights, int64_t *hist, int64_t nthreads)
 {
     space_trials_job jobs[MAX_KERNEL_THREADS];
-    int64_t w, start, stop, status = 0, need = 0;
+    int64_t w, start, stop, status = 0;
     nthreads = clamp_threads(nthreads, t);
     for (w = 0; w < nthreads; w++) {
         thread_range(t, nthreads, w, &start, &stop);
         jobs[w] = (space_trials_job){states, tables, pos_ext, measures,
                                      loads, heights, hist, start, stop,
                                      n, m, d, nbuckets, rng_block,
-                                     partitioned, strategy, levels, torus,
-                                     0, 0};
+                                     partitioned, strategy, torus, 0};
     }
     run_jobs(space_trials_worker, (char *)jobs, sizeof(space_trials_job),
              nthreads);
@@ -1477,9 +1430,8 @@ int64_t repro_space_trials(uint64_t *states, const int32_t *const *tables,
         if (jobs[w].status < 0)
             return -1;
         status |= jobs[w].status;
-        need = jobs[w].need > need ? jobs[w].need : need;
     }
-    return status ? status : need;
+    return status;
 }
 
 #endif /* __SIZEOF_INT128__ */
@@ -1504,7 +1456,7 @@ _SIGNATURES = {
     ),
     "repro_ring_table": ([_PTR, _I64, _I64, _PTR], _I64),
     "repro_space_trials": (
-        [_PTR, _PTR, _PTR, _PTR] + [_I64] * 9 + [_PTR, _PTR, _PTR, _I64, _I64],
+        [_PTR, _PTR, _PTR, _PTR] + [_I64] * 9 + [_PTR, _PTR, _PTR, _I64],
         _I64,
     ),
     "repro_torus_assign": ([_PTR, _I64, _PTR, _PTR, _PTR, _I64, _PTR], None),
@@ -1513,7 +1465,7 @@ _SIGNATURES = {
     "repro_pcg64_advance": ([_PTR, _U64, _U64], None),
     # only the tests call these two
     "repro_ring_build": ([_PTR, _I64, _I64] + [_PTR] * 5, _I64),
-    "repro_load_hist_u8": ([_PTR, _I64, _PTR, _I64], None),
+    "repro_load_hist_u8": ([_PTR, _I64, _PTR], None),
 }
 
 #: Compiler flags.  Every kernel must round exactly like numpy and
@@ -1736,12 +1688,10 @@ def build_backend():
         generators, as :class:`repro.kernels.KernelBackend` documents.
 
         Returns ``False``, writing no generator state back, when some
-        space was not built or some given table does not fit the bucket
-        index.  Else it writes the states back and returns ``True``, or,
-        given ``hist``, the ``(T, L)`` histograms: ``L`` is 256, the
-        levels of every byte load, or, when some trial's maximum load
-        passes 255 (only a rerun trial's can), the largest maximum + 1,
-        which a second call, from the same states, fills.
+        space was not built, some given table does not fit the bucket
+        index or some bin would pass 255 balls.  Else it writes the
+        states back and returns ``True``, or, given ``hist``, the
+        ``(T, 256)`` histograms.
         """
         t = len(bit_generators)
         if loads is None:
@@ -1804,23 +1754,16 @@ def build_backend():
                 measures = [_as_c(a, np.float64) for a in measures]
             measure_ptrs = None if measures is None else _pointers(measures)
         states = [bg.state for bg in bit_generators]
-
-        def call(levels):
-            words = np.array(
-                [_pcg64_words(st["state"]) for st in states], dtype=np.uint64
-            )
-            out = np.empty((t, levels), dtype=np.int64) if hist else None
-            status = lib.repro_space_trials(
-                _p(words), _p(table_ptrs), _p(ext_ptrs), _p(measure_ptrs), t,
-                n, int(m), int(d), nbuckets, int(rng_block),
-                int(bool(partitioned)), int(strategy_code), int(torus),
-                _p(loads), _p(heights), _p(out), levels, int(threads),
-            )
-            return status, words, out
-
-        status, words, out = call(256)
-        if status > 1:  # the levels the widest trial's histogram needs
-            status, words, out = call(status)
+        words = np.array(
+            [_pcg64_words(st["state"]) for st in states], dtype=np.uint64
+        )
+        out = np.empty((t, 256), dtype=np.int64) if hist else None
+        status = lib.repro_space_trials(
+            _p(words), _p(table_ptrs), _p(ext_ptrs), _p(measure_ptrs), t, n,
+            int(m), int(d), nbuckets, int(rng_block), int(bool(partitioned)),
+            int(strategy_code), int(torus), _p(loads), _p(heights), _p(out),
+            int(threads),
+        )
         if status < 0:
             raise MemoryError("space_trials: could not allocate kernel scratch")
         if status:

@@ -179,11 +179,15 @@ def check_random_spaces(space, n, m, d, strategy, seeds, partitioned,
     reference trial's ``(loads, heights, final generator state)``: the
     histograms ``run_random_spaces`` returns, then each server's load
     through the ``space_trials`` wrapper's ``loads``, with heights and
-    generator states both times, at every thread count."""
+    generator states both times, at every thread count.  When some
+    reference bin passes 255 balls, the most a byte of kernel scratch
+    holds, the wrapper must instead return ``False`` and leave every
+    generator as it was, and ``run_random_spaces`` match all the same."""
     from repro.core.multitrial import run_random_spaces
     from repro.kernels import STRATEGY_CODES, get_backend
 
     ref_hist = padded_histograms([loads for loads, _, _ in expected])
+    fits = ref_hist.shape[1] <= 256
     for threads in threads_values:
         where = (f"{space} n={n} m={m} d={d} {strategy.value} "
                  f"partitioned={partitioned} rng_block={rng_block} "
@@ -204,10 +208,17 @@ def check_random_spaces(space, n, m, d, strategy, seeds, partitioned,
             [r.bit_generator for r in rngs], None, None, loads, heights, m, d,
             STRATEGY_CODES[strategy.value], partitioned, rng_block, threads,
             space=space,
-        ) is True, where
-        runs.append((rngs, heights))
+        ) is fits, where
+        if fits:
+            runs.append((rngs, heights))
+        else:
+            for r, s in zip(rngs, seeds):
+                assert (r.bit_generator.state
+                        == np.random.default_rng(s).bit_generator.state), where
         for k, (ref_loads, ref_heights, ref_state) in enumerate(expected):
-            np.testing.assert_array_equal(loads[k], ref_loads, err_msg=where)
+            if fits:
+                np.testing.assert_array_equal(loads[k], ref_loads,
+                                              err_msg=where)
             for rngs, heights in runs:
                 np.testing.assert_array_equal(heights[k], ref_heights,
                                               err_msg=where)

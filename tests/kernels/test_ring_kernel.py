@@ -7,9 +7,9 @@ generator is the ring ``RingSpace.random`` draws from it, and each ring
 trial it runs ends with the loads, heights and generator state of
 :func:`repro.core.engine.run_sequential`.  These tests check all three,
 the dispatch rules around the kernel (other bit generators, shared
-generators and trials too large for its int32 scratch keep the
-reference path), trials whose loads pass the byte each server places
-into, the scratch a trial holds, the ring table pass, and the compile
+generators, trials too large for its int32 scratch and trials of more
+balls than its bytes hold keep the reference path), trials whose loads
+pass the byte each server places into, the scratch a trial holds, the ring table pass, and the compile
 flags the rounding depends on.
 """
 
@@ -292,10 +292,10 @@ def test_load_hist_u8_matches_bincount(loads):
     """The byte histogram counts a level 64 loads at a time into byte
     counters, in blocks of 255 chunks so that no counter wraps: 2·256·64
     equal loads put 512 in every counter, and the random bytes end in a
-    part chunk.  Levels past the largest load come back zero."""
-    h = np.full(300, -1, dtype=np.int64)
-    _lib().repro_load_hist_u8(loads.ctypes.data, loads.size, h.ctypes.data,
-                              h.size)
+    part chunk.  Every row has 256 levels; those past the largest load
+    come back zero."""
+    h = np.full(256, -1, dtype=np.int64)
+    _lib().repro_load_hist_u8(loads.ctypes.data, loads.size, h.ctypes.data)
     np.testing.assert_array_equal(h, np.bincount(loads, minlength=h.size))
 
 
@@ -542,21 +542,29 @@ def _overflow_reference(kind, n, m, d, strategy, seeds, rng_block):
      if not (kind == "torus" and strategy_needs_measures(cell[2]))],
     ids=lambda v: v.value if isinstance(v, TieBreak) else str(v),
 )
-def test_byte_overflow_reruns_match_run_sequential(monkeypatch, kind, n, d,
-                                                   strategy):
-    """A trial places into a byte per server until a ball chooses one
-    that already holds 255, then reruns into int64 loads.  At m = 300·n
-    every trial does so mid-trial (n = 1: at ball 255, in its first
-    stage); at m = one past the earliest such ball, one trial does so at
-    its last ball, in its last stage, and the others never do.  RNG
-    blocks of 100 balls put the overflow past the trial's first block,
-    where its generator has moved on.  Loads or histograms, heights and
-    final states must match run_sequential at every thread count, with
-    the kernel running every trial; at m = 300·n the histograms need
-    more than 256 levels, so a second, wider kernel call fills them."""
-    def no_reference(*args, **kwargs):
-        raise AssertionError("a trial left the space_trials kernel")
+def test_byte_overflow_takes_the_generic_route(monkeypatch, kind, n, d,
+                                               strategy):
+    """A ball that chooses a bin already holding 255 balls sends its
+    call to the generic route: ``space_trials`` writes no generator
+    state back, drawn spaces are drawn the reference way, and the trials
+    run on run_fused's thread pool (a ring tries the kernel once more on
+    its prebuilt tables first).  At m = 300·n every trial gets there
+    mid-trial (n = 1: at ball 255, in its first stage), so such cells
+    skip the kernel and only check_random_spaces' direct call runs it;
+    at m = one past the earliest such ball, one trial gets there at its
+    last ball, in its last stage, and the others never do.  RNG blocks
+    of 100 balls put the overflow past the trial's first block, where
+    its generator has moved on.  Loads or histograms, heights and final
+    states must match run_sequential at every thread count, each call
+    having run the pool."""
+    pool_calls = []
+    run_pool = multitrial._run_fused_kernel
 
+    def counted_pool(*args, **kwargs):
+        pool_calls.append(1)
+        return run_pool(*args, **kwargs)
+
+    monkeypatch.setattr(multitrial, "_run_fused_kernel", counted_pool)
     seeds = [61 + k for k in range(TRIALS)]
     for rng_block in (DEFAULT_RNG_BLOCK, 100):
         full = _overflow_reference(kind, n, 300 * n, d, strategy, seeds,
@@ -568,18 +576,72 @@ def test_byte_overflow_reruns_match_run_sequential(monkeypatch, kind, n, d,
             last: _overflow_reference(kind, n, last, d, strategy, seeds,
                                       rng_block),
         }
-        with monkeypatch.context() as patch:
-            patch.setattr(multitrial, "_random_space", no_reference)
-            patch.setattr(multitrial, "_run_fused_kernel", no_reference)
-            for m, ref in expected.items():
-                if kind == "prebuilt":
-                    spaces = [RingSpace.random(n, seed=500 + k)
-                              for k in range(TRIALS)]
-                    _check_kernel(spaces, m, d, strategy, seeds, False,
-                                  rng_block, ref)
-                else:
-                    check_random_spaces(kind, n, m, d, strategy, seeds,
-                                        False, rng_block, ref, THREADS)
+        for m, ref in expected.items():
+            pool_calls.clear()
+            if kind == "prebuilt":
+                spaces = [RingSpace.random(n, seed=500 + k)
+                          for k in range(TRIALS)]
+                _check_kernel(spaces, m, d, strategy, seeds, False,
+                              rng_block, ref)
+            else:
+                check_random_spaces(kind, n, m, d, strategy, seeds,
+                                    False, rng_block, ref, THREADS)
+            assert len(pool_calls) == len(THREADS), (m, rng_block)
+
+
+@pytest.mark.parametrize("space", ["ring", "torus"])
+@pytest.mark.parametrize("n, m, d", [(1, 255, 1), (1024, 1024, 2)])
+def test_light_cell_histograms_come_from_one_kernel_call(monkeypatch, space,
+                                                         n, m, d):
+    """Every histogram row holds the 256 loads a byte can: one kernel call
+    fills a cell whose bins stay at or under 255 balls, up to a lone
+    server holding all 255, and its rows equal the reference's."""
+    lib = _lib()
+    kernel = lib.repro_space_trials
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(lib, "repro_space_trials", counted)
+    seeds = [90 + k for k in range(TRIALS)]
+    with numpy_reference():
+        ref = []
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            built = (RingSpace.random(n, seed=rng) if space == "ring"
+                     else TorusSpace.random(n, seed=rng))
+            ref.append(run_sequential(built, m, d, TieBreak.RANDOM, rng)[0])
+    rngs = [np.random.default_rng(s) for s in seeds]
+    hist = _cext().space_trials(
+        [r.bit_generator for r in rngs], None, None, None, None, m, d, 0,
+        False, DEFAULT_RNG_BLOCK, 2, space=space, n=n, hist=True,
+    )
+    assert len(calls) == 1
+    assert hist.shape == (TRIALS, 256)
+    np.testing.assert_array_equal(
+        hist, [np.bincount(loads, minlength=256) for loads in ref]
+    )
+
+
+@pytest.mark.parametrize("space", ["ring", "torus"])
+def test_a_bin_past_a_byte_leaves_the_kernel(space):
+    """One ball past a lone server's 255 makes space_trials return False
+    with every generator as it was; more than 255·n balls, some bin of
+    which must pass 255, never reach the kernel."""
+    rngs = [np.random.default_rng(90 + k) for k in range(TRIALS)]
+    before = [r.bit_generator.state for r in rngs]
+    assert _cext().space_trials(
+        [r.bit_generator for r in rngs], None, None, None, None, 256, 1, 0,
+        False, DEFAULT_RNG_BLOCK, 2, space=space, n=1, hist=True,
+    ) is False
+    assert [r.bit_generator.state for r in rngs] == before
+    for n in (1, 3000):
+        assert _space_kernel_takes(space, n, 255 * n, 2, TieBreak.RANDOM,
+                                   rngs, _cext())
+        assert not _space_kernel_takes(space, n, 255 * n + 1, 2,
+                                       TieBreak.RANDOM, rngs, _cext())
 
 
 #: One n = m ring trial (n from argv) as run_cell runs it, in a

@@ -231,7 +231,8 @@ class TestRunCellProfile:
 #: (space, n, m) of the profile check (m None: m = n); ring cells keep
 #: the ids they had before torus and uniform cells joined them.  The
 #: heavily loaded ring's trials pass 255 balls a bin, the most the
-#: kernel's byte scratch holds, and its histograms 256 levels.
+#: kernel's byte scratch holds, so the cell takes the generic route, and
+#: its histograms pass 256 levels.
 _SPACE_SIZES = [
     pytest.param(space, n, None, id=str(n) if space == "ring" else f"{space}-{n}")
     for space in ("ring", "torus", "uniform")
