@@ -84,7 +84,17 @@ def spec_key(spec: Mapping, salt: str = DEFAULT_SALT) -> str:
     >>> spec_key({"n": 256, "d": 2}) == spec_key({"n": 256, "d": 3})
     False
     """
-    text = canonical_json({"salt": salt, "spec": spec})
+    return _key(canonical_json(spec), salt)
+
+
+def _key(spec_text: str, salt: str) -> str:
+    """:func:`spec_key` of the spec whose canonical JSON is ``spec_text``.
+
+    The hashed text is ``canonical_json({"salt": salt, "spec": spec})``,
+    written out around ``spec_text``, so a caller that needs the spec's
+    text as well serializes the spec once.
+    """
+    text = '{"salt":' + canonical_json(salt) + ',"spec":' + spec_text + "}"
     return hashlib.blake2b(text.encode("utf-8"), digest_size=16).hexdigest()
 
 
@@ -107,9 +117,21 @@ def default_cache_dir() -> Path | None:
     return Path(base) / "repro" / "sweeps"
 
 
-def _normalize(spec: Mapping) -> dict:
-    """JSON round-trip so tuples/ints compare equal to loaded entries."""
-    return json.loads(canonical_json(spec))
+#: Types whose canonical JSON reads back as the same text.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def _str_keyed(obj) -> bool:
+    """Whether every dict inside ``obj`` has only str keys, so that
+    ``canonical_json(obj)`` is already the text of its JSON round trip
+    (JSON turns another key into a str, which can change the key order)."""
+    if isinstance(obj, dict):
+        return all(type(k) is str for k in obj) and all(
+            map(_str_keyed, obj.values())
+        )
+    if isinstance(obj, (list, tuple)):
+        return set(map(type, obj)) <= _SCALARS or all(map(_str_keyed, obj))
+    return True
 
 
 class ResultCache:
@@ -165,8 +187,10 @@ class ResultCache:
         finished cells' entries through this to estimate progress/ETA
         without touching the hit/miss counters.
         """
-        key = self.key(spec)
-        return self.root / key[:2] / f"{key}.json"
+        return self._path(self.key(spec))
+
+    def _path(self, key: str) -> Path:
+        return self.root / f"{key[:2]}/{key}.json"
 
     # ------------------------------------------------------------------
     # read / write
@@ -179,15 +203,18 @@ class ResultCache:
         the cache never returns data whose recorded spec differs from
         the request.
         """
+        spec_text = canonical_json(spec)
         try:
-            text = self.path_for(spec).read_text()
+            text = self._path(_key(spec_text, self.salt)).read_text()
         except OSError:
             return self._miss()
         try:
             entry = json.loads(text)
         except ValueError:
             return self._miss(corrupt=True)
-        if entry.get("salt") != self.salt or entry.get("spec") != _normalize(spec):
+        # the stored spec against the request as JSON reads it back
+        stored = (entry.get("salt"), entry.get("spec"))
+        if stored != (self.salt, json.loads(spec_text)):
             return self._miss()
         self.hits += 1
         counter_add("sweep.cache.hit")
@@ -211,15 +238,11 @@ class ResultCache:
         """
         json_path = self.path_for(spec)
         json_path.parent.mkdir(parents=True, exist_ok=True)
-        entry = {
-            "salt": self.salt,
-            "spec": _normalize(spec),
-            "payload": _normalize(payload),
-        }
-        self._atomic_write(
-            json_path,
-            lambda fh: fh.write((canonical_json(entry) + "\n").encode("utf-8")),
-        )
+        entry = {"salt": self.salt, "spec": spec, "payload": payload}
+        if not _str_keyed(entry):  # store the entry as JSON reads it back
+            entry = json.loads(canonical_json(entry))
+        text = canonical_json(entry) + "\n"
+        self._atomic_write(json_path, lambda fh: fh.write(text.encode("utf-8")))
         self.stores += 1
         counter_add("sweep.cache.store")
         return json_path

@@ -1,5 +1,6 @@
 """Cache correctness: content addressing, invalidation, robustness."""
 
+import hashlib
 import json
 
 import pytest
@@ -41,6 +42,19 @@ class TestSpecKey:
 
     def test_salt_changes_key(self):
         assert spec_key(SPEC, salt="other") != spec_key(SPEC, salt=DEFAULT_SALT)
+
+    @pytest.mark.parametrize("spec", [
+        SPEC,
+        {"grid": ("ring", 2), "n": {"lo": 1, "hi": 2**70}, "name": "Vöcking \"x\""},
+        {},
+    ])
+    @pytest.mark.parametrize("salt", [DEFAULT_SALT, 'pin "ü"'])
+    def test_key_hashes_canonical_salt_and_spec(self, spec, salt):
+        """The key is the blake2b of one canonical JSON object holding the
+        salt and the spec; existing caches hold their entries under it."""
+        text = canonical_json({"salt": salt, "spec": spec})
+        expected = hashlib.blake2b(text.encode("utf-8"), digest_size=16)
+        assert spec_key(spec, salt) == expected.hexdigest()
 
     def test_canonical_json_is_byte_stable(self):
         a = canonical_json({"b": 1, "a": [1, 2]})
@@ -102,6 +116,26 @@ class TestResultCache:
             "salt": DEFAULT_SALT, "spec": SPEC,
             "payload": {"hist": [[0, 3], [1, 1]]},
         }
+
+    @pytest.mark.parametrize("spec, payload", [
+        (SPEC, {"hist": [[0, 3], [1, 1]]}),
+        (SPEC, {"counts": {"3": 7, "10": 1}}),
+        (dict(SPEC, shape=(2, 3)), {"rows": ({"a": 1.5, "b": None},)}),
+        (SPEC, {"by_peers": {10: "x", 2: "y"}, "nested": [{True: 1}]}),
+        (dict(SPEC, ids={64: 1, 128: 2}), {"counts": {}}),
+    ], ids=["hist", "counts", "tuples", "int-keys", "int-key-spec"])
+    def test_entry_is_its_json_round_trip(self, tmp_path, spec, payload):
+        """An entry's bytes are the canonical JSON of the spec and payload
+        as JSON reads them back: keys that are not str become str and
+        sort as such, tuples become lists.  A hit returns the payload
+        read back."""
+        cache = ResultCache(tmp_path)
+        path = cache.put(spec, payload)
+        entry = {"salt": DEFAULT_SALT, "spec": spec, "payload": payload}
+        expected = canonical_json(json.loads(canonical_json(entry))) + "\n"
+        assert path.read_text() == expected
+        hit = cache.get(spec)
+        assert hit == {"payload": json.loads(canonical_json(payload))}
 
     def test_reput_overwrites_identically(self, tmp_path):
         cache = ResultCache(tmp_path)
