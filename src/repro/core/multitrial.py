@@ -91,19 +91,6 @@ _FUSED_CHUNK_ELEMENTS = 1 << 23
 #: Cap on the fused bin-state array length (``T·n``) per trial chunk.
 _FUSED_CHUNK_BINS = 1 << 24
 
-#: ``space_trials`` indexes a trial's servers by int32 (a ring's group
-#: starts, a torus grid's cell starts and ids): trials with this many
-#: servers keep the reference and pool paths, and so, as a bound on the
-#: kernel's domain, do trials with this many balls.
-_KERNEL_INT32_LIMIT = 1 << 31
-
-#: Bytes of kernel scratch one ``run_random_spaces`` call may hold across
-#: its worker threads.  That call takes every trial at once, so its
-#: thread count is capped at this over one worker's scratch
-#: (:func:`_worker_scratch_bytes`): a 2²⁴-server ring holds about
-#: 160 MiB per worker, and a many-core host must not hold one per core.
-_KERNEL_SCRATCH_BUDGET = 1 << 30
-
 #: Interleave tile: balls per transpose tile, sized so a tile of the
 #: fused destination stays cache-resident while all trials write into
 #: it (the naive full-width transpose touches each destination cache
@@ -137,77 +124,6 @@ def fused_trial_chunk(n: int, m: int, d: int) -> int:
     return max(1, min(by_candidates, by_bins))
 
 
-def _ring_kernel_takes(
-    n: int, m: int, rngs: Sequence[np.random.Generator], backend: KernelBackend
-) -> bool:
-    """Whether the backend's ``space_trials`` kernel can run these trials.
-
-    That kernel carries a copy of numpy's PCG64, so it takes trials
-    whose generators are exactly ``PCG64``, one each; other bit
-    generators (``MT19937``, ``PCG64DXSM``, ...) and shared generators
-    keep the generic path.  It indexes servers by int32, so trials of
-    ``n`` servers or ``m`` balls at or above 2³¹ keep it too, and it
-    holds a load in a byte, so trials of more than 255·n balls, some
-    bin of which must pass 255, keep it rather than leave the kernel
-    part-way.
-    """
-    return (
-        backend.space_trials is not None
-        and n < _KERNEL_INT32_LIMIT
-        and m < _KERNEL_INT32_LIMIT
-        and m <= 255 * n
-        and all(type(r.bit_generator) is np.random.PCG64 for r in rngs)
-        and _distinct_generators(rngs)
-    )
-
-
-def _ring_kernel_applies(
-    spaces: Sequence[GeometricSpace],
-    m: int,
-    rngs: Sequence[np.random.Generator],
-    backend: KernelBackend,
-) -> bool:
-    """Whether every trial can run inside the backend's ``space_trials``."""
-    return all(isinstance(s, RingSpace) for s in spaces) and _ring_kernel_takes(
-        spaces[0].n, m, rngs, backend
-    )
-
-
-def _space_kernel_takes(
-    space: str,
-    n: int,
-    m: int,
-    dim: int,
-    strategy: TieBreak,
-    rngs: Sequence[np.random.Generator],
-    backend: KernelBackend,
-) -> bool:
-    """Whether ``space_trials`` can build and run trials on fresh spaces.
-
-    It builds rings, and 2-D tori whose strategy needs no Voronoi
-    areas (``random``, ``first``), for trials it can run
-    (:func:`_ring_kernel_takes`).  Uniform bins need no build, and the
-    kernel has no lookup for them.
-    """
-    if space == "uniform":
-        return False
-    if space == "torus" and (dim != 2 or strategy_needs_measures(strategy)):
-        return False
-    return _ring_kernel_takes(n, m, rngs, backend)
-
-
-def _worker_scratch_bytes(space: str, n: int, strategy: TieBreak) -> int:
-    """At most the scratch one ``space_trials`` worker holds for the
-    ``n``-server spaces it builds, per server: for a ring 8 bytes of
-    positions, then a load byte and a bucket index of 1.06 bytes per
-    bucket, with up to 2n buckets (13 in all), plus 8 for arc lengths;
-    for a 2-D torus 16 of points, which then hold the load bytes, 16 of
-    their grid order, 4 of ids and up to 16 of cell offsets (52)."""
-    if space == "torus":
-        return 52 * n
-    return (21 if strategy_needs_measures(strategy) else 13) * n
-
-
 def _distinct_generators(rngs: Sequence[np.random.Generator]) -> bool:
     """Whether no two trials share a bit generator.
 
@@ -232,14 +148,14 @@ def _run_fused_ring(
     record_heights: bool,
     space: str = "ring",
 ) -> tuple[np.ndarray, np.ndarray | None] | None:
-    """All trials in one ``space_trials`` kernel call.
+    """All trials offered to one ``space_trials`` kernel call.
 
     Each trial runs draw → lookup → place for every ball inside the
     kernel, from a C copy of its PCG64 generator that walks the
     :func:`~repro.core.engine.choice_blocks` layout with two cursors
     per RNG block; only ``state.state`` is written back.  Trials are
-    split statically across ``threads`` OS threads.  Results and final
-    generator states are bit-identical to
+    split statically across up to ``threads`` OS threads.  Results and
+    final generator states are bit-identical to
     :func:`~repro.core.engine.run_sequential`
     (``tests/kernels/test_ring_kernel.py``,
     ``tests/kernels/test_torus_kernel.py``).
@@ -251,11 +167,9 @@ def _run_fused_ring(
     inside the kernel (:func:`run_random_spaces`), its loads stay in
     scratch, and the first result is the trials' load histograms,
     trimmed to the largest maximum load + 1 levels.  ``None`` is
-    returned, with no generator state written back, when some drawn
-    space was not built (a repeated server, or servers too crowded for
-    the kernel's index), some given ring is too clustered for the
-    kernel's compact bucket index, or some bin would pass 255 balls,
-    the most a byte holds.
+    returned, with no generator state written back, whenever the kernel
+    does not run the trials: the rule for that is the kernel's own
+    (:class:`repro.kernels.KernelBackend`, ``space_trials``).
     """
     t = len(rngs)
     heights = np.zeros((t, m), dtype=np.int64) if record_heights else None
@@ -433,12 +347,11 @@ def run_fused(
         :func:`repro.kernels.resolve_threads` (``REPRO_NUM_THREADS`` →
         this kwarg → physical cores).  With an accelerated backend the
         trials are split across that many threads: inside the
-        ``space_trials`` kernel for rings drawing from ``PCG64``
-        generators, on a thread pool for everything else, for rings too
-        clustered for that kernel's compact bucket index, and for trials
-        in which a bin would pass 255 balls.  The numpy reference runs
-        on one thread.  Results are bit-identical for every thread
-        count (enforced by ``tests/kernels/test_threads_parity.py`` and
+        ``space_trials`` kernel for rings it runs (its rule:
+        :class:`repro.kernels.KernelBackend`), on a thread pool for
+        everything else.  The numpy reference runs on one thread.
+        Results are bit-identical for every thread count (enforced by
+        ``tests/kernels/test_threads_parity.py`` and
         ``tests/kernels/test_ring_kernel.py``).
 
     Returns
@@ -477,7 +390,9 @@ def run_fused(
     ):
         counter_add("placement.balls", t * m)
         counter_add("placement.trials", t)
-        if _ring_kernel_applies(spaces, m, rngs, backend_obj):
+        if backend_obj.space_trials is not None and all(
+            isinstance(s, RingSpace) for s in spaces
+        ):
             out = _run_fused_ring(
                 spaces,
                 n,
@@ -557,26 +472,20 @@ def run_random_spaces(
     m, d, strategy, rngs, ...)`` (``TorusSpace.random(n, dim=dim,
     seed=r)`` for tori, ``UniformSpace(n)`` for uniform bins), the
     reference path this function takes, in :func:`fused_trial_chunk`
-    chunks when no generator is shared, whenever the backend's
-    ``space_trials`` kernel cannot build and run the trials: uniform
-    bins, no such kernel, a generator that is not ``PCG64``, a
-    generator shared by trials, ``n`` or ``m`` of 2³¹ or more (the
-    kernel indexes servers by int32), ``m`` above 255·n (some bin would
-    pass 255 balls, the most a kernel load byte holds), a torus of
-    dimension other than 2, or a torus strategy that needs Voronoi
-    areas.
+    chunks when no generator is shared, for uniform bins (they need no
+    build, and the kernel has no lookup for them), tori of dimension
+    other than 2, backends without a ``space_trials`` kernel, and
+    trials that kernel does not run (its rule:
+    :class:`repro.kernels.KernelBackend`).
 
-    Otherwise one kernel call takes every trial, on at most as many
-    threads as a fixed scratch budget allows
-    (``_KERNEL_SCRATCH_BUDGET``, 1 GiB: a 2²⁴-server ring's worker
-    holds about 160 MiB).  Each worker builds its trial's space, keeps
-    the loads in a byte per server and counts them into the trial's
-    histogram, so no space object and no ``(T, n)`` loads array is
-    made.  When some drawn space is not built — a repeated server, a
-    crowded ring bucket, or torus servers too unevenly spread for a
-    grid — or a bin would pass 255 balls, the kernel writes no
-    generator state back and the trials rerun on the reference path,
-    which raises the space's own :class:`ValueError` for a repeat.
+    Otherwise one kernel call takes every ring or 2-D torus trial, on
+    at most as many threads as the kernel's scratch budget allows.  Each
+    worker builds its trial's space, keeps the loads in a byte per
+    server and counts them into the trial's histogram, so no space
+    object and no ``(T, n)`` loads array is made.  When the kernel does
+    not run the trials it writes no generator state back, and they run
+    on the reference path, which raises the space's own
+    :class:`ValueError` for a repeated server.
     Results and final generator states are bit-identical either way
     (``tests/kernels/test_ring_kernel.py``,
     ``tests/kernels/test_torus_kernel.py``).
@@ -618,13 +527,11 @@ def run_random_spaces(
         strategy=strategy.value,
         threads=eff_threads,
     ):
-        if _space_kernel_takes(space, n, m, dim, strategy, rngs, backend_obj):
-            budget = _KERNEL_SCRATCH_BUDGET // _worker_scratch_bytes(
-                space, n, strategy
-            )
+        if backend_obj.space_trials is not None and (
+            space == "ring" or (space == "torus" and dim == 2)
+        ):
             out = _run_fused_ring(None, n, m, d, strategy, rngs, backend_obj,
-                                  max(1, min(eff_threads, budget)),
-                                  space=space, **options)
+                                  eff_threads, space=space, **options)
             if out is not None:
                 counter_add("placement.balls", t * m)
                 counter_add("placement.trials", t)

@@ -219,21 +219,34 @@ class KernelBackend:
         first holds the build's bucket count, and the index 1.06), 18
         with arc lengths.  ``hist`` asks for each trial's load
         histogram, int64 ``(T, 256)`` (``hist[k, l]`` bins of trial
-        ``k`` hold exactly ``l`` balls), from one kernel call.  Servers
-        are indexed by int32 (group starts, grid cells), so
-        ``n`` and ``m`` must be below 2³¹; larger trials raise
-        :class:`ValueError` (callers route them elsewhere first).  Only
+        ``k`` hold exactly ``l`` balls), from one kernel call.  Only
         ``state.state`` is written back to each generator.  Returns the
-        histograms, ``True`` without ``hist``, or ``False`` — writing no
-        state back, the loads then meaningless — when some ring, drawn
+        histograms, or ``True`` without ``hist``.
+
+        The kernel alone decides which trials it runs: callers offer it
+        theirs and take their own route, the reference way, when it
+        returns ``False``.  It returns ``False`` before reading a
+        generator state, allocating an output or calling C when some
+        bit generator is not exactly ``numpy.random.PCG64`` (the one it
+        carries a copy of) or two trials share one (they would have to
+        run one after the other), when ``n`` or ``m`` is 2³¹ or more
+        (servers are indexed by int32: group starts, grid cells), when
+        ``m`` exceeds 255·n (some bin must then pass 255 balls), or
+        when a torus strategy needs Voronoi areas (``smaller``,
+        ``larger``).  It returns ``False`` after its C call, writing no
+        state back and the loads then meaningless, when some ring, drawn
         or given, crowds one group of 64 buckets past byte offsets (more
         than 255 positions in its first 63), some drawn ring repeats a
         position or crowds one bucket past the kernel's limit, some
         drawn torus repeats a point or is too unevenly spread for a
-        grid, or some bin would pass 255 balls, so that the caller can
-        run or rebuild it the reference way.  Trials are split
-        statically across ``threads`` OS threads — trials share
-        nothing, so any split is bit-identical.
+        grid, or some bin would pass 255 balls.  A malformed call
+        (loads, tables, measures or heights that do not match the
+        generators, ``n`` or ``m``, an unknown ``space``, tables for a
+        torus) raises :class:`ValueError`.  Trials are split statically
+        across ``threads`` OS threads, or fewer when their workers'
+        scratch would pass a fixed 1 GiB budget (a 2²⁴-server ring's
+        worker holds about 160 MiB) — trials share nothing, so any
+        split is bit-identical.
     ``torus_grid(points, side)``
         From ``(n, 2)`` points in ``[0, 1)²``, the periodic grid
         ``(side, start, xy, ids)``: ``side × side`` cells (``side`` a

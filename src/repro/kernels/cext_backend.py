@@ -1437,6 +1437,33 @@ int64_t repro_space_trials(uint64_t *states, const int32_t *const *tables,
 #endif /* __SIZEOF_INT128__ */
 """
 
+#: Bytes of scratch one ``space_trials`` call may hold across its worker
+#: threads.  A call takes every trial it is given at once, so its thread
+#: count is capped at this over one worker's scratch
+#: (:func:`_worker_scratch_bytes`): a 2²⁴-server ring's worker holds
+#: about 160 MiB, and a many-core host must not hold one per core.
+_SCRATCH_BUDGET = 1 << 30
+
+
+def _worker_scratch_bytes(n: int, torus: bool, build: bool, arcs: bool) -> int:
+    """At most the scratch ``space_trials_worker`` allocates for trials
+    of ``n`` servers, per server: for a ring a load byte and a bucket
+    index of 1.06 bytes per bucket, with up to 2n buckets (4 in all;
+    given tables are compacted into that index); a ring it builds adds
+    8 bytes of positions and widens the load bytes to one per bucket for
+    the build's counts (13), and 8 of arc lengths for the
+    smaller/larger strategies (21); a 2-D torus holds 16 of points,
+    which then hold the load bytes, 16 of their grid order, 4 of ids and
+    up to 16 of cell offsets (52)."""
+    if torus:
+        per_server = 52
+    elif build:
+        per_server = 21 if arcs else 13
+    else:
+        per_server = 4
+    return per_server * max(n, 1)
+
+
 _I64 = ctypes.c_int64
 _U64 = ctypes.c_uint64
 _PTR = ctypes.c_void_p
@@ -1687,13 +1714,18 @@ def build_backend():
         """C kernel running whole ring or 2-D torus trials on numpy PCG64
         generators, as :class:`repro.kernels.KernelBackend` documents.
 
-        Returns ``False``, writing no generator state back, when some
-        space was not built, some given table does not fit the bucket
-        index or some bin would pass 255 balls.  Else it writes the
-        states back and returns ``True``, or, given ``hist``, the
-        ``(T, 256)`` histograms.
+        A malformed call raises :class:`ValueError`.  A call outside the
+        kernel's rule returns ``False`` before it reads a generator
+        state, allocates an output or calls C; so does a call in which
+        some space was not built, some given table does not fit the
+        bucket index or some bin would pass 255 balls, after its C call,
+        writing no generator state back.  Else it writes the states back
+        and returns ``True``, or, given ``hist``, the ``(T, 256)``
+        histograms.  It runs on at most as many threads as
+        :data:`_SCRATCH_BUDGET` holds workers.
         """
         t = len(bit_generators)
+        m = int(m)
         if loads is None:
             if tables is not None or n is None:
                 raise ValueError(
@@ -1706,11 +1738,6 @@ def build_backend():
             if loads.shape[0] != t:
                 raise ValueError("space_trials needs one generator per loads row")
             n = loads.shape[1]
-        if n >= 1 << 31 or int(m) >= 1 << 31:
-            raise ValueError(
-                "space_trials indexes servers by int32: "
-                f"it needs n and m below 2**31, got n={n}, m={m}"
-            )
         if heights is not None:
             _check_inplace(heights, np.int64, "heights")
             if heights.shape != (t, m):
@@ -1718,10 +1745,8 @@ def build_backend():
         if space not in ("ring", "torus"):
             raise ValueError(f"space_trials runs rings or tori, got {space!r}")
         torus = space == "torus"
-        if torus and (tables is not None or int(strategy_code) >= 2):
-            raise ValueError(
-                "space_trials builds its own tori and has no Voronoi areas"
-            )
+        if torus and tables is not None:
+            raise ValueError("space_trials builds its own tori")
         if tables is None:
             if measures is not None:
                 raise ValueError(
@@ -1729,12 +1754,6 @@ def build_backend():
                 )
             if n < 1:
                 raise ValueError("space_trials draws at least one position")
-            if torus:
-                # the grid side, as TorusSpace._grid_side
-                nbuckets = 1 << ((n - 1).bit_length() + 1) // 2
-            else:
-                nbuckets = 1 << max(0, (n - 1).bit_length())
-            table_ptrs = ext_ptrs = measure_ptrs = None
         else:
             nbuckets = int(tables[0][0])
             if len(tables) != t or any(
@@ -1747,6 +1766,29 @@ def build_backend():
                 )
             if measures is not None and any(a.size != n for a in measures):
                 raise ValueError("space_trials needs n measures per trial")
+        code = int(strategy_code)
+        # the kernel's rule (KernelBackend.space_trials): a C copy of
+        # PCG64 per trial, int32 server indices, byte loads, no Voronoi
+        # areas
+        if (
+            any(type(bg) is not np.random.PCG64 for bg in bit_generators)
+            or len({id(bg) for bg in bit_generators}) < t
+            or n >= 1 << 31
+            or m >= 1 << 31
+            or m > 255 * n
+            or (torus and code >= 2)
+        ):
+            return False
+        per_worker = _worker_scratch_bytes(n, torus, tables is None, code >= 2)
+        threads = max(1, min(int(threads), _SCRATCH_BUDGET // per_worker))
+        if tables is None:
+            if torus:
+                # the grid side, as TorusSpace._grid_side
+                nbuckets = 1 << ((n - 1).bit_length() + 1) // 2
+            else:
+                nbuckets = 1 << max(0, (n - 1).bit_length())
+            table_ptrs = ext_ptrs = measure_ptrs = None
+        else:
             tabs = [_as_c(table, np.int32) for _, table, _ in tables]
             exts = [_as_c(pos_ext, np.float64) for _, _, pos_ext in tables]
             table_ptrs, ext_ptrs = _pointers(tabs), _pointers(exts)
@@ -1760,9 +1802,8 @@ def build_backend():
         out = np.empty((t, 256), dtype=np.int64) if hist else None
         status = lib.repro_space_trials(
             _p(words), _p(table_ptrs), _p(ext_ptrs), _p(measure_ptrs), t, n,
-            int(m), int(d), nbuckets, int(rng_block), int(bool(partitioned)),
-            int(strategy_code), int(torus), _p(loads), _p(heights), _p(out),
-            int(threads),
+            m, int(d), nbuckets, int(rng_block), int(bool(partitioned)), code,
+            int(torus), _p(loads), _p(heights), _p(out), threads,
         )
         if status < 0:
             raise MemoryError("space_trials: could not allocate kernel scratch")

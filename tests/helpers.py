@@ -37,6 +37,8 @@ __all__ = [
     "repeating_generator",
     "padded_histograms",
     "check_random_spaces",
+    "kernel_calls",
+    "assert_refused",
 ]
 
 
@@ -223,3 +225,38 @@ def check_random_spaces(space, n, m, d, strategy, seeds, partitioned,
                 np.testing.assert_array_equal(heights[k], ref_heights,
                                               err_msg=where)
                 assert rngs[k].bit_generator.state == ref_state, where
+
+
+def kernel_calls(monkeypatch, status=None) -> list:
+    """The arguments of each ``repro_space_trials`` call from here to the
+    end of the test, in order.  Each call goes through to C or, given
+    ``status``, returns it at once (1: a space the kernel did not build).
+    """
+    from repro.kernels.cext_backend import load_library
+
+    lib = load_library()
+    kernel = lib.repro_space_trials
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args) if status is None else status
+
+    monkeypatch.setattr(lib, "repro_space_trials", counted)
+    return calls
+
+
+def assert_refused(calls, bit_generators, *args, **kwargs) -> None:
+    """``space_trials(bit_generators, *args, **kwargs)`` returns ``False``
+    without a C call (none added to ``calls``, from :func:`kernel_calls`)
+    and leaves every generator's state as it was."""
+    from repro.kernels import get_backend
+
+    before = [bg.state for bg in bit_generators]
+    count = len(calls)
+    assert get_backend("cext").space_trials(
+        bit_generators, *args, **kwargs
+    ) is False
+    assert len(calls) == count
+    # MT19937 states hold arrays
+    np.testing.assert_equal([bg.state for bg in bit_generators], before)

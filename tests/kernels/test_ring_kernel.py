@@ -6,11 +6,12 @@ exactly like ``bit_generator.advance``, a ring it builds from a
 generator is the ring ``RingSpace.random`` draws from it, and each ring
 trial it runs ends with the loads, heights and generator state of
 :func:`repro.core.engine.run_sequential`.  These tests check all three,
-the dispatch rules around the kernel (other bit generators, shared
-generators, trials too large for its int32 scratch and trials of more
-balls than its bytes hold keep the reference path), trials whose loads
-pass the byte each server places into, the scratch a trial holds, the ring table pass, and the compile
-flags the rounding depends on.
+the rule by which the kernel's wrapper turns trials away before any C
+call (other bit generators, shared generators, trials too large for its
+int32 scratch and trials of more balls than its bytes hold), trials
+whose loads pass the byte each server places into, the scratch a trial
+holds and the threads it may hold it on, the ring table pass, and the
+compile flags the rounding depends on.
 """
 
 from __future__ import annotations
@@ -21,11 +22,14 @@ import os
 import re
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from helpers import (
+    assert_refused,
     check_random_spaces,
+    kernel_calls,
     numpy_reference,
     padded_histograms,
     repeating_generator,
@@ -33,17 +37,11 @@ from helpers import (
 
 from repro.core import multitrial
 from repro.core.engine import DEFAULT_RNG_BLOCK, run_sequential
-from repro.core.multitrial import (
-    _ring_kernel_applies,
-    _ring_kernel_takes,
-    _space_kernel_takes,
-    run_fused,
-    run_random_spaces,
-)
+from repro.core.multitrial import run_fused, run_random_spaces
 from repro.core.ring import RingSpace
 from repro.core.strategies import TieBreak, strategy_needs_measures
 from repro.core.torus import TorusSpace
-from repro.kernels import available_backends, get_backend
+from repro.kernels import available_backends, cext_backend, get_backend
 from repro.kernels.cext_backend import C_SOURCE
 from repro.stats import trials
 
@@ -81,6 +79,22 @@ def _state(words: np.ndarray) -> int:
 
 def _cext():
     return get_backend("cext")
+
+
+def _call_args(mode, bit_generators, n, m, d=2, code=0):
+    """A direct space_trials call's arguments, ``(args, kwargs)``, on
+    ``n``-server spaces: the tables of prebuilt rings (mode ``tables``;
+    trial k's ring is drawn from seed 700 + k) or rings or tori the
+    kernel builds (mode ``ring`` or ``torus``), on two threads."""
+    t = len(bit_generators)
+    if mode == "tables":
+        tables = [RingSpace.random(n, seed=700 + k)._bucket_table()
+                  for k in range(t)]
+        loads = np.zeros((t, n), dtype=np.int64)
+        return (bit_generators, tables, None, loads, None, m, d, code, False,
+                DEFAULT_RNG_BLOCK, 2), {}
+    return (bit_generators, None, None, None, None, m, d, code, False,
+            DEFAULT_RNG_BLOCK, 2), dict(space=mode, n=n, hist=True)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +334,6 @@ def _reference_rings(n, m, d, strategy, seeds, partitioned, rng_block):
 def test_random_rings_match_run_sequential(d, strategy, partitioned):
     """m = 0 (the state after the positions alone) and m = n over several
     small RNG blocks."""
-    assert _ring_kernel_takes(3000, 3000, [np.random.default_rng(0)], _cext())
     for n in BUILD_SIZES:
         seeds = [11 * n + d + k for k in range(TRIALS)]
         for m, rng_block in ((0, DEFAULT_RNG_BLOCK), (n, 128)):
@@ -460,26 +473,35 @@ def test_scratch_loads_are_checked():
 
 def test_int32_scratch_limits_keep_the_reference_path(monkeypatch):
     """Loads and bucket offsets live in int32 scratch, so trials of 2³¹
-    servers or balls never reach the kernel: the dispatch predicates turn
-    them away, run_random_spaces takes the reference path, and the kernel
-    itself refuses them.  Nothing of that size is allocated: the
-    reference path is stubbed and the kernel raises before its call."""
+    servers or balls never reach C: the wrapper turns them away, given
+    tables or building its spaces, and run_random_spaces takes the
+    reference path; trials of 2³¹ - 1 servers and balls reach C, on the
+    one thread the scratch budget then allows.  Nothing of that size is
+    allocated: C returns at once, the reference path is stubbed, and a
+    (1, 2³¹) loads array and its ring's table are stood in for by the
+    shapes and sizes the wrapper checks."""
     big = 1 << 31
-    rngs = [np.random.default_rng(0)]
-    assert _ring_kernel_takes(big - 1, big - 1, rngs, _cext())
-    spaces = [RingSpace.random(64, seed=1)]
-    assert not _ring_kernel_applies(spaces, big, rngs, _cext())
+    calls = kernel_calls(monkeypatch, status=1)
+    space = RingSpace.random(64, seed=1)
+    assert_refused(calls, [np.random.PCG64(0)], [space._bucket_table()], None,
+                   np.zeros((1, 64), dtype=np.int64), None, big, 2, 0, False,
+                   DEFAULT_RNG_BLOCK, 1)
+    loads = SimpleNamespace(dtype=np.dtype(np.int64), shape=(1, big),
+                            flags=SimpleNamespace(c_contiguous=True))
+    table = (big, SimpleNamespace(size=big + 1), SimpleNamespace(size=big + 1))
+    assert_refused(calls, [np.random.PCG64(0)], [table], None, loads, None, 1,
+                   2, 0, False, DEFAULT_RNG_BLOCK, 1)
     limits = ((big, 1), (1, big))
-    for n, m in limits:
-        assert not _ring_kernel_takes(n, m, rngs, _cext())
-        for space in ("ring", "torus"):
-            assert not _space_kernel_takes(space, n, m, 2, TieBreak.RANDOM,
-                                           rngs, _cext())
-            with pytest.raises(ValueError, match="below 2\\*\\*31"):
-                _cext().space_trials(
-                    [np.random.PCG64(0)], None, None, None, None, m, 2, 0,
-                    False, DEFAULT_RNG_BLOCK, 1, space=space, n=n, hist=True,
-                )
+    for space in ("ring", "torus"):
+        for n, m in limits:
+            assert_refused(calls, [np.random.PCG64(0)], None, None, None, None,
+                           m, 2, 0, False, DEFAULT_RNG_BLOCK, 1, space=space,
+                           n=n, hist=True)
+        assert _cext().space_trials(
+            [np.random.PCG64(0)], None, None, None, None, big - 1, 2, 0,
+            False, DEFAULT_RNG_BLOCK, 2, space=space, n=big - 1, hist=True,
+        ) is False
+    assert [args[-1] for args in calls] == [1, 1]
 
     reference = []
 
@@ -497,6 +519,7 @@ def test_int32_scratch_limits_keep_the_reference_path(monkeypatch):
                                         backend="cext")
             assert hist.tolist() == [[0] * 7 + [1]]
             assert reference.pop() == ([(space, n)], m)
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -547,12 +570,13 @@ def test_byte_overflow_takes_the_generic_route(monkeypatch, kind, n, d,
     """A ball that chooses a bin already holding 255 balls sends its
     call to the generic route: ``space_trials`` writes no generator
     state back, drawn spaces are drawn the reference way, and the trials
-    run on run_fused's thread pool (a ring tries the kernel once more on
-    its prebuilt tables first).  At m = 300·n every trial gets there
-    mid-trial (n = 1: at ball 255, in its first stage), so such cells
-    skip the kernel and only check_random_spaces' direct call runs it;
-    at m = one past the earliest such ball, one trial gets there at its
-    last ball, in its last stage, and the others never do.  RNG blocks
+    run on run_fused's thread pool (a ring is offered to the kernel once
+    more on its prebuilt tables first).  At m = 300·n every trial gets
+    there mid-trial, and the wrapper turns such calls away before C,
+    check_random_spaces' direct call too, as m passes 255·n; at m = one
+    past the earliest such ball, one trial gets there at its last ball,
+    in its last stage, and the others never do: the kernel stops there,
+    unless m is past 255·n already (on one server, say).  RNG blocks
     of 100 balls put the overflow past the trial's first block, where
     its generator has moved on.  Loads or histograms, heights and final
     states must match run_sequential at every thread count, each call
@@ -625,23 +649,65 @@ def test_light_cell_histograms_come_from_one_kernel_call(monkeypatch, space,
     )
 
 
-@pytest.mark.parametrize("space", ["ring", "torus"])
-def test_a_bin_past_a_byte_leaves_the_kernel(space):
-    """One ball past a lone server's 255 makes space_trials return False
-    with every generator as it was; more than 255·n balls, some bin of
-    which must pass 255, never reach the kernel."""
-    rngs = [np.random.default_rng(90 + k) for k in range(TRIALS)]
+@pytest.mark.parametrize("mode", ["tables", "ring", "torus"])
+def test_a_bin_past_a_byte_leaves_the_kernel(monkeypatch, mode):
+    """A ball that chooses a bin already holding 255 balls stops the
+    kernel: 510 balls of one candidate each on 2 servers, where some
+    reference trial's bin passes 255, make space_trials return False
+    after its one C call, with every generator as it was.  More than
+    255·n balls, some bin of which must pass 255, never reach C; 255·n
+    balls do."""
+    calls = kernel_calls(monkeypatch)
+    seeds = [90 + k for k in range(TRIALS)]
+    peaks = []
+    with numpy_reference():
+        for k, seed in enumerate(seeds):
+            rng = np.random.default_rng(seed)
+            if mode == "tables":
+                space = RingSpace.random(2, seed=700 + k)
+            elif mode == "ring":
+                space = RingSpace.random(2, seed=rng)
+            else:
+                space = TorusSpace.random(2, seed=rng)
+            peaks.append(run_sequential(space, 510, 1, TieBreak.RANDOM,
+                                        rng)[0].max())
+    assert max(peaks) > 255
+    rngs = [np.random.default_rng(s) for s in seeds]
     before = [r.bit_generator.state for r in rngs]
-    assert _cext().space_trials(
-        [r.bit_generator for r in rngs], None, None, None, None, 256, 1, 0,
-        False, DEFAULT_RNG_BLOCK, 2, space=space, n=1, hist=True,
-    ) is False
+    args, kwargs = _call_args(mode, [r.bit_generator for r in rngs], 2, 510,
+                              d=1)
+    assert _cext().space_trials(*args, **kwargs) is False
+    assert len(calls) == 1
     assert [r.bit_generator.state for r in rngs] == before
+
+    calls = kernel_calls(monkeypatch, status=1)
     for n in (1, 3000):
-        assert _space_kernel_takes(space, n, 255 * n, 2, TieBreak.RANDOM,
-                                   rngs, _cext())
-        assert not _space_kernel_takes(space, n, 255 * n + 1, 2,
-                                       TieBreak.RANDOM, rngs, _cext())
+        args, kwargs = _call_args(mode, [r.bit_generator for r in rngs], n,
+                                  255 * n + 1)
+        assert_refused(calls, *args, **kwargs)
+        args, kwargs = _call_args(mode, [r.bit_generator for r in rngs], n,
+                                  255 * n)
+        assert _cext().space_trials(*args, **kwargs) is False
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("mode", ["tables", "ring", "torus"])
+@pytest.mark.parametrize("generators", ["PCG64DXSM", "MT19937", "shared-PCG64"])
+def test_kernel_refuses_generators_it_has_no_copy_of(monkeypatch, generators,
+                                                    mode):
+    """The kernel carries a copy of PCG64 per trial: a direct call with
+    another bit generator, or with one PCG64 for two trials, returns
+    False before any C call, with every generator as it was.  Run, it
+    would draw a PCG64DXSM stream, or one shared stream twice, as if each
+    were a PCG64 of its own, and find no PCG64 state in an MT19937."""
+    bit_generators = {
+        "PCG64DXSM": [np.random.PCG64DXSM(40 + k) for k in range(2)],
+        "MT19937": [np.random.MT19937(40 + k) for k in range(2)],
+        "shared-PCG64": [np.random.PCG64(40)] * 2,
+    }[generators]
+    calls = kernel_calls(monkeypatch)
+    args, kwargs = _call_args(mode, bit_generators, 500, 700)
+    assert_refused(calls, *args, **kwargs)
 
 
 #: One n = m ring trial (n from argv) as run_cell runs it, in a
@@ -718,12 +784,18 @@ def test_ring_trial_scratch_stays_under_11_bytes_per_server():
 
 
 @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.PCG64DXSM])
-def test_random_rings_other_bit_generators_take_the_reference_path(bit_generator):
+def test_random_rings_other_bit_generators_take_the_reference_path(
+        monkeypatch, bit_generator):
+    """The kernel turns these trials away, and run_random_spaces makes no
+    C call: neither building the rings nor on the rings it then draws."""
     rngs = [np.random.Generator(bit_generator(50 + k)) for k in range(2)]
-    assert not _ring_kernel_takes(500, 700, rngs, _cext())
+    calls = kernel_calls(monkeypatch)
+    assert_refused(calls, [r.bit_generator for r in rngs], None, None, None,
+                   None, 700, 2, 2, False, 128, 2, n=500, hist=True)
     hist, heights = run_random_spaces("ring", 500, 700, 2, TieBreak.SMALLER,
                                       rngs, rng_block=128, record_heights=True,
                                       backend="cext", threads=2)
+    assert calls == []
     ref_loads = []
     for k in range(2):
         ref_rng = np.random.Generator(bit_generator(50 + k))
@@ -739,14 +811,18 @@ def test_random_rings_other_bit_generators_take_the_reference_path(bit_generator
     np.testing.assert_array_equal(hist, padded_histograms(ref_loads))
 
 
-def test_random_rings_shared_generator_takes_the_reference_path():
+def test_random_rings_shared_generator_takes_the_reference_path(monkeypatch):
     """Trials sharing one generator: every ring first, then the trials one
-    after another, exactly as run_fused on RingSpace.random spaces."""
+    after another, exactly as run_fused on RingSpace.random spaces.  The
+    kernel turns them away, and no C call is made."""
     shared = np.random.default_rng(13)
-    assert not _ring_kernel_takes(200, 300, [shared] * 3, _cext())
+    calls = kernel_calls(monkeypatch)
+    assert_refused(calls, [shared.bit_generator] * 3, None, None, None, None,
+                   300, 2, 0, False, 64, 2, n=200, hist=True)
     hist, _ = run_random_spaces("ring", 200, 300, 2, TieBreak.RANDOM,
                                 [shared] * 3, rng_block=64, backend="cext",
                                 threads=2)
+    assert calls == []
     ref = np.random.default_rng(13)
     spaces = [RingSpace.random(200, seed=ref) for _ in range(3)]
     ref_loads = [
@@ -762,42 +838,51 @@ def test_random_rings_shared_generator_takes_the_reference_path():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("space", ["ring", "torus"])
-def test_scratch_budget_caps_the_threads_of_a_kernel_call(monkeypatch, space):
+@pytest.mark.parametrize("mode", ["tables", "ring", "torus"])
+def test_scratch_budget_caps_the_threads_of_a_kernel_call(monkeypatch, mode):
     """A kernel call takes every trial at once, on no more threads than
-    the scratch budget holds workers, and at least one.  Results do not
-    depend on it."""
+    the scratch budget holds workers, and at least one, whether it is
+    given prebuilt rings' tables (run_fused) or builds its spaces
+    (run_random_spaces).  Results do not depend on it."""
     n = 500
-    per_worker = multitrial._worker_scratch_bytes(space, n, TieBreak.RANDOM)
-    threads = []
-    real = multitrial._run_fused_ring
-
-    def run_fused_ring(spaces, n, m, d, strategy, rngs, backend, count,
-                       **kwargs):
-        threads.append(count)
-        return real(spaces, n, m, d, strategy, rngs, backend, count, **kwargs)
+    per_worker = cext_backend._worker_scratch_bytes(
+        n, mode == "torus", mode != "tables", False
+    )
+    calls = kernel_calls(monkeypatch)
 
     def run():
         rngs = [np.random.default_rng(20 + k) for k in range(8)]
-        return run_random_spaces(space, n, n, 2, TieBreak.RANDOM, rngs,
+        if mode == "tables":
+            spaces = [RingSpace.random(n, seed=k) for k in range(8)]
+            return run_fused(spaces, n, 2, TieBreak.RANDOM, rngs,
+                             backend="cext", threads=7)[0]
+        return run_random_spaces(mode, n, n, 2, TieBreak.RANDOM, rngs,
                                  backend="cext", threads=7)[0]
 
-    monkeypatch.setattr(multitrial, "_run_fused_ring", run_fused_ring)
-    hist = run()
+    out = run()
     for budget in (3 * per_worker + 1, per_worker - 1):
-        monkeypatch.setattr(multitrial, "_KERNEL_SCRATCH_BUDGET", budget)
-        np.testing.assert_array_equal(run(), hist)
-    assert threads == [7, 3, 1]
+        monkeypatch.setattr(cext_backend, "_SCRATCH_BUDGET", budget)
+        np.testing.assert_array_equal(run(), out)
+    # repro_space_trials' last argument is its thread count
+    assert [args[-1] for args in calls] == [7, 3, 1]
 
 
 @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.PCG64DXSM])
-def test_other_bit_generators_take_the_generic_path(bit_generator):
+def test_other_bit_generators_take_the_generic_path(monkeypatch, bit_generator):
+    """run_fused offers prebuilt rings to the kernel, which turns these
+    trials away without a C call; the pool places them."""
     spaces = [RingSpace.random(500, seed=k) for k in range(2)]
     rngs = [np.random.Generator(bit_generator(40 + k)) for k in range(2)]
-    assert not _ring_kernel_applies(spaces, 700, rngs, _cext())
+    calls = kernel_calls(monkeypatch)
+    assert_refused(calls, [r.bit_generator for r in rngs],
+                   [s._bucket_table() for s in spaces], None,
+                   np.zeros((2, 500), dtype=np.int64),
+                   np.zeros((2, 700), dtype=np.int64), 700, 2, 0, False, 128,
+                   2)
     loads, heights = run_fused(spaces, 700, 2, TieBreak.RANDOM, rngs,
                                rng_block=128, record_heights=True,
                                backend="cext", threads=2)
+    assert calls == []
     for k, space in enumerate(spaces):
         ref_rng = np.random.Generator(bit_generator(40 + k))
         ref_loads, ref_heights = run_sequential(
@@ -811,12 +896,21 @@ def test_other_bit_generators_take_the_generic_path(bit_generator):
 
 
 @pytest.mark.parametrize("space_cls", [RingSpace, TorusSpace])
-def test_shared_generator_runs_trials_in_order(space_cls):
-    """Trials sharing one generator consume it trial after trial."""
+def test_shared_generator_runs_trials_in_order(monkeypatch, space_cls):
+    """Trials sharing one generator consume it trial after trial, on no
+    C copy of it: the kernel turns rings away, and tori it is not offered
+    prebuilt."""
     spaces = [space_cls.random(200, seed=k) for k in range(3)]
     shared = np.random.default_rng(12)
+    calls = kernel_calls(monkeypatch)
+    if space_cls is RingSpace:
+        assert_refused(calls, [shared.bit_generator] * 3,
+                       [s._bucket_table() for s in spaces], None,
+                       np.zeros((3, 200), dtype=np.int64), None, 300, 2, 0,
+                       False, 64, 2)
     loads, _ = run_fused(spaces, 300, 2, TieBreak.RANDOM, [shared] * 3,
                          rng_block=64, backend="cext", threads=2)
+    assert calls == []
     ref = np.random.default_rng(12)
     for k, space in enumerate(spaces):
         ref_loads, _ = run_sequential(space, 300, 2, TieBreak.RANDOM, ref,
@@ -825,13 +919,18 @@ def test_shared_generator_runs_trials_in_order(space_cls):
     assert shared.bit_generator.state == ref.bit_generator.state
 
 
-def test_pcg64_rings_take_the_kernel():
+def test_pcg64_rings_take_the_kernel(monkeypatch):
+    """run_fused runs a prebuilt ring's PCG64 trial in one C call; the
+    numpy backend has no kernel to offer it to."""
     spaces = [RingSpace.random(64, seed=1)]
-    assert _ring_kernel_applies(spaces, 64, [np.random.default_rng(1)],
-                                _cext())
-    assert not _ring_kernel_applies(
-        spaces, 64, [np.random.default_rng(1)], get_backend("numpy")
-    )
+    calls = kernel_calls(monkeypatch)
+    run_fused(spaces, 64, 2, TieBreak.RANDOM, [np.random.default_rng(1)],
+              backend="cext")
+    assert len(calls) == 1
+    assert get_backend("numpy").space_trials is None
+    run_fused(spaces, 64, 2, TieBreak.RANDOM, [np.random.default_rng(1)],
+              backend="numpy")
+    assert len(calls) == 1
 
 
 def _clustered_ring(crowd, n=1024):

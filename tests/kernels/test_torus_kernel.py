@@ -13,8 +13,8 @@ tori inside the ``space_trials`` kernel; both must end with the loads,
 heights and generator state of :func:`repro.core.engine.run_sequential`
 on ``TorusSpace.random``.  These tests check all of that, that other
 generators, shared generators, other dimensions and the area-based
-strategies still match the reference, and that the numpy reference
-builds no grid.
+strategies still match the reference without a call into the kernel's
+C, and that the numpy reference builds no grid.
 """
 
 from __future__ import annotations
@@ -24,7 +24,9 @@ import functools
 import numpy as np
 import pytest
 from helpers import (
+    assert_refused,
     check_random_spaces,
+    kernel_calls,
     numpy_reference,
     padded_histograms,
     repeating_generator,
@@ -33,7 +35,7 @@ from scipy.spatial import cKDTree
 
 from repro.baselines.uniform import UniformSpace
 from repro.core.engine import DEFAULT_RNG_BLOCK, run_sequential
-from repro.core.multitrial import _space_kernel_takes, run_fused, run_random_spaces
+from repro.core.multitrial import run_fused, run_random_spaces
 from repro.core.strategies import TieBreak
 from repro.core.torus import TorusSpace
 from repro.kernels import available_backends, get_backend
@@ -623,8 +625,6 @@ def test_random_tori_match_run_sequential(d, strategy, partitioned):
     blocks of 7 balls and of 300 (a full 256-ball stage and a short
     one).  Table 2 takes d = 1–4; a ball with d >= 3 and the random
     tie-break skips lookups only when u < 1/d."""
-    assert _space_kernel_takes("torus", 3000, 3000, 2, strategy,
-                               [np.random.default_rng(0)], _cext_backend())
     for n in BUILD_SIZES:
         seeds = [11 * n + d + k for k in range(TRIALS)]
         for m, rng_block in ((0, DEFAULT_RNG_BLOCK), (n, 7), (n, 300)):
@@ -724,40 +724,50 @@ def _assert_reference_path(rngs, fresh_rng, strategy=TieBreak.RANDOM, *,
 
 @pytest.mark.parametrize("strategy", [TieBreak.SMALLER, TieBreak.LARGER],
                          ids=lambda s: s.value)
-def test_random_tori_area_strategies_take_the_reference_path(strategy):
+def test_random_tori_area_strategies_take_the_reference_path(monkeypatch,
+                                                             strategy):
+    """The kernel has no Voronoi areas: it turns these trials away, with
+    or without loads, and no C call is made."""
     rngs = [np.random.default_rng(80 + k) for k in range(2)]
-    assert not _space_kernel_takes("torus", 300, 400, 2, strategy, rngs,
-                                   _cext_backend())
-    with pytest.raises(ValueError, match="Voronoi areas"):
-        _cext_backend().space_trials(
-            [r.bit_generator for r in rngs], None, None,
-            np.zeros((2, 300), dtype=np.int64), None, 400, 2,
-            2 if strategy is TieBreak.SMALLER else 3, False, 64, 2,
-            space="torus",
-        )
+    calls = kernel_calls(monkeypatch)
+    code = 2 if strategy is TieBreak.SMALLER else 3
+    assert_refused(calls, [r.bit_generator for r in rngs], None, None,
+                   np.zeros((2, 300), dtype=np.int64), None, 400, 2, code,
+                   False, 64, 2, space="torus")
+    assert_refused(calls, [r.bit_generator for r in rngs], None, None, None,
+                   None, 400, 2, code, False, 64, 2, space="torus", n=300,
+                   hist=True)
     _assert_reference_path(rngs, lambda k: np.random.default_rng(80 + k),
                            strategy)
+    assert calls == []
 
 
 @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.PCG64DXSM])
-def test_random_tori_other_bit_generators_take_the_reference_path(bit_generator):
+def test_random_tori_other_bit_generators_take_the_reference_path(
+        monkeypatch, bit_generator):
     rngs = [np.random.Generator(bit_generator(50 + k)) for k in range(2)]
-    assert not _space_kernel_takes("torus", 300, 400, 2, TieBreak.RANDOM,
-                                   rngs, _cext_backend())
+    calls = kernel_calls(monkeypatch)
+    assert_refused(calls, [r.bit_generator for r in rngs], None, None, None,
+                   None, 400, 2, 0, False, 64, 2, space="torus", n=300,
+                   hist=True)
     _assert_reference_path(
         rngs, lambda k: np.random.Generator(bit_generator(50 + k))
     )
+    assert calls == []
 
 
-def test_random_tori_shared_generator_takes_the_reference_path():
+def test_random_tori_shared_generator_takes_the_reference_path(monkeypatch):
     """Trials sharing one generator: every torus first, then the trials
-    one after another, exactly as run_fused on TorusSpace.random spaces."""
+    one after another, exactly as run_fused on TorusSpace.random spaces.
+    The kernel turns them away, and no C call is made."""
     shared = np.random.default_rng(13)
-    assert not _space_kernel_takes("torus", 200, 300, 2, TieBreak.RANDOM,
-                                   [shared] * 3, _cext_backend())
+    calls = kernel_calls(monkeypatch)
+    assert_refused(calls, [shared.bit_generator] * 3, None, None, None, None,
+                   300, 2, 0, False, 64, 2, space="torus", n=200, hist=True)
     hist, _ = run_random_spaces("torus", 200, 300, 2, TieBreak.RANDOM,
                                 [shared] * 3, rng_block=64, backend="cext",
                                 threads=2)
+    assert calls == []
     ref = np.random.default_rng(13)
     with numpy_reference():
         spaces = [TorusSpace.random(200, seed=ref) for _ in range(3)]
@@ -771,32 +781,36 @@ def test_random_tori_shared_generator_takes_the_reference_path():
 
 
 @pytest.mark.parametrize("dim", [1, 3])
-def test_random_tori_other_dimensions_take_the_reference_path(dim):
+def test_random_tori_other_dimensions_take_the_reference_path(monkeypatch,
+                                                              dim):
+    """The kernel builds 2-D tori only, so these are never offered to it."""
     rngs = [np.random.default_rng(60 + k) for k in range(2)]
-    assert not _space_kernel_takes("torus", 300, 400, dim, TieBreak.RANDOM,
-                                   rngs, _cext_backend())
+    calls = kernel_calls(monkeypatch)
     _assert_reference_path(rngs, lambda k: np.random.default_rng(60 + k),
                            dim=dim)
+    assert calls == []
 
 
 def test_random_tori_numpy_backend_takes_the_reference_path(monkeypatch):
+    """The numpy backend has no kernel, so no C call is made."""
     monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numpy")
     rngs = [np.random.default_rng(90 + k) for k in range(2)]
-    assert not _space_kernel_takes("torus", 300, 400, 2, TieBreak.RANDOM,
-                                   rngs, get_backend("numpy"))
+    calls = kernel_calls(monkeypatch)
+    assert get_backend("numpy").space_trials is None
     _assert_reference_path(rngs, lambda k: np.random.default_rng(90 + k),
                            backend="numpy")
+    assert calls == []
 
 
-def test_random_spaces_reject_other_spaces():
-    """run_random_spaces takes uniform bins (on run_fused, as the kernel
-    has no lookup for them) but no other space; the kernel takes rings
-    and tori only."""
+def test_random_spaces_reject_other_spaces(monkeypatch):
+    """run_random_spaces takes uniform bins (on run_fused, with no C call
+    into the kernel, which has no lookup for them) but no other space;
+    the kernel takes rings and tori only."""
     rngs = [np.random.default_rng(0)]
-    assert not _space_kernel_takes("uniform", 10, 10, 2, TieBreak.RANDOM,
-                                   rngs, _cext_backend())
+    calls = kernel_calls(monkeypatch)
     hist, _ = run_random_spaces("uniform", 10, 10, 2, TieBreak.RANDOM, rngs,
                                 backend="cext")
+    assert calls == []
     ref_loads, _ = run_sequential(UniformSpace(10), 10, 2, TieBreak.RANDOM,
                                   np.random.default_rng(0))
     np.testing.assert_array_equal(hist, padded_histograms([ref_loads]))

@@ -118,7 +118,7 @@ def check(space, n, d, strategy, partitioned, trials) -> list[str]:
         space=space,
     )
     if built is not True:
-        problems.append("threads=1: the kernel built no space")
+        problems.append("threads=1: the kernel did not run the trial")
     elif not np.array_equal(loads[0], first_loads):
         problems.append("threads=1: loads differ")
     elif rngs[0].bit_generator.state != ref_states[0]:
