@@ -15,8 +15,6 @@ import abc
 
 import numpy as np
 
-from repro.utils.rng import resolve_rng
-
 __all__ = ["GeometricSpace"]
 
 
@@ -86,7 +84,3 @@ class GeometricSpace(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(n={self.n})"
-
-    @classmethod
-    def _resolve(cls, seed) -> np.random.Generator:
-        return resolve_rng(seed)

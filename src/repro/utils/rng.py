@@ -75,23 +75,6 @@ def spawn_rngs(
     return [np.random.default_rng(ss) for ss in spawn_seed_sequences(seed, n)]
 
 
-def interleave_uniforms(
-    rng: np.random.Generator, m: int, d: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pre-draw all randomness for one placement run.
-
-    Returns ``(points, tiebreaks)`` where ``points`` has shape ``(m, d)``
-    (candidate locations in [0, 1), consumed row by row in arrival order)
-    and ``tiebreaks`` has shape ``(m,)`` (one uniform per ball used to
-    resolve ties).  Pre-drawing in a fixed layout is what makes the
-    fused engine bit-identical to the sequential reference: both read
-    one stream in the same order.
-    """
-    points = rng.random((m, d))
-    tiebreaks = rng.random(m)
-    return points, tiebreaks
-
-
 def stable_hash_seed(*parts: Sequence[object]) -> int:
     """Derive a stable 63-bit seed from string-able parts.
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.utils.rng import (
-    interleave_uniforms,
     resolve_rng,
     spawn_rngs,
     spawn_seed_sequences,
@@ -72,18 +71,6 @@ class TestSpawning:
         vals = [g.random() for g in spawn_rngs(ss, 2)]
         vals2 = [g.random() for g in spawn_rngs(np.random.SeedSequence(77), 2)]
         assert vals == vals2
-
-
-class TestInterleaveUniforms:
-    def test_shapes(self, rng):
-        pts, tb = interleave_uniforms(rng, 10, 3)
-        assert pts.shape == (10, 3)
-        assert tb.shape == (10,)
-
-    def test_ranges(self, rng):
-        pts, tb = interleave_uniforms(rng, 100, 2)
-        assert np.all((pts >= 0) & (pts < 1))
-        assert np.all((tb >= 0) & (tb < 1))
 
 
 class TestStableHashSeed:
