@@ -38,7 +38,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.spaces import GeometricSpace
-from repro.kernels import default_backend, resolve_threads
+from repro.kernels import default_backend
 from repro.utils.rng import resolve_rng
 from repro.utils.validation import as_float_array, check_positive_int
 
@@ -123,10 +123,6 @@ class RingSpace(GeometricSpace):
     #: Below these sizes the bucket table isn't worth building/using.
     _LUT_MIN_BINS = 1024
     _LUT_MIN_QUERIES = 1024
-    #: Below this many queries, thread spawn/join overhead beats the
-    #: parallel lookup; above it, auto-thread (results are identical —
-    #: each output row is an independent lookup).
-    _PAR_MIN_QUERIES = 1 << 16
 
     def _nbuckets(self) -> int:
         """``B``: the power of two ≥ n."""
@@ -184,14 +180,9 @@ class RingSpace(GeometricSpace):
                 # compiled twin of the bucketed walk below (parity suite
                 # checks bit-identity); already reduced mod n
                 nbuckets, table, pos_ext = self._bucket_table()
-                threads = (
-                    resolve_threads(None)
-                    if pts.size >= self._PAR_MIN_QUERIES
-                    else 1
-                )
                 return backend.ring_assign(
                     np.ascontiguousarray(pts.ravel()), table, pos_ext,
-                    nbuckets, self.n, threads=threads,
+                    nbuckets, self.n,
                 ).reshape(pts.shape)
             idx = self._assign_bucketed(pts.ravel()).reshape(pts.shape)
         else:

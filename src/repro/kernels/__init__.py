@@ -164,16 +164,12 @@ class KernelBackend:
         ``out[i]`` as the op is decided: the chosen bin, ``-1`` for a
         delete, the ball's ``ball_bin`` entry for a lookup.  Returns
         the ``(inserts, deletes)`` counts applied.
-    ``ring_assign(pts, table, pos_ext, nbuckets, n, threads=1)``
+    ``ring_assign(pts, table, pos_ext, nbuckets, n)``
         Bucket-table ring ownership lookup: for each point start at
         the cached lower bound of its bucket and probe forward, exactly
         like :meth:`repro.core.ring.RingSpace._assign_bucketed`.
-        Returns an int64 index array.  ``threads > 1`` partitions the
-        points into static contiguous row groups (the C kernels'
-        ``thread_range``: earlier groups at most one row longer)
-        processed GIL-free in parallel — each output row is an
-        independent lookup, so the partition is bit-identical by
-        construction.
+        Returns an int64 index array.  It runs GIL-free on the calling
+        thread: ``threads`` splits trials, never one call's points.
     ``ring_table(pos_ext, nbuckets)``
         The table pass: from the sorted positions plus a ``+inf``
         sentinel, return the ``nbuckets + 1`` int32 bucket table

@@ -228,6 +228,7 @@ static int64_t torus_nearest(const torus_index *g, int64_t side, double qx,
     }
 
 PLACEMENT(i64, int64_t, 0)
+#if defined(__SIZEOF_INT128__) /* byte loads serve space_trials alone */
 PLACEMENT(u8, uint8_t, UINT8_MAX)
 
 static int64_t place_torus(const torus_index *g, int64_t side,
@@ -304,6 +305,7 @@ static void load_hist_u8(const uint8_t *loads, int64_t n, int64_t *h)
         h[0] -= h[l];
     }
 }
+#endif /* __SIZEOF_INT128__ */
 
 /* Kernel 1: sequential greedy placement of one block of balls. */
 void repro_place_block(const int64_t *bins, const double *us, int64_t b,
@@ -411,16 +413,17 @@ void repro_ring_assign(const double *pts, int64_t q, const int32_t *table,
     }
 }
 
-/* ---------------- thread-parallel variants (pthreads) ----------------
+/* ---------------- the thread runner (pthreads) ----------------
  *
- * Work is partitioned STATICALLY into contiguous row groups (earlier
- * groups at most one row longer), so the schedule — and therefore the
- * result — is a pure function of (count, nthreads).  Each group's rows
- * are fully independent (ring lookups never share output rows, ring
- * trials never share loads or generators), so every partition is
- * bit-identical to the serial loop.  These entry points are called
- * through ctypes, which drops the GIL for the duration of the call. */
+ * Threads split trials only: repro_space_trials is the runner's one
+ * user, and every other kernel runs on its caller's thread.  Trials are
+ * partitioned STATICALLY into contiguous groups (earlier groups at most
+ * one trial longer), so the schedule — and therefore the result — is a
+ * pure function of (count, nthreads).  Trials never share loads or
+ * generators, so every partition is bit-identical to the serial loop.
+ * ctypes drops the GIL for the duration of the call. */
 
+#if defined(__SIZEOF_INT128__) /* as repro_space_trials */
 #define MAX_KERNEL_THREADS 64
 
 /* Clamp a requested thread count to [1, min(count, MAX_KERNEL_THREADS)]. */
@@ -433,7 +436,7 @@ static int64_t clamp_threads(int64_t nthreads, int64_t count)
     return nthreads < 1 ? 1 : nthreads;
 }
 
-/* [*start, *stop) of group w when count rows are split nthreads ways. */
+/* [*start, *stop) of group w when count trials are split nthreads ways. */
 static void thread_range(int64_t count, int64_t nthreads, int64_t w,
                          int64_t *start, int64_t *stop)
 {
@@ -520,43 +523,7 @@ static void run_jobs(void *(*fn)(void *), char *jobs, size_t size,
         if (spawned[w])
             pthread_join(tids[w], 0);
 }
-
-/* One point range of a parallel ring_assign call. */
-typedef struct {
-    const double *pts;
-    int64_t q;
-    const int32_t *table;
-    const double *pos_ext;
-    int64_t nbuckets, n;
-    int64_t *out;
-} ring_job;
-
-static void *ring_worker(void *arg)
-{
-    ring_job *job = (ring_job *)arg;
-    repro_ring_assign(job->pts, job->q, job->table, job->pos_ext,
-                      job->nbuckets, job->n, job->out);
-    return 0;
-}
-
-/* Kernel 3b: ring ownership lookup, points partitioned across
- * nthreads OS threads (each runs the pipelined serial loop on its
- * contiguous slice). */
-void repro_ring_assign_par(const double *pts, int64_t q,
-                           const int32_t *table, const double *pos_ext,
-                           int64_t nbuckets, int64_t n, int64_t *out,
-                           int64_t nthreads)
-{
-    ring_job jobs[MAX_KERNEL_THREADS];
-    int64_t w, start, stop;
-    nthreads = clamp_threads(nthreads, q);
-    for (w = 0; w < nthreads; w++) {
-        thread_range(q, nthreads, w, &start, &stop);
-        jobs[w] = (ring_job){pts + start, stop - start, table, pos_ext,
-                             nbuckets, n, out + start};
-    }
-    run_jobs(ring_worker, (char *)jobs, sizeof(ring_job), nthreads);
-}
+#endif /* __SIZEOF_INT128__ */
 
 /* Kernel 4: bucket table of a ring in one pass over its sorted
  * positions.  pos_ext holds the n sorted positions and the +inf
@@ -1478,9 +1445,6 @@ _SIGNATURES = {
         None,
     ),
     "repro_ring_assign": ([_PTR, _I64, _PTR, _PTR, _I64, _I64, _PTR], None),
-    "repro_ring_assign_par": (
-        [_PTR, _I64, _PTR, _PTR, _I64, _I64, _PTR, _I64], None,
-    ),
     "repro_ring_table": ([_PTR, _I64, _I64, _PTR], _I64),
     "repro_space_trials": (
         [_PTR, _PTR, _PTR, _PTR] + [_I64] * 9 + [_PTR, _PTR, _PTR, _I64],
@@ -1671,27 +1635,17 @@ def build_backend():
         )
         return int(counts[0]), int(counts[1])
 
-    def ring_assign(pts, table, pos_ext, nbuckets, n, threads=1):
-        """C kernel for the bucket-table ring ownership lookup.
-
-        ``threads > 1`` partitions the points into contiguous row
-        groups looked up on that many OS threads (bit-identical: each
-        output row is independent).
-        """
+    def ring_assign(pts, table, pos_ext, nbuckets, n):
+        """C kernel for the bucket-table ring ownership lookup, on the
+        calling thread (threads split trials, not lookups)."""
         pts = _as_c(pts, np.float64)
         table = _as_c(table, np.int32)
         pos_ext = _as_c(pos_ext, np.float64)
         out = np.empty(pts.size, dtype=np.int64)
-        if threads > 1:
-            lib.repro_ring_assign_par(
-                _p(pts), pts.size, _p(table), _p(pos_ext), int(nbuckets),
-                int(n), _p(out), int(threads),
-            )
-        else:
-            lib.repro_ring_assign(
-                _p(pts), pts.size, _p(table), _p(pos_ext), int(nbuckets),
-                int(n), _p(out),
-            )
+        lib.repro_ring_assign(
+            _p(pts), pts.size, _p(table), _p(pos_ext), int(nbuckets),
+            int(n), _p(out),
+        )
         return out
 
     def ring_table(pos_ext, nbuckets):

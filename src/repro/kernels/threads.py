@@ -1,10 +1,10 @@
 """Thread-count resolution and CPU topology for the parallel kernels.
 
 The multicore tier (the ``space_trials`` kernel splitting ring and 2-D
-torus trials across OS threads, the trial pool of
-:func:`repro.core.multitrial.run_fused`'s generic kernel path, and the
-thread-parallel ``ring_assign`` lookup) is steered by **one** knob
-with the same resolution order as the kernel backend:
+torus trials across OS threads, and the trial pool of
+:func:`repro.core.multitrial.run_fused`'s generic kernel path) is
+steered by **one** knob with the same resolution order as the kernel
+backend:
 
 1. the ``REPRO_NUM_THREADS`` environment variable (strongest — one
    shell export steers every layer, and it reaches every sweep shard
@@ -17,13 +17,14 @@ with the same resolution order as the kernel backend:
    the load/store units the placement kernels are bound by, so logical
    cores past the physical count add contention, not throughput).
 
-``threads`` never changes results: work is partitioned statically by
-trial (trials share no loads and no generator) or by output row (ring
-lookups).  The parity suite (``tests/kernels/test_threads_parity.py``)
-enforces bit-identity for every backend × engine × thread count, which
-is also why ``threads`` is excluded from sweep cache keys (like
-``backend=``).  The dynamic engines and the serving tier take no
-``threads``: their event windows are one serial dependency chain.
+``threads`` never changes results: it splits trials only, statically,
+and trials share no loads and no generator (a ring or torus lookup runs
+on the thread that asks for it).  The parity suite
+(``tests/kernels/test_threads_parity.py``) enforces bit-identity for
+every backend × engine × thread count, which is also why ``threads``
+is excluded from sweep cache keys (like ``backend=``).  The dynamic
+engines and the serving tier take no ``threads``: their event windows
+are one serial dependency chain.
 
 :func:`cpu_topology` additionally feeds the observability layer: run
 manifests (:func:`repro.obs.manifest.run_manifest`) and both tracked

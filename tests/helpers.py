@@ -227,22 +227,24 @@ def check_random_spaces(space, n, m, d, strategy, seeds, partitioned,
                 assert rngs[k].bit_generator.state == ref_state, where
 
 
-def kernel_calls(monkeypatch, status=None) -> list:
-    """The arguments of each ``repro_space_trials`` call from here to the
-    end of the test, in order.  Each call goes through to C or, given
-    ``status``, returns it at once (1: a space the kernel did not build).
+def kernel_calls(monkeypatch, status=None, *,
+                 symbol="repro_space_trials") -> list:
+    """The arguments of each call of the C function ``symbol`` from here
+    to the end of the test, in order.  Each call goes through to C or,
+    given ``status``, returns it at once (for ``repro_space_trials``, 1:
+    a space the kernel did not build).
     """
     from repro.kernels.cext_backend import load_library
 
     lib = load_library()
-    kernel = lib.repro_space_trials
+    kernel = getattr(lib, symbol)
     calls = []
 
     def counted(*args):
         calls.append(args)
         return kernel(*args) if status is None else status
 
-    monkeypatch.setattr(lib, "repro_space_trials", counted)
+    monkeypatch.setattr(lib, symbol, counted)
     return calls
 
 

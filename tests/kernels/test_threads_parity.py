@@ -1,8 +1,8 @@
 """Thread count never changes results — the multicore bit-identity contract.
 
 The multicore tier (:mod:`repro.kernels.threads`) promises that
-``threads`` only moves wall-clock time: parallel kernels and the trial
-pool split work by independent trial or row.  These tests enforce
+``threads`` only moves wall-clock time: the ``space_trials`` kernel and
+the trial pool split work by independent trial.  These tests enforce
 bit-identity of threaded against serial execution for every available
 backend × engine × thread count, exercise the knob's env → kwarg →
 auto resolution order (including a subprocess test of the real
@@ -22,7 +22,9 @@ import threading
 
 import numpy as np
 import pytest
+from helpers import kernel_calls
 
+from repro.core.engine import run_sequential
 from repro.core.multitrial import run_fused
 from repro.core.ring import RingSpace
 from repro.core.strategies import TieBreak
@@ -124,6 +126,28 @@ def test_trial_pool_under_switch_pressure():
     np.testing.assert_array_equal(ref[1], got[1])
     if base.place_block is not None:
         assert len({p for p in placers if p.startswith("repro-trial")}) > 1
+
+
+@pytest.mark.skipif("cext" not in BACKENDS, reason="needs the cext kernels")
+def test_pool_route_looks_each_block_up_in_one_call(monkeypatch):
+    """``threads`` splits trials only: on ``run_fused``'s pool (rings
+    with ``MT19937``, which ``space_trials`` turns away) each trial's one
+    block of 2¹⁷ candidates is a single serial ``repro_ring_assign`` call,
+    not a lookup that starts threads of its own."""
+    monkeypatch.setenv("REPRO_NUM_THREADS", "2")
+    n = 1 << 16
+    rings = [RingSpace.random(n, seed=90 + k) for k in range(2)]
+
+    def rngs():
+        return [np.random.Generator(np.random.MT19937(95 + k))
+                for k in range(2)]
+
+    want = [run_sequential(ring, n, 2, TieBreak.RANDOM, rng)[0]
+            for ring, rng in zip(rings, rngs())]
+    calls = kernel_calls(monkeypatch, symbol="repro_ring_assign")
+    loads, _ = run_fused(rings, n, 2, TieBreak.RANDOM, rngs(), backend="cext")
+    assert [args[1] for args in calls] == [2 * n, 2 * n]
+    np.testing.assert_array_equal(loads, want)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
