@@ -206,7 +206,7 @@ def run_sequential(
     space: GeometricSpace,
     m: int,
     d: int,
-    strategy: TieBreak,
+    strategy: TieBreak | str,
     rng: np.random.Generator,
     *,
     partitioned: bool = False,
@@ -217,10 +217,13 @@ def run_sequential(
 
     Returns ``(loads, heights)`` where ``heights`` is an ``(m,)`` array
     of ball heights (position in the stack, 1-based) when
-    ``record_heights`` else ``None``.
+    ``record_heights`` else ``None``.  ``strategy`` may be a name, as
+    :meth:`TieBreak.coerce` reads it; an unknown one raises
+    :class:`ValueError` before ``rng`` draws.
     """
     m = check_non_negative_int(m, "m")
     d = check_positive_int(d, "d")
+    strategy = TieBreak.coerce(strategy)
     loads = [0] * space.n
     measures = (
         space.region_measures().tolist() if strategy_needs_measures(strategy) else None

@@ -158,6 +158,25 @@ class TestEngineAccounting:
         with pytest.raises(ValueError):
             run_sequential(small_ring, 5, 0, TieBreak.RANDOM, resolve_rng(0))
 
+    @pytest.mark.parametrize("name", ["random", "SMALLER"])
+    def test_strategy_names(self, name):
+        """A name places like its enum member, as in every other entry
+        point."""
+        ring = RingSpace.random(64, seed=4)
+        got = run_sequential(ring, 64, 2, name, resolve_rng(6),
+                             record_heights=True)
+        want = run_sequential(ring, 64, 2, TieBreak.coerce(name),
+                              resolve_rng(6), record_heights=True)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+
+    def test_unknown_strategy_draws_nothing(self, small_ring):
+        rng = resolve_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="unknown tie-break"):
+            run_sequential(small_ring, 64, 2, "bogus", rng)
+        assert rng.bit_generator.state == before
+
     def test_default_rng_block_constant(self):
         """Changing this constant silently breaks stored-seed results."""
         assert DEFAULT_RNG_BLOCK == 1 << 16
