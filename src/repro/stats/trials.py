@@ -73,7 +73,7 @@ class CellSpec:
         Tie-break rule (Table 3 varies this).
     partitioned:
         Vöcking interval sampling (the ``arc-left`` scheme combines
-        this with ``strategy="first"``).
+        this with ``strategy="first"``); a ``bool`` or ``numpy.bool_``.
     dim:
         Torus dimension (2 in the paper; ablations raise it).
     """
@@ -94,6 +94,11 @@ class CellSpec:
         if self.m is not None:
             check_positive_int(self.m, "m")
         TieBreak.coerce(self.strategy)  # validate eagerly
+        # a truthy str such as "false" would run the partitioned scheme
+        if not isinstance(self.partitioned, (bool, np.bool_)):
+            raise TypeError(
+                f"partitioned must be a bool, got {self.partitioned!r}"
+            )
         check_positive_int(self.dim, "dim")
 
     @property

@@ -65,6 +65,11 @@ class TestCellSpec:
         with pytest.raises(ValueError, match="tie-break"):
             CellSpec("ring", 64, 2, strategy="leftish")
 
+    def test_partitioned_must_be_bool(self):
+        with pytest.raises(TypeError, match="partitioned must be a bool"):
+            CellSpec("ring", 64, 2, partitioned="no")
+        assert CellSpec("ring", 64, 2, partitioned=np.bool_(True)).partitioned
+
     def test_with_update(self):
         spec = CellSpec("ring", 64, 2).with_(d=3)
         assert spec.d == 3 and spec.n == 64

@@ -76,6 +76,15 @@ class TestSweepGrid:
         with pytest.raises(ValueError, match="unknown grid keys"):
             SweepGrid.from_mapping({"ns": (64,)})
 
+    def test_partitioned_string_rejected(self):
+        """A JSON grid's ``"false"`` is truthy: it must not run (and
+        seed) the partitioned cell."""
+        grid = SweepGrid.from_mapping(
+            {"n": [64], "d": [2], "partitioned": ["false"], "trials": 2}
+        )
+        with pytest.raises(TypeError, match="partitioned must be a bool"):
+            grid.cells()
+
     def test_describe_is_jsonable_and_complete(self):
         import json
 
